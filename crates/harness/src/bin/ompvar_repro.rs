@@ -327,20 +327,15 @@ fn main() -> ExitCode {
         // it, a corrupt shard is fatal and the error names the shard
         // file, line number and offending bytes.
         let opened = if opts.salvage {
-            resume_shards_lenient(&ckpt_dir, "manifest", &header, jobs).map(
-                |(ms, merged, notes)| {
-                    for n in &notes {
-                        eprintln!("warning: {n}");
-                    }
-                    salvage_notes = notes;
-                    (ms, merged)
-                },
-            )
+            resume_shards_lenient(&ckpt_dir, "manifest", &header, jobs, &mut salvage_notes)
         } else {
             resume_shards(&ckpt_dir, "manifest", &header, jobs)
         };
         match opened {
             Ok((ms, merged)) => {
+                for n in &salvage_notes {
+                    eprintln!("warning: {n}");
+                }
                 println!(
                     "resuming from {} ({} completed experiment(s))",
                     manifest_path.display(),

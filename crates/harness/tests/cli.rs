@@ -753,3 +753,44 @@ fn corrupt_shard_is_fatal_unless_salvaged() {
     assert!(note.contains("manifest.jsonl.corrupt"), "{note}");
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// A journaled unit whose payload no longer decodes is replayed by
+/// nobody: the control lane warns once, the unit re-runs once, and its
+/// fresh result is journaled once behind the unreadable line.
+#[test]
+fn unreadable_payload_warns_once_reruns_once_journals_once() {
+    let base = std::env::temp_dir().join("ompvar_cli_unreadable_payload");
+    std::fs::remove_dir_all(&base).ok();
+    let run = |resume: bool| {
+        let mut cmd = repro();
+        cmd.args(["--fast", "--seed", "3", "--jobs", "1", "--out"]).arg(&base);
+        if resume {
+            cmd.arg("--resume").arg(base.join("checkpoint"));
+        }
+        let out = cmd.arg("fig2").output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "stderr: {stderr}");
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
+    };
+    run(false);
+
+    // Swap the journaled report for a payload `ExpReport` cannot read.
+    let manifest = base.join("checkpoint").join("manifest.jsonl");
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let (header, unit) = text.trim_end().split_once('\n').expect("header + one unit");
+    let cut = unit.find("\"payload\":").expect("unit line carries a payload");
+    let alien = format!("{}\"payload\":{{\"alien\":true}}}}", &unit[..cut]);
+    std::fs::write(&manifest, format!("{header}\n{alien}\n")).expect("manifest rewritten");
+
+    let (stdout, stderr) = run(true);
+    let warning = "checkpoint payload for fig2 is unreadable; re-running";
+    assert_eq!(stderr.matches(warning).count(), 1, "{stderr}");
+    assert_eq!(stdout.matches("==== fig2 ====").count(), 1, "{stdout}");
+    assert!(!stdout.contains("[replayed from checkpoint]"), "{stdout}");
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "header, the unreadable line, one fresh line: {text}");
+    assert_eq!(lines[1], alien);
+    assert_eq!(lines[2], unit, "the re-run journals what the first run did");
+    std::fs::remove_dir_all(&base).ok();
+}

@@ -22,8 +22,8 @@
 //! * [`wellformed`] — structural validation (every begin matched by an
 //!   end, per-thread LIFO nesting, per-thread monotone timestamps) and
 //!   span recovery.
-//! * [`metrics`] — a log-bucketed [`LatencyHistogram`] and the
-//!   per-construct [`MetricsRegistry`] (p50/p95/p99/max).
+//! * [`metrics`] — the per-construct [`MetricsRegistry`]
+//!   (p50/p95/p99/max), one [`QuantileSketch`] per span kind.
 //! * [`attr`] — the causal time-attribution vocabulary: the typed
 //!   [`AttrSource`] ledger ([`RunAttribution`]) the sim engine charges
 //!   every preemption, migration, SMT co-run, DVFS droop, sync wait and
@@ -57,6 +57,6 @@ pub use chrome::{attr_counter_events, chrome_trace, chrome_trace_attr, chrome_tr
 pub use event::{
     EventKind, InstantKind, Span, SpanKind, Trace, TraceEvent, CORE_UNKNOWN, THREAD_GLOBAL,
 };
-pub use metrics::{LatencyHistogram, MetricsRegistry, SpanStats};
+pub use metrics::{MetricsRegistry, SpanStats};
 pub use record::{NullSink, TeamRecorder, ThreadRecorder, TraceSink};
 pub use sketch::{QuantileSketch, VarAccum};

@@ -1,99 +1,8 @@
 //! Histogram-backed metrics: per-construct latency distributions.
 
 use crate::event::{SpanKind, Trace};
-use crate::sketch::{bucket_floor, bucket_of, N_BUCKETS};
+use crate::sketch::QuantileSketch;
 use crate::wellformed::pair_spans;
-
-/// A log-bucketed latency histogram over `u64` nanoseconds.
-///
-/// Constant memory (512 buckets), O(1) insert. Bucket scheme shared
-/// with [`crate::QuantileSketch`]: 8 sub-buckets per power of two, so a
-/// value `v` lands in a bucket whose floor is within `v/8` below it —
-/// interior percentiles carry **≤ 12.5% relative quantization error**
-/// (asserted by the `interior_percentiles_within_bucket_error` test).
-/// The recorded minimum and maximum are exact, and percentile results
-/// are clamped into `[min, max]` so single-sample and extreme queries
-/// are exact too. All counts saturate instead of wrapping.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    counts: Vec<u64>,
-    count: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram { counts: vec![0; N_BUCKETS], count: 0, min: u64::MAX, max: 0 }
-    }
-}
-
-impl LatencyHistogram {
-    /// Fresh empty histogram.
-    pub fn new() -> LatencyHistogram {
-        LatencyHistogram::default()
-    }
-
-    /// Record one value.
-    pub fn record(&mut self, value_ns: u64) {
-        self.record_n(value_ns, 1);
-    }
-
-    /// Record `n` occurrences of one value. Counts saturate at
-    /// `u64::MAX` rather than wrapping.
-    pub fn record_n(&mut self, value_ns: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let b = bucket_of(value_ns);
-        self.counts[b] = self.counts[b].saturating_add(n);
-        self.count = self.count.saturating_add(n);
-        self.min = self.min.min(value_ns);
-        self.max = self.max.max(value_ns);
-    }
-
-    /// Total recorded samples (saturating).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest recorded value, `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest recorded value, `None` when empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// The `p`-th percentile (`0.0..=100.0`, clamped), `None` when
-    /// empty. `percentile(0)` is the exact minimum, `percentile(100)`
-    /// the exact maximum; interior percentiles carry the bucket
-    /// quantization error.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let p = p.clamp(0.0, 100.0);
-        if p <= 0.0 {
-            return Some(self.min);
-        }
-        if p >= 100.0 {
-            return Some(self.max);
-        }
-        // Nearest-rank definition on the saturating total.
-        let rank = ((p / 100.0 * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen: u64 = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen = seen.saturating_add(c);
-            if seen >= rank {
-                return Some(bucket_floor(i).clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-}
 
 /// Percentile summary of one span kind's latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,16 +19,16 @@ pub struct SpanStats {
     pub max_ns: u64,
 }
 
-/// Per-construct latency registry: one [`LatencyHistogram`] per
+/// Per-construct latency registry: one [`QuantileSketch`] per
 /// [`SpanKind`].
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    hists: Vec<LatencyHistogram>,
+    hists: Vec<QuantileSketch>,
 }
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
-        MetricsRegistry { hists: vec![LatencyHistogram::new(); SpanKind::ALL.len()] }
+        MetricsRegistry { hists: vec![QuantileSketch::new(); SpanKind::ALL.len()] }
     }
 }
 
@@ -147,7 +56,7 @@ impl MetricsRegistry {
     }
 
     /// The underlying histogram of one kind.
-    pub fn histogram(&self, kind: SpanKind) -> &LatencyHistogram {
+    pub fn histogram(&self, kind: SpanKind) -> &QuantileSketch {
         &self.hists[kind.index()]
     }
 
@@ -157,9 +66,9 @@ impl MetricsRegistry {
         let h = &self.hists[kind.index()];
         Some(SpanStats {
             count: h.count(),
-            p50_ns: h.percentile(50.0)?,
-            p95_ns: h.percentile(95.0)?,
-            p99_ns: h.percentile(99.0)?,
+            p50_ns: h.quantile(0.50)?,
+            p95_ns: h.quantile(0.95)?,
+            p99_ns: h.quantile(0.99)?,
             max_ns: h.max()?,
         })
     }
@@ -189,76 +98,6 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use crate::event::{EventKind, SpanKind, TraceEvent};
-
-    #[test]
-    fn empty_histogram_has_no_percentiles() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.percentile(50.0), None);
-    }
-
-    #[test]
-    fn single_sample_is_every_percentile() {
-        let mut h = LatencyHistogram::new();
-        h.record(1234);
-        for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
-            assert_eq!(h.percentile(p), Some(1234), "p{p}");
-        }
-        assert_eq!(h.min(), Some(1234));
-        assert_eq!(h.max(), Some(1234));
-    }
-
-    #[test]
-    fn zero_and_small_values_are_exact() {
-        let mut h = LatencyHistogram::new();
-        for v in 0..8u64 {
-            h.record(v);
-        }
-        assert_eq!(h.percentile(0.0), Some(0));
-        assert_eq!(h.percentile(100.0), Some(7));
-        // Nearest rank of p50 over 8 samples is the 4th (value 3).
-        assert_eq!(h.percentile(50.0), Some(3));
-    }
-
-    #[test]
-    fn interior_percentiles_within_bucket_error() {
-        let mut h = LatencyHistogram::new();
-        for v in 1..=10_000u64 {
-            h.record(v);
-        }
-        for (p, exact) in [(50.0, 5000.0), (95.0, 9500.0), (99.0, 9900.0)] {
-            let got = h.percentile(p).unwrap() as f64;
-            let rel = (got - exact).abs() / exact;
-            assert!(rel <= 0.125, "p{p}: got {got}, exact {exact}, rel {rel}");
-        }
-        assert_eq!(h.percentile(100.0), Some(10_000));
-    }
-
-    #[test]
-    fn counts_saturate_instead_of_wrapping() {
-        let mut h = LatencyHistogram::new();
-        h.record_n(42, u64::MAX);
-        h.record_n(42, u64::MAX); // would wrap if unchecked
-        h.record(7);
-        assert_eq!(h.count(), u64::MAX);
-        let p50 = h.percentile(50.0).expect("nonempty");
-        assert!((37..=42).contains(&p50), "{p50}"); // within bucket error of 42
-        assert_eq!(h.min(), Some(7));
-        // u64::MAX itself lands in the last bucket without overflow.
-        let mut g = LatencyHistogram::new();
-        g.record(u64::MAX);
-        assert_eq!(g.percentile(100.0), Some(u64::MAX));
-    }
-
-    #[test]
-    fn record_n_zero_is_a_noop() {
-        let mut h = LatencyHistogram::new();
-        h.record_n(99, 0);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.percentile(50.0), None);
-    }
 
     #[test]
     fn snapshot_order_is_discriminant_sorted() {

@@ -8,11 +8,10 @@
 //! and still produce byte-identical reports at any `--jobs` count:
 //!
 //! * [`QuantileSketch`] — a log-bucketed quantile sketch over `u64`
-//!   nanoseconds. Same bucket scheme as
-//!   [`LatencyHistogram`](crate::LatencyHistogram) (8 sub-buckets per
-//!   octave ⇒ ≤ 12.5% relative quantization error on interior
-//!   quantiles; exact min/max), constant memory, O(1) insert, O(buckets)
-//!   merge.
+//!   nanoseconds (8 sub-buckets per octave ⇒ ≤ 12.5% relative
+//!   quantization error on interior quantiles; exact min/max), constant
+//!   memory, O(1) insert, O(buckets) merge. Also the per-construct
+//!   latency histogram behind [`MetricsRegistry`](crate::MetricsRegistry).
 //! * [`VarAccum`] — exact streaming moments (count, Σx, Σx² in `u128`,
 //!   min, max) for mean / population standard deviation / coefficient of
 //!   variation. `u128` sums are exact for any realistic campaign
@@ -21,13 +20,13 @@
 
 /// Sub-bucket resolution: 2^3 = 8 sub-buckets per power of two, i.e. a
 /// worst-case quantization error of 1/8 = 12.5%.
-pub(crate) const SUB_BITS: u32 = 3;
-pub(crate) const SUBS: u64 = 1 << SUB_BITS;
+const SUB_BITS: u32 = 3;
+const SUBS: u64 = 1 << SUB_BITS;
 /// 64 octaves × 8 sub-buckets (small values get exact buckets).
-pub(crate) const N_BUCKETS: usize = 64 * SUBS as usize;
+const N_BUCKETS: usize = 64 * SUBS as usize;
 
-/// Bucket index of value `v` (shared with `metrics::LatencyHistogram`).
-pub(crate) fn bucket_of(v: u64) -> usize {
+/// Bucket index of value `v`.
+fn bucket_of(v: u64) -> usize {
     if v < SUBS {
         v as usize
     } else {
@@ -38,7 +37,7 @@ pub(crate) fn bucket_of(v: u64) -> usize {
 
 /// Lower bound of bucket `i` — the value reported for quantiles falling
 /// in it.
-pub(crate) fn bucket_floor(i: usize) -> u64 {
+fn bucket_floor(i: usize) -> u64 {
     let i = i as u64;
     if i < SUBS {
         i
@@ -312,13 +311,71 @@ mod tests {
     #[test]
     fn empty_sketch_and_accum_report_nothing() {
         let s = QuantileSketch::new();
+        assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.5), None);
         assert_eq!(s.iqr(), None);
         assert_eq!(s.min(), None);
+        assert_eq!(s.max(), None);
         let a = VarAccum::new();
         assert_eq!(a.mean(), 0.0);
         assert_eq!(a.cov(), 0.0);
         assert_eq!(a.max(), None);
+    }
+
+    #[test]
+    fn single_sample_is_every_quantile() {
+        let mut s = QuantileSketch::new();
+        s.record(1234);
+        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+            assert_eq!(s.quantile(q), Some(1234), "q{q}");
+        }
+        assert_eq!(s.min(), Some(1234));
+        assert_eq!(s.max(), Some(1234));
+    }
+
+    #[test]
+    fn zero_and_small_values_are_exact() {
+        let mut s = QuantileSketch::new();
+        for v in 0..8u64 {
+            s.record(v);
+        }
+        assert_eq!(s.quantile(0.0), Some(0));
+        assert_eq!(s.quantile(1.0), Some(7));
+        // Nearest rank of the median over 8 samples is the 4th (value 3).
+        assert_eq!(s.quantile(0.5), Some(3));
+    }
+
+    #[test]
+    fn interior_quantiles_within_bucket_error() {
+        let mut s = QuantileSketch::new();
+        for v in 1..=10_000u64 {
+            s.record(v);
+        }
+        for (q, exact) in [(0.50, 5000.0), (0.95, 9500.0), (0.99, 9900.0)] {
+            let got = s.quantile(q).unwrap() as f64;
+            let rel = (got - exact).abs() / exact;
+            assert!(rel <= 0.125, "q{q}: got {got}, exact {exact}, rel {rel}");
+        }
+        assert_eq!(s.quantile(1.0), Some(10_000));
+    }
+
+    #[test]
+    fn counts_saturate_instead_of_wrapping() {
+        let mut s = QuantileSketch::new();
+        s.record(42);
+        for _ in 0..64 {
+            let same = s.clone();
+            s.merge(&same); // the 64th doubling would wrap if unchecked
+        }
+        s.record(7);
+        assert_eq!(s.count(), u64::MAX);
+        let p50 = s.quantile(0.5).expect("nonempty");
+        assert!((37..=42).contains(&p50), "{p50}"); // within bucket error of 42
+        assert_eq!(s.min(), Some(7));
+        // u64::MAX itself lands in the last bucket without overflow.
+        let mut g = QuantileSketch::new();
+        g.record(u64::MAX);
+        assert_eq!(g.quantile(1.0), Some(u64::MAX));
     }
 
     #[test]

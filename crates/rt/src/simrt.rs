@@ -74,7 +74,7 @@ pub struct SimRuntime {
     /// pre-optimization binary-heap event queue and naive topology
     /// lookups. Slower, independently implemented, and required to be
     /// observably identical to the optimized path — the yardstick for
-    /// qcheck oracle #11 and the CI perf gate's machine normalization.
+    /// qcheck oracle #11.
     pub reference_engine: bool,
 }
 

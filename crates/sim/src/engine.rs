@@ -480,10 +480,8 @@ impl Simulator {
     /// The reference path processes the *identical* event stream — same
     /// pop order, same RNG draws, same counters — so a seed run on either
     /// path yields a bit-identical [`SimReport`]. It exists as the
-    /// yardstick: equivalence oracles diff the two paths, the golden
-    /// determinism suite pins both to one digest, and the CI perf gate
-    /// divides optimized throughput by reference throughput to get a
-    /// machine-independent speedup.
+    /// yardstick: equivalence oracles diff the two paths, and the golden
+    /// determinism suite pins both to one digest.
     pub fn use_reference_engine(&mut self) {
         assert!(
             !self.started,

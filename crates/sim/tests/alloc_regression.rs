@@ -15,23 +15,39 @@ use ompvar_sim::prelude::*;
 use ompvar_sim::time::SEC;
 use ompvar_topology::{HwThreadId, MachineSpec, Place};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread: the simulator runs on the
+    /// calling thread, so tests on parallel test threads do not pollute
+    /// each other's counts. Const-initialised and without a destructor,
+    /// so touching it from the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `try_with`: the allocator still runs while a dying thread's TLS is
+/// torn down.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs_so_far() -> u64 {
+    ALLOCS.try_with(Cell::get).expect("test thread is alive")
+}
 
 struct CountingAlloc;
 
 // SAFETY: delegates directly to `System`; the counter is a side effect.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -68,9 +84,9 @@ fn allocs_for_mode(reps: u32, attributed: bool) -> u64 {
             .build();
         sim.spawn_user(rank, prog, Some(Place::single(HwThreadId(rank))));
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs_so_far();
     let report = sim.run(100 * SEC).expect("barrier cycles complete");
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs_so_far();
     assert_eq!(report.unfinished, 0);
     after - before
 }

@@ -24,6 +24,7 @@ use crate::chaos::{self, FaultKind, Verdict, WriteKind};
 use crate::classify::Transience;
 use crate::fsio::atomic_write;
 use ompvar_obs::json::{self, Value};
+use std::collections::HashSet;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -257,25 +258,14 @@ fn entry_from(v: &Value) -> Option<Entry> {
     })
 }
 
-/// What actually happened to one journal append, chaos included.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AppendFate {
-    /// The full line landed.
-    Complete,
-    /// `Ok` was reported but (some of) the bytes were lost — the lying
-    /// short append. In-memory state keeps the entry; the disk doesn't.
-    Lied,
-    /// The process "crashed": nothing recorded anywhere.
-    Lost,
-}
-
-/// A live manifest: the journal of one campaign run (or one worker
-/// shard of a parallel campaign).
+/// A live manifest: the append-only journal handle of one campaign run
+/// (or one worker shard of a parallel campaign). It holds no entries:
+/// what is journaled lives on disk, and [`Manifest::open_resume`] hands
+/// the parsed entries to its caller.
 #[derive(Debug)]
 pub struct Manifest {
     path: PathBuf,
     header: Header,
-    entries: Vec<Entry>,
     /// Open append handle; re-opened on demand if an append fails.
     file: Option<File>,
     /// Whether `open_resume` dropped a torn final line (the unit it
@@ -300,7 +290,6 @@ impl Manifest {
         Ok(Manifest {
             path: path.to_path_buf(),
             header,
-            entries: Vec::new(),
             file,
             torn_tail: false,
             disk_len: doc.len() as u64,
@@ -308,7 +297,9 @@ impl Manifest {
     }
 
     /// Load an existing manifest for `--resume`, verifying it matches
-    /// the live campaign `expect`ation.
+    /// the live campaign `expect`ation. Returns the journal handle,
+    /// positioned for further appends, and the entries journaled so far
+    /// in file order.
     ///
     /// Torn-tail recovery: a `kill -9` mid-append leaves a truncated
     /// final line with no trailing newline. Exactly that — an
@@ -318,7 +309,10 @@ impl Manifest {
     /// newline-terminated line is mid-file corruption and stays fatal:
     /// our appends always end in `\n`, so a complete garbage line can
     /// only mean outside interference.
-    pub fn open_resume(path: &Path, expect: &Header) -> Result<Manifest, CheckpointError> {
+    pub fn open_resume(
+        path: &Path,
+        expect: &Header,
+    ) -> Result<(Manifest, Vec<Entry>), CheckpointError> {
         let text = std::fs::read_to_string(path)?;
         // Split off the torn-tail candidate: whatever follows the last
         // newline. A partially flushed append is always a strict prefix
@@ -394,7 +388,7 @@ impl Manifest {
         }
 
         let file = OpenOptions::new().append(true).open(path).ok();
-        Ok(Manifest { path: path.to_path_buf(), header, entries, file, torn_tail, disk_len })
+        Ok((Manifest { path: path.to_path_buf(), header, file, torn_tail, disk_len }, entries))
     }
 
     /// Manifest location on disk.
@@ -407,19 +401,9 @@ impl Manifest {
         &self.header
     }
 
-    /// Entries journaled so far, in completion order.
-    pub fn entries(&self) -> &[Entry] {
-        &self.entries
-    }
-
     /// Whether loading this manifest dropped a torn final line.
     pub fn recovered_torn_tail(&self) -> bool {
         self.torn_tail
-    }
-
-    /// The journaled terminal state of `name`, if it already finished.
-    pub fn completed(&self, name: &str) -> Option<&Entry> {
-        self.entries.iter().find(|e| e.name == name)
     }
 
     /// Journal one finished unit: append one JSONL line and flush. A
@@ -429,9 +413,9 @@ impl Manifest {
     /// The journal is self-healing: before each append the file length
     /// is checked against the last known well-formed length, and any
     /// tail debris (from a previous torn or silently-short append) is
-    /// truncated back to the last newline. On an append *error* the
-    /// entry is **not** recorded in memory — the caller may retry the
-    /// same entry, and a successful retry journals it exactly once.
+    /// truncated back to the last newline. After an append *error* the
+    /// caller may retry the same entry, and a successful retry journals
+    /// it exactly once.
     pub fn append(&mut self, entry: Entry) -> io::Result<()> {
         if chaos::suppressed(&self.path) {
             // The chaos "process" is dead: nothing lands, nobody hears
@@ -442,22 +426,12 @@ impl Manifest {
         let mut line = entry_json(&entry);
         line.push('\n');
         match self.write_line(&line) {
-            Ok(AppendFate::Complete) => {
-                self.disk_len += line.len() as u64;
-                self.entries.push(entry);
+            Ok(landed) => {
+                if landed {
+                    self.disk_len += line.len() as u64;
+                }
                 Ok(())
             }
-            // A lying short append: the caller (and our in-memory view)
-            // believe the unit is journaled, but the disk lost it. The
-            // next preflight truncates the debris; resume re-runs the
-            // unit. That is the honest model of an unchecked short
-            // write(2).
-            Ok(AppendFate::Lied) => {
-                self.entries.push(entry);
-                Ok(())
-            }
-            // Crash mid-append: the process "died", the entry is gone.
-            Ok(AppendFate::Lost) => Ok(()),
             Err(e) => {
                 // Leave the file well-formed for concurrent readers;
                 // preflight would heal it anyway on the next attempt.
@@ -490,21 +464,22 @@ impl Manifest {
         Ok(())
     }
 
-    /// One raw line append through the chaos shim.
-    fn write_line(&mut self, line: &str) -> io::Result<AppendFate> {
+    /// One raw line append through the chaos shim. `Ok(true)` means the
+    /// whole line landed. `Ok(false)` means the caller hears `Ok` but
+    /// the disk lost (some of) the bytes — a crash mid-append, or the
+    /// lying short append, the honest model of an unchecked short
+    /// write(2): the next preflight truncates the debris and resume
+    /// re-runs the unit.
+    fn write_line(&mut self, line: &str) -> io::Result<bool> {
         match chaos::decide(&self.path, WriteKind::Append, line.len()) {
             Verdict::Clean => {
                 self.raw_append(line.as_bytes())?;
-                Ok(AppendFate::Complete)
+                Ok(true)
             }
-            Verdict::Suppress => Ok(AppendFate::Lost),
-            Verdict::CrashDuring { keep } => {
+            Verdict::Suppress => Ok(false),
+            Verdict::CrashDuring { keep } | Verdict::Fault(FaultKind::ShortAppend { keep }) => {
                 let _ = self.raw_append(&line.as_bytes()[..keep.min(line.len())]);
-                Ok(AppendFate::Lost)
-            }
-            Verdict::Fault(FaultKind::ShortAppend { keep }) => {
-                let _ = self.raw_append(&line.as_bytes()[..keep.min(line.len())]);
-                Ok(AppendFate::Lied)
+                Ok(false)
             }
             Verdict::Fault(FaultKind::TornWrite { keep }) => {
                 let _ = self.raw_append(&line.as_bytes()[..keep.min(line.len())]);
@@ -521,17 +496,6 @@ impl Manifest {
         let f = self.file.as_mut().expect("just opened");
         f.write_all(bytes)?;
         f.flush()
-    }
-
-    /// Render the full JSONL document.
-    pub fn render(&self) -> String {
-        let mut out = header_json(&self.header);
-        out.push('\n');
-        for e in &self.entries {
-            out.push_str(&entry_json(e));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -589,6 +553,64 @@ pub fn create_shards(
         .collect()
 }
 
+/// The one body that opens, validates and merges a shard set; see
+/// [`resume_shards`] for what it guarantees. `salvage` is the
+/// corrupt-shard policy, the only thing its two entry points differ in:
+/// `None` makes a shard that fails to parse fatal, `Some(notes)`
+/// quarantines it and pushes a recovery note.
+fn open_shards(
+    dir: &Path,
+    base: &str,
+    expect: &Header,
+    jobs: usize,
+    mut salvage: Option<&mut Vec<String>>,
+) -> Result<(Vec<Manifest>, Vec<Entry>), CheckpointError> {
+    let jobs = jobs.max(1);
+    let on_disk = existing_shards(dir, base);
+    if !on_disk.iter().any(|(i, _)| *i == 0) {
+        return Err(CheckpointError::Io(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("no manifest at {}", shard_path(dir, base, 0).display()),
+        )));
+    }
+    let mut merged: Vec<Entry> = Vec::new();
+    let mut seen: HashSet<String> = HashSet::new();
+    let mut live: Vec<Option<Manifest>> = (0..jobs).map(|_| None).collect();
+    for (i, p) in on_disk {
+        let (m, entries) = match (Manifest::open_resume(&p, expect), salvage.as_deref_mut()) {
+            (Ok(opened), _) => opened,
+            (Err(e @ CheckpointError::Parse { .. }), Some(notes)) => {
+                let quarantine = p.with_extension("jsonl.corrupt");
+                std::fs::rename(&p, &quarantine)?;
+                notes.push(format!(
+                    "quarantined corrupt shard manifest ({e}); preserved as {}; \
+                     its units will re-run",
+                    quarantine.display()
+                ));
+                continue;
+            }
+            (Err(e), _) => return Err(e),
+        };
+        for e in entries {
+            if seen.insert(e.name.clone()) {
+                merged.push(e);
+            }
+        }
+        if let Some(slot) = live.get_mut(i) {
+            *slot = Some(m);
+        }
+    }
+    let shards = live
+        .into_iter()
+        .enumerate()
+        .map(|(w, m)| match m {
+            Some(m) => Ok(m),
+            None => Manifest::create(&shard_path(dir, base, w), expect.clone()),
+        })
+        .collect::<io::Result<Vec<Manifest>>>()?;
+    Ok((shards, merged))
+}
+
 /// Resume a sharded campaign: open every shard manifest on disk
 /// (validating each against `expect`, recovering torn tails), create any
 /// missing shards up to the live worker count, and merge the journaled
@@ -600,103 +622,31 @@ pub fn create_shards(
 ///
 /// Shard 0 must exist (it is the legacy manifest a sequential campaign
 /// writes); shards beyond `jobs` are merged but not returned, since no
-/// live worker will append to them.
+/// live worker will append to them. A shard that fails to parse is
+/// fatal.
 pub fn resume_shards(
     dir: &Path,
     base: &str,
     expect: &Header,
     jobs: usize,
 ) -> Result<(Vec<Manifest>, Vec<Entry>), CheckpointError> {
-    let jobs = jobs.max(1);
-    let on_disk = existing_shards(dir, base);
-    if !on_disk.iter().any(|(i, _)| *i == 0) {
-        return Err(CheckpointError::Io(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("no manifest at {}", shard_path(dir, base, 0).display()),
-        )));
-    }
-    let mut merged: Vec<Entry> = Vec::new();
-    let mut opened: Vec<(usize, Manifest)> = Vec::new();
-    for (i, p) in on_disk {
-        let m = Manifest::open_resume(&p, expect)?;
-        for e in m.entries() {
-            if !merged.iter().any(|seen| seen.name == e.name) {
-                merged.push(e.clone());
-            }
-        }
-        if i < jobs {
-            opened.push((i, m));
-        }
-    }
-    let mut shards = Vec::with_capacity(jobs);
-    for w in 0..jobs {
-        match opened.iter().position(|(i, _)| *i == w) {
-            Some(pos) => shards.push(opened.remove(pos).1),
-            None => shards.push(Manifest::create(&shard_path(dir, base, w), expect.clone())?),
-        }
-    }
-    Ok((shards, merged))
+    open_shards(dir, base, expect, jobs, None)
 }
-
-/// What a lenient resume yields: the per-worker shard manifests, the
-/// merged replay entries, and one recovery note per quarantined shard.
-pub type LenientResume = (Vec<Manifest>, Vec<Entry>, Vec<String>);
 
 /// [`resume_shards`], but corrupt shards are quarantined instead of
 /// fatal: a shard whose manifest fails to *parse* is renamed to
 /// `<file>.corrupt` (preserved for post-mortem), its units re-run, and a
-/// recovery note describing the quarantine is returned for the final
-/// report. Header mismatches and real I/O failures stay fatal — those
-/// mean the wrong campaign or a sick disk, not a damaged file.
+/// recovery note describing the quarantine is pushed onto `notes` for
+/// the final report. Header mismatches and real I/O failures stay fatal
+/// — those mean the wrong campaign or a sick disk, not a damaged file.
 pub fn resume_shards_lenient(
     dir: &Path,
     base: &str,
     expect: &Header,
     jobs: usize,
-) -> Result<LenientResume, CheckpointError> {
-    let jobs = jobs.max(1);
-    let on_disk = existing_shards(dir, base);
-    if !on_disk.iter().any(|(i, _)| *i == 0) {
-        return Err(CheckpointError::Io(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("no manifest at {}", shard_path(dir, base, 0).display()),
-        )));
-    }
-    let mut merged: Vec<Entry> = Vec::new();
-    let mut opened: Vec<(usize, Manifest)> = Vec::new();
-    let mut notes: Vec<String> = Vec::new();
-    for (i, p) in on_disk {
-        let m = match Manifest::open_resume(&p, expect) {
-            Ok(m) => m,
-            Err(e @ CheckpointError::Parse { .. }) => {
-                let quarantine = p.with_extension("jsonl.corrupt");
-                std::fs::rename(&p, &quarantine)?;
-                notes.push(format!(
-                    "quarantined corrupt shard manifest ({e}); preserved as {}; \
-                     its units will re-run",
-                    quarantine.display()
-                ));
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        for e in m.entries() {
-            if !merged.iter().any(|seen| seen.name == e.name) {
-                merged.push(e.clone());
-            }
-        }
-        if i < jobs {
-            opened.push((i, m));
-        }
-    }
-    let mut shards = Vec::with_capacity(jobs);
-    for w in 0..jobs {
-        match opened.iter().position(|(i, _)| *i == w) {
-            Some(pos) => shards.push(opened.remove(pos).1),
-            None => shards.push(Manifest::create(&shard_path(dir, base, w), expect.clone())?),
-        }
-    }
-    Ok((shards, merged, notes))
+    notes: &mut Vec<String>,
+) -> Result<(Vec<Manifest>, Vec<Entry>), CheckpointError> {
+    open_shards(dir, base, expect, jobs, Some(notes))
 }
 
 #[cfg(test)]
@@ -729,23 +679,27 @@ mod tests {
         d.join("manifest.jsonl")
     }
 
+    fn names(entries: &[Entry]) -> Vec<&str> {
+        entries.iter().map(|e| e.name.as_str()).collect()
+    }
+
     #[test]
     fn roundtrips_header_entries_and_payload() {
         let path = tmp("roundtrip");
-        let mut m = Manifest::create(&path, header()).unwrap();
-        m.append(entry("faults")).unwrap();
-        m.append(Entry {
+        let quarantined = Entry {
             name: "campaign".into(),
             status: UnitStatus::Quarantined,
             attempts: 4,
             retries: vec![],
             payload: None,
-        })
-        .unwrap();
-        let loaded = Manifest::open_resume(&path, &header()).unwrap();
+        };
+        let mut m = Manifest::create(&path, header()).unwrap();
+        m.append(entry("faults")).unwrap();
+        m.append(quarantined.clone()).unwrap();
+        let (loaded, entries) = Manifest::open_resume(&path, &header()).unwrap();
         assert_eq!(loaded.header(), &header());
-        assert_eq!(loaded.entries(), m.entries());
-        let f = loaded.completed("faults").unwrap();
+        assert_eq!(entries, [entry("faults"), quarantined]);
+        let f = &entries[0];
         assert_eq!(f.attempts, 3);
         assert_eq!(f.retries[0].transience, Transience::Transient);
         let p = f.payload.as_ref().unwrap();
@@ -754,7 +708,6 @@ mod tests {
             p.get("samples").and_then(Value::as_arr).unwrap()[1].as_f64(),
             Some(2.25)
         );
-        assert!(loaded.completed("missing").is_none());
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -817,18 +770,16 @@ mod tests {
         f.write_all(torn.as_bytes()).unwrap();
         drop(f);
 
-        let mut m = Manifest::open_resume(&path, &header()).unwrap();
+        let (mut m, entries) = Manifest::open_resume(&path, &header()).unwrap();
         assert!(m.recovered_torn_tail());
-        assert_eq!(m.entries().len(), 1, "torn unit dropped");
-        assert!(m.completed("campaign").is_none(), "torn unit must re-run");
+        assert_eq!(names(&entries), ["faults"], "torn unit dropped, must re-run");
         // The file was truncated back to the valid prefix, so the re-run
         // appends cleanly and a second resume sees both units.
         m.append(entry("campaign")).unwrap();
         drop(m);
-        let m = Manifest::open_resume(&path, &header()).unwrap();
+        let (m, entries) = Manifest::open_resume(&path, &header()).unwrap();
         assert!(!m.recovered_torn_tail());
-        assert_eq!(m.entries().len(), 2);
-        assert!(m.completed("campaign").is_some());
+        assert_eq!(names(&entries), ["faults", "campaign"]);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -870,9 +821,9 @@ mod tests {
         doc.push('\n');
         doc.push_str(&entry_json(&entry("faults"))); // no trailing \n
         std::fs::write(&path, doc).unwrap();
-        let m = Manifest::open_resume(&path, &header()).unwrap();
+        let (m, entries) = Manifest::open_resume(&path, &header()).unwrap();
         assert!(!m.recovered_torn_tail());
-        assert!(m.completed("faults").is_some());
+        assert_eq!(names(&entries), ["faults"]);
         drop(m);
         assert!(std::fs::read_to_string(&path).unwrap().ends_with('\n'));
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
@@ -913,8 +864,7 @@ mod tests {
 
         let (reopened, merged) = resume_shards(&dir, "m", &h, 2).unwrap();
         assert_eq!(reopened.len(), 2, "only live shards returned");
-        let names: Vec<&str> = merged.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["b", "c"], "shard order, dedup by name");
+        assert_eq!(names(&merged), ["b", "c"], "shard order, dedup by name");
         // Resuming with MORE workers than shards creates the missing one.
         let (reopened, merged) = resume_shards(&dir, "m", &h, 4).unwrap();
         assert_eq!(reopened.len(), 4);
@@ -989,10 +939,10 @@ mod tests {
         let text = std::fs::read_to_string(&shard1).unwrap();
         std::fs::write(&shard1, text.replacen('\n', "\nnot json\n", 1)).unwrap();
 
-        let (reopened, merged, notes) = resume_shards_lenient(&dir, "m", &h, 2).unwrap();
+        let mut notes = Vec::new();
+        let (reopened, merged) = resume_shards_lenient(&dir, "m", &h, 2, &mut notes).unwrap();
         assert_eq!(reopened.len(), 2, "quarantined shard recreated fresh");
-        let names: Vec<&str> = merged.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["a"], "corrupt shard's units dropped, will re-run");
+        assert_eq!(names(&merged), ["a"], "corrupt shard's units dropped, will re-run");
         assert_eq!(notes.len(), 1, "{notes:?}");
         assert!(notes[0].contains("quarantined corrupt shard manifest"), "{}", notes[0]);
         assert!(notes[0].contains("m.shard-1.jsonl.corrupt"), "{}", notes[0]);
@@ -1003,9 +953,59 @@ mod tests {
         // Mismatch stays fatal even leniently.
         let other = Header { seed: 99, ..h.clone() };
         assert!(matches!(
-            resume_shards_lenient(&dir, "m", &other, 2),
+            resume_shards_lenient(&dir, "m", &other, 2, &mut notes),
             Err(CheckpointError::Mismatch(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The strict and the salvage entry point are one body: on a healthy
+    /// journal they return the same shards and the same merged order
+    /// (first name wins: shard index, then file order), and they part
+    /// only when a shard is corrupt.
+    #[test]
+    fn strict_and_salvage_agree_until_a_shard_is_corrupt() {
+        let path = tmp("onebody");
+        let dir = path.parent().unwrap().to_path_buf();
+        let h = shard_header(&["a", "b", "c", "d"]);
+        let dup = |attempts| Entry { attempts, ..entry("b") };
+        let mut shards = create_shards(&dir, "m", &h, 3).unwrap();
+        shards[2].append(entry("d")).unwrap();
+        shards[2].append(dup(9)).unwrap(); // loses to shard 1
+        shards[1].append(entry("c")).unwrap();
+        shards[1].append(dup(5)).unwrap(); // first in shard order: wins
+        shards[1].append(dup(7)).unwrap(); // loses to the line above
+        shards[0].append(entry("a")).unwrap();
+        drop(shards);
+
+        let paths = |ms: &[Manifest]| ms.iter().map(|m| m.path().to_path_buf()).collect::<Vec<_>>();
+        let mut notes = Vec::new();
+        for jobs in [1, 3, 4] {
+            let (strict, merged) = resume_shards(&dir, "m", &h, jobs).unwrap();
+            let (salvaged, salvaged_merged) =
+                resume_shards_lenient(&dir, "m", &h, jobs, &mut notes).unwrap();
+            assert!(notes.is_empty(), "{notes:?}");
+            assert_eq!(paths(&strict), paths(&salvaged), "jobs={jobs}");
+            assert_eq!(
+                paths(&strict),
+                (0..jobs).map(|w| shard_path(&dir, "m", w)).collect::<Vec<_>>()
+            );
+            assert_eq!(merged, salvaged_merged, "jobs={jobs}");
+            assert_eq!(merged, [entry("a"), entry("c"), dup(5), entry("d")], "jobs={jobs}");
+        }
+
+        let shard1 = shard_path(&dir, "m", 1);
+        let text = std::fs::read_to_string(&shard1).unwrap();
+        std::fs::write(&shard1, text.replacen('\n', "\nnot json\n", 1)).unwrap();
+        assert!(matches!(
+            resume_shards(&dir, "m", &h, 3),
+            Err(CheckpointError::Parse { line: 2, .. })
+        ));
+        assert!(shard1.exists(), "the strict path leaves the corrupt shard in place");
+        let (salvaged, merged) = resume_shards_lenient(&dir, "m", &h, 3, &mut notes).unwrap();
+        assert_eq!(salvaged.len(), 3);
+        assert_eq!(notes.len(), 1, "{notes:?}");
+        assert_eq!(merged, [entry("a"), entry("d"), dup(9)], "shard 1 gone: shard 2's b wins");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1023,11 +1023,12 @@ mod tests {
         m.append(entry("faults")).unwrap(); // lies: Ok, 20 bytes of debris
         m.append(entry("campaign")).unwrap(); // heals, then lands
         drop(guard);
-        assert_eq!(m.entries().len(), 2, "in-memory view believed both");
-        let loaded = Manifest::open_resume(&path, &header()).unwrap();
-        assert_eq!(loaded.entries().len(), 1, "the lied-about unit is gone from disk");
-        assert!(loaded.completed("campaign").is_some());
-        assert!(loaded.completed("faults").is_none(), "short-appended unit re-runs");
+        let (_, entries) = Manifest::open_resume(&path, &header()).unwrap();
+        assert_eq!(
+            names(&entries),
+            ["campaign"],
+            "the lied-about unit is gone from disk and re-runs"
+        );
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -1047,12 +1048,13 @@ mod tests {
             crate::chaos::injected_fault(&err),
             Some(FaultKind::TornWrite { keep: 13 })
         );
-        assert!(m.entries().is_empty(), "failed append must not record the entry");
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(on_disk.lines().count(), 1, "failed append left only the header: {on_disk:?}");
+        assert!(on_disk.ends_with('\n'), "torn bytes repaired away: {on_disk:?}");
         m.append(entry("faults")).unwrap(); // the retry
         drop(guard);
-        assert_eq!(m.entries().len(), 1);
-        let loaded = Manifest::open_resume(&path, &header()).unwrap();
-        assert_eq!(loaded.entries().len(), 1, "journaled exactly once");
+        let (loaded, entries) = Manifest::open_resume(&path, &header()).unwrap();
+        assert_eq!(entries, [entry("faults")], "journaled exactly once");
         assert!(!loaded.recovered_torn_tail(), "repair left the file well-formed");
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }

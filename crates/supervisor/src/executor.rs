@@ -42,7 +42,7 @@ use crate::classify::Transience;
 use crate::supervisor::{Checkpointable, Outcome, Supervisor, SupervisorConfig, UnitError};
 use ompvar_obs::{InstantKind, Trace, TraceEvent};
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -494,9 +494,7 @@ where
                 // attempts (re-derived: the decisions are pure, and the
                 // supervisor borrow is free again here).
                 if let Some(pc) = cfg.chaos {
-                    if !outcome.from_checkpoint() {
-                        emit_chaos_actions(&mut sup, pc, idx, outcome.attempts());
-                    }
+                    emit_chaos_actions(&mut sup, pc, idx, outcome.attempts());
                 }
                 let result = UnitResult {
                     index: idx,
@@ -521,8 +519,9 @@ where
     WorkerOut { results, trace: sup.take_trace(), notes: sup.take_notes() }
 }
 
-/// Rebuild a journaled terminal state without re-running the unit.
-/// `None` marks an unreadable payload — the unit then re-runs.
+/// Rebuild a journaled terminal state without re-running the unit: the
+/// one place an [`Entry`] becomes an [`Outcome`]. `None` marks an
+/// unreadable payload — the unit then re-runs.
 fn replay_entry<R: Checkpointable>(e: &Entry) -> Option<Outcome<R>> {
     match e.status {
         UnitStatus::Ok => e.payload.as_ref().and_then(R::from_ckpt).map(|value| {
@@ -547,10 +546,11 @@ fn replay_entry<R: Checkpointable>(e: &Entry) -> Option<Outcome<R>> {
 /// [`crate::checkpoint::create_shards`] / `resume_shards`), one per
 /// worker; `None` runs unjournaled. `replay` is the deterministic merge
 /// of previously journaled entries — matching units are replayed before
-/// dispatch. `cancel` is polled at every unit boundary (the CLI passes
-/// its SIGINT flag). `progress` is invoked with each unit's terminal
-/// result the moment it is reached — from worker threads, so streamed
-/// output should lock stdout per call.
+/// dispatch, the first entry of a name winning; a worker only ever
+/// runs and journals, it never replays. `cancel` is polled at every
+/// unit boundary (the CLI passes its SIGINT flag). `progress` is invoked
+/// with each unit's terminal result the moment it is reached — from
+/// worker threads, so streamed output should lock stdout per call.
 ///
 /// Results come back in canonical (submission) order regardless of the
 /// steal schedule, so downstream reports are deterministic.
@@ -572,9 +572,13 @@ where
 
     // Replay pass: decode journaled terminal states before any dispatch,
     // on the control lane. Unreadable payloads fall through and re-run.
+    let mut journaled: HashMap<&str, &Entry> = HashMap::with_capacity(replay.len());
+    for e in replay {
+        journaled.entry(e.name.as_str()).or_insert(e);
+    }
     let mut slots: Vec<Option<UnitResult<R>>> = (0..n).map(|_| None).collect();
     for (idx, u) in units.iter().enumerate() {
-        if let Some(e) = replay.iter().find(|e| e.name == u.name) {
+        if let Some(e) = journaled.get(u.name.as_str()) {
             match replay_entry::<R>(e) {
                 Some(outcome) => {
                     control.emit_instant(InstantKind::SupervisorResume);
@@ -730,9 +734,7 @@ where
             from_checkpoint: false,
         });
         if let Some(pc) = cfg.chaos {
-            if !outcome.from_checkpoint() {
-                emit_chaos_actions(&mut control, pc, idx, outcome.attempts());
-            }
+            emit_chaos_actions(&mut control, pc, idx, outcome.attempts());
         }
         let result = UnitResult {
             index: idx,
@@ -991,6 +993,55 @@ mod tests {
             second.trace.instants_of(InstantKind::SupervisorResume),
             6
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crashed campaign resumes by replay alone: the retry ledger and
+    /// the quarantine verdict come back from the journal on the control
+    /// lane, and no attempt is made.
+    #[test]
+    fn checkpoint_then_resume_replays_without_rerunning() {
+        let dir = tmpdir("resume");
+        let header = Header { seed: 11, fast: true, targets: vec!["a".into(), "b".into()] };
+        let fail = |transience| UnitError { message: "noise".into(), transience, timed_out: false };
+
+        // First run: "a" completes (with one retry), "b" quarantines;
+        // the process "crashes" here.
+        let units = vec![
+            ExecUnit::new("a", move |attempt| {
+                if attempt == 0 {
+                    Err(fail(Transience::Transient))
+                } else {
+                    Ok(42.0f64)
+                }
+            }),
+            ExecUnit::new("b", move |_| Err(fail(Transience::Permanent))),
+        ];
+        let shards = create_shards(&dir, "m", &header, 1).unwrap();
+        run_campaign(&cfg(1), &units, Some(shards), &[], None, None);
+
+        // Resumed run: both units replay from the journal; the closures
+        // must not be called at all.
+        let units: Vec<ExecUnit<f64>> = ["a", "b"]
+            .map(|name| ExecUnit::new(name, |_| panic!("must replay from checkpoint")))
+            .into();
+        let (shards, merged) = resume_shards(&dir, "m", &header, 1).unwrap();
+        let run = run_campaign(&cfg(1), &units, Some(shards), &merged, None, None);
+        match &run.results[0].outcome {
+            Outcome::Completed { value, attempts, retries, from_checkpoint } => {
+                assert_eq!(*value, 42.0);
+                assert_eq!(*attempts, 2);
+                assert_eq!(retries.len(), 1);
+                assert!(from_checkpoint);
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(
+            run.results[1].outcome,
+            Outcome::Quarantined { from_checkpoint: true, .. }
+        ));
+        assert_eq!(run.trace.instants_of(InstantKind::SupervisorResume), 2);
+        assert_eq!(run.trace.count_of(ompvar_obs::SpanKind::Attempt), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

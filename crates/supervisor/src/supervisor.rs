@@ -1,4 +1,4 @@
-//! The campaign supervisor: retry, quarantine, checkpoint, resume.
+//! The campaign supervisor: retry, quarantine, checkpoint.
 //!
 //! A campaign is a sequence of named *units* (experiments, or cells
 //! within one). [`Supervisor::supervise`] runs one unit to a terminal
@@ -8,13 +8,14 @@
 //! ([`crate::backoff`]) up to the per-unit budget, and quarantines units
 //! that exhaust it or fail permanently. Each terminal state is journaled
 //! to the checkpoint manifest before the outcome is returned, so a crash
-//! at any instant loses at most the unit in flight; on resume, journaled
-//! units are replayed from their checkpointed payload instead of
-//! re-running.
+//! at any instant loses at most the unit in flight. The supervisor only
+//! writes the journal: on resume, the executor's replay pass
+//! ([`crate::executor::run_campaign`]) turns journaled units back into
+//! outcomes before dispatch, so they never reach `supervise`.
 //!
 //! Everything the supervisor does is also a trace: each attempt is an
-//! [`SpanKind::Attempt`] span and every retry / quarantine / resume /
-//! checkpoint flush an instant event, on one timeline lane per unit —
+//! [`SpanKind::Attempt`] span and every retry / quarantine / checkpoint
+//! flush an instant event, on one timeline lane per unit —
 //! exported through the usual Chrome-trace pipeline so a campaign's
 //! recovery history is visible in Perfetto next to the runs themselves.
 
@@ -184,8 +185,8 @@ impl Supervisor {
         }
     }
 
-    /// Attach a checkpoint manifest: completions are journaled, and
-    /// units the manifest already holds are replayed.
+    /// Attach a checkpoint manifest: every terminal state is journaled
+    /// to it.
     pub fn with_manifest(mut self, manifest: Manifest) -> Supervisor {
         self.manifest = Some(manifest);
         self
@@ -210,11 +211,6 @@ impl Supervisor {
     /// The active policy.
     pub fn config(&self) -> &SupervisorConfig {
         &self.cfg
-    }
-
-    /// The attached manifest, if any.
-    pub fn manifest(&self) -> Option<&Manifest> {
-        self.manifest.as_ref()
     }
 
     /// Nanoseconds since the supervisor started (its trace clock).
@@ -309,36 +305,6 @@ impl Supervisor {
     ) -> Outcome<R> {
         let lane = self.lanes;
         self.lanes += 1;
-
-        // Resume path: replay a journaled terminal state.
-        if let Some(entry) = self.manifest.as_ref().and_then(|m| m.completed(name)) {
-            let entry = entry.clone();
-            match entry.status {
-                UnitStatus::Ok => {
-                    if let Some(value) = entry.payload.as_ref().and_then(R::from_ckpt) {
-                        self.emit(lane, EventKind::Instant(InstantKind::SupervisorResume));
-                        return Outcome::Completed {
-                            value,
-                            attempts: entry.attempts,
-                            retries: entry.retries,
-                            from_checkpoint: true,
-                        };
-                    }
-                    eprintln!(
-                        "warning: checkpoint payload for {name} is unreadable; re-running"
-                    );
-                }
-                UnitStatus::Quarantined => {
-                    self.emit(lane, EventKind::Instant(InstantKind::SupervisorResume));
-                    return Outcome::Quarantined {
-                        attempts: entry.attempts,
-                        retries: entry.retries,
-                        from_checkpoint: true,
-                    };
-                }
-            }
-        }
-
         let backoff = Backoff::new(self.cfg.backoff, self.cfg.seed ^ name_seed(name));
         let mut retries: Vec<RetryRecord> = Vec::new();
         let mut attempt: u32 = 0;
@@ -443,6 +409,10 @@ mod tests {
         UnitError { message: msg.into(), transience: Transience::Permanent, timed_out: false }
     }
 
+    fn journaled(entries: &[Entry]) -> Vec<&str> {
+        entries.iter().map(|e| e.name.as_str()).collect()
+    }
+
     #[test]
     fn first_try_success_consumes_one_attempt() {
         let mut sup = Supervisor::new(cfg());
@@ -534,56 +504,6 @@ mod tests {
         assert_eq!(run_campaign(), run_campaign());
     }
 
-    #[test]
-    fn checkpoint_then_resume_replays_without_rerunning() {
-        let dir = std::env::temp_dir()
-            .join(format!("ompvar_sup_resume_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.jsonl");
-        let header = Header { seed: 11, fast: true, targets: vec!["a".into(), "b".into()] };
-
-        // First run: "a" completes (with one retry), "b" quarantines;
-        // the process "crashes" here.
-        let m = Manifest::create(&path, header.clone()).unwrap();
-        let mut sup = Supervisor::new(cfg()).with_manifest(m);
-        sup.supervise("a", |attempt| {
-            if attempt == 0 {
-                Err(transient("noise"))
-            } else {
-                Ok(42.0f64)
-            }
-        });
-        sup.supervise("b", |_| -> Result<f64, UnitError> {
-            Err(permanent("bad"))
-        });
-
-        // Resumed run: both units replay from the journal; the closures
-        // must not be called at all.
-        let m = Manifest::open_resume(&path, &header).unwrap();
-        let mut sup = Supervisor::new(cfg()).with_manifest(m);
-        let a = sup.supervise("a", |_| -> Result<f64, UnitError> {
-            panic!("unit a must replay from checkpoint")
-        });
-        match a {
-            Outcome::Completed { value, attempts, retries, from_checkpoint } => {
-                assert_eq!(value, 42.0);
-                assert_eq!(attempts, 2);
-                assert_eq!(retries.len(), 1);
-                assert!(from_checkpoint);
-            }
-            other => panic!("{other:?}"),
-        }
-        let b = sup.supervise("b", |_| -> Result<f64, UnitError> {
-            panic!("unit b must replay from checkpoint")
-        });
-        assert!(matches!(b, Outcome::Quarantined { from_checkpoint: true, .. }));
-        let trace = sup.take_trace();
-        assert_eq!(trace.instants_of(InstantKind::SupervisorResume), 2);
-        assert_eq!(trace.count_of(SpanKind::Attempt), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// A transient injected I/O fault (EIO) on the journal append rides
     /// the classify→backoff→retry path: the entry lands on the retry,
     /// the campaign stays resumable, and no recovery note is needed.
@@ -616,8 +536,8 @@ mod tests {
             "journal retries must not count as unit retries"
         );
         // The journal is intact and resumable.
-        let m = Manifest::open_resume(&path, &header).unwrap();
-        assert!(m.completed("a").is_some());
+        let (_, entries) = Manifest::open_resume(&path, &header).unwrap();
+        assert_eq!(journaled(&entries), ["a"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -651,9 +571,8 @@ mod tests {
         assert!(notes[0].contains("permanent"), "{}", notes[0]);
         // "b" journaled fine (the explicit fault hit only op 0), so a
         // resume replays b and re-runs a.
-        let m = Manifest::open_resume(&path, &header).unwrap();
-        assert!(m.completed("a").is_none(), "degraded unit re-runs on resume");
-        assert!(m.completed("b").is_some());
+        let (_, entries) = Manifest::open_resume(&path, &header).unwrap();
+        assert_eq!(journaled(&entries), ["b"], "degraded unit re-runs on resume");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -79,9 +79,7 @@ fn fuzz_rt(machine: MachineSpec, n_threads: usize) -> SimRuntime {
         .with_tracing(true)
 }
 
-/// The campaign-scale generator configuration (matches
-/// `ompvar_bench::throughput::fuzz_gen_config`; duplicated so the golden
-/// corpus has no dependency on the bench crate).
+/// The campaign-scale generator configuration.
 fn heavy_cfg() -> GenConfig {
     GenConfig {
         max_threads: 8,
