@@ -185,11 +185,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         ),
     ));
 
-    ExpReport {
-        name: "ablation".into(),
-        tables,
-        checks,
-    }
+    ExpReport::new("ablation", tables, checks)
 }
 
 #[cfg(test)]

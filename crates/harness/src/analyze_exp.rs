@@ -19,10 +19,11 @@
 //!    (write/write race) *and* `OMPV302` (nowait read/write race).
 //!
 //! The same catalog backs the CLI's **pre-flight gate**: before an
-//! experiment runs, [`preflight_specs`] lists its built-in specs, each
-//! is analyzed, and an `Error`-severity finding quarantines the
-//! experiment as a permanent failure — recorded in the checkpoint
-//! manifest and the JSON run report — instead of crashing mid-run.
+//! experiment runs, [`specs_for`] expands the families its registry row
+//! declares, each spec is analyzed, and an `Error`-severity finding
+//! quarantines the experiment as a permanent failure — recorded in the
+//! checkpoint manifest and the JSON run report — instead of crashing
+//! mid-run.
 //!
 //! With `--lint-json PATH` the experiment also emits every analyzed
 //! program's full diagnostic list as a machine-readable
@@ -38,83 +39,57 @@ use ompvar_bench_stream::kernels::StreamConfig;
 use ompvar_core::Table;
 use ompvar_rt::region::{Clause, Construct, RegionSpec, Schedule, VarDecl, WriteOp};
 
-/// Experiments whose built-in region specs [`preflight_specs`] covers.
-/// The rest (`fuzz`, `trace`, `faults`, …) generate or perturb their
-/// programs dynamically and guard themselves.
-pub const SPEC_DRIVEN: [&str; 12] = [
-    "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "ablation", "taskbench",
-    "chunks", "campaign",
-];
-
-/// Which benchmark families an experiment draws its specs from:
-/// `(syncbench, schedbench, stream, taskbench)`.
-fn families(experiment: &str) -> (bool, bool, bool, bool) {
-    match experiment {
-        "table2" | "chunks" | "campaign" => (false, true, false, false),
-        "variability" => (true, true, false, false),
-        "fig1" | "ablation" => (true, false, false, false),
-        "fig2" => (false, false, true, false),
-        "fig3" | "fig4" | "fig5" => (true, true, true, false),
-        "fig6" | "fig7" => (true, true, false, false),
-        "taskbench" => (false, false, false, true),
-        _ => (false, false, false, false),
-    }
+/// A family of built-in benchmark region specs. An experiment's
+/// registry row ([`crate::Experiment::families`]) lists the families it
+/// measures; [`specs_for`] expands them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// syncbench's ten constructs.
+    Sync,
+    /// schedbench's paper schedules.
+    Sched,
+    /// BabelStream's kernel sweep.
+    Stream,
+    /// taskbench's two patterns.
+    Task,
 }
 
-fn specs_for(
-    sync: bool,
-    sched: bool,
-    stream: bool,
-    task: bool,
-    opts: &ExpOptions,
-) -> Vec<(String, RegionSpec)> {
+/// The built-in region specs of `families`, labeled, in the order
+/// given. This is the pre-flight gate's work list for an experiment,
+/// and — over all four families — the `analyze` experiment's corpus.
+pub fn specs_for(families: &[Family], opts: &ExpOptions) -> Vec<(String, RegionSpec)> {
     let n = 4; // representative small team; analysis is team-size-uniform
     let reps = opts.outer_reps().min(8);
+    let sync_cfg = EpccConfig::syncbench_default().fast(reps);
     let mut out = Vec::new();
-    if sync {
-        let cfg = EpccConfig::syncbench_default().fast(reps);
-        for c in SyncConstruct::ALL {
-            out.push((
-                format!("syncbench/{}", c.label()),
-                syncbench::region_with_inner(&cfg, c, n, 4),
-            ));
-        }
-    }
-    if sched {
-        let cfg = EpccConfig::schedbench_default().fast(reps);
-        for s in schedbench::paper_schedules() {
-            out.push((format!("schedbench/{s:?}"), schedbench::region(&cfg, s, n)));
-        }
-    }
-    if stream {
-        out.push((
-            "stream/kernel-sweep".to_string(),
-            ompvar_bench_stream::region(&StreamConfig::small(), n),
-        ));
-    }
-    if task {
-        let cfg = EpccConfig::syncbench_default().fast(reps);
-        for p in TaskPattern::ALL {
-            out.push((
-                format!("taskbench/{}", p.label()),
-                taskbench::region(&cfg, p, n, 2),
-            ));
+    for family in families {
+        match family {
+            Family::Sync => out.extend(SyncConstruct::ALL.map(|c| {
+                let spec = syncbench::region_with_inner(&sync_cfg, c, n, 4);
+                (format!("syncbench/{}", c.label()), spec)
+            })),
+            Family::Sched => {
+                let cfg = EpccConfig::schedbench_default().fast(reps);
+                out.extend(schedbench::paper_schedules().into_iter().map(|s| {
+                    (format!("schedbench/{s:?}"), schedbench::region(&cfg, s, n))
+                }));
+            }
+            Family::Stream => out.push((
+                "stream/kernel-sweep".to_string(),
+                ompvar_bench_stream::region(&StreamConfig::small(), n),
+            )),
+            Family::Task => out.extend(TaskPattern::ALL.map(|p| {
+                let spec = taskbench::region(&sync_cfg, p, n, 2);
+                (format!("taskbench/{}", p.label()), spec)
+            })),
         }
     }
     out
 }
 
-/// The built-in region specs experiment `experiment` will run, labeled.
-/// Empty for experiments that build programs dynamically. This is the
-/// pre-flight gate's work list.
-pub fn preflight_specs(experiment: &str, opts: &ExpOptions) -> Vec<(String, RegionSpec)> {
-    let (sync, sched, stream, task) = families(experiment);
-    specs_for(sync, sched, stream, task, opts)
-}
-
 /// The full deduplicated corpus: every family once.
 fn corpus(opts: &ExpOptions) -> Vec<(String, RegionSpec)> {
-    specs_for(true, true, true, true, opts)
+    specs_for(&[Family::Sync, Family::Sched, Family::Stream, Family::Task], opts)
 }
 
 /// The flagged-program demonstration: AB then BA acquisition order over
@@ -327,11 +302,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             .unwrap_or_else(|| "no error diagnostic".to_string()),
     ));
 
-    ExpReport {
-        name: "analyze".into(),
-        tables: vec![t],
-        checks,
-    }
+    ExpReport::new("analyze", vec![t], checks)
 }
 
 #[cfg(test)]
@@ -342,34 +313,6 @@ mod tests {
     fn analyze_experiment_passes() {
         let rep = run(&ExpOptions::fast());
         assert!(rep.all_passed(), "{}", rep.render());
-    }
-
-    /// Table-driven corpus hygiene: every spec-driven experiment's
-    /// built-in regions analyze clean, experiment by experiment.
-    #[test]
-    fn every_experiments_builtin_specs_analyze_clean() {
-        let opts = ExpOptions::fast();
-        for exp in SPEC_DRIVEN {
-            let specs = preflight_specs(exp, &opts);
-            assert!(!specs.is_empty(), "{exp} lists no specs");
-            for (label, spec) in specs {
-                let a = analyze(&spec);
-                assert!(
-                    a.verdict().is_empty(),
-                    "{exp}/{label} is not clean:\n{}",
-                    a.render()
-                );
-                assert!(spec.validate().is_ok(), "{exp}/{label} fails validation");
-            }
-        }
-    }
-
-    #[test]
-    fn dynamic_experiments_have_no_preflight_specs() {
-        let opts = ExpOptions::fast();
-        for exp in ["fuzz", "faults", "trace", "analyze"] {
-            assert!(preflight_specs(exp, &opts).is_empty(), "{exp}");
-        }
     }
 
     /// Table-driven hygiene over the full deduplicated corpus: every

@@ -44,24 +44,12 @@
 //! re-run, a recovery note recorded in the JSON report) instead of
 //! aborting with the shard file, line number and offending bytes.
 
-use ompvar_harness::{
-    ablation, analyze_exp, campaign_exp, chaos_exp, chunks, common, faults_exp, fig1, fig2, fig3,
-    fig4, fig5, fig67, fuzz_exp, table2, taskbench_exp, trace_exp, variability, Check, ExpOptions,
-    ExpReport,
-};
-use ompvar_supervisor::{
-    atomic_write, attempt_seed, create_shards, resolve_jobs, resume_shards, resume_shards_lenient,
-    run_campaign, ExecUnit, ExecutorConfig, Header, Outcome, ProcChaos, SupervisorConfig,
-    UnitError, UnitResult,
-};
+use ompvar_harness::common::{run_journaled, run_report_json, Campaign, Unopenable};
+use ompvar_harness::{analyze_exp, select, Check, ExpOptions, ExpReport, Experiment, EXPERIMENTS};
+use ompvar_supervisor::{atomic_write, attempt_seed, ExecUnit, Outcome, UnitError, UnitResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-
-const EXPERIMENTS: [&str; 18] = [
-    "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "ablation", "taskbench",
-    "chunks", "faults", "fuzz", "analyze", "trace", "campaign", "variability", "chaos",
-];
 
 /// Set by the SIGINT handler; polled between experiments so an
 /// interrupted sweep still flushes its checkpoint manifest and a partial
@@ -90,43 +78,23 @@ fn usage() -> ! {
          [--trace FILE] [--lint-json FILE] [--attr] [--report-json FILE] [--resume DIR] \
          [--max-retries N] [--jobs N] [--unit-timeout SECS] [--stability-cov X] \
          [--chaos-seed N] [--chaos-proc] [--salvage-corrupt-shards] <{}|all>",
-        EXPERIMENTS.join("|")
+        EXPERIMENTS.map(|e| e.name).join("|")
     );
     std::process::exit(2);
 }
 
-fn run_one(name: &str, opts: &ExpOptions) -> ExpReport {
-    match name {
-        "table2" => table2::run(opts),
-        "fig1" => fig1::run(opts),
-        "fig2" => fig2::run(opts),
-        "fig3" => fig3::run(opts),
-        "fig4" => fig4::run(opts),
-        "fig5" => fig5::run(opts),
-        "fig6" => fig67::run_fig6(opts),
-        "fig7" => fig67::run_fig7(opts),
-        "ablation" => ablation::run(opts),
-        "taskbench" => taskbench_exp::run(opts),
-        "chunks" => chunks::run(opts),
-        "faults" => faults_exp::run(opts),
-        "fuzz" => fuzz_exp::run(opts),
-        "analyze" => analyze_exp::run(opts),
-        "trace" => trace_exp::run(opts),
-        "campaign" => campaign_exp::run(opts),
-        "variability" => variability::run(opts),
-        "chaos" => chaos_exp::run(opts),
-        // Names are validated before any experiment runs.
-        other => unreachable!("unvalidated experiment name {other:?}"),
-    }
+/// A flag value parsed, or a usage error.
+fn parsed<T: std::str::FromStr>(v: String) -> T {
+    v.parse().unwrap_or_else(|_| usage())
 }
 
 /// One supervised attempt of an experiment: a panic anywhere inside it
 /// becomes a classified transient failure the supervisor can retry.
-fn attempt(name: &str, opts: &ExpOptions, n: u32) -> Result<ExpReport, UnitError> {
+fn attempt(exp: &Experiment, opts: &ExpOptions, n: u32) -> Result<ExpReport, UnitError> {
     // Retries re-run under a decorrelated seed (attempt 0 keeps the base
     // seed, so a never-retried run matches an unsupervised one).
     let opts = ExpOptions { seed: attempt_seed(opts.seed, n), ..opts.clone() };
-    match catch_unwind(AssertUnwindSafe(|| run_one(name, &opts))) {
+    match catch_unwind(AssertUnwindSafe(|| (exp.run)(&opts))) {
         Ok(report) => Ok(report),
         Err(payload) => {
             let msg = payload
@@ -146,15 +114,12 @@ fn quarantine_report(name: &str, retries: &[ompvar_supervisor::RetryRecord]) -> 
         .map(|r| format!("attempt {}: {} [{}]", r.attempt, r.error, r.transience.name()))
         .collect::<Vec<_>>()
         .join("; ");
-    ExpReport {
-        name: name.to_string(),
-        tables: Vec::new(),
-        checks: vec![Check::new(
-            "experiment completes within its retry budget",
-            false,
-            format!("quarantined after {} attempt(s): {history}", retries.len()),
-        )],
-    }
+    let check = Check::new(
+        "experiment completes within its retry budget",
+        false,
+        format!("quarantined after {} attempt(s): {history}", retries.len()),
+    );
+    ExpReport::new(name, Vec::new(), vec![check])
 }
 
 fn write_report(
@@ -167,7 +132,7 @@ fn write_report(
     let Some(path) = &opts.report_json else {
         return true;
     };
-    let doc = common::run_report_json(
+    let doc = run_report_json(
         opts.seed,
         opts.fast,
         interrupted,
@@ -187,72 +152,36 @@ fn write_report(
     }
 }
 
-/// Flush the executor's merged Chrome trace (attempt spans, retry /
-/// quarantine / timeout / resume / checkpoint instants, one lane per
-/// worker) next to the manifest.
-fn write_supervisor_trace(trace: &ompvar_obs::Trace, opts: &ExpOptions) {
-    let path = opts.checkpoint_dir().join("supervisor.json");
-    let doc = ompvar_obs::chrome_trace_lanes(trace, &[], "ompvar-supervisor", "worker");
-    if let Err(e) = atomic_write(&path, doc.as_bytes()) {
-        eprintln!("warning: could not write supervisor trace {}: {e}", path.display());
-    }
-}
-
 fn main() -> ExitCode {
     install_sigint_handler();
     let mut opts = ExpOptions::default();
     let mut targets: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        // A flag's value is the next argument; absent is a usage error.
+        let mut value = || args.next().unwrap_or_else(|| usage());
         match a.as_str() {
             "--fast" => opts.fast = true,
-            "--seed" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.seed = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--out" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.out_dir = v.into();
-            }
-            "--fuzz-cases" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.fuzz_cases = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--trace" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.trace_path = Some(v.into());
-            }
-            "--lint-json" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.lint_json = Some(v.into());
-            }
+            "--seed" => opts.seed = parsed(value()),
+            "--out" => opts.out_dir = value().into(),
+            "--fuzz-cases" => opts.fuzz_cases = Some(parsed(value())),
+            "--trace" => opts.trace_path = Some(value().into()),
+            "--lint-json" => opts.lint_json = Some(value().into()),
             "--attr" => opts.attr = true,
-            "--report-json" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.report_json = Some(v.into());
-            }
-            "--resume" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.resume = Some(v.into());
-            }
-            "--max-retries" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.max_retries = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
+            "--report-json" => opts.report_json = Some(value().into()),
+            "--resume" => opts.resume = Some(value().into()),
+            "--max-retries" => opts.max_retries = Some(parsed(value())),
             "--jobs" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                let n: usize = v.parse().unwrap_or_else(|_| usage());
                 // 0 means auto-detect; anything past 1024 is a typo, not
                 // a machine.
-                if n > 1024 {
-                    eprintln!("error: --jobs {n} is out of range (max 1024, 0 = auto)");
+                opts.jobs = parsed(value());
+                if opts.jobs > 1024 {
+                    eprintln!("error: --jobs {} is out of range (max 1024, 0 = auto)", opts.jobs);
                     usage();
                 }
-                opts.jobs = n;
             }
             "--unit-timeout" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                let secs: f64 = v.parse().unwrap_or_else(|_| usage());
+                let secs: f64 = parsed(value());
                 if !secs.is_finite() || secs <= 0.0 {
                     eprintln!("error: --unit-timeout must be a positive number of seconds");
                     usage();
@@ -260,17 +189,13 @@ fn main() -> ExitCode {
                 opts.unit_timeout = Some(std::time::Duration::from_secs_f64(secs));
             }
             "--stability-cov" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                let x: f64 = v.parse().unwrap_or_else(|_| usage());
+                let x: f64 = parsed(value());
                 if !x.is_finite() || x <= 0.0 {
                     usage();
                 }
                 opts.stability_cov = Some(x);
             }
-            "--chaos-seed" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.chaos_seed = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
+            "--chaos-seed" => opts.chaos_seed = Some(parsed(value())),
             "--chaos-proc" => opts.chaos_proc = true,
             "--salvage-corrupt-shards" => opts.salvage = true,
             "-h" | "--help" => usage(),
@@ -284,110 +209,24 @@ fn main() -> ExitCode {
     if targets.is_empty() {
         usage();
     }
-    // Validate every requested name up front: a typo in the last target
-    // must not surface only after hours of earlier experiments.
-    if let Some(bad) = targets
-        .iter()
-        .find(|t| *t != "all" && !EXPERIMENTS.contains(&t.as_str()))
-    {
+    let exps = select(&targets).unwrap_or_else(|bad| {
         eprintln!("unknown experiment: {bad}");
-        usage();
-    }
-    let names: Vec<&str> = if targets.iter().any(|t| t == "all") {
-        EXPERIMENTS.to_vec()
-    } else {
-        // Dedupe while preserving first-occurrence order.
-        let mut seen = Vec::new();
-        for t in &targets {
-            if !seen.contains(&t.as_str()) {
-                seen.push(t.as_str());
-            }
-        }
-        seen
-    };
+        usage()
+    });
 
-    // The campaign executor and its sharded checkpoint manifests. A
-    // resumed campaign must describe the same work: seed, mode and
-    // target list are validated against every shard's header. Shard 0 is
-    // the legacy `manifest.jsonl`, so sequential checkpoints from older
-    // runs resume unchanged.
-    let jobs = resolve_jobs(opts.jobs);
-    let header = Header {
-        seed: opts.seed,
-        fast: opts.fast,
-        targets: names.iter().map(|s| s.to_string()).collect(),
-    };
-    let ckpt_dir = opts.checkpoint_dir();
-    let manifest_path = ckpt_dir.join("manifest.jsonl");
-    let mut salvage_notes: Vec<String> = Vec::new();
-    let (manifests, replay) = if opts.resume.is_some() {
-        // `--salvage-corrupt-shards` quarantines a shard that fails to
-        // parse (renamed `.corrupt`, its units re-run) instead of
-        // aborting; the recovery note lands in the JSON report. Without
-        // it, a corrupt shard is fatal and the error names the shard
-        // file, line number and offending bytes.
-        let opened = if opts.salvage {
-            resume_shards_lenient(&ckpt_dir, "manifest", &header, jobs, &mut salvage_notes)
-        } else {
-            resume_shards(&ckpt_dir, "manifest", &header, jobs)
-        };
-        match opened {
-            Ok((ms, merged)) => {
-                for n in &salvage_notes {
-                    eprintln!("warning: {n}");
-                }
-                println!(
-                    "resuming from {} ({} completed experiment(s))",
-                    manifest_path.display(),
-                    merged.len()
-                );
-                (Some(ms), merged)
-            }
-            Err(e) => {
-                eprintln!("error: cannot resume from {}: {e}", manifest_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        match create_shards(&ckpt_dir, "manifest", &header, jobs) {
-            Ok(ms) => (Some(ms), Vec::new()),
-            Err(e) => {
-                eprintln!(
-                    "warning: no checkpoint manifest at {}: {e}; running unjournaled",
-                    manifest_path.display()
-                );
-                (None, Vec::new())
-            }
-        }
-    };
-    let cfg = ExecutorConfig {
-        jobs,
-        unit_timeout: opts.unit_timeout,
-        supervisor: SupervisorConfig {
-            seed: opts.seed,
-            max_retries: opts.max_retries.unwrap_or(2),
-            sleep: true,
-            ..SupervisorConfig::default()
-        },
-        // `--chaos-proc`: seeded worker kills / attempt panics / stalls
-        // on this sweep's own executor, replayable from the chaos seed.
-        chaos: opts
-            .chaos_proc
-            .then(|| ProcChaos::standard(opts.chaos_seed.unwrap_or(opts.seed))),
-    };
-    let units: Vec<ExecUnit<ExpReport>> = names
-        .iter()
-        .map(|name| {
-            let name = name.to_string();
+    let units: Vec<ExecUnit<ExpReport>> = exps
+        .into_iter()
+        .map(|exp| {
+            let name = exp.name;
             let opts = opts.clone();
-            ExecUnit::new(name.clone(), move |n| {
+            ExecUnit::new(name, move |n| {
                 // Static pre-flight gate: analyze the experiment's
                 // built-in region specs before running anything. An
                 // Error-severity finding is structural — a permanent
                 // failure (quarantined, journaled, a FAIL check in the
                 // JSON report) that never spends the experiment's
                 // wall-clock budget.
-                let rejected = analyze_exp::preflight_specs(&name, &opts)
+                let rejected = analyze_exp::specs_for(exp.families, &opts)
                     .into_iter()
                     .find_map(|(label, spec)| {
                         ompvar_analyze::analyze(&spec)
@@ -400,7 +239,7 @@ fn main() -> ExitCode {
                         cause.expect("Error-severity diagnostics carry their RegionError");
                     return Err(UnitError::from_rt(&ompvar_rt::RtError::InvalidRegion(cause)));
                 }
-                attempt(&name, &opts, n)
+                attempt(exp, &opts, n)
             })
         })
         .collect();
@@ -439,15 +278,28 @@ fn main() -> ExitCode {
         }
         let _ = writeln!(out, "({} took {:.1}s{note})\n", r.name, r.duration.as_secs_f64());
     };
-    let run = run_campaign(
-        &cfg,
-        &units,
-        manifests,
-        &replay,
-        Some(&INTERRUPTED),
-        Some(&progress),
-    );
-    write_supervisor_trace(&run.trace, &opts);
+    // The sweep's journal is `manifest.jsonl` (+ worker shards) under
+    // the checkpoint directory, its executor trace `supervisor.json`
+    // next to it. A `--resume` that cannot open the journal — another
+    // campaign's seed, mode or target list, or a corrupt shard without
+    // `--salvage-corrupt-shards` — aborts before anything runs; the
+    // error names the shard file, line number and offending bytes.
+    let door = Campaign {
+        base: "manifest",
+        unopenable: Unopenable::Abort,
+        outer: true,
+        trace: Some(("supervisor.json", "ompvar-supervisor")),
+        cancel: Some(&INTERRUPTED),
+        progress: Some(&progress),
+    };
+    let run = match run_journaled(&opts, &door, &units) {
+        Ok(run) => run,
+        Err(e) => {
+            let manifest = opts.checkpoint_dir().join("manifest.jsonl");
+            eprintln!("error: cannot resume from {}: {e}", manifest.display());
+            return ExitCode::from(2);
+        }
+    };
 
     let mut all_ok = true;
     let mut reports = Vec::new();
@@ -463,9 +315,7 @@ fn main() -> ExitCode {
     // exit, plus every degraded-recovery note (lost journal writes,
     // quarantined shards) — surfaced in the JSON report and the final
     // log lines.
-    let mut recovery_notes = salvage_notes;
-    recovery_notes.extend(run.recovery_notes);
-    recovery_notes.sort_unstable();
+    let recovery_notes = run.recovery_notes;
     if run.leaked_threads > 0 {
         eprintln!(
             "warning: {} watchdog-reaped attempt thread(s) still running at exit \

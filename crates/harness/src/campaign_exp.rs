@@ -25,24 +25,26 @@
 //! all under the campaign's checkpoint directory — the same artifacts
 //! `ompvar-repro` keeps per experiment, here demonstrated per cell.
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::common::{
+    executor_config, run_journaled, Campaign, Check, ExpOptions, ExpReport, Platform,
+};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_core::Table;
 use ompvar_obs::json::Value;
 use ompvar_rt::region::{RegionSpec, Schedule};
 use ompvar_rt::runner::RegionRunner;
 use ompvar_sim::fault::FaultPlan;
-use ompvar_sim::params::SimParams;
 use ompvar_sim::time::{SEC, US};
 use ompvar_supervisor::{
-    attempt_seed, create_shards, name_seed, resolve_jobs, resume_shards, run_campaign, stabilize,
-    Backoff, Checkpointable, ExecUnit, ExecutorConfig, Header, Outcome, StabilityPolicy,
-    SupervisorConfig, UnitError,
+    attempt_seed, name_seed, stabilize, Backoff, Checkpointable, ExecUnit, Outcome,
+    StabilityPolicy, UnitError,
 };
 
 const PLATFORM: Platform = Platform::Vera;
 const THREADS: usize = 8;
 const AT: ompvar_sim::time::Time = 50 * US;
+/// The cells, in unit (and report) order.
+const CELLS: [&str; 4] = ["sterile", "noisy", "flaky", "broken"];
 
 /// The cell result that goes through the checkpoint manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,18 +91,11 @@ fn plan(scenario: &str, attempt: u32) -> FaultPlan {
 /// One measurement run of a cell: mean repetition time (µs) under the
 /// scenario's fault plan, or a classified failure.
 fn measure(region: &RegionSpec, scenario: &str, attempt: u32, seed: u64) -> Result<f64, UnitError> {
-    let rt = PLATFORM
-        .pinned_rt(THREADS)
-        .with_params(SimParams::sterile())
-        .with_faults(plan(scenario, attempt))
-        .with_time_limit(10 * SEC);
-    match rt.run_region(region, seed) {
-        Ok(res) => {
-            let reps = res.reps();
-            Ok(reps.iter().sum::<f64>() / reps.len() as f64)
-        }
-        Err(e) => Err(UnitError::from_rt(&e)),
-    }
+    PLATFORM
+        .sterile_cell_rt(THREADS, plan(scenario, attempt))
+        .run_region(region, seed)
+        .map(|res| res.mean_rep_us())
+        .map_err(|e| UnitError::from_rt(&e))
 }
 
 /// Rows for the campaign table, one per cell.
@@ -129,51 +124,12 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         min_samples: 3,
     };
     let base_runs = 3usize;
-    let sup_cfg = SupervisorConfig {
-        seed: opts.seed,
-        max_retries: opts.max_retries.unwrap_or(2),
-        // The schedule is recorded and checked; actually sleeping it
-        // would only slow the campaign down.
-        sleep: false,
-        ..SupervisorConfig::default()
-    };
-
-    // The campaign's own crash-safety artifacts. Failure to create them
-    // degrades to an unjournaled (but still supervised) run.
-    let ckpt_dir = opts.checkpoint_dir();
-    let header = Header {
-        seed: opts.seed,
-        fast: opts.fast,
-        targets: vec!["sterile".into(), "noisy".into(), "flaky".into(), "broken".into()],
-    };
-    // Shard 0 is the legacy `campaign.jsonl`, so old sequential
-    // checkpoints resume unchanged. Only an explicit `--resume` replays
-    // an existing manifest; a fresh run truncates the shard set, so
-    // stale journals never mask new measurements.
-    let jobs = resolve_jobs(opts.jobs);
-    let manifest_path = ckpt_dir.join("campaign.jsonl");
-    let opened = if opts.resume.is_some() {
-        resume_shards(&ckpt_dir, "campaign", &header, jobs)
-            .map(|(ms, merged)| (Some(ms), merged))
-            .map_err(|e| e.to_string())
-    } else {
-        create_shards(&ckpt_dir, "campaign", &header, jobs)
-            .map(|ms| (Some(ms), Vec::new()))
-            .map_err(|e| e.to_string())
-    };
-    let (manifests, replay) = opened.unwrap_or_else(|e| {
-        eprintln!(
-            "warning: no campaign manifest at {}: {e}; running unjournaled",
-            manifest_path.display()
-        );
-        (create_shards(&ckpt_dir, "campaign", &header, jobs).ok(), Vec::new())
-    });
 
     // Each cell is one executor unit; with `--jobs > 1` the cells run
     // concurrently on the work-stealing pool, each under its own
     // per-worker supervisor lane.
     let seed = opts.seed;
-    let units: Vec<ExecUnit<CellResult>> = ["sterile", "noisy", "flaky", "broken"]
+    let units: Vec<ExecUnit<CellResult>> = CELLS
         .into_iter()
         .map(|cell| {
             let reg =
@@ -204,55 +160,45 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             })
         })
         .collect();
-    let exec_cfg =
-        ExecutorConfig { jobs, unit_timeout: opts.unit_timeout, supervisor: sup_cfg, chaos: None };
-    let run = run_campaign(&exec_cfg, &units, manifests, &replay, None, None);
+    // The campaign's own crash-safety artifacts, next to the sweep's:
+    // `campaign.jsonl` shards (only an explicit `--resume` replays
+    // them) and the executor's attempt spans and retry / quarantine
+    // instants as a worker-lane Chrome trace.
+    let door = Campaign {
+        trace: Some(("campaign.trace.json", "campaign-supervisor")),
+        ..Campaign::inner("campaign")
+    };
+    let run = run_journaled(opts, &door, &units).expect("StartFresh never aborts");
 
     let rows: Vec<CellRow> = run
         .results
         .into_iter()
         .map(|r| {
-            let cell = ["sterile", "noisy", "flaky", "broken"][r.index];
-            match r.outcome {
+            // A quarantined cell has no samples: zero repetitions, zero
+            // dispersion, never stable.
+            let (status, samples, attempts, retries) = match r.outcome {
                 Outcome::Completed { value, attempts, retries, .. } => {
-                    let (cov, _) = ompvar_supervisor::dispersion(&value.samples);
-                    CellRow {
-                        name: cell,
-                        status: "ok".into(),
-                        attempts,
-                        retries: retries.len(),
-                        backoff_ms: retries.iter().map(|r| r.backoff_ms).collect(),
-                        base: base_runs.min(value.samples.len()),
-                        extra: value.samples.len().saturating_sub(base_runs),
-                        cov,
-                        stable: cov <= policy.target_cov,
-                    }
+                    ("ok".to_string(), value.samples, attempts, retries)
                 }
-                Outcome::Quarantined { attempts, retries, .. } => CellRow {
-                    name: cell,
-                    status: format!(
-                        "quarantined ({})",
-                        retries.last().map_or("?", |r| r.transience.name())
-                    ),
-                    attempts,
-                    retries: retries.len(),
-                    backoff_ms: retries.iter().map(|r| r.backoff_ms).collect(),
-                    base: 0,
-                    extra: 0,
-                    cov: 0.0,
-                    stable: false,
-                },
+                Outcome::Quarantined { attempts, retries, .. } => {
+                    let why = retries.last().map_or("?", |r| r.transience.name());
+                    (format!("quarantined ({why})"), Vec::new(), attempts, retries)
+                }
+            };
+            let (cov, _) = ompvar_supervisor::dispersion(&samples);
+            CellRow {
+                name: CELLS[r.index],
+                status,
+                attempts,
+                retries: retries.len(),
+                backoff_ms: retries.iter().map(|r| r.backoff_ms).collect(),
+                base: base_runs.min(samples.len()),
+                extra: samples.len().saturating_sub(base_runs),
+                cov,
+                stable: !samples.is_empty() && cov <= policy.target_cov,
             }
         })
         .collect();
-
-    // Executor trace: attempt spans + retry/quarantine instants, one
-    // lane per worker, in the same Chrome format as the runtime traces.
-    let trace_path = ckpt_dir.join("campaign.trace.json");
-    let doc = ompvar_obs::chrome_trace_lanes(&run.trace, &[], "campaign-supervisor", "worker");
-    if let Err(e) = ompvar_supervisor::atomic_write(&trace_path, doc.as_bytes()) {
-        eprintln!("warning: could not write {}: {e}", trace_path.display());
-    }
 
     let mut t = Table::new(
         "Campaign: schedbench (dynamic_1, 8 thr) cells under supervision, Vera",
@@ -281,6 +227,9 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     let noisy = cell("noisy");
     let flaky = cell("flaky");
     let broken = cell("broken");
+    // The schedule is recorded and checked; inner campaigns never
+    // actually sleep it.
+    let sup_cfg = executor_config(opts, false).supervisor;
     let expected_backoff = Backoff::new(sup_cfg.backoff, sup_cfg.seed ^ name_seed("flaky"))
         .schedule(flaky.retries as u32);
 
@@ -321,7 +270,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         ),
     ];
 
-    ExpReport { name: "campaign".into(), tables: vec![t], checks }
+    ExpReport::new("campaign", vec![t], checks)
 }
 
 #[cfg(test)]

@@ -38,19 +38,19 @@
 //! the supervisor trace of one explored crash point with the
 //! `chaos_crash_point` instant marked.
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::common::{
+    executor_config, run_journaled, Campaign, Check, ExpOptions, ExpReport, Platform,
+};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_core::Table;
 use ompvar_obs::event::{EventKind, InstantKind, TraceEvent, CORE_UNKNOWN, THREAD_GLOBAL};
 use ompvar_obs::json::Value;
 use ompvar_rt::region::{RegionSpec, Schedule};
 use ompvar_rt::runner::RegionRunner;
-use ompvar_sim::params::SimParams;
-use ompvar_sim::time::SEC;
+use ompvar_sim::fault::FaultPlan;
 use ompvar_supervisor::{
-    atomic_write, attempt_seed, create_shards, install_chaos, resume_shards, run_campaign,
-    CampaignRun, ChaosAction, Checkpointable, CrashPoint, ExecUnit, ExecutorConfig, Header,
-    IoChaos, IoFaultPlan, Outcome, ProcChaos, SupervisorConfig, UnitError,
+    atomic_write, attempt_seed, install_chaos, run_campaign, CampaignRun, ChaosAction,
+    Checkpointable, CrashPoint, ExecUnit, IoChaos, IoFaultPlan, Outcome, ProcChaos, UnitError,
 };
 use std::path::{Path, PathBuf};
 
@@ -79,21 +79,11 @@ fn region(fast: bool) -> RegionSpec {
 /// One tiny deterministic measurement: mean repetition time (µs) of the
 /// reference region on the sterile simulated platform.
 fn measure(region: &RegionSpec, seed: u64) -> Result<f64, UnitError> {
-    let rt = PLATFORM
-        .pinned_rt(THREADS)
-        .with_params(SimParams::sterile())
-        .with_time_limit(10 * SEC);
-    match rt.run_region(region, seed) {
-        Ok(res) => {
-            let reps = res.reps();
-            Ok(reps.iter().sum::<f64>() / reps.len() as f64)
-        }
-        Err(e) => Err(UnitError::from_rt(&e)),
-    }
-}
-
-fn unit_names(n: usize) -> Vec<String> {
-    (0..n).map(|i| format!("c{i}")).collect()
+    PLATFORM
+        .sterile_cell_rt(THREADS, FaultPlan::new())
+        .run_region(region, seed)
+        .map(|res| res.mean_rep_us())
+        .map_err(|e| UnitError::from_rt(&e))
 }
 
 fn units(region: &RegionSpec, seed: u64, n: usize) -> Vec<ExecUnit<CellVal>> {
@@ -108,13 +98,10 @@ fn units(region: &RegionSpec, seed: u64, n: usize) -> Vec<ExecUnit<CellVal>> {
         .collect()
 }
 
-fn exec_cfg(seed: u64, jobs: usize) -> ExecutorConfig {
-    ExecutorConfig {
-        jobs,
-        unit_timeout: None,
-        supervisor: SupervisorConfig { seed, sleep: false, ..Default::default() },
-        chaos: None,
-    }
+/// The inner campaigns' options: the chaos seed on fast-mode defaults
+/// — no deadline, default retry budget — journaling under `dir`.
+fn inner_opts(seed: u64, jobs: usize, dir: Option<&Path>) -> ExpOptions {
+    ExpOptions { seed, jobs, resume: dir.map(Path::to_path_buf), ..ExpOptions::fast() }
 }
 
 /// Render the inner campaign to the report document the explorer
@@ -150,10 +137,13 @@ fn fresh_dir(base: &Path, tag: &str) -> PathBuf {
     d
 }
 
-/// One inner campaign inside an installed chaos scope: journal under
-/// `dir`, then write the rendered report through [`atomic_write`] (also
-/// inside the scope, so it is a counted — and crashable — write op).
-/// Returns the campaign and the rendered doc.
+/// One inner campaign: resume the `inner` journal under `dir` if one
+/// survived there, else start it (a fresh directory, or a crash before
+/// the header landed, legitimately runs everything), then write the
+/// rendered report through [`atomic_write`]. Inside an installed chaos
+/// scope every one of those writes is a counted — and crashable — op;
+/// called again chaos-free it is the resume. Returns the campaign and
+/// the rendered doc.
 fn inner_run(
     dir: &Path,
     region: &RegionSpec,
@@ -161,38 +151,15 @@ fn inner_run(
     n: usize,
     cancel: Option<&std::sync::atomic::AtomicBool>,
 ) -> (CampaignRun<CellVal>, String) {
-    let header = Header { seed, fast: true, targets: unit_names(n) };
-    let (manifests, replay) = match create_shards(dir, "inner", &header, 1) {
-        Ok(ms) => (Some(ms), Vec::new()),
-        Err(_) => (None, Vec::new()),
-    };
-    let mut run =
-        run_campaign(&exec_cfg(seed, 1), &units(region, seed, n), manifests, &replay, cancel, None);
+    let door = Campaign { cancel, ..Campaign::inner("inner") };
+    let mut run = run_journaled(&inner_opts(seed, 1, Some(dir)), &door, &units(region, seed, n))
+        .expect("StartFresh never aborts");
     let doc = render_doc(seed, &run);
     // The report is the campaign's last write op. Under a crash point
     // this is suppressed like any other op; a resume must regenerate it.
     if let Err(e) = atomic_write(&dir.join("report.json"), doc.as_bytes()) {
         run.recovery_notes.push(format!("report write failed: {e}"));
     }
-    (run, doc)
-}
-
-/// Resume the journal in `dir` chaos-free and re-render. Falls back to a
-/// fresh journal when nothing durable survived (a crash before the
-/// header landed), which legitimately re-runs everything.
-fn resume_run(dir: &Path, region: &RegionSpec, seed: u64, n: usize) -> (CampaignRun<CellVal>, String) {
-    let header = Header { seed, fast: true, targets: unit_names(n) };
-    let (manifests, replay) = match resume_shards(dir, "inner", &header, 1) {
-        Ok((ms, merged)) => (Some(ms), merged),
-        Err(_) => match create_shards(dir, "inner", &header, 1) {
-            Ok(ms) => (Some(ms), Vec::new()),
-            Err(_) => (None, Vec::new()),
-        },
-    };
-    let run =
-        run_campaign(&exec_cfg(seed, 1), &units(region, seed, n), manifests, &replay, None, None);
-    let doc = render_doc(seed, &run);
-    let _ = atomic_write(&dir.join("report.json"), doc.as_bytes());
     (run, doc)
 }
 
@@ -278,7 +245,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
                 );
                 let _ = atomic_write(&base.join("crash.trace.json"), doc.as_bytes());
             }
-            let (_, resumed_doc) = resume_run(&dir, &region, seed, n);
+            let (_, resumed_doc) = inner_run(&dir, &region, seed, n, None);
             if resumed_doc != reference_doc {
                 crash_failures.push(format!(
                     "{kind_name} write {k}: resumed report diverges from reference"
@@ -314,7 +281,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         let (run, doc) = inner_run(&eio_dir, &region, seed, n, None);
         let injected = guard.chaos().injected();
         drop(guard);
-        let (_, resumed) = resume_run(&eio_dir, &region, seed, n);
+        let (_, resumed) = inner_run(&eio_dir, &region, seed, n, None);
         (
             injected == 1
                 && run.recovery_notes.is_empty()
@@ -346,7 +313,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         let note_ok = run.recovery_notes.len() == 1
             && run.recovery_notes[0].contains("ENOSPC")
             && run.recovery_notes[0].contains("permanent");
-        let (_, resumed) = resume_run(&enospc_dir, &region, seed, n);
+        let (_, resumed) = inner_run(&enospc_dir, &region, seed, n, None);
         // The note text carries the manifest path; keep the detail
         // path-free so two runs in different out dirs render identically.
         (
@@ -401,7 +368,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         })
         .expect("a qualifying process-chaos seed exists");
     let proc_run = || -> (Vec<(usize, String, u32)>, usize, usize) {
-        let mut cfg = exec_cfg(seed, 2);
+        let mut cfg = executor_config(&inner_opts(seed, 2, None), false);
         cfg.chaos = Some(pc);
         let run = run_campaign(&cfg, &units(&region, seed, n), None, &[], None, None);
         let digest = run
@@ -428,7 +395,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
 
     // ---- Phase 6: leaked-thread accounting --------------------------
     let leak_run = {
-        let mut cfg = exec_cfg(seed, 1);
+        let mut cfg = executor_config(&inner_opts(seed, 1, None), false);
         cfg.unit_timeout = Some(std::time::Duration::from_millis(30));
         cfg.supervisor.max_retries = 0;
         let wedge: Vec<ExecUnit<CellVal>> = vec![ExecUnit::new("wedge", |_| {
@@ -451,7 +418,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
 
     let _ = std::fs::remove_dir_all(&ref_dir);
 
-    ExpReport { name: "chaos".into(), tables: vec![t], checks }
+    ExpReport::new("chaos", vec![t], checks)
 }
 
 #[cfg(test)]

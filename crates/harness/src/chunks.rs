@@ -39,8 +39,7 @@ pub fn sweep(
         .map(|&chunk| {
             let region = schedbench::region(&cfg, make(chunk), n_threads);
             let res = rt.run_region(&region, opts.seed).expect("experiment region completes");
-            let mean = res.reps().iter().sum::<f64>() / res.reps().len() as f64;
-            (chunk, schedbench::per_iter_overhead_us(&cfg, mean))
+            (chunk, schedbench::per_iter_overhead_us(&cfg, res.mean_rep_us()))
         })
         .collect()
 }
@@ -92,11 +91,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             format!("{disp1:.4} µs/iter"),
         ));
     }
-    ExpReport {
-        name: "chunks".into(),
-        tables,
-        checks,
-    }
+    ExpReport::new("chunks", tables, checks)
 }
 
 #[cfg(test)]

@@ -1,13 +1,23 @@
-//! Shared experiment scaffolding: platforms, runtime construction, and
-//! the experiment report type.
+//! Shared experiment scaffolding: platforms, runtime construction, the
+//! experiment report type, and the campaign front door
+//! ([`run_journaled`]) — the one place a journal is opened and an
+//! executor configured.
 
 use ompvar_rt::config::RtConfig;
 use ompvar_rt::simrt::{FreqLoggerCfg, SimRuntime};
 
 use ompvar_core::Table;
 use ompvar_obs::json::Value;
-use ompvar_topology::{MachineSpec, NumaId, Places, ProcBind};
+use ompvar_sim::fault::FaultPlan;
+use ompvar_sim::params::SimParams;
+use ompvar_supervisor::{
+    atomic_write, create_shards, resolve_jobs, resume_shards, resume_shards_lenient, run_campaign,
+    shard_path, CampaignRun, CheckpointError, Checkpointable, ExecUnit, ExecutorConfig, Header,
+    ProcChaos, Progress, SupervisorConfig,
+};
+use ompvar_topology::{MachineSpec, NumaId, Places};
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 
 /// The two platforms of the study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,24 +79,23 @@ impl Platform {
 
     /// Pinned (close) simulated runtime for `n` ST threads.
     pub fn pinned_rt(&self, n: usize) -> SimRuntime {
-        SimRuntime::new(
-            self.machine(),
-            RtConfig {
-                places: self.st_places(n),
-                bind: ProcBind::Close,
-            },
-        )
+        SimRuntime::new(self.machine(), RtConfig::pinned_close(self.st_places(n)))
+    }
+
+    /// The runtime of a supervised *cell*: `n` pinned ST threads on
+    /// sterile parameters — so every effect is `plan`'s — under a 10 s
+    /// virtual-time budget that turns an injected deadlock into a typed
+    /// error instead of a hang.
+    pub fn sterile_cell_rt(&self, n: usize, plan: FaultPlan) -> SimRuntime {
+        self.pinned_rt(n)
+            .with_params(SimParams::sterile())
+            .with_faults(plan)
+            .with_time_limit(10 * ompvar_sim::time::SEC)
     }
 
     /// Pinned runtime in the MT configuration.
     pub fn pinned_mt_rt(&self, n: usize) -> SimRuntime {
-        SimRuntime::new(
-            self.machine(),
-            RtConfig {
-                places: self.mt_places(n),
-                bind: ProcBind::Close,
-            },
-        )
+        SimRuntime::new(self.machine(), RtConfig::pinned_close(self.mt_places(n)))
     }
 
     /// Unbound runtime (`OMP_PROC_BIND=false`).
@@ -105,14 +114,7 @@ impl Platform {
         // paper's Python logger polled sysfs continuously; sample fast
         // enough (2 ms) to resolve individual turbo droop pulses.
         let logger_cpu = m.n_cores() - 1;
-        SimRuntime::new(
-            m,
-            RtConfig {
-                places,
-                bind: ProcBind::Close,
-            },
-        )
-        .with_freq_logger(FreqLoggerCfg {
+        SimRuntime::new(m, RtConfig::pinned_close(places)).with_freq_logger(FreqLoggerCfg {
             cpu: Some(logger_cpu),
             period: 2 * ompvar_sim::time::MS,
             cost: 20 * ompvar_sim::time::US,
@@ -248,6 +250,151 @@ impl ExpOptions {
     }
 }
 
+/// What [`run_journaled`] does when `--resume` cannot open the
+/// campaign's journal (wrong campaign, corrupt shard, sick disk).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unopenable {
+    /// Return the typed error and touch nothing: the CLI sweep exits 2
+    /// rather than splice two campaigns.
+    Abort,
+    /// Warn and start a fresh journal. For campaigns nested inside a
+    /// unit of the sweep, where a journal that is simply *absent* is the
+    /// normal case — the sweep died before this campaign began — and is
+    /// created without comment.
+    StartFresh,
+}
+
+/// One journaled campaign, declared: everything [`run_journaled`] needs
+/// beyond [`ExpOptions`] and the units themselves.
+pub struct Campaign<'a, R> {
+    /// Journal base name under [`ExpOptions::checkpoint_dir`]: shard 0
+    /// is `<base>.jsonl`, worker `w` journals to `<base>.shard-<w>.jsonl`.
+    pub base: &'a str,
+    /// Policy for a journal `--resume` cannot open.
+    pub unopenable: Unopenable,
+    /// The user's own sweep rather than a campaign nested in one of its
+    /// units: resumption is announced on stdout, retry backoffs are
+    /// really slept (inner campaigns only record the schedule), and
+    /// `--chaos-proc` applies.
+    pub outer: bool,
+    /// Write the executor's worker-lane Chrome trace (attempt spans,
+    /// retry / quarantine / resume / checkpoint instants) next to the
+    /// journal: `(file name, process label)`.
+    pub trace: Option<(&'a str, &'a str)>,
+    /// Polled at every unit boundary (the CLI's SIGINT flag, a chaos
+    /// scope's crash flag).
+    pub cancel: Option<&'a AtomicBool>,
+    /// Per-unit completion callback.
+    pub progress: Progress<'a, R>,
+}
+
+impl<'a, R> Campaign<'a, R> {
+    /// A campaign nested inside one unit of the sweep, journaling under
+    /// `base`: [`Unopenable::StartFresh`], not `outer`, no trace, no
+    /// cancel flag, no progress callback.
+    pub fn inner(base: &'a str) -> Self {
+        Campaign {
+            base,
+            unopenable: Unopenable::StartFresh,
+            outer: false,
+            trace: None,
+            cancel: None,
+            progress: None,
+        }
+    }
+}
+
+/// Executor and supervisor policy for a campaign run under `opts`; see
+/// [`Campaign::outer`] for what `outer` switches.
+pub fn executor_config(opts: &ExpOptions, outer: bool) -> ExecutorConfig {
+    ExecutorConfig {
+        jobs: resolve_jobs(opts.jobs),
+        unit_timeout: opts.unit_timeout,
+        supervisor: SupervisorConfig {
+            seed: opts.seed,
+            max_retries: opts.max_retries.unwrap_or(2),
+            sleep: outer,
+            ..SupervisorConfig::default()
+        },
+        chaos: (outer && opts.chaos_proc)
+            .then(|| ProcChaos::standard(opts.chaos_seed.unwrap_or(opts.seed))),
+    }
+}
+
+/// The campaign front door: run `units` on the fault-tolerant executor,
+/// journaled under [`ExpOptions::checkpoint_dir`].
+///
+/// The campaign's identity ([`Header`]) is `opts.seed`, `opts.fast` and
+/// the unit names in order. Without `--resume` the shard set is created
+/// fresh (stale journals never mask new measurements); with it the
+/// shards are merged and replayed — leniently under
+/// `--salvage-corrupt-shards`, the quarantine notes joining the run's
+/// `recovery_notes` — and a journal that cannot be opened is handled per
+/// [`Campaign::unopenable`]. Only a journal that cannot be *created*
+/// degrades to an unjournaled (still supervised) run.
+pub fn run_journaled<R>(
+    opts: &ExpOptions,
+    c: &Campaign<'_, R>,
+    units: &[ExecUnit<R>],
+) -> Result<CampaignRun<R>, CheckpointError>
+where
+    R: Checkpointable + Send + 'static,
+{
+    let cfg = executor_config(opts, c.outer);
+    let header = Header {
+        seed: opts.seed,
+        fast: opts.fast,
+        targets: units.iter().map(|u| u.name.clone()).collect(),
+    };
+    let dir = opts.checkpoint_dir();
+    let shard0 = shard_path(&dir, c.base, 0);
+    let mut notes = Vec::new();
+    let mut resumed = None;
+    if opts.resume.is_some() {
+        let opened = if opts.salvage {
+            resume_shards_lenient(&dir, c.base, &header, cfg.jobs, &mut notes)
+        } else {
+            resume_shards(&dir, c.base, &header, cfg.jobs)
+        };
+        match opened {
+            Ok((shards, replay)) => {
+                if c.outer {
+                    let n = replay.len();
+                    println!("resuming from {} ({n} completed experiment(s))", shard0.display());
+                }
+                resumed = Some((Some(shards), replay));
+            }
+            Err(e) if c.unopenable == Unopenable::Abort => return Err(e),
+            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => eprintln!(
+                "warning: cannot resume from {}: {e}; starting a fresh journal",
+                shard0.display()
+            ),
+        }
+    }
+    for n in &notes {
+        eprintln!("warning: {n}");
+    }
+    let (manifests, replay) = resumed.unwrap_or_else(|| {
+        let created = create_shards(&dir, c.base, &header, cfg.jobs).map_err(|e| {
+            let at = shard0.display();
+            eprintln!("warning: no checkpoint manifest at {at}: {e}; running unjournaled")
+        });
+        (created.ok(), Vec::new())
+    });
+    let mut run = run_campaign(&cfg, units, manifests, &replay, c.cancel, c.progress);
+    run.recovery_notes.extend(notes);
+    run.recovery_notes.sort_unstable();
+    if let Some((file, label)) = c.trace {
+        let path = dir.join(file);
+        let doc = ompvar_obs::chrome_trace_lanes(&run.trace, &[], label, "worker");
+        if let Err(e) = atomic_write(&path, doc.as_bytes()) {
+            eprintln!("warning: could not write {}: {e}", path.display());
+        }
+    }
+    Ok(run)
+}
+
 /// One paper-shape validation check.
 #[derive(Debug, Clone)]
 pub struct Check {
@@ -268,6 +415,16 @@ impl Check {
             detail,
         }
     }
+
+    /// Write the artifact `doc` to `path` — atomically, parent
+    /// directories created on demand — and report the outcome.
+    pub fn wrote(name: &str, path: &std::path::Path, doc: &str) -> Check {
+        let detail = match atomic_write(path, doc.as_bytes()) {
+            Ok(()) => Ok(format!("{} ({} bytes)", path.display(), doc.len())),
+            Err(e) => Err(format!("{}: {e}", path.display())),
+        };
+        Check::new(name, detail.is_ok(), detail.unwrap_or_else(|e| e))
+    }
 }
 
 /// The outcome of one experiment.
@@ -282,6 +439,11 @@ pub struct ExpReport {
 }
 
 impl ExpReport {
+    /// Build a report.
+    pub fn new(name: &str, tables: Vec<Table>, checks: Vec<Check>) -> ExpReport {
+        ExpReport { name: name.to_string(), tables, checks }
+    }
+
     /// Render everything to a printable string.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -606,5 +768,104 @@ mod tests {
         assert_eq!(o.checkpoint_dir(), PathBuf::from("results/checkpoint"));
         o.resume = Some(PathBuf::from("/tmp/prev"));
         assert_eq!(o.checkpoint_dir(), PathBuf::from("/tmp/prev"));
+    }
+
+    /// The smallest checkpointable payload, for front-door tests.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Num(f64);
+
+    impl Checkpointable for Num {
+        fn to_ckpt(&self) -> Value {
+            Value::Num(self.0)
+        }
+        fn from_ckpt(v: &Value) -> Option<Num> {
+            v.as_f64().map(Num)
+        }
+    }
+
+    fn door<'a>(unopenable: Unopenable) -> Campaign<'a, Num> {
+        Campaign { unopenable, ..Campaign::inner("door") }
+    }
+
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use std::sync::Arc;
+
+    /// Three trivial units that count how often any of them really runs.
+    fn counted_units(ran: &Arc<AtomicUsize>) -> Vec<ExecUnit<Num>> {
+        (0..3)
+            .map(|i| {
+                let ran = ran.clone();
+                ExecUnit::new(format!("u{i}"), move |_| {
+                    ran.fetch_add(1, SeqCst);
+                    Ok(Num(i as f64 + 0.5))
+                })
+            })
+            .collect()
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("ompvar_door_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    fn dir_bytes(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut v: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+            .collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn abort_returns_the_typed_mismatch_and_touches_nothing() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let units = counted_units(&ran);
+        let fresh = ExpOptions { out_dir: tmp_dir("abort"), seed: 3, ..ExpOptions::fast() };
+        run_journaled(&fresh, &door(Unopenable::Abort), &units).expect("fresh runs never abort");
+        assert_eq!(ran.load(SeqCst), 3);
+        let before = dir_bytes(&fresh.checkpoint_dir());
+        assert!(!before.is_empty());
+
+        // Another campaign (seed 4) resuming from seed 3's journal.
+        let other = ExpOptions { seed: 4, resume: Some(fresh.checkpoint_dir()), ..fresh.clone() };
+        let err = run_journaled(&other, &door(Unopenable::Abort), &units).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
+        assert_eq!(ran.load(SeqCst), 3, "no unit may run");
+        assert_eq!(dir_bytes(&fresh.checkpoint_dir()), before, "journal must be untouched");
+        let _ = std::fs::remove_dir_all(&fresh.out_dir);
+    }
+
+    #[test]
+    fn start_fresh_creates_a_missing_journal_and_replays_a_present_one() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let units = counted_units(&ran);
+        let dir = tmp_dir("fresh");
+        let opts = ExpOptions { resume: Some(dir.clone()), seed: 3, ..ExpOptions::fast() };
+
+        // `--resume DIR` with no `door.jsonl` in DIR: created, journaled.
+        let first = run_journaled(&opts, &door(Unopenable::StartFresh), &units).unwrap();
+        assert_eq!(ran.load(SeqCst), 3);
+        assert!(first.results.iter().all(|r| !r.outcome.from_checkpoint()));
+        let text = std::fs::read_to_string(dir.join("door.jsonl")).expect("journal created");
+        assert!(text.starts_with("{\"schema\":\"ompvar-checkpoint/1\""), "{text}");
+        assert_eq!(text.lines().count(), 1 + units.len(), "header + one entry per unit");
+
+        // Present: every unit replays, nothing runs, nothing is re-journaled.
+        let second = run_journaled(&opts, &door(Unopenable::StartFresh), &units).unwrap();
+        assert_eq!(ran.load(SeqCst), 3, "replayed, not re-run");
+        assert!(second.results.iter().all(|r| r.outcome.from_checkpoint()));
+        assert_eq!(std::fs::read_to_string(dir.join("door.jsonl")).unwrap(), text);
+
+        // Unopenable (another campaign's journal): replaced, not spliced.
+        let other = ExpOptions { seed: 4, ..opts.clone() };
+        let third = run_journaled(&other, &door(Unopenable::StartFresh), &units).unwrap();
+        assert_eq!(ran.load(SeqCst), 6);
+        assert!(third.results.iter().all(|r| !r.outcome.from_checkpoint()));
+        let text = std::fs::read_to_string(dir.join("door.jsonl")).unwrap();
+        assert!(text.contains("\"seed\":4") && text.lines().count() == 4, "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

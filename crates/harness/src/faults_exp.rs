@@ -22,7 +22,6 @@ use ompvar_rt::region::{RegionSpec, Schedule};
 use ompvar_rt::runner::RegionRunner;
 use ompvar_rt::RtError;
 use ompvar_sim::fault::FaultPlan;
-use ompvar_sim::params::SimParams;
 use ompvar_sim::time::{SEC, US};
 
 const PLATFORM: Platform = Platform::Vera;
@@ -79,16 +78,9 @@ fn region(opts: &ExpOptions) -> RegionSpec {
 type Cell = Result<(f64, u64), RtError>;
 
 fn run_cell(region: &RegionSpec, plan: &FaultPlan, seed: u64) -> Cell {
-    let rt = PLATFORM
-        .pinned_rt(THREADS)
-        .with_params(SimParams::sterile())
-        .with_faults(plan.clone())
-        .with_time_limit(10 * SEC);
-    let res = rt.run_region(region, seed)?;
-    let reps = res.reps();
-    let mean = reps.iter().sum::<f64>() / reps.len() as f64;
+    let res = PLATFORM.sterile_cell_rt(THREADS, plan.clone()).run_region(region, seed)?;
     let migrations = res.counters.as_ref().map_or(0, |c| c.migrations);
-    Ok((mean, migrations))
+    Ok((res.mean_rep_us(), migrations))
 }
 
 /// Execute and report.
@@ -214,11 +206,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         }),
     ));
 
-    ExpReport {
-        name: "faults".into(),
-        tables: vec![t],
-        checks,
-    }
+    ExpReport::new("faults", vec![t], checks)
 }
 
 #[cfg(test)]

@@ -61,8 +61,7 @@ pub fn construct_costs(
             let inner = syncbench::calibrate_inner_reps(&rt, &cfg, c, n, inner_cap(opts, n));
             let region = syncbench::region_with_inner(&cfg, c, n, inner);
             let res = rt.run_region(&region, opts.seed).expect("experiment region completes");
-            let mean = res.reps().iter().sum::<f64>() / res.reps().len() as f64;
-            (c, syncbench::overhead_us(&cfg, c, mean, inner))
+            (c, syncbench::overhead_us(&cfg, c, res.mean_rep_us(), inner))
         })
         .collect()
 }
@@ -144,11 +143,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         format!("reduction {red:.2} µs vs max other {max_other:.2} µs"),
     ));
 
-    ExpReport {
-        name: "fig1".into(),
-        tables,
-        checks,
-    }
+    ExpReport::new("fig1", tables, checks)
 }
 
 #[cfg(test)]

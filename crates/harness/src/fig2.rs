@@ -71,11 +71,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             format!("{series:?}"),
         ));
     }
-    ExpReport {
-        name: "fig2".into(),
-        tables,
-        checks,
-    }
+    ExpReport::new("fig2", tables, checks)
 }
 
 #[cfg(test)]

@@ -9,11 +9,10 @@
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, schedbench, EpccConfig};
+use ompvar_bench_epcc::{run_many, run_seeds, schedbench, EpccConfig};
 use ompvar_bench_stream::{kernel_stats, kernels::StreamConfig, StreamKernel};
 use ompvar_core::{fmt_ratio, RunSet, Table};
 use ompvar_rt::region::Schedule;
-use ompvar_rt::runner::RegionRunner;
 
 /// The three benchmarks of the figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +108,7 @@ pub fn envelope(opts: &ExpOptions, platform: Platform, bench: Bench, n: usize) -
             // median over runs, like the other benchmarks.
             let mut los = Vec::new();
             let mut his = Vec::new();
-            for i in 0..opts.n_runs() {
-                let res = rt.run_region(&region, opts.seed + i as u64).expect("experiment region completes");
+            for res in run_seeds(&rt, &region, opts.n_runs(), opts.seed) {
                 let stats = kernel_stats(&res);
                 los.push(
                     StreamKernel::ALL
@@ -189,11 +187,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         }
         tables.push(t);
     }
-    ExpReport {
-        name: "fig3".into(),
-        tables,
-        checks,
-    }
+    ExpReport::new("fig3", tables, checks)
 }
 
 #[cfg(test)]

@@ -13,11 +13,10 @@
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, schedbench, EpccConfig};
+use ompvar_bench_epcc::{run_many, run_seeds, schedbench, EpccConfig};
 use ompvar_bench_stream::{kernel_stats, kernels::StreamConfig, StreamKernel};
 use ompvar_core::{fmt_ratio, fmt_us, RunSet, Table};
 use ompvar_rt::region::Schedule;
-use ompvar_rt::runner::RegionRunner;
 use ompvar_rt::simrt::SimRuntime;
 
 const PLATFORM: Platform = Platform::Dardel;
@@ -70,8 +69,7 @@ pub fn stream_spreads(opts: &ExpOptions) -> (KernelSpreads, KernelSpreads) {
     let spread = |rt: &SimRuntime| -> Vec<(StreamKernel, f64)> {
         let mut worst: Vec<(StreamKernel, f64)> =
             StreamKernel::ALL.iter().map(|&k| (k, 0.0)).collect();
-        for i in 0..opts.n_runs() {
-            let res = rt.run_region(&region, opts.seed + i as u64).expect("experiment region completes");
+        for res in run_seeds(rt, &region, opts.n_runs(), opts.seed) {
             let stats = kernel_stats(&res);
             for (k, w) in worst.iter_mut() {
                 let s = stats[k].max_us / stats[k].min_us;
@@ -169,11 +167,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         format!("worst unbound {worst_unb:.2}×"),
     ));
 
-    ExpReport {
-        name: "fig4".into(),
-        tables,
-        checks,
-    }
+    ExpReport::new("fig4", tables, checks)
 }
 
 #[cfg(test)]

@@ -19,11 +19,10 @@
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, schedbench, EpccConfig};
+use ompvar_bench_epcc::{run_many, run_seeds, schedbench, EpccConfig};
 use ompvar_bench_stream::{kernel_stats, kernels::StreamConfig, StreamKernel};
 use ompvar_core::{fmt_ratio, RunSet, Table};
 use ompvar_rt::region::Schedule;
-use ompvar_rt::runner::RegionRunner;
 
 const PLATFORM: Platform = Platform::Dardel;
 
@@ -67,18 +66,10 @@ pub fn syncbench_cvs(opts: &ExpOptions) -> Vec<(SyncConstruct, f64, f64)> {
             let region = syncbench::region_with_inner(&cfg, c, n, inner);
             let st = run_many(&st_rt, &region, opts.n_runs(), opts.seed);
             let mt = run_many(&mt_rt, &region, opts.n_runs(), opts.seed);
-            let mean_cv = |rs: &RunSet| {
-                let cvs = rs.run_cvs();
-                cvs.iter().sum::<f64>() / cvs.len() as f64
-            };
+            let mean_cv = |rs: &RunSet| ompvar_core::Summary::of(&rs.run_cvs()).mean;
             (c, mean_cv(&st), mean_cv(&mt))
         })
         .collect()
-}
-
-/// Median of a sample.
-fn median(xs: &[f64]) -> f64 {
-    ompvar_core::percentile(xs, 50.0)
 }
 
 /// BabelStream comparison: `(st, mt)` as `(mean kernel time µs, mean
@@ -95,8 +86,7 @@ pub fn stream_envelopes(opts: &ExpOptions) -> ((f64, f64), (f64, f64)) {
     let region = ompvar_bench_stream::region(&cfg, n);
     let envelope = |rt: &ompvar_rt::simrt::SimRuntime| {
         let (mut time_sum, mut spread_sum, mut count) = (0.0, 0.0, 0usize);
-        for i in 0..opts.n_runs() {
-            let res = rt.run_region(&region, opts.seed + i as u64).expect("experiment region completes");
+        for res in run_seeds(rt, &region, opts.n_runs(), opts.seed) {
             let stats = kernel_stats(&res);
             for k in StreamKernel::ALL {
                 time_sum += stats[&k].avg_us;
@@ -131,8 +121,8 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         ]);
     }
     tables.push(t);
-    let st_w = median(&st.run_cvs());
-    let mt_w = median(&mt.run_cvs());
+    let st_w = ompvar_core::percentile(&st.run_cvs(), 50.0);
+    let mt_w = ompvar_core::percentile(&mt.run_cvs(), 50.0);
     checks.push(Check::new(
         "schedbench: MT has higher repetition variability than ST",
         mt_w > st_w,
@@ -184,11 +174,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         format!("mean max−min ST {st_spread:.1} µs vs MT {mt_spread:.1} µs"),
     ));
 
-    ExpReport {
-        name: "fig5".into(),
-        tables,
-        checks,
-    }
+    ExpReport::new("fig5", tables, checks)
 }
 
 #[cfg(test)]

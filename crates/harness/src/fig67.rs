@@ -18,7 +18,7 @@
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many_full, schedbench, EpccConfig};
+use ompvar_bench_epcc::{run_seeds, schedbench, EpccConfig};
 use ompvar_core::{fmt_ratio, FreqTrace, RunSet, Table};
 use ompvar_rt::config::RegionResult;
 use ompvar_rt::region::{RegionSpec, Schedule};
@@ -102,16 +102,19 @@ pub struct PlacementOutcome {
 pub fn outcome(opts: &ExpOptions, driver: Driver, placement: Placement) -> PlacementOutcome {
     let rt = placement.runtime();
     let region = build_region(driver, opts);
-    let (runs, full) = run_many_full(&rt, &region, opts.n_runs(), opts.seed);
     let cores = placement.benchmark_cores();
+    let mut runs = Vec::new();
     let mut transitions = 0usize;
     let mut droop_samples = 0usize;
     let mut total_samples = 0usize;
     let mut total_secs = 0.0;
-    for res in &full {
-        let trace = to_trace(res);
+    // One run at a time: each run's frequency trace is folded into the
+    // counts below and dropped before the next run starts.
+    for res in run_seeds(&rt, &region, opts.n_runs(), opts.seed) {
+        let trace = to_trace(&res);
         transitions += trace.transitions_over(&cores, 0.05);
         total_secs += res.wall_us / 1e6;
+        runs.push(res.reps().to_vec());
         // A sample "droops" when any benchmark core is >100 MHz below the
         // maximum frequency observed on benchmark cores in this run.
         let peak = cores
@@ -126,7 +129,7 @@ pub fn outcome(opts: &ExpOptions, driver: Driver, placement: Placement) -> Place
         }
     }
     PlacementOutcome {
-        runs,
+        runs: RunSet::new(runs),
         transitions_per_core_sec: transitions as f64
             / (cores.len() as f64 * total_secs.max(1e-9)),
         drooped_fraction: droop_samples as f64 / total_samples.max(1) as f64,
@@ -208,11 +211,7 @@ pub fn run_driver(opts: &ExpOptions, driver: Driver) -> ExpReport {
         ),
     ];
 
-    ExpReport {
-        name: name.into(),
-        tables: vec![t],
-        checks,
-    }
+    ExpReport::new(name, vec![t], checks)
 }
 
 /// Figure 6 entry point.

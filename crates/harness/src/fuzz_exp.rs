@@ -200,11 +200,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         },
     ));
 
-    ExpReport {
-        name: "fuzz".into(),
-        tables: vec![t],
-        checks,
-    }
+    ExpReport::new("fuzz", vec![t], checks)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::{run_many, schedbench, EpccConfig};
-use ompvar_core::{fmt_us, RunSet, Table};
+use ompvar_core::{fmt_us, RunSet, Summary, Table};
 use ompvar_rt::region::Schedule;
 
 /// Paper values for the shape comparison (mean over the non-outlier runs,
@@ -83,8 +83,8 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     // Shape 1: execution time grows with thread count on both platforms
     // (dispatch contention + lower all-core frequency).
     for pair in [(0usize, 1usize), (2, 3)] {
-        let lo = mean(&cols[pair.0].run_means_us);
-        let hi = mean(&cols[pair.1].run_means_us);
+        let lo = Summary::of(&cols[pair.0].run_means_us).mean;
+        let hi = Summary::of(&cols[pair.1].run_means_us).mean;
         checks.push(Check::new(
             &format!(
                 "{}: time grows {} → {} threads",
@@ -98,7 +98,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     }
     // Shape 2: low-thread-count columns are tight (CV < 1%).
     for c in [&cols[0], &cols[2]] {
-        let s = ompvar_core::Summary::of(&c.run_means_us);
+        let s = Summary::of(&c.run_means_us);
         checks.push(Check::new(
             &format!("{} {} thr: runs tight", c.platform.label(), c.threads),
             s.cv < 0.01,
@@ -109,7 +109,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     // within 15% for all four columns.
     if !opts.fast {
         for (i, (plat, thr, paper)) in PAPER_MEANS_US.iter().enumerate() {
-            let got = mean(&cols[i].run_means_us);
+            let got = Summary::of(&cols[i].run_means_us).mean;
             let rel = (got - paper).abs() / paper;
             checks.push(Check::new(
                 &format!("{plat} {thr} thr: mean within 15% of paper"),
@@ -118,15 +118,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             ));
         }
     }
-    ExpReport {
-        name: "table2".into(),
-        tables: vec![table],
-        checks,
-    }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
+    ExpReport::new("table2", vec![table], checks)
 }
 
 #[cfg(test)]

@@ -33,11 +33,7 @@ pub fn scaling_series(
             let rt = platform.pinned_rt(n);
             let region = taskbench::region(&cfg, pattern, n, tasks);
             let res = rt.run_region(&region, opts.seed).expect("experiment region completes");
-            let mean = res.reps().iter().sum::<f64>() / res.reps().len() as f64;
-            (
-                n,
-                taskbench::overhead_per_task_us(&cfg, pattern, n, tasks, mean),
-            )
+            (n, taskbench::overhead_per_task_us(&cfg, pattern, n, tasks, res.mean_rep_us()))
         })
         .collect()
 }
@@ -98,11 +94,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         format!("median cv ST {st:.5} vs MT {mt:.5}"),
     ));
 
-    ExpReport {
-        name: "taskbench".into(),
-        tables,
-        checks,
-    }
+    ExpReport::new("taskbench", tables, checks)
 }
 
 #[cfg(test)]

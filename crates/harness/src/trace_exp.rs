@@ -127,22 +127,6 @@ fn trace_checks(checks: &mut Vec<Check>, backend: &str, trace: &Trace, n_threads
     ));
 }
 
-/// Write a Chrome trace document, reporting the outcome as a check.
-fn write_doc(checks: &mut Vec<Check>, what: &str, path: &Path, doc: &str) {
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let res = std::fs::write(path, doc);
-    checks.push(Check::new(
-        &format!("{what} Chrome trace written"),
-        res.is_ok(),
-        match res {
-            Ok(()) => format!("{} ({} bytes)", path.display(), doc.len()),
-            Err(e) => format!("{}: {e}", path.display()),
-        },
-    ));
-}
-
 /// Execute and report.
 pub fn run(opts: &ExpOptions) -> ExpReport {
     let mut checks = Vec::new();
@@ -239,7 +223,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
                     ),
                 ));
             }
-            write_doc(&mut checks, "sim", &sim_path, &doc);
+            checks.push(Check::wrote("sim Chrome trace written", &sim_path, &doc));
             tables.push(span_table(
                 "Trace: per-construct span latency percentiles, sim (Vera)",
                 &res,
@@ -258,7 +242,8 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             let trace = res.trace.as_ref().expect("traced native run records a trace");
             trace_checks(&mut checks, "native", trace, 2);
             let doc = chrome_trace(trace, &[], "ompvar native (unbound)");
-            write_doc(&mut checks, "native", &native_path(&sim_path), &doc);
+            let path = native_path(&sim_path);
+            checks.push(Check::wrote("native Chrome trace written", &path, &doc));
             tables.push(span_table(
                 "Trace: per-construct span latency percentiles, native",
                 &res,
@@ -271,11 +256,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         )),
     }
 
-    ExpReport {
-        name: "trace".into(),
-        tables,
-        checks,
-    }
+    ExpReport::new("trace", tables, checks)
 }
 
 #[cfg(test)]

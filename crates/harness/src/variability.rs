@@ -31,19 +31,16 @@
 //!   `sched/noise` run with the per-source cumulative counter tracks
 //!   (`attr_cum_ms`), the "where did my time go" timeline view.
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::common::{run_journaled, Campaign, Check, ExpOptions, ExpReport, Platform};
 use ompvar_core::Table;
 use ompvar_bench_epcc::{schedbench, syncbench, EpccConfig, SyncConstruct};
 use ompvar_obs::json::Value;
 use ompvar_obs::{AttrSource, QuantileSketch, RunAttribution, ThreadAttribution, VarAccum, N_SOURCES};
 use ompvar_rt::region::{RegionSpec, Schedule};
 use ompvar_sim::fault::FaultPlan;
-use ompvar_sim::params::SimParams;
 use ompvar_sim::time::{SEC, US};
 use ompvar_supervisor::{
-    atomic_write, attempt_seed, create_shards, name_seed, resolve_jobs, resume_shards,
-    run_campaign, Checkpointable, ExecUnit, ExecutorConfig, Header, Outcome, SupervisorConfig,
-    UnitError,
+    atomic_write, attempt_seed, name_seed, Checkpointable, ExecUnit, Outcome, UnitError,
 };
 
 const PLATFORM: Platform = Platform::Vera;
@@ -160,12 +157,7 @@ impl Checkpointable for VarRun {
 
 /// One attributed measurement run of a cell.
 fn measure(region: &RegionSpec, config: &str, seed: u64) -> Result<VarRun, UnitError> {
-    let rt = PLATFORM
-        .pinned_rt(THREADS)
-        .with_params(SimParams::sterile())
-        .with_faults(plan_for(config))
-        .with_time_limit(10 * SEC)
-        .with_attribution(true);
+    let rt = PLATFORM.sterile_cell_rt(THREADS, plan_for(config)).with_attribution(true);
     match rt.run(region, seed) {
         Ok(res) => {
             let attr = res
@@ -363,65 +355,25 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
 
     // One executor unit per (cell, run): the measurement matrix shards
     // across `--jobs` workers and journals into the campaign's
-    // checkpoint shards for kill-and-resume.
-    let mut unit_names = Vec::new();
-    for cell in &cell_names {
-        for i in 0..runs {
-            unit_names.push(format!("{cell}/{i}"));
-        }
-    }
-    let header = Header {
-        seed: opts.seed,
-        fast: opts.fast,
-        targets: unit_names.clone(),
-    };
-    let ckpt_dir = opts.checkpoint_dir();
-    let jobs = resolve_jobs(opts.jobs);
-    let opened = if opts.resume.is_some() {
-        resume_shards(&ckpt_dir, "variability", &header, jobs)
-            .map(|(ms, merged)| (Some(ms), merged))
-            .map_err(|e| e.to_string())
-    } else {
-        create_shards(&ckpt_dir, "variability", &header, jobs)
-            .map(|ms| (Some(ms), Vec::new()))
-            .map_err(|e| e.to_string())
-    };
-    let (manifests, replay) = opened.unwrap_or_else(|e| {
-        eprintln!("warning: no variability manifest under {}: {e}; running unjournaled",
-            ckpt_dir.display());
-        (None, Vec::new())
-    });
-
+    // `variability.jsonl` shards for kill-and-resume.
     let seed = opts.seed;
-    let fast = opts.fast;
-    let units: Vec<ExecUnit<VarRun>> = unit_names
-        .iter()
-        .map(|name| {
-            let name = name.clone();
-            let opts_probe = ExpOptions { fast, seed, ..ExpOptions::fast() };
-            ExecUnit::new(name.clone(), move |attempt| {
-                let mut parts = name.split('/');
-                let (wl, cfg) = (parts.next().unwrap(), parts.next().unwrap());
-                let region = region_for(wl, &opts_probe);
+    let mut units: Vec<ExecUnit<VarRun>> = Vec::new();
+    for wl in WORKLOADS {
+        let region = region_for(wl, opts);
+        for cfg in CONFIGS {
+            for i in 0..runs {
+                let name = format!("{wl}/{cfg}/{i}");
+                let (region, key) = (region.clone(), name.clone());
                 // Decorrelated per-unit seed stream; attempt 0 keeps the
                 // base stream so an unretried campaign is reproducible.
-                let s = attempt_seed(seed ^ name_seed(&name), attempt);
-                measure(&region, cfg, s)
-            })
-        })
-        .collect();
-    let exec_cfg = ExecutorConfig {
-        jobs,
-        unit_timeout: opts.unit_timeout,
-        supervisor: SupervisorConfig {
-            seed: opts.seed,
-            max_retries: opts.max_retries.unwrap_or(2),
-            sleep: false,
-            ..SupervisorConfig::default()
-        },
-        chaos: None,
-    };
-    let campaign = run_campaign(&exec_cfg, &units, manifests, &replay, None, None);
+                units.push(ExecUnit::new(name, move |attempt| {
+                    measure(&region, cfg, attempt_seed(seed ^ name_seed(&key), attempt))
+                }));
+            }
+        }
+    }
+    let campaign = run_journaled(opts, &Campaign::inner("variability"), &units)
+        .expect("StartFresh never aborts");
 
     // Fold into per-cell streaming aggregates. `campaign.results` is in
     // canonical unit order regardless of worker count, so the fold order
@@ -506,17 +458,10 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
 
     // ---- Artifacts -----------------------------------------------------
     let mut checks = Vec::new();
-    let json_path = opts.out_dir.join("variability.json");
-    let _ = std::fs::create_dir_all(&opts.out_dir);
-    let doc = variability_json(opts, &cells);
-    let wrote = atomic_write(&json_path, doc.as_bytes());
-    checks.push(Check::new(
+    checks.push(Check::wrote(
         "ompvar-variability/1 report written",
-        wrote.is_ok(),
-        match &wrote {
-            Ok(()) => format!("{} ({} bytes)", json_path.display(), doc.len()),
-            Err(e) => format!("{}: {e}", json_path.display()),
-        },
+        &opts.out_dir.join("variability.json"),
+        &variability_json(opts, &cells),
     ));
 
     // One representative attributed + traced run of `sched/noise` for the
@@ -524,10 +469,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     // time, in a Perfetto-loadable timeline).
     let trace_path = opts.out_dir.join("variability.trace.json");
     let traced = PLATFORM
-        .pinned_rt(THREADS)
-        .with_params(SimParams::sterile())
-        .with_faults(plan_for("noise"))
-        .with_time_limit(10 * SEC)
+        .sterile_cell_rt(THREADS, plan_for("noise"))
         .with_tracing(true)
         .with_attribution(true)
         .run(&region_for("sched", opts), opts.seed);
@@ -561,7 +503,17 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     }
 
     // ---- Shape checks --------------------------------------------------
-    let cell = |name: &str| cells.iter().find(|c| c.name == name).unwrap();
+    let cell = |wl: &str, cfg: &str| {
+        let name = format!("{wl}/{cfg}");
+        cells.iter().find(|c| c.name == name).expect("grid cell")
+    };
+    // A shape that must hold on every workload: `f` gives one
+    // workload's verdict and its supporting numbers.
+    let per_workload = |name: &str, f: &dyn Fn(&str) -> (bool, String)| {
+        let (oks, details): (Vec<bool>, Vec<String>) = WORKLOADS.iter().map(|wl| f(wl)).unzip();
+        Check::new(name, oks.iter().all(|&ok| ok), details.join(", "))
+    };
+    let charged = |c: &CellAgg, s: AttrSource| c.by_source[s.index()];
     checks.push(Check::new(
         "every unit completed",
         failed_units.is_empty(),
@@ -580,7 +532,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             .collect::<Vec<_>>()
             .join(" "),
     ));
-    let sterile_noise: f64 = WORKLOADS.iter().map(|wl| cell(&format!("{wl}/sterile")).noise_ns()).sum();
+    let sterile_noise: f64 = WORKLOADS.iter().map(|wl| cell(wl, "sterile").noise_ns()).sum();
     checks.push(Check::new(
         "sterile cells charge exactly 0 ns to every noise source",
         sterile_noise == 0.0,
@@ -602,68 +554,34 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             share_errs.join("; ")
         },
     ));
-    let pre = |c: &CellAgg| c.by_source[AttrSource::Preemption.index()];
-    checks.push(Check::new(
-        "noise storm charges preemption in every noise cell",
-        WORKLOADS.iter().all(|wl| pre(cell(&format!("{wl}/noise"))) > 0.0),
-        WORKLOADS
-            .iter()
-            .map(|wl| format!("{wl}: {:.0} ns", pre(cell(&format!("{wl}/noise")))))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
-    let sub = |c: &CellAgg| c.by_source[AttrSource::SubNominalFreq.index()];
-    checks.push(Check::new(
+    checks.push(per_workload("noise storm charges preemption in every noise cell", &|wl| {
+        let ns = charged(cell(wl, "noise"), AttrSource::Preemption);
+        (ns > 0.0, format!("{wl}: {ns:.0} ns"))
+    }));
+    checks.push(per_workload(
         "frequency cap charges sub-nominal frequency (and only when capped)",
-        WORKLOADS
-            .iter()
-            .all(|wl| sub(cell(&format!("{wl}/freq_cap"))) > 0.0 && sub(cell(&format!("{wl}/sterile"))) == 0.0),
-        WORKLOADS
-            .iter()
-            .map(|wl| {
-                format!(
-                    "{wl}: capped {:.0} ns, sterile {:.0} ns",
-                    sub(cell(&format!("{wl}/freq_cap"))),
-                    sub(cell(&format!("{wl}/sterile")))
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", "),
+        &|wl| {
+            let capped = charged(cell(wl, "freq_cap"), AttrSource::SubNominalFreq);
+            let sterile = charged(cell(wl, "sterile"), AttrSource::SubNominalFreq);
+            (
+                capped > 0.0 && sterile == 0.0,
+                format!("{wl}: capped {capped:.0} ns, sterile {sterile:.0} ns"),
+            )
+        },
     ));
-    let stall_cell = cell("sync/stall");
+    let stall = charged(cell("sync", "stall"), AttrSource::FaultStall);
+    let waiters = charged(cell("sync", "stall"), AttrSource::NoiseDelayedArrival);
     checks.push(Check::new(
         "a straggler stall charges the victim and its barrier waiters",
-        stall_cell.by_source[AttrSource::FaultStall.index()] > 0.0
-            && stall_cell.by_source[AttrSource::NoiseDelayedArrival.index()] > 0.0,
-        format!(
-            "fault_stall {:.0} ns, noise_delayed_arrival {:.0} ns",
-            stall_cell.by_source[AttrSource::FaultStall.index()],
-            stall_cell.by_source[AttrSource::NoiseDelayedArrival.index()]
-        ),
+        stall > 0.0 && waiters > 0.0,
+        format!("fault_stall {stall:.0} ns, noise_delayed_arrival {waiters:.0} ns"),
     ));
-    checks.push(Check::new(
-        "noise raises wall-time dispersion over the sterile control",
-        WORKLOADS
-            .iter()
-            .all(|wl| cell(&format!("{wl}/noise")).wall.cov() > cell(&format!("{wl}/sterile")).wall.cov()),
-        WORKLOADS
-            .iter()
-            .map(|wl| {
-                format!(
-                    "{wl}: noise cov {:.5} vs sterile cov {:.5}",
-                    cell(&format!("{wl}/noise")).wall.cov(),
-                    cell(&format!("{wl}/sterile")).wall.cov()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
+    checks.push(per_workload("noise raises wall-time dispersion over the sterile control", &|wl| {
+        let (noise, sterile) = (cell(wl, "noise").wall.cov(), cell(wl, "sterile").wall.cov());
+        (noise > sterile, format!("{wl}: noise cov {noise:.5} vs sterile cov {sterile:.5}"))
+    }));
 
-    ExpReport {
-        name: "variability".into(),
-        tables: vec![t_disp, t_shares, t_top],
-        checks,
-    }
+    ExpReport::new("variability", vec![t_disp, t_shares, t_top], checks)
 }
 
 #[cfg(test)]

@@ -794,3 +794,100 @@ fn unreadable_payload_warns_once_reruns_once_journals_once() {
     assert_eq!(lines[2], unit, "the re-run journals what the first run did");
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// The usage text enumerates the registry, in registry order — there is
+/// no second list of experiment names to drift from it.
+#[test]
+fn usage_enumerates_the_registry_in_order() {
+    let out = repro().output().expect("binary runs");
+    let names: Vec<&str> = ompvar_harness::EXPERIMENTS.iter().map(|e| e.name).collect();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("<{}|all>", names.join("|"))), "{stderr}");
+}
+
+/// Regression (PR 13): a sweep killed before its inner campaigns began
+/// has no `variability.jsonl` / `campaign.jsonl` in the `--resume`
+/// directory. The resumed inner campaigns must *create* their journals
+/// and journal every unit — `variability` used to run unjournaled,
+/// `campaign` to claim it did — and a further resume must replay every
+/// unit from them to byte-identical artifacts.
+#[test]
+fn resumed_inner_campaigns_create_and_then_replay_their_journals() {
+    let base = std::env::temp_dir().join("ompvar_cli_inner_journal");
+    std::fs::remove_dir_all(&base).ok();
+    let ckpt = base.join("checkpoint");
+    let run = |resume: bool| {
+        let mut cmd = repro();
+        cmd.args(["--fast", "--seed", "3", "--jobs", "1", "--out"]).arg(&base);
+        if resume {
+            cmd.arg("--resume").arg(&ckpt);
+        }
+        let out = cmd.args(["fig2", "variability", "campaign"]).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "stderr: {stderr}");
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
+    };
+    // What a kill right after fig2's checkpoint leaves behind: the
+    // sweep's manifest holds the header and fig2, and neither inner
+    // campaign has a journal yet.
+    let rewind = |drop_inner_journals: bool| {
+        let manifest = ckpt.join("manifest.jsonl");
+        let text = std::fs::read_to_string(&manifest).expect("manifest");
+        let kept: Vec<&str> = text.lines().take(2).collect();
+        assert!(kept[1].contains("\"name\":\"fig2\""), "{text}");
+        std::fs::write(&manifest, format!("{}\n", kept.join("\n"))).expect("manifest rewound");
+        if drop_inner_journals {
+            for e in std::fs::read_dir(&ckpt).expect("checkpoint dir").filter_map(Result::ok) {
+                let name = e.file_name().to_string_lossy().into_owned();
+                if name.starts_with("variability") || name.starts_with("campaign") {
+                    std::fs::remove_file(e.path()).expect("inner artifact removed");
+                }
+            }
+        }
+    };
+    let journal = |name: &str| {
+        let text = std::fs::read_to_string(ckpt.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut lines = text.lines();
+        let header = parse(lines.next().expect("header line")).expect("header parses");
+        assert_eq!(header.get("schema").and_then(Value::as_str), Some("ompvar-checkpoint/1"));
+        let targets: Vec<String> = header
+            .get("targets")
+            .and_then(Value::as_arr)
+            .expect("targets")
+            .iter()
+            .map(|t| t.as_str().expect("target name").to_string())
+            .collect();
+        let units: Vec<String> = lines
+            .map(|l| parse(l).expect("unit line parses"))
+            .map(|u| u.get("name").and_then(Value::as_str).expect("unit name").to_string())
+            .collect();
+        assert_eq!(units, targets, "{name}: one entry per unit, in unit order");
+        (text, units.len())
+    };
+
+    run(false);
+    let reference = std::fs::read(base.join("variability.json")).expect("variability.json");
+    rewind(true);
+
+    // First resume: journals absent → created and filled, nothing degraded.
+    let (stdout, stderr) = run(true);
+    assert!(stdout.contains("(fig2 took 0.0s [replayed from checkpoint])"), "{stdout}");
+    assert!(!stderr.contains("unjournaled"), "{stderr}");
+    let (var_journal, var_units) = journal("variability.jsonl");
+    let (cam_journal, cam_units) = journal("campaign.jsonl");
+    assert_eq!((var_units, cam_units), (48, 4));
+    assert_eq!(std::fs::read(base.join("variability.json")).unwrap(), reference);
+
+    // Second resume: the inner campaigns run again (the sweep's manifest
+    // is rewound once more) but every one of their units replays — the
+    // journals gain no line — to byte-identical artifacts.
+    rewind(false);
+    let (_, stderr) = run(true);
+    assert!(!stderr.contains("unjournaled"), "{stderr}");
+    assert_eq!(journal("variability.jsonl").0, var_journal, "a replayed unit is not re-journaled");
+    assert_eq!(journal("campaign.jsonl").0, cam_journal, "a replayed unit is not re-journaled");
+    assert_eq!(std::fs::read(base.join("variability.json")).unwrap(), reference);
+    let trace = std::fs::read_to_string(ckpt.join("campaign.trace.json")).expect("campaign trace");
+    assert_eq!(trace.matches("\"supervisor_resume\"").count(), 4, "{trace}");
+    std::fs::remove_dir_all(&base).ok();
+}

@@ -198,11 +198,6 @@ impl RunAttribution {
         self.threads.iter().map(|t| t.useful_ns).sum()
     }
 
-    /// Total attributed ns across all threads.
-    pub fn attributed_total(&self) -> f64 {
-        self.threads.iter().map(ThreadAttribution::attributed_ns).sum()
-    }
-
     /// Total ns charged to noise sources across all threads.
     pub fn noise_total(&self) -> f64 {
         self.threads.iter().map(ThreadAttribution::noise_ns).sum()

@@ -75,22 +75,6 @@ pub fn chrome_trace_attr(
     chrome_trace_full(trace, freq_ghz, attr_samples, label, "omp thread")
 }
 
-/// The attribution counter events alone, as a comma-separated fragment
-/// of Chrome trace-event objects (no enclosing array) — for callers
-/// embedding the tracks into their own documents. Empty string when
-/// there are no samples.
-pub fn attr_counter_events(attr_samples: &[AttrSample]) -> String {
-    let mut out = String::new();
-    for (i, sample) in attr_samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&attr_counter_event(sample));
-    }
-    out
-}
-
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:?}")
@@ -341,9 +325,5 @@ mod tests {
             chrome_trace(&demo_trace(), &[], "x"),
             chrome_trace_full(&demo_trace(), &[], &[], "x", "omp thread")
         );
-        // Fragment exporter emits the same events.
-        let frag = attr_counter_events(&samples);
-        assert!(frag.contains("\"attr_cum_ms\""));
-        assert!(attr_counter_events(&[]).is_empty());
     }
 }

@@ -53,7 +53,7 @@ pub mod sketch;
 pub mod wellformed;
 
 pub use attr::{AttrSample, AttrSource, RunAttribution, ThreadAttribution, N_SOURCES};
-pub use chrome::{attr_counter_events, chrome_trace, chrome_trace_attr, chrome_trace_lanes};
+pub use chrome::{chrome_trace, chrome_trace_attr, chrome_trace_lanes};
 pub use event::{
     EventKind, InstantKind, Span, SpanKind, Trace, TraceEvent, CORE_UNKNOWN, THREAD_GLOBAL,
 };

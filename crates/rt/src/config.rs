@@ -96,6 +96,17 @@ impl RegionResult {
             .expect("region recorded no measured interval 0")
     }
 
+    /// Mean repetition time (µs) of the default measured interval 0 —
+    /// the one number most experiments keep of a run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region recorded no interval 0.
+    pub fn mean_rep_us(&self) -> f64 {
+        let reps = self.reps();
+        reps.iter().sum::<f64>() / reps.len() as f64
+    }
+
     /// Per-construct latency percentiles (p50/p95/p99/max), computed from
     /// the recorded trace. Empty when the run was not traced or recorded
     /// no spans of any kind.
@@ -123,6 +134,14 @@ mod tests {
     #[test]
     fn unbound_has_no_binding() {
         assert_eq!(RtConfig::unbound().bind, ProcBind::False);
+    }
+
+    #[test]
+    fn mean_rep_is_the_plain_mean_of_interval_zero() {
+        let mut r = RegionResult::default();
+        r.intervals_us.insert(0, vec![1.0, 2.0, 6.0]);
+        r.intervals_us.insert(1, vec![100.0]);
+        assert_eq!(r.mean_rep_us(), 3.0);
     }
 
     #[test]

@@ -569,11 +569,6 @@ impl Simulator {
         self.attr = Some(AttrState::default());
     }
 
-    /// Is the attribution ledger active?
-    pub fn attribution_enabled(&self) -> bool {
-        self.attr.is_some()
-    }
-
     /// Charge `wall_ns` of wall time on user task `tid` to `src`.
     /// Kernel tasks (ids beyond the pre-run table) are ignored.
     #[inline]

@@ -131,13 +131,6 @@ impl Rng {
         self.below(n as u64) as usize
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(hi >= lo);
-        lo + (hi - lo) * self.f64()
-    }
-
     /// Bernoulli draw with probability `p`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
@@ -163,12 +156,6 @@ impl Rng {
         let (s, c) = (2.0 * std::f64::consts::PI * u2).sin_cos();
         self.cached_normal = Some(r * s);
         r * c
-    }
-
-    /// Normal deviate with mean `mu` and standard deviation `sigma`.
-    #[inline]
-    pub fn normal_ms(&mut self, mu: f64, sigma: f64) -> f64 {
-        mu + sigma * self.normal()
     }
 
     /// Log-normal deviate parameterized by the *median* `median` and the

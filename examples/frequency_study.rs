@@ -9,10 +9,10 @@
 //! ```
 
 use ompvar::core::FreqTrace;
-use ompvar::epcc::{run_many_full, schedbench, EpccConfig};
+use ompvar::epcc::{run_seeds, schedbench, EpccConfig};
 use ompvar::harness::fig67::{outcome, Driver, Placement};
 use ompvar::harness::{ExpOptions, Platform};
-use ompvar::rt::{RegionRunner, Schedule};
+use ompvar::rt::Schedule;
 
 fn sparkline(series: &[f32]) -> String {
     const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -26,7 +26,9 @@ fn sparkline(series: &[f32]) -> String {
 }
 
 fn main() {
-    // Raw frequency traces of core 0 under both placements.
+    // Raw frequency traces of core 0 under both placements, two
+    // independently seeded runs each (`run_seeds` yields one full
+    // `RegionResult` — frequency samples included — per seed, lazily).
     let mut cfg = EpccConfig::schedbench_default().fast(30);
     cfg.iters_per_thr = 512;
     let region = schedbench::region(&cfg, Schedule::Static { chunk: 1 }, 16);
@@ -34,23 +36,24 @@ fn main() {
         ("16 cores on 1 NUMA ", Platform::Vera.numa_rt(&[0], 16)),
         ("8+8 cores, 2 NUMAs ", Platform::Vera.numa_rt(&[0, 1], 8)),
     ] {
-        let res = rt.run_region(&region, 3).expect("region run completes");
-        let trace = FreqTrace::new(
-            res.freq_samples
-                .iter()
-                .map(|s| (s.time, s.core_ghz.clone()))
-                .collect(),
-        )
-        .expect("simulated logger emits ordered, rectangular samples");
-        let series = trace.core_series(0);
-        let (lo, hi) = trace.band(0);
-        println!(
-            "{label} core0 {:.2}–{:.2} GHz, {:3} transitions  {}",
-            lo,
-            hi,
-            trace.transitions(0, 0.05),
-            sparkline(&series[..series.len().min(100)])
-        );
+        for res in run_seeds(&rt, &region, 2, 3) {
+            let trace = FreqTrace::new(
+                res.freq_samples
+                    .iter()
+                    .map(|s| (s.time, s.core_ghz.clone()))
+                    .collect(),
+            )
+            .expect("simulated logger emits ordered, rectangular samples");
+            let series = trace.core_series(0);
+            let (lo, hi) = trace.band(0);
+            println!(
+                "{label} core0 {:.2}–{:.2} GHz, {:3} transitions  {}",
+                lo,
+                hi,
+                trace.transitions(0, 0.05),
+                sparkline(&series[..series.len().min(100)])
+            );
+        }
     }
 
     // The aggregate comparison the paper draws (Fig 6/7).
@@ -68,9 +71,6 @@ fn main() {
             two.transitions_per_core_sec,
         );
     }
-    // Keep the unused import honest: run_many_full is the API examples
-    // would use to collect traces across runs.
-    let _ = run_many_full::<ompvar::rt::SimRuntime>;
     println!(
         "\n→ 16 active cores pin the socket at its stable all-core turbo;\n  \
          8 active cores per socket sit in an unstable few-core turbo state\n  \
