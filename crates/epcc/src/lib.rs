@@ -23,5 +23,5 @@ pub mod syncbench;
 pub mod taskbench;
 
 pub use params::EpccConfig;
-pub use runner::{run_many, run_seeds};
+pub use runner::{run_many, run_seed, run_seeds};
 pub use syncbench::SyncConstruct;

@@ -5,13 +5,25 @@ use ompvar_core::RunSet;
 use ompvar_rt::config::RegionResult;
 use ompvar_rt::region::RegionSpec;
 use ompvar_rt::runner::RegionRunner;
+use ompvar_rt::RtError;
 
-/// The seed loop every multi-run experiment folds over: item `i` is the
-/// result of running `region` under seed `seed_base + i` (simulated
-/// backend), mirroring the paper's protocol of 10 independent job
-/// submissions per configuration. Lazy — nothing runs until the
-/// iterator is advanced, so a fold never holds more than one run's
-/// frequency trace and counters at a time.
+/// Run `i` of a configuration: `region` under seed `seed_base + i`
+/// (simulated backend), mirroring the paper's protocol of independent
+/// job submissions per configuration. The one definition of the seed
+/// of run `i` — a harness grid cell is one call of this; [`run_seeds`]
+/// is the serial loop over it.
+pub fn run_seed<R: RegionRunner>(
+    rt: &R,
+    region: &RegionSpec,
+    seed_base: u64,
+    i: usize,
+) -> Result<RegionResult, RtError> {
+    rt.run_region(region, seed_base.wrapping_add(i as u64))
+}
+
+/// The serial seed loop: item `i` is [`run_seed`] `i`. Lazy — nothing
+/// runs until the iterator is advanced, so a fold never holds more than
+/// one run's frequency trace and counters at a time.
 ///
 /// # Panics
 ///
@@ -23,7 +35,7 @@ pub fn run_seeds<'a, R: RegionRunner>(
     seed_base: u64,
 ) -> impl Iterator<Item = RegionResult> + 'a {
     (0..n_runs).map(move |i| {
-        rt.run_region(region, seed_base + i as u64)
+        run_seed(rt, region, seed_base, i)
             .unwrap_or_else(|e| panic!("run {i}/{n_runs} on {} failed: {e}", rt.backend_name()))
     })
 }

@@ -15,7 +15,8 @@
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, EpccConfig};
+use crate::grid::{self, Grid, Plan};
+use ompvar_bench_epcc::EpccConfig;
 use ompvar_core::Table;
 use ompvar_sim::params::{NoiseParams, SimParams};
 
@@ -92,100 +93,86 @@ fn freeze_clock(platform: Platform) -> ompvar_topology::MachineSpec {
     m
 }
 
-/// Cell A — the frequency effect (Vera, 16 threads across 2 NUMA
-/// domains, Fig 6 cell): per-variant median per-run CV.
-pub fn frequency_cell(opts: &ExpOptions) -> Vec<(Variant, f64)> {
-    Variant::ALL
-        .iter()
-        .map(|&v| {
-            let mut rt = Platform::Vera.numa_rt(&[0, 1], 8);
-            rt.params = v.apply(rt.params.clone());
-            if matches!(v, Variant::NoFreq | Variant::NoNoiseNoFreq) {
-                rt.machine = freeze_clock(Platform::Vera);
-            }
-            let region = {
-                // Same workload as fig6's syncbench driver.
-                let reps = if opts.fast { 40 } else { opts.outer_reps() };
-                let cfg = EpccConfig::syncbench_default().fast(reps);
-                syncbench::region_with_inner(&cfg, SyncConstruct::Reduction, 16, 300)
-            };
-            let rs = run_many(&rt, &region, opts.n_runs(), opts.seed);
-            let cvs = rs.run_cvs();
-            (v, ompvar_core::percentile(&cvs, 50.0))
-        })
-        .collect()
-}
-
-/// Cell B — the unbound blow-up (Dardel, 48 threads, Fig 4 cell):
-/// per-variant pooled max/min spread of unbound execution.
-pub fn unbound_cell(opts: &ExpOptions) -> Vec<(Variant, f64)> {
+/// The grid: two effects × five variants × `n_runs`.
+pub fn plan(opts: &ExpOptions) -> Grid {
+    let mut p = Plan::new("ablation", opts);
+    let variant_rt = |platform: Platform, v: Variant, mut rt: ompvar_rt::simrt::SimRuntime| {
+        rt.params = v.apply(rt.params.clone());
+        if matches!(v, Variant::NoFreq | Variant::NoNoiseNoFreq) {
+            rt.machine = freeze_clock(platform);
+        }
+        rt
+    };
+    // A — the frequency effect (Vera, 16 threads across 2 NUMA domains,
+    // Fig 6 cell; same workload as fig7's syncbench driver).
+    let reps = if opts.fast { 40 } else { opts.outer_reps() };
+    let cfg = EpccConfig::syncbench_default().fast(reps);
+    let region = syncbench::region_with_inner(&cfg, SyncConstruct::Reduction, 16, 300);
+    let freq = Variant::ALL.map(|v| {
+        let rt = variant_rt(Platform::Vera, v, Platform::Vera.numa_rt(&[0, 1], 8));
+        (v, p.cells(format!("freq-{}", v.label()), rt, region.clone(), opts.n_runs(), grid::reps))
+    });
+    // B — the unbound blow-up (Dardel, 48 threads, Fig 4 cell).
     let cfg = EpccConfig::syncbench_default().fast(if opts.fast { 20 } else { 40 });
     let region = syncbench::region_with_inner(&cfg, SyncConstruct::Reduction, 48, 12);
-    Variant::ALL
-        .iter()
-        .map(|&v| {
-            let mut rt = Platform::Dardel.unbound_rt();
-            rt.params = v.apply(rt.params.clone());
-            if matches!(v, Variant::NoFreq | Variant::NoNoiseNoFreq) {
-                rt.machine = freeze_clock(Platform::Dardel);
-            }
-            let rs = run_many(&rt, &region, opts.n_runs(), opts.seed);
-            (v, rs.pooled().spread())
-        })
-        .collect()
-}
+    let unb = Variant::ALL.map(|v| {
+        let rt = variant_rt(Platform::Dardel, v, Platform::Dardel.unbound_rt());
+        (v, p.cells(format!("unbound-{}", v.label()), rt, region.clone(), opts.n_runs(), grid::reps))
+    });
 
-/// Execute and report.
-pub fn run(opts: &ExpOptions) -> ExpReport {
-    let mut tables = Vec::new();
-    let mut checks = Vec::new();
+    p.fold(move |s| {
+        let mut tables = Vec::new();
+        let mut checks = Vec::new();
 
-    let freq = frequency_cell(opts);
-    let mut t = Table::new(
-        "Ablation A: Vera 16-thread cross-NUMA syncbench — median per-run CV",
-        &["variant", "median cv"],
-    );
-    for (v, cv) in &freq {
-        t.row(&[v.label().to_string(), format!("{cv:.5}")]);
-    }
-    tables.push(t);
-    let get = |xs: &[(Variant, f64)], v: Variant| xs.iter().find(|(x, _)| *x == v).unwrap().1;
-    checks.push(Check::new(
-        "cross-NUMA variability is attributable to DVFS + OS noise",
-        get(&freq, Variant::NoFreq) < get(&freq, Variant::Full)
-            && get(&freq, Variant::NoNoise) < get(&freq, Variant::Full)
-            && get(&freq, Variant::NoNoiseNoFreq) < get(&freq, Variant::Full) / 5.0,
-        format!(
-            "cv full {:.5}, no-freq {:.5}, no-noise {:.5}, neither {:.5}",
-            get(&freq, Variant::Full),
-            get(&freq, Variant::NoFreq),
-            get(&freq, Variant::NoNoise),
-            get(&freq, Variant::NoNoiseNoFreq)
-        ),
-    ));
+        // Per-variant median per-run CV.
+        let freq = freq.map(|(v, runs)| (v, ompvar_core::percentile(&s.runset(&runs).run_cvs(), 50.0)));
+        let mut t = Table::new(
+            "Ablation A: Vera 16-thread cross-NUMA syncbench — median per-run CV",
+            &["variant", "median cv"],
+        );
+        for (v, cv) in &freq {
+            t.row(&[v.label().to_string(), format!("{cv:.5}")]);
+        }
+        tables.push(t);
+        let get = |xs: &[(Variant, f64)], v: Variant| xs.iter().find(|(x, _)| *x == v).unwrap().1;
+        checks.push(Check::new(
+            "cross-NUMA variability is attributable to DVFS + OS noise",
+            get(&freq, Variant::NoFreq) < get(&freq, Variant::Full)
+                && get(&freq, Variant::NoNoise) < get(&freq, Variant::Full)
+                && get(&freq, Variant::NoNoiseNoFreq) < get(&freq, Variant::Full) / 5.0,
+            format!(
+                "cv full {:.5}, no-freq {:.5}, no-noise {:.5}, neither {:.5}",
+                get(&freq, Variant::Full),
+                get(&freq, Variant::NoFreq),
+                get(&freq, Variant::NoNoise),
+                get(&freq, Variant::NoNoiseNoFreq)
+            ),
+        ));
 
-    let unb = unbound_cell(opts);
-    let mut t = Table::new(
-        "Ablation B: Dardel 48-thread unbound syncbench — pooled max/min spread",
-        &["variant", "spread"],
-    );
-    for (v, s) in &unb {
-        t.row(&[v.label().to_string(), format!("{s:.2}")]);
-    }
-    tables.push(t);
-    checks.push(Check::new(
-        "unbound blow-ups are placement-churn-driven",
-        get(&unb, Variant::NoChurn) < get(&unb, Variant::Full) / 3.0,
-        format!(
-            "spread full {:.1}, no-churn {:.1}, no-noise {:.1}, no-freq {:.1}",
-            get(&unb, Variant::Full),
-            get(&unb, Variant::NoChurn),
-            get(&unb, Variant::NoNoise),
-            get(&unb, Variant::NoFreq)
-        ),
-    ));
+        // Per-variant pooled max/min spread of unbound execution.
+        let unb = unb.map(|(v, runs)| (v, s.runset(&runs).pooled().spread()));
+        let mut t = Table::new(
+            "Ablation B: Dardel 48-thread unbound syncbench — pooled max/min spread",
+            &["variant", "spread"],
+        );
+        for (v, s) in &unb {
+            t.row(&[v.label().to_string(), format!("{s:.2}")]);
+        }
+        tables.push(t);
+        checks.push(Check::new(
+            "unbound blow-ups are placement-churn-driven",
+            get(&unb, Variant::NoChurn) < get(&unb, Variant::Full) / 3.0,
+            format!(
+                "spread full {:.1}, no-churn {:.1}, no-noise {:.1}, no-freq {:.1}",
+                get(&unb, Variant::Full),
+                get(&unb, Variant::NoChurn),
+                get(&unb, Variant::NoNoise),
+                get(&unb, Variant::NoFreq)
+            ),
+        ));
 
-    ExpReport::new("ablation", tables, checks)
+        ExpReport::new("ablation", tables, checks)
+    })
 }
 
 #[cfg(test)]
@@ -194,7 +181,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = plan(&ExpOptions::fast()).run();
         assert!(rep.all_passed(), "ablation checks failed:\n{}", rep.render());
     }
 }

@@ -17,22 +17,29 @@
 //! `ompvar-diagnostics/1` JSON document; `--report-json` writes a
 //! machine-readable summary of every table and check in the run.
 //!
-//! The whole sweep runs on the fault-tolerant campaign executor
-//! (`ompvar-supervisor`): `--jobs N` shards the experiments across a
-//! work-stealing pool of N workers (`0` auto-detects; the default `1`
-//! preserves measurement fidelity), each journaling completed units into
-//! its own `ompvar-checkpoint/1` shard manifest under
-//! `<out>/checkpoint/` so a `kill -9` at any instant tears at most the
-//! final line of one shard. A panicking experiment is retried on a
-//! seeded deterministic backoff schedule and quarantined — reported as a
-//! synthesized FAIL check — only once its budget is exhausted, while the
-//! sweep continues; `--unit-timeout SECS` arms a watchdog that reaps a
-//! hung attempt into the same retry path. `--resume <dir>` merges the
-//! shard manifests deterministically, replays the journaled experiments
-//! and re-runs only the rest, producing a `--report-json` document
-//! byte-identical to an uninterrupted run regardless of worker count or
-//! crash history. Ctrl-C stops every worker at the next unit boundary,
-//! flushes a partial report marked `"interrupted": true` and exits 130.
+//! The whole sweep is one campaign on the fault-tolerant executor
+//! (`ompvar-supervisor`), and its unit is the *cell*: every selected
+//! experiment declares a grid of seeded runs plus a fold
+//! (`ompvar_harness::grid`), and the cells of all of them are flattened
+//! into that one campaign. `--jobs N` shards the cells across a
+//! work-stealing pool of N workers (`0` auto-detects; the default is
+//! `1`), each journaling completed cells into its own
+//! `ompvar-checkpoint/1` shard manifest under `<out>/checkpoint/` so a
+//! `kill -9` at any instant tears at most the final line of one shard.
+//! An experiment folds, prints its block and writes its CSVs the moment
+//! its last cell is terminal. A failing cell is classified — a
+//! structurally invalid region or a deadlock is permanent, a panic or a
+//! timeout transient — retried on a seeded deterministic backoff
+//! schedule and quarantined once its budget is exhausted, which turns
+//! its experiment into a FAIL check naming the cell while the sweep
+//! continues; `--unit-timeout SECS` arms a watchdog that reaps a hung
+//! attempt into the same retry path. `--resume <dir>` merges the shard
+//! manifests deterministically, replays the journaled cells and re-runs
+//! only the rest, producing a `--report-json` document byte-identical
+//! to an uninterrupted run regardless of worker count or crash history.
+//! Ctrl-C stops every worker at the next cell boundary, flushes a
+//! partial report (the experiments that finished) marked
+//! `"interrupted": true` and exits 130.
 //!
 //! Chaos controls: the `chaos` experiment exercises the deterministic
 //! fault-injection layer (seeded I/O faults, exhaustive crash-point
@@ -45,11 +52,13 @@
 //! aborting with the shard file, line number and offending bytes.
 
 use ompvar_harness::common::{run_journaled, run_report_json, Campaign, Unopenable};
-use ompvar_harness::{analyze_exp, select, Check, ExpOptions, ExpReport, Experiment, EXPERIMENTS};
-use ompvar_supervisor::{atomic_write, attempt_seed, ExecUnit, Outcome, UnitError, UnitResult};
+use ompvar_harness::grid::{Grid, Sample, Sweep};
+use ompvar_harness::{analyze_exp, select, ExpOptions, ExpReport, Experiment, EXPERIMENTS};
+use ompvar_supervisor::{atomic_write, resolve_jobs, UnitError, UnitResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 /// Set by the SIGINT handler; polled between experiments so an
 /// interrupted sweep still flushes its checkpoint manifest and a partial
@@ -88,38 +97,31 @@ fn parsed<T: std::str::FromStr>(v: String) -> T {
     v.parse().unwrap_or_else(|_| usage())
 }
 
-/// One supervised attempt of an experiment: a panic anywhere inside it
-/// becomes a classified transient failure the supervisor can retry.
-fn attempt(exp: &Experiment, opts: &ExpOptions, n: u32) -> Result<ExpReport, UnitError> {
-    // Retries re-run under a decorrelated seed (attempt 0 keeps the base
-    // seed, so a never-retried run matches an unsupervised one).
-    let opts = ExpOptions { seed: attempt_seed(opts.seed, n), ..opts.clone() };
-    match catch_unwind(AssertUnwindSafe(|| (exp.run)(&opts))) {
-        Ok(report) => Ok(report),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(UnitError::from_panic(msg))
-        }
+/// The grid `exp` contributes to the sweep. The static pre-flight gate
+/// comes first: the experiment's built-in region specs are analyzed
+/// before anything is planned (planning runs calibration probes), and an
+/// Error-severity finding is structural — the experiment becomes one
+/// permanently failing cell (quarantined, journaled, a FAIL check in
+/// the JSON report) and none of its real cells exists to be dispatched.
+/// A panic while planning is isolated the same way, as a transient.
+fn planned(exp: &Experiment, opts: &ExpOptions) -> Grid {
+    let rejected = analyze_exp::specs_for(exp.families, opts).into_iter().find_map(|(label, spec)| {
+        ompvar_analyze::analyze(&spec).first_error().map(|d| (label, d.render(), d.cause))
+    });
+    if let Some((label, rendered, cause)) = rejected {
+        eprintln!("preflight: {} spec `{label}` statically rejected: {rendered}", exp.name);
+        let cause = cause.expect("Error-severity diagnostics carry their RegionError");
+        let err = UnitError::from_rt(&ompvar_rt::RtError::InvalidRegion(cause));
+        return Grid::rejected(exp.name, err);
     }
-}
-
-/// The FAIL report synthesized for a quarantined experiment.
-fn quarantine_report(name: &str, retries: &[ompvar_supervisor::RetryRecord]) -> ExpReport {
-    let history = retries
-        .iter()
-        .map(|r| format!("attempt {}: {} [{}]", r.attempt, r.error, r.transience.name()))
-        .collect::<Vec<_>>()
-        .join("; ");
-    let check = Check::new(
-        "experiment completes within its retry budget",
-        false,
-        format!("quarantined after {} attempt(s): {history}", retries.len()),
-    );
-    ExpReport::new(name, Vec::new(), vec![check])
+    catch_unwind(AssertUnwindSafe(|| exp.plan(opts))).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Grid::rejected(exp.name, UnitError::from_panic(format!("while planning: {msg}")))
+    })
 }
 
 fn write_report(
@@ -214,61 +216,20 @@ fn main() -> ExitCode {
         usage()
     });
 
-    let units: Vec<ExecUnit<ExpReport>> = exps
-        .into_iter()
-        .map(|exp| {
-            let name = exp.name;
-            let opts = opts.clone();
-            ExecUnit::new(name, move |n| {
-                // Static pre-flight gate: analyze the experiment's
-                // built-in region specs before running anything. An
-                // Error-severity finding is structural — a permanent
-                // failure (quarantined, journaled, a FAIL check in the
-                // JSON report) that never spends the experiment's
-                // wall-clock budget.
-                let rejected = analyze_exp::specs_for(exp.families, &opts)
-                    .into_iter()
-                    .find_map(|(label, spec)| {
-                        ompvar_analyze::analyze(&spec)
-                            .first_error()
-                            .map(|d| (label, d.render(), d.cause))
-                    });
-                if let Some((label, rendered, cause)) = rejected {
-                    eprintln!("preflight: {name} spec `{label}` statically rejected: {rendered}");
-                    let cause =
-                        cause.expect("Error-severity diagnostics carry their RegionError");
-                    return Err(UnitError::from_rt(&ompvar_rt::RtError::InvalidRegion(cause)));
-                }
-                attempt(exp, &opts, n)
-            })
-        })
-        .collect();
+    let t0 = Instant::now();
+    let sweep = Sweep::new(exps.into_iter().map(|exp| (exp.name, planned(exp, &opts))).collect());
     // Stream each experiment's block (tables, CSV paths, timing line)
-    // the moment it reaches a terminal state. Stdout is locked per unit
-    // so blocks stay contiguous under `--jobs > 1`; with one worker the
-    // callback fires in canonical order, matching sequential output.
-    let progress = |r: &UnitResult<ExpReport>| {
-        let (rendered, csvs, note) = match &r.outcome {
-            Outcome::Completed { value, attempts, from_checkpoint, .. } => {
-                let note = if *from_checkpoint {
-                    " [replayed from checkpoint]".to_string()
-                } else if *attempts > 1 {
-                    format!(" [recovered after {attempts} attempts]")
-                } else {
-                    String::new()
-                };
-                (value.render(), value.write_csvs(&opts.out_dir), note)
-            }
-            Outcome::Quarantined { retries, .. } => {
-                let rep = quarantine_report(&r.name, retries);
-                (rep.render(), rep.write_csvs(&opts.out_dir), " [quarantined]".to_string())
-            }
-        };
+    // the moment its last cell reaches a terminal state. Stdout is
+    // locked per block so blocks stay contiguous under `--jobs > 1`;
+    // with one worker cells complete in canonical order, so the blocks
+    // match sequential output.
+    let progress = |r: &UnitResult<Sample>| {
+        let Some(done) = sweep.record(r) else { return };
         use std::io::Write;
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
-        let _ = write!(out, "{rendered}");
-        match csvs {
+        let _ = write!(out, "{}", done.report.render());
+        match done.report.write_csvs(&opts.out_dir) {
             Ok(paths) => {
                 for p in paths {
                     let _ = writeln!(out, "wrote {}", p.display());
@@ -276,7 +237,15 @@ fn main() -> ExitCode {
             }
             Err(e) => eprintln!("warning: could not write CSVs: {e}"),
         }
-        let _ = writeln!(out, "({} took {:.1}s{note})\n", r.name, r.duration.as_secs_f64());
+        let _ = writeln!(
+            out,
+            "({} took {:.1}s busy in {} cells, {:.1}s wall{})\n",
+            done.report.name,
+            done.busy.as_secs_f64(),
+            done.cells,
+            done.wall.as_secs_f64(),
+            done.note
+        );
     };
     // The sweep's journal is `manifest.jsonl` (+ worker shards) under
     // the checkpoint directory, its executor trace `supervisor.json`
@@ -292,7 +261,7 @@ fn main() -> ExitCode {
         cancel: Some(&INTERRUPTED),
         progress: Some(&progress),
     };
-    let run = match run_journaled(&opts, &door, &units) {
+    let run = match run_journaled(&opts, &door, sweep.units()) {
         Ok(run) => run,
         Err(e) => {
             let manifest = opts.checkpoint_dir().join("manifest.jsonl");
@@ -301,16 +270,18 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut all_ok = true;
-    let mut reports = Vec::new();
-    for r in run.results {
-        let report = match r.outcome {
-            Outcome::Completed { value, .. } => value,
-            Outcome::Quarantined { retries, .. } => quarantine_report(&r.name, &retries),
-        };
-        all_ok &= report.all_passed();
-        reports.push(report);
-    }
+    // Where the time went: stdout only — reports, CSVs and journals
+    // carry no wall-clock.
+    // Canonical order whatever the completion order; an interrupted
+    // sweep reports the experiments that finished.
+    let (busy, reports) = sweep.finish();
+    let (wall, jobs) = (t0.elapsed().as_secs_f64(), resolve_jobs(opts.jobs));
+    println!(
+        "sweep: {wall:.1}s wall, {:.1}s busy, {jobs} workers, efficiency {:.2}",
+        busy.as_secs_f64(),
+        busy.as_secs_f64() / (wall * jobs as f64)
+    );
+    let mut all_ok = reports.iter().all(ExpReport::all_passed);
     // Campaign health: watchdog-reaped attempt threads still alive at
     // exit, plus every degraded-recovery note (lost journal writes,
     // quarantined shards) — surfaced in the JSON report and the final

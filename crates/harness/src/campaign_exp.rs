@@ -28,16 +28,15 @@
 use crate::common::{
     executor_config, run_journaled, Campaign, Check, ExpOptions, ExpReport, Platform,
 };
+use crate::grid::Sample;
 use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_core::Table;
-use ompvar_obs::json::Value;
 use ompvar_rt::region::{RegionSpec, Schedule};
 use ompvar_rt::runner::RegionRunner;
 use ompvar_sim::fault::FaultPlan;
 use ompvar_sim::time::{SEC, US};
 use ompvar_supervisor::{
-    attempt_seed, name_seed, stabilize, Backoff, Checkpointable, ExecUnit, Outcome,
-    StabilityPolicy, UnitError,
+    attempt_seed, name_seed, stabilize, Backoff, ExecUnit, Outcome, StabilityPolicy, UnitError,
 };
 
 const PLATFORM: Platform = Platform::Vera;
@@ -45,31 +44,6 @@ const THREADS: usize = 8;
 const AT: ompvar_sim::time::Time = 50 * US;
 /// The cells, in unit (and report) order.
 const CELLS: [&str; 4] = ["sterile", "noisy", "flaky", "broken"];
-
-/// The cell result that goes through the checkpoint manifest.
-#[derive(Debug, Clone, PartialEq)]
-struct CellResult {
-    /// Mean repetition times, one per (base or extra) measurement run.
-    samples: Vec<f64>,
-}
-
-impl Checkpointable for CellResult {
-    fn to_ckpt(&self) -> Value {
-        Value::Obj(vec![(
-            "samples".into(),
-            Value::Arr(self.samples.iter().map(|&s| Value::Num(s)).collect()),
-        )])
-    }
-    fn from_ckpt(v: &Value) -> Option<CellResult> {
-        let samples = v
-            .get("samples")?
-            .as_arr()?
-            .iter()
-            .map(Value::as_f64)
-            .collect::<Option<Vec<f64>>>()?;
-        Some(CellResult { samples })
-    }
-}
 
 fn region(opts: &ExpOptions) -> RegionSpec {
     let mut cfg = EpccConfig::schedbench_default().fast(opts.outer_reps().min(10));
@@ -129,7 +103,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     // concurrently on the work-stealing pool, each under its own
     // per-worker supervisor lane.
     let seed = opts.seed;
-    let units: Vec<ExecUnit<CellResult>> = CELLS
+    let units: Vec<ExecUnit<Sample>> = CELLS
         .into_iter()
         .map(|cell| {
             let reg =
@@ -155,7 +129,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
                 });
                 match failed {
                     Some(e) => Err(e),
-                    None => Ok(CellResult { samples: st.samples }),
+                    None => Sample::checked(st.samples),
                 }
             })
         })
@@ -178,7 +152,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             // dispersion, never stable.
             let (status, samples, attempts, retries) = match r.outcome {
                 Outcome::Completed { value, attempts, retries, .. } => {
-                    ("ok".to_string(), value.samples, attempts, retries)
+                    ("ok".to_string(), value.values().to_vec(), attempts, retries)
                 }
                 Outcome::Quarantined { attempts, retries, .. } => {
                     let why = retries.last().map_or("?", |r| r.transience.name());
@@ -276,6 +250,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ompvar_obs::json::Value;
 
     fn opts(dir: &str) -> ExpOptions {
         let out = std::env::temp_dir().join(format!("ompvar_campaign_{dir}_{}", std::process::id()));

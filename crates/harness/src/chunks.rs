@@ -12,8 +12,8 @@
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_core::Table;
+use crate::grid::{self, Grid, Plan};
 use ompvar_rt::region::Schedule;
-use ompvar_rt::runner::RegionRunner;
 
 /// Chunk sizes swept.
 pub const CHUNKS: [u64; 5] = [1, 4, 16, 64, 128];
@@ -24,74 +24,77 @@ fn cfg(opts: &ExpOptions) -> EpccConfig {
     cfg
 }
 
-/// Per-iteration dispatch overhead (µs) for one schedule kind across the
-/// chunk sweep.
-pub fn sweep(
-    opts: &ExpOptions,
-    platform: Platform,
-    n_threads: usize,
-    make: impl Fn(u64) -> Schedule,
-) -> Vec<(u64, f64)> {
+/// The grid: one single-run cell per platform × schedule kind × chunk.
+pub fn plan(opts: &ExpOptions) -> Grid {
+    let mut p = Plan::new("chunks", opts);
     let cfg = cfg(opts);
-    let rt = platform.pinned_rt(n_threads);
-    CHUNKS
-        .iter()
-        .map(|&chunk| {
-            let region = schedbench::region(&cfg, make(chunk), n_threads);
-            let res = rt.run_region(&region, opts.seed).expect("experiment region completes");
-            (chunk, schedbench::per_iter_overhead_us(&cfg, res.mean_rep_us()))
-        })
-        .collect()
-}
+    type Make = fn(u64) -> Schedule;
+    let kinds: [(&str, Make); 3] = [
+        ("static", |c| Schedule::Static { chunk: c }),
+        ("dynamic", |c| Schedule::Dynamic { chunk: c }),
+        ("guided", |c| Schedule::Guided { min_chunk: c }),
+    ];
+    let sweeps = [(Platform::Dardel, 64usize), (Platform::Vera, 16)].map(|(platform, n)| {
+        let rt = platform.pinned_rt(n);
+        let sweeps = kinds.map(|(kind, make)| {
+            CHUNKS.map(|chunk| {
+                let label = format!("{}-{kind}-{chunk}", platform.label());
+                let region = schedbench::region(&cfg, make(chunk), n);
+                p.cells(label, rt.clone(), region, 1, grid::mean_rep)
+            })
+        });
+        (platform, n, sweeps)
+    });
 
-/// Execute and report.
-pub fn run(opts: &ExpOptions) -> ExpReport {
-    let mut tables = Vec::new();
-    let mut checks = Vec::new();
-    for (platform, n) in [(Platform::Dardel, 64usize), (Platform::Vera, 16)] {
-        let stat = sweep(opts, platform, n, |c| Schedule::Static { chunk: c });
-        let dyn_ = sweep(opts, platform, n, |c| Schedule::Dynamic { chunk: c });
-        let gui = sweep(opts, platform, n, |c| Schedule::Guided { min_chunk: c });
-        let mut t = Table::new(
-            &format!(
-                "Chunk sweep: per-iteration overhead (µs), {} threads, {}",
-                n,
-                platform.label()
-            ),
-            &["chunk", "static", "dynamic", "guided"],
-        );
-        for i in 0..CHUNKS.len() {
-            t.row(&[
-                CHUNKS[i].to_string(),
-                format!("{:.4}", stat[i].1),
-                format!("{:.4}", dyn_[i].1),
-                format!("{:.4}", gui[i].1),
-            ]);
+    p.fold(move |s| {
+        let mut tables = Vec::new();
+        let mut checks = Vec::new();
+        for (platform, n, sweeps) in sweeps {
+            // Per-iteration dispatch overhead (µs) across the chunk sweep.
+            let [stat, dyn_, gui] = sweeps.map(|runs| {
+                runs.map(|run| schedbench::per_iter_overhead_us(&cfg, s.one(&run)[0]))
+            });
+            let mut t = Table::new(
+                &format!(
+                    "Chunk sweep: per-iteration overhead (µs), {} threads, {}",
+                    n,
+                    platform.label()
+                ),
+                &["chunk", "static", "dynamic", "guided"],
+            );
+            for i in 0..CHUNKS.len() {
+                t.row(&[
+                    CHUNKS[i].to_string(),
+                    format!("{:.4}", stat[i]),
+                    format!("{:.4}", dyn_[i]),
+                    format!("{:.4}", gui[i]),
+                ]);
+            }
+            tables.push(t);
+
+            // The absolute overhead includes the all-core frequency droop,
+            // which hits every schedule equally; the *dispatch* component is
+            // the delta above static at the same chunk size.
+            let disp1 = dyn_[0] - stat[0];
+            let disp128 = dyn_[CHUNKS.len() - 1] - stat[CHUNKS.len() - 1];
+            checks.push(Check::new(
+                &format!(
+                    "{}: dynamic dispatch amortizes with chunk size",
+                    platform.label()
+                ),
+                disp128 < disp1 / 4.0,
+                format!(
+                    "dispatch = dynamic − static: {disp1:.4} µs/iter @ chunk 1 vs {disp128:.4} @ 128"
+                ),
+            ));
+            checks.push(Check::new(
+                &format!("{}: dynamic_1 dispatch is substantial", platform.label()),
+                disp1 > 0.05,
+                format!("{disp1:.4} µs/iter"),
+            ));
         }
-        tables.push(t);
-
-        // The absolute overhead includes the all-core frequency droop,
-        // which hits every schedule equally; the *dispatch* component is
-        // the delta above static at the same chunk size.
-        let disp1 = dyn_[0].1 - stat[0].1;
-        let disp128 = dyn_[CHUNKS.len() - 1].1 - stat[CHUNKS.len() - 1].1;
-        checks.push(Check::new(
-            &format!(
-                "{}: dynamic dispatch amortizes with chunk size",
-                platform.label()
-            ),
-            disp128 < disp1 / 4.0,
-            format!(
-                "dispatch = dynamic − static: {disp1:.4} µs/iter @ chunk 1 vs {disp128:.4} @ 128"
-            ),
-        ));
-        checks.push(Check::new(
-            &format!("{}: dynamic_1 dispatch is substantial", platform.label()),
-            disp1 > 0.05,
-            format!("{disp1:.4} µs/iter"),
-        ));
-    }
-    ExpReport::new("chunks", tables, checks)
+        ExpReport::new("chunks", tables, checks)
+    })
 }
 
 #[cfg(test)]
@@ -100,7 +103,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = plan(&ExpOptions::fast()).run();
         assert!(rep.all_passed(), "chunks checks failed:\n{}", rep.render());
     }
 }

@@ -144,22 +144,24 @@ pub struct ExpOptions {
     /// Machine-readable JSON run-report path (`--report-json`); `None`
     /// writes no report.
     pub report_json: Option<PathBuf>,
-    /// Retry budget per experiment for transient failures
+    /// Retry budget per cell for transient failures
     /// (`--max-retries`); `None` uses the supervisor default.
     pub max_retries: Option<u32>,
     /// Stability target for adaptive re-measurement
     /// (`--stability-cov`); `None` uses the policy default.
     pub stability_cov: Option<f64>,
     /// Resume a previous campaign from its checkpoint directory
-    /// (`--resume DIR`): completed experiments replay from the manifest
+    /// (`--resume DIR`): completed cells replay from the manifest
     /// instead of re-running.
     pub resume: Option<PathBuf>,
-    /// Worker threads for the campaign executor (`--jobs`). Defaults to
-    /// 1 — experiments here *measure*, and concurrent native runs
-    /// perturb each other's timing shapes; `--jobs 0` auto-detects for
-    /// throughput-oriented campaigns (fuzzing, CI smoke).
+    /// Worker threads for the campaign executor (`--jobs`); `0`
+    /// auto-detects. The sweep's unit is the grid cell
+    /// ([`crate::grid`]), so this is also how far a single figure
+    /// parallelizes; every simulated byte is identical at any value.
+    /// Defaults to 1: the `trace` experiment's *native* runs measure
+    /// real wall-clock, which concurrent workers perturb.
     pub jobs: usize,
-    /// Per-unit wall-clock deadline enforced by the executor's watchdog
+    /// Per-cell wall-clock deadline enforced by the executor's watchdog
     /// (`--unit-timeout SECS`); `None` disables reaping.
     pub unit_timeout: Option<std::time::Duration>,
     /// Enable the causal attribution ledger on the `trace` experiment's
@@ -360,7 +362,7 @@ where
             Ok((shards, replay)) => {
                 if c.outer {
                     let n = replay.len();
-                    println!("resuming from {} ({n} completed experiment(s))", shard0.display());
+                    println!("resuming from {} ({n} completed cell(s))", shard0.display());
                 }
                 resumed = Some((Some(shards), replay));
             }

@@ -8,10 +8,10 @@
 //! > synchronization construct.
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::grid::{self, Grid, Plan};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, EpccConfig};
+use ompvar_bench_epcc::EpccConfig;
 use ompvar_core::{fmt_us, Table};
-use ompvar_rt::runner::RegionRunner;
 
 /// Inner-repetition cap: full EPCC calibration targets 1000 µs per timed
 /// repetition; we cap the count to bound simulated event counts (noted in
@@ -26,124 +26,123 @@ pub fn inner_cap(opts: &ExpOptions, n_threads: usize) -> u32 {
     }
 }
 
-/// Mean per-op overhead (µs) of `construct` at every thread count of
-/// `platform`. Returns `(threads, mean_us, cv)` triples.
-pub fn scaling_series(
-    opts: &ExpOptions,
-    platform: Platform,
-    construct: SyncConstruct,
-) -> Vec<(usize, f64, f64)> {
+/// The grid: the reduction scaling series of both platforms (`n_runs`
+/// cells per thread count, inner repetitions calibrated here) and one
+/// single-run cell per construct for the inset.
+pub fn plan(opts: &ExpOptions) -> Grid {
+    let mut p = Plan::new("fig1", opts);
     let cfg = EpccConfig::syncbench_default().fast(opts.outer_reps());
-    let mut out = Vec::new();
-    for n in platform.scaling_threads() {
-        let rt = platform.pinned_rt(n);
-        let inner = syncbench::calibrate_inner_reps(&rt, &cfg, construct, n, inner_cap(opts, n));
-        let region = syncbench::region_with_inner(&cfg, construct, n, inner);
-        let rs = run_many(&rt, &region, opts.n_runs(), opts.seed);
-        let pooled = rs.pooled();
-        let per_op = pooled.mean / inner as f64;
-        out.push((n, per_op, pooled.cv));
-    }
-    out
-}
+    let series = [Platform::Dardel, Platform::Vera].map(|platform| {
+        let points: Vec<_> = platform
+            .scaling_threads()
+            .into_iter()
+            .map(|n| {
+                let rt = platform.pinned_rt(n);
+                let c = SyncConstruct::Reduction;
+                let inner = syncbench::calibrate_inner_reps(&rt, &cfg, c, n, inner_cap(opts, n));
+                let region = syncbench::region_with_inner(&cfg, c, n, inner);
+                let label = format!("{}-{n}", platform.label());
+                (n, inner, p.cells(label, rt, region, opts.n_runs(), grid::reps))
+            })
+            .collect();
+        (platform, points)
+    });
+    // Inset: every construct at a fixed thread count, one run each.
+    let inset_cfg = EpccConfig::syncbench_default().fast(opts.outer_reps().min(10));
+    let rt = Platform::Dardel.pinned_rt(32);
+    let inset = SyncConstruct::ALL.map(|c| {
+        let inner = syncbench::calibrate_inner_reps(&rt, &inset_cfg, c, 32, inner_cap(opts, 32));
+        let region = syncbench::region_with_inner(&inset_cfg, c, 32, inner);
+        (c, inner, p.cells(format!("inset-{}", c.label()), rt.clone(), region, 1, grid::mean_rep))
+    });
 
-/// Per-op overhead (µs) of every construct at a fixed thread count.
-pub fn construct_costs(
-    opts: &ExpOptions,
-    platform: Platform,
-    n: usize,
-) -> Vec<(SyncConstruct, f64)> {
-    let cfg = EpccConfig::syncbench_default().fast(opts.outer_reps().min(10));
-    let rt = platform.pinned_rt(n);
-    SyncConstruct::ALL
-        .iter()
-        .map(|&c| {
-            let inner = syncbench::calibrate_inner_reps(&rt, &cfg, c, n, inner_cap(opts, n));
-            let region = syncbench::region_with_inner(&cfg, c, n, inner);
-            let res = rt.run_region(&region, opts.seed).expect("experiment region completes");
-            (c, syncbench::overhead_us(&cfg, c, res.mean_rep_us(), inner))
-        })
-        .collect()
-}
+    p.fold(move |s| {
+        let mut tables = Vec::new();
+        let mut checks = Vec::new();
 
-/// Execute and report.
-pub fn run(opts: &ExpOptions) -> ExpReport {
-    let mut tables = Vec::new();
-    let mut checks = Vec::new();
+        for (platform, points) in series {
+            // `(threads, mean per-op µs, cv)` per thread count.
+            let series: Vec<(usize, f64, f64)> = points
+                .iter()
+                .map(|(n, inner, runs)| {
+                    let pooled = s.runset(runs).pooled();
+                    (*n, pooled.mean / *inner as f64, pooled.cv)
+                })
+                .collect();
+            let mut t = Table::new(
+                &format!(
+                    "Fig 1{}: syncbench reduction per-op time (µs) vs threads on {}",
+                    if platform == Platform::Dardel { "a" } else { "b" },
+                    platform.label()
+                ),
+                &["threads", "per-op µs", "cv"],
+            );
+            for &(n, us, cv) in &series {
+                t.row(&[n.to_string(), fmt_us(us), format!("{cv:.4}")]);
+            }
+            tables.push(t);
 
-    for platform in [Platform::Dardel, Platform::Vera] {
-        let series = scaling_series(opts, platform, SyncConstruct::Reduction);
+            // Shape: cost grows with threads end-to-end.
+            let first = series.first().unwrap().1;
+            let last = series.last().unwrap().1;
+            checks.push(Check::new(
+                &format!("{}: reduction cost grows with threads", platform.label()),
+                last > first * 2.0,
+                format!("{first:.2} → {last:.2} µs"),
+            ));
+
+            // Shape: sharp jump when the second socket comes into play.
+            let socket_cores = match platform {
+                Platform::Dardel => 64,
+                Platform::Vera => 16,
+            };
+            let below = series
+                .iter()
+                .filter(|(n, _, _)| *n <= socket_cores)
+                .map(|&(_, us, _)| us)
+                .fold(f64::MIN, f64::max);
+            let above = series
+                .iter()
+                .find(|(n, _, _)| *n > socket_cores)
+                .map(|&(_, us, _)| us)
+                .unwrap();
+            checks.push(Check::new(
+                &format!("{}: jump at socket boundary", platform.label()),
+                above > below * 1.5,
+                format!("max ≤{socket_cores} thr: {below:.2} µs; first >: {above:.2} µs"),
+            ));
+        }
+
+        // Shape: reduction is the most expensive construct (Dardel, 32 thr).
+        let costs = inset.map(|(c, inner, run)| {
+            (c, syncbench::overhead_us(&inset_cfg, c, s.one(&run)[0], inner))
+        });
         let mut t = Table::new(
-            &format!(
-                "Fig 1{}: syncbench reduction per-op time (µs) vs threads on {}",
-                if platform == Platform::Dardel { "a" } else { "b" },
-                platform.label()
-            ),
-            &["threads", "per-op µs", "cv"],
+            "Fig 1 (inset): per-construct overhead (µs), Dardel, 32 threads",
+            &["construct", "overhead µs"],
         );
-        for &(n, us, cv) in &series {
-            t.row(&[n.to_string(), fmt_us(us), format!("{cv:.4}")]);
+        for (c, us) in &costs {
+            t.row(&[c.label().to_string(), fmt_us(*us)]);
         }
         tables.push(t);
-
-        // Shape: cost grows with threads end-to-end.
-        let first = series.first().unwrap().1;
-        let last = series.last().unwrap().1;
-        checks.push(Check::new(
-            &format!("{}: reduction cost grows with threads", platform.label()),
-            last > first * 2.0,
-            format!("{first:.2} → {last:.2} µs"),
-        ));
-
-        // Shape: sharp jump when the second socket comes into play.
-        let socket_cores = match platform {
-            Platform::Dardel => 64,
-            Platform::Vera => 16,
-        };
-        let below = series
+        let red = costs
             .iter()
-            .filter(|(n, _, _)| *n <= socket_cores)
-            .map(|&(_, us, _)| us)
+            .find(|(c, _)| *c == SyncConstruct::Reduction)
+            .unwrap()
+            .1;
+        let max_other = costs
+            .iter()
+            .filter(|(c, _)| *c != SyncConstruct::Reduction)
+            .map(|&(_, us)| us)
             .fold(f64::MIN, f64::max);
-        let above = series
-            .iter()
-            .find(|(n, _, _)| *n > socket_cores)
-            .map(|&(_, us, _)| us)
-            .unwrap();
         checks.push(Check::new(
-            &format!("{}: jump at socket boundary", platform.label()),
-            above > below * 1.5,
-            format!("max ≤{socket_cores} thr: {below:.2} µs; first >: {above:.2} µs"),
+            "reduction is the most expensive construct",
+            red >= max_other,
+            format!("reduction {red:.2} µs vs max other {max_other:.2} µs"),
         ));
-    }
 
-    // Shape: reduction is the most expensive construct (Dardel, 32 thr).
-    let costs = construct_costs(opts, Platform::Dardel, 32);
-    let mut t = Table::new(
-        "Fig 1 (inset): per-construct overhead (µs), Dardel, 32 threads",
-        &["construct", "overhead µs"],
-    );
-    for (c, us) in &costs {
-        t.row(&[c.label().to_string(), fmt_us(*us)]);
-    }
-    tables.push(t);
-    let red = costs
-        .iter()
-        .find(|(c, _)| *c == SyncConstruct::Reduction)
-        .unwrap()
-        .1;
-    let max_other = costs
-        .iter()
-        .filter(|(c, _)| *c != SyncConstruct::Reduction)
-        .map(|&(_, us)| us)
-        .fold(f64::MIN, f64::max);
-    checks.push(Check::new(
-        "reduction is the most expensive construct",
-        red >= max_other,
-        format!("reduction {red:.2} µs vs max other {max_other:.2} µs"),
-    ));
-
-    ExpReport::new("fig1", tables, checks)
+        ExpReport::new("fig1", tables, checks)
+    })
 }
 
 #[cfg(test)]
@@ -152,7 +151,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = plan(&ExpOptions::fast()).run();
         assert!(rep.all_passed(), "fig1 checks failed:\n{}", rep.render());
     }
 }

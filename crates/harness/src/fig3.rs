@@ -9,8 +9,9 @@
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, run_seeds, schedbench, EpccConfig};
-use ompvar_bench_stream::{kernel_stats, kernels::StreamConfig, StreamKernel};
+use crate::grid::{self, Grid, Plan, Runs, Samples};
+use ompvar_bench_epcc::{schedbench, EpccConfig};
+use ompvar_bench_stream::{kernels::StreamConfig, KernelStats};
 use ompvar_core::{fmt_ratio, RunSet, Table};
 use ompvar_rt::region::Schedule;
 
@@ -76,14 +77,14 @@ fn sched_cfg(opts: &ExpOptions) -> EpccConfig {
     cfg
 }
 
-/// Envelope of one benchmark at one thread count.
-pub fn envelope(opts: &ExpOptions, platform: Platform, bench: Bench, n: usize) -> Envelope {
+/// Register the `n_runs` cells of one benchmark at one thread count.
+fn cells(p: &mut Plan, opts: &ExpOptions, platform: Platform, bench: Bench, n: usize) -> Runs {
+    let label = format!("{}-{}-{n}", platform.label(), bench.label());
+    let rt = platform.pinned_rt(n);
     match bench {
         Bench::Sched => {
-            let cfg = sched_cfg(opts);
-            let rt = platform.pinned_rt(n);
-            let region = schedbench::region(&cfg, Schedule::Dynamic { chunk: 1 }, n);
-            Envelope::of_runset(&run_many(&rt, &region, opts.n_runs(), opts.seed))
+            let region = schedbench::region(&sched_cfg(opts), Schedule::Dynamic { chunk: 1 }, n);
+            p.cells(label, rt, region, opts.n_runs(), grid::reps)
         }
         Bench::Sync => {
             // Residual noise events are rare (a few per second): the
@@ -91,51 +92,43 @@ pub fn envelope(opts: &ExpOptions, platform: Platform, bench: Bench, n: usize) -
             // fast mode uses *more* (cheap, short) repetitions here.
             let reps = if opts.fast { 60 } else { opts.outer_reps() };
             let cfg = EpccConfig::syncbench_default().fast(reps);
-            let rt = platform.pinned_rt(n);
             let cap = crate::fig1::inner_cap(opts, n);
             let inner = syncbench::calibrate_inner_reps(&rt, &cfg, SyncConstruct::Reduction, n, cap);
             let region = syncbench::region_with_inner(&cfg, SyncConstruct::Reduction, n, inner);
-            Envelope::of_runset(&run_many(&rt, &region, opts.n_runs(), opts.seed))
+            p.cells(label, rt, region, opts.n_runs(), grid::reps)
         }
         Bench::Stream => {
             let cfg = StreamConfig {
                 iterations: opts.stream_iters(),
                 ..StreamConfig::default()
             };
-            let rt = platform.pinned_rt(n);
             let region = ompvar_bench_stream::region(&cfg, n);
-            // Per run: worst normalized extremes across kernels; then the
-            // median over runs, like the other benchmarks.
-            let mut los = Vec::new();
-            let mut his = Vec::new();
-            for res in run_seeds(&rt, &region, opts.n_runs(), opts.seed) {
-                let stats = kernel_stats(&res);
-                los.push(
-                    StreamKernel::ALL
-                        .iter()
-                        .map(|k| stats[k].norm_min())
-                        .fold(f64::INFINITY, f64::min),
-                );
-                his.push(
-                    StreamKernel::ALL
-                        .iter()
-                        .map(|k| stats[k].norm_max())
-                        .fold(f64::NEG_INFINITY, f64::max),
-                );
-            }
-            Envelope {
-                lo: ompvar_core::percentile(&los, 25.0),
-                hi: ompvar_core::percentile(&his, 75.0),
-            }
+            p.cells(label, rt, region, opts.n_runs(), grid::stream)
         }
     }
 }
 
-/// Execute and report.
-pub fn run(opts: &ExpOptions) -> ExpReport {
-    let mut tables = Vec::new();
-    let mut checks = Vec::new();
-    for platform in [Platform::Dardel, Platform::Vera] {
+/// Envelope of one benchmark at one thread count, from its samples.
+fn envelope(s: &Samples, bench: Bench, runs: &Runs) -> Envelope {
+    if bench != Bench::Stream {
+        return Envelope::of_runset(&s.runset(runs));
+    }
+    // Per run: worst normalized extremes across kernels; then the
+    // quartiles over runs, like the other benchmarks.
+    let extreme = |of: fn(&KernelStats) -> f64, pick: fn(f64, f64) -> f64, init: f64| {
+        let per_run = s.of(runs).map(|r| grid::stream_stats(r).map(|k| of(&k)).fold(init, pick));
+        per_run.collect::<Vec<f64>>()
+    };
+    Envelope {
+        lo: ompvar_core::percentile(&extreme(KernelStats::norm_min, f64::min, f64::INFINITY), 25.0),
+        hi: ompvar_core::percentile(&extreme(KernelStats::norm_max, f64::max, f64::NEG_INFINITY), 75.0),
+    }
+}
+
+/// The grid: `n_runs` cells per platform × benchmark × thread count.
+pub fn plan(opts: &ExpOptions) -> Grid {
+    let mut p = Plan::new("fig3", opts);
+    let grid = [Platform::Dardel, Platform::Vera].map(|platform| {
         let counts = if opts.fast {
             // A low and a high count suffice for the shape in fast mode.
             match platform {
@@ -145,49 +138,62 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         } else {
             platform.scaling_threads()
         };
-        let mut t = Table::new(
-            &format!(
-                "Fig 3 ({}): normalized min/max envelope vs threads",
-                platform.label()
-            ),
-            &["bench", "threads", "norm min", "norm max"],
-        );
-        for bench in [Bench::Sched, Bench::Sync, Bench::Stream] {
-            let mut envs = Vec::new();
-            for &n in &counts {
-                let e = envelope(opts, platform, bench, n);
-                t.row(&[
-                    bench.label().to_string(),
-                    n.to_string(),
-                    fmt_ratio(e.lo),
-                    fmt_ratio(e.hi),
-                ]);
-                envs.push((n, e));
+        let benches = [Bench::Sched, Bench::Sync, Bench::Stream].map(|bench| {
+            let runs: Vec<_> =
+                counts.iter().map(|&n| (n, cells(&mut p, opts, platform, bench, n))).collect();
+            (bench, runs)
+        });
+        (platform, benches)
+    });
+
+    p.fold(move |s| {
+        let mut tables = Vec::new();
+        let mut checks = Vec::new();
+        for (platform, benches) in grid {
+            let mut t = Table::new(
+                &format!(
+                    "Fig 3 ({}): normalized min/max envelope vs threads",
+                    platform.label()
+                ),
+                &["bench", "threads", "norm min", "norm max"],
+            );
+            for (bench, runs) in benches {
+                let mut envs = Vec::new();
+                for (n, runs) in &runs {
+                    let e = envelope(&s, bench, runs);
+                    t.row(&[
+                        bench.label().to_string(),
+                        n.to_string(),
+                        fmt_ratio(e.lo),
+                        fmt_ratio(e.hi),
+                    ]);
+                    envs.push((*n, e));
+                }
+                if matches!(bench, Bench::Sync | Bench::Stream) {
+                    // Shape: high thread counts show a wider envelope.
+                    let low = envs.first().unwrap();
+                    let high = envs.last().unwrap();
+                    checks.push(Check::new(
+                        &format!(
+                            "{} {}: variability grows with threads",
+                            platform.label(),
+                            bench.label()
+                        ),
+                        high.1.width() > low.1.width(),
+                        format!(
+                            "width {:.4} @ {} thr → {:.4} @ {} thr",
+                            low.1.width(),
+                            low.0,
+                            high.1.width(),
+                            high.0
+                        ),
+                    ));
+                }
             }
-            if matches!(bench, Bench::Sync | Bench::Stream) {
-                // Shape: high thread counts show a wider envelope.
-                let low = envs.first().unwrap();
-                let high = envs.last().unwrap();
-                checks.push(Check::new(
-                    &format!(
-                        "{} {}: variability grows with threads",
-                        platform.label(),
-                        bench.label()
-                    ),
-                    high.1.width() > low.1.width(),
-                    format!(
-                        "width {:.4} @ {} thr → {:.4} @ {} thr",
-                        low.1.width(),
-                        low.0,
-                        high.1.width(),
-                        high.0
-                    ),
-                ));
-            }
+            tables.push(t);
         }
-        tables.push(t);
-    }
-    ExpReport::new("fig3", tables, checks)
+        ExpReport::new("fig3", tables, checks)
+    })
 }
 
 #[cfg(test)]
@@ -196,7 +202,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = plan(&ExpOptions::fast()).run();
         assert!(rep.all_passed(), "fig3 checks failed:\n{}", rep.render());
     }
 }

@@ -18,7 +18,8 @@
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_seeds, schedbench, EpccConfig};
+use crate::grid::{Grid, Plan};
+use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_core::{fmt_ratio, FreqTrace, RunSet, Table};
 use ompvar_rt::config::RegionResult;
 use ompvar_rt::region::{RegionSpec, Schedule};
@@ -98,41 +99,44 @@ pub struct PlacementOutcome {
     pub drooped_fraction: f64,
 }
 
-/// Run one driver × placement cell.
-pub fn outcome(opts: &ExpOptions, driver: Driver, placement: Placement) -> PlacementOutcome {
-    let rt = placement.runtime();
-    let region = build_region(driver, opts);
-    let cores = placement.benchmark_cores();
-    let mut runs = Vec::new();
-    let mut transitions = 0usize;
-    let mut droop_samples = 0usize;
-    let mut total_samples = 0usize;
-    let mut total_secs = 0.0;
-    // One run at a time: each run's frequency trace is folded into the
-    // counts below and dropped before the next run starts.
-    for res in run_seeds(&rt, &region, opts.n_runs(), opts.seed) {
-        let trace = to_trace(&res);
-        transitions += trace.transitions_over(&cores, 0.05);
-        total_secs += res.wall_us / 1e6;
-        runs.push(res.reps().to_vec());
-        // A sample "droops" when any benchmark core is >100 MHz below the
-        // maximum frequency observed on benchmark cores in this run.
-        let peak = cores
-            .iter()
-            .map(|&c| trace.band(c).1)
-            .fold(f32::NEG_INFINITY, f32::max);
-        for i in 0..trace.len() {
-            total_samples += 1;
-            if cores.iter().any(|&c| trace.core_ghz[i][c] < peak - 0.1) {
-                droop_samples += 1;
-            }
+/// One run reduced to `[transitions, droop samples, logger samples,
+/// wall µs, repetition times…]`: its frequency trace is folded into the
+/// counts here and dropped with the run.
+fn sample(res: &RegionResult, cores: &[usize]) -> Vec<f64> {
+    let trace = to_trace(res);
+    // A sample "droops" when any benchmark core is >100 MHz below the
+    // maximum frequency observed on benchmark cores in this run.
+    let peak = cores
+        .iter()
+        .map(|&c| trace.band(c).1)
+        .fold(f32::NEG_INFINITY, f32::max);
+    let drooped = (0..trace.len())
+        .filter(|&i| cores.iter().any(|&c| trace.core_ghz[i][c] < peak - 0.1))
+        .count();
+    let counts = [trace.transitions_over(cores, 0.05), drooped, trace.len()];
+    let mut out: Vec<f64> = counts.iter().map(|&n| n as f64).collect();
+    out.push(res.wall_us);
+    out.extend_from_slice(res.reps());
+    out
+}
+
+impl PlacementOutcome {
+    /// Fold one placement's [`sample`]s, in run order.
+    fn of<'a>(n_cores: usize, samples: impl Iterator<Item = &'a [f64]>) -> PlacementOutcome {
+        let mut runs = Vec::new();
+        let (mut transitions, mut drooped, mut logged, mut total_secs) = (0.0, 0.0, 0.0, 0.0);
+        for s in samples {
+            transitions += s[0];
+            drooped += s[1];
+            logged += s[2];
+            total_secs += s[3] / 1e6;
+            runs.push(s[4..].to_vec());
         }
-    }
-    PlacementOutcome {
-        runs: RunSet::new(runs),
-        transitions_per_core_sec: transitions as f64
-            / (cores.len() as f64 * total_secs.max(1e-9)),
-        drooped_fraction: droop_samples as f64 / total_samples.max(1) as f64,
+        PlacementOutcome {
+            runs: RunSet::new(runs),
+            transitions_per_core_sec: transitions / (n_cores as f64 * total_secs.max(1e-9)),
+            drooped_fraction: drooped / logged.max(1.0),
+        }
     }
 }
 
@@ -152,76 +156,88 @@ fn to_trace(res: &RegionResult) -> FreqTrace {
     .expect("simulated logger emits ordered, rectangular samples")
 }
 
-/// Execute Figure 6 or 7 and report.
-pub fn run_driver(opts: &ExpOptions, driver: Driver) -> ExpReport {
+/// The grid of Figure 6 or 7: two placements × `n_runs`.
+pub fn plan(opts: &ExpOptions, driver: Driver) -> Grid {
     let name = match driver {
         Driver::Sched => "fig6",
         Driver::Sync => "fig7",
     };
-    let one = outcome(opts, driver, Placement::OneNuma);
-    let two = outcome(opts, driver, Placement::TwoNumas);
+    let mut p = Plan::new(name, opts);
+    let [one, two] = [Placement::OneNuma, Placement::TwoNumas].map(|placement| {
+        let cores = placement.benchmark_cores();
+        let n_cores = cores.len();
+        let label = placement.label().replace(' ', "-");
+        let region = build_region(driver, opts);
+        let reduce = move |res: &RegionResult| sample(res, &cores);
+        (n_cores, p.cells(label, placement.runtime(), region, opts.n_runs(), reduce))
+    });
 
-    let mut t = Table::new(
-        &format!(
-            "{}: {} on Vera, 16 threads, 1 vs 2 NUMA domains",
-            name,
-            match driver {
-                Driver::Sched => "schedbench (static_1)",
-                Driver::Sync => "syncbench (reduction)",
-            }
-        ),
-        &[
-            "placement",
-            "mean rep µs",
-            "pooled cv",
-            "run spread",
-            "freq trans/core/s",
-            "droop frac",
-        ],
-    );
-    for (p, o) in [(Placement::OneNuma, &one), (Placement::TwoNumas, &two)] {
-        let pooled = o.runs.pooled();
-        t.row(&[
-            p.label().to_string(),
-            format!("{:.2}", pooled.mean),
-            format!("{:.5}", pooled.cv),
-            fmt_ratio(o.runs.run_spread()),
-            format!("{:.2}", o.transitions_per_core_sec),
-            format!("{:.4}", o.drooped_fraction),
-        ]);
-    }
+    p.fold(move |s| {
+        let one = PlacementOutcome::of(one.0, s.of(&one.1));
+        let two = PlacementOutcome::of(two.0, s.of(&two.1));
 
-    let checks = vec![
-        Check::new(
-            "cross-NUMA placement has more frequency transitions",
-            two.transitions_per_core_sec > one.transitions_per_core_sec * 1.5,
-            format!(
-                "{:.3} vs {:.3} transitions/core/s",
-                one.transitions_per_core_sec, two.transitions_per_core_sec
+        let mut t = Table::new(
+            &format!(
+                "{}: {} on Vera, 16 threads, 1 vs 2 NUMA domains",
+                name,
+                match driver {
+                    Driver::Sched => "schedbench (static_1)",
+                    Driver::Sync => "syncbench (reduction)",
+                }
             ),
-        ),
-        Check::new(
-            "cross-NUMA placement has higher repetition variability",
-            median_cv(&two.runs) > median_cv(&one.runs),
-            format!(
-                "median per-run cv {:.5} (1 NUMA) vs {:.5} (2 NUMAs)",
-                median_cv(&one.runs),
-                median_cv(&two.runs)
-            ),
-        ),
-    ];
+            &[
+                "placement",
+                "mean rep µs",
+                "pooled cv",
+                "run spread",
+                "freq trans/core/s",
+                "droop frac",
+            ],
+        );
+        for (p, o) in [(Placement::OneNuma, &one), (Placement::TwoNumas, &two)] {
+            let pooled = o.runs.pooled();
+            t.row(&[
+                p.label().to_string(),
+                format!("{:.2}", pooled.mean),
+                format!("{:.5}", pooled.cv),
+                fmt_ratio(o.runs.run_spread()),
+                format!("{:.2}", o.transitions_per_core_sec),
+                format!("{:.4}", o.drooped_fraction),
+            ]);
+        }
 
-    ExpReport::new(name, vec![t], checks)
+        let checks = vec![
+            Check::new(
+                "cross-NUMA placement has more frequency transitions",
+                two.transitions_per_core_sec > one.transitions_per_core_sec * 1.5,
+                format!(
+                    "{:.3} vs {:.3} transitions/core/s",
+                    one.transitions_per_core_sec, two.transitions_per_core_sec
+                ),
+            ),
+            Check::new(
+                "cross-NUMA placement has higher repetition variability",
+                median_cv(&two.runs) > median_cv(&one.runs),
+                format!(
+                    "median per-run cv {:.5} (1 NUMA) vs {:.5} (2 NUMAs)",
+                    median_cv(&one.runs),
+                    median_cv(&two.runs)
+                ),
+            ),
+        ];
+
+        ExpReport::new(name, vec![t], checks)
+    })
 }
 
-/// Figure 6 entry point.
-pub fn run_fig6(opts: &ExpOptions) -> ExpReport {
-    run_driver(opts, Driver::Sched)
+/// Figure 6's grid.
+pub fn plan_fig6(opts: &ExpOptions) -> Grid {
+    plan(opts, Driver::Sched)
 }
 
-/// Figure 7 entry point.
-pub fn run_fig7(opts: &ExpOptions) -> ExpReport {
-    run_driver(opts, Driver::Sync)
+/// Figure 7's grid.
+pub fn plan_fig7(opts: &ExpOptions) -> Grid {
+    plan(opts, Driver::Sync)
 }
 
 #[cfg(test)]
@@ -230,13 +246,13 @@ mod tests {
 
     #[test]
     fn fig6_fast_mode_shapes_hold() {
-        let rep = run_fig6(&ExpOptions::fast());
+        let rep = plan_fig6(&ExpOptions::fast()).run();
         assert!(rep.all_passed(), "fig6 checks failed:\n{}", rep.render());
     }
 
     #[test]
     fn fig7_fast_mode_shapes_hold() {
-        let rep = run_fig7(&ExpOptions::fast());
+        let rep = plan_fig7(&ExpOptions::fast()).run();
         assert!(rep.all_passed(), "fig7 checks failed:\n{}", rep.render());
     }
 }

@@ -4,11 +4,13 @@
 //!
 //! One module per table/figure of the evaluation, each producing an
 //! [`common::ExpReport`] with paper-style tables and shape checks, all
-//! listed once in the [`EXPERIMENTS`] registry. Multi-run measurements
-//! fold over [`ompvar_bench_epcc::run_seeds`]; campaigns go through the
-//! one front door, [`common::run_journaled`].
+//! listed once in the [`EXPERIMENTS`] registry. A paper experiment is a
+//! declared [`grid::Grid`] — seeded cells plus a fold — so whoever holds
+//! the grid owns scheduling; campaigns go through the one front door,
+//! [`common::run_journaled`].
 
 pub mod common;
+pub mod grid;
 pub mod table2;
 
 pub use common::{Check, ExpOptions, ExpReport, Platform};
@@ -30,45 +32,73 @@ pub mod chaos_exp;
 pub mod variability;
 
 use analyze_exp::Family::{self, Sched, Stream, Sync, Task};
+use Body::{Grid, Whole};
+
+/// How an experiment does its work.
+#[derive(Debug, Clone, Copy)]
+pub enum Body {
+    /// A declared grid: seeded cells and the fold over their samples.
+    Grid(fn(&ExpOptions) -> grid::Grid),
+    /// One cell whose sample is the finished report: the experiment
+    /// schedules (and, where it runs a campaign, journals) itself.
+    Whole(fn(&ExpOptions) -> ExpReport),
+}
 
 /// One runnable experiment: everything the CLI and the analyzer need to
 /// know about it, in one row.
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
-    /// CLI target name; also the report and journal-unit name.
+    /// CLI target name and report name; every cell name starts with it.
     pub name: &'static str,
-    /// Execute and report.
-    pub run: fn(&ExpOptions) -> ExpReport,
+    /// The work.
+    pub body: Body,
     /// Benchmark families whose built-in region specs the experiment
     /// measures — what the static pre-flight gate analyzes before it
-    /// runs ([`analyze_exp::specs_for`]). Empty for experiments that
+    /// plans ([`analyze_exp::specs_for`]). Empty for experiments that
     /// generate or perturb their programs dynamically and guard
     /// themselves.
     pub families: &'static [Family],
+}
+
+impl Experiment {
+    /// The experiment's grid under `opts`. Deterministic: the same
+    /// options give the same cell names in the same order (calibration
+    /// probes run here; nothing is built per seed).
+    pub fn plan(&self, opts: &ExpOptions) -> grid::Grid {
+        match self.body {
+            Body::Grid(plan) => plan(opts),
+            Body::Whole(run) => grid::Grid::whole(self.name, opts, run),
+        }
+    }
+
+    /// Plan, run the cells in order on this thread, fold.
+    pub fn run(&self, opts: &ExpOptions) -> ExpReport {
+        self.plan(opts).run()
+    }
 }
 
 /// Every experiment, in `all` order. The only list of experiment names:
 /// usage text, target validation, dispatch and the pre-flight gate all
 /// read it.
 pub const EXPERIMENTS: [Experiment; 18] = [
-    Experiment { name: "table2", run: table2::run, families: &[Sched] },
-    Experiment { name: "fig1", run: fig1::run, families: &[Sync] },
-    Experiment { name: "fig2", run: fig2::run, families: &[Stream] },
-    Experiment { name: "fig3", run: fig3::run, families: &[Sync, Sched, Stream] },
-    Experiment { name: "fig4", run: fig4::run, families: &[Sync, Sched, Stream] },
-    Experiment { name: "fig5", run: fig5::run, families: &[Sync, Sched, Stream] },
-    Experiment { name: "fig6", run: fig67::run_fig6, families: &[Sync, Sched] },
-    Experiment { name: "fig7", run: fig67::run_fig7, families: &[Sync, Sched] },
-    Experiment { name: "ablation", run: ablation::run, families: &[Sync] },
-    Experiment { name: "taskbench", run: taskbench_exp::run, families: &[Task] },
-    Experiment { name: "chunks", run: chunks::run, families: &[Sched] },
-    Experiment { name: "faults", run: faults_exp::run, families: &[] },
-    Experiment { name: "fuzz", run: fuzz_exp::run, families: &[] },
-    Experiment { name: "analyze", run: analyze_exp::run, families: &[] },
-    Experiment { name: "trace", run: trace_exp::run, families: &[] },
-    Experiment { name: "campaign", run: campaign_exp::run, families: &[Sched] },
-    Experiment { name: "variability", run: variability::run, families: &[Sync, Sched] },
-    Experiment { name: "chaos", run: chaos_exp::run, families: &[] },
+    Experiment { name: "table2", body: Grid(table2::plan), families: &[Sched] },
+    Experiment { name: "fig1", body: Grid(fig1::plan), families: &[Sync] },
+    Experiment { name: "fig2", body: Grid(fig2::plan), families: &[Stream] },
+    Experiment { name: "fig3", body: Grid(fig3::plan), families: &[Sync, Sched, Stream] },
+    Experiment { name: "fig4", body: Grid(fig4::plan), families: &[Sync, Sched, Stream] },
+    Experiment { name: "fig5", body: Grid(fig5::plan), families: &[Sync, Sched, Stream] },
+    Experiment { name: "fig6", body: Grid(fig67::plan_fig6), families: &[Sync, Sched] },
+    Experiment { name: "fig7", body: Grid(fig67::plan_fig7), families: &[Sync, Sched] },
+    Experiment { name: "ablation", body: Grid(ablation::plan), families: &[Sync] },
+    Experiment { name: "taskbench", body: Grid(taskbench_exp::plan), families: &[Task] },
+    Experiment { name: "chunks", body: Grid(chunks::plan), families: &[Sched] },
+    Experiment { name: "faults", body: Whole(faults_exp::run), families: &[] },
+    Experiment { name: "fuzz", body: Whole(fuzz_exp::run), families: &[] },
+    Experiment { name: "analyze", body: Whole(analyze_exp::run), families: &[] },
+    Experiment { name: "trace", body: Whole(trace_exp::run), families: &[] },
+    Experiment { name: "campaign", body: Whole(campaign_exp::run), families: &[Sched] },
+    Experiment { name: "variability", body: Whole(variability::run), families: &[Sync, Sched] },
+    Experiment { name: "chaos", body: Whole(chaos_exp::run), families: &[] },
 ];
 
 /// Resolve CLI targets against the registry. Every name is validated
@@ -114,6 +144,28 @@ mod tests {
             "first-occurrence order, duplicates once"
         );
         assert_eq!(select(&strings(&["fig2", "fig99"])).unwrap_err(), "fig99");
+    }
+
+    /// Planning is deterministic and cell names are campaign-unique:
+    /// the journal keys cells by name, so both are what make a resumed
+    /// or re-sharded sweep fold the same samples.
+    #[test]
+    fn plans_are_deterministic_and_cell_names_unique_across_the_sweep() {
+        let opts = ExpOptions::fast();
+        let mut seen = std::collections::HashSet::new();
+        for e in &EXPERIMENTS {
+            let names = |g: grid::Grid| g.cells.into_iter().map(|c| c.name).collect::<Vec<_>>();
+            let cells = names(e.plan(&opts));
+            assert_eq!(cells, names(e.plan(&opts)), "{} plans differently twice", e.name);
+            match e.body {
+                Body::Grid(_) => assert!(cells.len() > 1, "{} is a grid of one", e.name),
+                Body::Whole(_) => assert_eq!(cells, [e.name]),
+            }
+            for c in cells {
+                assert!(c == e.name || c.starts_with(&format!("{}/", e.name)), "{c}");
+                assert!(seen.insert(c.clone()), "duplicate cell name {c}");
+            }
+        }
     }
 
     /// Corpus hygiene through the registry: whatever an experiment

@@ -6,8 +6,9 @@
 //! ~154 ms).
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
-use ompvar_bench_epcc::{run_many, schedbench, EpccConfig};
-use ompvar_core::{fmt_us, RunSet, Summary, Table};
+use crate::grid::{self, Grid, Plan};
+use ompvar_bench_epcc::{schedbench, EpccConfig};
+use ompvar_core::{fmt_us, Summary, Table};
 use ompvar_rt::region::Schedule;
 
 /// Paper values for the shape comparison (mean over the non-outlier runs,
@@ -30,95 +31,95 @@ pub struct Table2Column {
     pub run_means_us: Vec<f64>,
 }
 
-/// Run the experiment and return the four columns.
-pub fn collect(opts: &ExpOptions) -> Vec<Table2Column> {
+/// The grid: four columns × `n_runs` seeded runs.
+pub fn plan(opts: &ExpOptions) -> Grid {
     let mut cfg = EpccConfig::schedbench_default().fast(opts.outer_reps());
     if opts.fast {
         cfg.iters_per_thr = 1024;
     }
-    let mut cols = Vec::new();
-    for (platform, threads) in [
+    let mut p = Plan::new("table2", opts);
+    let cols = [
         (Platform::Dardel, 4),
         (Platform::Dardel, 254),
         (Platform::Vera, 4),
         (Platform::Vera, 30),
-    ] {
-        let rt = platform.pinned_rt(threads);
+    ]
+    .map(|(platform, threads)| {
         let region = schedbench::region(&cfg, Schedule::Dynamic { chunk: 1 }, threads);
-        let rs: RunSet = run_many(&rt, &region, opts.n_runs(), opts.seed);
-        cols.push(Table2Column {
+        let label = format!("{}-{threads}", platform.label());
+        let runs = p.cells(label, platform.pinned_rt(threads), region, opts.n_runs(), grid::reps);
+        (platform, threads, runs)
+    });
+    let fast = opts.fast;
+
+    p.fold(move |s| {
+        let cols = cols.map(|(platform, threads, runs)| Table2Column {
             platform,
             threads,
-            run_means_us: rs.run_means(),
+            run_means_us: s.runset(&runs).run_means(),
         });
-    }
-    cols
-}
+        let mut table = Table::new(
+            "Table 2: schedbench (dynamic_1) execution time (µs) per run",
+            &[
+                "run #",
+                "Dardel 4 thr",
+                "Dardel 254 thr",
+                "Vera 4 thr",
+                "Vera 30 thr",
+            ],
+        );
+        let n_runs = cols[0].run_means_us.len();
+        for r in 0..n_runs {
+            table.row(&[
+                (r + 1).to_string(),
+                fmt_us(cols[0].run_means_us[r]),
+                fmt_us(cols[1].run_means_us[r]),
+                fmt_us(cols[2].run_means_us[r]),
+                fmt_us(cols[3].run_means_us[r]),
+            ]);
+        }
 
-/// Execute and report.
-pub fn run(opts: &ExpOptions) -> ExpReport {
-    let cols = collect(opts);
-    let mut table = Table::new(
-        "Table 2: schedbench (dynamic_1) execution time (µs) per run",
-        &[
-            "run #",
-            "Dardel 4 thr",
-            "Dardel 254 thr",
-            "Vera 4 thr",
-            "Vera 30 thr",
-        ],
-    );
-    let n_runs = cols[0].run_means_us.len();
-    for r in 0..n_runs {
-        table.row(&[
-            (r + 1).to_string(),
-            fmt_us(cols[0].run_means_us[r]),
-            fmt_us(cols[1].run_means_us[r]),
-            fmt_us(cols[2].run_means_us[r]),
-            fmt_us(cols[3].run_means_us[r]),
-        ]);
-    }
-
-    let mut checks = Vec::new();
-    // Shape 1: execution time grows with thread count on both platforms
-    // (dispatch contention + lower all-core frequency).
-    for pair in [(0usize, 1usize), (2, 3)] {
-        let lo = Summary::of(&cols[pair.0].run_means_us).mean;
-        let hi = Summary::of(&cols[pair.1].run_means_us).mean;
-        checks.push(Check::new(
-            &format!(
-                "{}: time grows {} → {} threads",
-                cols[pair.0].platform.label(),
-                cols[pair.0].threads,
-                cols[pair.1].threads
-            ),
-            hi > lo * 1.1,
-            format!("{:.0} → {:.0} µs", lo, hi),
-        ));
-    }
-    // Shape 2: low-thread-count columns are tight (CV < 1%).
-    for c in [&cols[0], &cols[2]] {
-        let s = Summary::of(&c.run_means_us);
-        checks.push(Check::new(
-            &format!("{} {} thr: runs tight", c.platform.label(), c.threads),
-            s.cv < 0.01,
-            format!("cv = {:.5}", s.cv),
-        ));
-    }
-    // Shape 3 (when not in fast mode): paper-vs-simulated means agree
-    // within 15% for all four columns.
-    if !opts.fast {
-        for (i, (plat, thr, paper)) in PAPER_MEANS_US.iter().enumerate() {
-            let got = Summary::of(&cols[i].run_means_us).mean;
-            let rel = (got - paper).abs() / paper;
+        let mut checks = Vec::new();
+        // Shape 1: execution time grows with thread count on both platforms
+        // (dispatch contention + lower all-core frequency).
+        for pair in [(0usize, 1usize), (2, 3)] {
+            let lo = Summary::of(&cols[pair.0].run_means_us).mean;
+            let hi = Summary::of(&cols[pair.1].run_means_us).mean;
             checks.push(Check::new(
-                &format!("{plat} {thr} thr: mean within 15% of paper"),
-                rel < 0.15,
-                format!("paper {:.0} µs, simulated {:.0} µs ({:+.1}%)", paper, got, 100.0 * (got - paper) / paper),
+                &format!(
+                    "{}: time grows {} → {} threads",
+                    cols[pair.0].platform.label(),
+                    cols[pair.0].threads,
+                    cols[pair.1].threads
+                ),
+                hi > lo * 1.1,
+                format!("{:.0} → {:.0} µs", lo, hi),
             ));
         }
-    }
-    ExpReport::new("table2", vec![table], checks)
+        // Shape 2: low-thread-count columns are tight (CV < 1%).
+        for c in [&cols[0], &cols[2]] {
+            let s = Summary::of(&c.run_means_us);
+            checks.push(Check::new(
+                &format!("{} {} thr: runs tight", c.platform.label(), c.threads),
+                s.cv < 0.01,
+                format!("cv = {:.5}", s.cv),
+            ));
+        }
+        // Shape 3 (when not in fast mode): paper-vs-simulated means agree
+        // within 15% for all four columns.
+        if !fast {
+            for (i, (plat, thr, paper)) in PAPER_MEANS_US.iter().enumerate() {
+                let got = Summary::of(&cols[i].run_means_us).mean;
+                let rel = (got - paper).abs() / paper;
+                checks.push(Check::new(
+                    &format!("{plat} {thr} thr: mean within 15% of paper"),
+                    rel < 0.15,
+                    format!("paper {:.0} µs, simulated {:.0} µs ({:+.1}%)", paper, got, 100.0 * (got - paper) / paper),
+                ));
+            }
+        }
+        ExpReport::new("table2", vec![table], checks)
+    })
 }
 
 #[cfg(test)]
@@ -127,7 +128,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = plan(&ExpOptions::fast()).run();
         assert!(
             rep.all_passed(),
             "table2 shape checks failed:\n{}",

@@ -9,92 +9,96 @@
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::taskbench::{self, TaskPattern};
-use ompvar_bench_epcc::{run_many, EpccConfig};
+use crate::grid::{self, Grid, Plan};
+use ompvar_bench_epcc::EpccConfig;
 use ompvar_core::Table;
-use ompvar_rt::runner::RegionRunner;
 
 fn cfg(opts: &ExpOptions) -> EpccConfig {
     EpccConfig::syncbench_default().fast(opts.outer_reps().min(40))
 }
 
-/// Per-task overhead (µs) of `pattern` across the platform's scaling
-/// thread counts.
-pub fn scaling_series(
-    opts: &ExpOptions,
-    platform: Platform,
-    pattern: TaskPattern,
-) -> Vec<(usize, f64)> {
+const TASKS: u32 = 64;
+
+/// The grid: one single-run cell per platform × pattern × thread count,
+/// plus ST/MT × `n_runs` for the SMT comparison.
+pub fn plan(opts: &ExpOptions) -> Grid {
+    let mut p = Plan::new("taskbench", opts);
     let cfg = cfg(opts);
-    let tasks = 64;
-    platform
-        .scaling_threads()
-        .into_iter()
-        .map(|n| {
-            let rt = platform.pinned_rt(n);
-            let region = taskbench::region(&cfg, pattern, n, tasks);
-            let res = rt.run_region(&region, opts.seed).expect("experiment region completes");
-            (n, taskbench::overhead_per_task_us(&cfg, pattern, n, tasks, res.mean_rep_us()))
-        })
-        .collect()
-}
-
-/// Execute and report.
-pub fn run(opts: &ExpOptions) -> ExpReport {
-    let mut tables = Vec::new();
-    let mut checks = Vec::new();
-
-    for platform in [Platform::Dardel, Platform::Vera] {
-        let mut t = Table::new(
-            &format!("Taskbench: per-task overhead (µs) vs threads on {}", platform.label()),
-            &["threads", "parallel_task", "master_task"],
-        );
-        let par = scaling_series(opts, platform, TaskPattern::ParallelTask);
-        let mas = scaling_series(opts, platform, TaskPattern::MasterTask);
-        for ((n, p), (_, m)) in par.iter().zip(mas.iter()) {
-            t.row(&[n.to_string(), format!("{p:.3}"), format!("{m:.3}")]);
-        }
-        tables.push(t);
-
-        checks.push(Check::new(
-            &format!(
-                "{}: parallel-spawn overhead grows with threads",
-                platform.label()
-            ),
-            par.last().unwrap().1 > par.first().unwrap().1 * 2.0,
-            format!(
-                "{:.3} µs @ {} thr → {:.3} µs @ {} thr",
-                par.first().unwrap().1,
-                par.first().unwrap().0,
-                par.last().unwrap().1,
-                par.last().unwrap().0
-            ),
-        ));
-    }
-
+    let scaling = [Platform::Dardel, Platform::Vera].map(|platform| {
+        let series = [TaskPattern::ParallelTask, TaskPattern::MasterTask].map(|pattern| {
+            let points: Vec<_> = platform
+                .scaling_threads()
+                .into_iter()
+                .map(|n| {
+                    let label = format!("{}-{}-{n}", platform.label(), pattern.label());
+                    let region = taskbench::region(&cfg, pattern, n, TASKS);
+                    (n, p.cells(label, platform.pinned_rt(n), region, 1, grid::mean_rep))
+                })
+                .collect();
+            (pattern, points)
+        });
+        (platform, series)
+    });
     // SMT sensitivity of tasking on Dardel (extension of Fig 5).
     let n = 32;
-    let c = cfg(opts);
-    let region = taskbench::region(&c, TaskPattern::ParallelTask, n, 64);
-    let cv = |rt: &ompvar_rt::simrt::SimRuntime| {
-        let rs = run_many(rt, &region, opts.n_runs(), opts.seed);
-        ompvar_core::percentile(&rs.run_cvs(), 50.0)
-    };
-    let st = cv(&Platform::Dardel.pinned_rt(n));
-    let mt = cv(&Platform::Dardel.pinned_mt_rt(n));
-    let mut t = Table::new(
-        "Taskbench: ST vs MT median per-run CV, 32 threads, Dardel",
-        &["config", "median cv"],
-    );
-    t.row(&["ST".into(), format!("{st:.5}")]);
-    t.row(&["MT".into(), format!("{mt:.5}")]);
-    tables.push(t);
-    checks.push(Check::new(
-        "tasking inherits the SMT-noise sensitivity (MT > ST)",
-        mt > st,
-        format!("median cv ST {st:.5} vs MT {mt:.5}"),
-    ));
+    let region = taskbench::region(&cfg, TaskPattern::ParallelTask, n, TASKS);
+    let st = p.cells("smt-st", Platform::Dardel.pinned_rt(n), region.clone(), opts.n_runs(), grid::reps);
+    let mt = p.cells("smt-mt", Platform::Dardel.pinned_mt_rt(n), region, opts.n_runs(), grid::reps);
 
-    ExpReport::new("taskbench", tables, checks)
+    p.fold(move |s| {
+        let mut tables = Vec::new();
+        let mut checks = Vec::new();
+
+        for (platform, series) in scaling {
+            let mut t = Table::new(
+                &format!("Taskbench: per-task overhead (µs) vs threads on {}", platform.label()),
+                &["threads", "parallel_task", "master_task"],
+            );
+            // Per-task overhead (µs) per thread count.
+            let [par, mas] = series.map(|(pattern, points)| {
+                let overhead = |(n, run): &(usize, grid::Runs)| {
+                    (*n, taskbench::overhead_per_task_us(&cfg, pattern, *n, TASKS, s.one(run)[0]))
+                };
+                points.iter().map(overhead).collect::<Vec<(usize, f64)>>()
+            });
+            for ((n, p), (_, m)) in par.iter().zip(mas.iter()) {
+                t.row(&[n.to_string(), format!("{p:.3}"), format!("{m:.3}")]);
+            }
+            tables.push(t);
+
+            checks.push(Check::new(
+                &format!(
+                    "{}: parallel-spawn overhead grows with threads",
+                    platform.label()
+                ),
+                par.last().unwrap().1 > par.first().unwrap().1 * 2.0,
+                format!(
+                    "{:.3} µs @ {} thr → {:.3} µs @ {} thr",
+                    par.first().unwrap().1,
+                    par.first().unwrap().0,
+                    par.last().unwrap().1,
+                    par.last().unwrap().0
+                ),
+            ));
+        }
+
+        let cv = |runs| ompvar_core::percentile(&s.runset(runs).run_cvs(), 50.0);
+        let (st, mt) = (cv(&st), cv(&mt));
+        let mut t = Table::new(
+            "Taskbench: ST vs MT median per-run CV, 32 threads, Dardel",
+            &["config", "median cv"],
+        );
+        t.row(&["ST".into(), format!("{st:.5}")]);
+        t.row(&["MT".into(), format!("{mt:.5}")]);
+        tables.push(t);
+        checks.push(Check::new(
+            "tasking inherits the SMT-noise sensitivity (MT > ST)",
+            mt > st,
+            format!("median cv ST {st:.5} vs MT {mt:.5}"),
+        ));
+
+        ExpReport::new("taskbench", tables, checks)
+    })
 }
 
 #[cfg(test)]
@@ -103,7 +107,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = plan(&ExpOptions::fast()).run();
         assert!(rep.all_passed(), "taskbench checks failed:\n{}", rep.render());
     }
 }

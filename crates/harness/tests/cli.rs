@@ -117,7 +117,7 @@ fn same_seed_reproduces_identical_output() {
         assert!(out.status.success());
         String::from_utf8_lossy(&out.stdout)
             .lines()
-            .filter(|l| !l.contains("took") && !l.contains("wrote"))
+            .filter(|l| !l.contains("took") && !l.contains("wrote") && !l.starts_with("sweep:"))
             .collect::<Vec<_>>()
             .join("\n")
     };
@@ -236,6 +236,36 @@ fn wait_for_lines(path: &std::path::Path, lines: usize) {
     }
 }
 
+/// Unit names journaled across every `manifest*.jsonl` shard under
+/// `ckpt`, header lines excluded, sorted.
+fn journaled_cells(ckpt: &std::path::Path) -> Vec<String> {
+    let mut names = Vec::new();
+    for e in std::fs::read_dir(ckpt).expect("checkpoint dir").filter_map(Result::ok) {
+        let file = e.file_name().to_string_lossy().into_owned();
+        if !(file.starts_with("manifest") && file.ends_with(".jsonl")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(e.path()).expect("shard readable");
+        for line in text.lines().skip(1) {
+            let unit = parse(line).unwrap_or_else(|e| panic!("{file}: {e}: {line}"));
+            names.push(unit.get("name").and_then(Value::as_str).expect("unit name").to_string());
+        }
+    }
+    names.sort();
+    names
+}
+
+/// The campaign's cell names, from shard 0's header, sorted.
+fn header_cells(ckpt: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(ckpt.join("manifest.jsonl")).expect("manifest");
+    let header = parse(text.lines().next().expect("header line")).expect("header parses");
+    let targets = header.get("targets").and_then(Value::as_arr).expect("targets");
+    let mut names: Vec<String> =
+        targets.iter().map(|t| t.as_str().expect("cell name").to_string()).collect();
+    names.sort();
+    names
+}
+
 /// No `.tmp` staging residue anywhere under `dir` (atomic writes either
 /// complete or clean up).
 fn assert_no_tmp_residue(dir: &std::path::Path) {
@@ -257,11 +287,13 @@ fn assert_no_tmp_residue(dir: &std::path::Path) {
     }
 }
 
-/// The tentpole end to end: a campaign killed with SIGKILL after its
-/// first checkpointed experiment resumes with `--resume` and produces a
-/// `--report-json` document byte-identical to an uninterrupted run's.
-/// Also the satellite-1 regression: the kill must leave no half-written
-/// report and no temp-file residue.
+/// The tentpole end to end: a campaign killed with SIGKILL after a few
+/// checkpointed cells resumes with `--resume` and produces a
+/// `--report-json` document byte-identical to an uninterrupted run's,
+/// re-running strictly fewer cells than the campaign has — a kill
+/// costs the cells in flight, not their experiment. Also the
+/// satellite-1 regression: the kill must leave no half-written report
+/// and no temp-file residue.
 #[test]
 fn kill_then_resume_reproduces_report_byte_for_byte() {
     let base = std::env::temp_dir().join("ompvar_cli_resume");
@@ -281,7 +313,7 @@ fn kill_then_resume_reproduces_report_byte_for_byte() {
         .expect("binary runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
-    // Same campaign, killed right after the first experiment checkpoints.
+    // Same campaign, killed once three cells are checkpointed.
     let kill_dir = base.join("kill");
     let kill_json = base.join("kill.json");
     let mut child = repro()
@@ -295,16 +327,19 @@ fn kill_then_resume_reproduces_report_byte_for_byte() {
         .spawn()
         .expect("binary spawns");
     let manifest = kill_dir.join("checkpoint").join("manifest.jsonl");
-    // Header + first unit entry.
-    wait_for_lines(&manifest, 2);
+    // Header + three cell entries.
+    wait_for_lines(&manifest, 4);
     child.kill().expect("SIGKILL");
     child.wait().expect("reaped");
     // The kill left either no report or a complete one — never a torn
     // file — and no staging residue.
     assert!(!kill_json.exists(), "report must not exist before the run completes");
     assert_no_tmp_residue(&base);
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let survived = text.matches('\n').count() - 1;
+    assert!(survived >= 3, "{survived} complete cell line(s) survived the kill");
 
-    // Resume: the journaled experiment replays, the rest re-runs.
+    // Resume: the journaled cells replay, the rest re-run.
     let out = repro()
         .args(["--fast", "--seed", "3", "--out"])
         .arg(&kill_dir)
@@ -317,17 +352,24 @@ fn kill_then_resume_reproduces_report_byte_for_byte() {
         .expect("binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(stdout.contains("replayed from checkpoint"), "{stdout}");
+    assert!(stdout.contains("[replayed"), "{stdout}");
     assert_eq!(
         std::fs::read(&ref_json).expect("reference report"),
         std::fs::read(&kill_json).expect("resumed report"),
         "resumed run report differs from uninterrupted run"
     );
+    // Every cell is journaled exactly once — the survivors by the killed
+    // run, only the rest by the resumed one.
+    let ckpt = kill_dir.join("checkpoint");
+    let cells = header_cells(&ckpt);
+    assert_eq!(journaled_cells(&ckpt), cells);
+    assert!(cells.len() - survived < cells.len(), "a resumed sweep re-runs fewer cells than it has");
+    assert!(stdout.contains(&format!("resuming from {} ({survived} completed cell(s))", manifest.display())), "{stdout}");
     std::fs::remove_dir_all(&base).ok();
 }
 
 /// Resuming against a manifest from a different campaign (other seed,
-/// mode, or target list) is rejected up front, not silently mixed in.
+/// mode, or cell list) is rejected up front, not silently mixed in.
 #[test]
 fn resume_rejects_mismatched_campaign() {
     let base = std::env::temp_dir().join("ompvar_cli_resume_mismatch");
@@ -350,12 +392,34 @@ fn resume_rejects_mismatched_campaign() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot resume"), "{stderr}");
+
+    // A journal written before cells were the unit — its header lists
+    // experiments — is another campaign too: refused, exit 2, untouched.
+    let manifest = base.join("checkpoint").join("manifest.jsonl");
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let (from, to) = (text.find("\"targets\":[").expect("targets"), text.find("]}").expect("header end"));
+    let old = format!("{}\"targets\":[\"fig2\"{}", &text[..from], &text[to..]);
+    std::fs::write(&manifest, &old).expect("manifest rewritten");
+    let out = repro()
+        .args(["--fast", "--seed", "3", "--out"])
+        .arg(&base)
+        .arg("--resume")
+        .arg(base.join("checkpoint"))
+        .arg("fig2")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot resume") && stderr.contains("does not match this campaign"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
+    assert_eq!(std::fs::read_to_string(&manifest).expect("manifest"), old, "journal untouched");
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Ctrl-C between experiments flushes a partial run report marked
-/// `"interrupted": true` and exits with the conventional 130; the
-/// checkpoint manifest keeps every experiment completed so far.
+/// Ctrl-C between cells flushes a partial run report — the experiments
+/// whose every cell finished — marked `"interrupted": true` and exits
+/// with the conventional 130; the checkpoint manifest keeps every cell
+/// completed so far.
 #[test]
 fn sigint_flushes_partial_report_and_exits_130() {
     let base = std::env::temp_dir().join("ompvar_cli_sigint");
@@ -371,7 +435,9 @@ fn sigint_flushes_partial_report_and_exits_130() {
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("binary spawns");
-    wait_for_lines(&base.join("checkpoint").join("manifest.jsonl"), 2);
+    // Header + fig2's 13 cells: with one worker cells run in order, so
+    // fig2 has folded and the sweep is inside table2.
+    wait_for_lines(&base.join("checkpoint").join("manifest.jsonl"), 14);
     let kill = Command::new("kill")
         .args(["-INT", &child.id().to_string()])
         .status()
@@ -412,6 +478,24 @@ fn parallel_kill_then_resume_matches_sequential_report() {
         .expect("binary runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
+    // Uninterrupted on 4 workers: the cells land on other workers in
+    // another order, the report does not move.
+    let par_json = base.join("par.json");
+    let out = repro()
+        .args(["--fast", "--seed", "3", "--jobs", "4", "--out"])
+        .arg(base.join("par"))
+        .arg("--report-json")
+        .arg(&par_json)
+        .args(targets)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        std::fs::read(&ref_json).expect("reference report"),
+        std::fs::read(&par_json).expect("parallel report"),
+        "--jobs 4 report differs from --jobs 1"
+    );
+
     // Same campaign on 3 workers, killed after the first checkpoint.
     let kill_dir = base.join("kill");
     let kill_json = base.join("kill.json");
@@ -444,12 +528,15 @@ fn parallel_kill_then_resume_matches_sequential_report() {
         .expect("binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(stdout.contains("replayed from checkpoint"), "{stdout}");
+    assert!(stdout.contains("[replayed"), "{stdout}");
     assert_eq!(
         std::fs::read(&ref_json).expect("reference report"),
         std::fs::read(&kill_json).expect("resumed report"),
         "parallel resumed report differs from sequential uninterrupted run"
     );
+    // Across the shard set every cell is journaled exactly once.
+    let ckpt = kill_dir.join("checkpoint");
+    assert_eq!(journaled_cells(&ckpt), header_cells(&ckpt));
     std::fs::remove_dir_all(&base).ok();
 }
 
@@ -754,9 +841,10 @@ fn corrupt_shard_is_fatal_unless_salvaged() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// A journaled unit whose payload no longer decodes is replayed by
-/// nobody: the control lane warns once, the unit re-runs once, and its
-/// fresh result is journaled once behind the unreadable line.
+/// A journaled cell whose payload no longer decodes is replayed by
+/// nobody: the control lane warns once, the cell — alone of its
+/// experiment — re-runs once, and its fresh sample is journaled once
+/// behind the unreadable line.
 #[test]
 fn unreadable_payload_warns_once_reruns_once_journals_once() {
     let base = std::env::temp_dir().join("ompvar_cli_unreadable_payload");
@@ -774,24 +862,26 @@ fn unreadable_payload_warns_once_reruns_once_journals_once() {
     };
     run(false);
 
-    // Swap the journaled report for a payload `ExpReport` cannot read.
+    // Swap the first journaled sample for a payload `Sample` cannot read.
     let manifest = base.join("checkpoint").join("manifest.jsonl");
     let text = std::fs::read_to_string(&manifest).expect("manifest");
-    let (header, unit) = text.trim_end().split_once('\n').expect("header + one unit");
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let unit = lines[1].clone();
     let cut = unit.find("\"payload\":").expect("unit line carries a payload");
     let alien = format!("{}\"payload\":{{\"alien\":true}}}}", &unit[..cut]);
-    std::fs::write(&manifest, format!("{header}\n{alien}\n")).expect("manifest rewritten");
+    lines[1] = alien.clone();
+    std::fs::write(&manifest, format!("{}\n", lines.join("\n"))).expect("manifest rewritten");
 
     let (stdout, stderr) = run(true);
-    let warning = "checkpoint payload for fig2 is unreadable; re-running";
+    let warning = "checkpoint payload for fig2/Dardel-2/0 is unreadable; re-running";
     assert_eq!(stderr.matches(warning).count(), 1, "{stderr}");
     assert_eq!(stdout.matches("==== fig2 ====").count(), 1, "{stdout}");
-    assert!(!stdout.contains("[replayed from checkpoint]"), "{stdout}");
+    assert!(stdout.contains("[replayed 12 of 13 cells from checkpoint]"), "{stdout}");
     let text = std::fs::read_to_string(&manifest).expect("manifest");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 3, "header, the unreadable line, one fresh line: {text}");
-    assert_eq!(lines[1], alien);
-    assert_eq!(lines[2], unit, "the re-run journals what the first run did");
+    let after: Vec<&str> = text.lines().collect();
+    assert_eq!(after.len(), lines.len() + 1, "the journal gains one fresh line: {text}");
+    assert_eq!(after[1], alien);
+    assert_eq!(*after.last().unwrap(), unit, "the re-run journals what the first run did");
     std::fs::remove_dir_all(&base).ok();
 }
 
@@ -827,14 +917,14 @@ fn resumed_inner_campaigns_create_and_then_replay_their_journals() {
         assert!(out.status.success(), "stderr: {stderr}");
         (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
     };
-    // What a kill right after fig2's checkpoint leaves behind: the
-    // sweep's manifest holds the header and fig2, and neither inner
-    // campaign has a journal yet.
+    // What a kill right after fig2's last cell leaves behind: the
+    // sweep's manifest holds the header and fig2's 13 cells, and
+    // neither inner campaign has a journal yet.
     let rewind = |drop_inner_journals: bool| {
         let manifest = ckpt.join("manifest.jsonl");
         let text = std::fs::read_to_string(&manifest).expect("manifest");
-        let kept: Vec<&str> = text.lines().take(2).collect();
-        assert!(kept[1].contains("\"name\":\"fig2\""), "{text}");
+        let kept: Vec<&str> = text.lines().take(14).collect();
+        assert!(kept[1..].iter().all(|l| l.contains("\"name\":\"fig2/")), "{text}");
         std::fs::write(&manifest, format!("{}\n", kept.join("\n"))).expect("manifest rewound");
         if drop_inner_journals {
             for e in std::fs::read_dir(&ckpt).expect("checkpoint dir").filter_map(Result::ok) {
@@ -871,7 +961,8 @@ fn resumed_inner_campaigns_create_and_then_replay_their_journals() {
 
     // First resume: journals absent → created and filled, nothing degraded.
     let (stdout, stderr) = run(true);
-    assert!(stdout.contains("(fig2 took 0.0s [replayed from checkpoint])"), "{stdout}");
+    let replayed = "(fig2 took 0.0s busy in 13 cells, 0.0s wall [replayed from checkpoint])";
+    assert!(stdout.contains(replayed), "{stdout}");
     assert!(!stderr.contains("unjournaled"), "{stderr}");
     let (var_journal, var_units) = journal("variability.jsonl");
     let (cam_journal, cam_units) = journal("campaign.jsonl");

@@ -10,7 +10,7 @@
 
 use ompvar::core::FreqTrace;
 use ompvar::epcc::{run_seeds, schedbench, EpccConfig};
-use ompvar::harness::fig67::{outcome, Driver, Placement};
+use ompvar::harness::fig67::{plan, Driver};
 use ompvar::harness::{ExpOptions, Platform};
 use ompvar::rt::Schedule;
 
@@ -56,20 +56,12 @@ fn main() {
         }
     }
 
-    // The aggregate comparison the paper draws (Fig 6/7).
+    // The aggregate comparison the paper draws (Fig 6/7): the harness's
+    // own grids, planned and run serially.
     println!();
     let opts = ExpOptions::fast();
     for driver in [Driver::Sched, Driver::Sync] {
-        let one = outcome(&opts, driver, Placement::OneNuma);
-        let two = outcome(&opts, driver, Placement::TwoNumas);
-        println!(
-            "{:?}: pooled cv {:.5} (1 NUMA) vs {:.5} (2 NUMAs); freq transitions/core/s {:.2} vs {:.2}",
-            driver,
-            one.runs.pooled().cv,
-            two.runs.pooled().cv,
-            one.transitions_per_core_sec,
-            two.transitions_per_core_sec,
-        );
+        print!("{}", plan(&opts, driver).run().render());
     }
     println!(
         "\n→ 16 active cores pin the socket at its stable all-core turbo;\n  \
