@@ -149,9 +149,12 @@ mod tests {
     fn native_backend_runs_tasks() {
         let mut cfg = EpccConfig::syncbench_default().fast(2);
         cfg.delay_us = 1.0;
+        // One runtime: the second pattern runs on the team the first
+        // one left parked.
+        let rt = NativeRuntime::new(RtConfig::unbound());
         for pattern in TaskPattern::ALL {
             let r = region(&cfg, pattern, 2, 8);
-            let res = NativeRuntime::new(RtConfig::unbound()).run_region(&r, 0).expect("taskbench region completes");
+            let res = rt.run_region(&r, 0).expect("taskbench region completes");
             assert_eq!(res.reps().len(), 2, "{}", pattern.label());
         }
     }

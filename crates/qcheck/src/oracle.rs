@@ -111,6 +111,14 @@ pub fn native_runtime() -> NativeRuntime {
         .with_tracing(true)
 }
 
+thread_local! {
+    /// The calling thread's [`native_runtime`]: every case a fuzz worker,
+    /// the shrinker or a benchmark loop checks on this thread runs on one
+    /// warm team, and two threads never queue on each other's. Its team
+    /// threads exit with the thread that owns it.
+    static NATIVE: NativeRuntime = native_runtime();
+}
+
 /// Trace well-formedness oracle: the span timeline of a successful run
 /// must pair up cleanly and carry exactly one region span per thread.
 fn check_trace(
@@ -405,7 +413,7 @@ pub fn check_case(region: &RegionSpec, seed: u64) -> Vec<String> {
     let native_result = if may_deadlock || may_race {
         None
     } else {
-        match native_runtime().run(region) {
+        match NATIVE.with(|native| native.run(region)) {
             Ok(r) => {
                 expect_eq(&mut reasons, "native", &r.effects, &want);
                 if r.effects.mutex_violations != 0 {

@@ -8,8 +8,16 @@ use ompvar_topology::Place;
 /// CPUs do not exist on the host (e.g. pinning a 128-core place list on a
 /// laptop), this degrades to a no-op returning `false` — the runtime still
 /// runs, just unpinned, which is the honest fallback.
-#[cfg(target_os = "linux")]
 pub fn pin_current_thread(place: &Place) -> bool {
+    set_current_affinity(place.hw_threads().iter().map(|hw| hw.0))
+}
+
+/// Restrict the calling thread to `cpus` (those of them the host has);
+/// `false`, and no change, when none exists or the platform cannot.
+/// A long-lived team thread uses this to go back to the mask
+/// [`current_affinity`] reported before its first pin.
+#[cfg(target_os = "linux")]
+pub fn set_current_affinity(cpus: impl IntoIterator<Item = usize>) -> bool {
     // SAFETY: cpu_set_t is a plain bitset; we only set bits for CPUs that
     // exist on this host, and pass the correct size to the syscall.
     unsafe {
@@ -20,9 +28,9 @@ pub fn pin_current_thread(place: &Place) -> bool {
             return false;
         }
         let mut any = false;
-        for &hw in place.hw_threads() {
-            if (hw.0 as i64) < online as i64 {
-                libc::CPU_SET(hw.0, &mut set);
+        for cpu in cpus {
+            if (cpu as i64) < online as i64 {
+                libc::CPU_SET(cpu, &mut set);
                 any = true;
             }
         }
@@ -35,7 +43,7 @@ pub fn pin_current_thread(place: &Place) -> bool {
 
 /// Non-Linux fallback: pinning is unsupported.
 #[cfg(not(target_os = "linux"))]
-pub fn pin_current_thread(_place: &Place) -> bool {
+pub fn set_current_affinity(_cpus: impl IntoIterator<Item = usize>) -> bool {
     false
 }
 

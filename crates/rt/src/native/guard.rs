@@ -5,6 +5,8 @@
 //! the absolute deadline passes — or any teammate has already tripped
 //! the guard — the wait gives up and the run reports a typed timeout
 //! instead of hanging forever on a lost ticket or a crashed teammate.
+//! A team thread that panics [trips](RunGuard::trip) the guard on its way
+//! out, so its teammates stop waiting for it at once.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -32,6 +34,12 @@ impl RunGuard {
         self.budget
     }
 
+    /// End the run now: every bounded wait that consults this guard from
+    /// here on gives up, whatever the deadline says.
+    pub fn trip(&self) {
+        self.tripped.store(true, Ordering::Relaxed);
+    }
+
     /// Whether the run is out of time. Once true for one thread it is
     /// true for every thread, so a whole stuck team bails out together.
     pub fn expired(&self) -> bool {
@@ -57,6 +65,13 @@ mod tests {
         let g = RunGuard::new(None);
         assert!(!g.expired());
         assert_eq!(g.budget(), None);
+    }
+
+    #[test]
+    fn a_tripped_guard_is_expired_whatever_its_deadline() {
+        let g = RunGuard::new(None);
+        g.trip();
+        assert!(g.expired());
     }
 
     #[test]

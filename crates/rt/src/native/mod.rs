@@ -3,7 +3,9 @@
 //! Every team thread executes the construct list SPMD-style, using the
 //! crate's own synchronization primitives ([`SenseBarrier`], atomic chunk
 //! dispatch, ticket-ordered sections) — the same algorithms the simulated
-//! backend models. Thread pinning uses `sched_setaffinity` where the host
+//! backend models. The team is persistent: its threads park between
+//! regions, as libgomp's do, so a region costs a wake-up, not a spawn
+//! and a join. Thread pinning uses `sched_setaffinity` where the host
 //! supports it.
 //!
 //! On small hosts this backend is functionally correct but cannot
@@ -13,6 +15,7 @@ pub mod affinity;
 pub mod barrier;
 pub mod delay;
 pub mod guard;
+mod team;
 pub mod workshare;
 
 use crate::config::{RegionResult, RtConfig};
@@ -27,7 +30,9 @@ use guard::RunGuard;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use team::{Job, Team};
 use workshare::{LoopCursor, NativeLoop};
 
 /// A mutex plus mutual-exclusion instrumentation: entries are counted
@@ -263,6 +268,10 @@ impl Tracer {
 }
 
 /// Native OpenMP-style runtime.
+///
+/// Owns a team of worker threads that stay parked between regions (see
+/// [`team`]); clones share it, and it runs one region at a time. The
+/// threads exit when the runtime and all its clones are dropped.
 #[derive(Debug, Clone)]
 pub struct NativeRuntime {
     /// Affinity configuration applied to the team.
@@ -274,16 +283,19 @@ pub struct NativeRuntime {
     pub deadline: Option<Duration>,
     /// Record construct span timelines into [`RegionResult::trace`].
     pub tracing: bool,
+    team: Arc<Mutex<Team>>,
 }
 
 impl NativeRuntime {
     /// New runtime with the given affinity configuration and the
-    /// default 60 s region deadline.
+    /// default 60 s region deadline. No thread is started until the
+    /// first region runs.
     pub fn new(config: RtConfig) -> Self {
         NativeRuntime {
             config,
             deadline: Some(Duration::from_secs(60)),
             tracing: false,
+            team: Arc::default(),
         }
     }
 
@@ -299,7 +311,9 @@ impl NativeRuntime {
         self
     }
 
-    /// Execute `region` with real threads and return the measured result.
+    /// Execute `region` on the team and return the measured result.
+    /// The deadline, `wall_us` and every interval are measured from the
+    /// moment the region is dispatched to the (already running) team.
     pub fn run(&self, region: &RegionSpec) -> Result<RegionResult, RtError> {
         region.validate().map_err(RtError::InvalidRegion)?;
         let n = region.n_threads;
@@ -325,76 +339,39 @@ impl NativeRuntime {
         let mut named_locks: BTreeMap<u32, NativeLock> = BTreeMap::new();
         allocate(&region.constructs, n, &values, &mut objs, &mut named_locks);
 
-        // Host topology for pinning: build a machine the size of this
-        // host so place resolution has something to bind against. Places
-        // beyond the host degrade to unpinned threads.
-        let assignment = host_assignment(&self.config, n);
-
-        let guard = RunGuard::new(self.deadline);
-        let t0 = Instant::now();
-        let marks: Mutex<Vec<(u32, f64)>> = Mutex::new(Vec::new());
-        let first_timeout: Mutex<Option<&'static str>> = Mutex::new(None);
-        let team_trace = TeamRecorder::new();
-        let tracing = self.tracing;
-        std::thread::scope(|s| {
-            for rank in 0..n {
-                let objs = &objs;
-                let named_locks = &named_locks;
-                let values = &values;
-                let private_init = &private_init;
-                let constructs = &region.constructs;
-                let marks = &marks;
-                let guard = &guard;
-                let first_timeout = &first_timeout;
-                let team_trace = &team_trace;
-                let place = assignment.get(rank).cloned().flatten();
-                s.spawn(move || {
-                    if let Some(p) = place {
-                        affinity::pin_current_thread(&p);
-                    }
-                    let mut ctx = ThreadCtx {
-                        rank,
-                        // Two sense flags per object: slot 2k for the
-                        // object's (entry) barrier, 2k+1 for an exit
-                        // barrier (ParallelRegion).
-                        sense: vec![false; objs.len() * 2],
-                        cursor: vec![LoopCursor::default(); objs.len()],
-                        local_marks: Vec::new(),
-                        t0,
-                        guard,
-                        named: named_locks,
-                        vals: values,
-                        private: private_init.clone(),
-                        trace: Tracer::new(tracing, rank, t0),
-                    };
-                    ctx.trace.begin(SpanKind::Region);
-                    if let Err(construct) = interpret(constructs, objs, &mut ctx, &mut 0) {
-                        let mut slot = first_timeout.lock();
-                        slot.get_or_insert(construct);
-                        return;
-                    }
-                    ctx.trace.end(SpanKind::Region);
-                    if let Some(rec) = ctx.trace.rec.take() {
-                        team_trace.submit(rec);
-                    }
-                    if rank == 0 {
-                        marks.lock().extend(ctx.local_marks);
-                    }
-                });
-            }
+        // One region at a time per team: a concurrent run on a clone
+        // waits here, before its clock starts.
+        let mut team = self.team.lock();
+        let placement = team.muster(&self.config, n);
+        let run = Arc::new(RegionRun {
+            constructs: region.constructs.clone(),
+            objs,
+            named_locks,
+            values,
+            private_init,
+            guard: RunGuard::new(self.deadline),
+            t0: Instant::now(),
+            marks: Mutex::new(Vec::new()),
+            first_timeout: Mutex::new(None),
+            team_trace: self.tracing.then(TeamRecorder::new),
         });
-        if let Some(construct) = first_timeout.into_inner() {
+        team.dispatch(n, &placement, Arc::clone(&run) as Arc<dyn Job>);
+        let wall_us = run.t0.elapsed().as_secs_f64() * 1e6;
+        drop(team);
+        let run = Arc::into_inner(run)
+            .expect("every rank drops its handle before the completion latch opens");
+
+        if let Some(construct) = run.first_timeout.into_inner() {
             return Err(RtError::Timeout {
                 construct,
-                deadline: guard.budget().unwrap_or_default(),
+                deadline: run.guard.budget().unwrap_or_default(),
             });
         }
-        let wall_us = t0.elapsed().as_secs_f64() * 1e6;
 
         // Pair up begin/end marks per id.
         let mut begins: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
         let mut ends: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-        for (m, t) in marks.into_inner() {
+        for (m, t) in run.marks.into_inner() {
             if m % 2 == 0 {
                 begins.entry(m / 2).or_default().push(t);
             } else {
@@ -407,8 +384,8 @@ impl NativeRuntime {
             assert_eq!(b.len(), e.len(), "unpaired markers for interval {k}");
             intervals_us.insert(k, b.iter().zip(&e).map(|(b, e)| e - b).collect());
         }
-        let mut effects = harvest_effects(&objs);
-        for l in named_locks.values() {
+        let mut effects = harvest_effects(&run.objs);
+        for l in run.named_locks.values() {
             effects.lock_entries += l.entries.load(Ordering::Acquire);
             effects.mutex_violations += l.violations.load(Ordering::Acquire);
         }
@@ -419,11 +396,12 @@ impl NativeRuntime {
             counters: None,
             thread_stats: Vec::new(),
             effects,
-            trace: tracing.then(|| team_trace.finish()),
+            trace: run.team_trace.map(TeamRecorder::finish),
             // The native backend cannot see inside the host kernel; the
             // causal ledger is a simulator-only capability.
             attribution: None,
-            final_values: values
+            final_values: run
+                .values
                 .iter()
                 .map(|(&id, cell)| (id, cell.load(Ordering::SeqCst)))
                 .collect(),
@@ -431,25 +409,59 @@ impl NativeRuntime {
     }
 }
 
-/// Resolve the thread→place assignment against a host-sized machine.
-fn host_assignment(
-    config: &RtConfig,
-    n_threads: usize,
-) -> Vec<Option<ompvar_topology::Place>> {
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let machine = ompvar_topology::MachineSpec::generic(1, host_cpus, 1);
-    // Resolution panics when the place list exceeds the host; in that
-    // case run unpinned (the honest fallback on small hosts).
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ompvar_topology::assign_places(&machine, &config.places, config.bind, n_threads)
-    }));
-    match result {
-        Ok(a) => (0..n_threads)
-            .map(|r| a.place_of(r).cloned())
-            .collect(),
-        Err(_) => vec![None; n_threads],
+/// Everything one region run shares between its ranks. Built by
+/// [`NativeRuntime::run`], lent to the team for the duration of the
+/// dispatch, and read back once every rank has finished.
+struct RegionRun {
+    constructs: Vec<Construct>,
+    objs: Vec<NObj>,
+    named_locks: BTreeMap<u32, NativeLock>,
+    values: BTreeMap<u32, AtomicI64>,
+    private_init: BTreeMap<u32, i64>,
+    guard: RunGuard,
+    t0: Instant,
+    /// The master's measurement markers.
+    marks: Mutex<Vec<(u32, f64)>>,
+    /// The construct the first rank to time out was waiting at.
+    first_timeout: Mutex<Option<&'static str>>,
+    /// `Some` iff the run is traced.
+    team_trace: Option<TeamRecorder>,
+}
+
+impl Job for RegionRun {
+    fn run(&self, rank: usize) {
+        // Rebuilt per region: no sense flag, cursor, private copy or
+        // span survives from the worker's previous region.
+        let mut ctx = ThreadCtx {
+            rank,
+            // Two sense flags per object: slot 2k for the object's
+            // (entry) barrier, 2k+1 for an exit barrier (ParallelRegion).
+            sense: vec![false; self.objs.len() * 2],
+            cursor: vec![LoopCursor::default(); self.objs.len()],
+            local_marks: Vec::new(),
+            t0: self.t0,
+            guard: &self.guard,
+            named: &self.named_locks,
+            vals: &self.values,
+            private: self.private_init.clone(),
+            trace: Tracer::new(self.team_trace.is_some(), rank, self.t0),
+        };
+        ctx.trace.begin(SpanKind::Region);
+        if let Err(construct) = interpret(&self.constructs, &self.objs, &mut ctx, &mut 0) {
+            self.first_timeout.lock().get_or_insert(construct);
+            return;
+        }
+        ctx.trace.end(SpanKind::Region);
+        if let (Some(team_trace), Some(rec)) = (&self.team_trace, ctx.trace.rec.take()) {
+            team_trace.submit(rec);
+        }
+        if rank == 0 {
+            self.marks.lock().extend(ctx.local_marks);
+        }
+    }
+
+    fn guard(&self) -> &RunGuard {
+        &self.guard
     }
 }
 
@@ -892,13 +904,17 @@ fn interpret(
 /// triad on a thread-local buffer).
 fn stream_bytes(bytes: usize) {
     let n = (bytes / 8 / 3).max(1); // three arrays of f64
-    let a = vec![1.0f64; n];
-    let b = vec![2.0f64; n];
-    let mut c = vec![0.0f64; n];
+    // One allocation, not three: a team thread lives across regions, so
+    // whatever its allocator's thread cache keeps of the odd sizes freed
+    // here stays resident. Three same-sized frees per call filled those
+    // caches (≈ +1 MB over a 12 000-case fuzz campaign); one does not.
+    let mut buf = vec![1.0f64; 3 * n];
+    let (ab, c) = buf.split_at_mut(2 * n);
+    let (a, b) = ab.split_at(n);
     for i in 0..n {
         c[i] = a[i] + 0.4 * b[i];
     }
-    std::hint::black_box(&c);
+    std::hint::black_box(&buf);
 }
 
 #[cfg(test)]
@@ -1091,13 +1107,98 @@ mod tests {
     #[test]
     fn expired_deadline_reports_timeout_instead_of_hanging() {
         let rt = rt().with_deadline(Some(Duration::ZERO));
-        let region = RegionSpec::measured(2, 2, 2, vec![Construct::Barrier]);
+        // The guard is consulted by waits that last, so make one last:
+        // whoever loses the single waits out the winner's 20 ms. (Two
+        // warm threads can cross a bare barrier before either looks.)
+        let region = RegionSpec::new(2, vec![Construct::Single { body_us: 20_000.0 }])
+            .expect("test region is valid");
         match rt.run(&region) {
             Err(RtError::Timeout { construct, .. }) => {
                 assert!(!construct.is_empty());
             }
             other => panic!("expected a timeout, got {other:?}"),
         }
+    }
+
+    /// A job for driving the team directly: every rank does `each`, then
+    /// meets the others at a guarded barrier.
+    struct Probe<F> {
+        guard: RunGuard,
+        barrier: SenseBarrier,
+        released: Mutex<Vec<bool>>,
+        each: F,
+    }
+
+    impl<F: Fn(usize) + Send + Sync> Job for Probe<F> {
+        fn run(&self, rank: usize) {
+            (self.each)(rank);
+            let released = self.barrier.wait_bounded(&mut false, &self.guard);
+            self.released.lock().push(released);
+        }
+
+        fn guard(&self) -> &RunGuard {
+            &self.guard
+        }
+    }
+
+    #[test]
+    fn a_panicking_rank_frees_its_teammates_and_the_next_region_runs() {
+        let rt = rt();
+        let probe = Arc::new(Probe {
+            guard: RunGuard::new(Some(Duration::from_secs(60))),
+            barrier: SenseBarrier::new(2),
+            released: Mutex::new(Vec::new()),
+            each: |rank: usize| {
+                if rank == 1 {
+                    panic!("rank 1 blew up");
+                }
+            },
+        });
+        let started = Instant::now();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut team = rt.team.lock();
+            let placement = team.muster(&rt.config, 2);
+            team.dispatch(2, &placement, Arc::clone(&probe) as Arc<dyn Job>);
+        }))
+        .expect_err("the rank's panic is re-raised on the caller");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "rank 0 sat out the deadline: {:?}",
+            started.elapsed()
+        );
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 1 blew up"));
+        // Rank 0 left its barrier unreleased, because the guard tripped.
+        assert_eq!(*probe.released.lock(), vec![false]);
+
+        let region = RegionSpec::measured(2, 2, 2, vec![Construct::Barrier]);
+        let res = rt.run(&region).expect("a fresh team runs the next region");
+        assert_eq!(res.reps().len(), 2);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn an_unbound_region_after_a_pinned_one_runs_on_the_initial_mask() {
+        use ompvar_topology::Places;
+        let initial = affinity::current_affinity().expect("linux reports a mask");
+        let masks = Arc::new(Mutex::new(Vec::new()));
+        let probe = |masks: &Arc<Mutex<Vec<_>>>| {
+            let masks = Arc::clone(masks);
+            Arc::new(Probe {
+                guard: RunGuard::new(None),
+                barrier: SenseBarrier::new(2),
+                released: Mutex::new(Vec::new()),
+                each: move |_| masks.lock().push(affinity::current_affinity()),
+            })
+        };
+        // One place, so both ranks are bound to cpu 0 on any host.
+        let pinned = RtConfig::pinned_close(Places::Threads(Some(1)));
+        let mut team = Team::default();
+        for config in [pinned, RtConfig::unbound()] {
+            let placement = team.muster(&config, 2);
+            team.dispatch(2, &placement, probe(&masks));
+        }
+        let (cpu0, initial) = (Some(vec![0]), Some(initial));
+        assert_eq!(*masks.lock(), vec![cpu0.clone(), cpu0, initial.clone(), initial]);
     }
 
     #[test]
