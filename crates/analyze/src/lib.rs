@@ -20,8 +20,8 @@
 //!   delegates here).
 //!
 //! [`region::RegionSpec::validate`] is the error-severity surface of the
-//! analyzer: it runs the full pipeline and converts the first
-//! `Error`-severity diagnostic back into the typed
+//! analyzer: it runs the pipeline's error-capable passes and converts the
+//! first `Error`-severity diagnostic back into the typed
 //! [`region::RegionError`] both backends reject with. `Warn` and `Info`
 //! findings do not block execution — they feed the harness's pre-flight
 //! gate, the fuzzer's soundness oracle (any dynamic deadlock/violation

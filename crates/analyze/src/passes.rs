@@ -48,7 +48,11 @@
 //! `analyze()` call reports everything. The report is sorted by
 //! `(span, code)` — pre-order document position — and deduplicated, so
 //! renderings and the pre-flight gate are byte-stable; `validate()`
-//! surfaces the first `Error`-severity finding in that order.
+//! surfaces the first `Error`-severity finding in that order. Only
+//! passes 1, 3 and 5 own an `Error` code, so the pipeline runs them
+//! first and `validate()` — which every backend run pays — stops there
+//! ([`analyze_errors`]): same passes, same report order, hence the same
+//! first error as the full pipeline.
 
 use crate::diag::{Analysis, DiagCode, Diagnostic, Span};
 use crate::predict;
@@ -59,6 +63,25 @@ use std::collections::{BTreeMap, BTreeSet};
 /// `(span, code)` with identical `(code, span)` pairs deduplicated.
 pub fn analyze(spec: &RegionSpec) -> Analysis {
     let mut diags = Vec::new();
+    if rejecting_passes(spec, &mut diags) {
+        advisory_passes(spec, &mut diags);
+    }
+    report(diags)
+}
+
+/// The part of [`analyze`] that `validate()` pays for: only the passes
+/// that can emit an `Error`, reported in the same order — so its
+/// [`Analysis::first_error`] is `analyze`'s, diagnostic for diagnostic.
+/// Their `Warn`/`Info` findings come along; the advisory passes' do not.
+pub(crate) fn analyze_errors(spec: &RegionSpec) -> Analysis {
+    let mut diags = Vec::new();
+    rejecting_passes(spec, &mut diags);
+    report(diags)
+}
+
+/// The passes that own an `Error`-severity code (1, 3 and 5). `false`
+/// when the region is too malformed for any further pass to run.
+fn rejecting_passes(spec: &RegionSpec, diags: &mut Vec<Diagnostic>) -> bool {
     if spec.n_threads == 0 {
         diags.push(Diagnostic::because(
             DiagCode::ZeroThreads,
@@ -66,18 +89,27 @@ pub fn analyze(spec: &RegionSpec) -> Analysis {
             "the team has zero threads".into(),
             RegionError::ZeroThreads,
         ));
-        return Analysis { diagnostics: diags };
+        return false;
     }
-    structural(&spec.constructs, &Span::root(), &mut diags);
-    nowait_windows(spec, &mut diags);
-    locks(spec, &mut diags);
-    serial_bottleneck(spec, &mut diags);
-    data_env(spec, &mut diags);
-    data_races(spec, &mut diags);
-    dead_private_writes(spec, &mut diags);
-    // Deterministic report order: pre-order document position, then
-    // code. The sort is stable, so among equal (span, code) pairs the
-    // emission-order first survives dedup.
+    structural(&spec.constructs, &Span::root(), diags);
+    locks(spec, diags);
+    data_env(spec, diags);
+    true
+}
+
+/// The passes that only ever warn or inform (2, 4, 6 and 7).
+fn advisory_passes(spec: &RegionSpec, diags: &mut Vec<Diagnostic>) {
+    nowait_windows(spec, diags);
+    serial_bottleneck(spec, diags);
+    data_races(spec, diags);
+    dead_private_writes(spec, diags);
+}
+
+/// Deterministic report order: pre-order document position, then code.
+/// The sort is stable, so among equal `(span, code)` pairs — always one
+/// pass's, a code belongs to one pass — the emission-order first
+/// survives dedup.
+fn report(mut diags: Vec<Diagnostic>) -> Analysis {
     diags.sort_by(|a, b| a.span.cmp(&b.span).then(a.code.cmp(&b.code)));
     diags.dedup_by(|a, b| a.code == b.code && a.span == b.span);
     Analysis { diagnostics: diags }
@@ -937,6 +969,20 @@ mod tests {
             vars: Vec::new(),
             constructs: cs,
         }
+    }
+
+    /// [`super::analyze`], which every test below goes through — so every
+    /// program written down here also holds the split pipeline to its
+    /// contract: `validate()` is `analyze().first_error()`.
+    fn analyze(spec: &RegionSpec) -> Analysis {
+        let analysis = super::analyze(spec);
+        assert_eq!(
+            spec.validate().err(),
+            analysis.first_error().and_then(|d| d.cause),
+            "{}",
+            analysis.render()
+        );
+        analysis
     }
 
     fn codes(n: usize, cs: Vec<Construct>) -> BTreeSet<DiagCode> {

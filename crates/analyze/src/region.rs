@@ -537,11 +537,12 @@ impl RegionSpec {
     /// `ompvar-qcheck` generator promises to uphold).
     ///
     /// This is the `Error`-severity surface of the static analyzer: it
-    /// runs the full [`crate::passes::analyze`] pipeline and surfaces
-    /// the first `Error`-severity diagnostic as its typed
+    /// runs the passes of [`crate::passes::analyze`] that can reject a
+    /// program and surfaces the first `Error`-severity diagnostic — the
+    /// one `analyze(self).first_error()` reports — as its typed
     /// [`RegionError`]. `Warn`/`Info` findings never fail validation.
     pub fn validate(&self) -> Result<(), RegionError> {
-        match crate::passes::analyze(self).first_error() {
+        match crate::passes::analyze_errors(self).first_error() {
             Some(d) => Err(d
                 .cause
                 .expect("error-severity diagnostics carry their RegionError")),
@@ -663,13 +664,21 @@ mod tests {
         assert_eq!(err, RegionError::ZeroThreads);
     }
 
+    /// `validate()` — which must be the full pipeline's first error, on
+    /// every program these tests write down.
+    fn validated(spec: &RegionSpec) -> Result<(), RegionError> {
+        let verdict = spec.validate();
+        let analysis = crate::passes::analyze(spec);
+        assert_eq!(verdict.err(), analysis.first_error().and_then(|d| d.cause));
+        verdict
+    }
+
     fn valid(cs: Vec<Construct>) -> Result<(), RegionError> {
-        RegionSpec {
+        validated(&RegionSpec {
             n_threads: 2,
             constructs: cs,
             vars: Vec::new(),
-        }
-        .validate()
+        })
     }
 
     #[test]
@@ -927,7 +936,7 @@ mod tests {
             constructs: vec![],
             vars: vec![shared(0, 1), shared(0, 2)],
         };
-        assert_eq!(dup.validate(), Err(RegionError::DuplicateVarDecl { var: 0 }));
+        assert_eq!(validated(&dup), Err(RegionError::DuplicateVarDecl { var: 0 }));
         // A reduction over a non-shared variable is rejected.
         let bad_red = RegionSpec {
             n_threads: 2,
@@ -947,7 +956,7 @@ mod tests {
             }],
         };
         assert_eq!(
-            bad_red.validate(),
+            validated(&bad_red),
             Err(RegionError::ReductionNotShared { var: 0 })
         );
     }

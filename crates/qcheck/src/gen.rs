@@ -395,6 +395,53 @@ mod tests {
         }
     }
 
+    /// Break a valid program in a seed-chosen way that trips one or more
+    /// of the analyzer's error-capable passes, often at several spans.
+    fn corrupt(mut region: RegionSpec, seed: u64) -> RegionSpec {
+        let mut body = std::mem::take(&mut region.constructs);
+        region.constructs = match seed % 4 {
+            // Team syncs under a held lock, self-nesting where lock 0 is used.
+            0 => {
+                body.push(Construct::Barrier);
+                vec![Construct::Locked { lock: 0, body }]
+            }
+            // A dangling mark up front, an undeclared variable behind.
+            1 => {
+                let mut cs = vec![Construct::MarkEnd(77)];
+                cs.extend(body);
+                cs.push(Construct::VarRead { var: u32::MAX });
+                cs
+            }
+            // Bad work and a zero-count repeat around everything.
+            2 => vec![Construct::Repeat { count: 0, body }, Construct::DelayUs(f64::NAN)],
+            _ => {
+                region.n_threads = 0;
+                body
+            }
+        };
+        region
+    }
+
+    #[test]
+    fn validate_is_the_full_pipelines_first_error_on_generated_programs() {
+        // `validate()` runs only the passes that can reject; on 10 000
+        // generator programs (all valid, by contract) and a corrupted
+        // twin of each it must still be `analyze().first_error()`.
+        let mut rejected = 0;
+        for cfg in [GenConfig::default(), GenConfig::with_vars()] {
+            for seed in 0..5000 {
+                let valid = generate(seed, &cfg);
+                for region in [corrupt(valid.clone(), seed), valid] {
+                    let analysis = ompvar_analyze::analyze(&region);
+                    let want = analysis.first_error().and_then(|d| d.cause);
+                    assert_eq!(region.validate().err(), want, "seed {seed}: {}", analysis.render());
+                    rejected += usize::from(want.is_some());
+                }
+            }
+        }
+        assert_eq!(rejected, 10_000, "every corrupted twin is rejected, no original is");
+    }
+
     fn tally(cs: &[Construct], seen: &mut BTreeSet<&'static str>) {
         for c in cs {
             seen.insert(construct_kind(c));

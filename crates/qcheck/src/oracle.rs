@@ -5,7 +5,8 @@
 //!
 //! 1. the program validates (the generator's contract);
 //! 2. the simulated backend completes, twice, with bit-identical results
-//!    for the same seed (determinism oracle);
+//!    for the same seed — every field equal, every float by its bits
+//!    (determinism oracle, [`first_difference`]);
 //! 3. the native backend completes;
 //! 4. both backends' harvested [`SemanticEffects`] equal the statically
 //!    predicted effects of the construct tree — iteration coverage,
@@ -79,10 +80,11 @@
 //!     race-flagged programs run sim-only, where the canonical
 //!     evaluation keeps results replayable.
 
+use ompvar_rt::config::RegionResult;
 use ompvar_rt::native::NativeRuntime;
 use ompvar_rt::region::RegionSpec;
 use ompvar_rt::simrt::SimRuntime;
-use ompvar_rt::RtConfig;
+use ompvar_rt::{RtConfig, RtError};
 use ompvar_sim::params::SimParams;
 use ompvar_sim::time::SEC;
 use ompvar_sim::trace::SemanticEffects;
@@ -124,7 +126,7 @@ thread_local! {
 fn check_trace(
     reasons: &mut Vec<String>,
     backend: &str,
-    result: &ompvar_rt::config::RegionResult,
+    result: &RegionResult,
     n_threads: usize,
 ) {
     let Some(trace) = &result.trace else {
@@ -155,7 +157,7 @@ fn check_trace(
 /// vocabulary, and a program that passed `validate()` must never produce
 /// a *permanently*-classified error — permanent is reserved for
 /// structural failures, which validation already rejected.
-fn check_classification(reasons: &mut Vec<String>, backend: &str, err: &ompvar_rt::RtError) {
+fn check_classification(reasons: &mut Vec<String>, backend: &str, err: &RtError) {
     let class = ompvar_supervisor::classify(err);
     if ompvar_supervisor::Transience::from_name(class.name()).is_none() {
         reasons.push(format!(
@@ -175,13 +177,12 @@ fn check_classification(reasons: &mut Vec<String>, backend: &str, err: &ompvar_r
 /// analyses predict? Simulated deadlocks are detected exactly; a
 /// simulated time-limit or native deadline overrun is how a livelock or
 /// missed wakeup surfaces.
-fn is_hang(e: &ompvar_rt::RtError) -> bool {
+fn is_hang(e: &RtError) -> bool {
     use ompvar_sim::error::SimError;
     matches!(
         e,
-        ompvar_rt::RtError::Sim(
-            SimError::Deadlock { .. } | SimError::TimeLimitExceeded { .. }
-        ) | ompvar_rt::RtError::Timeout { .. }
+        RtError::Sim(SimError::Deadlock { .. } | SimError::TimeLimitExceeded { .. })
+            | RtError::Timeout { .. }
     )
 }
 
@@ -209,19 +210,90 @@ fn expect_eq(
     }
 }
 
+/// The first field, in declaration order, in which two results are not
+/// bit-identical; `None` when they are. Integers and event lists compare
+/// by value (`Eq`: no float can hide in them), every float by its bits —
+/// so `0.0` ≠ `-0.0` and NaN payloads count, which makes this at least as
+/// sharp as comparing two `Debug` renderings, without rendering either.
+fn first_difference(a: &RegionResult, b: &RegionResult) -> Option<&'static str> {
+    fn same<T: Eq>(a: &T, b: &T) -> bool {
+        a == b
+    }
+    fn bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+    // Destructured in full: a field added to the result is a compile
+    // error here, not a blind spot of the oracle.
+    let RegionResult {
+        intervals_us,
+        wall_us,
+        freq_samples,
+        counters,
+        thread_stats,
+        effects,
+        trace,
+        attribution,
+        final_values,
+    } = a;
+    let intervals = intervals_us.len() == b.intervals_us.len()
+        && intervals_us
+            .iter()
+            .zip(&b.intervals_us)
+            .all(|((ka, va), (kb, vb))| ka == kb && bits(va, vb));
+    let freq = freq_samples.len() == b.freq_samples.len()
+        && freq_samples.iter().zip(&b.freq_samples).all(|(x, y)| {
+            x.time == y.time
+                && x.core_ghz.len() == y.core_ghz.len()
+                && x.core_ghz.iter().zip(&y.core_ghz).all(|(p, q)| p.to_bits() == q.to_bits())
+        });
+    let attr = match (attribution, &b.attribution) {
+        (None, None) => true,
+        (Some(x), Some(y)) => {
+            x.threads.len() == y.threads.len()
+                && x.threads.iter().zip(&y.threads).all(|(t, u)| {
+                    t.rank == u.rank
+                        && t.useful_ns.to_bits() == u.useful_ns.to_bits()
+                        && bits(&t.by_source, &u.by_source)
+                })
+                && x.samples.len() == y.samples.len()
+                && x.samples.iter().zip(&y.samples).all(|(s, t)| {
+                    s.time_ns == t.time_ns && bits(&s.total_by_source, &t.total_by_source)
+                })
+        }
+        _ => false,
+    };
+    [
+        ("intervals_us", intervals),
+        ("wall_us", wall_us.to_bits() == b.wall_us.to_bits()),
+        ("freq_samples", freq),
+        ("counters", same(counters, &b.counters)),
+        ("thread_stats", same(thread_stats, &b.thread_stats)),
+        ("effects", same(effects, &b.effects)),
+        ("trace", same(trace, &b.trace)),
+        ("attribution", attr),
+        ("final_values", same(final_values, &b.final_values)),
+    ]
+    .into_iter()
+    .find_map(|(field, equal)| (!equal).then_some(field))
+}
+
 /// Engine-equivalence oracle (#11): run `region` on the simulator's
-/// optimized and reference engine paths and require them to be
-/// observably indistinguishable — equal [`SemanticEffects`],
-/// bit-identical final virtual time (compared through `f64` bits, no
-/// tolerance), and, when the run fails, the identical error value.
-/// Returns the violations (empty = equivalent).
-pub fn check_engine_equivalence(region: &RegionSpec, seed: u64) -> Vec<String> {
+/// reference engine path and require it to be observably
+/// indistinguishable from `optimized`, the outcome of the same
+/// `(region, seed)` on [`sim_runtime`]'s optimized path — equal
+/// [`SemanticEffects`], bit-identical final virtual time (compared
+/// through `f64` bits, no tolerance), and, when the run fails, the
+/// identical error value. Returns the violations (empty = equivalent).
+pub fn check_engine_equivalence(
+    region: &RegionSpec,
+    seed: u64,
+    optimized: &Result<RegionResult, RtError>,
+) -> Vec<String> {
     let mut reasons = Vec::new();
-    let opt = sim_runtime(region.n_threads).run(region, seed);
     let refr = sim_runtime(region.n_threads)
         .with_reference_engine(true)
         .run(region, seed);
-    match (opt, refr) {
+    match (optimized, &refr) {
         (Ok(o), Ok(r)) => {
             if o.effects != r.effects {
                 reasons.push(format!(
@@ -262,7 +334,8 @@ pub fn check_engine_equivalence(region: &RegionSpec, seed: u64) -> Vec<String> {
 }
 
 /// Attribution-conservation oracle (#12): re-run the case with the
-/// causal attribution ledger enabled and compare against the plain run.
+/// causal attribution ledger enabled and compare against `plain`, the
+/// outcome of the same `(region, seed)` on [`sim_runtime`] without it.
 /// Checks, in order: bit-identical final virtual time (through `f64`
 /// bits — attribution must be pure observation), the ledger's presence
 /// with one entry per team thread, per-thread conservation
@@ -271,14 +344,17 @@ pub fn check_engine_equivalence(region: &RegionSpec, seed: u64) -> Vec<String> {
 /// every noise source. When the plain run fails, the attributed run must
 /// fail with the identical error value. Returns the violations (empty =
 /// passed).
-pub fn check_attribution(region: &RegionSpec, seed: u64) -> Vec<String> {
+pub fn check_attribution(
+    region: &RegionSpec,
+    seed: u64,
+    plain: &Result<RegionResult, RtError>,
+) -> Vec<String> {
     use ompvar_obs::AttrSource;
     let mut reasons = Vec::new();
-    let plain = sim_runtime(region.n_threads).run(region, seed);
     let attributed = sim_runtime(region.n_threads)
         .with_attribution(true)
         .run(region, seed);
-    match (plain, attributed) {
+    match (plain, &attributed) {
         (Ok(p), Ok(a)) => {
             if p.wall_us.to_bits() != a.wall_us.to_bits() {
                 reasons.push(format!(
@@ -360,18 +436,19 @@ pub fn check_case(region: &RegionSpec, seed: u64) -> Vec<String> {
     let may_race = analysis.may_race();
     let want = region.expected_effects();
 
-    // Simulated backend: completion + determinism + effects.
+    // Simulated backend: completion + determinism + effects. This first
+    // run is also what oracles #11 and #12 compare their variant runs to.
     let sim = sim_runtime(region.n_threads);
-    let sim_result = match sim.run(region, seed) {
+    let sim_run = sim.run(region, seed);
+    match &sim_run {
         Ok(a) => {
-            // Replay for the determinism oracle. f64 Debug is
-            // shortest-roundtrip, so equal strings mean bit-identical
-            // results.
+            // Replay for the determinism oracle.
             match sim.run(region, seed) {
                 Ok(b) => {
-                    if format!("{a:?}") != format!("{b:?}") {
+                    if let Some(field) = first_difference(a, &b) {
                         reasons.push(format!(
-                            "sim replay with seed {seed} is not bit-identical"
+                            "sim replay with seed {seed} is not bit-identical \
+                             (`{field}` differs):\n    first  {a:?}\n    replay {b:?}"
                         ));
                     }
                 }
@@ -380,12 +457,11 @@ pub fn check_case(region: &RegionSpec, seed: u64) -> Vec<String> {
                 )),
             }
             expect_eq(&mut reasons, "sim", &a.effects, &want);
-            check_trace(&mut reasons, "sim", &a, region.n_threads);
-            Some(a)
+            check_trace(&mut reasons, "sim", a, region.n_threads);
         }
         Err(e) => {
-            check_classification(&mut reasons, "sim", &e);
-            if is_hang(&e) {
+            check_classification(&mut reasons, "sim", e);
+            if is_hang(e) {
                 if !may_deadlock {
                     reasons.push(format!(
                         "soundness violation (oracle #9): sim hang on an \
@@ -398,9 +474,8 @@ pub fn check_case(region: &RegionSpec, seed: u64) -> Vec<String> {
             } else {
                 reasons.push(format!("sim backend failed: {e}"));
             }
-            None
         }
-    };
+    }
 
     // Native backend: completion + effects + violation counters.
     // May-deadlock-flagged programs are not run natively: a true
@@ -450,16 +525,16 @@ pub fn check_case(region: &RegionSpec, seed: u64) -> Vec<String> {
     // Engine equivalence (oracle #11): the optimized and reference
     // simulator paths must agree on every case — including the failing
     // ones, where the error values themselves are compared.
-    reasons.extend(check_engine_equivalence(region, seed));
+    reasons.extend(check_engine_equivalence(region, seed, &sim_run));
 
     // Attribution conservation (oracle #12): the ledger never perturbs
     // the run, always conserves time, and stays all-zero on noise
     // sources under sterile parameters.
-    reasons.extend(check_attribution(region, seed));
+    reasons.extend(check_attribution(region, seed, &sim_run));
 
     // Interval shape: same marker ids with the same repetition counts on
     // both backends (mark-interval well-nesting oracle).
-    if let (Some(s), Some(n)) = (&sim_result, &native_result) {
+    if let (Ok(s), Some(n)) = (&sim_run, &native_result) {
         let sim_shape: Vec<(u32, usize)> =
             s.intervals_us.iter().map(|(k, v)| (*k, v.len())).collect();
         let native_shape: Vec<(u32, usize)> =
@@ -879,11 +954,12 @@ mod tests {
         };
         let seed = crate::case_seed(0x5EED_F00D, 264);
         let region = crate::gen::generate(seed, &cfg);
+        let optimized = sim_runtime(region.n_threads).run(&region, seed);
         assert!(
-            sim_runtime(region.n_threads).run(&region, seed).is_err(),
+            optimized.is_err(),
             "straggler case stopped deadlocking (generator drift?)"
         );
-        let reasons = check_engine_equivalence(&region, seed);
+        let reasons = check_engine_equivalence(&region, seed, &optimized);
         assert!(reasons.is_empty(), "{reasons:#?}");
     }
 
@@ -908,7 +984,8 @@ mod tests {
             ],
         )
         .expect("region is valid");
-        let reasons = check_attribution(&region, 42);
+        let plain = sim_runtime(region.n_threads).run(&region, 42);
+        let reasons = check_attribution(&region, 42, &plain);
         assert!(reasons.is_empty(), "{reasons:#?}");
         // Re-run once more to inspect the ledger the oracle validated.
         let r = sim_runtime(region.n_threads)
@@ -940,8 +1017,107 @@ mod tests {
         };
         let seed = crate::case_seed(0x5EED_F00D, 264);
         let region = crate::gen::generate(seed, &cfg);
-        let reasons = check_attribution(&region, seed);
+        let plain = sim_runtime(region.n_threads).run(&region, seed);
+        assert!(plain.is_err(), "straggler case stopped deadlocking");
+        let reasons = check_attribution(&region, seed, &plain);
         assert!(reasons.is_empty(), "{reasons:#?}");
+    }
+
+    #[test]
+    fn the_variant_oracles_hold_the_run_they_are_given_to_their_own() {
+        // Oracles #11 and #12 no longer re-run the plain configuration:
+        // whatever first run they are handed is what their variant run
+        // must match, so a doctored one is reported.
+        let region = RegionSpec::new(2, vec![Construct::Barrier, Construct::Atomic])
+            .expect("region is valid");
+        let honest = sim_runtime(2).run(&region, 5);
+        assert!(check_engine_equivalence(&region, 5, &honest).is_empty());
+        assert!(check_attribution(&region, 5, &honest).is_empty());
+        let mut late = honest.clone().expect("sim run succeeds");
+        late.wall_us += 1.0;
+        late.effects.atomic_ops += 1;
+        let reasons = check_engine_equivalence(&region, 5, &Ok(late.clone()));
+        assert_eq!(reasons.len(), 2, "{reasons:#?}");
+        let reasons = check_attribution(&region, 5, &Ok(late));
+        assert_eq!(reasons.len(), 1, "{reasons:#?}");
+        let failed = Err(RtError::Timeout {
+            construct: "barrier",
+            deadline: Duration::ZERO,
+        });
+        for reasons in [
+            check_engine_equivalence(&region, 5, &failed),
+            check_attribution(&region, 5, &failed),
+        ] {
+            assert_eq!(reasons.len(), 1, "{reasons:#?}");
+            assert!(reasons[0].contains("succeeded"), "{reasons:#?}");
+        }
+    }
+
+    #[test]
+    fn the_determinism_oracle_reports_any_single_flipped_field() {
+        use ompvar_obs::{EventKind, SpanKind, TraceEvent};
+        use ompvar_sim::trace::FreqSample;
+        let region = RegionSpec::measured(2, 2, 2, vec![Construct::Barrier]);
+        let mut base = sim_runtime(2)
+            .with_attribution(true)
+            .run(&region, 9)
+            .expect("sim run succeeds");
+        // Positive zeros to flip the sign of, and one of everything else.
+        base.wall_us = 0.0;
+        base.intervals_us.get_mut(&0).expect("measured interval")[1] = 0.0;
+        base.freq_samples.push(FreqSample { time: 7, core_ghz: vec![0.0, 2.5] });
+        base.final_values.insert(3, 4);
+        let ledger = base.attribution.as_mut().expect("ledger present");
+        ledger.threads[1].by_source[0] = 0.0;
+        assert!(!ledger.samples.is_empty() && base.counters.is_some());
+        assert!(!base.thread_stats.is_empty() && base.trace.is_some());
+        assert_eq!(first_difference(&base, &base.clone()), None);
+
+        type Flip = fn(&mut RegionResult);
+        let flips: [(&str, Flip); 19] = [
+            ("wall_us", |r| r.wall_us = -0.0),
+            ("intervals_us", |r| r.intervals_us.get_mut(&0).unwrap()[1] = -0.0),
+            ("intervals_us", |r| r.intervals_us.get_mut(&0).unwrap().push(1.0)),
+            ("intervals_us", |r| {
+                let reps = r.intervals_us.remove(&0).unwrap();
+                r.intervals_us.insert(1, reps);
+            }),
+            ("freq_samples", |r| r.freq_samples[0].time += 1),
+            ("freq_samples", |r| r.freq_samples[0].core_ghz[0] = -0.0),
+            ("freq_samples", |r| r.freq_samples.clear()),
+            ("counters", |r| r.counters.as_mut().unwrap().events += 1),
+            ("counters", |r| r.counters = None),
+            ("thread_stats", |r| r.thread_stats[1].wait_time += 1),
+            ("effects", |r| r.effects.barrier_arrivals += 1),
+            ("trace", |r| r.trace.as_mut().unwrap().events[3].time_ns += 1),
+            ("trace", |r| {
+                r.trace.as_mut().unwrap().events.push(TraceEvent {
+                    time_ns: 0,
+                    thread: 0,
+                    core: 0,
+                    kind: EventKind::Begin(SpanKind::Task),
+                })
+            }),
+            ("attribution", |r| r.attribution.as_mut().unwrap().threads[1].by_source[0] = -0.0),
+            ("attribution", |r| r.attribution.as_mut().unwrap().threads[0].useful_ns += 1.0),
+            ("attribution", |r| r.attribution.as_mut().unwrap().threads[0].rank += 1),
+            ("attribution", |r| r.attribution.as_mut().unwrap().samples[0].time_ns += 1),
+            ("attribution", |r| r.attribution = None),
+            ("final_values", |r| *r.final_values.get_mut(&3).unwrap() += 1),
+        ];
+        for (i, (field, flip)) in flips.into_iter().enumerate() {
+            let mut flipped = base.clone();
+            flip(&mut flipped);
+            assert_eq!(first_difference(&base, &flipped), Some(field), "flip {i}");
+            assert_eq!(first_difference(&flipped, &base), Some(field), "flip {i}");
+        }
+        // NaN payloads count too: no float goes through `==`.
+        let mut nan = base.clone();
+        nan.wall_us = f64::NAN;
+        assert_eq!(first_difference(&nan, &nan.clone()), None);
+        let mut other_nan = nan.clone();
+        other_nan.wall_us = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        assert_eq!(first_difference(&nan, &other_nan), Some("wall_us"));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Built from two atomics following the classic construction (see *Rust
 //! Atomics and Locks*, ch. 4/9): arrivals decrement a counter; the last
 //! arriver resets it and flips the global sense; everyone else spins on
-//! the sense with a per-thread expected value. Spinning threads
-//! `spin_loop()` and periodically `yield_now()` so oversubscribed hosts
-//! (like CI containers) still make progress.
+//! the sense with a per-thread expected value, through the backend's one
+//! wait loop ([`super::wait`]), which gives the core back on
+//! oversubscribed hosts (like CI containers).
 
+use super::guard::RunGuard;
+use super::wait::wait_until;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Centralized sense-reversing barrier for a fixed-size team.
@@ -53,11 +55,11 @@ impl SenseBarrier {
     /// the barrier corrupt for this team — callers must abandon the run
     /// (the guard's stickiness makes every teammate do the same).
     #[must_use]
-    pub fn wait_bounded(&self, local_sense: &mut bool, guard: &super::guard::RunGuard) -> bool {
+    pub fn wait_bounded(&self, local_sense: &mut bool, guard: &RunGuard) -> bool {
         self.wait_impl(local_sense, Some(guard))
     }
 
-    fn wait_impl(&self, local_sense: &mut bool, guard: Option<&super::guard::RunGuard>) -> bool {
+    fn wait_impl(&self, local_sense: &mut bool, guard: Option<&RunGuard>) -> bool {
         self.arrivals.fetch_add(1, Ordering::Relaxed);
         *local_sense = !*local_sense;
         let expected = *local_sense;
@@ -65,23 +67,9 @@ impl SenseBarrier {
             // Last arriver: reset and release the team.
             self.remaining.store(self.n, Ordering::Relaxed);
             self.sense.store(expected, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.sense.load(Ordering::Acquire) != expected {
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(1024) {
-                    if let Some(g) = guard {
-                        if g.expired() {
-                            return false;
-                        }
-                    }
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
+            return true;
         }
-        true
+        wait_until(guard, || self.sense.load(Ordering::Acquire) == expected)
     }
 }
 

@@ -1,10 +1,12 @@
 //! A shared wall-clock deadline for one native region run.
 //!
-//! Every spinning wait in the native backend (barrier, ordered ticket,
-//! task-pool drain) periodically consults the run's [`RunGuard`]. When
-//! the absolute deadline passes — or any teammate has already tripped
-//! the guard — the wait gives up and the run reports a typed timeout
-//! instead of hanging forever on a lost ticket or a crashed teammate.
+//! Every in-region wait of the native backend (barrier, ordered ticket,
+//! task-pool drain, named-lock acquisition) is [`super::wait`]'s one wait
+//! loop, which consults the run's [`RunGuard`] each time its spin budget
+//! runs out, before it yields. When the absolute deadline passes — or
+//! any teammate has already tripped the guard — the wait gives up and
+//! the run reports a typed timeout instead of hanging forever on a lost
+//! ticket or a crashed teammate.
 //! A team thread that panics [trips](RunGuard::trip) the guard on its way
 //! out, so its teammates stop waiting for it at once.
 

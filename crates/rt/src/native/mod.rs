@@ -16,6 +16,7 @@ pub mod barrier;
 pub mod delay;
 pub mod guard;
 mod team;
+pub mod wait;
 pub mod workshare;
 
 use crate::config::{RegionResult, RtConfig};
@@ -33,6 +34,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use team::{Job, Team};
+use wait::wait_until;
 use workshare::{LoopCursor, NativeLoop};
 
 /// A mutex plus mutual-exclusion instrumentation: entries are counted
@@ -122,45 +124,24 @@ impl NativePool {
             .fetch_add(count as usize, Ordering::AcqRel);
     }
 
-    /// Execute queued tasks until the pool drains, then wait for every
-    /// outstanding task to complete. Returns `false` once `guard`
-    /// expires while tasks are still outstanding.
+    /// Execute queued tasks until every spawned task has completed,
+    /// helping out whenever new work appears. Returns `false` once
+    /// `guard` expires while tasks are still outstanding.
     #[must_use]
     fn exec_and_wait(&self, guard: &RunGuard, trace: &mut Tracer) -> bool {
-        loop {
-            let job = self.queue.lock().pop_front();
-            match job {
-                Some(us) => {
-                    trace.begin(SpanKind::Task);
-                    delay(us);
-                    self.executed.fetch_add(1, Ordering::Relaxed);
-                    self.outstanding.fetch_sub(1, Ordering::AcqRel);
-                    trace.end(SpanKind::Task);
-                }
-                None => break,
-            }
-        }
-        let mut spins = 0u32;
-        while self.outstanding.load(Ordering::Acquire) > 0 {
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(512) {
-                if guard.expired() {
-                    return false;
-                }
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-            // Help out if new work appeared.
-            if let Some(us) = self.queue.lock().pop_front() {
+        wait_until(Some(guard), || {
+            loop {
+                // The queue lock is released before the task runs.
+                let job = self.queue.lock().pop_front();
+                let Some(us) = job else { break };
                 trace.begin(SpanKind::Task);
                 delay(us);
                 self.executed.fetch_add(1, Ordering::Relaxed);
                 self.outstanding.fetch_sub(1, Ordering::AcqRel);
                 trace.end(SpanKind::Task);
             }
-        }
-        true
+            self.outstanding.load(Ordering::Acquire) == 0
+        })
     }
 }
 
@@ -276,10 +257,10 @@ impl Tracer {
 pub struct NativeRuntime {
     /// Affinity configuration applied to the team.
     pub config: RtConfig,
-    /// Wall-clock budget for one region run. Spinning waits (barriers,
-    /// ordered tickets, task-pool drains) give up once it passes and the
-    /// run returns [`RtError::Timeout`] instead of hanging; `None`
-    /// disables the watchdog.
+    /// Wall-clock budget for one region run. In-region waits (barriers,
+    /// ordered tickets, task-pool drains, named locks) give up once it
+    /// passes and the run returns [`RtError::Timeout`] instead of
+    /// hanging; `None` disables the watchdog.
     pub deadline: Option<Duration>,
     /// Record construct span timelines into [`RegionResult::trace`].
     pub tracing: bool,
@@ -770,32 +751,24 @@ fn interpret(
                 let l = &named[lock];
                 // The locked span includes the wait to acquire, like a
                 // critical section. A blocking lock() would turn a missed
-                // static-deadlock prediction into a process hang, so spin
+                // static-deadlock prediction into a process hang, so wait
                 // on try_lock under the run guard instead.
                 ctx.trace.begin(SpanKind::Critical);
-                let mut spins = 0u32;
-                let g = loop {
-                    if let Some(g) = l.inner.try_lock() {
-                        break g;
-                    }
-                    spins = spins.wrapping_add(1);
-                    if spins.is_multiple_of(512) {
-                        if ctx.guard.expired() {
-                            ctx.trace.end(SpanKind::Critical);
-                            return Err("locked scope");
-                        }
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                };
+                let mut held = None;
+                if !wait_until(Some(ctx.guard), || {
+                    held = l.inner.try_lock();
+                    held.is_some()
+                }) {
+                    ctx.trace.end(SpanKind::Critical);
+                    return Err("locked scope");
+                }
                 if l.occupancy.fetch_add(1, Ordering::AcqRel) != 0 {
                     l.violations.fetch_add(1, Ordering::Relaxed);
                 }
                 l.entries.fetch_add(1, Ordering::Relaxed);
                 let r = interpret(body, objs, ctx, idx);
                 l.occupancy.fetch_sub(1, Ordering::AcqRel);
-                drop(g);
+                drop(held);
                 ctx.trace.end(SpanKind::Critical);
                 r?;
             }

@@ -7,10 +7,13 @@
 //!    ever added; they exit when the team is dropped) and resolve the
 //!    thread→place assignment, cached per (config, team size). None of
 //!    this is on the region's clock.
-//! 2. **dispatch** — send every rank its [`Job`] handle, which wakes it.
+//! 2. **dispatch** — count the ranks into the process-wide in-region
+//!    tally that sizes every wait's spin budget ([`super::wait`]), then
+//!    send every rank its [`Job`] handle, which wakes it.
 //!    The worker re-applies its affinity only if its place changed since
 //!    the previous region, runs the job, drops its handle and counts the
-//!    completion latch down; the caller parks on that latch.
+//!    completion latch down; the caller parks on that latch and counts
+//!    the ranks out again when it opens.
 //! 3. **park** — the workers go back to sleep on their (channel) inboxes.
 //!
 //! A job that returns early (a [`RunGuard`] timeout) leaves the team
@@ -20,6 +23,7 @@
 
 use super::affinity;
 use super::guard::RunGuard;
+use super::wait::{self, InRegion};
 use crate::config::RtConfig;
 use ompvar_topology::{MachineSpec, Place, ProcBind};
 use std::any::Any;
@@ -169,6 +173,9 @@ impl Team {
     /// of them. A panic on any rank is re-raised here, after the team
     /// has been disbanded.
     pub(super) fn dispatch(&mut self, n: usize, placement: &Placement, job: Arc<dyn Job>) {
+        // Counted in before the first rank can wake, so that none of
+        // them sizes its first wait from a stale count.
+        let in_region = InRegion::enter(n);
         let latch = Arc::new(Latch {
             remaining: AtomicUsize::new(n),
             panicked: AtomicBool::new(false),
@@ -187,6 +194,7 @@ impl Team {
         while latch.remaining.load(Ordering::Acquire) != 0 {
             thread::park();
         }
+        drop(in_region);
         if latch.panicked.load(Ordering::Relaxed) {
             if let Some(payload) = self.disband() {
                 std::panic::resume_unwind(payload);
@@ -216,8 +224,7 @@ impl Drop for Team {
 /// Resolve the thread→place assignment against a machine the size of
 /// this host, so place resolution has something to bind against.
 fn host_assignment(config: &RtConfig, n_threads: usize) -> Placement {
-    let host_cpus = thread::available_parallelism().map_or(1, |p| p.get());
-    let machine = MachineSpec::generic(1, host_cpus, 1);
+    let machine = MachineSpec::generic(1, wait::cpus(), 1);
     // Resolution panics when the place list exceeds the host; in that
     // case run unpinned (the honest fallback on small hosts).
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -1,6 +1,8 @@
 //! Native work-sharing loop state: static/dynamic/guided chunk dispatch
 //! with `ordered` tickets, reusable across repetitions.
 
+use super::guard::RunGuard;
+use super::wait::wait_until;
 use crate::region::Schedule;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -150,7 +152,7 @@ impl NativeLoop {
         }
     }
 
-    /// Spin until iteration `iter` may enter its ordered section.
+    /// Wait until iteration `iter` may enter its ordered section.
     pub fn wait_ticket(&self, iter: u64) {
         let ok = self.wait_ticket_impl(iter, None);
         debug_assert!(ok, "unbounded ticket wait cannot fail");
@@ -159,26 +161,12 @@ impl NativeLoop {
     /// Deadline-bounded ticket wait: returns `false` once `guard`
     /// expires; the run must then be abandoned.
     #[must_use]
-    pub fn wait_ticket_bounded(&self, iter: u64, guard: &super::guard::RunGuard) -> bool {
+    pub fn wait_ticket_bounded(&self, iter: u64, guard: &RunGuard) -> bool {
         self.wait_ticket_impl(iter, Some(guard))
     }
 
-    fn wait_ticket_impl(&self, iter: u64, guard: Option<&super::guard::RunGuard>) -> bool {
-        let mut spins = 0u32;
-        while self.ticket.load(Ordering::Acquire) != iter {
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(512) {
-                if let Some(g) = guard {
-                    if g.expired() {
-                        return false;
-                    }
-                }
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        true
+    fn wait_ticket_impl(&self, iter: u64, guard: Option<&RunGuard>) -> bool {
+        wait_until(guard, || self.ticket.load(Ordering::Acquire) == iter)
     }
 
     /// Leave the ordered section: allow the next iteration in.

@@ -1,16 +1,18 @@
 //! Lifecycle of the native backend's persistent team: regions reuse
 //! parked threads, nothing leaks from one region into the next, the team
-//! survives a timeout, serialises concurrent callers, and its threads
-//! exit with the runtime.
+//! survives a timeout, serialises concurrent callers, its threads exit
+//! with the runtime, and the in-region rank count that sizes every wait
+//! returns to zero however a region ends.
 
 use ompvar_obs::SpanKind;
+use ompvar_rt::native::wait::ranks_in_region;
 use ompvar_rt::region::{Clause, Construct, RedOp, RegionSpec, Schedule, VarDecl, WriteOp};
 use ompvar_rt::{NativeRuntime, RegionResult, RtConfig, RtError};
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-/// The tests below count this process's team threads, so they take
-/// turns.
+/// The tests below count this process's team threads and its in-region
+/// ranks, so they take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -151,11 +153,49 @@ fn a_timed_out_region_leaves_the_team_usable() {
         Err(RtError::Timeout { deadline, .. }) => assert_eq!(deadline, Duration::ZERO),
         other => panic!("expected a timeout, got {other:?}"),
     }
+    assert_eq!(ranks_in_region(), 0, "a timed-out region counts its ranks out");
     rt.deadline = Some(Duration::from_secs(30));
     let p = program(2);
     let r = rt.run(&p).expect("the same team runs a clean region");
     assert_eq!(r.effects, p.expected_effects());
+    assert_eq!(ranks_in_region(), 0, "a clean region counts its ranks out");
     assert_team_threads_settle_to(2);
+}
+
+#[test]
+fn a_panicking_region_counts_its_ranks_out_before_it_is_re_raised() {
+    let _turn = serial();
+    let rt = rt();
+    // The one way a validated program still panics a rank: a stream
+    // buffer no host can size ("capacity overflow", on every rank).
+    let bomb = RegionSpec::new(3, vec![Construct::Barrier, Construct::StreamBytes(1e30)])
+        .expect("any finite byte count validates");
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.run(&bomb)))
+        .expect_err("the ranks' panic is re-raised on the caller");
+    assert_eq!(ranks_in_region(), 0);
+    let p = program(3);
+    let r = rt.run(&p).expect("a fresh team runs the next region");
+    assert_eq!(r.effects, p.expected_effects());
+    assert_eq!(ranks_in_region(), 0);
+}
+
+#[test]
+fn an_oversubscribed_team_runs_two_thousand_regions_like_a_fresh_runtime() {
+    let _turn = serial();
+    // More ranks than this 2-CPU host (or a small CI runner) has CPUs:
+    // every wait of these regions is on the throttled budget, and must
+    // still only ever release on its condition.
+    const RANKS: usize = 8;
+    let p = program(RANKS);
+    let fresh = observable(&rt().run(&p).expect("fresh runtime completes"));
+    let rt = rt();
+    for i in 0..2000 {
+        let r = rt.run(&p).expect("region completes on the oversubscribed team");
+        assert_eq!(r.effects, p.expected_effects(), "region {i}");
+        assert_eq!(observable(&r), fresh, "region {i}");
+    }
+    assert_eq!(ranks_in_region(), 0);
+    assert_team_threads_settle_to(RANKS);
 }
 
 #[test]
@@ -176,6 +216,7 @@ fn concurrent_runs_on_clones_take_turns_on_the_one_team() {
             });
         }
     });
+    assert_eq!(ranks_in_region(), 0, "both clones counted their ranks out");
     // One team, not one per clone.
     assert_team_threads_settle_to(3);
 }

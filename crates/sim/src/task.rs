@@ -421,7 +421,7 @@ pub struct LoopFrame {
 }
 
 /// Per-task statistics collected by the engine.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskStats {
     /// Time spent actually executing timed micro-ops.
     pub busy_time: Time,

@@ -27,7 +27,7 @@ pub struct FreqSample {
 }
 
 /// Aggregate engine counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Kernel-noise arrivals that preempted a user task.
     pub preemptions: u64,
