@@ -166,7 +166,15 @@ fn main() -> ExitCode {
             "--fast" => opts.fast = true,
             "--seed" => opts.seed = parsed(value()),
             "--out" => opts.out_dir = value().into(),
-            "--fuzz-cases" => opts.fuzz_cases = Some(parsed(value())),
+            "--fuzz-cases" => {
+                // Every batch of cases is a journaled cell planned up front.
+                let cases: u64 = parsed(value());
+                if cases > 10_000_000 {
+                    eprintln!("error: --fuzz-cases {cases} is out of range (max 10000000)");
+                    usage();
+                }
+                opts.fuzz_cases = Some(cases);
+            }
             "--trace" => opts.trace_path = Some(value().into()),
             "--lint-json" => opts.lint_json = Some(value().into()),
             "--attr" => opts.attr = true,

@@ -1,15 +1,20 @@
 //! The `fuzz` experiment: differential fuzzing of the two backends.
 //!
-//! Drives [`ompvar_qcheck::run_fuzz_parallel`]: every case draws a
-//! random well-formed region from the campaign seed, runs it on the
-//! simulated *and* the native runtime, and holds both to the statically
-//! predicted semantic effects of the construct tree (plus determinism of
-//! the sim and agreement of measured-interval shapes). Failures are
-//! shrunk to a minimal replayable counterexample. `--jobs N` fans the
-//! cases across N worker threads; each case is a pure function of
-//! `(config, case index)`, so the report — and every check below — is
-//! identical at any job count, which oracle #10 verifies on a small
-//! side campaign.
+//! Every case draws a random well-formed region from the campaign seed,
+//! runs it on the simulated *and* the native runtime, and holds both to
+//! the statically predicted semantic effects of the construct tree
+//! (plus determinism of the sim and agreement of measured-interval
+//! shapes). Failures are shrunk to a minimal replayable counterexample.
+//!
+//! The campaign is a [`Grid`]: cell `fuzz/<k>` is the case range
+//! `k·BATCH ..` on qcheck's one serial driver ([`run_fuzz_range`]), so
+//! `--jobs`, retry and `--resume` apply per batch and nothing here
+//! creates a thread. A batch's sample is its coverage counts in
+//! [`ALL_KINDS`] order plus its failing cases *as text* — a native-side
+//! failure need not reproduce, so the fold never re-derives one: it adds
+//! the counts and concatenates the failures in cell (= campaign) order.
+//! A case is a pure function of `(seed, case index)`, so the report is
+//! the same at any job count and across kill-and-resume (oracle #10).
 //!
 //! The campaign generates **clause-annotated** programs
 //! ([`GenConfig::with_vars`]): named variables under
@@ -25,15 +30,25 @@
 //! `--fuzz-cases 1 --seed <base + i>` (the seed is printed in the
 //! failure detail).
 //!
-//! One check runs the shrinker against a deliberately-broken oracle
-//! ("no program may contain a Reduction") to demonstrate that a fresh
-//! failure reduces to a one-construct program.
+//! Three side checks are cells too, planned first so the sweep's tail
+//! is small batches: the shrinker against a deliberately-broken oracle
+//! ("no program may contain a Reduction"), oracle #10 and oracle #13.
 
 use crate::common::{Check, ExpOptions, ExpReport};
+use crate::grid::{Grid, Plan, Runs, Sample};
 use ompvar_core::Table;
 use ompvar_qcheck::gen::{self, GenConfig, ALL_KINDS};
-use ompvar_qcheck::{case_seed, oracle, run_fuzz_parallel, shrink, FuzzConfig};
+use ompvar_qcheck::{case_seed, oracle, run_fuzz_range, shrink, FuzzConfig, FuzzFailure};
 use ompvar_rt::region::Construct;
+use ompvar_supervisor::{attempt_seed, UnitError};
+
+/// Cases per batch cell. A constant, not a knob: large enough that a
+/// cell's journal line and completion callback are noise beside its
+/// work — measured on the 2-core box, ≈ 12 µs per cell (4 096 empty
+/// 19-count cells through the journaled executor, at `--jobs` 1 and 2)
+/// against ≈ 5.6 ms for 32 cases at ≈ 175 µs each, 0.2 % — and small
+/// enough that `--fast` still spans batches and a kill loses little.
+const BATCH: u64 = 32;
 
 /// Does the block contain a `Reduction` at any nesting depth?
 fn has_reduction(cs: &[Construct]) -> bool {
@@ -77,130 +92,142 @@ fn shrinker_demo(seed: u64, cfg: &GenConfig) -> (bool, String) {
     )
 }
 
-/// Execute and report.
-pub fn run(opts: &ExpOptions) -> ExpReport {
-    let cases = opts
-        .fuzz_cases
-        .unwrap_or(if opts.fast { 60 } else { 200 });
-    let cfg = FuzzConfig {
-        cases,
-        base_seed: opts.seed,
-        gen: GenConfig::with_vars(),
-    };
-    let rep = run_fuzz_parallel(&cfg, ompvar_supervisor::resolve_jobs(opts.jobs));
+/// The campaign under attempt `attempt` of a cell: a retry re-seeds it,
+/// attempt 0 keeps `case_seed = seed + case`.
+fn campaign(seed: u64, attempt: u32, cases: u64) -> FuzzConfig {
+    FuzzConfig { cases, base_seed: attempt_seed(seed, attempt), gen: GenConfig::with_vars() }
+}
 
-    let mut t = Table::new(
-        &format!(
-            "Fuzz: {} differential case(s), base seed {}, {} failure(s)",
-            rep.cases,
-            cfg.base_seed,
-            rep.failures.len()
-        ),
-        &["construct kind", "generated"],
-    );
-    for kind in ALL_KINDS {
-        let n = rep.coverage.get(kind).copied().unwrap_or(0);
-        t.row(&[kind.to_string(), n.to_string()]);
-    }
+/// A failing case as the report prints it: replay seed, oracle
+/// violations and shrunk program.
+pub(crate) fn failure_detail(f: &FuzzFailure) -> String {
+    let replay = shrink::dump(&f.shrunk, f.case_seed);
+    format!("case {}: {}\n  {replay}", f.case, f.reasons.join("; "))
+}
 
-    let mut checks = Vec::new();
-    let detail = if rep.failures.is_empty() {
-        format!("{} case(s), zero oracle violations", rep.cases)
-    } else {
-        // Render every failure with its replay seed and shrunk program.
-        rep.failures
-            .iter()
-            .map(|f| {
-                format!(
-                    "case {}: {}\n  {}",
-                    f.case,
-                    f.reasons.join("; "),
-                    shrink::dump(&f.shrunk, f.case_seed)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    checks.push(Check::new(
-        "both backends agree with predicted effects on every case",
-        rep.failures.is_empty(),
-        detail,
-    ));
+/// A side check's sample: its verdict and the detail behind it. An
+/// oracle passes when it reports no violations.
+fn verdict(violations: Vec<String>, clean: String) -> Result<Sample, UnitError> {
+    let passed = violations.is_empty();
+    let detail = if passed { clean } else { violations.join("; ") };
+    Sample::noted(vec![f64::from(u8::from(passed))], vec![detail])
+}
 
-    let missing: Vec<&str> = ALL_KINDS
-        .into_iter()
-        .filter(|k| !rep.coverage.contains_key(k))
-        .collect();
-    // Full grammar coverage is only a fair demand with a real budget; a
-    // handful of cases cannot visit all 19 kinds.
-    let coverage_expected = rep.cases >= 50;
-    checks.push(Check::new(
-        "campaign exercises every construct kind",
-        missing.is_empty() || !coverage_expected,
-        if missing.is_empty() {
-            format!("all {} kinds covered", ALL_KINDS.len())
-        } else if coverage_expected {
-            format!("never generated: {missing:?}")
-        } else {
-            format!(
-                "{} of {} kinds in {} case(s); full coverage requires ≥ 50",
-                ALL_KINDS.len() - missing.len(),
-                ALL_KINDS.len(),
-                rep.cases
-            )
-        },
-    ));
+/// The grid: three side-check cells, then one cell per case batch.
+pub fn plan(opts: &ExpOptions) -> Grid {
+    let cases = opts.fuzz_cases.unwrap_or(if opts.fast { 60 } else { 200 });
+    let seed = opts.seed;
+    let mut plan = Plan::new("fuzz", opts);
 
-    let probe = case_seed(cfg.base_seed, 0);
-    let regen_ok = gen::generate(probe, &cfg.gen) == gen::generate(probe, &cfg.gen);
-    checks.push(Check::new(
-        "generation is deterministic per seed",
-        regen_ok,
-        format!("case 0 (seed {probe}) regenerated identically: {regen_ok}"),
-    ));
-
-    let (minimal, demo_detail) = shrinker_demo(cfg.base_seed, &cfg.gen);
-    checks.push(Check::new(
-        "shrinker reduces a broken-oracle failure to one construct",
-        minimal,
-        demo_detail,
-    ));
-
-    // Oracle #10 on a small side campaign: the parallel driver must
-    // produce a byte-identical report to the sequential one. A bounded
-    // budget keeps this a structural check on the drivers, not a second
-    // full campaign.
-    let equiv_cfg = FuzzConfig {
-        cases: cases.min(16),
-        base_seed: opts.seed,
-        gen: GenConfig::with_vars(),
-    };
-    let violations = oracle::check_jobs_equivalence(&equiv_cfg, 8);
-    checks.push(Check::new(
-        "parallel fuzz driver reports identically to sequential (oracle #10)",
-        violations.is_empty(),
-        if violations.is_empty() {
-            format!("{} case(s) at jobs=1 vs jobs=8: reports identical", equiv_cfg.cases)
-        } else {
-            violations.join("; ")
-        },
-    ));
-
+    let shrinker = plan.cell("shrinker", move |attempt| {
+        let cfg = campaign(seed, attempt, cases);
+        let (minimal, detail) = shrinker_demo(cfg.base_seed, &cfg.gen);
+        Sample::noted(vec![f64::from(u8::from(minimal))], vec![detail])
+    });
+    // Oracle #10 on a small side campaign: a bounded budget keeps this a
+    // structural check on the driver, not a second full campaign.
+    let partition = plan.cell("partition", move |attempt| {
+        let cfg = campaign(seed, attempt, cases.min(16));
+        let n = cfg.cases;
+        let clean = format!("{n} case(s) as one range vs ranges of 1 / 5 / {n}: reports identical");
+        verdict(oracle::check_partition(&cfg), clean)
+    });
     // Oracle #13: kill a journaled campaign after every single
     // checkpoint write (via the chaos shim's crash points) and demand
     // each resume reproduces the uncrashed result exactly.
-    let violations = oracle::check_crash_resume(opts.seed);
-    checks.push(Check::new(
-        "resume after any single crash matches the uncrashed run (oracle #13)",
-        violations.is_empty(),
-        if violations.is_empty() {
-            "every crash point resumed to the uncrashed reference".to_string()
-        } else {
-            violations.join("; ")
-        },
-    ));
+    let crash_resume = plan.cell("crash-resume", move |attempt| {
+        let clean = "every crash point resumed to the uncrashed reference".to_string();
+        verdict(oracle::check_crash_resume(attempt_seed(seed, attempt)), clean)
+    });
+    let batches: Runs = (0..cases)
+        .step_by(BATCH as usize)
+        .enumerate()
+        .map(|(k, first)| {
+            plan.cell(k, move |attempt| {
+                let rep = run_fuzz_range(&campaign(seed, attempt, cases), first..first + BATCH);
+                let count = |kind| rep.coverage.get(kind).copied().unwrap_or(0) as f64;
+                let failures = rep.failures.iter().map(failure_detail).collect();
+                Sample::noted(ALL_KINDS.iter().map(count).collect(), failures)
+            })
+        })
+        .reduce(|a, b| a.start..b.end)
+        .unwrap_or(0..0);
 
-    ExpReport::new("fuzz", vec![t], checks)
+    plan.fold(move |s| {
+        let mut coverage = [0u64; ALL_KINDS.len()];
+        for batch in s.of(&batches) {
+            for (total, n) in coverage.iter_mut().zip(batch) {
+                *total += *n as u64;
+            }
+        }
+        let failures: Vec<&str> = s.notes(&batches).map(String::as_str).collect();
+
+        let mut t = Table::new(
+            &format!(
+                "Fuzz: {cases} differential case(s), base seed {seed}, {} failure(s)",
+                failures.len()
+            ),
+            &["construct kind", "generated"],
+        );
+        for (kind, n) in ALL_KINDS.iter().zip(coverage) {
+            t.row(&[kind.to_string(), n.to_string()]);
+        }
+
+        let mut checks = Vec::new();
+        checks.push(Check::new(
+            "both backends agree with predicted effects on every case",
+            failures.is_empty(),
+            if failures.is_empty() {
+                format!("{cases} case(s), zero oracle violations")
+            } else {
+                failures.join("\n")
+            },
+        ));
+
+        let missing: Vec<&str> = ALL_KINDS
+            .into_iter()
+            .zip(coverage)
+            .filter_map(|(kind, n)| (n == 0).then_some(kind))
+            .collect();
+        // Full grammar coverage is only a fair demand with a real budget; a
+        // handful of cases cannot visit all 19 kinds.
+        let coverage_expected = cases >= 50;
+        checks.push(Check::new(
+            "campaign exercises every construct kind",
+            missing.is_empty() || !coverage_expected,
+            if missing.is_empty() {
+                format!("all {} kinds covered", ALL_KINDS.len())
+            } else if coverage_expected {
+                format!("never generated: {missing:?}")
+            } else {
+                format!(
+                    "{} of {} kinds in {cases} case(s); full coverage requires ≥ 50",
+                    ALL_KINDS.len() - missing.len(),
+                    ALL_KINDS.len(),
+                )
+            },
+        ));
+
+        let (probe, gen) = (case_seed(seed, 0), GenConfig::with_vars());
+        let regen_ok = gen::generate(probe, &gen) == gen::generate(probe, &gen);
+        checks.push(Check::new(
+            "generation is deterministic per seed",
+            regen_ok,
+            format!("case 0 (seed {probe}) regenerated identically: {regen_ok}"),
+        ));
+
+        let side = [
+            ("shrinker reduces a broken-oracle failure to one construct", &shrinker),
+            ("a campaign split into case ranges merges to the whole (oracle #10)", &partition),
+            ("resume after any single crash matches the uncrashed run (oracle #13)", &crash_resume),
+        ];
+        checks.extend(side.map(|(name, cell)| {
+            let detail = s.notes(cell).next().cloned().unwrap_or_default();
+            Check::new(name, s.one(cell) == [1.0], detail)
+        }));
+
+        ExpReport::new("fuzz", vec![t], checks)
+    })
 }
 
 #[cfg(test)]
@@ -213,7 +240,7 @@ mod tests {
             fuzz_cases: Some(12),
             ..ExpOptions::fast()
         };
-        let rep = run(&opts);
+        let rep = plan(&opts).run();
         assert!(rep.all_passed(), "fuzz checks failed:\n{}", rep.render());
     }
 
@@ -223,7 +250,7 @@ mod tests {
             fuzz_cases: Some(3),
             ..ExpOptions::fast()
         };
-        let rep = run(&opts);
+        let rep = plan(&opts).run();
         assert!(rep.tables[0].render().contains("3 differential case(s)"));
     }
 }

@@ -2,13 +2,16 @@
 //!
 //! The paper's protocol is N independent seeded job submissions per
 //! configuration, folded into a table. A [`Plan`] registers exactly
-//! that: each *cell* is one `(runtime, region, seed_base + i)` run,
-//! reduced inside the cell to a small bit-exact [`Sample`]; the fold is
-//! the pure function from the completed samples to the report. Whoever
-//! holds the [`Grid`] owns scheduling: the CLI flattens every selected
-//! experiment's cells into its one journaled campaign ([`Sweep`]), so
-//! `--jobs`, `--resume`, retry / quarantine and the watchdog all apply
-//! per cell; [`Grid::run`] is the same path, serially.
+//! that: each *cell* is one seeded piece of work — for the paper's
+//! experiments one `(runtime, region, seed_base + i)` run
+//! ([`Plan::cells`]), for `fuzz` a batch of cases, for `variability` one
+//! attributed run ([`Plan::cell`]) — reduced inside the cell to a small
+//! bit-exact [`Sample`]; the fold is the pure function from the
+//! completed samples to the report. Whoever holds the [`Grid`] owns
+//! scheduling: the CLI flattens every selected experiment's cells into
+//! its one journaled campaign ([`Sweep`]), so `--jobs`, `--resume`,
+//! retry / quarantine and the watchdog all apply per cell;
+//! [`Grid::run`] is the same path, serially.
 
 use crate::common::{Check, ExpOptions, ExpReport};
 use ompvar_bench_epcc::run_seed;
@@ -30,19 +33,28 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub enum Sample {
     /// A seeded run reduced to a few finite numbers, bit-exact through
-    /// the journal text (`{"samples":[…]}`, shortest-roundtrip floats).
-    Values(Vec<f64>),
+    /// the journal text (`{"samples":[…]}`, shortest-roundtrip floats) —
+    /// and, beside them, the text a fold cannot re-derive: a fuzz
+    /// batch's failing cases as the cell saw them fail (`"notes":[…]`,
+    /// written when there is any).
+    Values(Vec<f64>, Vec<String>),
     /// The finished report of an experiment that is one cell.
     Report(ExpReport),
 }
 
 impl Sample {
-    /// Wrap a cell's reduced values. JSON has no NaN or infinity — the
-    /// journal would silently hold `null` — so a non-finite value is a
-    /// permanent cell failure instead.
+    /// Wrap a cell's reduced values.
     pub fn checked(values: Vec<f64>) -> Result<Sample, UnitError> {
+        Sample::noted(values, Vec::new())
+    }
+
+    /// Wrap a cell's reduced values and the text observed with them.
+    /// JSON has no NaN or infinity — the journal would silently hold
+    /// `null` — so a non-finite value is a permanent cell failure
+    /// instead.
+    pub fn noted(values: Vec<f64>, notes: Vec<String>) -> Result<Sample, UnitError> {
         match values.iter().position(|v| !v.is_finite()) {
-            None => Ok(Sample::Values(values)),
+            None => Ok(Sample::Values(values, notes)),
             Some(i) => Err(UnitError {
                 message: format!("non-finite sample: value {i} of {} is {}", values.len(), values[i]),
                 transience: Transience::Permanent,
@@ -54,7 +66,7 @@ impl Sample {
     /// The numbers of a seeded run's sample; a report holds none.
     pub fn values(&self) -> &[f64] {
         match self {
-            Sample::Values(v) => v,
+            Sample::Values(v, _) => v,
             Sample::Report(_) => &[],
         }
     }
@@ -63,19 +75,28 @@ impl Sample {
 impl Checkpointable for Sample {
     fn to_ckpt(&self) -> Value {
         match self {
-            Sample::Values(v) => Value::Obj(vec![(
-                "samples".into(),
-                Value::Arr(v.iter().map(|&x| Value::Num(x)).collect()),
-            )]),
+            Sample::Values(v, notes) => {
+                let mut fields = vec![("samples".into(), Value::Arr(v.iter().map(|&x| Value::Num(x)).collect()))];
+                if !notes.is_empty() {
+                    fields.push(("notes".into(), Value::Arr(notes.iter().map(|n| Value::Str(n.clone())).collect())));
+                }
+                Value::Obj(fields)
+            }
             Sample::Report(r) => r.to_ckpt(),
         }
     }
 
     fn from_ckpt(v: &Value) -> Option<Sample> {
-        match v.get("samples") {
-            Some(s) => s.as_arr()?.iter().map(Value::as_f64).collect::<Option<_>>().map(Sample::Values),
-            None => ExpReport::from_ckpt(v).map(Sample::Report),
-        }
+        let Some(samples) = v.get("samples") else {
+            return ExpReport::from_ckpt(v).map(Sample::Report);
+        };
+        let values = samples.as_arr()?.iter().map(Value::as_f64).collect::<Option<_>>()?;
+        let text = |n: &Value| n.as_str().map(str::to_string);
+        let notes = match v.get("notes") {
+            Some(n) => n.as_arr()?.iter().map(text).collect::<Option<_>>()?,
+            None => Vec::new(),
+        };
+        Some(Sample::Values(values, notes))
     }
 }
 
@@ -145,6 +166,14 @@ impl Samples {
         self.of(runs).next().expect("a configuration has at least one run")
     }
 
+    /// The text the cells of one configuration observed, in cell order.
+    pub fn notes(&self, runs: &Runs) -> impl Iterator<Item = &String> {
+        self.0[runs.clone()].iter().flat_map(|s| match s {
+            Sample::Values(_, notes) => &notes[..],
+            Sample::Report(_) => &[],
+        })
+    }
+
     /// One configuration reduced by [`reps`], as the run set the
     /// variability statistics are defined on.
     pub fn runset(&self, runs: &Runs) -> RunSet {
@@ -166,6 +195,19 @@ impl Plan {
         Plan { name, seed: opts.seed, cells: Vec::new() }
     }
 
+    /// Register one cell, `<experiment>/<label>`: `run` maps the attempt
+    /// number to the cell's sample. What a retry re-seeds is the cell's
+    /// business; attempt 0 is the run the report is defined on.
+    pub fn cell(
+        &mut self,
+        label: impl std::fmt::Display,
+        run: impl Fn(u32) -> Result<Sample, UnitError> + Send + Sync + 'static,
+    ) -> Runs {
+        let at = self.cells.len();
+        self.cells.push(ExecUnit::new(format!("{}/{label}", self.name), run));
+        at..at + 1
+    }
+
     /// Register `n` seeded runs of `region` on `rt` — cells
     /// `<experiment>/<label>/<i>` — each reduced by `reduce` before its
     /// [`RegionResult`] is dropped. The cells share the runtime and the
@@ -180,15 +222,15 @@ impl Plan {
     ) -> Runs {
         let first = self.cells.len();
         let (seed, shared) = (self.seed, Arc::new((rt, region, reduce)));
-        self.cells.extend((0..n).map(|i| {
+        for i in 0..n {
             let shared = Arc::clone(&shared);
-            ExecUnit::new(format!("{}/{label}/{i}", self.name), move |attempt| {
+            self.cell(format_args!("{label}/{i}"), move |attempt| {
                 let (rt, region, reduce) = &*shared;
                 let res = run_seed(rt, region, attempt_seed(seed, attempt), i)
                     .map_err(|e| UnitError::from_rt(&e))?;
                 Sample::checked(reduce(&res))
-            })
-        }));
+            });
+        }
         first..self.cells.len()
     }
 
@@ -240,6 +282,8 @@ struct Part {
     name: &'static str,
     first: usize,
     slots: Vec<Option<Result<Sample, Check>>>,
+    /// Cells not yet terminal: the experiment folds at zero.
+    remaining: usize,
     fold: Option<Fold>,
     report: Option<ExpReport>,
     busy: Duration,
@@ -267,6 +311,7 @@ impl Sweep {
                 name,
                 first: sweep.units.len(),
                 slots: (0..n).map(|_| None).collect(),
+                remaining: n,
                 fold: Some(grid.fold),
                 report: None,
                 busy: Duration::ZERO,
@@ -301,7 +346,10 @@ impl Sweep {
             Outcome::Completed { value, .. } => Ok(value.clone()),
             Outcome::Quarantined { retries, .. } => Err(quarantine_check(&r.name, retries)),
         });
-        if p.slots.iter().any(Option::is_none) {
+        // A cell is terminal once, so counting beats scanning the slots
+        // (under this lock) for each of a long campaign's cells.
+        p.remaining -= 1;
+        if p.remaining > 0 {
             return None;
         }
         let cells = p.slots.len();
@@ -364,6 +412,7 @@ mod tests {
     use super::*;
     use crate::common::{run_journaled, Campaign};
     use ompvar_obs::json;
+    use proptest::prelude::*;
 
     /// What a journal line carries of a sample: the payload as text.
     fn through_journal_text(s: &Sample) -> Option<Sample> {
@@ -375,12 +424,24 @@ mod tests {
         let subnormal = f64::MIN_POSITIVE / 8.0;
         assert!(subnormal > 0.0 && !subnormal.is_normal());
         let hard = vec![-0.0, 0.0, f64::from_bits(1), subnormal, f64::MIN_POSITIVE, 1e-300, 0.1, -1.5e300, f64::MAX, f64::MIN];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for values in [hard, Vec::new()] {
-            let back = through_journal_text(&Sample::checked(values.clone()).expect("finite")).expect("readable");
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert!(matches!(back, Sample::Values(_)));
-            assert_eq!(bits(back.values()), bits(&values));
+            // With and without text beside the numbers, hostile
+            // characters included.
+            let notes = vec!["case 3: \"quoted\" \\ back\n  slash\ttab \u{1} ü".to_string(), String::new()];
+            for notes in [Vec::new(), notes] {
+                let sample = Sample::noted(values.clone(), notes.clone()).expect("finite");
+                match through_journal_text(&sample).expect("readable") {
+                    Sample::Values(v, n) => assert_eq!((bits(&v), n), (bits(&values), notes)),
+                    other => panic!("{other:?}"),
+                }
+            }
         }
+        // A cell without text journals what it did before cells could
+        // carry any — every paper cell's line is byte for byte the same.
+        let line = |s: Result<Sample, UnitError>| json::write(&s.expect("finite").to_ckpt());
+        assert_eq!(line(Sample::checked(vec![1.5, -0.0, 3e-7])), r#"{"samples":[1.5,-0.0,3e-7]}"#);
+        assert_eq!(line(Sample::noted(vec![2.0], vec!["n".into()])), r#"{"samples":[2.0],"notes":["n"]}"#);
         // A report stays a report (it has no `samples` field).
         let report = ExpReport::new("demo", Vec::new(), vec![Check::new("c", true, "d".into())]);
         match through_journal_text(&Sample::Report(report.clone())) {
@@ -392,9 +453,11 @@ mod tests {
     #[test]
     fn a_non_finite_sample_is_a_typed_permanent_error_not_a_null() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = Sample::checked(vec![1.0, bad]).expect_err("non-finite");
-            assert_eq!(err.transience, Transience::Permanent);
-            assert!(err.message.contains("non-finite sample: value 1 of 2"), "{}", err.message);
+            for made in [Sample::checked(vec![1.0, bad]), Sample::noted(vec![1.0, bad], Vec::new())] {
+                let err = made.expect_err("non-finite");
+                assert_eq!(err.transience, Transience::Permanent);
+                assert!(err.message.contains("non-finite sample: value 1 of 2"), "{}", err.message);
+            }
         }
         // … and a `null` that reached a journal anyway is unreadable (the
         // cell re-runs), never a silently shorter or zeroed sample.
@@ -402,44 +465,184 @@ mod tests {
         assert!(Sample::from_ckpt(&null).is_none());
     }
 
-    /// Rendered report plus the bytes of every CSV it writes.
-    fn artifacts(report: &ExpReport, tag: &str) -> (String, Vec<Vec<u8>>) {
+    /// A JSON value decoded from arbitrary bytes, object keys drawn
+    /// mostly from the ones `Sample::from_ckpt` looks at so that the
+    /// type-confused neighbours of every real payload shape come up.
+    fn value_from(bytes: &mut std::slice::Iter<'_, u8>, depth: usize) -> Value {
+        const KEYS: [&str; 9] = ["samples", "notes", "name", "tables", "checks", "title", "header", "rows", "alien"];
+        fn next(bytes: &mut std::slice::Iter<'_, u8>) -> usize {
+            bytes.next().copied().unwrap_or(0) as usize
+        }
+        match next(bytes) % if depth == 0 { 5 } else { 7 } {
+            0 => Value::Null,
+            1 => Value::Bool(next(bytes) & 1 == 0),
+            2 => Value::Num([0.0, -1.5, 1e300, f64::NAN, f64::INFINITY][next(bytes) % 5]),
+            3 => Value::Num(next(bytes) as f64),
+            4 => Value::Str(KEYS[next(bytes) % KEYS.len()].repeat(next(bytes) % 3)),
+            5 => Value::Arr((0..next(bytes) % 4).map(|_| value_from(bytes, depth - 1)).collect()),
+            _ => Value::Obj(
+                (0..next(bytes) % 4)
+                    .map(|_| (KEYS[next(bytes) % KEYS.len()].to_string(), value_from(bytes, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        /// Hostile journal bytes: whatever a payload holds, reading it is
+        /// `Err` / `None` or a sample that writes and reads back — never
+        /// a panic (a panic here would take the resume's control lane
+        /// down with it).
+        #[test]
+        fn arbitrary_bytes_never_panic_the_payload_reader(bytes in prop::collection::vec(0u8..=255, 0..96)) {
+            // As raw text …
+            if let Ok(v) = json::parse(&String::from_utf8_lossy(&bytes)) {
+                let _ = Sample::from_ckpt(&v);
+            }
+            // … and as a well-formed value of the wrong shape.
+            let v = value_from(&mut bytes.iter(), 3);
+            let reparsed = json::parse(&json::write(&v)).expect("the writer's text parses");
+            if let Some(sample) = Sample::from_ckpt(&reparsed) {
+                prop_assert!(through_journal_text(&sample).is_some(), "{v:?}");
+            }
+        }
+
+        /// A batch payload cut short or with one byte overwritten: a cut
+        /// never parses, an overwrite is unreadable or a sample.
+        #[test]
+        fn a_damaged_batch_payload_is_unreadable_not_fatal(cut in 0usize..1000, byte in 0u8..=127) {
+            let batch = Sample::noted(vec![3.0, 0.0, 17.0], vec!["case 9: sim backend failed\n  replay …".into()]);
+            let text = json::write(&batch.expect("finite").to_ckpt());
+            let (cut, mut hit) = (cut % text.len(), text.clone().into_bytes());
+            let prefix = String::from_utf8_lossy(&hit[..cut]).into_owned();
+            prop_assert!(json::parse(&prefix).is_err(), "{prefix}");
+            hit[cut] = byte;
+            if let Ok(v) = json::parse(&String::from_utf8_lossy(&hit)) {
+                let _ = Sample::from_ckpt(&v);
+            }
+        }
+    }
+
+    #[test]
+    fn type_confused_batch_payloads_are_unreadable() {
+        for alien in [
+            r#"{"samples":[1.0],"notes":3}"#,
+            r#"{"samples":[1.0],"notes":[3]}"#,
+            r#"{"samples":[1.0],"notes":{"0":"x"}}"#,
+            r#"{"samples":["1.0"],"notes":[]}"#,
+            r#"{"samples":{"0":1.0}}"#,
+            r#"{"notes":["x"]}"#,
+            r#"[1.0]"#,
+        ] {
+            assert!(Sample::from_ckpt(&json::parse(alien).expect("valid JSON")).is_none(), "{alien}");
+        }
+    }
+
+    /// A failing fuzz case travels as the text its cell observed: a
+    /// batch sample carrying one failure folds to the same report in
+    /// process and through the journal text, the failure detail verbatim.
+    #[test]
+    fn a_batch_failure_folds_the_same_in_process_and_through_the_journal() {
+        use ompvar_qcheck::{case_seed, FuzzFailure};
+        use ompvar_rt::region::{Construct, RegionSpec};
+        let opts = ExpOptions { fuzz_cases: Some(40), seed: 11, ..ExpOptions::fast() };
+        let region = RegionSpec::new(2, vec![Construct::Barrier, Construct::Atomic]).expect("valid");
+        let failure = FuzzFailure {
+            case: 37,
+            case_seed: case_seed(opts.seed, 37),
+            region: region.clone(),
+            reasons: vec!["native backend failed: \"boom\"".into(), "sim effects diverge".into()],
+            shrunk: RegionSpec::new(1, vec![Construct::Atomic]).expect("valid"),
+        };
+        let detail = crate::fuzz_exp::failure_detail(&failure);
+        assert!(detail.starts_with("case 37: native backend failed: \"boom\"; sim effects diverge\n  replay with: ompvar-repro fuzz --fuzz-cases 1 --seed 48\n"), "{detail}");
+
+        let folded = |journaled: bool| {
+            let grid = crate::fuzz_exp::plan(&opts);
+            let samples = grid.cells.iter().map(|c| {
+                let mut sample = (c.run)(0).expect("cell runs");
+                if c.name == "fuzz/1" {
+                    sample = Sample::noted(sample.values().to_vec(), vec![detail.clone()]).expect("finite");
+                }
+                if journaled { through_journal_text(&sample).expect("readable") } else { sample }
+            });
+            (grid.fold)(Samples(samples.collect()))
+        };
+        let (direct, replayed) = (folded(false), folded(true));
+        assert_eq!(direct.render(), replayed.render());
+        assert!(direct.tables[0].title().contains("40 differential case(s), base seed 11, 1 failure(s)"));
+        let agree = &direct.checks[0];
+        assert!(!agree.passed && agree.detail == detail, "{}", agree.detail);
+        assert!(direct.checks[1..].iter().all(|c| c.passed), "{}", direct.render());
+    }
+
+    /// Rendered report plus the bytes of every CSV (and, for
+    /// `variability`, JSON artifact) it writes.
+    fn artifacts(report: &ExpReport, out: &std::path::Path, tag: &str) -> (String, Vec<Vec<u8>>) {
         let dir = std::env::temp_dir().join(format!("ompvar_grid_{tag}_{}", std::process::id()));
-        let csvs = report.write_csvs(&dir).expect("CSVs written");
-        let bytes = csvs.iter().map(|p| std::fs::read(p).expect("CSV readable")).collect();
+        let mut written = report.write_csvs(&dir).expect("CSVs written");
+        if report.name == "variability" {
+            written.extend(["variability.json", "variability.trace.json"].map(|f| out.join(f)));
+        }
+        let bytes = written.iter().map(|p| std::fs::read(p).expect("artifact readable")).collect();
+        // Each way of running the grid must write the artifacts itself.
+        written.iter().for_each(|p| std::fs::remove_file(p).expect("artifact removed"));
         let _ = std::fs::remove_dir_all(&dir);
         (report.render(), bytes)
     }
 
-    /// The three ways a grid's cells get run — in order on this thread,
-    /// on the executor at `--jobs 4`, and not at all (replayed from the
-    /// journal the second way wrote) — fold to the same bytes.
+    /// The ways a grid's cells get run — in order on this thread, on
+    /// the executor at `--jobs 4`, not at all (replayed from the journal
+    /// the second way wrote), and all but one (a batch payload made
+    /// unreadable re-runs that cell alone) — fold to the same bytes.
+    /// `fuzz` spans three batches; with `variability` it is held to this
+    /// like the paper's experiments, which is what says a report does
+    /// not depend on `--jobs` or on a resume.
     #[test]
     fn serial_parallel_and_replayed_folds_agree() {
         let out = std::env::temp_dir().join(format!("ompvar_grid_sweep_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&out);
-        let opts = ExpOptions { jobs: 4, seed: 3, out_dir: out.clone(), ..ExpOptions::fast() };
-        let names = ["fig2", "fig4", "table2"];
+        let opts = ExpOptions { jobs: 4, seed: 3, out_dir: out.clone(), fuzz_cases: Some(70), ..ExpOptions::fast() };
+        let names = ["fig2", "fig4", "table2", "fuzz", "variability"];
         let exps = || names.map(|n| crate::EXPERIMENTS.iter().find(|e| e.name == n).unwrap());
-        let serial: Vec<_> = exps().iter().map(|e| artifacts(&e.run(&opts), "serial")).collect();
+        let serial: Vec<_> = exps().iter().map(|e| artifacts(&e.run(&opts), &out, "serial")).collect();
 
         let swept = |opts: &ExpOptions, tag: &str| {
             let sweep = Sweep::new(exps().iter().map(|e| (e.name, e.plan(opts))).collect());
             let record = |r: &UnitResult<Sample>| drop(sweep.record(r));
             let door = Campaign { progress: Some(&record), ..Campaign::inner("grid") };
             let run = run_journaled(opts, &door, sweep.units()).expect("StartFresh never aborts");
-            let replayed = run.results.iter().filter(|r| r.outcome.from_checkpoint()).count();
+            let ran: Vec<_> = run.results.iter().filter(|r| !r.outcome.from_checkpoint()).map(|r| r.name.clone()).collect();
             let (_, reports) = sweep.finish();
             assert_eq!(reports.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(), names);
-            (run.results.len(), replayed, reports.iter().map(|r| artifacts(r, tag)).collect::<Vec<_>>())
+            (run.results.len(), ran, reports.iter().map(|r| artifacts(r, &out, tag)).collect::<Vec<_>>())
         };
-        let (cells, replayed, parallel) = swept(&opts, "parallel");
-        assert_eq!(replayed, 0);
+        let (cells, ran, parallel) = swept(&opts, "parallel");
+        assert_eq!(ran.len(), cells);
+        assert_eq!(ran.iter().filter(|c| c.starts_with("fuzz/") && c["fuzz/".len()..].parse::<u64>().is_ok()).count(), 3);
         assert_eq!(parallel, serial, "jobs 4 vs serial");
         let resumed = ExpOptions { resume: Some(opts.checkpoint_dir()), ..opts.clone() };
-        let (_, replayed, from_journal) = swept(&resumed, "replayed");
-        assert_eq!(replayed, cells, "every cell replays, none re-runs");
+        let (_, ran, from_journal) = swept(&resumed, "replayed");
+        assert_eq!(ran, [""; 0], "every cell replays, none re-runs");
         assert_eq!(from_journal, serial, "journal replay vs serial");
+
+        // Type-confuse the journaled payload of one fuzz batch.
+        let mut confused = 0;
+        for shard in std::fs::read_dir(opts.checkpoint_dir()).expect("checkpoint dir").filter_map(Result::ok) {
+            let text = std::fs::read_to_string(shard.path()).expect("shard readable");
+            let lines = text.lines().map(|l| match l.contains("\"name\":\"fuzz/1\"") {
+                true => {
+                    confused += 1;
+                    l.replace("\"payload\":{", "\"payload\":{\"notes\":3,") + "\n"
+                }
+                false => l.to_string() + "\n",
+            });
+            std::fs::write(shard.path(), lines.collect::<String>()).expect("shard rewritten");
+        }
+        assert_eq!(confused, 1, "fuzz/1 is journaled once");
+        let (_, ran, rerun_one) = swept(&resumed, "rerun");
+        assert_eq!(ran, ["fuzz/1"], "an unreadable batch re-runs alone");
+        assert_eq!(rerun_one, serial, "one batch re-run vs serial");
         let _ = std::fs::remove_dir_all(&out);
     }
 }

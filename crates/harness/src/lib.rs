@@ -4,10 +4,11 @@
 //!
 //! One module per table/figure of the evaluation, each producing an
 //! [`common::ExpReport`] with paper-style tables and shape checks, all
-//! listed once in the [`EXPERIMENTS`] registry. A paper experiment is a
-//! declared [`grid::Grid`] — seeded cells plus a fold — so whoever holds
-//! the grid owns scheduling; campaigns go through the one front door,
-//! [`common::run_journaled`].
+//! listed once in the [`EXPERIMENTS`] registry. A paper experiment —
+//! and `fuzz` and `variability` beside them — is a declared
+//! [`grid::Grid`], seeded cells plus a fold, so whoever holds the grid
+//! owns scheduling: the sweep's executor is the only thread pool.
+//! Campaigns go through the one front door, [`common::run_journaled`].
 
 pub mod common;
 pub mod grid;
@@ -93,11 +94,11 @@ pub const EXPERIMENTS: [Experiment; 18] = [
     Experiment { name: "taskbench", body: Grid(taskbench_exp::plan), families: &[Task] },
     Experiment { name: "chunks", body: Grid(chunks::plan), families: &[Sched] },
     Experiment { name: "faults", body: Whole(faults_exp::run), families: &[] },
-    Experiment { name: "fuzz", body: Whole(fuzz_exp::run), families: &[] },
+    Experiment { name: "fuzz", body: Grid(fuzz_exp::plan), families: &[] },
     Experiment { name: "analyze", body: Whole(analyze_exp::run), families: &[] },
     Experiment { name: "trace", body: Whole(trace_exp::run), families: &[] },
     Experiment { name: "campaign", body: Whole(campaign_exp::run), families: &[Sched] },
-    Experiment { name: "variability", body: Whole(variability::run), families: &[Sync, Sched] },
+    Experiment { name: "variability", body: Grid(variability::plan), families: &[Sync, Sched] },
     Experiment { name: "chaos", body: Whole(chaos_exp::run), families: &[] },
 ];
 
@@ -159,7 +160,15 @@ mod tests {
             assert_eq!(cells, names(e.plan(&opts)), "{} plans differently twice", e.name);
             match e.body {
                 Body::Grid(_) => assert!(cells.len() > 1, "{} is a grid of one", e.name),
-                Body::Whole(_) => assert_eq!(cells, [e.name]),
+                Body::Whole(_) => {
+                    assert_eq!(cells, [e.name]);
+                    // Everything else runs on the sweep's pool and journal.
+                    assert!(["faults", "analyze", "trace", "campaign", "chaos"].contains(&e.name), "{}", e.name);
+                }
+            }
+            if e.name == "fuzz" {
+                let batches = cells.iter().filter(|c| c["fuzz/".len()..].parse::<u64>().is_ok()).count();
+                assert!(batches > 1, "fuzz --fast is one batch: {cells:?}");
             }
             for c in cells {
                 assert!(c == e.name || c.starts_with(&format!("{}/", e.name)), "{c}");

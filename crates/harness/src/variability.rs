@@ -16,13 +16,16 @@
 //!   fault-injected frequency cap) and `stall` (a one-shot stall of
 //!   rank 1, the classic straggler).
 //!
-//! Every `(cell, run)` pair is one unit on the fault-tolerant campaign
-//! executor, so `--jobs N` shards the measurement matrix and `--resume`
-//! replays it. Per-run results are folded into **streaming mergeable
-//! statistics** — [`QuantileSketch`] + [`VarAccum`], whose merges are
-//! bit-exact associative — in canonical unit order, which is what makes
-//! the final report byte-identical at any worker count and across
-//! kill-and-resume. Artifacts:
+//! The experiment is a [`Grid`]: every `(configuration, run)` pair is
+//! one cell `variability/<workload>/<config>/<i>` of the sweep's one
+//! journaled campaign, so `--jobs N` shards the measurement matrix and
+//! `--resume` replays it — there is no campaign, journal or payload
+//! type of this experiment's own. A cell's sample is its run collapsed
+//! to numbers ([`measure`]); the fold feeds them into **streaming
+//! mergeable statistics** — [`QuantileSketch`] + [`VarAccum`], whose
+//! merges are bit-exact associative — in cell order, which makes the
+//! report byte-identical at any worker count and across
+//! kill-and-resume, and writes the artifacts:
 //!
 //! * `<out>/variability.json` — the `ompvar-variability/1` document:
 //!   per-cell wall-time dispersion (mean/CoV/quantiles), per-source
@@ -31,7 +34,8 @@
 //!   `sched/noise` run with the per-source cumulative counter tracks
 //!   (`attr_cum_ms`), the "where did my time go" timeline view.
 
-use crate::common::{run_journaled, Campaign, Check, ExpOptions, ExpReport, Platform};
+use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::grid::{Grid, Plan, Sample};
 use ompvar_core::Table;
 use ompvar_bench_epcc::{schedbench, syncbench, EpccConfig, SyncConstruct};
 use ompvar_obs::json::Value;
@@ -39,9 +43,8 @@ use ompvar_obs::{AttrSource, QuantileSketch, RunAttribution, ThreadAttribution, 
 use ompvar_rt::region::{RegionSpec, Schedule};
 use ompvar_sim::fault::FaultPlan;
 use ompvar_sim::time::{SEC, US};
-use ompvar_supervisor::{
-    atomic_write, attempt_seed, name_seed, Checkpointable, ExecUnit, Outcome, UnitError,
-};
+use ompvar_supervisor::{atomic_write, attempt_seed, name_seed, UnitError};
+use std::sync::Arc;
 
 const PLATFORM: Platform = Platform::Vera;
 const THREADS: usize = 8;
@@ -101,83 +104,22 @@ fn plan_for(config: &str) -> FaultPlan {
     }
 }
 
-/// One attributed run, collapsed to what the streaming aggregation
-/// needs. This is the unit payload that goes through the checkpoint
-/// manifest, so a resumed campaign replays the exact numbers.
-#[derive(Debug, Clone, PartialEq)]
-struct VarRun {
-    /// Whole-region wall time, ns (rounded).
-    wall_ns: u64,
-    /// Per-repetition times of the measured interval, ns (rounded).
-    rep_ns: Vec<u64>,
-    /// Total useful compute across threads, ns.
-    useful_ns: f64,
-    /// Total per-source charges across threads, ns, in ledger order.
-    by_source: [f64; N_SOURCES],
-    /// Whether the run satisfied the per-thread conservation invariant.
-    conserved: bool,
-}
-
-impl Checkpointable for VarRun {
-    fn to_ckpt(&self) -> Value {
-        Value::Obj(vec![
-            ("wall_ns".into(), Value::Num(self.wall_ns as f64)),
-            (
-                "rep_ns".into(),
-                Value::Arr(self.rep_ns.iter().map(|&r| Value::Num(r as f64)).collect()),
-            ),
-            ("useful_ns".into(), Value::Num(self.useful_ns)),
-            (
-                "by_source".into(),
-                Value::Arr(self.by_source.iter().map(|&x| Value::Num(x)).collect()),
-            ),
-            ("conserved".into(), Value::Bool(self.conserved)),
-        ])
-    }
-
-    fn from_ckpt(v: &Value) -> Option<VarRun> {
-        let nums = |v: &Value| -> Option<Vec<f64>> {
-            v.as_arr()?.iter().map(Value::as_f64).collect()
-        };
-        let src = nums(v.get("by_source")?)?;
-        if src.len() != N_SOURCES {
-            return None;
-        }
-        let mut by_source = [0.0; N_SOURCES];
-        by_source.copy_from_slice(&src);
-        Some(VarRun {
-            wall_ns: v.get("wall_ns")?.as_f64()? as u64,
-            rep_ns: nums(v.get("rep_ns")?)?.into_iter().map(|x| x as u64).collect(),
-            useful_ns: v.get("useful_ns")?.as_f64()?,
-            by_source,
-            conserved: v.get("conserved")?.as_bool()?,
-        })
-    }
-}
-
-/// One attributed measurement run of a cell.
-fn measure(region: &RegionSpec, config: &str, seed: u64) -> Result<VarRun, UnitError> {
+/// One attributed measurement run of a cell, collapsed to what the
+/// streaming aggregation needs — and that is the cell's sample, so a
+/// resumed campaign replays the exact numbers: `[wall_ns, useful_ns,
+/// conserved (0/1), charge per source in ledger order…, rep_ns…]`, all
+/// in ns, the wall and repetition times rounded (whole numbers far
+/// below 2⁵³, exact as `f64`). [`CellAgg::fold`] is the reader.
+fn measure(region: &RegionSpec, config: &str, seed: u64) -> Result<Vec<f64>, UnitError> {
     let rt = PLATFORM.sterile_cell_rt(THREADS, plan_for(config)).with_attribution(true);
-    match rt.run(region, seed) {
-        Ok(res) => {
-            let attr = res
-                .attribution
-                .as_ref()
-                .expect("attributed sim run returns a ledger");
-            let mut by_source = [0.0; N_SOURCES];
-            for (i, &s) in AttrSource::ALL.iter().enumerate() {
-                by_source[i] = attr.total(s);
-            }
-            Ok(VarRun {
-                wall_ns: (res.wall_us * 1e3).round() as u64,
-                rep_ns: res.reps().iter().map(|&us| (us * 1e3).round() as u64).collect(),
-                useful_ns: attr.useful_total(),
-                by_source,
-                conserved: attr.check_conservation(res.wall_us * 1e3, 1e-6).is_ok(),
-            })
-        }
-        Err(e) => Err(UnitError::from_rt(&e)),
-    }
+    let res = rt.run(region, seed).map_err(|e| UnitError::from_rt(&e))?;
+    let attr = res.attribution.as_ref().expect("attributed sim run returns a ledger");
+    let conserved = attr.check_conservation(res.wall_us * 1e3, 1e-6).is_ok();
+    let wall_ns = (res.wall_us * 1e3).round();
+    let mut run = vec![wall_ns, attr.useful_total(), f64::from(u8::from(conserved))];
+    run.extend(AttrSource::ALL.iter().map(|&s| attr.total(s)));
+    run.extend(res.reps().iter().map(|&us| (us * 1e3).round()));
+    Ok(run)
 }
 
 /// Streaming per-cell aggregate, folded run by run in canonical unit
@@ -212,23 +154,27 @@ impl CellAgg {
         }
     }
 
-    fn fold(&mut self, run: &VarRun) {
-        self.wall.record(run.wall_ns);
+    /// Fold one run, laid out as [`measure`] returns it.
+    fn fold(&mut self, run: &[f64]) {
+        let (&[wall_ns, useful_ns, conserved], rest) =
+            run.split_first_chunk().expect("a run starts wall, useful, conserved");
+        let (by_source, rep_ns) = rest.split_at(N_SOURCES);
+        self.wall.record(wall_ns as u64);
         // Each run contributes a sketch of its own repetitions; the cell
         // keeps the merge (exactly equal to bulk-recording, by the
         // sketch's merge law — this is the cross-run streaming path).
         let mut s = QuantileSketch::new();
-        for &r in &run.rep_ns {
-            s.record(r);
+        for &r in rep_ns {
+            s.record(r as u64);
         }
         self.reps.merge(&s);
-        self.useful_ns += run.useful_ns;
-        for i in 0..N_SOURCES {
-            self.by_source[i] += run.by_source[i];
-            self.src_var[i].record(run.by_source[i].round() as u64);
+        self.useful_ns += useful_ns;
+        for (i, &charge) in by_source.iter().enumerate() {
+            self.by_source[i] += charge;
+            self.src_var[i].record(charge.round() as u64);
         }
         self.runs += 1;
-        self.conserved &= run.conserved;
+        self.conserved &= conserved == 1.0;
     }
 
     /// The cell's aggregate ledger as a [`RunAttribution`], for shares.
@@ -345,48 +291,49 @@ fn variability_json(opts: &ExpOptions, cells: &[CellAgg]) -> String {
     s
 }
 
-/// Execute and report.
-pub fn run(opts: &ExpOptions) -> ExpReport {
+/// The grid: `runs_per_cell` attributed runs of every workload ×
+/// interference configuration, and the fold that aggregates them and
+/// writes the artifacts.
+pub fn plan(opts: &ExpOptions) -> Grid {
     let runs = runs_per_cell(opts);
-    let cell_names: Vec<String> = WORKLOADS
-        .iter()
-        .flat_map(|wl| CONFIGS.iter().map(move |cfg| format!("{wl}/{cfg}")))
-        .collect();
-
-    // One executor unit per (cell, run): the measurement matrix shards
-    // across `--jobs` workers and journals into the campaign's
-    // `variability.jsonl` shards for kill-and-resume.
     let seed = opts.seed;
-    let mut units: Vec<ExecUnit<VarRun>> = Vec::new();
+    let mut plan = Plan::new("variability", opts);
+    let mut configs = Vec::new();
     for wl in WORKLOADS {
-        let region = region_for(wl, opts);
+        let region = Arc::new(region_for(wl, opts));
         for cfg in CONFIGS {
-            for i in 0..runs {
-                let name = format!("{wl}/{cfg}/{i}");
-                let (region, key) = (region.clone(), name.clone());
-                // Decorrelated per-unit seed stream; attempt 0 keeps the
+            let cells = (0..runs).map(|i| {
+                let (region, key) = (Arc::clone(&region), format!("{wl}/{cfg}/{i}"));
+                // Decorrelated per-cell seed stream; attempt 0 keeps the
                 // base stream so an unretried campaign is reproducible.
-                units.push(ExecUnit::new(name, move |attempt| {
-                    measure(&region, cfg, attempt_seed(seed ^ name_seed(&key), attempt))
-                }));
-            }
+                let unit_seed = seed ^ name_seed(&key);
+                plan.cell(key, move |attempt| {
+                    Sample::checked(measure(&region, cfg, attempt_seed(unit_seed, attempt))?)
+                })
+            });
+            let cells = cells.reduce(|a, b| a.start..b.end).expect("at least one run per cell");
+            configs.push((format!("{wl}/{cfg}"), cells));
         }
     }
-    let campaign = run_journaled(opts, &Campaign::inner("variability"), &units)
-        .expect("StartFresh never aborts");
+    let opts = opts.clone();
+    plan.fold(move |samples| {
+        // Fold into per-cell streaming aggregates, in cell order whatever
+        // the worker count, so every derived f64 is identical at any
+        // `--jobs`.
+        let cells: Vec<CellAgg> = configs
+            .iter()
+            .map(|(name, runs)| {
+                let mut agg = CellAgg::new(name);
+                samples.of(runs).for_each(|run| agg.fold(run));
+                agg
+            })
+            .collect();
+        report(&opts, &cells)
+    })
+}
 
-    // Fold into per-cell streaming aggregates. `campaign.results` is in
-    // canonical unit order regardless of worker count, so the fold order
-    // — and with it every derived f64 — is identical at any `--jobs`.
-    let mut cells: Vec<CellAgg> = cell_names.iter().map(|n| CellAgg::new(n)).collect();
-    let mut failed_units: Vec<String> = Vec::new();
-    for r in &campaign.results {
-        match &r.outcome {
-            Outcome::Completed { value, .. } => cells[r.index / runs].fold(value),
-            Outcome::Quarantined { .. } => failed_units.push(r.name.clone()),
-        }
-    }
-
+/// Tables, artifacts and shape checks over the aggregated cells.
+fn report(opts: &ExpOptions, cells: &[CellAgg]) -> ExpReport {
     // ---- Tables --------------------------------------------------------
     let ms = |ns: f64| format!("{:.3}", ns / 1e6);
     let us_of = |ns: u64| format!("{:.1}", ns as f64 / 1e3);
@@ -394,7 +341,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         "Variability: wall-time dispersion per cell (Vera, 8 pinned threads)",
         &["cell", "runs", "mean ms", "cov", "rep p50 µs", "rep p99 µs", "rep max µs"],
     );
-    for c in &cells {
+    for c in cells {
         t_disp.row(&[
             c.name.clone(),
             c.runs.to_string(),
@@ -409,7 +356,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         "Attribution: where did the time go (share of accounted time per cell)",
         &["cell", "useful", "noise", "sync_wait", "mem", "runtime", "top noise source"],
     );
-    for c in &cells {
+    for c in cells {
         let shares = c.attr().shares();
         let share = |name: &str| {
             shares
@@ -444,7 +391,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         "Top variance sources per cell (by per-run std of the charge)",
         &["cell", "source", "mean µs", "std µs", "cov"],
     );
-    for c in &cells {
+    for c in cells {
         for (s, a) in c.top_sources().into_iter().take(2) {
             t_top.row(&[
                 c.name.clone(),
@@ -461,7 +408,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     checks.push(Check::wrote(
         "ompvar-variability/1 report written",
         &opts.out_dir.join("variability.json"),
-        &variability_json(opts, &cells),
+        &variability_json(opts, cells),
     ));
 
     // One representative attributed + traced run of `sched/noise` for the
@@ -514,15 +461,10 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         Check::new(name, oks.iter().all(|&ok| ok), details.join(", "))
     };
     let charged = |c: &CellAgg, s: AttrSource| c.by_source[s.index()];
-    checks.push(Check::new(
-        "every unit completed",
-        failed_units.is_empty(),
-        if failed_units.is_empty() {
-            format!("{} unit(s)", campaign.results.len())
-        } else {
-            format!("quarantined: {}", failed_units.join(", "))
-        },
-    ));
+    // The fold only runs once every cell completed: a quarantined cell
+    // is the sweep's FAIL check, in place of this report.
+    let units: usize = cells.iter().map(|c| c.runs).sum();
+    checks.push(Check::new("every unit completed", true, format!("{units} unit(s)")));
     checks.push(Check::new(
         "every run conserves attributed time",
         cells.iter().all(|c| c.conserved),
@@ -599,7 +541,7 @@ mod tests {
     #[test]
     fn variability_checks_pass_and_report_parses() {
         let o = opts("pass");
-        let rep = run(&o);
+        let rep = plan(&o).run();
         for c in &rep.checks {
             assert!(c.passed, "{}: {}", c.name, c.detail);
         }
@@ -637,40 +579,6 @@ mod tests {
         let trace = std::fs::read_to_string(o.out_dir.join("variability.trace.json")).unwrap();
         parse(&trace).expect("valid chrome trace");
         assert!(trace.contains("attr_cum_ms"));
-        let _ = std::fs::remove_dir_all(&o.out_dir);
-    }
-
-    /// The acceptance bar: the `ompvar-variability/1` document is
-    /// byte-identical across `--jobs 1` and `--jobs 4`.
-    #[test]
-    fn report_is_byte_identical_across_jobs() {
-        let o1 = ExpOptions { jobs: 1, ..opts("jobs1") };
-        let o4 = ExpOptions { jobs: 4, ..opts("jobs4") };
-        let r1 = run(&o1);
-        let r4 = run(&o4);
-        // Check details embed the (distinct) output paths; the measured
-        // content — every table cell — must match exactly.
-        for (t1, t4) in r1.tables.iter().zip(r4.tables.iter()) {
-            assert_eq!(t1.render(), t4.render());
-        }
-        let d1 = std::fs::read(o1.out_dir.join("variability.json")).unwrap();
-        let d4 = std::fs::read(o4.out_dir.join("variability.json")).unwrap();
-        assert_eq!(d1, d4, "variability.json differs between --jobs 1 and --jobs 4");
-        let _ = std::fs::remove_dir_all(&o1.out_dir);
-        let _ = std::fs::remove_dir_all(&o4.out_dir);
-    }
-
-    /// Kill-and-resume: a campaign resumed from its own shard manifests
-    /// replays every unit and produces the identical report.
-    #[test]
-    fn report_survives_resume() {
-        let o = opts("resume");
-        let fresh = run(&o);
-        let d_fresh = std::fs::read(o.out_dir.join("variability.json")).unwrap();
-        let resumed = run(&ExpOptions { resume: Some(o.checkpoint_dir()), ..o.clone() });
-        let d_resumed = std::fs::read(o.out_dir.join("variability.json")).unwrap();
-        assert_eq!(fresh.render(), resumed.render());
-        assert_eq!(d_fresh, d_resumed, "variability.json changed across resume");
         let _ = std::fs::remove_dir_all(&o.out_dir);
     }
 }

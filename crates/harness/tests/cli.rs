@@ -664,6 +664,12 @@ fn fuzz_smoke_with_case_budget() {
     assert!(!stdout.contains("[FAIL]"), "{stdout}");
     assert!(out_dir.join("fuzz_0.csv").exists());
     std::fs::remove_dir_all(&out_dir).ok();
+
+    // Every batch of cases is a cell planned up front, so an absurd
+    // budget is a usage error, not an allocation.
+    let out = repro().args(["--fuzz-cases", "10000001", "fuzz"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--fuzz-cases 10000001 is out of range"));
 }
 
 /// The analyze experiment honors `--lint-json`: the exported document
@@ -895,12 +901,14 @@ fn usage_enumerates_the_registry_in_order() {
     assert!(stderr.contains(&format!("<{}|all>", names.join("|"))), "{stderr}");
 }
 
-/// Regression (PR 13): a sweep killed before its inner campaigns began
-/// has no `variability.jsonl` / `campaign.jsonl` in the `--resume`
-/// directory. The resumed inner campaigns must *create* their journals
-/// and journal every unit — `variability` used to run unjournaled,
-/// `campaign` to claim it did — and a further resume must replay every
-/// unit from them to byte-identical artifacts.
+/// Regression (PR 13), restated: a sweep killed before `campaign` and
+/// `variability` began has no `campaign.jsonl` in the `--resume`
+/// directory and none of `variability`'s cells in its manifest. The
+/// resumed inner campaign must *create* its journal and journal every
+/// unit (it used to claim it did), and a further resume must replay
+/// every unit from it; `variability` has no journal of its own — its
+/// runs are cells of the sweep, journaled exactly once across the
+/// `manifest*.jsonl` shards, and nothing writes `variability.jsonl`.
 #[test]
 fn resumed_inner_campaigns_create_and_then_replay_their_journals() {
     let base = std::env::temp_dir().join("ompvar_cli_inner_journal");
@@ -918,25 +926,24 @@ fn resumed_inner_campaigns_create_and_then_replay_their_journals() {
         (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
     };
     // What a kill right after fig2's last cell leaves behind: the
-    // sweep's manifest holds the header and fig2's 13 cells, and
-    // neither inner campaign has a journal yet.
-    let rewind = |drop_inner_journals: bool| {
+    // sweep's manifest holds the header and fig2's 13 cells, and the
+    // inner campaign has no journal yet.
+    let rewind = |drop_inner_journal: bool| {
         let manifest = ckpt.join("manifest.jsonl");
         let text = std::fs::read_to_string(&manifest).expect("manifest");
         let kept: Vec<&str> = text.lines().take(14).collect();
         assert!(kept[1..].iter().all(|l| l.contains("\"name\":\"fig2/")), "{text}");
         std::fs::write(&manifest, format!("{}\n", kept.join("\n"))).expect("manifest rewound");
-        if drop_inner_journals {
+        if drop_inner_journal {
             for e in std::fs::read_dir(&ckpt).expect("checkpoint dir").filter_map(Result::ok) {
-                let name = e.file_name().to_string_lossy().into_owned();
-                if name.starts_with("variability") || name.starts_with("campaign") {
+                if e.file_name().to_string_lossy().starts_with("campaign") {
                     std::fs::remove_file(e.path()).expect("inner artifact removed");
                 }
             }
         }
     };
-    let journal = |name: &str| {
-        let text = std::fs::read_to_string(ckpt.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let campaign_journal = || {
+        let text = std::fs::read_to_string(ckpt.join("campaign.jsonl")).expect("campaign.jsonl");
         let mut lines = text.lines();
         let header = parse(lines.next().expect("header line")).expect("header parses");
         assert_eq!(header.get("schema").and_then(Value::as_str), Some("ompvar-checkpoint/1"));
@@ -951,34 +958,109 @@ fn resumed_inner_campaigns_create_and_then_replay_their_journals() {
             .map(|l| parse(l).expect("unit line parses"))
             .map(|u| u.get("name").and_then(Value::as_str).expect("unit name").to_string())
             .collect();
-        assert_eq!(units, targets, "{name}: one entry per unit, in unit order");
-        (text, units.len())
+        assert_eq!(units, targets, "one entry per unit, in unit order");
+        assert_eq!(units.len(), 4);
+        text
+    };
+    // `variability`'s runs are the sweep's cells: each journaled once
+    // in the sweep's own shards, and in no journal of its own.
+    let variability_cells_journaled_once = || {
+        let cells = journaled_cells(&ckpt);
+        assert_eq!(cells, header_cells(&ckpt));
+        assert_eq!(cells.iter().filter(|c| c.starts_with("variability/")).count(), 48, "{cells:?}");
+        for e in std::fs::read_dir(&ckpt).expect("checkpoint dir").filter_map(Result::ok) {
+            let name = e.file_name().to_string_lossy().into_owned();
+            assert!(!name.starts_with("variability"), "{name}: variability keeps no journal");
+        }
     };
 
     run(false);
+    variability_cells_journaled_once();
     let reference = std::fs::read(base.join("variability.json")).expect("variability.json");
     rewind(true);
 
-    // First resume: journals absent → created and filled, nothing degraded.
+    // First resume: the inner journal is absent → created and filled,
+    // nothing degraded; variability's cells re-run into the manifest.
     let (stdout, stderr) = run(true);
     let replayed = "(fig2 took 0.0s busy in 13 cells, 0.0s wall [replayed from checkpoint])";
     assert!(stdout.contains(replayed), "{stdout}");
     assert!(!stderr.contains("unjournaled"), "{stderr}");
-    let (var_journal, var_units) = journal("variability.jsonl");
-    let (cam_journal, cam_units) = journal("campaign.jsonl");
-    assert_eq!((var_units, cam_units), (48, 4));
+    let cam_journal = campaign_journal();
+    variability_cells_journaled_once();
     assert_eq!(std::fs::read(base.join("variability.json")).unwrap(), reference);
 
-    // Second resume: the inner campaigns run again (the sweep's manifest
-    // is rewound once more) but every one of their units replays — the
-    // journals gain no line — to byte-identical artifacts.
+    // Second resume: `campaign` runs again (the sweep's manifest is
+    // rewound once more) but every one of its units replays — its
+    // journal gains no line — to byte-identical artifacts.
     rewind(false);
     let (_, stderr) = run(true);
     assert!(!stderr.contains("unjournaled"), "{stderr}");
-    assert_eq!(journal("variability.jsonl").0, var_journal, "a replayed unit is not re-journaled");
-    assert_eq!(journal("campaign.jsonl").0, cam_journal, "a replayed unit is not re-journaled");
+    assert_eq!(campaign_journal(), cam_journal, "a replayed unit is not re-journaled");
+    variability_cells_journaled_once();
     assert_eq!(std::fs::read(base.join("variability.json")).unwrap(), reference);
     let trace = std::fs::read_to_string(ckpt.join("campaign.trace.json")).expect("campaign trace");
     assert_eq!(trace.matches("\"supervisor_resume\"").count(), 4, "{trace}");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A fuzz campaign is resumable per batch: killed at `--jobs 2` once
+/// two case-batch cells are journaled, `--resume` replays the journaled
+/// batches, re-runs strictly fewer than the campaign has, journals each
+/// cell exactly once and reports what an unkilled `--jobs 1` run does.
+#[test]
+fn killed_fuzz_campaign_resumes_per_batch() {
+    let base = std::env::temp_dir().join("ompvar_cli_fuzz_resume");
+    std::fs::remove_dir_all(&base).ok();
+    let fuzz = |jobs: &str, out: &std::path::Path| {
+        let mut cmd = repro();
+        cmd.args(["fuzz", "--fuzz-cases", "3000", "--seed", "42", "--jobs", jobs, "--out"]).arg(out);
+        cmd
+    };
+    let is_batch = |cell: &str| cell.strip_prefix("fuzz/").is_some_and(|k| k.parse::<u64>().is_ok());
+    let ref_dir = base.join("ref");
+    let out = fuzz("1", &ref_dir).output().expect("binary runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let kill_dir = base.join("kill");
+    let ckpt = kill_dir.join("checkpoint");
+    let mut child = fuzz("2", &kill_dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary spawns");
+    // Complete journal lines of batch cells, across both shards; the
+    // process is appending, so the last line of a shard may be torn.
+    let journaled_batches = || -> usize {
+        let shards = std::fs::read_dir(&ckpt).into_iter().flatten().filter_map(Result::ok);
+        let complete = |text: String| {
+            let lines = text.split_inclusive('\n').filter(|l| l.ends_with('\n'));
+            lines.filter(|l| parse(l).is_ok_and(|u| u.get("name").and_then(Value::as_str).is_some_and(is_batch))).count()
+        };
+        shards.filter_map(|e| std::fs::read_to_string(e.path()).ok()).map(complete).sum()
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while journaled_batches() < 2 {
+        assert!(std::time::Instant::now() < deadline, "two batches never journaled");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    child.kill().expect("SIGKILL");
+    child.wait().expect("reaped");
+    let survived = journaled_batches();
+
+    let out = fuzz("2", &kill_dir).arg("--resume").arg(&ckpt).output().expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let cells = header_cells(&ckpt);
+    assert_eq!(journaled_cells(&ckpt), cells, "every cell journaled exactly once");
+    let planned = cells.iter().filter(|c| is_batch(c)).count();
+    assert_eq!(planned, 3000usize.div_ceil(32));
+    assert!(survived >= 2 && planned - survived < planned, "{survived} of {planned} batches survived");
+    assert!(stdout.contains("cells from checkpoint]") || stdout.contains("[replayed from checkpoint]"), "{stdout}");
+    assert!(stdout.contains("3000 differential case(s)") && !stdout.contains("[FAIL]"), "{stdout}");
+    assert_eq!(
+        std::fs::read(ref_dir.join("fuzz_0.csv")).expect("reference CSV"),
+        std::fs::read(kill_dir.join("fuzz_0.csv")).expect("resumed CSV"),
+        "resumed fuzz_0.csv differs from an unkilled --jobs 1 run"
+    );
     std::fs::remove_dir_all(&base).ok();
 }

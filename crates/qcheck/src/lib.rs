@@ -15,11 +15,14 @@
 //! may-deadlock-flagged program is the static prediction coming true
 //! and is accepted (flagged programs run sim-only).
 //!
-//! The top-level drivers are [`run_fuzz`] and its multi-threaded twin
-//! [`run_fuzz_parallel`] (cases self-scheduled off an atomic counter,
-//! report merged deterministically — oracle #10 holds the two to
-//! byte-identical reports); the harness exposes them as the `fuzz`
-//! experiment (`ompvar-repro fuzz --fuzz-cases N --seed S --jobs J`).
+//! There is one driver and it is serial: [`run_fuzz_range`] runs a
+//! range of cases on the calling thread ([`run_fuzz`]: all of them). A
+//! case is a pure function of `(config, case index)` and
+//! [`FuzzReport::merge`] is additive, so ranges merged are the campaign
+//! (oracle #10, [`oracle::check_partition`]). This crate creates no
+//! thread: the harness plans the `fuzz` experiment as case-range cells
+//! on the one campaign executor (`ompvar-repro fuzz --fuzz-cases N
+//! --seed S --jobs J`), where `--jobs`, retry and `--resume` come from.
 
 #![warn(missing_docs)]
 
@@ -93,6 +96,18 @@ impl FuzzReport {
     pub fn all_passed(&self) -> bool {
         self.failures.is_empty()
     }
+
+    /// Fold another part of the same campaign in: case and coverage
+    /// counts add, failures keep campaign order whatever order the
+    /// parts arrive in.
+    pub fn merge(&mut self, part: FuzzReport) {
+        self.cases += part.cases;
+        for (kind, n) in part.coverage {
+            *self.coverage.entry(kind).or_insert(0) += n;
+        }
+        self.failures.extend(part.failures);
+        self.failures.sort_by_key(|f| f.case);
+    }
 }
 
 fn tally(cs: &[ompvar_rt::region::Construct], coverage: &mut BTreeMap<&'static str, u64>) {
@@ -114,8 +129,7 @@ const SHRINK_BUDGET: usize = 300;
 
 /// Run one case end to end: generate, tally coverage into `coverage`,
 /// check every oracle, shrink on failure. Pure function of
-/// `(cfg, case)`, which is what makes the parallel driver's report
-/// identical to the sequential one.
+/// `(cfg, case)`, which is what lets a campaign be split into ranges.
 fn run_case(
     cfg: &FuzzConfig,
     case: u64,
@@ -142,14 +156,16 @@ fn run_case(
     })
 }
 
-/// Run a fuzzing campaign: generate, differentially check, and shrink
-/// every failure.
-pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
+/// Run the cases `cases` of a campaign on this thread: generate,
+/// differentially check, and shrink every failure. The range is clipped
+/// to the campaign (`0..cfg.cases`).
+pub fn run_fuzz_range(cfg: &FuzzConfig, cases: std::ops::Range<u64>) -> FuzzReport {
+    let cases = cases.start..cases.end.min(cfg.cases);
     let mut report = FuzzReport {
-        cases: cfg.cases,
+        cases: cases.end.saturating_sub(cases.start),
         ..FuzzReport::default()
     };
-    for case in 0..cfg.cases {
+    for case in cases {
         if let Some(f) = run_case(cfg, case, &mut report.coverage) {
             report.failures.push(f);
         }
@@ -157,56 +173,9 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     report
 }
 
-/// Run a fuzzing campaign across `jobs` worker threads.
-///
-/// Workers self-schedule cases off a shared atomic counter, tally
-/// coverage and collect failures locally, and the locals are merged
-/// afterwards (coverage added, failures sorted by case index). Each case
-/// is a pure function of `(cfg, case)`, so the report is **identical**
-/// to [`run_fuzz`]'s regardless of `jobs` — oracle #10
-/// ([`oracle::check_jobs_equivalence`]) holds the drivers to exactly
-/// that.
-pub fn run_fuzz_parallel(cfg: &FuzzConfig, jobs: usize) -> FuzzReport {
-    let jobs = jobs.max(1);
-    if jobs == 1 {
-        return run_fuzz(cfg);
-    }
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let next = AtomicU64::new(0);
-    let mut report = FuzzReport {
-        cases: cfg.cases,
-        ..FuzzReport::default()
-    };
-    let locals: Vec<(BTreeMap<&'static str, u64>, Vec<FuzzFailure>)> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut coverage = BTreeMap::new();
-                        let mut failures = Vec::new();
-                        loop {
-                            let case = next.fetch_add(1, Ordering::Relaxed);
-                            if case >= cfg.cases {
-                                break;
-                            }
-                            if let Some(f) = run_case(cfg, case, &mut coverage) {
-                                failures.push(f);
-                            }
-                        }
-                        (coverage, failures)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("fuzz worker")).collect()
-        });
-    for (coverage, failures) in locals {
-        for (k, v) in coverage {
-            *report.coverage.entry(k).or_insert(0) += v;
-        }
-        report.failures.extend(failures);
-    }
-    report.failures.sort_by_key(|f| f.case);
-    report
+/// Run a whole fuzzing campaign: [`run_fuzz_range`] over every case.
+pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
+    run_fuzz_range(cfg, 0..cfg.cases)
 }
 
 #[cfg(test)]
@@ -227,19 +196,37 @@ mod tests {
     }
 
     #[test]
-    fn parallel_campaign_report_equals_sequential() {
+    fn ranges_clip_to_the_campaign_and_merge_in_any_order() {
         let cfg = FuzzConfig {
-            cases: 8,
+            cases: 5,
             base_seed: 42,
             gen: GenConfig::default(),
         };
-        let seq = run_fuzz(&cfg);
-        for jobs in [2, 4] {
-            let par = run_fuzz_parallel(&cfg, jobs);
-            assert_eq!(seq, par, "jobs={jobs}");
-        }
-        // jobs=1 short-circuits to the sequential driver.
-        assert_eq!(seq, run_fuzz_parallel(&cfg, 1));
+        assert_eq!(run_fuzz_range(&cfg, 3..9).cases, 2);
+        assert_eq!(run_fuzz_range(&cfg, 7..9), FuzzReport::default());
+        let fail = |case| FuzzFailure {
+            case,
+            case_seed: case_seed(42, case),
+            region: gen::generate(case_seed(42, case), &cfg.gen),
+            reasons: vec![format!("reason {case}")],
+            shrunk: gen::generate(case_seed(42, case), &cfg.gen),
+        };
+        let part = |cases, kind, n, failures: &[u64]| FuzzReport {
+            cases,
+            coverage: BTreeMap::from([(kind, n)]),
+            failures: failures.iter().map(|&c| fail(c)).collect(),
+        };
+        let (a, b) = (part(3, "Barrier", 2, &[0, 2]), part(2, "Atomic", 1, &[4]));
+        let mut ab = FuzzReport::default();
+        ab.merge(a.clone());
+        ab.merge(b.clone());
+        let mut ba = FuzzReport::default();
+        ba.merge(b);
+        ba.merge(a);
+        assert_eq!(ab, ba);
+        assert_eq!(ab.cases, 5);
+        assert_eq!(ab.coverage, BTreeMap::from([("Atomic", 1), ("Barrier", 2)]));
+        assert_eq!(ab.failures.iter().map(|f| f.case).collect::<Vec<_>>(), [0, 2, 4]);
     }
 
     #[test]
