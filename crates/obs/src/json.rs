@@ -135,11 +135,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse a complete JSON document. Trailing non-whitespace is an error.
+/// Deepest array/object nesting `parse` accepts. The parser recurses
+/// per `[` / `{`, so an unbounded depth lets a hostile journal line
+/// overflow the stack; nothing this workspace writes nests past 4.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document. Trailing non-whitespace and arrays
+/// or objects nested more than 128 deep are errors.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after document"));
@@ -185,10 +191,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
+    /// Parse one value sitting inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -198,7 +206,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -212,7 +220,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             fields.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -226,7 +234,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -236,7 +244,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -357,6 +365,18 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("nulL").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((e.pos, e.msg), (MAX_DEPTH, "nesting too deep"));
+        // Deep enough to overflow the stack of an unbounded recursion;
+        // mixed and unbalanced nesting is refused the same way.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"k\":[".repeat(100_000)).is_err());
     }
 
     #[test]

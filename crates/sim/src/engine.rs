@@ -325,6 +325,13 @@ impl Simulator {
         for h in 0..n_cpu {
             socket_cpus[cpu_socket[h] as usize].push(h);
         }
+        // Near: one live boundary per CPU plus its stale predecessors.
+        // Far: one pending arrival per noise stream, a tick per busy CPU,
+        // and the per-socket / global services.
+        let queue = EventQueue::with_capacity(
+            2 * n_cpu,
+            noise_streams.len() + n_cpu + 2 * machine.sockets + 8,
+        );
         Simulator {
             reference: false,
             cpu_core,
@@ -361,7 +368,7 @@ impl Simulator {
             machine,
             params,
             now: 0,
-            queue: EventQueue::new(),
+            queue,
             tasks: Vec::new(),
             objs: Vec::new(),
         }
@@ -2786,7 +2793,7 @@ impl Simulator {
             };
             // Eligibility + period per kind; `ticks` says whether the
             // absorbed events also count into `counters.ticks`.
-            let (period, ticks) = match *ev {
+            let (period, ticks) = match ev {
                 EventKind::TimerTick { cpu, token } => {
                     if token != self.cpus[cpu].tick_token {
                         return;

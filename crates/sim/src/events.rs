@@ -2,17 +2,24 @@
 //!
 //! The queue has two interchangeable implementations behind one API:
 //!
-//! * **Packed** (default): a 4-ary min-heap over a single `Vec` of
-//!   `(key, kind)` entries, where `key` packs `(time, seq)` into one
-//!   `u128` so ordering is a single integer compare. A 4-ary layout
-//!   halves the tree depth of a binary heap and keeps sift-down's
-//!   child scan inside one or two cache lines — the classic DES
-//!   event-queue layout (`(next_tick, id)` min-heap).
+//! * **Packed** (default): two 4-ary min-heaps under one global `seq`,
+//!   each a single `Vec` of `(key, payload)` entries where `key` packs
+//!   `(time, seq)` into one `u128` so ordering is a single integer
+//!   compare. **near** holds only [`EventKind::CpuBoundary`] as a typed
+//!   32-byte entry; **far** holds every other kind. In a noisy regime
+//!   ~99.9 % of pops are boundaries while the far tier parks hundreds
+//!   of long-period timers (one noise stream per CPU, a tick per busy
+//!   CPU, the balancer, the DVFS pulses): kept apart, a boundary
+//!   pop/push sifts through the handful of live boundaries instead of
+//!   through the parked timers. `pop` takes the smaller of the two
+//!   heads. Keys are unique (`seq` never repeats), so the pending set
+//!   is totally ordered and splitting it in two and merging by head
+//!   compare pops the identical sequence a single heap would.
 //! * **Reference**: the original `std::collections::BinaryHeap` of
-//!   `HeapEntry` with a reversed `Ord`. Kept verbatim as the
-//!   independently implemented yardstick: qcheck oracle #11 and the
-//!   determinism golden suite hold the two paths to bit-identical
-//!   pop streams.
+//!   `HeapEntry` with a reversed `Ord`, one heap for every kind. Kept
+//!   verbatim as the independently implemented yardstick: qcheck
+//!   oracle #11 and the determinism golden suite hold the two paths to
+//!   bit-identical pop streams.
 //!
 //! Both implementations pop in ascending `(time, seq)` order — earliest
 //! first, ties broken FIFO by insertion sequence — which is what makes
@@ -97,18 +104,19 @@ fn unpack_time(key: u128) -> Time {
 }
 
 // ---------------------------------------------------------------------
-// Optimized path: packed-key 4-ary min-heap
+// Optimized path: packed-key 4-ary min-heaps, near and far
 // ---------------------------------------------------------------------
 
 /// 4-ary min-heap over packed keys. Entries live in one contiguous
 /// `Vec`; each sift-down step scans at most four children that sit next
-/// to each other in memory.
-#[derive(Debug, Default)]
-struct PackedHeap {
-    entries: Vec<(u128, EventKind)>,
+/// to each other in memory. Sifts move a hole rather than swapping: the
+/// travelling entry is written once, at its final slot.
+#[derive(Debug)]
+struct PackedHeap<P> {
+    entries: Vec<(u128, P)>,
 }
 
-impl PackedHeap {
+impl<P: Copy> PackedHeap<P> {
     const ARITY: usize = 4;
 
     fn with_capacity(cap: usize) -> Self {
@@ -118,33 +126,33 @@ impl PackedHeap {
     }
 
     #[inline]
-    fn push(&mut self, key: u128, kind: EventKind) {
-        self.entries.push((key, kind));
-        // Sift up.
-        let mut i = self.entries.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / Self::ARITY;
-            if self.entries[parent].0 <= self.entries[i].0 {
+    fn push(&mut self, key: u128, payload: P) {
+        let mut hole = self.entries.len();
+        self.entries.push((key, payload));
+        while hole > 0 {
+            let parent = (hole - 1) / Self::ARITY;
+            if self.entries[parent].0 <= key {
                 break;
             }
-            self.entries.swap(i, parent);
-            i = parent;
+            self.entries[hole] = self.entries[parent];
+            hole = parent;
         }
+        self.entries[hole] = (key, payload);
+        self.debug_check_slot(hole);
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<(u128, EventKind)> {
+    fn pop(&mut self) -> Option<(u128, P)> {
+        let moved = self.entries.pop()?;
         let n = self.entries.len();
         if n == 0 {
-            return None;
+            return Some(moved);
         }
-        self.entries.swap(0, n - 1);
-        let top = self.entries.pop();
-        // Sift down.
-        let n = self.entries.len();
-        let mut i = 0;
+        let top = self.entries[0];
+        // Sink the former last entry from the root.
+        let mut hole = 0;
         loop {
-            let first = i * Self::ARITY + 1;
+            let first = hole * Self::ARITY + 1;
             if first >= n {
                 break;
             }
@@ -155,18 +163,34 @@ impl PackedHeap {
                     best = c;
                 }
             }
-            if self.entries[best].0 >= self.entries[i].0 {
+            if self.entries[best].0 >= moved.0 {
                 break;
             }
-            self.entries.swap(i, best);
-            i = best;
+            self.entries[hole] = self.entries[best];
+            hole = best;
         }
-        top
+        self.entries[hole] = moved;
+        self.debug_check_slot(hole);
+        Some(top)
+    }
+
+    /// Heap order around slot `i` after a sift settled there: parent
+    /// key ≤ its key ≤ every child's key.
+    #[inline]
+    fn debug_check_slot(&self, i: usize) {
+        if cfg!(debug_assertions) {
+            let key = self.entries[i].0;
+            assert!(i == 0 || self.entries[(i - 1) / Self::ARITY].0 <= key);
+            let first = i * Self::ARITY + 1;
+            for c in first..(first + Self::ARITY).min(self.entries.len()) {
+                assert!(key <= self.entries[c].0);
+            }
+        }
     }
 
     #[inline]
-    fn peek(&self) -> Option<&(u128, EventKind)> {
-        self.entries.first()
+    fn head(&self) -> Option<(u128, P)> {
+        self.entries.first().copied()
     }
 
     /// Smallest key excluding the root: the minimum over the root's
@@ -181,6 +205,18 @@ impl PackedHeap {
             .iter()
             .map(|e| e.0)
             .min()
+    }
+}
+
+/// The near tier's payload: a [`EventKind::CpuBoundary`] without its
+/// tag, so a near entry is 32 bytes against the far tier's 48.
+type Boundary = (u32, u64);
+
+#[inline]
+fn boundary_kind((cpu, token): Boundary) -> EventKind {
+    EventKind::CpuBoundary {
+        cpu: cpu as usize,
+        token,
     }
 }
 
@@ -221,8 +257,23 @@ impl Ord for HeapEntry {
 
 #[derive(Debug)]
 enum QueueImpl {
-    Packed(PackedHeap),
+    Packed {
+        /// `CpuBoundary` events only.
+        near: PackedHeap<Boundary>,
+        /// Every other kind.
+        far: PackedHeap<EventKind>,
+    },
     Reference(BinaryHeap<HeapEntry>),
+}
+
+/// Does the earliest pending event sit in `near`? Keys are unique, so
+/// the two heads never tie.
+#[inline]
+fn head_is_near(near: &PackedHeap<Boundary>, far: &PackedHeap<EventKind>) -> bool {
+    match (near.entries.first(), far.entries.first()) {
+        (Some(n), Some(f)) => n.0 < f.0,
+        (n, _) => n.is_some(),
+    }
 }
 
 /// Time-ordered event queue with deterministic FIFO tie-breaking.
@@ -239,10 +290,25 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue on the optimized (packed 4-ary heap) path.
+    /// Smallest reservation per tier: enough that a small simulator's
+    /// steady state never regrows a heap mid-run.
+    const MIN_CAPACITY: usize = 16;
+
+    /// An empty queue on the optimized (tiered packed heaps) path, at
+    /// the minimum reservation.
     pub fn new() -> Self {
+        EventQueue::with_capacity(0, 0)
+    }
+
+    /// An empty queue on the optimized path with room for `near`
+    /// pending CPU boundaries and `far` pending events of every other
+    /// kind (both raised to a small floor).
+    pub fn with_capacity(near: usize, far: usize) -> Self {
         EventQueue {
-            imp: QueueImpl::Packed(PackedHeap::with_capacity(1024)),
+            imp: QueueImpl::Packed {
+                near: PackedHeap::with_capacity(near.max(Self::MIN_CAPACITY)),
+                far: PackedHeap::with_capacity(far.max(Self::MIN_CAPACITY)),
+            },
             seq: 0,
         }
     }
@@ -266,7 +332,13 @@ impl EventQueue {
         let seq = self.seq;
         self.seq += 1;
         match &mut self.imp {
-            QueueImpl::Packed(h) => h.push(pack(time, seq), kind),
+            QueueImpl::Packed { near, far } => match kind {
+                EventKind::CpuBoundary { cpu, token } => {
+                    let cpu = u32::try_from(cpu).expect("hardware-thread index fits u32");
+                    near.push(pack(time, seq), (cpu, token));
+                }
+                other => far.push(pack(time, seq), other),
+            },
             QueueImpl::Reference(h) => h.push(HeapEntry { time, seq, kind }),
         }
     }
@@ -275,7 +347,16 @@ impl EventQueue {
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, EventKind)> {
         match &mut self.imp {
-            QueueImpl::Packed(h) => h.pop().map(|(k, kind)| (unpack_time(k), kind)),
+            QueueImpl::Packed { near, far } => {
+                if head_is_near(near, far) {
+                    near.pop().map(|(k, b)| (unpack_time(k), boundary_kind(b)))
+                } else {
+                    far.pop().map(|(k, kind)| {
+                        debug_assert!(!matches!(kind, EventKind::CpuBoundary { .. }));
+                        (unpack_time(k), kind)
+                    })
+                }
+            }
             QueueImpl::Reference(h) => h.pop().map(|e| (e.time, e.kind)),
         }
     }
@@ -285,9 +366,15 @@ impl EventQueue {
     /// byte-for-byte the original implementation); callers treat `None`
     /// as "fast paths unavailable".
     #[inline]
-    pub fn peek(&self) -> Option<(Time, &EventKind)> {
+    pub fn peek(&self) -> Option<(Time, EventKind)> {
         match &self.imp {
-            QueueImpl::Packed(h) => h.peek().map(|(k, kind)| (unpack_time(*k), kind)),
+            QueueImpl::Packed { near, far } => {
+                if head_is_near(near, far) {
+                    near.head().map(|(k, b)| (unpack_time(k), boundary_kind(b)))
+                } else {
+                    far.head().map(|(k, kind)| (unpack_time(k), kind))
+                }
+            }
             QueueImpl::Reference(_) => None,
         }
     }
@@ -299,7 +386,16 @@ impl EventQueue {
     #[inline]
     pub fn second_time(&self) -> Option<Time> {
         match &self.imp {
-            QueueImpl::Packed(h) => h.second_key().map(unpack_time),
+            QueueImpl::Packed { near, far } => {
+                // The runner-up is either second in the head's own heap
+                // or the head of the other one.
+                let (own, other) = if head_is_near(near, far) {
+                    (near.second_key(), far.head().map(|e| e.0))
+                } else {
+                    (far.second_key(), near.head().map(|e| e.0))
+                };
+                own.into_iter().chain(other).min().map(unpack_time)
+            }
             QueueImpl::Reference(_) => None,
         }
     }
@@ -316,7 +412,7 @@ impl EventQueue {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match &self.imp {
-            QueueImpl::Packed(h) => h.entries.len(),
+            QueueImpl::Packed { near, far } => near.entries.len() + far.entries.len(),
             QueueImpl::Reference(h) => h.len(),
         }
     }
@@ -378,19 +474,33 @@ mod tests {
 
     #[test]
     fn peek_and_second_time_on_packed() {
+        let boundary = |cpu| EventKind::CpuBoundary { cpu, token: 7 };
         let mut q = EventQueue::new();
         assert!(q.peek().is_none());
         assert!(q.second_time().is_none());
         q.push(40, EventKind::LoadBalance);
-        assert_eq!(q.peek().unwrap().0, 40);
+        assert_eq!(q.peek(), Some((40, EventKind::LoadBalance)));
         assert!(q.second_time().is_none());
+        // Head in the far tier, runner-up in the near one.
         q.push(10, EventKind::FreqSample);
-        q.push(25, EventKind::LoadBalance);
-        assert_eq!(q.peek().unwrap().0, 10);
+        q.push(25, boundary(3));
+        assert_eq!(q.peek(), Some((10, EventKind::FreqSample)));
+        assert_eq!(q.second_time(), Some(25));
+        // Head near, runner-up far.
+        q.pop();
+        assert_eq!(q.peek(), Some((25, boundary(3))));
+        assert_eq!(q.second_time(), Some(40));
+        // Head and runner-up both near; same-time tie stays FIFO.
+        q.push(25, boundary(4));
+        assert_eq!(q.peek(), Some((25, boundary(3))));
         assert_eq!(q.second_time(), Some(25));
         q.pop();
-        assert_eq!(q.peek().unwrap().0, 25);
-        assert_eq!(q.second_time(), Some(40));
+        assert_eq!(q.pop(), Some((25, boundary(4))));
+        assert_eq!(q.pop(), Some((40, EventKind::LoadBalance)));
+        // A lone boundary has no runner-up.
+        q.push(u64::MAX, boundary(0));
+        assert_eq!(q.peek(), Some((u64::MAX, boundary(0))));
+        assert!(q.second_time().is_none());
     }
 
     #[test]
@@ -417,16 +527,29 @@ mod tests {
         for _ in 0..5000 {
             let r = step();
             if r % 3 != 0 || a.is_empty() {
-                let t = (step() % 64) as Time;
-                let kind = EventKind::CpuBoundary {
-                    cpu: (step() % 8) as usize,
-                    token: step() % 4,
+                // One push in 16 lands at the top of the time range.
+                let t = match step() % 16 {
+                    0 => u64::MAX,
+                    _ => (step() % 64) as Time,
+                };
+                // Half boundaries (near tier), half the far tier's kinds.
+                let cpu = (step() % 8) as usize;
+                let token = step() % 4;
+                let kind = match step() % 8 {
+                    0..=3 => EventKind::CpuBoundary { cpu, token },
+                    4 | 5 => EventKind::TimerTick { cpu, token },
+                    6 => EventKind::NoiseArrival { src: cpu as u32 },
+                    _ => EventKind::LoadBalance,
                 };
                 a.push(t, kind);
                 b.push(t, kind);
             } else {
-                assert_eq!(a.pop(), b.pop());
+                let head = a.peek();
+                let next = b.pop();
+                assert_eq!(head, next);
+                assert_eq!(a.pop(), next);
             }
+            assert_eq!(a.len(), b.len());
         }
         while !a.is_empty() {
             assert_eq!(a.pop(), b.pop());

@@ -9,74 +9,116 @@ use ompvar_sim::time::{Time, MS, SEC, US};
 use ompvar_topology::{HwThreadId, MachineSpec, Place};
 use proptest::prelude::*;
 
-/// Tag each push with its insertion index so the pop order is fully
-/// observable.
-fn tagged(i: usize) -> EventKind {
-    EventKind::NoiseArrival { src: i as u32 }
+/// What a property draws per push besides its time: a kind selector,
+/// a CPU and a token salt.
+type KindDraw = (u8, u32, u32);
+
+fn kind_draw() -> impl Strategy<Value = KindDraw> {
+    (0u8..8, any::<u32>(), any::<u32>())
 }
 
-fn tag_of(kind: EventKind) -> usize {
-    match kind {
-        EventKind::NoiseArrival { src } => src as usize,
-        other => panic!("unexpected kind {other:?}"),
+/// The `i`-th push's kind, drawn across both tiers of the packed queue
+/// (`CpuBoundary` lives in the near heap, every other kind in the far
+/// one) and stamped with the insertion index so the pop order is fully
+/// observable. Half the pushes are boundaries, with CPUs and tokens
+/// spanning their whole width.
+fn kind(i: usize, (sel, cpu, salt): KindDraw) -> EventKind {
+    let token = (salt as u64) << 32 | i as u64;
+    let cpu = cpu as usize;
+    match sel {
+        0..=3 => EventKind::CpuBoundary { cpu, token },
+        4 | 5 => EventKind::TimerTick { cpu, token },
+        6 => EventKind::NoiseArrival { src: i as u32 },
+        _ => EventKind::LoadBalance,
     }
+}
+
+/// Times from a narrow band (so ties are common) plus the very top of
+/// the range: `arm_noise`'s `saturating_add` parks events at `u64::MAX`.
+fn time(band: u64) -> impl Strategy<Value = Time> {
+    (0..band + 4).prop_map(move |x| if x < band { x } else { u64::MAX - (x - band) })
+}
+
+fn pushes(draws: &[(Time, KindDraw)]) -> Vec<(Time, EventKind)> {
+    draws
+        .iter()
+        .enumerate()
+        .map(|(i, &(t, d))| (t, kind(i, d)))
+        .collect()
+}
+
+/// Pop both queues, holding the packed one's `peek` (time *and* kind)
+/// and `pop` to what the reference pops.
+fn pop_both(packed: &mut EventQueue, reference: &mut EventQueue) -> Result<(), TestCaseError> {
+    let head = packed.peek();
+    let next = reference.pop();
+    prop_assert_eq!(head, next);
+    prop_assert_eq!(packed.pop(), next);
+    Ok(())
 }
 
 proptest! {
     /// Popping everything yields ascending time, ties broken FIFO by
     /// insertion order — i.e. exactly a stable sort by time, on both
-    /// queue implementations. (Times are drawn from a narrow range so
-    /// ties are common.)
+    /// queue implementations and across both tiers of the packed one.
     #[test]
-    fn pops_are_a_stable_sort_by_time(times in prop::collection::vec(0u64..16, 1..64)) {
-        let mut expect: Vec<(Time, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+    fn pops_are_a_stable_sort_by_time(
+        draws in prop::collection::vec((time(16), kind_draw()), 1..64),
+    ) {
+        let pushes = pushes(&draws);
+        let mut expect = pushes.clone();
         expect.sort_by_key(|&(t, _)| t); // stable: FIFO within equal times
         for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            for (i, &t) in times.iter().enumerate() {
-                q.push(t, tagged(i));
+            for &(t, k) in &pushes {
+                q.push(t, k);
             }
-            let got: Vec<(Time, usize)> = std::iter::from_fn(|| q.pop())
-                .map(|(t, k)| (t, tag_of(k)))
-                .collect();
+            prop_assert_eq!(q.len(), pushes.len());
+            let got: Vec<(Time, EventKind)> = std::iter::from_fn(|| q.pop()).collect();
             prop_assert_eq!(&got, &expect);
         }
     }
 
-    /// The packed 4-ary heap and the reference binary heap pop
-    /// identically under arbitrary push/pop interleavings.
+    /// The tiered packed heaps and the reference binary heap agree under
+    /// arbitrary push/pop interleavings: same `len`, same pops, and the
+    /// packed queue's `peek` announces each of them.
     #[test]
     fn packed_matches_reference_under_interleaving(
-        ops in prop::collection::vec((0u64..64, 0u64..4), 1..128),
+        ops in prop::collection::vec((time(64), kind_draw(), 0u64..4), 1..128),
     ) {
         let mut a = EventQueue::new();
         let mut b = EventQueue::new_reference();
-        for (i, &(t, action)) in ops.iter().enumerate() {
+        for (i, &(t, d, action)) in ops.iter().enumerate() {
             if action == 0 && !a.is_empty() {
-                prop_assert_eq!(a.pop(), b.pop());
+                pop_both(&mut a, &mut b)?;
             } else {
-                a.push(t, tagged(i));
-                b.push(t, tagged(i));
+                a.push(t, kind(i, d));
+                b.push(t, kind(i, d));
             }
+            prop_assert_eq!(a.len(), b.len());
         }
         while !a.is_empty() {
-            prop_assert_eq!(a.pop(), b.pop());
+            pop_both(&mut a, &mut b)?;
         }
+        prop_assert_eq!(a.peek(), None);
         prop_assert_eq!(b.pop(), None);
     }
 
     /// `second_time` (the fast-forward's batching bound) is exactly the
-    /// earliest pending time excluding the head.
+    /// earliest pending time excluding the head, whichever tiers the
+    /// head and the runner-up sit in.
     #[test]
-    fn second_time_is_earliest_after_head(times in prop::collection::vec(0u64..32, 2..64)) {
+    fn second_time_is_earliest_after_head(
+        draws in prop::collection::vec((time(32), kind_draw()), 2..64),
+    ) {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, tagged(i));
+        for (t, k) in pushes(&draws) {
+            q.push(t, k);
         }
-        let mut sorted = times.clone();
+        let mut sorted: Vec<Time> = draws.iter().map(|&(t, _)| t).collect();
         sorted.sort_unstable();
         // Pop halfway through, checking the bound before each pop.
-        for k in 0..times.len() / 2 {
+        for k in 0..sorted.len() / 2 {
+            prop_assert_eq!(q.peek().map(|(t, _)| t), Some(sorted[k]));
             prop_assert_eq!(q.second_time(), sorted.get(k + 1).copied());
             q.pop();
         }

@@ -812,6 +812,43 @@ mod tests {
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
+    /// A journal line of 100 k brackets used to overflow the stack of
+    /// the recursive JSON parser and abort `--resume`. It is a typed
+    /// parse error wherever it sits as a complete line, and a dropped
+    /// torn tail when it is the unterminated final line.
+    #[test]
+    fn deeply_nested_line_is_a_typed_error_not_an_abort() {
+        let path = tmp("deepnest");
+        let bomb = "[".repeat(100_000);
+        // Final, newline-terminated.
+        let mut doc = header_json(&header());
+        doc.push('\n');
+        doc.push_str(&entry_json(&entry("faults")));
+        doc.push('\n');
+        let last = format!("{doc}{bomb}\n");
+        std::fs::write(&path, &last).unwrap();
+        match Manifest::open_resume(&path, &header()) {
+            Err(CheckpointError::Parse { line, msg, .. }) => {
+                assert_eq!(line, 3);
+                assert!(msg.contains("nesting too deep"), "{msg}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        // Non-final: more complete lines follow it.
+        let mid = format!("{last}{}\n", entry_json(&entry("campaign")));
+        std::fs::write(&path, &mid).unwrap();
+        assert!(matches!(
+            Manifest::open_resume(&path, &header()),
+            Err(CheckpointError::Parse { line: 3, .. })
+        ));
+        // Unterminated final line: a torn tail like any other.
+        std::fs::write(&path, format!("{doc}{bomb}")).unwrap();
+        let (m, entries) = Manifest::open_resume(&path, &header()).unwrap();
+        assert!(m.recovered_torn_tail());
+        assert_eq!(names(&entries), ["faults"]);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
     /// A complete unit record that merely lost its trailing newline is
     /// accepted, and the newline is restored on disk.
     #[test]
