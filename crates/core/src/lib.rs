@@ -11,7 +11,6 @@
 //! `f64` samples produced by either runtime backend.
 
 pub mod freqtrace;
-pub mod protocol;
 pub mod report;
 pub mod stats;
 pub mod variability;
@@ -22,5 +21,4 @@ pub use stats::{
     autocorrelation, bimodality_coefficient, bootstrap_ci_mean, ks_test, mad, mad_outliers,
     percentile, welch_t, Histogram, Summary,
 };
-pub use protocol::{Characterization, RunPlan};
 pub use variability::{RunSample, RunSet};

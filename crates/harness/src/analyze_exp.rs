@@ -153,41 +153,26 @@ pub fn data_race_demo() -> RegionSpec {
 
 /// Render analyzed programs as an `ompvar-diagnostics/1` JSON document:
 /// one entry per program, each diagnostic with its stable code, short
-/// name, severity label, construct-path span, and message. Hand-rolled
-/// like the other exporters — stable field order, every string escaped
-/// via [`ompvar_obs::json::escape`] — so the output is byte-reproducible
-/// and parses with [`ompvar_obs::json::parse`].
+/// name, severity label, construct-path span, and message. Stable field
+/// order through [`ompvar_obs::json::Writer`], one program and one
+/// diagnostic per line, so the output is byte-reproducible and parses
+/// with [`ompvar_obs::json::parse`].
 pub fn lint_json_doc(programs: &[(String, Analysis)]) -> String {
-    use ompvar_obs::json::escape;
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"ompvar-diagnostics/1\",\"programs\":[");
-    for (i, (label, a)) in programs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let mut w = ompvar_obs::json::Writer::new();
+    w.begin_obj().key("schema").str("ompvar-diagnostics/1").key("programs").begin_arr();
+    for (label, a) in programs {
+        w.brk("\n").begin_obj().key("label").str(label);
+        w.key("clean").bool(a.verdict().is_empty()).key("diagnostics").begin_arr();
+        for d in &a.diagnostics {
+            w.brk("\n ").begin_obj();
+            w.key("code").str(d.code.code()).key("name").str(d.code.name());
+            w.key("severity").str(d.severity().label()).key("span").str(&d.span.to_string());
+            w.key("message").str(&d.message).end_obj();
         }
-        out.push_str(&format!(
-            "\n{{\"label\":\"{}\",\"clean\":{},\"diagnostics\":[",
-            escape(label),
-            a.verdict().is_empty()
-        ));
-        for (j, d) in a.diagnostics.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n {{\"code\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\
-                 \"span\":\"{}\",\"message\":\"{}\"}}",
-                d.code.code(),
-                d.code.name(),
-                d.severity().label(),
-                escape(&d.span.to_string()),
-                escape(&d.message)
-            ));
-        }
-        out.push_str("]}");
+        w.end_arr().end_obj();
     }
-    out.push_str("\n]}\n");
-    out
+    w.ws("\n").end_arr().end_obj().ws("\n");
+    w.finish()
 }
 
 /// Execute and report.
@@ -252,11 +237,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
 
     if let Some(path) = &opts.lint_json {
         let doc = lint_json_doc(&analyzed);
-        let wrote = path
-            .parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .map_or(Ok(()), std::fs::create_dir_all)
-            .and_then(|()| std::fs::write(path, &doc));
+        let wrote = ompvar_supervisor::atomic_write(path, doc.as_bytes());
         checks.push(Check::new(
             "diagnostics exported as ompvar-diagnostics/1 JSON",
             wrote.is_ok(),
@@ -377,6 +358,22 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.get("code").and_then(Value::as_str) == Some("OMPV301")));
+    }
+
+    /// Bytes pinned from the emitter this one replaced, layout
+    /// whitespace included.
+    #[test]
+    fn lint_json_doc_hostile_fixture_bytes_are_pinned() {
+        let hostile = "q\"b\\s\n\u{1}\u{2028}\u{1f600}";
+        let clean = RegionSpec { n_threads: 2, vars: Vec::new(), constructs: Vec::new() };
+        let programs = vec![
+            (hostile.to_string(), analyze(&lock_inversion_demo())),
+            ("clean".to_string(), analyze(&clean)),
+        ];
+        let doc = lint_json_doc(&programs);
+        assert_eq!(doc, "{\"schema\":\"ompvar-diagnostics/1\",\"programs\":[\n{\"label\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"clean\":false,\"diagnostics\":[\n {\"code\":\"OMPV110\",\"name\":\"lock-cycle\",\"severity\":\"warn\",\"span\":\"region\",\"message\":\"lock acquisition order forms a cycle (lock 0 → lock 1 → lock 0): concurrent threads taking different branches of the cycle may deadlock\"},\n {\"code\":\"OMPV201\",\"name\":\"serial-bottleneck\",\"severity\":\"info\",\"span\":\"region\",\"message\":\"predicted serialized work (2.00 µs) exceeds parallelizable work (0.00 µs) for 2 threads: contention will dominate variability\"}]},\n{\"label\":\"clean\",\"clean\":true,\"diagnostics\":[]}\n]}\n");
+        ompvar_obs::json::parse(&doc).expect("valid JSON");
+        assert_eq!(lint_json_doc(&[]), "{\"schema\":\"ompvar-diagnostics/1\",\"programs\":[\n]}\n");
     }
 
     #[test]

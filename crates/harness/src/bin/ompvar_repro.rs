@@ -4,8 +4,7 @@
 //! ompvar-repro [--fast] [--seed N] [--out DIR] [--trace FILE] \
 //!              [--lint-json FILE] [--report-json FILE] [--resume DIR] \
 //!              [--max-retries N] [--jobs N] [--unit-timeout SECS] \
-//!              [--stability-cov X] [--chaos-seed N] [--chaos-proc] \
-//!              [--salvage-corrupt-shards] \
+//!              [--chaos-seed N] [--chaos-proc] [--salvage-corrupt-shards] \
 //!              <table2|fig1|...|trace|campaign|chaos|all>
 //! ```
 //!
@@ -85,7 +84,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ompvar-repro [--fast] [--seed N] [--out DIR] [--fuzz-cases N] \
          [--trace FILE] [--lint-json FILE] [--attr] [--report-json FILE] [--resume DIR] \
-         [--max-retries N] [--jobs N] [--unit-timeout SECS] [--stability-cov X] \
+         [--max-retries N] [--jobs N] [--unit-timeout SECS] \
          [--chaos-seed N] [--chaos-proc] [--salvage-corrupt-shards] <{}|all>",
         EXPERIMENTS.map(|e| e.name).join("|")
     );
@@ -197,13 +196,6 @@ fn main() -> ExitCode {
                     usage();
                 }
                 opts.unit_timeout = Some(std::time::Duration::from_secs_f64(secs));
-            }
-            "--stability-cov" => {
-                let x: f64 = parsed(value());
-                if !x.is_finite() || x <= 0.0 {
-                    usage();
-                }
-                opts.stability_cov = Some(x);
             }
             "--chaos-seed" => opts.chaos_seed = Some(parsed(value())),
             "--chaos-proc" => opts.chaos_proc = true,

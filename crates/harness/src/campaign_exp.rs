@@ -93,7 +93,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     // (~1e-4: only dynamic-scheduling races move) and the noise storm's
     // (~3e-3): stable cells pass untouched, perturbed ones re-measure.
     let policy = StabilityPolicy {
-        target_cov: opts.stability_cov.unwrap_or(0.002),
+        target_cov: 0.002,
         max_extra: if opts.fast { 4 } else { 8 },
         min_samples: 3,
     };

@@ -108,26 +108,19 @@ fn inner_opts(seed: u64, jobs: usize, dir: Option<&Path>) -> ExpOptions {
 /// compares byte-for-byte: stable field order, every unit's terminal
 /// state and value.
 fn render_doc(seed: u64, run: &CampaignRun<CellVal>) -> String {
-    use ompvar_obs::json::escape;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"schema\":\"ompvar-chaos-inner/1\",\"seed\":{seed},\"units\":["
-    ));
-    for (i, r) in run.results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let (status, value) = match &r.outcome {
-            Outcome::Completed { value, .. } => ("completed", value.0),
-            Outcome::Quarantined { .. } => ("quarantined", f64::NAN),
+    let mut w = ompvar_obs::json::Writer::new();
+    w.begin_obj().key("schema").str("ompvar-chaos-inner/1");
+    w.key("seed").u64(seed).key("units").begin_arr();
+    for r in &run.results {
+        w.brk("\n ").begin_obj().key("name").str(&r.name).key("status");
+        match &r.outcome {
+            Outcome::Completed { value, .. } => w.str("completed").key("value").fixed(value.0, 9),
+            Outcome::Quarantined { .. } => w.str("quarantined").key("value").null(),
         };
-        out.push_str(&format!(
-            "\n {{\"name\":\"{}\",\"status\":\"{status}\",\"value\":{value:.9}}}",
-            escape(&r.name)
-        ));
+        w.end_obj();
     }
-    out.push_str("\n]}\n");
-    out
+    w.ws("\n").end_arr().end_obj().ws("\n");
+    w.finish()
 }
 
 fn fresh_dir(base: &Path, tag: &str) -> PathBuf {
@@ -447,6 +440,58 @@ mod tests {
         let trace = std::fs::read_to_string(o.out_dir.join("chaos/crash.trace.json")).unwrap();
         assert!(trace.contains("chaos_crash_point"), "{trace}");
         let _ = std::fs::remove_dir_all(&o.out_dir);
+    }
+
+    fn inner(results: Vec<(&str, Outcome<CellVal>)>) -> CampaignRun<CellVal> {
+        CampaignRun {
+            results: results
+                .into_iter()
+                .enumerate()
+                .map(|(index, (name, outcome))| ompvar_supervisor::UnitResult {
+                    index,
+                    name: name.to_string(),
+                    outcome,
+                    worker: None,
+                    stolen: false,
+                    duration: std::time::Duration::ZERO,
+                })
+                .collect(),
+            trace: Default::default(),
+            interrupted: false,
+            poisoned_workers: 0,
+            steals: 0,
+            leaked_threads: 0,
+            recovery_notes: Vec::new(),
+        }
+    }
+
+    fn done(v: f64) -> Outcome<CellVal> {
+        Outcome::Completed { value: CellVal(v), attempts: 1, retries: vec![], from_checkpoint: false }
+    }
+
+    /// Completed units' bytes pinned from the emitter this one replaced;
+    /// a quarantined unit, which that emitter printed as `NaN`, is `null`.
+    #[test]
+    fn render_doc_bytes_are_pinned_and_quarantine_is_valid_json() {
+        let hostile = "q\"b\\s\n\u{1}\u{2028}\u{1f600}";
+        let run = inner(vec![
+            (hostile, done(12.3456789012345)),
+            ("c1", done(-0.0)),
+            ("c2", done(5e-324)),
+            ("c3", done(f64::MAX)),
+        ]);
+        let doc = render_doc(u64::MAX, &run);
+        assert_eq!(doc, "{\"schema\":\"ompvar-chaos-inner/1\",\"seed\":18446744073709551615,\"units\":[\n {\"name\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"status\":\"completed\",\"value\":12.345678901},\n {\"name\":\"c1\",\"status\":\"completed\",\"value\":-0.000000000},\n {\"name\":\"c2\",\"status\":\"completed\",\"value\":0.000000000},\n {\"name\":\"c3\",\"status\":\"completed\",\"value\":179769313486231570814527423731704356798070567525844996598917476803157260780028538760589558632766878171540458953514382464234321326889464182768467546703537516986049910576551282076245490090389328944075868508455133942304583236903222948165808559332123348274797826204144723168738177180919299881250404026184124858368.000000000}\n]}\n");
+        ompvar_obs::json::parse(&doc).expect("valid JSON");
+        assert_eq!(render_doc(0, &inner(vec![])), "{\"schema\":\"ompvar-chaos-inner/1\",\"seed\":0,\"units\":[\n]}\n");
+
+        let quarantined =
+            Outcome::Quarantined { attempts: 2, retries: vec![], from_checkpoint: false };
+        let doc = render_doc(7, &inner(vec![("c0", done(1.5)), ("c1", quarantined)]));
+        assert_eq!(doc, "{\"schema\":\"ompvar-chaos-inner/1\",\"seed\":7,\"units\":[\n {\"name\":\"c0\",\"status\":\"completed\",\"value\":1.500000000},\n {\"name\":\"c1\",\"status\":\"quarantined\",\"value\":null}\n]}\n");
+        let v = ompvar_obs::json::parse(&doc).expect("a quarantined unit renders valid JSON");
+        let units = v.get("units").and_then(Value::as_arr).unwrap();
+        assert_eq!(units[1].get("value"), Some(&Value::Null));
     }
 
     #[test]

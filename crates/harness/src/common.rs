@@ -127,7 +127,8 @@ impl Platform {
 pub struct ExpOptions {
     /// Reduced repetition counts for quick runs and tests.
     pub fast: bool,
-    /// Base seed; run `i` of an experiment uses `seed + i`.
+    /// Base seed; the seed of run `i` of a configuration is defined
+    /// once, in [`ompvar_bench_epcc::runner::run_seed`].
     pub seed: u64,
     /// Directory for CSV outputs (created on demand).
     pub out_dir: PathBuf,
@@ -147,9 +148,6 @@ pub struct ExpOptions {
     /// Retry budget per cell for transient failures
     /// (`--max-retries`); `None` uses the supervisor default.
     pub max_retries: Option<u32>,
-    /// Stability target for adaptive re-measurement
-    /// (`--stability-cov`); `None` uses the policy default.
-    pub stability_cov: Option<f64>,
     /// Resume a previous campaign from its checkpoint directory
     /// (`--resume DIR`): completed cells replay from the manifest
     /// instead of re-running.
@@ -194,7 +192,6 @@ impl Default for ExpOptions {
             lint_json: None,
             report_json: None,
             max_retries: None,
-            stability_cov: None,
             resume: None,
             jobs: 1,
             unit_timeout: None,
@@ -486,8 +483,8 @@ impl ExpReport {
 /// Serialize a whole CLI run — every experiment's tables and shape
 /// checks — as a machine-readable JSON document (`--report-json`).
 ///
-/// Hand-rolled like the Chrome exporter: stable field order, every
-/// string escaped via [`ompvar_obs::json::escape`], so the output is
+/// Stable field order through [`ompvar_obs::json::Writer`], one
+/// experiment, check, table and row per line, so the output is
 /// byte-reproducible for a given run and parses with
 /// [`ompvar_obs::json::parse`].
 pub fn run_report_json(
@@ -498,76 +495,39 @@ pub fn run_report_json(
     recovery_notes: &[String],
     reports: &[ExpReport],
 ) -> String {
-    use ompvar_obs::json::escape;
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"ompvar-run-report/1\",");
-    out.push_str(&format!(
-        "\"seed\":{seed},\"fast\":{fast},\"interrupted\":{interrupted},"
-    ));
+    let mut w = ompvar_obs::json::Writer::new();
+    w.begin_obj().key("schema").str("ompvar-run-report/1");
+    w.key("seed").u64(seed).key("fast").bool(fast).key("interrupted").bool(interrupted);
     // Campaign-health fields: watchdog-reaped attempt threads still
     // alive at exit, and human-readable notes from degraded recovery
     // paths (lost journal writes, quarantined shards). Both are zero /
     // empty on a healthy run, so resume byte-identity checks that
     // compare healthy documents are unaffected.
-    out.push_str(&format!("\"leaked_threads\":{leaked_threads},"));
-    out.push_str("\"recovery_notes\":[");
-    for (i, n) in recovery_notes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    w.key("leaked_threads").u64(leaked_threads);
+    w.key("recovery_notes").strs(recovery_notes);
+    w.key("all_passed").bool(reports.iter().all(ExpReport::all_passed));
+    w.key("experiments").begin_arr();
+    for rep in reports {
+        w.brk("\n").begin_obj();
+        w.key("name").str(&rep.name).key("passed").bool(rep.all_passed());
+        w.key("checks").begin_arr();
+        for c in &rep.checks {
+            w.brk("\n ").begin_obj().key("name").str(&c.name);
+            w.key("passed").bool(c.passed).key("detail").str(&c.detail).end_obj();
         }
-        out.push_str(&format!("\"{}\"", escape(n)));
+        w.end_arr().key("tables").begin_arr();
+        for t in &rep.tables {
+            w.brk("\n ").begin_obj().key("title").str(t.title());
+            w.key("header").strs(t.header()).key("rows").begin_arr();
+            for row in t.rows() {
+                w.brk("\n  ").strs(row);
+            }
+            w.end_arr().end_obj();
+        }
+        w.end_arr().end_obj();
     }
-    out.push_str("],");
-    let all = reports.iter().all(ExpReport::all_passed);
-    out.push_str(&format!("\"all_passed\":{all},\"experiments\":["));
-    for (i, rep) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n{{\"name\":\"{}\",\"passed\":{},\"checks\":[",
-            escape(&rep.name),
-            rep.all_passed()
-        ));
-        for (j, c) in rep.checks.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n {{\"name\":\"{}\",\"passed\":{},\"detail\":\"{}\"}}",
-                escape(&c.name),
-                c.passed,
-                escape(&c.detail)
-            ));
-        }
-        out.push_str("],\"tables\":[");
-        for (j, t) in rep.tables.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let cells = |row: &[String]| {
-                row.iter()
-                    .map(|c| format!("\"{}\"", escape(c)))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            out.push_str(&format!(
-                "\n {{\"title\":\"{}\",\"header\":[{}],\"rows\":[",
-                escape(t.title()),
-                cells(t.header())
-            ));
-            for (k, row) in t.rows().iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\n  [{}]", cells(row)));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n]}\n");
-    out
+    w.ws("\n").end_arr().end_obj().ws("\n");
+    w.finish()
 }
 
 /// An [`ExpReport`] can live in the checkpoint manifest: the whole
@@ -735,6 +695,33 @@ mod tests {
         assert_eq!(rows[0].as_arr().unwrap()[1].as_str(), Some("x\ny"));
         let checks = exps[0].get("checks").and_then(Value::as_arr).unwrap();
         assert_eq!(checks[0].get("detail").and_then(Value::as_str), Some("d \\ e"));
+    }
+
+    /// Bytes pinned from the emitter this one replaced, layout
+    /// whitespace included.
+    #[test]
+    fn run_report_json_hostile_fixture_bytes_are_pinned() {
+        let hostile = "q\"b\\s\n\u{1}\u{2028}\u{1f600}";
+        let mut t = Table::new(hostile, &[hostile, "b"]);
+        t.row(&["1".into(), hostile.into()]);
+        t.row(&["".into(), "2.1".into()]);
+        let empty_table = Table::new("no rows", &[]);
+        let reps = [
+            ExpReport {
+                name: hostile.into(),
+                tables: vec![t, empty_table],
+                checks: vec![
+                    Check::new(hostile, true, hostile.into()),
+                    Check::new("y", false, "".into()),
+                ],
+            },
+            ExpReport { name: "bare".into(), ..Default::default() },
+        ];
+        let notes = [hostile.to_string(), "second".to_string()];
+        let doc = run_report_json(u64::MAX, false, true, u64::MAX, &notes, &reps);
+        assert_eq!(doc, "{\"schema\":\"ompvar-run-report/1\",\"seed\":18446744073709551615,\"fast\":false,\"interrupted\":true,\"leaked_threads\":18446744073709551615,\"recovery_notes\":[\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"second\"],\"all_passed\":false,\"experiments\":[\n{\"name\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"passed\":false,\"checks\":[\n {\"name\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"passed\":true,\"detail\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\"},\n {\"name\":\"y\",\"passed\":false,\"detail\":\"\"}],\"tables\":[\n {\"title\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"header\":[\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"b\"],\"rows\":[\n  [\"1\",\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\"],\n  [\"\",\"2.1\"]]},\n {\"title\":\"no rows\",\"header\":[],\"rows\":[]}]},\n{\"name\":\"bare\",\"passed\":true,\"checks\":[],\"tables\":[]}\n]}\n");
+        ompvar_obs::json::parse(&doc).expect("valid JSON");
+        assert_eq!(run_report_json(0, true, false, 0, &[], &[]), "{\"schema\":\"ompvar-run-report/1\",\"seed\":0,\"fast\":true,\"interrupted\":false,\"leaked_threads\":0,\"recovery_notes\":[],\"all_passed\":true,\"experiments\":[\n]}\n");
     }
 
     #[test]

@@ -190,7 +190,8 @@ pub struct Plan {
 
 impl Plan {
     /// Start the grid of experiment `name`; run `i` of every
-    /// configuration is seeded `opts.seed + i`.
+    /// configuration is seeded from `opts.seed` by
+    /// [`ompvar_bench_epcc::runner::run_seed`].
     pub fn new(name: &'static str, opts: &ExpOptions) -> Plan {
         Plan { name, seed: opts.seed, cells: Vec::new() }
     }

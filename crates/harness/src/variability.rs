@@ -214,7 +214,7 @@ impl CellAgg {
 }
 
 /// The `ompvar-variability/1` document. Built as a [`Value`] tree and
-/// serialized with the hand-rolled writer, so field order is fixed and
+/// serialized with [`ompvar_obs::json::write`], so field order is fixed and
 /// the bytes are reproducible for a given run.
 fn variability_json(opts: &ExpOptions, cells: &[CellAgg]) -> String {
     let q = |s: &QuantileSketch, q: f64| Value::Num(s.quantile(q).unwrap_or(0) as f64);

@@ -1,17 +1,17 @@
 //! Chrome trace-event JSON export — loadable in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
-//! Hand-rolled serializer (no external dependencies) with a stable field
-//! order (`name, cat, ph, ts, pid, tid, s, args`) so output is
-//! byte-reproducible for a given trace. Span events use `ph:"B"/"E"`,
-//! point events `ph:"i"`, and frequency samples are emitted as a
-//! multi-series counter track (`ph:"C"`, one series per core) that
-//! Perfetto renders as per-core frequency lanes under the same timeline
-//! as the spans.
+//! Written through [`crate::json::Writer`] with a stable field order
+//! (`name, cat, ph, ts, pid, tid, s, args`), one event per line, so
+//! output is byte-reproducible for a given trace. Span events use
+//! `ph:"B"/"E"`, point events `ph:"i"`, and frequency samples are
+//! emitted as a multi-series counter track (`ph:"C"`, one series per
+//! core) that Perfetto renders as per-core frequency lanes under the
+//! same timeline as the spans.
 
 use crate::attr::{AttrSample, AttrSource};
 use crate::event::{EventKind, Trace, CORE_UNKNOWN, THREAD_GLOBAL};
-use crate::json::escape;
+use crate::json::Writer;
 
 /// The `tid` used for engine-global events ([`THREAD_GLOBAL`]).
 pub const GLOBAL_TID: u64 = 999_999;
@@ -21,19 +21,6 @@ fn tid_of(thread: u32) -> u64 {
         GLOBAL_TID
     } else {
         thread as u64
-    }
-}
-
-/// Microseconds with nanosecond resolution, the unit of the `ts` field.
-fn ts_us(time_ns: u64) -> String {
-    format!("{:.3}", time_ns as f64 / 1000.0)
-}
-
-fn fmt_f32(v: f32) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0".to_string()
     }
 }
 
@@ -75,32 +62,25 @@ pub fn chrome_trace_attr(
     chrome_trace_full(trace, freq_ghz, attr_samples, label, "omp thread")
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0".to_string()
-    }
+/// A `ph:"M"` metadata event naming the process or one thread track.
+fn meta_event(w: &mut Writer, what: &str, tid: u64, name: &str) {
+    w.brk("\n").begin_obj();
+    w.key("name").str(what).key("ph").str("M").key("pid").u64(0).key("tid").u64(tid);
+    w.key("args").begin_obj().key("name").str(name).end_obj().end_obj();
 }
 
-fn attr_counter_event(sample: &AttrSample) -> String {
-    let mut s = format!(
-        "{{\"name\":\"attr_cum_ms\",\"cat\":\"attr\",\"ph\":\"C\",\"ts\":{},\
-         \"pid\":0,\"tid\":0,\"args\":{{",
-        ts_us(sample.time_ns)
-    );
-    for (i, &src) in AttrSource::ALL.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\"{}\":{}",
-            src.name(),
-            fmt_f64(sample.total_by_source[i] / 1e6)
-        ));
-    }
-    s.push_str("}}");
-    s
+/// Open a timed event on its own line, up to and including `tid`. `ts`
+/// is microseconds with nanosecond resolution.
+fn begin_event(w: &mut Writer, name: &str, cat: &str, ph: &str, time_ns: u64, tid: u64) {
+    w.brk("\n").begin_obj();
+    w.key("name").str(name).key("cat").str(cat).key("ph").str(ph);
+    w.key("ts").fixed(time_ns as f64 / 1000.0, 3).key("pid").u64(0).key("tid").u64(tid);
+}
+
+/// Open a `ph:"C"` counter sample and its `args` object of series.
+fn begin_counter(w: &mut Writer, name: &str, cat: &str, time_ns: u64) {
+    begin_event(w, name, cat, "C", time_ns, 0);
+    w.key("args").begin_obj();
 }
 
 fn chrome_trace_full(
@@ -110,26 +90,11 @@ fn chrome_trace_full(
     label: &str,
     lane_prefix: &str,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&ev);
-    };
+    let mut w = Writer::new();
+    w.begin_obj().key("displayTimeUnit").str("ns").key("traceEvents").begin_arr();
 
     // Metadata: process name, then one thread_name per tid seen.
-    push(
-        &mut out,
-        format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(label)
-        ),
-    );
+    meta_event(&mut w, "process_name", 0, label);
     let mut tids: Vec<u32> = trace.events.iter().map(|e| e.thread).collect();
     tids.sort_unstable();
     tids.dedup();
@@ -139,15 +104,7 @@ fn chrome_trace_full(
         } else {
             format!("{lane_prefix} {t}")
         };
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                tid_of(t),
-                escape(&name)
-            ),
-        );
+        meta_event(&mut w, "thread_name", tid_of(t), &name);
     }
 
     for ev in &trace.events {
@@ -156,48 +113,39 @@ fn chrome_trace_full(
             EventKind::End(k) => (k.name(), "span", "E"),
             EventKind::Instant(k) => (k.name(), "instant", "i"),
         };
-        let mut s = format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":0,\"tid\":{}",
-            name,
-            cat,
-            ph,
-            ts_us(ev.time_ns),
-            tid_of(ev.thread)
-        );
+        begin_event(&mut w, name, cat, ph, ev.time_ns, tid_of(ev.thread));
         if ph == "i" {
             // Instant scope: thread-local when attributed, global else.
-            let scope = if ev.thread == THREAD_GLOBAL { "g" } else { "t" };
-            s.push_str(&format!(",\"s\":\"{scope}\""));
+            w.key("s").str(if ev.thread == THREAD_GLOBAL { "g" } else { "t" });
         }
         if ph == "B" && ev.core != CORE_UNKNOWN {
-            s.push_str(&format!(",\"args\":{{\"core\":{}}}", ev.core));
+            w.key("args").begin_obj().key("core").u64(ev.core as u64).end_obj();
         }
-        s.push('}');
-        push(&mut out, s);
+        w.end_obj();
     }
 
+    // A counter track needs a number where the writer's rule for a
+    // non-finite value is `null`: such a sample is drawn at 0.
     for (time_ns, cores) in freq_ghz {
-        let mut s = format!(
-            "{{\"name\":\"core_freq_ghz\",\"cat\":\"freq\",\"ph\":\"C\",\"ts\":{},\
-             \"pid\":0,\"tid\":0,\"args\":{{",
-            ts_us(*time_ns)
-        );
+        begin_counter(&mut w, "core_freq_ghz", "freq", *time_ns);
         for (c, ghz) in cores.iter().enumerate() {
-            if c > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"core{c}\":{}", fmt_f32(*ghz)));
+            w.key(&format!("core{c}"));
+            if ghz.is_finite() { w.f32(*ghz) } else { w.u64(0) };
         }
-        s.push_str("}}");
-        push(&mut out, s);
+        w.end_obj().end_obj();
     }
-
     for sample in attr_samples {
-        push(&mut out, attr_counter_event(sample));
+        begin_counter(&mut w, "attr_cum_ms", "attr", sample.time_ns);
+        for (src, ns) in AttrSource::ALL.iter().zip(sample.total_by_source) {
+            let ms = ns / 1e6;
+            w.key(src.name());
+            if ms.is_finite() { w.f64(ms) } else { w.u64(0) };
+        }
+        w.end_obj().end_obj();
     }
 
-    out.push_str("\n]}\n");
-    out
+    w.ws("\n").end_arr().end_obj().ws("\n");
+    w.finish()
 }
 
 #[cfg(test)]
@@ -266,6 +214,35 @@ mod tests {
         );
         // Global instants land on the reserved tid with global scope.
         assert!(doc1.contains(&format!("\"tid\":{GLOBAL_TID},\"s\":\"g\"")), "{doc1}");
+    }
+
+    /// Bytes pinned from the exporter this one replaced: span B/E with
+    /// and without a core, thread and global instants, a frequency and
+    /// an attribution counter sample, hostile label and lane prefix.
+    #[test]
+    fn hostile_fixture_bytes_are_pinned() {
+        use crate::attr::{AttrSample, N_SOURCES};
+        let ev = |time_ns, thread, core, kind| TraceEvent { time_ns, thread, core, kind };
+        let trace = Trace::new(vec![
+            ev(0, 1, 3, EventKind::Begin(SpanKind::Barrier)),
+            ev(1, 1, 3, EventKind::End(SpanKind::Barrier)),
+            ev(1_234_567, 0, CORE_UNKNOWN, EventKind::Begin(SpanKind::Barrier)),
+            ev(u64::MAX, 0, CORE_UNKNOWN, EventKind::End(SpanKind::Barrier)),
+            ev(2000, 1, 3, EventKind::Instant(InstantKind::FaultInjection)),
+            ev(2001, THREAD_GLOBAL, CORE_UNKNOWN, EventKind::Instant(InstantKind::FaultInjection)),
+        ]);
+        let freq = vec![(0u64, vec![]), (1500, vec![2.1f32, -0.0, f32::MIN_POSITIVE / 2.0, f32::NAN])];
+        let mut by = [0.0f64; N_SOURCES];
+        by[0] = 2_000_000.0;
+        by[1] = 5e-324;
+        by[2] = f64::MAX;
+        by[3] = f64::INFINITY;
+        let attr = vec![AttrSample { time_ns: 999, total_by_source: by }];
+        let label = "q\"b\\s\n\u{1}\u{2028}\u{1f600}";
+        let doc = chrome_trace_full(&trace, &freq, &attr, label, "w\"k");
+        assert_eq!(doc, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\"}},\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"w\\\"k 0\"}},\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\"args\":{\"name\":\"w\\\"k 1\"}},\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":999999,\"args\":{\"name\":\"runtime events\"}},\n{\"name\":\"barrier\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":0.000,\"pid\":0,\"tid\":1,\"args\":{\"core\":3}},\n{\"name\":\"barrier\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":0.001,\"pid\":0,\"tid\":1},\n{\"name\":\"barrier\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":1234.567,\"pid\":0,\"tid\":0},\n{\"name\":\"barrier\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":18446744073709552.000,\"pid\":0,\"tid\":0},\n{\"name\":\"fault_injection\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":2.000,\"pid\":0,\"tid\":1,\"s\":\"t\"},\n{\"name\":\"fault_injection\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":2.001,\"pid\":0,\"tid\":999999,\"s\":\"g\"},\n{\"name\":\"core_freq_ghz\",\"cat\":\"freq\",\"ph\":\"C\",\"ts\":0.000,\"pid\":0,\"tid\":0,\"args\":{}},\n{\"name\":\"core_freq_ghz\",\"cat\":\"freq\",\"ph\":\"C\",\"ts\":1.500,\"pid\":0,\"tid\":0,\"args\":{\"core0\":2.1,\"core1\":-0.0,\"core2\":5.877472e-39,\"core3\":0}},\n{\"name\":\"attr_cum_ms\",\"cat\":\"attr\",\"ph\":\"C\",\"ts\":0.999,\"pid\":0,\"tid\":0,\"args\":{\"preemption\":2.0,\"migration\":0.0,\"smt_corun\":1.797693134862316e302,\"subnominal_freq\":0,\"timer_tick\":0.0,\"fault_stall\":0.0,\"noise_delayed_arrival\":0.0,\"sync_contention\":0.0,\"mem_contention\":0.0,\"runtime_overhead\":0.0}}\n]}\n");
+        parse(&doc).expect("valid JSON");
+        assert_eq!(chrome_trace(&Trace::default(), &[], ""), "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"\"}}\n]}\n");
     }
 
     #[test]

@@ -1,30 +1,230 @@
-//! Minimal JSON: string escaping for the hand-rolled serializers, and a
-//! small recursive-descent parser used to validate emitted artifacts
-//! (run reports, Chrome traces) in tests and CI smoke checks.
+//! Minimal JSON: the [`Writer`] every emitted artifact goes through —
+//! journal lines, run reports, diagnostics, Chrome traces — and a small
+//! recursive-descent parser used to read journals back and to validate
+//! emitted artifacts in tests and CI smoke checks.
+//!
+//! The text format lives here and nowhere else: quotes, separators,
+//! string escapes, number tokens, and the one rule for a non-finite
+//! number (`null`). Emitters say only what is theirs — field order and
+//! the layout whitespace their schema carries.
 //!
 //! Not a general-purpose JSON library: numbers are `f64`, objects keep
 //! key order and allow duplicates (last one wins on lookup is *not*
 //! implemented — [`Value::get`] returns the first match), and the parser
 //! rejects trailing garbage.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Append `s` to `out` escaped for inclusion inside JSON double quotes.
+/// Everything that needs escaping is ASCII, so clean runs are copied
+/// whole and multi-byte characters pass through untouched.
+fn escape_into(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+    }
+    out.push_str(&s[clean..]);
+}
 
 /// Escape a string for inclusion inside JSON double quotes (the quotes
 /// themselves are not added).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    escape_into(&mut out, s);
+    out
+}
+
+/// A streaming JSON writer over one `String` buffer. It owns every
+/// token of the format; the caller owns the order of calls. Each method
+/// returns the writer, so a fixed-shape object reads as one chain:
+/// `w.begin_obj().key("seed").u64(7).key("fast").bool(true).end_obj()`.
+///
+/// Output is compact. A schema that breaks lines between elements says
+/// so with [`Writer::brk`] (before an element) and [`Writer::ws`]
+/// (anywhere else); both take whitespace only.
+#[derive(Debug, Default)]
+pub struct Writer {
+    buf: String,
+    /// Whether the next key or element must be preceded by a `,`: set
+    /// by everything that completes a value, cleared by an opening
+    /// bracket and by a key. One flag serves every nesting level — a
+    /// container that has just closed is a completed value of its
+    /// parent.
+    comma: bool,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// The document written so far.
+    pub fn finish(self) -> String {
+        self.buf
+    }
+
+    /// The separator owed before the next key or element, then `token`.
+    fn sep(&mut self, token: &str) -> &mut Self {
+        if std::mem::take(&mut self.comma) {
+            self.buf.push(',');
+        }
+        self.buf.push_str(token);
+        self
+    }
+
+    /// `token` as a complete value.
+    fn atom(&mut self, token: &str) -> &mut Self {
+        self.sep(token).comma = true;
+        self
+    }
+
+    /// A number token — or, the one rule for every number method: JSON
+    /// has no NaN or infinity, so a non-finite value is `null`. A schema
+    /// that needs a number in that place clamps before it calls.
+    fn number(&mut self, finite: bool, token: fmt::Arguments<'_>) -> &mut Self {
+        if !finite {
+            return self.null();
+        }
+        self.sep("").buf.write_fmt(token).expect("writing to a String cannot fail");
+        self.comma = true;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.buf.push(bracket);
+        self.comma = true;
+        self
+    }
+
+    fn quoted(&mut self, s: &str) -> &mut Self {
+        escape_into(&mut self.sep("\"").buf, s);
+        self.buf.push('"');
+        self
+    }
+
+    /// `{`.
+    pub fn begin_obj(&mut self) -> &mut Self {
+        self.sep("{")
+    }
+
+    /// `}`.
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// `[`.
+    pub fn begin_arr(&mut self) -> &mut Self {
+        self.sep("[")
+    }
+
+    /// `]`.
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// An object key; the field's value must follow.
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        self.quoted(k).buf.push(':');
+        self
+    }
+
+    /// A string, escaped straight into the buffer.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.quoted(s).comma = true;
+        self
+    }
+
+    /// An array of strings.
+    pub fn strs<S: AsRef<str>>(&mut self, items: &[S]) -> &mut Self {
+        self.begin_arr();
+        for s in items {
+            self.str(s.as_ref());
+        }
+        self.end_arr()
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.atom(if b { "true" } else { "false" })
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.atom("null")
+    }
+
+    /// An unsigned integer, every digit (a seed survives above 2^53).
+    pub fn u64(&mut self, n: u64) -> &mut Self {
+        self.number(true, format_args!("{n}"))
+    }
+
+    /// A number in `f64`'s shortest round-trip form (integral values get
+    /// a `.0`), so [`parse`] reads back exactly the value written.
+    pub fn f64(&mut self, x: f64) -> &mut Self {
+        self.number(x.is_finite(), format_args!("{x:?}"))
+    }
+
+    /// [`Writer::f64`] for a value measured in `f32`: its own shortest
+    /// form (`2.1`, not the `2.0999999046325684` of the widened value).
+    pub fn f32(&mut self, x: f32) -> &mut Self {
+        self.number(x.is_finite(), format_args!("{x:?}"))
+    }
+
+    /// A number with exactly `decimals` digits after the point.
+    pub fn fixed(&mut self, x: f64, decimals: usize) -> &mut Self {
+        self.number(x.is_finite(), format_args!("{x:.decimals$}"))
+    }
+
+    /// A whole [`Value`] tree, compact, objects in field order.
+    pub fn value(&mut self, v: &Value) -> &mut Self {
+        match v {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Num(n) => self.f64(*n),
+            Value::Str(s) => self.str(s),
+            Value::Arr(items) => {
+                self.begin_arr();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_arr()
+            }
+            Value::Obj(fields) => {
+                self.begin_obj();
+                for (k, v) in fields {
+                    self.key(k).value(v);
+                }
+                self.end_obj()
+            }
         }
     }
-    out
+
+    /// Layout whitespace in front of the next element: the separator it
+    /// is owed, then `ws`.
+    pub fn brk(&mut self, ws: &str) -> &mut Self {
+        self.sep("").ws(ws)
+    }
+
+    /// Layout whitespace where no separator is owed: before a closing
+    /// bracket, after the document.
+    pub fn ws(&mut self, ws: &str) -> &mut Self {
+        debug_assert!(ws.bytes().all(|b| b.is_ascii_whitespace()), "layout is whitespace only");
+        self.buf.push_str(ws);
+        self
+    }
 }
 
 /// A parsed JSON value.
@@ -87,35 +287,13 @@ impl Value {
     }
 }
 
-/// Serialize a [`Value`] back to compact JSON. Numbers print with f64's
-/// shortest-roundtrip `Debug` form (integral values get a `.0`), so
-/// `parse(&write(&v))` reproduces `v` exactly; objects keep their field
-/// order, making the output stable for a given value.
+/// Serialize a [`Value`] back to compact JSON through the [`Writer`]:
+/// `parse(&write(&v))` reproduces a finite `v` exactly, and the output
+/// is stable for a given value.
 pub fn write(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Num(n) => {
-            if n.is_finite() {
-                format!("{n:?}")
-            } else {
-                // JSON has no NaN/Inf; null is the conventional fallback.
-                "null".to_string()
-            }
-        }
-        Value::Str(s) => format!("\"{}\"", escape(s)),
-        Value::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(write).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Value::Obj(fields) => {
-            let inner: Vec<String> = fields
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{}", escape(k), write(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-    }
+    let mut w = Writer::new();
+    w.value(v);
+    w.finish()
 }
 
 /// A parse failure: byte offset and a short message.
@@ -389,6 +567,84 @@ mod tests {
         assert_eq!(out, write(&v));
         // Non-finite numbers degrade to null instead of invalid JSON.
         assert_eq!(write(&Value::Num(f64::NAN)), "null");
+    }
+
+    #[test]
+    fn writer_owns_separators_layout_and_the_non_finite_rule() {
+        let mut w = Writer::new();
+        w.begin_obj().key("a").begin_arr();
+        w.brk("\n ").u64(u64::MAX).brk("\n ").f32(2.1).fixed(1234.5678, 3).f64(-0.0);
+        // One rule, every number method.
+        w.f64(f64::NAN).f32(f32::INFINITY).fixed(f64::NEG_INFINITY, 2);
+        w.ws("\n").end_arr().key("b").begin_obj().end_obj();
+        w.key("c").strs(&["x", "y\n"]).key("d").strs::<&str>(&[]).end_obj().ws("\n");
+        assert_eq!(
+            w.finish(),
+            "{\"a\":[\n 18446744073709551615,\n 2.1,1234.568,-0.0,null,null,null\n],\
+             \"b\":{},\"c\":[\"x\",\"y\\n\"],\"d\":[]}\n"
+        );
+    }
+
+    /// Bytes pinned from the emitter this writer replaced: every escape
+    /// class, every number shape the schemas carry, empty containers.
+    #[test]
+    fn hostile_fixture_bytes_are_pinned() {
+        let hostile = "q\"b\\s\n\r\t\u{1}\u{1f}\u{2028}\u{1f600}";
+        assert_eq!(escape(hostile), "q\\\"b\\\\s\\n\\r\\t\\u0001\\u001f\u{2028}😀");
+        let v = Value::Obj(vec![
+            (hostile.to_string(), Value::Str(hostile.to_string())),
+            (
+                "nums".to_string(),
+                Value::Arr(
+                    [-0.0, 5e-324, f64::MAX, u64::MAX as f64, 2.1f32 as f64, 1e21, 0.1 + 0.2, 7.0]
+                        .into_iter()
+                        .map(Value::Num)
+                        .collect(),
+                ),
+            ),
+            ("inf".to_string(), Value::Num(f64::NEG_INFINITY)),
+            ("empty".to_string(), Value::Arr(vec![Value::Arr(vec![]), Value::Obj(vec![])])),
+            ("lits".to_string(), Value::Arr(vec![Value::Null, Value::Bool(true), Value::Bool(false)])),
+        ]);
+        assert_eq!(write(&v), "{\"q\\\"b\\\\s\\n\\r\\t\\u0001\\u001f\u{2028}😀\":\"q\\\"b\\\\s\\n\\r\\t\\u0001\\u001f\u{2028}😀\",\"nums\":[-0.0,5e-324,1.7976931348623157e308,1.8446744073709552e19,2.0999999046325684,1e21,0.30000000000000004,7.0],\"inf\":null,\"empty\":[[],{}],\"lits\":[null,true,false]}");
+    }
+
+    /// A finite value tree decoded from arbitrary bytes: any bit pattern
+    /// of a finite number, any text (control characters, quotes and
+    /// U+FFFD from invalid UTF-8 included) as string and as key.
+    fn value_from(bytes: &mut std::slice::Iter<'_, u8>, depth: usize) -> Value {
+        fn take(bytes: &mut std::slice::Iter<'_, u8>, n: usize) -> Vec<u8> {
+            bytes.by_ref().take(n).copied().collect()
+        }
+        fn pick(bytes: &mut std::slice::Iter<'_, u8>, n: usize) -> usize {
+            bytes.next().map_or(0, |b| *b as usize % n)
+        }
+        fn text(bytes: &mut std::slice::Iter<'_, u8>, n: usize) -> String {
+            String::from_utf8_lossy(&take(bytes, n)).into_owned()
+        }
+        match pick(bytes, if depth == 0 { 3 } else { 5 }) {
+            0 => [Value::Null, Value::Bool(true), Value::Bool(false)][pick(bytes, 3)].clone(),
+            1 => {
+                let mut bits = [0u8; 8];
+                bits.iter_mut().zip(take(bytes, 8)).for_each(|(d, s)| *d = s);
+                Value::Num(Some(f64::from_le_bytes(bits)).filter(|x| x.is_finite()).unwrap_or(-0.0))
+            }
+            2 => Value::Str(text(bytes, 6)),
+            3 => Value::Arr((0..pick(bytes, 4)).map(|_| value_from(bytes, depth - 1)).collect()),
+            _ => Value::Obj(
+                (0..pick(bytes, 4)).map(|_| (text(bytes, 3), value_from(bytes, depth - 1))).collect(),
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        /// What the writer emits, the parser reads back exactly — the
+        /// identity a journal payload relies on across a resume.
+        #[test]
+        fn write_then_parse_is_identity(bytes in proptest::collection::vec(0u8..=255, 0..128)) {
+            let v = value_from(&mut bytes.iter(), 4);
+            proptest::prop_assert_eq!(parse(&write(&v)), Ok(v));
+        }
     }
 
     #[test]

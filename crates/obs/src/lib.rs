@@ -32,11 +32,12 @@
 //!   [`VarAccum`]) whose integer merges are exactly associative and
 //!   commutative, so sharded campaigns aggregate byte-identically at
 //!   any worker count.
-//! * [`chrome`] — hand-rolled Chrome trace-event JSON export, loadable
+//! * [`chrome`] — Chrome trace-event JSON export, loadable
 //!   in Perfetto / `chrome://tracing`, with frequency samples exported
 //!   as counter tracks.
-//! * [`json`] — a minimal JSON value model, parser and string escaper,
-//!   used for machine-readable run reports and output validation.
+//! * [`json`] — a minimal JSON value model, parser, and the one
+//!   streaming writer every emitted artifact (journal lines, run
+//!   reports, traces) goes through.
 //!
 //! Timestamps are plain `u64` nanoseconds: virtual time on the simulated
 //! backend, a monotonic clock on the native one. The two backends thus

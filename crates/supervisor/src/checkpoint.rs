@@ -23,7 +23,7 @@
 use crate::chaos::{self, FaultKind, Verdict, WriteKind};
 use crate::classify::Transience;
 use crate::fsio::atomic_write;
-use ompvar_obs::json::{self, Value};
+use ompvar_obs::json::{self, Value, Writer};
 use std::collections::HashSet;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -162,43 +162,36 @@ fn parse_err(path: &Path, line: usize, msg: impl Into<String>, raw: &str) -> Che
     }
 }
 
-fn header_json(h: &Header) -> String {
-    let targets: Vec<String> = h
-        .targets
-        .iter()
-        .map(|t| format!("\"{}\"", json::escape(t)))
-        .collect();
-    format!(
-        "{{\"schema\":\"{SCHEMA}\",\"kind\":\"campaign\",\"seed\":{},\"fast\":{},\"targets\":[{}]}}",
-        h.seed,
-        h.fast,
-        targets.join(",")
-    )
+/// Open a manifest line: the two fields every record starts with.
+fn begin_line(kind: &str) -> Writer {
+    let mut w = Writer::new();
+    w.begin_obj().key("schema").str(SCHEMA).key("kind").str(kind);
+    w
 }
 
+fn header_json(h: &Header) -> String {
+    let mut w = begin_line("campaign");
+    w.key("seed").u64(h.seed).key("fast").bool(h.fast);
+    w.key("targets").strs(&h.targets).end_obj();
+    w.finish()
+}
+
+/// One journal line, built in one buffer with the payload streamed in.
 fn entry_json(e: &Entry) -> String {
-    let retries: Vec<String> = e
-        .retries
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"attempt\":{},\"error\":\"{}\",\"class\":\"{}\",\"backoff_ms\":{}}}",
-                r.attempt,
-                json::escape(&r.error),
-                r.transience.name(),
-                r.backoff_ms
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\":\"{SCHEMA}\",\"kind\":\"unit\",\"name\":\"{}\",\"status\":\"{}\",\
-         \"attempts\":{},\"retries\":[{}],\"payload\":{}}}",
-        json::escape(&e.name),
-        e.status.name(),
-        e.attempts,
-        retries.join(","),
-        e.payload.as_ref().map_or_else(|| "null".to_string(), json::write),
-    )
+    let mut w = begin_line("unit");
+    w.key("name").str(&e.name).key("status").str(e.status.name());
+    w.key("attempts").u64(e.attempts.into()).key("retries").begin_arr();
+    for r in &e.retries {
+        w.begin_obj().key("attempt").u64(r.attempt.into()).key("error").str(&r.error);
+        w.key("class").str(r.transience.name()).key("backoff_ms").u64(r.backoff_ms).end_obj();
+    }
+    w.end_arr().key("payload");
+    match &e.payload {
+        Some(p) => w.value(p),
+        None => w.null(),
+    };
+    w.end_obj();
+    w.finish()
 }
 
 fn u64_of(v: &Value, key: &str) -> Option<u64> {
@@ -652,6 +645,7 @@ pub fn resume_shards_lenient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn header() -> Header {
         Header { seed: 7, fast: true, targets: vec!["faults".into(), "campaign".into()] }
@@ -709,6 +703,55 @@ mod tests {
             Some(2.25)
         );
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// Bytes pinned from the emitter this one replaced: a journal line
+    /// written by either binary must resume under the other.
+    #[test]
+    fn hostile_fixture_bytes_are_pinned() {
+        let hostile = "q\"b\\s\n\u{1}\u{2028}\u{1f600}";
+        let h = Header { seed: u64::MAX, fast: false, targets: vec![hostile.into(), "".into()] };
+        assert_eq!(header_json(&h), "{\"schema\":\"ompvar-checkpoint/1\",\"kind\":\"campaign\",\"seed\":18446744073709551615,\"fast\":false,\"targets\":[\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"\"]}");
+        assert_eq!(header_json(&Header { seed: 0, fast: true, targets: vec![] }), "{\"schema\":\"ompvar-checkpoint/1\",\"kind\":\"campaign\",\"seed\":0,\"fast\":true,\"targets\":[]}");
+        let retry = |attempt, transience, backoff_ms| RetryRecord {
+            attempt,
+            error: hostile.to_string(),
+            transience,
+            backoff_ms,
+        };
+        let e = Entry {
+            name: hostile.to_string(),
+            status: UnitStatus::Ok,
+            attempts: u32::MAX,
+            retries: vec![
+                retry(0, Transience::Transient, u64::MAX),
+                retry(1, Transience::Permanent, 0),
+            ],
+            payload: Some(Value::Obj(vec![
+                (hostile.to_string(), Value::Arr(vec![])),
+                (
+                    "v".to_string(),
+                    Value::Arr(
+                        [-0.0, 5e-324, f64::MAX, 2.1f32 as f64, f64::NAN]
+                            .into_iter()
+                            .map(Value::Num)
+                            .collect(),
+                    ),
+                ),
+            ])),
+        };
+        assert_eq!(entry_json(&e), "{\"schema\":\"ompvar-checkpoint/1\",\"kind\":\"unit\",\"name\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"status\":\"ok\",\"attempts\":4294967295,\"retries\":[{\"attempt\":0,\"error\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"class\":\"transient\",\"backoff_ms\":18446744073709551615},{\"attempt\":1,\"error\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"class\":\"permanent\",\"backoff_ms\":0}],\"payload\":{\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\":[],\"v\":[-0.0,5e-324,1.7976931348623157e308,2.0999999046325684,null]}}");
+        let q = Entry {
+            name: "c0".into(),
+            status: UnitStatus::Quarantined,
+            attempts: 1,
+            retries: vec![],
+            payload: None,
+        };
+        assert_eq!(entry_json(&q), "{\"schema\":\"ompvar-checkpoint/1\",\"kind\":\"unit\",\"name\":\"c0\",\"status\":\"quarantined\",\"attempts\":1,\"retries\":[],\"payload\":null}");
+        for line in [header_json(&h), entry_json(&e), entry_json(&q)] {
+            json::parse(&line).expect("valid JSON");
+        }
     }
 
     #[test]
@@ -847,6 +890,97 @@ mod tests {
         assert!(m.recovered_torn_tail());
         assert_eq!(names(&entries), ["faults"]);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A value of no particular shape decoded from arbitrary bytes, its
+    /// strings and keys drawn from the ones the reader matches on so the
+    /// type-confused neighbours of a real line come up.
+    fn alien_from(bytes: &mut std::slice::Iter<'_, u8>, depth: usize) -> Value {
+        const WORDS: [&str; 12] = [
+            SCHEMA, "schema", "kind", "campaign", "unit", "ok", "quarantined", "transient",
+            "attempt", "error", "class", "",
+        ];
+        fn next(bytes: &mut std::slice::Iter<'_, u8>) -> usize {
+            bytes.next().copied().unwrap_or(0) as usize
+        }
+        match next(bytes) % if depth == 0 { 4 } else { 6 } {
+            0 => Value::Null,
+            1 => Value::Bool(next(bytes) & 1 == 0),
+            2 => Value::Num([-1.0, 0.5, 3.0, 1e300, 1.9e19, f64::NAN][next(bytes) % 6]),
+            3 => Value::Str(WORDS[next(bytes) % WORDS.len()].to_string()),
+            4 => Value::Arr((0..next(bytes) % 3).map(|_| alien_from(bytes, depth - 1)).collect()),
+            _ => Value::Obj(
+                (0..next(bytes) % 3)
+                    .map(|_| (WORDS[next(bytes) % WORDS.len()].to_string(), alien_from(bytes, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Replace node `n` of `v` (pre-order, `v` itself is node 0) by
+    /// `alien`; `v` is untouched if it has fewer nodes.
+    fn graft(v: &mut Value, n: &mut usize, alien: &Value) {
+        if *n == 0 {
+            *v = alien.clone();
+        }
+        *n = n.wrapping_sub(1);
+        match v {
+            Value::Arr(items) => items.iter_mut().for_each(|i| graft(i, n, alien)),
+            Value::Obj(fields) => fields.iter_mut().for_each(|(_, f)| graft(f, n, alien)),
+            _ => {}
+        }
+    }
+
+    proptest! {
+        /// Hostile journal bytes, as the header line and as an entry
+        /// line: resume is a typed `CheckpointError` or a manifest that
+        /// dropped them as a torn tail — never a panic.
+        #[test]
+        fn arbitrary_bytes_as_header_or_entry_are_a_typed_error(
+            bytes in prop::collection::vec(0u8..=255, 0..96),
+            terminated in any::<bool>(),
+        ) {
+            let path = tmp("hostile_bytes");
+            let mut after_header = format!("{}\n", header_json(&header())).into_bytes();
+            after_header.extend(&bytes);
+            for mut doc in [bytes.clone(), after_header] {
+                if terminated {
+                    doc.push(b'\n');
+                }
+                std::fs::write(&path, &doc).unwrap();
+                if let Ok((_, entries)) = Manifest::open_resume(&path, &header()) {
+                    prop_assert!(entries.is_empty(), "{entries:?}");
+                }
+            }
+            let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        }
+
+        /// Well-formed JSON of the wrong shape — one node of a real header
+        /// or entry replaced by an arbitrary value: `None` from the
+        /// decoders, and through the reader `Parse` or `Mismatch`.
+        #[test]
+        fn type_confused_header_or_entry_is_none_or_a_typed_error(
+            node in 0usize..18,
+            bytes in prop::collection::vec(0u8..=255, 0..24),
+        ) {
+            let path = tmp("hostile_values");
+            let alien = alien_from(&mut bytes.iter(), 2);
+            for line in [header_json(&header()), entry_json(&entry("faults"))] {
+                let mut v = json::parse(&line).unwrap();
+                graft(&mut v, &mut node.clone(), &alien);
+                let _ = (header_from(&v), entry_from(&v));
+                let text = json::write(&v);
+                for doc in [format!("{text}\n"), format!("{}\n{text}\n", header_json(&header()))] {
+                    std::fs::write(&path, doc).unwrap();
+                    let typed = !matches!(
+                        Manifest::open_resume(&path, &header()),
+                        Err(CheckpointError::Io(_))
+                    );
+                    prop_assert!(typed, "{text}");
+                }
+            }
+            let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        }
     }
 
     /// A complete unit record that merely lost its trailing newline is
