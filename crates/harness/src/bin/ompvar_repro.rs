@@ -1,8 +1,9 @@
 //! `ompvar-repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! ompvar-repro [--fast] [--seed N] [--out DIR] [--trace FILE] \
-//!              [--lint-json FILE] [--report-json FILE] [--resume DIR] \
+//! ompvar-repro [--fast] [--seed N] [--out DIR] [--fuzz-cases N] \
+//!              [--trace FILE] [--lint-json FILE] [--attr] \
+//!              [--report-json FILE] [--resume DIR] \
 //!              [--max-retries N] [--jobs N] [--unit-timeout SECS] \
 //!              [--chaos-seed N] [--chaos-proc] [--salvage-corrupt-shards] \
 //!              <table2|fig1|...|trace|campaign|chaos|all>
@@ -15,6 +16,10 @@
 //! `analyze` experiment export every program's diagnostics as an
 //! `ompvar-diagnostics/1` JSON document; `--report-json` writes a
 //! machine-readable summary of every table and check in the run.
+//! `--fuzz-cases N` sizes the `fuzz` experiment's campaign (at most
+//! 10 000 000: every batch of 32 cases is a cell planned up front);
+//! `--attr` turns on causal time attribution for the `trace`
+//! experiment's traced run.
 //!
 //! The whole sweep is one campaign on the fault-tolerant executor
 //! (`ompvar-supervisor`), and its unit is the *cell*: every selected
@@ -50,7 +55,7 @@
 //! re-run, a recovery note recorded in the JSON report) instead of
 //! aborting with the shard file, line number and offending bytes.
 
-use ompvar_harness::common::{run_journaled, run_report_json, Campaign, Unopenable};
+use ompvar_harness::common::{run_journaled, run_report_json, Campaign};
 use ompvar_harness::grid::{Grid, Sample, Sweep};
 use ompvar_harness::{analyze_exp, select, ExpOptions, ExpReport, Experiment, EXPERIMENTS};
 use ompvar_supervisor::{atomic_write, resolve_jobs, UnitError, UnitResult};
@@ -157,7 +162,13 @@ fn main() -> ExitCode {
     install_sigint_handler();
     let mut opts = ExpOptions::default();
     let mut targets: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    // `std::env::args` would panic on an argument that is not UTF-8.
+    let mut args = std::env::args_os().skip(1).map(|a| {
+        a.into_string().unwrap_or_else(|bad| {
+            eprintln!("error: argument {bad:?} is not valid UTF-8");
+            usage()
+        })
+    });
     while let Some(a) = args.next() {
         // A flag's value is the next argument; absent is a usage error.
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -190,12 +201,15 @@ fn main() -> ExitCode {
                 }
             }
             "--unit-timeout" => {
+                // `try_from`: NaN, negatives, infinities and seconds past
+                // what a `Duration` holds (1e300) are all refused here.
                 let secs: f64 = parsed(value());
-                if !secs.is_finite() || secs <= 0.0 {
+                let timeout = std::time::Duration::try_from_secs_f64(secs).ok();
+                if timeout.is_none() || secs <= 0.0 {
                     eprintln!("error: --unit-timeout must be a positive number of seconds");
                     usage();
                 }
-                opts.unit_timeout = Some(std::time::Duration::from_secs_f64(secs));
+                opts.unit_timeout = timeout;
             }
             "--chaos-seed" => opts.chaos_seed = Some(parsed(value())),
             "--chaos-proc" => opts.chaos_proc = true,
@@ -255,7 +269,6 @@ fn main() -> ExitCode {
     // error names the shard file, line number and offending bytes.
     let door = Campaign {
         base: "manifest",
-        unopenable: Unopenable::Abort,
         outer: true,
         trace: Some(("supervisor.json", "ompvar-supervisor")),
         cancel: Some(&INTERRUPTED),

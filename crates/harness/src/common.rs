@@ -249,32 +249,22 @@ impl ExpOptions {
     }
 }
 
-/// What [`run_journaled`] does when `--resume` cannot open the
-/// campaign's journal (wrong campaign, corrupt shard, sick disk).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unopenable {
-    /// Return the typed error and touch nothing: the CLI sweep exits 2
-    /// rather than splice two campaigns.
-    Abort,
-    /// Warn and start a fresh journal. For campaigns nested inside a
-    /// unit of the sweep, where a journal that is simply *absent* is the
-    /// normal case — the sweep died before this campaign began — and is
-    /// created without comment.
-    StartFresh,
-}
-
 /// One journaled campaign, declared: everything [`run_journaled`] needs
 /// beyond [`ExpOptions`] and the units themselves.
 pub struct Campaign<'a, R> {
     /// Journal base name under [`ExpOptions::checkpoint_dir`]: shard 0
     /// is `<base>.jsonl`, worker `w` journals to `<base>.shard-<w>.jsonl`.
     pub base: &'a str,
-    /// Policy for a journal `--resume` cannot open.
-    pub unopenable: Unopenable,
     /// The user's own sweep rather than a campaign nested in one of its
     /// units: resumption is announced on stdout, retry backoffs are
-    /// really slept (inner campaigns only record the schedule), and
-    /// `--chaos-proc` applies.
+    /// really slept (inner campaigns only record the schedule),
+    /// `--chaos-proc` applies, and a journal `--resume` cannot open
+    /// (wrong campaign, corrupt shard, sick disk) is a typed error that
+    /// touches nothing — the CLI exits 2 rather than splice two
+    /// campaigns. An inner campaign warns and starts a fresh journal
+    /// instead; one that is simply *absent* is its normal case — the
+    /// sweep died before this campaign began — and is created without
+    /// comment.
     pub outer: bool,
     /// Write the executor's worker-lane Chrome trace (attempt spans,
     /// retry / quarantine / resume / checkpoint instants) next to the
@@ -289,12 +279,11 @@ pub struct Campaign<'a, R> {
 
 impl<'a, R> Campaign<'a, R> {
     /// A campaign nested inside one unit of the sweep, journaling under
-    /// `base`: [`Unopenable::StartFresh`], not `outer`, no trace, no
-    /// cancel flag, no progress callback.
+    /// `base`: not `outer`, no trace, no cancel flag, no progress
+    /// callback.
     pub fn inner(base: &'a str) -> Self {
         Campaign {
             base,
-            unopenable: Unopenable::StartFresh,
             outer: false,
             trace: None,
             cancel: None,
@@ -329,7 +318,7 @@ pub fn executor_config(opts: &ExpOptions, outer: bool) -> ExecutorConfig {
 /// shards are merged and replayed — leniently under
 /// `--salvage-corrupt-shards`, the quarantine notes joining the run's
 /// `recovery_notes` — and a journal that cannot be opened is handled per
-/// [`Campaign::unopenable`]. Only a journal that cannot be *created*
+/// [`Campaign::outer`]. Only a journal that cannot be *created*
 /// degrades to an unjournaled (still supervised) run.
 pub fn run_journaled<R>(
     opts: &ExpOptions,
@@ -363,7 +352,7 @@ where
                 }
                 resumed = Some((Some(shards), replay));
             }
-            Err(e) if c.unopenable == Unopenable::Abort => return Err(e),
+            Err(e) if c.outer => return Err(e),
             Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => eprintln!(
                 "warning: cannot resume from {}: {e}; starting a fresh journal",
@@ -772,8 +761,8 @@ mod tests {
         }
     }
 
-    fn door<'a>(unopenable: Unopenable) -> Campaign<'a, Num> {
-        Campaign { unopenable, ..Campaign::inner("door") }
+    fn door<'a>(outer: bool) -> Campaign<'a, Num> {
+        Campaign { outer, ..Campaign::inner("door") }
     }
 
     use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
@@ -813,14 +802,14 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         let units = counted_units(&ran);
         let fresh = ExpOptions { out_dir: tmp_dir("abort"), seed: 3, ..ExpOptions::fast() };
-        run_journaled(&fresh, &door(Unopenable::Abort), &units).expect("fresh runs never abort");
+        run_journaled(&fresh, &door(true), &units).expect("fresh runs never abort");
         assert_eq!(ran.load(SeqCst), 3);
         let before = dir_bytes(&fresh.checkpoint_dir());
         assert!(!before.is_empty());
 
         // Another campaign (seed 4) resuming from seed 3's journal.
         let other = ExpOptions { seed: 4, resume: Some(fresh.checkpoint_dir()), ..fresh.clone() };
-        let err = run_journaled(&other, &door(Unopenable::Abort), &units).unwrap_err();
+        let err = run_journaled(&other, &door(true), &units).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
         assert_eq!(ran.load(SeqCst), 3, "no unit may run");
         assert_eq!(dir_bytes(&fresh.checkpoint_dir()), before, "journal must be untouched");
@@ -835,7 +824,7 @@ mod tests {
         let opts = ExpOptions { resume: Some(dir.clone()), seed: 3, ..ExpOptions::fast() };
 
         // `--resume DIR` with no `door.jsonl` in DIR: created, journaled.
-        let first = run_journaled(&opts, &door(Unopenable::StartFresh), &units).unwrap();
+        let first = run_journaled(&opts, &door(false), &units).unwrap();
         assert_eq!(ran.load(SeqCst), 3);
         assert!(first.results.iter().all(|r| !r.outcome.from_checkpoint()));
         let text = std::fs::read_to_string(dir.join("door.jsonl")).expect("journal created");
@@ -843,14 +832,14 @@ mod tests {
         assert_eq!(text.lines().count(), 1 + units.len(), "header + one entry per unit");
 
         // Present: every unit replays, nothing runs, nothing is re-journaled.
-        let second = run_journaled(&opts, &door(Unopenable::StartFresh), &units).unwrap();
+        let second = run_journaled(&opts, &door(false), &units).unwrap();
         assert_eq!(ran.load(SeqCst), 3, "replayed, not re-run");
         assert!(second.results.iter().all(|r| r.outcome.from_checkpoint()));
         assert_eq!(std::fs::read_to_string(dir.join("door.jsonl")).unwrap(), text);
 
         // Unopenable (another campaign's journal): replaced, not spliced.
         let other = ExpOptions { seed: 4, ..opts.clone() };
-        let third = run_journaled(&other, &door(Unopenable::StartFresh), &units).unwrap();
+        let third = run_journaled(&other, &door(false), &units).unwrap();
         assert_eq!(ran.load(SeqCst), 6);
         assert!(third.results.iter().all(|r| !r.outcome.from_checkpoint()));
         let text = std::fs::read_to_string(dir.join("door.jsonl")).unwrap();

@@ -1064,3 +1064,240 @@ fn killed_fuzz_campaign_resumes_per_batch() {
     );
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// Run `cmd` to completion with stdout discarded and stderr captured;
+/// a child still alive after `secs` is killed and reported as a hang.
+fn run_within(mut cmd: Command, secs: u64) -> std::process::Output {
+    use std::process::Stdio;
+    let mut child = cmd
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary starts");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
+    while child.try_wait().expect("child polls").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{cmd:?} still running after {secs} s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    child.wait_with_output().expect("child reaped")
+}
+
+mod hostile_argv {
+    use super::{repro, run_within};
+    use proptest::prelude::*;
+    use std::ffi::OsString;
+
+    /// Elements the parser accepts: every flag of the vocabulary with a
+    /// value it takes — numbers at their bounds — and experiment names.
+    const WELL_FORMED: &[&[&str]] = &[
+        &["--fast"],
+        &["--attr"],
+        &["--chaos-proc"],
+        &["--salvage-corrupt-shards"],
+        &["--seed", "0"],
+        &["--seed", "18446744073709551615"],
+        &["--chaos-seed", "18446744073709551615"],
+        &["--out", "ompvar_hostile_argv_out"],
+        &["--out", "--fast"],
+        &["--trace", "t.json"],
+        &["--lint-json", "l.json"],
+        &["--report-json", "r.json"],
+        &["--resume", "ompvar_hostile_argv_no_such_dir"],
+        &["--max-retries", "0"],
+        &["--max-retries", "4294967295"],
+        &["--jobs", "0"],
+        &["--jobs", "1024"],
+        &["--fuzz-cases", "0"],
+        &["--fuzz-cases", "10000000"],
+        &["--unit-timeout", "1e-9"],
+        &["--unit-timeout", "1e19"],
+        &["table2"],
+        &["fuzz"],
+        &["all"],
+    ];
+
+    /// Elements the parser must refuse wherever they stand: numbers
+    /// past each bound or not numbers at all, unknown flags, targets
+    /// that are no experiment.
+    const MALFORMED: &[&[&str]] = &[
+        &["--jobs", "1025"],
+        &["--jobs", "-1"],
+        &["--jobs", "18446744073709551616"],
+        &["--jobs", "two"],
+        &["--jobs", ""],
+        &["--fuzz-cases", "10000001"],
+        &["--fuzz-cases", "-5"],
+        &["--fuzz-cases", "1e3"],
+        &["--unit-timeout", "0"],
+        &["--unit-timeout", "nan"],
+        &["--unit-timeout", "-1"],
+        &["--unit-timeout", "inf"],
+        &["--unit-timeout", "1e300"],
+        &["--unit-timeout", "soon"],
+        &["--seed", "18446744073709551616"],
+        &["--seed", "-1"],
+        &["--seed", "0x10"],
+        &["--chaos-seed", "seed"],
+        &["--max-retries", "4294967296"],
+        &["--max-retries", "-1"],
+        &["--frobnicate"],
+        &["--jobs=2"],
+        &["--"],
+        &["-"],
+        &["-x"],
+        &["--FAST"],
+        &["--stability-cov", "0.1"],
+        &["fig99"],
+        &["ALL"],
+        &["all "],
+        &[""],
+        &["\u{feff}table2"],
+        &["table2\n"],
+        &["\u{1F600}"],
+    ];
+
+    /// Flags that take a value: malformed when they close the argv.
+    const VALUED: &[&str] = &[
+        "--seed", "--out", "--fuzz-cases", "--trace", "--lint-json", "--report-json", "--resume",
+        "--max-retries", "--jobs", "--unit-timeout", "--chaos-seed",
+    ];
+
+    fn os(words: &[&str]) -> Vec<OsString> {
+        words.iter().map(OsString::from).collect()
+    }
+
+    /// The malformed element `pick` selects, and whether it must stand
+    /// last (a flag missing its value).
+    fn malformed(pick: u64) -> (Vec<OsString>, bool) {
+        let n = (MALFORMED.len() + VALUED.len() + 2) as u64;
+        let k = (pick % n) as usize;
+        if let Some(words) = MALFORMED.get(k) {
+            return (os(words), false);
+        }
+        if let Some(flag) = VALUED.get(k - MALFORMED.len()) {
+            return (os(&[flag]), true);
+        }
+        // Bytes that are not UTF-8, as a target and as a flag's value.
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStringExt;
+            let junk = OsString::from_vec(vec![0xff, 0xfe, b'f', 0x80]);
+            if k == MALFORMED.len() + VALUED.len() {
+                (vec![junk], false)
+            } else {
+                (vec![OsString::from("--seed"), junk], false)
+            }
+        }
+        #[cfg(not(unix))]
+        (os(&["--frobnicate"]), false)
+    }
+
+    fn assert_usage_error(argv: &[OsString]) -> Result<(), TestCaseError> {
+        let mut cmd = repro();
+        cmd.args(argv);
+        let out = run_within(cmd, 20);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        prop_assert_eq!(out.status.code(), Some(2), "argv {:?}: {}", argv, stderr);
+        prop_assert!(stderr.contains("usage:"), "argv {:?}: {}", argv, stderr);
+        Ok(())
+    }
+
+    /// Every malformed element once, beside an otherwise runnable sweep.
+    #[test]
+    fn every_malformed_element_is_a_usage_error() {
+        for k in 0..(MALFORMED.len() + VALUED.len() + 2) as u64 {
+            let (element, _) = malformed(k);
+            let argv = [os(&["--fast", "fig2"]), element].concat();
+            assert_usage_error(&argv).unwrap_or_else(|e| panic!("{e:?}"));
+        }
+    }
+
+    proptest! {
+        /// Whatever surrounds it, one malformed element makes the whole
+        /// command line a usage error before anything runs: exit code 2
+        /// and a `usage:` line — never a panic (101), never a hang.
+        #[test]
+        fn a_malformed_element_anywhere_is_a_usage_error(
+            picks in prop::collection::vec(any::<u64>(), 0..7),
+            bad in any::<u64>(),
+            at in any::<u64>(),
+        ) {
+            let mut argv: Vec<Vec<OsString>> = picks
+                .iter()
+                .map(|p| os(WELL_FORMED[(*p % WELL_FORMED.len() as u64) as usize]))
+                .collect();
+            let (element, last) = malformed(bad);
+            let at = if last { argv.len() } else { (at % (argv.len() as u64 + 1)) as usize };
+            argv.insert(at, element);
+            assert_usage_error(&argv.concat())?;
+        }
+    }
+}
+
+/// Census tool for the any-seed item of ROADMAP.md, not a check: run
+/// the whole `--fast` sweep at seeds 1..=10 and print, per shape check,
+/// how many seeds pass and the detail line of the first failure.
+/// `cargo test -p ompvar-harness --test cli seed_census -- --ignored --nocapture`
+#[test]
+#[ignore = "several minutes; prints a table, asserts nothing about the shapes"]
+fn seed_census() {
+    const SEEDS: std::ops::RangeInclusive<u64> = 1..=10;
+    let base = std::env::temp_dir().join(format!("ompvar_seed_census_{}", std::process::id()));
+    /// One shape check's record over the seeds, in first-seen order.
+    struct Tally {
+        exp: String,
+        check: String,
+        passes: usize,
+        first_failure: Option<String>,
+    }
+    let mut census: Vec<Tally> = Vec::new();
+    for seed in SEEDS {
+        let out_dir = base.join(seed.to_string());
+        let report = out_dir.join("report.json");
+        let out = repro()
+            .args(["all", "--fast", "--jobs", "2", "--seed", &seed.to_string(), "--out"])
+            .arg(&out_dir)
+            .arg("--report-json")
+            .arg(&report)
+            .output()
+            .expect("binary runs");
+        assert!(matches!(out.status.code(), Some(0 | 1)), "seed {seed}: {:?}", out.status);
+        let doc = parse(&std::fs::read_to_string(&report).expect("report written")).expect("parses");
+        for exp in doc.get("experiments").and_then(Value::as_arr).expect("experiments") {
+            let exp_name = exp.get("name").and_then(Value::as_str).expect("name");
+            for check in exp.get("checks").and_then(Value::as_arr).expect("checks") {
+                let text = |key| check.get(key).and_then(Value::as_str).expect("text");
+                let seen = census.iter().position(|t| t.exp == exp_name && t.check == text("name"));
+                let i = seen.unwrap_or_else(|| {
+                    census.push(Tally {
+                        exp: exp_name.to_string(),
+                        check: text("name").to_string(),
+                        passes: 0,
+                        first_failure: None,
+                    });
+                    census.len() - 1
+                });
+                if check.get("passed").and_then(Value::as_bool).expect("passed") {
+                    census[i].passes += 1;
+                } else if census[i].first_failure.is_none() {
+                    census[i].first_failure = Some(format!("seed {seed}: {}", text("detail")));
+                }
+            }
+        }
+    }
+    let seeds = SEEDS.count();
+    for t in &census {
+        println!("{:>2}/{seeds}  {}: {}", t.passes, t.exp, t.check);
+        if let Some(detail) = &t.first_failure {
+            println!("       first failure — {detail}");
+        }
+    }
+    let green = census.iter().filter(|t| t.passes == seeds).count();
+    println!("{green} of {} checks pass at every seed", census.len());
+    std::fs::remove_dir_all(&base).ok();
+}

@@ -321,11 +321,6 @@ impl EventQueue {
         }
     }
 
-    /// Is this the reference implementation?
-    pub fn is_reference(&self) -> bool {
-        matches!(self.imp, QueueImpl::Reference(_))
-    }
-
     /// Schedule `kind` at absolute time `time`.
     #[inline]
     pub fn push(&mut self, time: Time, kind: EventKind) {

@@ -313,6 +313,30 @@ pub enum Timed {
     },
 }
 
+impl Timed {
+    /// Remaining progress units (cycles, max-frequency ns or bytes).
+    #[inline]
+    pub(crate) fn rem(&self) -> f64 {
+        match self {
+            Timed::Cycles { rem, .. }
+            | Timed::Ns { rem }
+            | Timed::Bytes { rem }
+            | Timed::AtomicNs { rem, .. } => *rem,
+        }
+    }
+
+    /// The remaining-progress counter, for the engine to decrement.
+    #[inline]
+    pub(crate) fn rem_mut(&mut self) -> &mut f64 {
+        match self {
+            Timed::Cycles { rem, .. }
+            | Timed::Ns { rem }
+            | Timed::Bytes { rem }
+            | Timed::AtomicNs { rem, .. } => rem,
+        }
+    }
+}
+
 /// Untimed/instant micro-operations and wait points.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MicroOp {
