@@ -145,7 +145,8 @@ impl NativePool {
     }
 }
 
-/// One allocated native sync object, aligned with the construct traversal.
+/// The native sync objects of one construct; slot `k` of the table
+/// belongs to the `k`-th construct in traversal order.
 enum NObj {
     None,
     Barrier(SenseBarrier),
@@ -155,7 +156,10 @@ enum NObj {
     SingleWithBarrier(NativeSingle, SenseBarrier),
     LockWithBarrier(NativeLock, SenseBarrier),
     RegionBarriers(SenseBarrier, SenseBarrier),
-    PoolWithBarrier(NativePool, SenseBarrier),
+    /// Pool, post-spawn barrier, final barrier.
+    Tasks(NativePool, SenseBarrier, SenseBarrier),
+    /// Worksharing loop, combine lock, implicit end-of-loop barrier.
+    ReductionFor(NativeLoop, NativeLock, SenseBarrier),
 }
 
 /// Fold the object table's counters into a [`SemanticEffects`] summary
@@ -163,6 +167,13 @@ enum NObj {
 /// construct→object mapping, read back from atomics).
 fn harvest_effects(objs: &[NObj]) -> SemanticEffects {
     let mut fx = SemanticEffects::default();
+    let loop_counts = |fx: &mut SemanticEffects, lp: &NativeLoop| {
+        let (iters, passes, ordered_done, violations) = lp.effect_counts();
+        fx.loop_iters += iters;
+        fx.loop_passes += passes;
+        fx.ordered_entries += ordered_done;
+        fx.ordered_violations += violations;
+    };
     for o in objs {
         match o {
             NObj::None => {}
@@ -173,11 +184,7 @@ fn harvest_effects(objs: &[NObj]) -> SemanticEffects {
             }
             NObj::Atomic(a) => fx.atomic_ops += a.load(Ordering::Acquire),
             NObj::LoopWithBarrier(lp, bar, _) => {
-                let (iters, passes, ordered_done, violations) = lp.effect_counts();
-                fx.loop_iters += iters;
-                fx.loop_passes += passes;
-                fx.ordered_entries += ordered_done;
-                fx.ordered_violations += violations;
+                loop_counts(&mut fx, lp);
                 if let Some(b) = bar {
                     fx.barrier_arrivals += b.arrivals();
                 }
@@ -192,13 +199,19 @@ fn harvest_effects(objs: &[NObj]) -> SemanticEffects {
                 fx.mutex_violations += l.violations.load(Ordering::Acquire);
                 fx.barrier_arrivals += b.arrivals();
             }
+            NObj::ReductionFor(lp, l, b) => {
+                loop_counts(&mut fx, lp);
+                fx.reduction_combines += l.entries.load(Ordering::Acquire);
+                fx.mutex_violations += l.violations.load(Ordering::Acquire);
+                fx.barrier_arrivals += b.arrivals();
+            }
             NObj::RegionBarriers(entry, exit) => {
                 fx.barrier_arrivals += entry.arrivals() + exit.arrivals();
             }
-            NObj::PoolWithBarrier(p, b) => {
+            NObj::Tasks(p, after_spawn, fin) => {
                 fx.tasks_spawned += p.spawned.load(Ordering::Acquire);
                 fx.tasks_executed += p.executed.load(Ordering::Acquire);
-                fx.barrier_arrivals += b.arrivals();
+                fx.barrier_arrivals += after_spawn.arrivals() + fin.arrivals();
             }
         }
     }
@@ -415,8 +428,8 @@ impl Job for RegionRun {
         // span survives from the worker's previous region.
         let mut ctx = ThreadCtx {
             rank,
-            // Two sense flags per object: slot 2k for the object's
-            // (entry) barrier, 2k+1 for an exit barrier (ParallelRegion).
+            // Two sense flags per object: slot 2k for the object's first
+            // barrier, 2k+1 for its second (ParallelRegion, Tasks).
             sense: vec![false; self.objs.len() * 2],
             cursor: vec![LoopCursor::default(); self.objs.len()],
             local_marks: Vec::new(),
@@ -473,10 +486,28 @@ impl ThreadCtx<'_> {
     fn now_us(&self) -> f64 {
         self.t0.elapsed().as_secs_f64() * 1e6
     }
+
+    /// Meet the team at `b` (local sense flag `slot`) inside a barrier
+    /// span. `Err(what)` once the run deadline expires.
+    #[inline]
+    fn barrier(
+        &mut self,
+        b: &SenseBarrier,
+        slot: usize,
+        what: &'static str,
+    ) -> Result<(), &'static str> {
+        self.trace.begin(SpanKind::Barrier);
+        if !b.wait_bounded(&mut self.sense[slot], self.guard) {
+            return Err(what);
+        }
+        self.trace.end(SpanKind::Barrier);
+        Ok(())
+    }
 }
 
-/// Allocate the object table in traversal order (mirrors the simulated
-/// backend's lowering so both execute identical structures).
+/// Allocate the object table in traversal order: exactly one slot per
+/// construct, so [`interpret`] finds a construct's objects at the index
+/// it counts to and never looks ahead.
 fn allocate(
     cs: &[Construct],
     n: usize,
@@ -485,88 +516,62 @@ fn allocate(
     named: &mut BTreeMap<u32, NativeLock>,
 ) {
     for c in cs {
-        match c {
+        out.push(match c {
+            Construct::Barrier => NObj::Barrier(SenseBarrier::new(n)),
+            Construct::Critical { .. } | Construct::LockUnlock { .. } => {
+                NObj::Lock(NativeLock::new())
+            }
+            Construct::Atomic => NObj::Atomic(AtomicU64::new(0)),
+            // Shared writes count as atomic RMWs (the cell itself lives
+            // in the values side table).
+            Construct::VarWrite { var, .. } if values.contains_key(var) => {
+                NObj::Atomic(AtomicU64::new(0))
+            }
+            Construct::Single { .. } => {
+                NObj::SingleWithBarrier(NativeSingle::new(), SenseBarrier::new(n))
+            }
+            Construct::Reduction { .. } => {
+                NObj::LockWithBarrier(NativeLock::new(), SenseBarrier::new(n))
+            }
+            Construct::ParallelFor { schedule, total_iters, ordered_us, nowait, .. } => {
+                NObj::LoopWithBarrier(
+                    NativeLoop::new(*schedule, *total_iters, n),
+                    if *nowait { None } else { Some(SenseBarrier::new(n)) },
+                    *ordered_us,
+                )
+            }
+            Construct::ReductionFor { schedule, total_iters, .. } => NObj::ReductionFor(
+                NativeLoop::new(*schedule, *total_iters, n),
+                NativeLock::new(),
+                SenseBarrier::new(n),
+            ),
+            Construct::Tasks { .. } => {
+                NObj::Tasks(NativePool::new(), SenseBarrier::new(n), SenseBarrier::new(n))
+            }
+            Construct::ParallelRegion { .. } => {
+                NObj::RegionBarriers(SenseBarrier::new(n), SenseBarrier::new(n))
+            }
+            // No object of their own: a private store has no shared
+            // state, and a named lock lives in the side table keyed by id.
             Construct::DelayUs(_)
             | Construct::Compute { .. }
             | Construct::StreamBytes(_)
             | Construct::MarkBegin(_)
-            | Construct::MarkEnd(_) => out.push(NObj::None),
-            Construct::Atomic => out.push(NObj::Atomic(AtomicU64::new(0))),
-            Construct::Barrier => out.push(NObj::Barrier(SenseBarrier::new(n))),
-            Construct::Critical { .. } | Construct::LockUnlock { .. } => {
-                out.push(NObj::Lock(NativeLock::new()))
-            }
-            Construct::Single { .. } => out.push(NObj::SingleWithBarrier(
-                NativeSingle::new(),
-                SenseBarrier::new(n),
-            )),
-            Construct::Reduction { .. } => {
-                out.push(NObj::LockWithBarrier(NativeLock::new(), SenseBarrier::new(n)))
-            }
-            Construct::ParallelFor {
-                schedule,
-                total_iters,
-                ordered_us,
-                nowait,
-                ..
-            } => out.push(NObj::LoopWithBarrier(
-                NativeLoop::new(*schedule, *total_iters, n),
-                if *nowait { None } else { Some(SenseBarrier::new(n)) },
-                *ordered_us,
-            )),
-            Construct::Tasks { .. } => {
-                out.push(NObj::PoolWithBarrier(
-                    NativePool::new(),
-                    SenseBarrier::new(n),
-                ));
-                out.push(NObj::Barrier(SenseBarrier::new(n)));
-            }
-            Construct::ParallelRegion { body } => {
-                out.push(NObj::RegionBarriers(
-                    SenseBarrier::new(n),
-                    SenseBarrier::new(n),
-                ));
-                allocate(body, n, values, out, named);
-            }
+            | Construct::MarkEnd(_)
+            | Construct::VarRead { .. }
+            | Construct::VarWrite { .. }
+            | Construct::Locked { .. }
+            | Construct::Repeat { .. } => NObj::None,
+        });
+        match c {
             Construct::Locked { lock, body } => {
-                // The lock lives in the shared named table; the traversal
-                // slot stays occupied to keep indices aligned.
-                out.push(NObj::None);
                 named.entry(*lock).or_insert_with(NativeLock::new);
                 allocate(body, n, values, out, named);
             }
-            Construct::Repeat { body, .. } => {
-                out.push(NObj::None);
+            Construct::ParallelRegion { body } | Construct::Repeat { body, .. } => {
                 allocate(body, n, values, out, named);
             }
-            Construct::VarRead { .. } => out.push(NObj::None),
-            Construct::VarWrite { var, .. } => {
-                // Shared writes count as atomic RMWs (the cell itself
-                // lives in the values side table); private stores have
-                // no shared object.
-                if values.contains_key(var) {
-                    out.push(NObj::Atomic(AtomicU64::new(0)));
-                } else {
-                    out.push(NObj::None);
-                }
-            }
-            Construct::ReductionFor {
-                schedule,
-                total_iters,
-                ..
-            } => {
-                // Worksharing loop + combine lock + implicit barrier:
-                // same two-slot packing as the simulated backend.
-                out.push(NObj::LoopWithBarrier(
-                    NativeLoop::new(*schedule, *total_iters, n),
-                    None,
-                    None,
-                ));
-                out.push(NObj::LockWithBarrier(
-                    NativeLock::new(),
-                    SenseBarrier::new(n),
-                ));
-            }
+            _ => {}
         }
     }
 }
@@ -595,11 +600,7 @@ fn interpret(
             }
             Construct::Barrier => {
                 let NObj::Barrier(b) = &objs[my] else { unreachable!() };
-                ctx.trace.begin(SpanKind::Barrier);
-                if !b.wait_bounded(&mut ctx.sense[2 * my], ctx.guard) {
-                    return Err("barrier");
-                }
-                ctx.trace.end(SpanKind::Barrier);
+                ctx.barrier(b, 2 * my, "barrier")?;
             }
             Construct::Critical { body_us } | Construct::LockUnlock { body_us } => {
                 let NObj::Lock(l) = &objs[my] else { unreachable!() };
@@ -625,11 +626,7 @@ fn interpret(
                     delay(*body_us);
                 }
                 ctx.trace.end(SpanKind::Single);
-                ctx.trace.begin(SpanKind::Barrier);
-                if !b.wait_bounded(&mut ctx.sense[2 * my], ctx.guard) {
-                    return Err("single");
-                }
-                ctx.trace.end(SpanKind::Barrier);
+                ctx.barrier(b, 2 * my, "single")?;
             }
             Construct::Reduction { body_us } => {
                 let NObj::LockWithBarrier(acc, b) = &objs[my] else {
@@ -642,11 +639,7 @@ fn interpret(
                 ctx.trace.begin(SpanKind::Critical);
                 acc.section(|v| *v += rank + 1.0);
                 ctx.trace.end(SpanKind::Critical);
-                ctx.trace.begin(SpanKind::Barrier);
-                if !b.wait_bounded(&mut ctx.sense[2 * my], ctx.guard) {
-                    return Err("reduction");
-                }
-                ctx.trace.end(SpanKind::Barrier);
+                ctx.barrier(b, 2 * my, "reduction")?;
             }
             Construct::ParallelFor { body_us, .. } => {
                 let NObj::LoopWithBarrier(lp, bar, ordered) = &objs[my] else {
@@ -683,58 +676,33 @@ fn interpret(
                 }
                 ctx.trace.end(SpanKind::Workshare);
                 if let Some(b) = bar {
-                    ctx.trace.begin(SpanKind::Barrier);
-                    if !b.wait_bounded(&mut ctx.sense[2 * my], ctx.guard) {
-                        return Err("loop barrier");
-                    }
-                    ctx.trace.end(SpanKind::Barrier);
+                    ctx.barrier(b, 2 * my, "loop barrier")?;
                 }
             }
             Construct::ParallelRegion { body } => {
                 let NObj::RegionBarriers(entry, exit) = &objs[my] else {
                     unreachable!()
                 };
-                ctx.trace.begin(SpanKind::Barrier);
-                if !entry.wait_bounded(&mut ctx.sense[2 * my], ctx.guard) {
-                    return Err("region entry barrier");
-                }
-                ctx.trace.end(SpanKind::Barrier);
+                ctx.barrier(entry, 2 * my, "region entry barrier")?;
                 interpret(body, objs, ctx, idx)?;
-                ctx.trace.begin(SpanKind::Barrier);
-                if !exit.wait_bounded(&mut ctx.sense[2 * my + 1], ctx.guard) {
-                    return Err("region exit barrier");
-                }
-                ctx.trace.end(SpanKind::Barrier);
+                ctx.barrier(exit, 2 * my + 1, "region exit barrier")?;
             }
             Construct::Tasks {
                 per_spawner,
                 body_us,
                 master_only,
             } => {
-                let NObj::PoolWithBarrier(pool, after_spawn) = &objs[my] else {
-                    unreachable!()
-                };
-                let fin_idx = *idx;
-                *idx += 1;
-                let NObj::Barrier(fin) = &objs[fin_idx] else {
+                let NObj::Tasks(pool, after_spawn, fin) = &objs[my] else {
                     unreachable!()
                 };
                 if !master_only || ctx.rank == 0 {
                     pool.spawn(*body_us, *per_spawner);
                 }
-                ctx.trace.begin(SpanKind::Barrier);
-                if !after_spawn.wait_bounded(&mut ctx.sense[2 * my], ctx.guard) {
-                    return Err("task spawn barrier");
-                }
-                ctx.trace.end(SpanKind::Barrier);
+                ctx.barrier(after_spawn, 2 * my, "task spawn barrier")?;
                 if !pool.exec_and_wait(ctx.guard, &mut ctx.trace) {
                     return Err("taskwait");
                 }
-                ctx.trace.begin(SpanKind::Barrier);
-                if !fin.wait_bounded(&mut ctx.sense[2 * fin_idx], ctx.guard) {
-                    return Err("task final barrier");
-                }
-                ctx.trace.end(SpanKind::Barrier);
+                ctx.barrier(fin, 2 * my + 1, "task final barrier")?;
             }
             Construct::MarkBegin(k) => {
                 if ctx.rank == 0 {
@@ -816,12 +784,7 @@ fn interpret(
                 delta,
                 ..
             } => {
-                let NObj::LoopWithBarrier(lp, None, None) = &objs[my] else {
-                    unreachable!()
-                };
-                let combine_idx = *idx;
-                *idx += 1;
-                let NObj::LockWithBarrier(lk, b) = &objs[combine_idx] else {
+                let NObj::ReductionFor(lp, lk, b) = &objs[my] else {
                     unreachable!()
                 };
                 // Accumulate a per-thread partial from the reduction
@@ -862,11 +825,7 @@ fn interpret(
                     };
                 });
                 ctx.trace.end(SpanKind::Critical);
-                ctx.trace.begin(SpanKind::Barrier);
-                if !b.wait_bounded(&mut ctx.sense[2 * combine_idx], ctx.guard) {
-                    return Err("reduction loop barrier");
-                }
-                ctx.trace.end(SpanKind::Barrier);
+                ctx.barrier(b, 2 * my, "reduction loop barrier")?;
             }
         }
     }

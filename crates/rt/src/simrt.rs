@@ -1,11 +1,19 @@
 //! The simulated backend: lowers a [`RegionSpec`] onto the
 //! `ompvar-sim` discrete-event engine and runs it on a modeled machine.
 //!
-//! All ranks execute the same construct list, so lowering walks the tree
-//! twice with identical traversal order: once to allocate the shared sync
-//! objects (one barrier per barrier construct, one lock per critical,
-//! etc.), then once per rank to emit that rank's op program, consuming the
-//! allocation sequence by index.
+//! All ranks execute the same construct list, so the tree is lowered
+//! once, in one pre-order pass (`Lowerer::lower`). Each construct
+//! creates its shared sync objects where it is met (one barrier per
+//! barrier construct, one lock per critical, etc.) and appends its ops
+//! to two programs: `master`, which rank 0 runs, and `others`, which
+//! every other rank runs a copy of. They differ in two places only —
+//! `Mark` ops and a master-only `TaskSpawn` go to `master` alone. Every
+//! created object is recorded once, with the role it was created for,
+//! in a table the effects harvest folds over after the run.
+//!
+//! Pre-order creation is an invariant, not a style: the engine numbers
+//! objects in `Simulator::add_*` call order, an `ObjId` reaches the trace
+//! and the report's `obj_effects`, and the golden digests cover both.
 
 use crate::config::{RegionResult, RtConfig};
 use crate::error::RtError;
@@ -171,18 +179,16 @@ impl SimRuntime {
     /// (with per-task blocked-on diagnostics), the virtual-time budget
     /// in [`SimRuntime::time_limit`], or a malformed program.
     pub fn run(&self, region: &RegionSpec, seed: u64) -> Result<RegionResult, RtError> {
-        let (sim, allocs, marker_pairs, master) = self.prepare(region, seed)?;
+        let Prepared { sim, roles, marker_pairs, master } = self.prepare(region, seed)?;
         let mut report = sim.run(self.time_limit).map_err(RtError::Sim)?;
-        let trace = report.trace.take();
-        let attribution = report.attribution.take();
         let mut result = RegionResult {
             wall_us: report.final_time as f64 / 1e3,
-            freq_samples: report.freq_samples.clone(),
+            freq_samples: std::mem::take(&mut report.freq_samples),
             counters: Some(report.counters),
             thread_stats: report.task_stats.iter().map(|&(_, s)| s).collect(),
-            effects: harvest_effects(&allocs, &report),
-            trace,
-            attribution,
+            effects: harvest_effects(&roles, &report),
+            trace: report.trace.take(),
+            attribution: report.attribution.take(),
             final_values: eval_values(region),
             ..Default::default()
         };
@@ -210,41 +216,18 @@ impl SimRuntime {
     ///
     /// Same contract as [`SimRuntime::run`].
     pub fn run_report(&self, region: &RegionSpec, seed: u64) -> Result<SimReport, RtError> {
-        let (sim, _, _, _) = self.prepare(region, seed)?;
+        let sim = self.prepare(region, seed)?.sim;
         sim.run(self.time_limit).map_err(RtError::Sim)
     }
 
     /// Validate, lower, and configure one run: the shared front half of
     /// [`SimRuntime::run`] and [`SimRuntime::run_report`].
-    #[allow(clippy::type_complexity)]
-    fn prepare(
-        &self,
-        region: &RegionSpec,
-        seed: u64,
-    ) -> Result<(Simulator, Vec<Alloc>, BTreeSet<u32>, TaskId), RtError> {
+    fn prepare(&self, region: &RegionSpec, seed: u64) -> Result<Prepared, RtError> {
         region.validate().map_err(RtError::InvalidRegion)?;
         let mut sim = Simulator::new(self.machine.clone(), self.params.clone(), seed);
-        let span = self.span_factor(region);
-        let mut clauses = BTreeMap::new();
-        for d in &region.vars {
-            clauses.entry(d.id).or_insert(d.clause);
-        }
-        let mut lower = Lowerer {
-            sim: &mut sim,
-            machine: &self.machine,
-            n_threads: region.n_threads,
-            span,
-            allocs: Vec::new(),
-            next: 0,
-            marker_pairs: BTreeSet::new(),
-            named_locks: BTreeMap::new(),
-            combine_ns: 0.0,
-            clauses,
-        };
-        lower.combine_ns = self.params.sync.reduction_combine_ns;
-        lower.allocate(&region.constructs);
-        let marker_pairs = lower.marker_pairs.clone();
-        let allocs = lower.allocs.clone();
+        let mut lower = Lowerer::new(self, region, &mut sim);
+        lower.lower(&region.constructs);
+        let Lowerer { master, others, roles, marker_pairs, .. } = lower;
 
         let assignment = assign_places(
             &self.machine,
@@ -252,19 +235,11 @@ impl SimRuntime {
             self.config.bind,
             region.n_threads,
         );
-        let mut master: Option<TaskId> = None;
-        for rank in 0..region.n_threads {
-            lower.next = 0;
-            let mut ops = Vec::new();
-            lower.emit(&region.constructs, rank, &mut ops);
-            let program = Program::new(ops);
-            let pin = assignment.place_of(rank).cloned();
-            let tid = lower.sim.spawn_user(rank, program, pin);
-            if rank == 0 {
-                master = Some(tid);
-            }
+        let master = sim.spawn_user(0, Program::new(master), assignment.place_of(0).cloned());
+        let others = Program::new(others);
+        for rank in 1..region.n_threads {
+            sim.spawn_user(rank, others.clone(), assignment.place_of(rank).cloned());
         }
-        drop(lower);
         if let Some(cfg) = self.freq_logger {
             sim.enable_freq_logger(cfg.cpu, cfg.period, cfg.cost);
         }
@@ -280,458 +255,299 @@ impl SimRuntime {
         if self.reference_engine {
             sim.use_reference_engine();
         }
-        let master = master.expect("team is non-empty");
-        Ok((sim, allocs, marker_pairs, master))
+        Ok(Prepared { sim, roles, marker_pairs, master })
     }
 }
 
+/// A lowered, configured run, ready for `Simulator::run`.
+struct Prepared {
+    sim: Simulator,
+    roles: Vec<(ObjId, Role)>,
+    /// Ids `k` of the region's `MarkBegin(k)`/`MarkEnd(k)` pairs.
+    marker_pairs: BTreeSet<u32>,
+    /// Rank 0's task: the one that executes the `Mark` ops.
+    master: TaskId,
+}
+
+/// What the lowering created a sync object *for*. The engine reports raw
+/// per-object counters ([`ObjEffects`]); the role says which
+/// [`SemanticEffects`] fields they feed — the same lock object means
+/// "critical section" as [`Role::Lock`] but "reduction combine" as
+/// [`Role::Combine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Barrier,
+    Lock,
+    Combine,
+    Atomic,
+    Loop,
+    Single,
+    Pool,
+}
+
 /// Fold the engine's per-object effect counters into a
-/// [`SemanticEffects`] summary, using the allocation sequence to recover
-/// which construct each object served (the same lock object means
-/// "critical section" under [`Alloc::Lock`] but "reduction combine" under
-/// [`Alloc::LockWithBarrier`]).
-fn harvest_effects(allocs: &[Alloc], report: &SimReport) -> SemanticEffects {
+/// [`SemanticEffects`] summary through the role table.
+fn harvest_effects(roles: &[(ObjId, Role)], report: &SimReport) -> SemanticEffects {
     let mut fx = SemanticEffects::default();
-    let get = |id: ObjId| report.obj_effects[id.0 as usize];
-    let barrier = |fx: &mut SemanticEffects, id: ObjId| {
-        let ObjEffects::Barrier { arrivals } = get(id) else {
-            unreachable!("allocation table out of sync: {id:?} is not a barrier");
-        };
-        fx.barrier_arrivals += arrivals;
-    };
-    for a in allocs {
-        match *a {
-            Alloc::None => {}
-            Alloc::Barrier(b) => barrier(&mut fx, b),
-            Alloc::Lock(l) => {
-                let ObjEffects::Lock { entries } = get(l) else {
-                    unreachable!("allocation table out of sync: {l:?} is not a lock");
-                };
-                fx.lock_entries += entries;
-            }
-            Alloc::Atomic(a) => {
-                let ObjEffects::Atomic { ops } = get(a) else {
-                    unreachable!("allocation table out of sync: {a:?} is not an atomic");
-                };
-                fx.atomic_ops += ops;
-            }
-            Alloc::LoopWithBarrier(l, b) => {
-                let ObjEffects::Loop {
-                    iters,
-                    passes,
-                    ordered_done,
-                } = get(l)
-                else {
-                    unreachable!("allocation table out of sync: {l:?} is not a loop");
-                };
+    for &(id, role) in roles {
+        match (role, report.obj_effects[id.0 as usize]) {
+            (Role::Barrier, ObjEffects::Barrier { arrivals }) => fx.barrier_arrivals += arrivals,
+            (Role::Lock, ObjEffects::Lock { entries }) => fx.lock_entries += entries,
+            (Role::Combine, ObjEffects::Lock { entries }) => fx.reduction_combines += entries,
+            (Role::Atomic, ObjEffects::Atomic { ops }) => fx.atomic_ops += ops,
+            (Role::Loop, ObjEffects::Loop { iters, passes, ordered_done }) => {
                 fx.loop_iters += iters;
                 fx.loop_passes += passes;
                 fx.ordered_entries += ordered_done;
-                if let Some(b) = b {
-                    barrier(&mut fx, b);
-                }
             }
-            Alloc::SingleWithBarrier(s, b) => {
-                let ObjEffects::Single { entries, winners } = get(s) else {
-                    unreachable!("allocation table out of sync: {s:?} is not a single");
-                };
+            (Role::Single, ObjEffects::Single { entries, winners }) => {
                 fx.single_entries += entries;
                 fx.single_winners += winners;
-                barrier(&mut fx, b);
             }
-            Alloc::LockWithBarrier(l, b) => {
-                let ObjEffects::Lock { entries } = get(l) else {
-                    unreachable!("allocation table out of sync: {l:?} is not a lock");
-                };
-                fx.reduction_combines += entries;
-                barrier(&mut fx, b);
-            }
-            Alloc::RegionBarriers(entry, exit) => {
-                barrier(&mut fx, entry);
-                barrier(&mut fx, exit);
-            }
-            Alloc::PoolWithBarrier(p, b) => {
-                let ObjEffects::TaskPool { spawned, executed } = get(p) else {
-                    unreachable!("allocation table out of sync: {p:?} is not a pool");
-                };
+            (Role::Pool, ObjEffects::TaskPool { spawned, executed }) => {
                 fx.tasks_spawned += spawned;
                 fx.tasks_executed += executed;
-                barrier(&mut fx, b);
             }
-            Alloc::NamedLock(l, first) => {
-                // Later sites alias the first site's object; count once.
-                if first {
-                    let ObjEffects::Lock { entries } = get(l) else {
-                        unreachable!("allocation table out of sync: {l:?} is not a lock");
-                    };
-                    fx.lock_entries += entries;
-                }
+            (role, got) => {
+                unreachable!("role table out of sync: {id:?} lowered as {role:?}, engine reports {got:?}")
             }
         }
     }
     fx
 }
 
-/// Objects allocated for one construct instance, in traversal order.
-#[derive(Debug, Clone, Copy)]
-enum Alloc {
-    None,
-    Barrier(ObjId),
-    Lock(ObjId),
-    Atomic(ObjId),
-    LoopWithBarrier(ObjId, Option<ObjId>),
-    SingleWithBarrier(ObjId, ObjId),
-    LockWithBarrier(ObjId, ObjId),
-    RegionBarriers(ObjId, ObjId),
-    PoolWithBarrier(ObjId, ObjId),
-    /// A named-lock scope. Equal lock ids share one object, so the flag
-    /// marks the *first* allocation site per id — harvesting counts a
-    /// shared object's entries once.
-    NamedLock(ObjId, bool),
-}
-
+/// One pass over the construct tree: see the module docs.
 struct Lowerer<'a> {
     sim: &'a mut Simulator,
-    machine: &'a MachineSpec,
+    max_ghz: f64,
     n_threads: usize,
     span: f64,
-    allocs: Vec<Alloc>,
-    next: usize,
-    marker_pairs: BTreeSet<u32>,
-    named_locks: BTreeMap<u32, ObjId>,
     combine_ns: f64,
     /// Data-sharing clause per declared variable (first declaration
     /// wins, matching `RegionSpec::var`).
     clauses: BTreeMap<u32, Clause>,
+    /// Equal lock ids share one object, created (and given its role) at
+    /// the first `Locked` site met.
+    named_locks: BTreeMap<u32, ObjId>,
+    /// Rank 0's program.
+    master: Vec<Op>,
+    /// Every other rank's program: `master` without the `Mark`s and the
+    /// master-only `TaskSpawn`s.
+    others: Vec<Op>,
+    /// Every created object, once, in creation (= `ObjId`) order.
+    roles: Vec<(ObjId, Role)>,
+    marker_pairs: BTreeSet<u32>,
 }
 
-impl Lowerer<'_> {
-    /// Pick the dynamic-loop batching factor: cap the number of grabs per
-    /// thread per loop pass at ~256 so event counts stay tractable without
-    /// distorting load balancing at realistic granularity.
-    fn batch_for(&self, schedule: Schedule, total_iters: u64) -> u32 {
-        match schedule {
+impl<'a> Lowerer<'a> {
+    fn new(rt: &SimRuntime, region: &RegionSpec, sim: &'a mut Simulator) -> Self {
+        let mut clauses = BTreeMap::new();
+        for d in &region.vars {
+            clauses.entry(d.id).or_insert(d.clause);
+        }
+        Lowerer {
+            sim,
+            max_ghz: rt.machine.clock.max_ghz,
+            n_threads: region.n_threads,
+            span: rt.span_factor(region),
+            combine_ns: rt.params.sync.reduction_combine_ns,
+            clauses,
+            named_locks: BTreeMap::new(),
+            master: Vec::new(),
+            others: Vec::new(),
+            roles: Vec::new(),
+            marker_pairs: BTreeSet::new(),
+        }
+    }
+
+    /// Append `op` to every rank's program.
+    fn op(&mut self, op: Op) {
+        self.master.push(op);
+        self.others.push(op);
+    }
+
+    /// Record a freshly created object under the role it was created for.
+    fn obj(&mut self, role: Role, id: ObjId) -> ObjId {
+        self.roles.push((id, role));
+        id
+    }
+
+    fn add_barrier(&mut self) -> ObjId {
+        let b = self.sim.add_barrier(self.n_threads, self.span);
+        self.obj(Role::Barrier, b)
+    }
+
+    fn add_lock(&mut self, role: Role) -> ObjId {
+        let l = self.sim.add_lock(self.span);
+        self.obj(role, l)
+    }
+
+    fn add_loop(
+        &mut self,
+        schedule: Schedule,
+        total_iters: u64,
+        body_us: f64,
+        ordered_us: Option<f64>,
+    ) -> ObjId {
+        let (schedule, batch) = match schedule {
+            Schedule::Static { chunk } => (LoopSchedule::Static { chunk }, 1),
             Schedule::Dynamic { chunk } => {
+                // Batch the grabs: cap them at ~256 per thread per loop
+                // pass so event counts stay tractable without distorting
+                // load balancing at realistic granularity.
                 let per_thread_chunks = total_iters / (self.n_threads as u64 * chunk).max(1);
-                (per_thread_chunks / 256).clamp(1, 64) as u32
+                (LoopSchedule::Dynamic { chunk }, (per_thread_chunks / 256).clamp(1, 64) as u32)
             }
-            _ => 1,
+            Schedule::Guided { min_chunk } => (LoopSchedule::Guided { min_chunk }, 1),
+        };
+        let lp = self.sim.add_loop(LoopSpec {
+            schedule,
+            total_iters,
+            n_threads: self.n_threads,
+            body_cycles: delay_cycles(body_us, self.max_ghz),
+            body_class: CorunClass::Latency,
+            ordered_section_ns: ordered_us.map(|us| us * 1e3),
+            batch,
+            span_factor: self.span,
+        });
+        self.obj(Role::Loop, lp)
+    }
+
+    /// `us` of calibrated delay; nothing at all for a zero delay.
+    fn delay(&mut self, us: f64) {
+        if us > 0.0 {
+            self.op(Op::Compute {
+                cycles: delay_cycles(us, self.max_ghz),
+                class: CorunClass::Latency,
+            });
         }
     }
 
-    fn allocate(&mut self, cs: &[Construct]) {
-        for c in cs {
-            let alloc = match c {
-                Construct::DelayUs(_)
-                | Construct::Compute { .. }
-                | Construct::StreamBytes(_)
-                | Construct::Atomic
-                | Construct::MarkBegin(_)
-                | Construct::MarkEnd(_) => match c {
-                    Construct::Atomic => Alloc::Atomic(self.sim.add_atomic(self.span)),
-                    Construct::MarkBegin(k) => {
-                        self.marker_pairs.insert(*k);
-                        Alloc::None
-                    }
-                    _ => Alloc::None,
-                },
-                Construct::Barrier => {
-                    Alloc::Barrier(self.sim.add_barrier(self.n_threads, self.span))
-                }
-                Construct::Critical { .. } => Alloc::Lock(self.sim.add_lock(self.span)),
-                Construct::LockUnlock { .. } => Alloc::Lock(self.sim.add_lock(self.span)),
-                Construct::Single { .. } => Alloc::SingleWithBarrier(
-                    self.sim.add_single(self.n_threads),
-                    self.sim.add_barrier(self.n_threads, self.span),
-                ),
-                Construct::Reduction { .. } => Alloc::LockWithBarrier(
-                    self.sim.add_lock(self.span),
-                    self.sim.add_barrier(self.n_threads, self.span),
-                ),
-                Construct::Tasks { master_only, .. } => {
-                    // Pool + post-spawn barrier + final barrier: the
-                    // allocation helper only carries two ids, so pack the
-                    // two barriers as consecutive allocations.
-                    let spawners = if *master_only { 1 } else { self.n_threads };
-                    let pool = self.sim.add_task_pool(self.span, self.n_threads, spawners);
-                    let after_spawn = self.sim.add_barrier(self.n_threads, self.span);
-                    self.allocs.push(Alloc::PoolWithBarrier(pool, after_spawn));
-                    let fin = self.sim.add_barrier(self.n_threads, self.span);
-                    Alloc::Barrier(fin)
-                }
-                Construct::ParallelFor {
-                    schedule,
-                    total_iters,
-                    body_us,
-                    ordered_us,
-                    nowait,
-                } => {
-                    let loop_sched = match schedule {
-                        Schedule::Static { chunk } => LoopSchedule::Static { chunk: *chunk },
-                        Schedule::Dynamic { chunk } => LoopSchedule::Dynamic { chunk: *chunk },
-                        Schedule::Guided { min_chunk } => LoopSchedule::Guided {
-                            min_chunk: *min_chunk,
-                        },
-                    };
-                    let spec = LoopSpec {
-                        schedule: loop_sched,
-                        total_iters: *total_iters,
-                        n_threads: self.n_threads,
-                        body_cycles: delay_cycles(*body_us, self.machine.clock.max_ghz),
-                        body_class: CorunClass::Latency,
-                        ordered_section_ns: ordered_us.map(|us| us * 1e3),
-                        batch: self.batch_for(*schedule, *total_iters),
-                        span_factor: self.span,
-                    };
-                    let lp = self.sim.add_loop(spec);
-                    let bar = if *nowait {
-                        None
-                    } else {
-                        Some(self.sim.add_barrier(self.n_threads, self.span))
-                    };
-                    Alloc::LoopWithBarrier(lp, bar)
-                }
-                Construct::ParallelRegion { body } => {
-                    let entry = self.sim.add_barrier(self.n_threads, self.span);
-                    let exit = self.sim.add_barrier(self.n_threads, self.span);
-                    self.allocs.push(Alloc::RegionBarriers(entry, exit));
-                    self.allocate(body);
-                    continue;
-                }
-                Construct::Locked { lock, body } => {
-                    let (obj, first) = match self.named_locks.get(lock) {
-                        Some(&o) => (o, false),
-                        None => {
-                            let o = self.sim.add_lock(self.span);
-                            self.named_locks.insert(*lock, o);
-                            (o, true)
-                        }
-                    };
-                    self.allocs.push(Alloc::NamedLock(obj, first));
-                    self.allocate(body);
-                    continue;
-                }
-                Construct::Repeat { body, .. } => {
-                    self.allocs.push(Alloc::None);
-                    self.allocate(body);
-                    continue;
-                }
-                Construct::VarRead { .. } => Alloc::None,
-                Construct::VarWrite { var, .. } => {
-                    // A shared write is an atomic RMW on the one cell;
-                    // per-thread copies are plain stores with no shared
-                    // object behind them.
-                    if self.is_shared(*var) {
-                        Alloc::Atomic(self.sim.add_atomic(self.span))
-                    } else {
-                        Alloc::None
-                    }
-                }
-                Construct::ReductionFor {
-                    schedule,
-                    total_iters,
-                    body_us,
-                    ..
-                } => {
-                    // Worksharing loop + combine lock + implicit barrier:
-                    // same two-slot packing as `Tasks`.
-                    let loop_sched = match schedule {
-                        Schedule::Static { chunk } => LoopSchedule::Static { chunk: *chunk },
-                        Schedule::Dynamic { chunk } => LoopSchedule::Dynamic { chunk: *chunk },
-                        Schedule::Guided { min_chunk } => LoopSchedule::Guided {
-                            min_chunk: *min_chunk,
-                        },
-                    };
-                    let spec = LoopSpec {
-                        schedule: loop_sched,
-                        total_iters: *total_iters,
-                        n_threads: self.n_threads,
-                        body_cycles: delay_cycles(*body_us, self.machine.clock.max_ghz),
-                        body_class: CorunClass::Latency,
-                        ordered_section_ns: None,
-                        batch: self.batch_for(*schedule, *total_iters),
-                        span_factor: self.span,
-                    };
-                    let lp = self.sim.add_loop(spec);
-                    self.allocs.push(Alloc::LoopWithBarrier(lp, None));
-                    Alloc::LockWithBarrier(
-                        self.sim.add_lock(self.span),
-                        self.sim.add_barrier(self.n_threads, self.span),
-                    )
-                }
-            };
-            self.allocs.push(alloc);
-        }
+    /// A contended atomic RMW on an object of its own.
+    fn atomic(&mut self) {
+        let a = self.sim.add_atomic(self.span);
+        let obj = self.obj(Role::Atomic, a);
+        self.op(Op::AtomicOp { obj });
     }
 
-    fn emit(&mut self, cs: &[Construct], rank: usize, ops: &mut Vec<Op>) {
-        let max_ghz = self.machine.clock.max_ghz;
+    /// The serialized reduction combine under `lock`.
+    fn combine(&mut self, lock: ObjId) {
+        self.op(Op::LockAcquire { obj: lock });
+        self.op(Op::Busy { ns: self.combine_ns });
+        self.op(Op::LockRelease { obj: lock });
+    }
+
+    /// Lower `cs` for the whole team. Objects are created where their
+    /// construct is met (pre-order), which fixes every `ObjId`.
+    fn lower(&mut self, cs: &[Construct]) {
         for c in cs {
-            let alloc = self.allocs[self.next];
-            self.next += 1;
-            match c {
-                Construct::DelayUs(us) => {
-                    if *us > 0.0 {
-                        ops.push(Op::Compute {
-                            cycles: delay_cycles(*us, max_ghz),
-                            class: CorunClass::Latency,
-                        });
-                    }
-                }
-                Construct::Compute { cycles, class } => {
-                    ops.push(Op::Compute {
-                        cycles: *cycles,
-                        class: *class,
-                    });
-                }
-                Construct::StreamBytes(b) => {
-                    ops.push(Op::MemStream { bytes: *b });
-                }
+            match *c {
+                Construct::DelayUs(us) => self.delay(us),
+                Construct::Compute { cycles, class } => self.op(Op::Compute { cycles, class }),
+                Construct::StreamBytes(bytes) => self.op(Op::MemStream { bytes }),
                 Construct::Barrier => {
-                    let Alloc::Barrier(b) = alloc else { unreachable!() };
-                    ops.push(Op::Barrier { obj: b });
+                    let obj = self.add_barrier();
+                    self.op(Op::Barrier { obj });
                 }
                 Construct::Critical { body_us } | Construct::LockUnlock { body_us } => {
-                    let Alloc::Lock(l) = alloc else { unreachable!() };
-                    ops.push(Op::LockAcquire { obj: l });
-                    if *body_us > 0.0 {
-                        ops.push(Op::Compute {
-                            cycles: delay_cycles(*body_us, max_ghz),
-                            class: CorunClass::Latency,
-                        });
-                    }
-                    ops.push(Op::LockRelease { obj: l });
+                    let obj = self.add_lock(Role::Lock);
+                    self.op(Op::LockAcquire { obj });
+                    self.delay(body_us);
+                    self.op(Op::LockRelease { obj });
                 }
-                Construct::Atomic => {
-                    let Alloc::Atomic(a) = alloc else { unreachable!() };
-                    ops.push(Op::AtomicOp { obj: a });
-                }
+                Construct::Atomic => self.atomic(),
                 Construct::Single { body_us } => {
-                    let Alloc::SingleWithBarrier(s, b) = alloc else {
-                        unreachable!()
-                    };
-                    ops.push(Op::Single {
-                        obj: s,
-                        body_cycles: delay_cycles(*body_us, max_ghz),
-                    });
-                    ops.push(Op::Barrier { obj: b });
+                    let s = self.sim.add_single(self.n_threads);
+                    let obj = self.obj(Role::Single, s);
+                    let bar = self.add_barrier();
+                    self.op(Op::Single { obj, body_cycles: delay_cycles(body_us, self.max_ghz) });
+                    self.op(Op::Barrier { obj: bar });
                 }
                 Construct::Reduction { body_us } => {
-                    let Alloc::LockWithBarrier(l, b) = alloc else {
-                        unreachable!()
-                    };
-                    if *body_us > 0.0 {
-                        ops.push(Op::Compute {
-                            cycles: delay_cycles(*body_us, max_ghz),
-                            class: CorunClass::Latency,
-                        });
-                    }
-                    ops.push(Op::LockAcquire { obj: l });
-                    ops.push(Op::Busy {
-                        ns: self.combine_ns,
-                    });
-                    ops.push(Op::LockRelease { obj: l });
-                    ops.push(Op::Barrier { obj: b });
+                    let lock = self.add_lock(Role::Combine);
+                    let bar = self.add_barrier();
+                    self.delay(body_us);
+                    self.combine(lock);
+                    self.op(Op::Barrier { obj: bar });
                 }
-                Construct::ParallelFor { .. } => {
-                    let Alloc::LoopWithBarrier(lp, bar) = alloc else {
-                        unreachable!()
-                    };
-                    ops.push(Op::ForLoop { obj: lp });
-                    if let Some(b) = bar {
-                        ops.push(Op::Barrier { obj: b });
+                Construct::ParallelFor { schedule, total_iters, body_us, ordered_us, nowait } => {
+                    let obj = self.add_loop(schedule, total_iters, body_us, ordered_us);
+                    self.op(Op::ForLoop { obj });
+                    if !nowait {
+                        let bar = self.add_barrier();
+                        self.op(Op::Barrier { obj: bar });
                     }
                 }
-                Construct::ParallelRegion { body } => {
-                    let Alloc::RegionBarriers(entry, exit) = alloc else {
-                        unreachable!()
-                    };
-                    ops.push(Op::Barrier { obj: entry });
-                    self.emit(body, rank, ops);
-                    ops.push(Op::Barrier { obj: exit });
+                Construct::ParallelRegion { ref body } => {
+                    // Both barriers precede the body's objects in id order.
+                    let (entry, exit) = (self.add_barrier(), self.add_barrier());
+                    self.op(Op::Barrier { obj: entry });
+                    self.lower(body);
+                    self.op(Op::Barrier { obj: exit });
                 }
-                Construct::Tasks {
-                    per_spawner,
-                    body_us,
-                    master_only,
-                } => {
-                    // Two allocations were made for this construct: the
-                    // pool + post-spawn barrier, then the final barrier.
-                    let Alloc::PoolWithBarrier(pool, after_spawn) = alloc else {
-                        unreachable!()
+                Construct::Tasks { per_spawner, body_us, master_only } => {
+                    let spawners = if master_only { 1 } else { self.n_threads };
+                    let p = self.sim.add_task_pool(self.span, self.n_threads, spawners);
+                    let obj = self.obj(Role::Pool, p);
+                    let (after_spawn, fin) = (self.add_barrier(), self.add_barrier());
+                    let spawn = Op::TaskSpawn {
+                        obj,
+                        count: per_spawner,
+                        body_cycles: delay_cycles(body_us, self.max_ghz),
                     };
-                    let fin = self.allocs[self.next];
-                    self.next += 1;
-                    let Alloc::Barrier(fin) = fin else { unreachable!() };
-                    if !master_only || rank == 0 {
-                        ops.push(Op::TaskSpawn {
-                            obj: pool,
-                            count: *per_spawner,
-                            body_cycles: delay_cycles(*body_us, max_ghz),
-                        });
+                    self.master.push(spawn);
+                    if !master_only {
+                        self.others.push(spawn);
                     }
                     // All spawns published before anyone drains: the
                     // post-spawn barrier is the scheduling point.
-                    ops.push(Op::Barrier { obj: after_spawn });
-                    ops.push(Op::TaskWait { obj: pool });
-                    ops.push(Op::Barrier { obj: fin });
+                    self.op(Op::Barrier { obj: after_spawn });
+                    self.op(Op::TaskWait { obj });
+                    self.op(Op::Barrier { obj: fin });
                 }
                 Construct::MarkBegin(k) => {
-                    if rank == 0 {
-                        ops.push(Op::Mark { marker: 2 * k });
-                    }
+                    self.marker_pairs.insert(k);
+                    self.master.push(Op::Mark { marker: 2 * k });
                 }
-                Construct::MarkEnd(k) => {
-                    if rank == 0 {
-                        ops.push(Op::Mark { marker: 2 * k + 1 });
-                    }
-                }
-                Construct::Locked { body, .. } => {
-                    let Alloc::NamedLock(l, _) = alloc else { unreachable!() };
-                    ops.push(Op::LockAcquire { obj: l });
-                    self.emit(body, rank, ops);
-                    ops.push(Op::LockRelease { obj: l });
-                }
-                Construct::Repeat { count, body } => {
-                    ops.push(Op::LoopBegin { count: *count });
-                    self.emit(body, rank, ops);
-                    ops.push(Op::LoopEnd);
-                }
-                Construct::VarRead { .. } => {
-                    // A register-width load: free at this model's
-                    // resolution. Values are computed analytically (see
-                    // `eval_values`), so no op is emitted.
-                }
-                Construct::VarWrite { .. } => {
-                    // Shared writes serialize on the cell like any other
-                    // atomic RMW; private stores are free.
-                    if let Alloc::Atomic(a) = alloc {
-                        ops.push(Op::AtomicOp { obj: a });
-                    }
-                }
-                Construct::ReductionFor { .. } => {
-                    let Alloc::LoopWithBarrier(lp, None) = alloc else {
-                        unreachable!()
+                Construct::MarkEnd(k) => self.master.push(Op::Mark { marker: 2 * k + 1 }),
+                Construct::Locked { lock, ref body } => {
+                    let obj = match self.named_locks.get(&lock) {
+                        Some(&obj) => obj,
+                        None => {
+                            let obj = self.add_lock(Role::Lock);
+                            self.named_locks.insert(lock, obj);
+                            obj
+                        }
                     };
-                    let combine = self.allocs[self.next];
-                    self.next += 1;
-                    let Alloc::LockWithBarrier(l, b) = combine else {
-                        unreachable!()
-                    };
-                    ops.push(Op::ForLoop { obj: lp });
-                    ops.push(Op::LockAcquire { obj: l });
-                    ops.push(Op::Busy {
-                        ns: self.combine_ns,
-                    });
-                    ops.push(Op::LockRelease { obj: l });
-                    ops.push(Op::Barrier { obj: b });
+                    self.op(Op::LockAcquire { obj });
+                    self.lower(body);
+                    self.op(Op::LockRelease { obj });
+                }
+                Construct::Repeat { count, ref body } => {
+                    self.op(Op::LoopBegin { count });
+                    self.lower(body);
+                    self.op(Op::LoopEnd);
+                }
+                // A register-width load: free at this model's resolution.
+                // Values are computed analytically (see `eval_values`).
+                Construct::VarRead { .. } => {}
+                // A shared write serializes on the one cell like any
+                // other atomic RMW; a private store is free.
+                Construct::VarWrite { var, .. } => {
+                    if self.clauses.get(&var) == Some(&Clause::Shared) {
+                        self.atomic();
+                    }
+                }
+                Construct::ReductionFor { schedule, total_iters, body_us, .. } => {
+                    let obj = self.add_loop(schedule, total_iters, body_us, None);
+                    let lock = self.add_lock(Role::Combine);
+                    let bar = self.add_barrier();
+                    self.op(Op::ForLoop { obj });
+                    self.combine(lock);
+                    self.op(Op::Barrier { obj: bar });
                 }
             }
         }
-    }
-
-    fn is_shared(&self, var: u32) -> bool {
-        self.clauses.get(&var) == Some(&Clause::Shared)
     }
 }
 
@@ -984,6 +800,117 @@ mod tests {
             ],
         };
         assert_eq!(eval_values(&region).get(&0), Some(&9));
+    }
+
+    /// `per_spawner` of the master-only `Tasks` in [`every_construct`]:
+    /// what tells its `TaskSpawn` from the team-wide one's in an op list.
+    const MASTER_SPAWNS: u32 = 7;
+
+    /// Every `Construct` variant, at top level and again under each of
+    /// the three constructs that nest (`Repeat`, `ParallelRegion`,
+    /// `Locked`). Lowered only, never run: the nested same-id lock would
+    /// not survive validation.
+    fn every_construct() -> Vec<Construct> {
+        use crate::region::{RedOp, WriteOp};
+        let for_loop = |schedule, ordered_us, nowait| Construct::ParallelFor {
+            schedule,
+            total_iters: 16,
+            body_us: 0.1,
+            ordered_us,
+            nowait,
+        };
+        let tasks = |per_spawner, master_only| Construct::Tasks { per_spawner, body_us: 0.1, master_only };
+        let leaves = || {
+            vec![
+                Construct::DelayUs(0.5),
+                Construct::DelayUs(0.0),
+                Construct::Compute { cycles: 100.0, class: CorunClass::Latency },
+                Construct::StreamBytes(64.0),
+                for_loop(Schedule::Dynamic { chunk: 1 }, None, true),
+                for_loop(Schedule::Static { chunk: 2 }, Some(0.1), false),
+                Construct::Barrier,
+                Construct::Critical { body_us: 0.1 },
+                Construct::LockUnlock { body_us: 0.0 },
+                Construct::Atomic,
+                Construct::Single { body_us: 0.1 },
+                Construct::Reduction { body_us: 0.1 },
+                tasks(3, false),
+                tasks(MASTER_SPAWNS, true),
+                Construct::MarkBegin(1),
+                Construct::MarkEnd(1),
+                Construct::VarRead { var: 0 },
+                Construct::VarWrite { var: 0, op: WriteOp::Add(1) },
+                Construct::VarWrite { var: 1, op: WriteOp::Set(2) },
+                Construct::ReductionFor {
+                    var: 0,
+                    red: RedOp::Sum,
+                    schedule: Schedule::Guided { min_chunk: 1 },
+                    total_iters: 8,
+                    body_us: 0.1,
+                    delta: 1,
+                },
+            ]
+        };
+        let mut cs = vec![Construct::MarkBegin(0)];
+        cs.extend(leaves());
+        cs.push(Construct::Repeat { count: 2, body: leaves() });
+        cs.push(Construct::ParallelRegion { body: leaves() });
+        cs.push(Construct::Locked {
+            lock: 4,
+            body: vec![
+                Construct::Locked { lock: 5, body: leaves() },
+                Construct::Locked { lock: 4, body: vec![Construct::Atomic] },
+            ],
+        });
+        cs.push(Construct::MarkEnd(0));
+        cs
+    }
+
+    #[test]
+    fn one_pass_lowers_two_programs_that_differ_in_master_ops_only() {
+        use crate::region::VarDecl;
+        let var = |id, clause| VarDecl { id, name: format!("v{id}"), clause, init: 0 };
+        for n in [1, 2, 5] {
+            let rt = small_runtime();
+            let region = RegionSpec {
+                n_threads: n,
+                vars: vec![var(0, Clause::Shared), var(1, Clause::Private)],
+                constructs: every_construct(),
+            };
+            let mut sim = Simulator::new(rt.machine.clone(), rt.params.clone(), 1);
+            let mut lw = Lowerer::new(&rt, &region, &mut sim);
+            lw.lower(&region.constructs);
+
+            let master_only = |op: &Op| {
+                matches!(op, Op::Mark { .. } | Op::TaskSpawn { count: MASTER_SPAWNS, .. })
+            };
+            // 2 + 4×2 marks, 4 master-only spawns.
+            assert_eq!(lw.master.iter().filter(|op| master_only(op)).count(), 14, "n={n}");
+            let rest: Vec<Op> = lw.master.iter().copied().filter(|op| !master_only(op)).collect();
+            assert_eq!(lw.others, rest, "n={n}");
+
+            for ops in [&lw.master, &lw.others] {
+                let mut depth = 0i32;
+                for op in ops {
+                    match op {
+                        Op::LoopBegin { .. } => depth += 1,
+                        Op::LoopEnd => depth -= 1,
+                        _ => {}
+                    }
+                    assert!(depth >= 0, "n={n}: LoopEnd before its LoopBegin");
+                }
+                assert_eq!(depth, 0, "n={n}: unbalanced repetition blocks");
+            }
+
+            // Each object once, in creation order — which is `ObjId` order.
+            let ids: Vec<u32> = lw.roles.iter().map(|&(id, _)| id.0).collect();
+            assert_eq!(ids, (0..ids.len() as u32).collect::<Vec<_>>(), "n={n}");
+            // Two site-private locks per copy of the leaves, and one per
+            // lock *id*: the second `Locked { lock: 4, .. }` site adds none.
+            let locks = lw.roles.iter().filter(|&&(_, r)| r == Role::Lock).count();
+            assert_eq!(locks, 4 * 2 + 2, "n={n}");
+            assert_eq!(lw.marker_pairs, BTreeSet::from([0, 1]));
+        }
     }
 
     #[test]

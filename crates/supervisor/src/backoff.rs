@@ -26,14 +26,23 @@ impl Default for BackoffCfg {
     }
 }
 
-/// splitmix64: the same tiny seeded generator the simulator's RNG layer
-/// bootstraps from. One step, keyed on the full input.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
+/// splitmix64's increment, also the usual odd multiplier for spreading
+/// a small counter over 64 bits.
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// splitmix64's output finalizer: a bijective 64-bit mixer.
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// splitmix64: the same tiny seeded generator the simulator's RNG layer
+/// bootstraps from. One step, keyed on the full input. The one copy in
+/// this crate: backoff jitter, attempt seeds and every chaos roll draw
+/// from it.
+pub(crate) fn splitmix64(x: u64) -> u64 {
+    mix64(x.wrapping_add(GOLDEN_GAMMA))
 }
 
 /// A deterministic backoff schedule for one supervised unit.

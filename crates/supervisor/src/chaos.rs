@@ -26,6 +26,7 @@
 //! uninstalls the shim. Installing while already holding a guard on the
 //! same thread deadlocks by construction — don't.
 
+use crate::backoff::splitmix64;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -100,15 +101,6 @@ pub struct FaultPlan {
     pub at: Vec<(u64, FaultKind)>,
 }
 
-/// SplitMix64: the same tiny deterministic mixer the backoff jitter
-/// uses. Good enough to decorrelate op indices; not cryptographic.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// A plan that injects nothing (op counting only).
     pub fn none() -> FaultPlan {
@@ -136,7 +128,7 @@ impl FaultPlan {
         if self.rate_ppm == 0 {
             return None;
         }
-        let h = mix(self.seed ^ mix(op));
+        let h = splitmix64(self.seed ^ splitmix64(op));
         if h % 1_000_000 >= self.rate_ppm as u64 {
             return None;
         }
@@ -397,13 +389,14 @@ impl ProcChaos {
     /// Whether the worker holding unit `unit` dies at the pickup
     /// boundary (before any attempt runs).
     pub fn kills_at_boundary(&self, unit: usize) -> bool {
-        let h = mix(self.seed ^ KILL_SALT ^ mix(unit as u64));
+        let h = splitmix64(self.seed ^ KILL_SALT ^ splitmix64(unit as u64));
         h % 1_000_000 < self.kill_ppm as u64
     }
 
     /// What happens to attempt `attempt` of unit `unit`.
     pub fn attempt_action(&self, unit: usize, attempt: u32) -> ChaosAction {
-        let h = mix(self.seed ^ ACT_SALT ^ mix(unit as u64) ^ mix(0x1000 + attempt as u64));
+        let key = splitmix64(unit as u64) ^ splitmix64(0x1000 + attempt as u64);
+        let h = splitmix64(self.seed ^ ACT_SALT ^ key);
         let roll = h % 1_000_000;
         if roll < self.panic_ppm as u64 {
             ChaosAction::Panic

@@ -25,8 +25,9 @@
 //!   [`UnitError::from_panic`]. A panic *outside* the attempt sandbox
 //!   (executor or journaling bug) poisons only that worker: its queue
 //!   stays in the shared deques for the others to drain, and its
-//!   in-flight unit is re-run inline on the control lane after the pool
-//!   joins.
+//!   in-flight unit is re-run after the pool joins by the **recovery
+//!   lane** — the same worker loop, on the calling thread as lane 0,
+//!   journaling into a shard a cleanly ended worker handed back.
 //! - **Interrupt propagation**: a shared cancel flag (the CLI's SIGINT
 //!   flag) stops every worker at the next unit boundary; shard manifests
 //!   are flushed per-append, so everything completed before the
@@ -40,7 +41,7 @@ use crate::chaos::{ChaosAction, ProcChaos};
 use crate::checkpoint::{Entry, Manifest, RetryRecord, UnitStatus};
 use crate::classify::Transience;
 use crate::supervisor::{Checkpointable, Outcome, Supervisor, SupervisorConfig, UnitError};
-use ompvar_obs::{InstantKind, Trace, TraceEvent};
+use ompvar_obs::{InstantKind, Trace};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -123,8 +124,8 @@ pub struct UnitResult<R> {
     pub name: String,
     /// What happened.
     pub outcome: Outcome<R>,
-    /// Worker that ran it; `None` when replayed from a checkpoint or
-    /// recovered inline after a worker poisoning.
+    /// Lane that ran it (the recovery lane is 0); `None` when replayed
+    /// from a checkpoint.
     pub worker: Option<usize>,
     /// Whether the unit was stolen from another worker's queue.
     pub stolen: bool,
@@ -135,7 +136,7 @@ pub struct UnitResult<R> {
 
 /// Per-unit completion callback: invoked with each unit's terminal
 /// result the moment it is reached (replay, worker completion, or
-/// inline recovery). Called from worker threads, so it must be `Sync`;
+/// recovery). Called from worker threads, so it must be `Sync`;
 /// with one worker, calls arrive in execution order.
 pub type Progress<'a, R> = Option<&'a (dyn Fn(&UnitResult<R>) + Sync)>;
 
@@ -381,9 +382,8 @@ fn run_attempt<R: Send + 'static>(
 
 /// Wrap a unit closure with the per-attempt process-chaos actions for
 /// unit `idx` (panic / stall; the kill decision lives at the pickup
-/// boundary). Used identically by workers and the inline recovery pass,
-/// so a unit's attempt history is a pure function of `(chaos seed,
-/// idx)` no matter where it ends up running.
+/// boundary): a unit's attempt history is a pure function of `(chaos
+/// seed, idx)` no matter which lane ends up running it.
 fn chaos_wrap<R: 'static>(run: Arc<UnitFn<R>>, pc: ProcChaos, idx: usize) -> Arc<UnitFn<R>> {
     Arc::new(move |attempt: u32| {
         match pc.attempt_action(idx, attempt) {
@@ -428,95 +428,126 @@ struct WorkerOut<R> {
     results: Vec<UnitResult<R>>,
     trace: Trace,
     notes: Vec<String>,
+    /// The lane's shard journal, handed back for the recovery lane to
+    /// continue. `None` for an unjournaled lane and for a poisoned one,
+    /// whose journal may have been cut mid-append.
+    manifest: Option<Manifest>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<R>(
-    w: usize,
-    cfg: &ExecutorConfig,
-    manifest: Option<Manifest>,
-    units: &[ExecUnit<R>],
-    deques: &[Mutex<VecDeque<usize>>],
-    in_flight: &[Mutex<Option<usize>>],
-    watchdog: &Watchdog,
-    cancel: Option<&AtomicBool>,
+/// What every lane of one campaign shares.
+struct Lanes<'a, R> {
+    cfg: ExecutorConfig,
+    units: &'a [ExecUnit<R>],
+    watchdog: &'a Watchdog,
     epoch: Instant,
-    progress: Progress<'_, R>,
-    leaks: &Arc<AtomicI64>,
-) -> WorkerOut<R>
-where
-    R: Checkpointable + Send + 'static,
-{
-    let mut sup = Supervisor::new(cfg.supervisor).with_lane(w as u32).with_t0(epoch);
-    if let Some(m) = manifest {
-        sup = sup.with_manifest(m);
-    }
-    let mut results = Vec::new();
-    loop {
-        if cancel.map(|c| c.load(Ordering::SeqCst)).unwrap_or(false) {
-            break;
+    progress: Progress<'a, R>,
+    leaks: &'a Arc<AtomicI64>,
+}
+
+impl<R: Checkpointable + Send + 'static> Lanes<'_, R> {
+    /// Run lane `w` until its queue and everything it can steal is
+    /// drained, the campaign is cancelled, or the lane dies. A lane that
+    /// dies leaves `in_flight[w]` set for the recovery lane — except the
+    /// `last_resort` lane, which is the recovery lane.
+    fn worker_loop(
+        &self,
+        w: usize,
+        manifest: Option<Manifest>,
+        deques: &[Mutex<VecDeque<usize>>],
+        in_flight: &[Mutex<Option<usize>>],
+        cancel: Option<&AtomicBool>,
+        last_resort: bool,
+    ) -> WorkerOut<R> {
+        let cfg = &self.cfg;
+        let mut sup = Supervisor::new(cfg.supervisor).with_lane(w as u32).with_t0(self.epoch);
+        if let Some(m) = manifest {
+            sup = sup.with_manifest(m);
         }
-        let Some((idx, stolen)) = next_unit(deques, w) else { break };
-        if stolen {
-            sup.emit_instant(InstantKind::SupervisorSteal);
-        }
-        *lock(&in_flight[w]) = Some(idx);
-        // Process chaos, decision 1: die at the unit-pickup boundary.
-        // The in-flight slot stays set, so this rides the existing
-        // poison-reclamation path — the unit re-runs inline after join.
-        if let Some(pc) = cfg.chaos {
-            if pc.kills_at_boundary(idx) {
+        let mut results = Vec::new();
+        loop {
+            if cancel.map(|c| c.load(Ordering::SeqCst)).unwrap_or(false) {
+                break;
+            }
+            let Some((idx, stolen)) = next_unit(deques, w) else { break };
+            if stolen {
+                sup.emit_instant(InstantKind::SupervisorSteal);
+            }
+            *lock(&in_flight[w]) = Some(idx);
+            // Process chaos, decision 1: die at the unit-pickup boundary.
+            // The in-flight slot stays set, so this rides the existing
+            // poison-reclamation path — the recovery lane re-runs the unit.
+            if cfg.chaos.is_some_and(|pc| pc.kills_at_boundary(idx)) {
                 sup.emit_instant(InstantKind::ChaosProcKill);
                 break;
             }
-        }
-        let unit = &units[idx];
-        let run = Arc::clone(&unit.run);
-        // Process chaos, decision 2: wrap each attempt so it may panic
-        // (exercising the per-attempt sandbox) or stall past the
-        // watchdog deadline (exercising the reaper) — purely from
-        // `(seed, unit, attempt)`.
-        let run: Arc<UnitFn<R>> = match cfg.chaos {
-            Some(pc) => chaos_wrap(run, pc, idx),
-            None => run,
-        };
-        let timeout = cfg.unit_timeout;
-        let t0 = Instant::now();
-        let supervised = catch_unwind(AssertUnwindSafe(|| {
-            sup.supervise(&unit.name, |attempt| {
-                run_attempt(&run, attempt, timeout, watchdog, &unit.name, leaks)
-            })
-        }));
-        match supervised {
-            Ok(outcome) => {
-                *lock(&in_flight[w]) = None;
-                // Mark the chaos actions that fired during this unit's
-                // attempts (re-derived: the decisions are pure, and the
-                // supervisor borrow is free again here).
-                if let Some(pc) = cfg.chaos {
-                    emit_chaos_actions(&mut sup, pc, idx, outcome.attempts());
+            let unit = &self.units[idx];
+            let run = Arc::clone(&unit.run);
+            // Process chaos, decision 2: wrap each attempt so it may panic
+            // (exercising the per-attempt sandbox) or stall past the
+            // watchdog deadline (exercising the reaper) — purely from
+            // `(seed, unit, attempt)`.
+            let run: Arc<UnitFn<R>> = match cfg.chaos {
+                Some(pc) => chaos_wrap(run, pc, idx),
+                None => run,
+            };
+            let t0 = Instant::now();
+            let supervised = catch_unwind(AssertUnwindSafe(|| {
+                sup.supervise(&unit.name, |attempt| {
+                    let timeout = cfg.unit_timeout;
+                    run_attempt(&run, attempt, timeout, self.watchdog, &unit.name, self.leaks)
+                })
+            }));
+            let outcome = match supervised {
+                Ok(outcome) => outcome,
+                // A panic *outside* the attempt sandbox: this lane is
+                // poisoned, and its journal may have been cut mid-append.
+                Err(p) => {
+                    drop(sup.take_manifest());
+                    // Stop taking work — the shared deques let the others
+                    // drain our queue, and the still-set in-flight slot
+                    // tells the main thread which unit to recover.
+                    if !last_resort {
+                        break;
+                    }
+                    // Nothing recovers after the recovery lane: the unit
+                    // has now escaped the sandbox twice. Quarantine it
+                    // (unjournaled) and carry on.
+                    let msg = panic_message(p.as_ref());
+                    Outcome::Quarantined {
+                        attempts: 1,
+                        retries: vec![RetryRecord {
+                            attempt: 0,
+                            error: format!("panic outside the attempt sandbox: {msg}"),
+                            transience: Transience::Permanent,
+                            backoff_ms: 0,
+                        }],
+                        from_checkpoint: false,
+                    }
                 }
-                let result = UnitResult {
-                    index: idx,
-                    name: unit.name.clone(),
-                    outcome,
-                    worker: Some(w),
-                    stolen,
-                    duration: t0.elapsed(),
-                };
-                if let Some(p) = progress {
-                    p(&result);
-                }
-                results.push(result);
+            };
+            *lock(&in_flight[w]) = None;
+            // Mark the chaos actions that fired during this unit's
+            // attempts (re-derived: the decisions are pure, and the
+            // supervisor borrow is free again here).
+            if let Some(pc) = cfg.chaos {
+                emit_chaos_actions(&mut sup, pc, idx, outcome.attempts());
             }
-            // A panic *outside* the attempt sandbox: this worker is
-            // poisoned. Stop taking work — the shared deques let the
-            // others drain our queue, and the still-set in-flight slot
-            // tells the main thread which unit to recover.
-            Err(_) => break,
+            let result = UnitResult {
+                index: idx,
+                name: unit.name.clone(),
+                outcome,
+                worker: Some(w),
+                stolen,
+                duration: t0.elapsed(),
+            };
+            if let Some(p) = self.progress {
+                p(&result);
+            }
+            results.push(result);
         }
+        let manifest = sup.take_manifest();
+        WorkerOut { results, trace: sup.take_trace(), notes: sup.take_notes(), manifest }
     }
-    WorkerOut { results, trace: sup.take_trace(), notes: sup.take_notes() }
 }
 
 /// Rebuild a journaled terminal state without re-running the unit: the
@@ -567,7 +598,6 @@ where
 {
     let jobs = cfg.jobs.max(1);
     let epoch = Instant::now();
-    let n = units.len();
     let mut control = Supervisor::new(cfg.supervisor).with_lane(0).with_t0(epoch);
 
     // Replay pass: decode journaled terminal states before any dispatch,
@@ -576,31 +606,26 @@ where
     for e in replay {
         journaled.entry(e.name.as_str()).or_insert(e);
     }
-    let mut slots: Vec<Option<UnitResult<R>>> = (0..n).map(|_| None).collect();
+    let mut slots: Vec<Option<UnitResult<R>>> = units.iter().map(|_| None).collect();
     for (idx, u) in units.iter().enumerate() {
-        if let Some(e) = journaled.get(u.name.as_str()) {
-            match replay_entry::<R>(e) {
-                Some(outcome) => {
-                    control.emit_instant(InstantKind::SupervisorResume);
-                    let result = UnitResult {
-                        index: idx,
-                        name: u.name.clone(),
-                        outcome,
-                        worker: None,
-                        stolen: false,
-                        duration: Duration::ZERO,
-                    };
-                    if let Some(p) = progress {
-                        p(&result);
-                    }
-                    slots[idx] = Some(result);
-                }
-                None => eprintln!(
-                    "warning: checkpoint payload for {} is unreadable; re-running",
-                    u.name
-                ),
-            }
+        let Some(e) = journaled.get(u.name.as_str()) else { continue };
+        let Some(outcome) = replay_entry::<R>(e) else {
+            eprintln!("warning: checkpoint payload for {} is unreadable; re-running", u.name);
+            continue;
+        };
+        control.emit_instant(InstantKind::SupervisorResume);
+        let result = UnitResult {
+            index: idx,
+            name: u.name.clone(),
+            outcome,
+            worker: None,
+            stolen: false,
+            duration: Duration::ZERO,
+        };
+        if let Some(p) = progress {
+            p(&result);
         }
+        slots[idx] = Some(result);
     }
 
     // Deal the pending units round-robin; stealing rebalances from there.
@@ -614,44 +639,20 @@ where
         }
     }
 
-    let mut shard_manifests: Vec<Option<Manifest>> = match manifests {
-        Some(v) => v.into_iter().map(Some).collect(),
-        None => Vec::new(),
-    };
-    shard_manifests.resize_with(jobs, || None);
-    shard_manifests.truncate(jobs);
-
     let in_flight: Vec<Mutex<Option<usize>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     let watchdog = Watchdog::spawn();
     let leaks = Arc::new(AtomicI64::new(0));
+    let lanes = Lanes { cfg: *cfg, units, watchdog: &watchdog, epoch, progress, leaks: &leaks };
 
-    let units_ref = units;
-    let deques_ref = &deques;
-    let in_flight_ref = &in_flight;
-    let watchdog_ref = &watchdog;
-    let leaks_ref = &leaks;
-
-    let mut outs: Vec<WorkerOut<R>> = Vec::with_capacity(jobs);
+    let mut outs: Vec<WorkerOut<R>> = Vec::with_capacity(jobs + 1);
     thread::scope(|s| {
-        let handles: Vec<_> = shard_manifests
-            .drain(..)
-            .enumerate()
-            .map(|(w, manifest)| {
-                s.spawn(move || {
-                    worker_loop(
-                        w,
-                        cfg,
-                        manifest,
-                        units_ref,
-                        deques_ref,
-                        in_flight_ref,
-                        watchdog_ref,
-                        cancel,
-                        epoch,
-                        progress,
-                        leaks_ref,
-                    )
-                })
+        // One shard per worker; workers beyond the shards run unjournaled.
+        let mut shards = manifests.into_iter().flatten();
+        let (lanes, deques, in_flight) = (&lanes, &deques[..], &in_flight[..]);
+        let handles: Vec<_> = (0..jobs)
+            .map(|w| {
+                let shard = shards.next();
+                s.spawn(move || lanes.worker_loop(w, shard, deques, in_flight, cancel, false))
             })
             .collect();
         for h in handles {
@@ -664,7 +665,38 @@ where
         }
     });
 
-    let mut events: Vec<TraceEvent> = Vec::new();
+    let interrupted = cancel.map(|c| c.load(Ordering::SeqCst)).unwrap_or(false);
+
+    // Recovery lane: units a poisoned or killed worker had in flight,
+    // plus any queue no surviving worker drained, go through the lane
+    // loop once more on this thread, as lane 0. It journals into the
+    // first shard a worker handed back (none left: unjournaled, and the
+    // units re-run on a resume). The same per-attempt chaos applies —
+    // a unit's attempt history depends only on the chaos seed, not on
+    // the lane — but pickup kills do not: nothing recovers after this.
+    let mut recover: Vec<usize> = in_flight.iter().filter_map(|slot| lock(slot).take()).collect();
+    let poisoned = recover.len();
+    if !interrupted {
+        for d in &deques {
+            recover.extend(lock(d).drain(..));
+        }
+    }
+    if !recover.is_empty() {
+        recover.sort_unstable();
+        for &idx in &recover {
+            eprintln!(
+                "warning: worker poisoned while running '{}'; re-running on the control lane",
+                units[idx].name
+            );
+        }
+        let chaos = cfg.chaos.map(|pc| ProcChaos { kill_ppm: 0, ..pc });
+        let lane = Lanes { cfg: ExecutorConfig { chaos, ..*cfg }, ..lanes };
+        let spare = outs.iter_mut().find_map(|o| o.manifest.take());
+        let queue = [Mutex::new(VecDeque::from(recover))];
+        outs.push(lane.worker_loop(0, spare, &queue, &[Mutex::new(None)], None, true));
+    }
+
+    let mut events = control.take_trace().events;
     let mut steals = 0;
     let mut recovery_notes: Vec<String> = Vec::new();
     for mut out in outs {
@@ -678,84 +710,9 @@ where
         events.append(&mut out.trace.events);
         recovery_notes.append(&mut out.notes);
     }
-
-    let interrupted = cancel.map(|c| c.load(Ordering::SeqCst)).unwrap_or(false);
-
-    // Recovery pass: units a poisoned worker had in flight, plus any
-    // queue no surviving worker drained, re-run inline on the control
-    // lane (unjournaled — they will simply re-run again on a resume).
-    let mut poisoned = 0;
-    let mut recover: Vec<usize> = Vec::new();
-    for slot in &in_flight {
-        if let Some(idx) = lock(slot).take() {
-            poisoned += 1;
-            recover.push(idx);
-        }
-    }
-    if !interrupted {
-        for d in &deques {
-            recover.extend(lock(d).drain(..));
-        }
-    }
-    recover.sort_unstable();
-    for idx in recover {
-        let u = &units[idx];
-        eprintln!(
-            "warning: worker poisoned while running '{}'; re-running on the control lane",
-            u.name
-        );
-        let run = Arc::clone(&u.run);
-        // The same per-attempt chaos applies on the recovery lane (the
-        // kill decision does not — it only fires at worker pickup), so
-        // a unit's attempt history depends only on the chaos seed, not
-        // on which lane ended up running it.
-        let run: Arc<UnitFn<R>> = match cfg.chaos {
-            Some(pc) => chaos_wrap(run, pc, idx),
-            None => run,
-        };
-        let timeout = cfg.unit_timeout;
-        let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            control.supervise(&u.name, |attempt| {
-                run_attempt(&run, attempt, timeout, &watchdog, &u.name, &leaks)
-            })
-        }))
-        .unwrap_or_else(|p| Outcome::Quarantined {
-            attempts: 1,
-            retries: vec![RetryRecord {
-                attempt: 0,
-                error: format!(
-                    "panic outside the attempt sandbox: {}",
-                    panic_message(p.as_ref())
-                ),
-                transience: Transience::Permanent,
-                backoff_ms: 0,
-            }],
-            from_checkpoint: false,
-        });
-        if let Some(pc) = cfg.chaos {
-            emit_chaos_actions(&mut control, pc, idx, outcome.attempts());
-        }
-        let result = UnitResult {
-            index: idx,
-            name: u.name.clone(),
-            outcome,
-            worker: None,
-            stolen: false,
-            duration: t0.elapsed(),
-        };
-        if let Some(p) = progress {
-            p(&result);
-        }
-        slots[idx] = Some(result);
-    }
-
-    recovery_notes.append(&mut control.take_notes());
     // Sorted so the report is deterministic regardless of which worker
     // (or steal schedule) produced each note.
     recovery_notes.sort_unstable();
-
-    events.append(&mut control.take_trace().events);
     // Stable by-time sort: each lane's events are already in emission
     // order on a shared clock, so per-lane order (what consumers rely
     // on) survives the merge.
@@ -800,6 +757,19 @@ mod tests {
     fn value_units(n: usize) -> Vec<ExecUnit<f64>> {
         (0..n)
             .map(|i| ExecUnit::new(format!("u{i}"), move |_| Ok(i as f64 * 1.5)))
+            .collect()
+    }
+
+    /// `value_units`, each closure call counted in `ran`.
+    fn counted_units(n: usize, ran: &Arc<AtomicUsize>) -> Vec<ExecUnit<f64>> {
+        (0..n)
+            .map(|i| {
+                let ran = Arc::clone(ran);
+                ExecUnit::new(format!("u{i}"), move |_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    Ok(i as f64 * 1.5)
+                })
+            })
             .collect()
     }
 
@@ -961,15 +931,7 @@ mod tests {
             targets: (0..6).map(|i| format!("u{i}")).collect(),
         };
         let ran = Arc::new(AtomicUsize::new(0));
-        let units: Vec<ExecUnit<f64>> = (0..6)
-            .map(|i| {
-                let ran = Arc::clone(&ran);
-                ExecUnit::new(format!("u{i}"), move |_| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    Ok(i as f64)
-                })
-            })
-            .collect();
+        let units = counted_units(6, &ran);
         let shards = create_shards(&dir, "m", &header, 3).unwrap();
         let first = run_campaign(&cfg(3), &units, Some(shards), &[], None, None);
         assert_eq!(first.results.len(), 6);
@@ -985,7 +947,7 @@ mod tests {
         for (i, r) in second.results.iter().enumerate() {
             assert!(r.outcome.from_checkpoint());
             match &r.outcome {
-                Outcome::Completed { value, .. } => assert_eq!(*value, i as f64),
+                Outcome::Completed { value, .. } => assert_eq!(*value, i as f64 * 1.5),
                 other => panic!("{other:?}"),
             }
         }
@@ -993,6 +955,40 @@ mod tests {
             second.trace.instants_of(InstantKind::SupervisorResume),
             6
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Units the recovery lane ran after a worker died are journaled like
+    /// any other: a resume replays the whole campaign and runs nothing.
+    #[test]
+    fn recovered_units_are_journaled_and_replay_on_resume() {
+        const N: usize = 8;
+        let pc = (0..u64::MAX)
+            .map(|seed| ProcChaos { seed, kill_ppm: 250_000, panic_ppm: 0, stall_ppm: 0, stall_ms: 0 })
+            .find(|pc| (0..N).any(|i| pc.kills_at_boundary(i)))
+            .expect("a killing chaos seed exists");
+        let dir = tmpdir("recovered");
+        let header = Header {
+            seed: 11,
+            fast: true,
+            targets: (0..N).map(|i| format!("u{i}")).collect(),
+        };
+        let ran = Arc::new(AtomicUsize::new(0));
+        let units = counted_units(N, &ran);
+        let mut c = cfg(2);
+        c.chaos = Some(pc);
+        let shards = create_shards(&dir, "m", &header, 2).unwrap();
+        let first = run_campaign(&c, &units, Some(shards), &[], None, None);
+        assert!(first.poisoned_workers >= 1, "the seed kills a worker");
+        assert_eq!(first.results.len(), N);
+        assert_eq!(ran.load(Ordering::SeqCst), N);
+
+        let (shards, merged) = resume_shards(&dir, "m", &header, 2).unwrap();
+        assert_eq!(merged.len(), N, "recovered units reached the journal");
+        let second = run_campaign(&c, &units, Some(shards), &merged, None, None);
+        assert_eq!(ran.load(Ordering::SeqCst), N, "no unit closure ran on resume");
+        assert_eq!(digest(&first), digest(&second));
+        assert!(second.results.iter().all(|r| r.outcome.from_checkpoint()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

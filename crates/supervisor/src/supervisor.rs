@@ -19,7 +19,7 @@
 //! exported through the usual Chrome-trace pipeline so a campaign's
 //! recovery history is visible in Perfetto next to the runs themselves.
 
-use crate::backoff::{name_seed, Backoff, BackoffCfg};
+use crate::backoff::{mix64, name_seed, Backoff, BackoffCfg, GOLDEN_GAMMA};
 use crate::checkpoint::{Entry, Manifest, RetryRecord, UnitStatus};
 use crate::classify::Transience;
 use ompvar_obs::json::Value;
@@ -148,10 +148,7 @@ pub fn attempt_seed(base: u64, attempt: u32) -> u64 {
     if attempt == 0 {
         base
     } else {
-        let mut x = base ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
+        mix64(base ^ u64::from(attempt).wrapping_mul(GOLDEN_GAMMA))
     }
 }
 
@@ -190,6 +187,13 @@ impl Supervisor {
     pub fn with_manifest(mut self, manifest: Manifest) -> Supervisor {
         self.manifest = Some(manifest);
         self
+    }
+
+    /// Detach the checkpoint manifest, leaving the supervisor
+    /// unjournaled (the executor passes a finished worker's shard on to
+    /// its recovery lane).
+    pub(crate) fn take_manifest(&mut self) -> Option<Manifest> {
+        self.manifest.take()
     }
 
     /// Pin every event this supervisor emits to one trace lane. The
