@@ -12,7 +12,15 @@
 //! key order and allow duplicates (last one wins on lookup is *not*
 //! implemented — [`Value::get`] returns the first match), and the parser
 //! rejects trailing garbage.
+//!
+//! The read half is one scanner with two sinks. [`parse`] builds the
+//! [`Value`] tree. [`parse_object`] hands the top-level fields of a
+//! one-object document to its caller as they are scanned, strings
+//! borrowed from the input — what the checkpoint reader decodes a
+//! journal line through, since the tree of a line is built only to be
+//! taken apart again.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// Append `s` to `out` escaped for inclusion inside JSON double quotes.
@@ -321,18 +329,77 @@ const MAX_DEPTH: usize = 128;
 /// Parse a complete JSON document. Trailing non-whitespace and arrays
 /// or objects nested more than 128 deep are errors.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    p.end()?;
     Ok(v)
 }
 
+/// One top-level field of a document, as [`parse_object`] delivers it:
+/// a scalar as scanned — a string borrowed from the input unless it
+/// holds an escape — and only an array or object as a built [`Value`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Field<'a> {
+    /// `null`.
+    Null,
+    /// `true`/`false`.
+    Bool(bool),
+    /// Any number.
+    Num(f64),
+    /// A string (unescaped).
+    Str(Cow<'a, str>),
+    /// An array or object.
+    Tree(Value),
+}
+
+impl Field<'_> {
+    /// The string contents, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Field::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+impl From<Field<'_>> for Value {
+    fn from(f: Field<'_>) -> Value {
+        match f {
+            Field::Null => Value::Null,
+            Field::Bool(b) => Value::Bool(b),
+            Field::Num(n) => Value::Num(n),
+            Field::Str(s) => Value::Str(s.into_owned()),
+            Field::Tree(v) => v,
+        }
+    }
+}
+
+/// [`parse`] for a reader that knows its keys: the top-level fields of
+/// a one-object document go to `field` as they are scanned — document
+/// order, duplicates included — and the object itself is never built.
+/// Same grammar, same errors at the same positions as [`parse`]; fields
+/// delivered before an error are the caller's to discard. A document
+/// that is not an object is parsed whole and delivers nothing.
+pub fn parse_object<'a>(
+    input: &'a str,
+    mut field: impl FnMut(&str, Field<'a>),
+) -> Result<(), ParseError> {
+    let mut p = Parser { text: input, pos: 0 };
+    p.skip_ws();
+    if p.peek() == Some(b'{') {
+        p.object(1, |key, f| field(&key, f))?;
+    } else {
+        p.value(0)?;
+    }
+    p.end()
+}
+
+/// The one scanner under [`parse`] and [`parse_object`]. It works on
+/// byte runs: every byte it stops at is ASCII, so every extent it cuts
+/// from `text` lies on character boundaries.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -341,14 +408,31 @@ impl<'a> Parser<'a> {
         ParseError { pos: self.pos, msg }
     }
 
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.rest().first().copied()
+    }
+
+    /// Advance over the run of bytes `keep` holds for.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        let rest = self.rest();
+        self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+        self.skip_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
+    }
+
+    /// Only whitespace may follow the document.
+    fn end(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after document"));
         }
+        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
@@ -360,10 +444,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str, f: Field<'a>) -> Result<Field<'a>, ParseError> {
+        if self.rest().starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            Ok(f)
         } else {
             Err(self.err("invalid literal"))
         }
@@ -371,26 +455,39 @@ impl<'a> Parser<'a> {
 
     /// Parse one value sitting inside `depth` open arrays and objects.
     fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
+        self.field(depth).map(Value::from)
+    }
+
+    /// [`Parser::value`], a scalar left as scanned.
+    fn field(&mut self, depth: usize) -> Result<Field<'a>, ParseError> {
         match self.peek() {
             Some(b'{' | b'[') if depth == MAX_DEPTH => Err(self.err("nesting too deep")),
-            Some(b'{') => self.object(depth + 1),
-            Some(b'[') => self.array(depth + 1),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(depth + 1, |key, f| fields.push((key.into_owned(), f.into())))?;
+                Ok(Field::Tree(Value::Obj(fields)))
+            }
+            Some(b'[') => self.array(depth + 1).map(Field::Tree),
+            Some(b'"') => self.string().map(Field::Str),
+            Some(b't') => self.literal("true", Field::Bool(true)),
+            Some(b'f') => self.literal("false", Field::Bool(false)),
+            Some(b'n') => self.literal("null", Field::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Field::Num),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
+    /// An object's fields, handed to `field` in source order.
+    fn object(
+        &mut self,
+        depth: usize,
+        mut field: impl FnMut(Cow<'a, str>, Field<'a>),
+    ) -> Result<(), ParseError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -398,14 +495,13 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value(depth)?;
-            fields.push((key, val));
+            field(key, self.field(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
@@ -435,70 +531,82 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// A string, one run at a time: the bytes up to the next `"` or `\`
+    /// are taken whole. With no escape in it the string is that one run,
+    /// borrowed; the first escape starts an owned copy.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
+        // Empty until the first escape: an escape always pushes.
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            self.skip_while(|b| b != b'"' && b != b'\\');
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogates are not recombined — the
-                            // serializers here never emit them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
+                    if out.is_empty() {
+                        return Ok(Cow::Borrowed(run));
                     }
-                    self.pos += 1;
+                    out.push_str(run);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    /// The character an escape stands for; `pos` is just past its `\`.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let mut code = self.hex4(self.pos)?;
+                self.pos += 4;
+                // A non-BMP character arrives from an `ensure_ascii`
+                // emitter as a surrogate pair: recombine it. A surrogate
+                // without its partner is not a character.
+                if (0xd800..0xdc00).contains(&code) && self.rest().get(1..3) == Some(b"\\u") {
+                    if let Ok(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 2) {
+                        code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        self.pos += 6;
+                    }
+                }
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// The four hex digits after the `u` at byte `u`.
+    fn hex4(&self, u: usize) -> Result<u32, ParseError> {
+        let hex = self.text.as_bytes().get(u + 1..u + 5);
+        let hex = hex.ok_or_else(|| self.err("truncated \\u escape"))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| self.err("non-ascii \\u escape"))?;
+        u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))
+    }
+
+    fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err("invalid number"))
+        self.skip_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'));
+        self.text[start..self.pos].parse().map_err(|_| self.err("invalid number"))
     }
 }
 
@@ -645,6 +753,238 @@ mod tests {
             let v = value_from(&mut bytes.iter(), 4);
             proptest::prop_assert_eq!(parse(&write(&v)), Ok(v));
         }
+    }
+
+    /// The string scanner this module had before it took runs: one
+    /// character per step. Kept as the model the run scanner must agree
+    /// with, result for result; it shares no code with it. `text` opens
+    /// at the quote; returns the result and where scanning stopped.
+    fn string_model(text: &str) -> (Result<String, ParseError>, usize) {
+        fn hex4(bytes: &[u8], u: usize) -> Result<u32, &'static str> {
+            let hex = bytes.get(u + 1..u + 5).ok_or("truncated \\u escape")?;
+            let hex = std::str::from_utf8(hex).map_err(|_| "non-ascii \\u escape")?;
+            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")
+        }
+        let bytes = text.as_bytes();
+        let fail = |pos, msg| (Err(ParseError { pos, msg }), pos);
+        if bytes.first() != Some(&b'"') {
+            return fail(0, "unexpected character");
+        }
+        let (mut pos, mut out) = (1, String::new());
+        loop {
+            match bytes.get(pos) {
+                None => return fail(pos, "unterminated string"),
+                Some(b'"') => return (Ok(out), pos + 1),
+                Some(b'\\') => {
+                    pos += 1;
+                    match bytes.get(pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let high = match hex4(bytes, pos) {
+                                Ok(code) => code,
+                                Err(msg) => return fail(pos, msg),
+                            };
+                            pos += 4;
+                            let low = (bytes.get(pos + 1..pos + 3) == Some(b"\\u"))
+                                .then(|| hex4(bytes, pos + 2).ok())
+                                .flatten();
+                            match (high, low) {
+                                (0xd800..=0xdbff, Some(low @ 0xdc00..=0xdfff)) => {
+                                    let c = 0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00);
+                                    out.push(char::from_u32(c).unwrap());
+                                    pos += 6;
+                                }
+                                _ => out.push(char::from_u32(high).unwrap_or('\u{fffd}')),
+                            }
+                        }
+                        _ => return fail(pos, "invalid escape"),
+                    }
+                    pos += 1;
+                }
+                Some(_) => {
+                    let c = text[pos..].chars().next().unwrap();
+                    out.push(c);
+                    pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// The run scanner on `text`, in the model's terms.
+    fn string_scanned(text: &str) -> (Result<String, ParseError>, usize) {
+        let mut p = Parser { text, pos: 0 };
+        let got = p.string().map(Cow::into_owned);
+        (got, p.pos)
+    }
+
+    #[test]
+    fn surrogate_pairs_recombine_and_lone_surrogates_do_not() {
+        let s = |doc: &str| parse(doc).map(|v| v.as_str().unwrap().to_string());
+        // How an `ensure_ascii` emitter writes U+1F600.
+        assert_eq!(s(r#""\ud83d\ude00""#), Ok("😀".to_string()));
+        assert_eq!(s(r#""\uD83D\uDE00""#), Ok("😀".to_string()));
+        assert_eq!(s(r#""\udbff\udfff""#), Ok("\u{10ffff}".to_string()));
+        // The pair sits between two runs, opens the string, closes it.
+        assert_eq!(s(r#""a\ud83d\ude00b""#), Ok("a😀b".to_string()));
+        assert_eq!(s(r#""é\ud83d\ude00""#), Ok("é😀".to_string()));
+        // No partner, wrong partner, partners the wrong way round, a run
+        // in between: each surrogate alone is U+FFFD.
+        assert_eq!(s(r#""\ud83d""#), Ok("\u{fffd}".to_string()));
+        assert_eq!(s(r#""\ude00""#), Ok("\u{fffd}".to_string()));
+        assert_eq!(s(r#""\ud83d\u0041""#), Ok("\u{fffd}A".to_string()));
+        assert_eq!(s(r#""\ud83d\n""#), Ok("\u{fffd}\n".to_string()));
+        assert_eq!(s(r#""\ude00\ud83d""#), Ok("\u{fffd}\u{fffd}".to_string()));
+        assert_eq!(s(r#""\ud83dx\ude00""#), Ok("\u{fffd}x\u{fffd}".to_string()));
+        assert_eq!(s(r#""\ud83d\ud83d\ude00""#), Ok("\u{fffd}😀".to_string()));
+        // A broken second escape is reported where it stands.
+        assert_eq!(s(r#""\ud83d\ude0""#), Err(ParseError { pos: 8, msg: "invalid \\u escape" }));
+        assert_eq!(s(r#""\ud83d\ude"#), Err(ParseError { pos: 8, msg: "truncated \\u escape" }));
+        // A unit name that went through such a tool comes back itself.
+        let v = parse(r#"{"name":"fig2/\ud83d\ude00/0"}"#).unwrap();
+        assert_eq!(v.get("name").and_then(Value::as_str), Some("fig2/😀/0"));
+    }
+
+    #[test]
+    fn run_scanner_agrees_with_the_model_on_every_escape_and_edge() {
+        for text in [
+            r#""""#, r#""plain""#, r#""\"\\\/\n\r\t\b\f""#, r#""\u0041\u00e9\u2028""#,
+            r#""\x""#, r#""\"#, r#""\u12"#, r#""\u12g4""#, r#""\u+123""#, "\"\\u12é\"",
+            "\"é\"", "\"é\\\"é\"", "\"😀\\\\\"", "\"\\né\"", "\"é\\n\"", "\"unterminated é",
+            "\"a\\", "\"\\ud83d\\ude00\"", "\"\\ud83d\\u\"", "nope", "", "\"a\u{1}b\tc\"",
+        ] {
+            assert_eq!(string_scanned(text), string_model(text), "{text:?}");
+        }
+        // What borrows: a string without an escape is a slice of the input.
+        let mut p = Parser { text: r#""né""#, pos: 0 };
+        assert!(matches!(p.string(), Ok(Cow::Borrowed("né"))));
+        let mut p = Parser { text: r#""n\u00e9""#, pos: 0 };
+        assert!(matches!(p.string(), Ok(Cow::Owned(s)) if s == "né"));
+    }
+
+    /// Text dense in what the string scanner stops at: each byte picks a
+    /// token, so quotes, escapes (whole and cut short), surrogate halves
+    /// and multi-byte characters land next to each other.
+    fn hostile_text(bytes: &[u8]) -> String {
+        const TOKENS: [&str; 24] = [
+            "\"", "\\", "u", "\\u", "d83d", "de00", "\\ud83d", "\\ude00", "00e9", "é", "😀",
+            "\u{2028}", "a", "n", "\\n", "\\\"", "\\\\", "/", "0", "g", " ", "\u{1}", "+", "\\t",
+        ];
+        bytes.iter().map(|b| TOKENS[*b as usize % TOKENS.len()]).collect()
+    }
+
+    /// The fields `parse_object` delivers, as the tree would hold them.
+    fn sunk(doc: &str) -> Result<Vec<(String, Value)>, ParseError> {
+        let mut fields = Vec::new();
+        parse_object(doc, |k, f| fields.push((k.to_string(), Value::from(f))))?;
+        Ok(fields)
+    }
+
+    /// What `parse_object` must deliver, read off the tree.
+    fn held(doc: &str) -> Result<Vec<(String, Value)>, ParseError> {
+        Ok(match parse(doc)? {
+            Value::Obj(fields) => fields,
+            _ => Vec::new(),
+        })
+    }
+
+    /// Every suffix of `bytes`, as raw (lossy) text and as token soup.
+    fn hostile_texts(bytes: &[u8]) -> impl Iterator<Item = String> + '_ {
+        (0..bytes.len().max(1)).flat_map(move |i| {
+            let tail = bytes.get(i..).unwrap_or_default();
+            [String::from_utf8_lossy(tail).into_owned(), hostile_text(tail)]
+        })
+    }
+
+    proptest::proptest! {
+        /// Run scanner ≡ char-by-char model, value or error, and both
+        /// stop at the same byte.
+        #[test]
+        fn run_scanner_agrees_with_the_model(bytes in proptest::collection::vec(0u8..=255, 0..48)) {
+            for body in hostile_texts(&bytes) {
+                let text = format!("\"{body}");
+                proptest::prop_assert_eq!(string_scanned(&text), string_model(&text), "{:?}", text);
+            }
+        }
+
+        /// Sink ≡ tree on what the writer emits: the same fields, in
+        /// order, duplicate keys included.
+        #[test]
+        fn sink_delivers_the_fields_the_tree_holds(
+            bytes in proptest::collection::vec(0u8..=255, 0..160),
+        ) {
+            let mut bytes = bytes.iter();
+            const KEYS: [&str; 5] = ["k", "k", "dup", "é\"", ""];
+            let fields: Vec<(String, Value)> = (0..bytes.next().map_or(0, |b| *b as usize % 6))
+                .map(|i| (KEYS[i % 5].to_string(), value_from(&mut bytes, 3)))
+                .collect();
+            let doc = write(&Value::Obj(fields.clone()));
+            proptest::prop_assert_eq!(sunk(&doc), Ok(fields));
+        }
+
+        /// Sink ≡ tree on hostile bytes: the same fields or the same
+        /// error at the same position.
+        #[test]
+        fn sink_fails_where_the_tree_fails(bytes in proptest::collection::vec(0u8..=255, 0..64)) {
+            for body in hostile_texts(&bytes) {
+                for doc in [format!("{{{body}"), format!("{{\"k\":{body}}}"), body] {
+                    proptest::prop_assert_eq!(sunk(&doc), held(&doc), "{:?}", doc);
+                }
+            }
+        }
+    }
+
+    /// A valid document cut short at every character, and with every
+    /// character replaced by every hostile token: sink ≡ tree.
+    #[test]
+    fn sink_fails_where_the_tree_fails_on_every_near_miss_of_a_document() {
+        let valid = r#" {"a":"x\ny","b":[1,{"c":null}],"a":-2.5e3,"é":{"d":"😀"},"é":true} "#;
+        assert_eq!(sunk(valid).unwrap().len(), 5);
+        let chars: Vec<char> = valid.chars().collect();
+        for cut in 0..=chars.len() {
+            let head: String = chars[..cut].iter().collect();
+            assert_eq!(sunk(&head), held(&head), "{head:?}");
+            let tail: String = chars[(cut + 1).min(chars.len())..].iter().collect();
+            for token in 0..24u8 {
+                let doc = format!("{head}{}{tail}", hostile_text(&[token]));
+                assert_eq!(sunk(&doc), held(&doc), "{doc:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sink_borrows_what_has_no_escape_and_shares_the_depth_bound() {
+        let doc = r#"{"plain":"né","esc\n":"a\tb","n":1,"t":[true]}"#;
+        let mut seen = Vec::new();
+        parse_object(doc, |k, f| {
+            seen.push(match &f {
+                Field::Str(Cow::Borrowed(_)) => format!("{k}: borrowed"),
+                Field::Str(Cow::Owned(_)) => format!("{k}: owned"),
+                other => format!("{k}: {other:?}"),
+            })
+        })
+        .unwrap();
+        let want = ["plain: borrowed", "esc\n: owned", "n: Num(1.0)", "t: Tree(Arr([Bool(true)]))"];
+        assert_eq!(seen, want);
+        // The top-level object counts as one level on both paths.
+        let nest = |n: usize| format!("{{\"payload\":{}{}}}", "[".repeat(n), "]".repeat(n));
+        assert_eq!(sunk(&nest(MAX_DEPTH - 1)), held(&nest(MAX_DEPTH - 1)));
+        assert!(sunk(&nest(MAX_DEPTH - 1)).is_ok());
+        let e = sunk(&nest(MAX_DEPTH)).unwrap_err();
+        assert_eq!((e.pos, e.msg), (11 + MAX_DEPTH - 1, "nesting too deep"));
+        assert_eq!(Err(e), held(&nest(MAX_DEPTH)));
+        // Not an object: the tree path, with the tree path's errors.
+        let e = sunk(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!((e.pos, e.msg), (MAX_DEPTH, "nesting too deep"));
+        assert_eq!(sunk("[1, 2]"), Ok(vec![]));
+        let e = sunk("{} x").unwrap_err();
+        assert_eq!((e.pos, e.msg), (3, "trailing characters after document"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use ompvar_sim::sync::{LoopSchedule, LoopSpec};
 use ompvar_sim::task::{CorunClass, ObjId, Op, Program, TaskId};
 use ompvar_sim::trace::{ObjEffects, SemanticEffects, SimReport};
 use ompvar_sim::time::{Time, SEC, US};
-use ompvar_topology::{assign_places, MachineSpec, ProcBind};
+use ompvar_topology::{assign_places, MachineSpec, ProcBind, ThreadAssignment};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Frequency-logger configuration for simulated runs.
@@ -147,19 +147,14 @@ impl SimRuntime {
         self
     }
 
-    /// Topology contention multiplier for a team bound as configured.
-    fn span_factor(&self, region: &RegionSpec) -> f64 {
+    /// Topology contention multiplier for a team bound as `assignment`
+    /// has it.
+    fn span_factor(&self, assignment: &ThreadAssignment) -> f64 {
         let cross = self.params.sync.cross_socket_factor;
         if self.config.bind == ProcBind::False {
             // Unbound threads roam the whole node: worst case.
             return cross;
         }
-        let assignment = assign_places(
-            &self.machine,
-            &self.config.places,
-            self.config.bind,
-            region.n_threads,
-        );
         let hws: Vec<_> = assignment
             .iter_bound()
             .map(|(_, p)| p.first())
@@ -225,16 +220,18 @@ impl SimRuntime {
     fn prepare(&self, region: &RegionSpec, seed: u64) -> Result<Prepared, RtError> {
         region.validate().map_err(RtError::InvalidRegion)?;
         let mut sim = Simulator::new(self.machine.clone(), self.params.clone(), seed);
-        let mut lower = Lowerer::new(self, region, &mut sim);
-        lower.lower(&region.constructs);
-        let Lowerer { master, others, roles, marker_pairs, .. } = lower;
-
+        // Resolved once: the span factor and the spawns read the same
+        // placement.
         let assignment = assign_places(
             &self.machine,
             &self.config.places,
             self.config.bind,
             region.n_threads,
         );
+        let mut lower = Lowerer::new(self, region, self.span_factor(&assignment), &mut sim);
+        lower.lower(&region.constructs);
+        let Lowerer { master, others, roles, marker_pairs, .. } = lower;
+
         let master = sim.spawn_user(0, Program::new(master), assignment.place_of(0).cloned());
         let others = Program::new(others);
         for rank in 1..region.n_threads {
@@ -340,7 +337,7 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(rt: &SimRuntime, region: &RegionSpec, sim: &'a mut Simulator) -> Self {
+    fn new(rt: &SimRuntime, region: &RegionSpec, span: f64, sim: &'a mut Simulator) -> Self {
         let mut clauses = BTreeMap::new();
         for d in &region.vars {
             clauses.entry(d.id).or_insert(d.clause);
@@ -349,7 +346,7 @@ impl<'a> Lowerer<'a> {
             sim,
             max_ghz: rt.machine.clock.max_ghz,
             n_threads: region.n_threads,
-            span: rt.span_factor(region),
+            span,
             combine_ns: rt.params.sync.reduction_combine_ns,
             clauses,
             named_locks: BTreeMap::new(),
@@ -878,7 +875,7 @@ mod tests {
                 constructs: every_construct(),
             };
             let mut sim = Simulator::new(rt.machine.clone(), rt.params.clone(), 1);
-            let mut lw = Lowerer::new(&rt, &region, &mut sim);
+            let mut lw = Lowerer::new(&rt, &region, 1.0, &mut sim);
             lw.lower(&region.constructs);
 
             let master_only = |op: &Op| {

@@ -23,7 +23,7 @@
 use crate::chaos::{self, FaultKind, Verdict, WriteKind};
 use crate::classify::Transience;
 use crate::fsio::atomic_write;
-use ompvar_obs::json::{self, Value, Writer};
+use ompvar_obs::json::{self, Field, Value, Writer};
 use std::collections::HashSet;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -194,61 +194,127 @@ fn entry_json(e: &Entry) -> String {
     w.finish()
 }
 
-fn u64_of(v: &Value, key: &str) -> Option<u64> {
-    let n = v.get(key)?.as_f64()?;
+/// The integer a manifest number stands for, if it is one.
+fn u64_of(n: f64) -> Option<u64> {
     (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
 }
 
-fn header_from(v: &Value) -> Option<Header> {
-    if v.get("schema")?.as_str()? != SCHEMA || v.get("kind")?.as_str()? != "campaign" {
-        return None;
+/// What the *first* occurrence of a key decoded to: `None` until the
+/// key is met, `Some(None)` if that occurrence had the wrong type or
+/// value — which a later duplicate must not repair, [`Value::get`]
+/// having always read the first match only.
+type First<T> = Option<Option<T>>;
+
+fn first<T>(slot: &mut First<T>, decode: impl FnOnce() -> Option<T>) {
+    if slot.is_none() {
+        *slot = Some(decode());
     }
-    let targets = v
-        .get("targets")?
-        .as_arr()?
-        .iter()
-        .map(|t| t.as_str().map(str::to_string))
-        .collect::<Option<Vec<_>>>()?;
-    Some(Header {
-        seed: u64_of(v, "seed")?,
-        fast: v.get("fast")?.as_bool()?,
-        targets,
+}
+
+/// `Some` if `f` is the string `want`.
+fn is_str(f: &Field<'_>, want: &str) -> Option<()> {
+    (f.as_str()? == want).then_some(())
+}
+
+fn num_of(f: &Field<'_>) -> Option<u64> {
+    match f {
+        Field::Num(n) => u64_of(*n),
+        _ => None,
+    }
+}
+
+/// The string `v` is, moved out of it.
+fn string_of(v: Value) -> Option<String> {
+    match v {
+        Value::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// Decode the header line; `Ok(None)` is valid JSON of another shape.
+fn read_header(line: &str) -> Result<Option<Header>, json::ParseError> {
+    let (mut schema, mut kind, mut seed, mut fast, mut targets) = (None, None, None, None, None);
+    json::parse_object(line, |key, f| match key {
+        "schema" => first(&mut schema, || is_str(&f, SCHEMA)),
+        "kind" => first(&mut kind, || is_str(&f, "campaign")),
+        "seed" => first(&mut seed, || num_of(&f)),
+        "fast" => first(&mut fast, || match f {
+            Field::Bool(b) => Some(b),
+            _ => None,
+        }),
+        "targets" => first(&mut targets, || match f {
+            Field::Tree(Value::Arr(names)) => names.into_iter().map(string_of).collect(),
+            _ => None,
+        }),
+        _ => {}
+    })?;
+    Ok(schema.flatten().and(kind.flatten()).and_then(|()| {
+        Some(Header { seed: seed??, fast: fast??, targets: targets?? })
+    }))
+}
+
+fn retry_from(v: Value) -> Option<RetryRecord> {
+    let Value::Obj(fields) = v else { return None };
+    let (mut attempt, mut error, mut class, mut backoff_ms) = (None, None, None, None);
+    for (key, v) in fields {
+        match key.as_str() {
+            "attempt" => first(&mut attempt, || u64_of(v.as_f64()?)),
+            "error" => first(&mut error, || string_of(v)),
+            "class" => first(&mut class, || Transience::from_name(v.as_str()?)),
+            "backoff_ms" => first(&mut backoff_ms, || u64_of(v.as_f64()?)),
+            _ => {}
+        }
+    }
+    Some(RetryRecord {
+        attempt: attempt?? as u32,
+        error: error??,
+        transience: class??,
+        backoff_ms: backoff_ms??,
     })
 }
 
-fn entry_from(v: &Value) -> Option<Entry> {
-    if v.get("schema")?.as_str()? != SCHEMA || v.get("kind")?.as_str()? != "unit" {
-        return None;
-    }
-    let status = match v.get("status")?.as_str()? {
-        "ok" => UnitStatus::Ok,
-        "quarantined" => UnitStatus::Quarantined,
-        _ => return None,
-    };
-    let retries = v
-        .get("retries")?
-        .as_arr()?
-        .iter()
-        .map(|r| {
-            Some(RetryRecord {
-                attempt: u64_of(r, "attempt")? as u32,
-                error: r.get("error")?.as_str()?.to_string(),
-                transience: Transience::from_name(r.get("class")?.as_str()?)?,
-                backoff_ms: u64_of(r, "backoff_ms")?,
-            })
+/// Decode one unit line; `Ok(None)` is valid JSON of another shape.
+///
+/// The fields come straight off the scanner ([`json::parse_object`]):
+/// `schema`, `kind` and `status` are compared where they lie in `line`,
+/// `name` is the one allocation an ordinary line costs, and `retries`
+/// and `payload` are moved out of the only trees built.
+fn read_unit(line: &str) -> Result<Option<Entry>, json::ParseError> {
+    let (mut schema, mut kind, mut name, mut status) = (None, None, None, None);
+    let (mut attempts, mut retries, mut payload) = (None, None, None);
+    json::parse_object(line, |key, f| match key {
+        "schema" => first(&mut schema, || is_str(&f, SCHEMA)),
+        "kind" => first(&mut kind, || is_str(&f, "unit")),
+        "name" => first(&mut name, || match f {
+            Field::Str(s) => Some(s.into_owned()),
+            _ => None,
+        }),
+        "status" => first(&mut status, || match f.as_str()? {
+            "ok" => Some(UnitStatus::Ok),
+            "quarantined" => Some(UnitStatus::Quarantined),
+            _ => None,
+        }),
+        "attempts" => first(&mut attempts, || num_of(&f)),
+        "retries" => first(&mut retries, || match f {
+            Field::Tree(Value::Arr(rs)) => rs.into_iter().map(retry_from).collect(),
+            _ => None,
+        }),
+        // `null` is a payload-less unit, not a malformed one.
+        "payload" => first(&mut payload, || match f {
+            Field::Null => Some(None),
+            other => Some(Some(Value::from(other))),
+        }),
+        _ => {}
+    })?;
+    Ok(schema.flatten().and(kind.flatten()).and_then(|()| {
+        Some(Entry {
+            name: name??,
+            status: status??,
+            attempts: attempts?? as u32,
+            retries: retries??,
+            payload: payload??,
         })
-        .collect::<Option<Vec<_>>>()?;
-    let payload = match v.get("payload")? {
-        Value::Null => None,
-        other => Some(other.clone()),
-    };
-    Some(Entry {
-        name: v.get("name")?.as_str()?.to_string(),
-        status,
-        attempts: u64_of(v, "attempts")? as u32,
-        retries,
-        payload,
-    })
+    }))
 }
 
 /// A live manifest: the append-only journal handle of one campaign run
@@ -318,19 +384,13 @@ impl Manifest {
         let (complete, tail) = text.split_at(complete_len);
 
         let mut lines = complete.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-        let parse_line =
-            |i: usize, l: &str| json::parse(l).map_err(|e| parse_err(path, i + 1, e.to_string(), l));
-        let (i, first) = lines
-            .next()
-            .ok_or_else(|| parse_err(path, 1, "empty manifest", ""))?;
-        let header = header_from(&parse_line(i, first)?).ok_or_else(|| {
-            parse_err(
-                path,
-                i + 1,
-                "first line is not an ompvar-checkpoint/1 campaign header",
-                first,
-            )
-        })?;
+        // Bad JSON and good JSON of the wrong shape are both a `Parse`
+        // naming the line.
+        let bad = |(i, l): (usize, &str), msg: &str| parse_err(path, i + 1, msg, l);
+        let head = lines.next().ok_or_else(|| parse_err(path, 1, "empty manifest", ""))?;
+        let header = read_header(head.1)
+            .map_err(|e| bad(head, &e.to_string()))?
+            .ok_or_else(|| bad(head, "first line is not an ompvar-checkpoint/1 campaign header"))?;
         if header != *expect {
             return Err(CheckpointError::Mismatch(format!(
                 "manifest is for seed {} fast {} targets {:?}; \
@@ -339,12 +399,11 @@ impl Manifest {
             )));
         }
         let mut entries = Vec::new();
-        for (i, l) in lines {
-            let v = parse_line(i, l)?;
-            let e = entry_from(&v).ok_or_else(|| {
-                parse_err(path, i + 1, "line is not an ompvar-checkpoint/1 unit record", l)
-            })?;
-            entries.push(e);
+        for line in lines {
+            let entry = read_unit(line.1)
+                .map_err(|e| bad(line, &e.to_string()))?
+                .ok_or_else(|| bad(line, "line is not an ompvar-checkpoint/1 unit record"))?;
+            entries.push(entry);
         }
 
         let mut torn_tail = false;
@@ -354,7 +413,7 @@ impl Manifest {
             // complete unit record, only the newline is missing — accept
             // the entry and restore the terminator so later appends
             // don't concatenate onto it.
-            match json::parse(tail).ok().as_ref().and_then(entry_from) {
+            match read_unit(tail).ok().flatten() {
                 Some(e) => {
                     entries.push(e);
                     let mut f = OpenOptions::new().append(true).open(path)?;
@@ -567,7 +626,6 @@ fn open_shards(
         )));
     }
     let mut merged: Vec<Entry> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
     let mut live: Vec<Option<Manifest>> = (0..jobs).map(|_| None).collect();
     for (i, p) in on_disk {
         let (m, entries) = match (Manifest::open_resume(&p, expect), salvage.as_deref_mut()) {
@@ -584,15 +642,17 @@ fn open_shards(
             }
             (Err(e), _) => return Err(e),
         };
-        for e in entries {
-            if seen.insert(e.name.clone()) {
-                merged.push(e);
-            }
-        }
+        merged.extend(entries);
         if let Some(slot) = live.get_mut(i) {
             *slot = Some(m);
         }
     }
+    // First occurrence of a unit name wins. The set borrows the names
+    // where they are, so the verdicts are taken before anything moves.
+    let mut seen = HashSet::with_capacity(merged.len());
+    let wins: Vec<bool> = merged.iter().map(|e| seen.insert(e.name.as_str())).collect();
+    let mut wins = wins.into_iter();
+    merged.retain(|_| wins.next().expect("one verdict per entry"));
     let shards = live
         .into_iter()
         .enumerate()
@@ -646,6 +706,95 @@ pub fn resume_shards_lenient(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    // The decoders `open_resume` used before it read fields off the
+    // scanner, kept as the model the reader is checked against: parse
+    // the line to a tree, then look each key up.
+
+    fn u64_at(v: &Value, key: &str) -> Option<u64> {
+        u64_of(v.get(key)?.as_f64()?)
+    }
+
+    fn header_from(v: &Value) -> Option<Header> {
+        if v.get("schema")?.as_str()? != SCHEMA || v.get("kind")?.as_str()? != "campaign" {
+            return None;
+        }
+        let targets = v
+            .get("targets")?
+            .as_arr()?
+            .iter()
+            .map(|t| t.as_str().map(str::to_string))
+            .collect::<Option<Vec<_>>>()?;
+        Some(Header {
+            seed: u64_at(v, "seed")?,
+            fast: v.get("fast")?.as_bool()?,
+            targets,
+        })
+    }
+
+    fn entry_from(v: &Value) -> Option<Entry> {
+        if v.get("schema")?.as_str()? != SCHEMA || v.get("kind")?.as_str()? != "unit" {
+            return None;
+        }
+        let status = match v.get("status")?.as_str()? {
+            "ok" => UnitStatus::Ok,
+            "quarantined" => UnitStatus::Quarantined,
+            _ => return None,
+        };
+        let retries = v
+            .get("retries")?
+            .as_arr()?
+            .iter()
+            .map(|r| {
+                Some(RetryRecord {
+                    attempt: u64_at(r, "attempt")? as u32,
+                    error: r.get("error")?.as_str()?.to_string(),
+                    transience: Transience::from_name(r.get("class")?.as_str()?)?,
+                    backoff_ms: u64_at(r, "backoff_ms")?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let payload = match v.get("payload")? {
+            Value::Null => None,
+            other => Some(other.clone()),
+        };
+        Some(Entry {
+            name: v.get("name")?.as_str()?.to_string(),
+            status,
+            attempts: u64_at(v, "attempts")? as u32,
+            retries,
+            payload,
+        })
+    }
+
+    /// What `open_resume` made of a shard's text when it went through
+    /// the decoders above: the entries, or the line and message of the
+    /// `Parse` it failed with.
+    fn shard_model(text: &str) -> Result<Vec<Entry>, (usize, String)> {
+        let complete_len = text.rfind('\n').map_or(0, |i| i + 1);
+        let (complete, tail) = text.split_at(complete_len);
+        let mut entries = Vec::new();
+        for (n, (i, l)) in
+            complete.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()).enumerate()
+        {
+            let v = json::parse(l).map_err(|e| (i + 1, e.to_string()))?;
+            if n == 0 {
+                let what = "first line is not an ompvar-checkpoint/1 campaign header";
+                header_from(&v).ok_or((i + 1, what.to_string()))?;
+            } else {
+                let what = "line is not an ompvar-checkpoint/1 unit record";
+                entries.push(entry_from(&v).ok_or((i + 1, what.to_string()))?);
+            }
+        }
+        entries.extend(json::parse(tail).ok().as_ref().and_then(entry_from));
+        Ok(entries)
+    }
+
+    /// The merge `open_shards` did with a cloned name per entry.
+    fn merge_model(shards: impl IntoIterator<Item = Vec<Entry>>) -> Vec<Entry> {
+        let mut seen: HashSet<String> = HashSet::new();
+        shards.into_iter().flatten().filter(|e| seen.insert(e.name.clone())).collect()
+    }
 
     fn header() -> Header {
         Header { seed: 7, fast: true, targets: vec!["faults".into(), "campaign".into()] }
@@ -981,6 +1130,124 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(path.parent().unwrap());
         }
+    }
+
+    proptest! {
+        /// Reader ≡ model, line by line: a real header and a real entry
+        /// with one node replaced by an arbitrary value and one more
+        /// field — a duplicate of a key the reader knows, holding a good
+        /// value or an alien one — put in at every position. The first
+        /// occurrence decides, whatever follows it.
+        #[test]
+        fn reader_agrees_with_the_tree_model_on_confused_and_duplicate_fields(
+            node in 0usize..18,
+            bytes in prop::collection::vec(0u8..=255, 0..32),
+        ) {
+            const KEYS: [&str; 10] = [
+                "schema", "kind", "name", "status", "attempts", "retries", "payload", "seed",
+                "fast", "targets",
+            ];
+            let mut bytes = bytes.iter();
+            let alien = alien_from(&mut bytes, 2);
+            let extra = alien_from(&mut bytes, 2);
+            for line in [header_json(&header()), entry_json(&entry("faults"))] {
+                let mut v = json::parse(&line).unwrap();
+                graft(&mut v, &mut node.clone(), &alien);
+                for key in KEYS {
+                    let Value::Obj(fields) = &v else { break };
+                    let good = v.get(key).cloned().unwrap_or(Value::Null);
+                    for (at, dup) in (0..=fields.len()).flat_map(|at| [(at, &extra), (at, &good)]) {
+                        let mut fields = fields.clone();
+                        fields.insert(at, (key.to_string(), dup.clone()));
+                        let text = json::write(&Value::Obj(fields));
+                        // NaN is written `null`: the model reads the text too.
+                        let tree = json::parse(&text).unwrap();
+                        prop_assert_eq!(read_header(&text), Ok(header_from(&tree)), "{}", text);
+                        prop_assert_eq!(read_unit(&text), Ok(entry_from(&tree)), "{}", text);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reader ≡ model at campaign scale: two shards, 4 096 entries — ok
+    /// and quarantined, retries with quoted errors, escaped names, names
+    /// journaled twice across and within shards — a torn tail on one
+    /// shard and a complete tail without its newline on the other.
+    #[test]
+    fn reader_agrees_with_the_tree_model_on_a_two_shard_journal() {
+        let path = tmp("model");
+        let dir = path.parent().unwrap().to_path_buf();
+        let name = |i: usize| match i % 97 {
+            0 => format!("u{i}/q\"b\\s\n\u{1}\u{2028}\u{1f600}"),
+            _ => format!("unit-{i:05}"),
+        };
+        let h = Header { seed: u64::MAX, fast: false, targets: (0..4096).map(name).collect() };
+        let mut shards = create_shards(&dir, "m", &h, 2).unwrap();
+        for i in 0..4096usize {
+            let e = Entry {
+                // Every 50th unit was journaled by both workers, every
+                // 64th twice by one.
+                name: name(if i % 50 == 49 { i - 1 } else if i % 64 == 2 { i - 2 } else { i }),
+                attempts: i as u32 % 5 + 1,
+                ..match i % 7 {
+                    3 => Entry { status: UnitStatus::Quarantined, payload: None, ..entry("") },
+                    4 => Entry {
+                        retries: vec![],
+                        payload: Some(Value::Num(i as f64 / 3.0)),
+                        ..entry("")
+                    },
+                    _ => Entry { retries: vec![], ..entry("") },
+                }
+            };
+            shards[i % 2].append(e).unwrap();
+        }
+        let paths = [shards[0].path().to_path_buf(), shards[1].path().to_path_buf()];
+        drop(shards);
+        let torn = entry_json(&entry("torn"));
+        let append = |p: &Path, tail: &str| {
+            OpenOptions::new().append(true).open(p).unwrap().write_all(tail.as_bytes()).unwrap()
+        };
+        append(&paths[0], &torn[..torn.len() / 2]);
+        append(&paths[1], &entry_json(&entry("unterminated")));
+        let texts = paths.clone().map(|p| std::fs::read_to_string(p).unwrap());
+
+        let model = merge_model(texts.iter().map(|t| shard_model(t).unwrap()));
+        let (reopened, merged) = resume_shards(&dir, "m", &h, 2).unwrap();
+        let distinct: HashSet<&str> = model.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(merged.len(), distinct.len(), "duplicates dropped");
+        assert!((3900..4000).contains(&merged.len()), "{}", merged.len());
+        assert_eq!(merged.last().map(|e| e.name.as_str()), Some("unterminated"));
+        assert_eq!(merged, model);
+        assert!(reopened[0].recovered_torn_tail() && !reopened[1].recovered_torn_tail());
+        drop(reopened);
+
+        // A complete line that is bad JSON, and one that is good JSON of
+        // another shape, mid-file in shard 1: the model names the line
+        // and the message, the lenient reader quarantines with both.
+        let wrong_shape = entry_json(&entry("x")).replacen("\"ok\"", "\"okay\"", 1);
+        let bad_json = "{\"schema\":\"ompvar-checkpoint/1\",\"name\":\"x\\q\"}";
+        for bad in [bad_json, wrong_shape.as_str()] {
+            let mut lines: Vec<&str> = texts[1].lines().collect();
+            lines.insert(1000, bad);
+            let corrupt = lines.join("\n");
+            std::fs::write(&paths[0], &texts[0]).unwrap();
+            std::fs::write(&paths[1], &corrupt).unwrap();
+            let (line, msg) = shard_model(&corrupt).unwrap_err();
+            assert_eq!(line, 1001);
+            let quarantine = paths[1].with_extension("jsonl.corrupt");
+            let note = format!(
+                "quarantined corrupt shard manifest ({}); preserved as {}; its units will re-run",
+                parse_err(&paths[1], line, msg, bad),
+                quarantine.display()
+            );
+            let mut notes = Vec::new();
+            let (_, merged) = resume_shards_lenient(&dir, "m", &h, 2, &mut notes).unwrap();
+            assert_eq!(notes, [note]);
+            assert_eq!(merged, merge_model([shard_model(&texts[0]).unwrap()]));
+            assert_eq!(std::fs::read_to_string(&quarantine).unwrap(), corrupt);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A complete unit record that merely lost its trailing newline is
