@@ -16,9 +16,6 @@ pub mod stats;
 pub mod variability;
 
 pub use freqtrace::{FreqTrace, FreqTraceError};
-pub use report::{fmt_ratio, fmt_us, render_histogram, sparkline, Table};
-pub use stats::{
-    autocorrelation, bimodality_coefficient, bootstrap_ci_mean, ks_test, mad, mad_outliers,
-    percentile, welch_t, Histogram, Summary,
-};
+pub use report::{fmt_ratio, fmt_us, sparkline, Table};
+pub use stats::{bootstrap_ci_mean, ks_test, mad, mad_outliers, percentile, Summary};
 pub use variability::{RunSample, RunSet};

@@ -123,22 +123,6 @@ impl Table {
     }
 }
 
-/// Render a histogram as horizontal ASCII bars (one line per bin), for
-/// terminal-friendly distribution plots of repetition times.
-pub fn render_histogram(h: &crate::stats::Histogram, width: usize) -> String {
-    let max = h.counts.iter().copied().max().unwrap_or(0).max(1);
-    let bins = h.counts.len();
-    let bin_w = (h.hi - h.lo) / bins as f64;
-    let mut out = String::new();
-    for (i, &c) in h.counts.iter().enumerate() {
-        let lo = h.lo + i as f64 * bin_w;
-        let bar = "#".repeat((c as usize * width).div_ceil(max as usize).min(width));
-        let bar = if c > 0 && bar.is_empty() { "#".to_string() } else { bar };
-        let _ = writeln!(out, "{lo:>12.2} | {bar:<w$} {c}", w = width);
-    }
-    out
-}
-
 /// Render a numeric series as a one-line Unicode sparkline (8 levels),
 /// for quick terminal plots of repetition times or frequency traces.
 pub fn sparkline(series: &[f64]) -> String {
@@ -203,16 +187,6 @@ mod tests {
         assert!(s.contains("\"has,comma\",2"));
         assert!(s.contains("\"has\"\"quote\",3"));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn histogram_rendering() {
-        let h = crate::stats::Histogram::of(&[1.0, 1.0, 1.0, 2.0, 9.0], 4);
-        let s = render_histogram(&h, 20);
-        assert_eq!(s.lines().count(), 4);
-        assert!(s.contains('#'));
-        // The fullest bin uses the full width.
-        assert!(s.lines().next().unwrap().matches('#').count() == 20);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Implements exactly the quantities the paper reports: mean, standard
 //! deviation, coefficient of variation (CV), minimum/maximum and their
 //! *normalized* forms (min/avg, max/avg), percentiles, MAD-based outlier
-//! detection, Welch's t-test, a seeded bootstrap confidence interval, and
-//! a bimodality coefficient used to flag multi-modal distributions.
+//! detection, a two-sample Kolmogorov–Smirnov test and a seeded bootstrap
+//! confidence interval. Distributions are binned in one place,
+//! `obs::QuantileSketch`.
 
 /// Summary statistics of one sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,55 +135,6 @@ pub fn mad_outliers(xs: &[f64], z: f64) -> Vec<usize> {
         .collect()
 }
 
-/// Welch's two-sample t-test. Returns `(t, approx_p)` for the two-sided
-/// alternative; the p-value uses a normal approximation of the
-/// t-distribution, adequate for the sample sizes used here (≥ 10).
-pub fn welch_t(a: &[f64], b: &[f64]) -> (f64, f64) {
-    let sa = Summary::of(a);
-    let sb = Summary::of(b);
-    let va = sa.sd.powi(2) / sa.n as f64;
-    let vb = sb.sd.powi(2) / sb.n as f64;
-    let denom = (va + vb).sqrt();
-    if denom == 0.0 {
-        return if sa.mean == sb.mean {
-            (0.0, 1.0)
-        } else {
-            (f64::INFINITY, 0.0)
-        };
-    }
-    let t = (sa.mean - sb.mean) / denom;
-    // Two-sided p via the normal tail.
-    let p = 2.0 * normal_sf(t.abs());
-    (t, p.clamp(0.0, 1.0))
-}
-
-/// Standard normal survival function via the Abramowitz–Stegun erfc
-/// approximation (max abs error ~1.5e-7).
-pub fn normal_sf(x: f64) -> f64 {
-    0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-fn erfc(x: f64) -> f64 {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let poly = t
-        * (-z * z - 1.26551223
-            + t * (1.00002368
-                + t * (0.37409196
-                    + t * (0.09678418
-                        + t * (-0.18628806
-                            + t * (0.27886807
-                                + t * (-1.13520398
-                                    + t * (1.48851587
-                                        + t * (-0.82215223 + t * 0.17087277)))))))))
-        .exp();
-    if x >= 0.0 {
-        poly
-    } else {
-        2.0 - poly
-    }
-}
-
 /// Two-sample Kolmogorov–Smirnov test: returns `(d, approx_p)` where `d`
 /// is the maximum CDF distance and `p` uses the asymptotic Kolmogorov
 /// distribution (adequate for n ≥ ~20 per side). Useful for asking "did
@@ -257,80 +209,6 @@ pub fn bootstrap_ci_mean(xs: &[f64], level: f64, resamples: usize, seed: u64) ->
     )
 }
 
-/// Lag-`k` autocorrelation of a series (Pearson, mean-removed). Useful
-/// for detecting *periodic* noise in repetition times — e.g. a timer tick
-/// whose period is a multiple of the repetition duration shows up as a
-/// positive peak at the corresponding lag (Tsafrir et al.'s clock-tick
-/// signature).
-pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
-    assert!(lag < xs.len(), "lag must be smaller than the series");
-    let n = xs.len();
-    let mean = xs.iter().sum::<f64>() / n as f64;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>();
-    if var == 0.0 {
-        return 0.0;
-    }
-    let cov: f64 = (0..n - lag)
-        .map(|i| (xs[i] - mean) * (xs[i + lag] - mean))
-        .sum();
-    cov / var
-}
-
-/// Sarle's bimodality coefficient: `(skew² + 1) / (kurtosis + 3(n−1)²/((n−2)(n−3)))`.
-/// Values above ~0.555 (the uniform distribution's value) suggest
-/// bimodality — useful for flagging runs whose repetitions cluster into a
-/// "clean" and a "disturbed" mode.
-pub fn bimodality_coefficient(xs: &[f64]) -> f64 {
-    let n = xs.len() as f64;
-    if xs.len() < 4 {
-        return 0.0;
-    }
-    let mean = xs.iter().sum::<f64>() / n;
-    let m2 = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-    if m2 == 0.0 {
-        return 0.0;
-    }
-    let m3 = xs.iter().map(|x| (x - mean).powi(3)).sum::<f64>() / n;
-    let m4 = xs.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / n;
-    let skew = m3 / m2.powf(1.5);
-    let kurt = m4 / (m2 * m2) - 3.0;
-    let correction = 3.0 * (n - 1.0).powi(2) / ((n - 2.0) * (n - 3.0));
-    (skew * skew + 1.0) / (kurt + correction)
-}
-
-/// Histogram with fixed-width bins over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Lower edge of the first bin.
-    pub lo: f64,
-    /// Upper edge of the last bin.
-    pub hi: f64,
-    /// Counts per bin.
-    pub counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Build a histogram with `bins` equal-width bins spanning the data.
-    pub fn of(xs: &[f64], bins: usize) -> Histogram {
-        assert!(bins > 0 && !xs.is_empty());
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi_raw = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let hi = if hi_raw > lo { hi_raw } else { lo + 1.0 };
-        let mut counts = vec![0u64; bins];
-        let width = (hi - lo) / bins as f64;
-        for &x in xs {
-            let idx = (((x - lo) / width) as usize).min(bins - 1);
-            counts[idx] += 1;
-        }
-        Histogram { lo, hi, counts }
-    }
-
-    /// Number of non-empty bins.
-    pub fn occupied(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,17 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn welch_distinguishes_shifted_samples() {
-        let a: Vec<f64> = (0..30).map(|i| 10.0 + (i % 5) as f64 * 0.1).collect();
-        let b: Vec<f64> = (0..30).map(|i| 12.0 + (i % 5) as f64 * 0.1).collect();
-        let (t, p) = welch_t(&a, &b);
-        assert!(t < -10.0);
-        assert!(p < 1e-6);
-        let (_, p_same) = welch_t(&a, &a);
-        assert!(p_same > 0.99);
-    }
-
-    #[test]
     fn ks_test_separates_distributions() {
         let a: Vec<f64> = (0..200).map(|i| (i % 50) as f64).collect();
         let b: Vec<f64> = (0..200).map(|i| (i % 50) as f64 + 40.0).collect();
@@ -431,43 +298,5 @@ mod tests {
         assert!(lo < mean && mean < hi);
         assert_eq!(bootstrap_ci_mean(&xs, 0.95, 500, 42), (lo, hi));
         assert_ne!(bootstrap_ci_mean(&xs, 0.95, 500, 43), (lo, hi));
-    }
-
-    #[test]
-    fn autocorrelation_detects_periodicity() {
-        // Period-4 signal: strong positive r at lag 4, negative at lag 2.
-        let xs: Vec<f64> = (0..200)
-            .map(|i| if i % 4 == 0 { 10.0 } else { 1.0 })
-            .collect();
-        assert!(autocorrelation(&xs, 4) > 0.9);
-        assert!(autocorrelation(&xs, 2) < 0.0);
-        assert_eq!(autocorrelation(&[5.0; 10], 3), 0.0);
-        assert!((autocorrelation(&xs, 0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bimodality_flags_two_modes() {
-        let mut xs: Vec<f64> = (0..50).map(|i| 1.0 + 0.01 * (i % 5) as f64).collect();
-        xs.extend((0..50).map(|i| 10.0 + 0.01 * (i % 5) as f64));
-        assert!(bimodality_coefficient(&xs) > 0.555);
-        let uni: Vec<f64> = (0..100).map(|i| (i as f64 * 0.7).sin()).collect();
-        assert!(bimodality_coefficient(&uni) < 0.9);
-    }
-
-    #[test]
-    fn histogram_covers_all_points() {
-        let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let h = Histogram::of(&xs, 10);
-        assert_eq!(h.counts.iter().sum::<u64>(), 100);
-        assert_eq!(h.occupied(), 10);
-        // Constant data degenerates gracefully.
-        let h = Histogram::of(&[5.0; 4], 3);
-        assert_eq!(h.counts.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn normal_sf_known_values() {
-        assert!((normal_sf(0.0) - 0.5).abs() < 1e-7);
-        assert!((normal_sf(1.96) - 0.025).abs() < 1e-3);
     }
 }

@@ -16,7 +16,8 @@
 //!    campaign's cancel flag stops workers at unit boundaries, modelling
 //!    a dead process. The journal is then resumed chaos-free and the
 //!    re-rendered report must equal the reference **byte for byte** —
-//!    for every single crash point.
+//!    for every single crash point. Phases 1–2 are one function,
+//!    `explore`, which the `fuzz` experiment's oracle #13 runs too.
 //! 3. **Transient vs permanent faults**: an injected EIO on a journal
 //!    append must be retried and land (no degradation); an injected
 //!    ENOSPC must classify permanent, degrade gracefully (result kept in
@@ -59,7 +60,7 @@ const THREADS: usize = 2;
 
 /// One unit's measurement, journaled through the manifest.
 #[derive(Debug, Clone, PartialEq)]
-struct CellVal(f64);
+pub(crate) struct CellVal(pub f64);
 
 impl Checkpointable for CellVal {
     fn to_ckpt(&self) -> Value {
@@ -70,7 +71,8 @@ impl Checkpointable for CellVal {
     }
 }
 
-fn region(fast: bool) -> RegionSpec {
+/// The reference region the inner campaign measures.
+pub(crate) fn region(fast: bool) -> RegionSpec {
     let mut cfg = EpccConfig::schedbench_default().fast(2);
     cfg.iters_per_thr = if fast { 64 } else { 256 };
     schedbench::region(&cfg, Schedule::Static { chunk: 1 }, THREADS)
@@ -86,7 +88,8 @@ fn measure(region: &RegionSpec, seed: u64) -> Result<f64, UnitError> {
         .map_err(|e| UnitError::from_rt(&e))
 }
 
-fn units(region: &RegionSpec, seed: u64, n: usize) -> Vec<ExecUnit<CellVal>> {
+/// The inner campaign: `n` measurements of `region`, unit `c<i>`.
+pub(crate) fn units(region: &RegionSpec, seed: u64, n: usize) -> Vec<ExecUnit<CellVal>> {
     (0..n)
         .map(|i| {
             let reg = region.clone();
@@ -130,22 +133,21 @@ fn fresh_dir(base: &Path, tag: &str) -> PathBuf {
     d
 }
 
-/// One inner campaign: resume the `inner` journal under `dir` if one
-/// survived there, else start it (a fresh directory, or a crash before
-/// the header landed, legitimately runs everything), then write the
+/// One inner campaign of `units`: resume the `inner` journal under
+/// `dir` if one survived there, else start it (a fresh directory, or a
+/// crash before the header landed, legitimately runs everything), then write the
 /// rendered report through [`atomic_write`]. Inside an installed chaos
 /// scope every one of those writes is a counted — and crashable — op;
 /// called again chaos-free it is the resume. Returns the campaign and
 /// the rendered doc.
 fn inner_run(
     dir: &Path,
-    region: &RegionSpec,
     seed: u64,
-    n: usize,
+    units: &[ExecUnit<CellVal>],
     cancel: Option<&std::sync::atomic::AtomicBool>,
 ) -> (CampaignRun<CellVal>, String) {
     let door = Campaign { cancel, ..Campaign::inner("inner") };
-    let mut run = run_journaled(&inner_opts(seed, 1, Some(dir)), &door, &units(region, seed, n))
+    let mut run = run_journaled(&inner_opts(seed, 1, Some(dir)), &door, units)
         .expect("StartFresh never aborts");
     let doc = render_doc(seed, &run);
     // The report is the campaign's last write op. Under a crash point
@@ -156,64 +158,67 @@ fn inner_run(
     (run, doc)
 }
 
-/// Execute and report.
-pub fn run(opts: &ExpOptions) -> ExpReport {
-    let n = if opts.fast { 4 } else { 6 };
-    let seed = opts.chaos_seed.unwrap_or(opts.seed);
-    let region = region(opts.fast);
-    let base = opts.out_dir.join("chaos");
-    std::fs::create_dir_all(&base).ok();
+/// What one crash-point exploration found.
+pub(crate) struct Exploration {
+    /// Write ops of the clean run.
+    pub writes: u64,
+    /// Whether the clean run completed every unit without a recovery note.
+    pub clean: bool,
+    /// One line per crash point that was never reached or whose resume
+    /// diverged, plus one if the census is off.
+    pub failures: Vec<String>,
+    /// The clean run's report document.
+    pub reference: String,
+    /// The last resumed report document.
+    pub resumed: String,
+    /// Chrome trace of the supervisor under "crash after write
+    /// `writes / 2`", the crash point marked.
+    pub trace: String,
+}
 
-    let mut checks = Vec::new();
-    let mut t = Table::new(
-        "Chaos: fault injection, crash-point exploration, process chaos",
-        &["phase", "detail", "ok"],
-    );
-
-    // ---- Phase 1: reference + write census --------------------------
-    let ref_dir = fresh_dir(&base, "inner-ref");
-    let (reference_doc, total_writes, ref_clean) = {
+/// The crash explorer, over the journaled campaign of `units` under
+/// `base`: one clean run inside a fault-free chaos scope counts every
+/// write op (header + one append per unit + report) and renders the
+/// reference document; then, for every op `k`, a fresh journal is
+/// crashed after `k` — and, with `during`, inside `k` — resumed chaos-free
+/// and its report compared to the reference byte for byte. The `chaos`
+/// experiment and the `fuzz` experiment's oracle #13 both run it.
+pub(crate) fn explore(
+    base: &Path,
+    seed: u64,
+    units: &[ExecUnit<CellVal>],
+    during: bool,
+) -> Exploration {
+    let ref_dir = fresh_dir(base, "inner-ref");
+    let (reference, writes, clean) = {
         let guard = install_chaos(IoChaos::new(&ref_dir, IoFaultPlan::none()));
-        let (run, doc) = inner_run(&ref_dir, &region, seed, n, None);
+        let (run, doc) = inner_run(&ref_dir, seed, units, None);
         let clean = run.results.iter().all(|r| matches!(r.outcome, Outcome::Completed { .. }))
             && run.recovery_notes.is_empty();
         (doc, guard.chaos().ops(), clean)
     };
-    std::fs::write(base.join("reference.json"), &reference_doc).ok();
-    // 1 header + n journal appends + 1 report.
-    let expected_writes = 1 + n as u64 + 1;
-    t.row(&[
-        "census".into(),
-        format!("{total_writes} write ops (expected {expected_writes})"),
-        (total_writes == expected_writes).to_string(),
-    ]);
-    checks.push(Check::new(
-        "chaos scope sees every write site of the journaled campaign",
-        ref_clean && total_writes == expected_writes,
-        format!(
-            "header + {n} appends + report = {expected_writes}, shim counted {total_writes}"
-        ),
-    ));
-
-    // ---- Phase 2: exhaustive crash-point exploration ----------------
-    let mut crash_failures: Vec<String> = Vec::new();
-    let mut explored = 0u64;
-    let mut last_resumed_doc = String::new();
-    let marked_k = total_writes / 2;
-    for during in [false, true] {
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let mut failures = Vec::new();
+    let expected = units.len() as u64 + 2;
+    if !clean || writes != expected {
+        failures.push(format!("clean run: {writes} write ops (expected {expected}), clean={clean}"));
+    }
+    let (mut resumed, mut trace) = (String::new(), String::new());
+    let kinds: &[bool] = if during { &[false, true] } else { &[false] };
+    for &during in kinds {
         let kind_name = if during { "during" } else { "after" };
-        for k in 0..total_writes {
-            let dir = fresh_dir(&base, &format!("inner-{kind_name}-{k}"));
+        for k in 0..writes {
+            let dir = fresh_dir(base, &format!("inner-{kind_name}-{k}"));
             let cp = if during { CrashPoint::During(k) } else { CrashPoint::After(k) };
             let crashed_trace = {
                 let guard = install_chaos(IoChaos::new(&dir, IoFaultPlan::none()).with_crash(cp));
                 let cancel = guard.chaos().crashed_flag();
-                let (mut crashed_run, _) = inner_run(&dir, &region, seed, n, Some(&*cancel));
+                let (mut crashed_run, _) = inner_run(&dir, seed, units, Some(&*cancel));
                 // After(W-1) has no later op to suppress, so the flag
                 // legitimately stays clear there.
-                let expect_crash = during || k + 1 < total_writes;
+                let expect_crash = during || k + 1 < writes;
                 if expect_crash && !guard.chaos().crashed() {
-                    crash_failures.push(format!(
+                    failures.push(format!(
                         "{kind_name} write {k}: crash point never reached \
                          (only {} ops)",
                         guard.chaos().ops()
@@ -229,37 +234,68 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
                 });
                 crashed_run.trace
             };
-            if !during && k == marked_k {
-                let doc = ompvar_obs::chrome_trace_lanes(
-                    &crashed_trace,
-                    &[],
-                    "chaos-crash-explorer",
-                    "worker",
-                );
-                let _ = atomic_write(&base.join("crash.trace.json"), doc.as_bytes());
+            if !during && k == writes / 2 {
+                let label = "chaos-crash-explorer";
+                trace = ompvar_obs::chrome_trace_lanes(&crashed_trace, &[], label, "worker");
             }
-            let (_, resumed_doc) = inner_run(&dir, &region, seed, n, None);
-            if resumed_doc != reference_doc {
-                crash_failures.push(format!(
+            resumed = inner_run(&dir, seed, units, None).1;
+            if resumed != reference {
+                failures.push(format!(
                     "{kind_name} write {k}: resumed report diverges from reference"
                 ));
             }
-            explored += 1;
-            last_resumed_doc = resumed_doc;
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
-    std::fs::write(base.join("resumed.json"), &last_resumed_doc).ok();
+    Exploration { writes, clean, failures, reference, resumed, trace }
+}
+
+/// Execute and report.
+pub fn run(opts: &ExpOptions) -> ExpReport {
+    let n = if opts.fast { 4 } else { 6 };
+    let seed = opts.chaos_seed.unwrap_or(opts.seed);
+    let work = units(&region(opts.fast), seed, n);
+    let base = opts.out_dir.join("chaos");
+    std::fs::create_dir_all(&base).ok();
+
+    let mut checks = Vec::new();
+    let mut t = Table::new(
+        "Chaos: fault injection, crash-point exploration, process chaos",
+        &["phase", "detail", "ok"],
+    );
+
+    // ---- Phases 1–2: write census + exhaustive crash-point exploration
+    let explored = explore(&base, seed, &work, true);
+    let (total_writes, reference_doc) = (explored.writes, explored.reference.as_str());
+    std::fs::write(base.join("reference.json"), reference_doc).ok();
+    // 1 header + n journal appends + 1 report.
+    let expected_writes = 1 + n as u64 + 1;
+    t.row(&[
+        "census".into(),
+        format!("{total_writes} write ops (expected {expected_writes})"),
+        (total_writes == expected_writes).to_string(),
+    ]);
+    checks.push(Check::new(
+        "chaos scope sees every write site of the journaled campaign",
+        explored.clean && total_writes == expected_writes,
+        format!(
+            "header + {n} appends + report = {expected_writes}, shim counted {total_writes}"
+        ),
+    ));
+
+    let _ = atomic_write(&base.join("crash.trace.json"), explored.trace.as_bytes());
+    std::fs::write(base.join("resumed.json"), &explored.resumed).ok();
+    let (points, crash_failures) = (2 * total_writes, &explored.failures);
     t.row(&[
         "crash points".into(),
-        format!("{explored} explored (after 0..{total_writes}, during 0..{total_writes})"),
+        format!("{points} explored (after 0..{total_writes}, during 0..{total_writes})"),
         crash_failures.is_empty().to_string(),
     ]);
     checks.push(Check::new(
         "resume after every single crash point is byte-identical to the reference",
-        crash_failures.is_empty() && explored == 2 * total_writes,
+        crash_failures.is_empty(),
         if crash_failures.is_empty() {
-            format!("{explored}/{} crash points byte-identical", 2 * total_writes)
+            format!("{points}/{points} crash points byte-identical")
         } else {
             crash_failures.join("; ")
         },
@@ -271,10 +307,10 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     let (eio_ok, eio_detail) = {
         let plan = IoFaultPlan::none().with_fault_at(1, ompvar_supervisor::FaultKind::Eio);
         let guard = install_chaos(IoChaos::new(&eio_dir, plan));
-        let (run, doc) = inner_run(&eio_dir, &region, seed, n, None);
+        let (run, doc) = inner_run(&eio_dir, seed, &work, None);
         let injected = guard.chaos().injected();
         drop(guard);
-        let (_, resumed) = inner_run(&eio_dir, &region, seed, n, None);
+        let (_, resumed) = inner_run(&eio_dir, seed, &work, None);
         (
             injected == 1
                 && run.recovery_notes.is_empty()
@@ -299,14 +335,14 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     let (enospc_ok, enospc_detail) = {
         let plan = IoFaultPlan::none().with_fault_at(1, ompvar_supervisor::FaultKind::Enospc);
         let guard = install_chaos(IoChaos::new(&enospc_dir, plan));
-        let (run, doc) = inner_run(&enospc_dir, &region, seed, n, None);
+        let (run, doc) = inner_run(&enospc_dir, seed, &work, None);
         drop(guard);
         let all_completed =
             run.results.iter().all(|r| matches!(r.outcome, Outcome::Completed { .. }));
         let note_ok = run.recovery_notes.len() == 1
             && run.recovery_notes[0].contains("ENOSPC")
             && run.recovery_notes[0].contains("permanent");
-        let (_, resumed) = inner_run(&enospc_dir, &region, seed, n, None);
+        let (_, resumed) = inner_run(&enospc_dir, seed, &work, None);
         // The note text carries the manifest path; keep the detail
         // path-free so two runs in different out dirs render identically.
         (
@@ -330,7 +366,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     let storm = |tag: &str| -> (String, u64) {
         let dir = fresh_dir(&base, tag);
         let guard = install_chaos(IoChaos::new(&dir, IoFaultPlan::seeded(seed, 250_000)));
-        let (_, doc) = inner_run(&dir, &region, seed, n, None);
+        let (_, doc) = inner_run(&dir, seed, &work, None);
         let injected = guard.chaos().injected();
         drop(guard);
         let _ = std::fs::remove_dir_all(&dir);
@@ -363,7 +399,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     let proc_run = || -> (Vec<(usize, String, u32)>, usize, usize) {
         let mut cfg = executor_config(&inner_opts(seed, 2, None), false);
         cfg.chaos = Some(pc);
-        let run = run_campaign(&cfg, &units(&region, seed, n), None, &[], None, None);
+        let run = run_campaign(&cfg, &work, None, &[], None, None);
         let digest = run
             .results
             .iter()
@@ -409,8 +445,6 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         format!("leaked_threads={}", leak_run.leaked_threads),
     ));
 
-    let _ = std::fs::remove_dir_all(&ref_dir);
-
     ExpReport::new("chaos", vec![t], checks)
 }
 
@@ -440,6 +474,30 @@ mod tests {
         let trace = std::fs::read_to_string(o.out_dir.join("chaos/crash.trace.json")).unwrap();
         assert!(trace.contains("chaos_crash_point"), "{trace}");
         let _ = std::fs::remove_dir_all(&o.out_dir);
+    }
+
+    /// The explorer's failing direction: units that return a new value
+    /// every time they run cannot resume to their reference, and each
+    /// crash point is named; the deterministic campaign passes.
+    #[test]
+    fn the_explorer_names_every_crash_point_whose_resume_diverges() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let runs = std::sync::Arc::new(AtomicU64::new(0));
+        let counting: Vec<ExecUnit<CellVal>> = (0..2)
+            .map(|i| {
+                let runs = std::sync::Arc::clone(&runs);
+                let next = move |_| Ok(CellVal(runs.fetch_add(1, Ordering::Relaxed) as f64));
+                ExecUnit::new(format!("c{i}"), next)
+            })
+            .collect();
+        let base = opts("diverge").out_dir;
+        let found = explore(&base, 7, &counting, true);
+        assert_eq!((found.writes, found.clean), (4, true));
+        let diverges = |kind| move |k| format!("{kind} write {k}: resumed report diverges from reference");
+        let named: Vec<String> = ["after", "during"].iter().flat_map(|kind| (0..4).map(diverges(kind))).collect();
+        assert_eq!(found.failures, named);
+        assert!(explore(&base, 7, &units(&region(true), 7, 2), false).failures.is_empty());
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     fn inner(results: Vec<(&str, Outcome<CellVal>)>) -> CampaignRun<CellVal> {

@@ -166,11 +166,12 @@ impl Samples {
         self.of(runs).next().expect("a configuration has at least one run")
     }
 
-    /// The text the cells of one configuration observed, in cell order.
-    pub fn notes(&self, runs: &Runs) -> impl Iterator<Item = &String> {
-        self.0[runs.clone()].iter().flat_map(|s| match s {
-            Sample::Values(_, notes) => &notes[..],
-            Sample::Report(_) => &[],
+    /// The values of one configuration's cells with the text each
+    /// observed beside them, in cell order.
+    pub fn noted(&self, runs: &Runs) -> impl Iterator<Item = (&[f64], &[String])> {
+        self.0[runs.clone()].iter().map(|s| match s {
+            Sample::Values(values, notes) => (&values[..], &notes[..]),
+            Sample::Report(_) => (&[][..], &[][..]),
         })
     }
 

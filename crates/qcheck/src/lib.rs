@@ -16,13 +16,14 @@
 //! and is accepted (flagged programs run sim-only).
 //!
 //! There is one driver and it is serial: [`run_fuzz_range`] runs a
-//! range of cases on the calling thread ([`run_fuzz`]: all of them). A
-//! case is a pure function of `(config, case index)` and
-//! [`FuzzReport::merge`] is additive, so ranges merged are the campaign
-//! (oracle #10, [`oracle::check_partition`]). This crate creates no
-//! thread: the harness plans the `fuzz` experiment as case-range cells
-//! on the one campaign executor (`ompvar-repro fuzz --fuzz-cases N
-//! --seed S --jobs J`), where `--jobs`, retry and `--resume` come from.
+//! range of cases on the calling thread. A case is a pure function of
+//! `(config, case index)`, so a campaign can be cut into ranges. This
+//! crate creates no thread: the harness plans the `fuzz` experiment as
+//! case-range cells on the one campaign executor (`ompvar-repro fuzz
+//! --fuzz-cases N --seed S --jobs J`), where `--jobs`, retry and
+//! `--resume` come from, and folds their reports itself. Oracles #10
+//! (partition) and #13 (crash-resume) police that machinery, so they
+//! are computed in the harness, on the code the report is made by.
 
 #![warn(missing_docs)]
 
@@ -44,16 +45,6 @@ pub struct FuzzConfig {
     pub base_seed: u64,
     /// Generator shape knobs.
     pub gen: GenConfig,
-}
-
-impl Default for FuzzConfig {
-    fn default() -> Self {
-        FuzzConfig {
-            cases: 200,
-            base_seed: 20230714,
-            gen: GenConfig::default(),
-        }
-    }
 }
 
 /// The seed used for case `case` of a campaign with base seed `base`.
@@ -79,7 +70,7 @@ pub struct FuzzFailure {
     pub shrunk: RegionSpec,
 }
 
-/// Outcome of a fuzzing campaign.
+/// Outcome of a range of a fuzzing campaign.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FuzzReport {
     /// Cases executed.
@@ -89,25 +80,6 @@ pub struct FuzzReport {
     pub coverage: BTreeMap<&'static str, u64>,
     /// All failing cases, in campaign order.
     pub failures: Vec<FuzzFailure>,
-}
-
-impl FuzzReport {
-    /// Did every case pass every oracle?
-    pub fn all_passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Fold another part of the same campaign in: case and coverage
-    /// counts add, failures keep campaign order whatever order the
-    /// parts arrive in.
-    pub fn merge(&mut self, part: FuzzReport) {
-        self.cases += part.cases;
-        for (kind, n) in part.coverage {
-            *self.coverage.entry(kind).or_insert(0) += n;
-        }
-        self.failures.extend(part.failures);
-        self.failures.sort_by_key(|f| f.case);
-    }
 }
 
 fn tally(cs: &[ompvar_rt::region::Construct], coverage: &mut BTreeMap<&'static str, u64>) {
@@ -173,11 +145,6 @@ pub fn run_fuzz_range(cfg: &FuzzConfig, cases: std::ops::Range<u64>) -> FuzzRepo
     report
 }
 
-/// Run a whole fuzzing campaign: [`run_fuzz_range`] over every case.
-pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
-    run_fuzz_range(cfg, 0..cfg.cases)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,14 +156,14 @@ mod tests {
             base_seed: 42,
             gen: GenConfig::default(),
         };
-        let rep = run_fuzz(&cfg);
+        let rep = run_fuzz_range(&cfg, 0..cfg.cases);
         assert_eq!(rep.cases, 5);
-        assert!(rep.all_passed(), "failures: {:#?}", rep.failures);
+        assert!(rep.failures.is_empty(), "failures: {:#?}", rep.failures);
         assert!(!rep.coverage.is_empty());
     }
 
     #[test]
-    fn ranges_clip_to_the_campaign_and_merge_in_any_order() {
+    fn ranges_clip_to_the_campaign() {
         let cfg = FuzzConfig {
             cases: 5,
             base_seed: 42,
@@ -204,29 +171,6 @@ mod tests {
         };
         assert_eq!(run_fuzz_range(&cfg, 3..9).cases, 2);
         assert_eq!(run_fuzz_range(&cfg, 7..9), FuzzReport::default());
-        let fail = |case| FuzzFailure {
-            case,
-            case_seed: case_seed(42, case),
-            region: gen::generate(case_seed(42, case), &cfg.gen),
-            reasons: vec![format!("reason {case}")],
-            shrunk: gen::generate(case_seed(42, case), &cfg.gen),
-        };
-        let part = |cases, kind, n, failures: &[u64]| FuzzReport {
-            cases,
-            coverage: BTreeMap::from([(kind, n)]),
-            failures: failures.iter().map(|&c| fail(c)).collect(),
-        };
-        let (a, b) = (part(3, "Barrier", 2, &[0, 2]), part(2, "Atomic", 1, &[4]));
-        let mut ab = FuzzReport::default();
-        ab.merge(a.clone());
-        ab.merge(b.clone());
-        let mut ba = FuzzReport::default();
-        ba.merge(b);
-        ba.merge(a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.cases, 5);
-        assert_eq!(ab.coverage, BTreeMap::from([("Atomic", 1), ("Barrier", 2)]));
-        assert_eq!(ab.failures.iter().map(|f| f.case).collect::<Vec<_>>(), [0, 2, 4]);
     }
 
     #[test]

@@ -35,15 +35,14 @@
 //!    is *accepted*: the static prediction came true. Flagged programs
 //!    run on the simulated backend only, where a deadlock is detected in
 //!    virtual time instead of burning a wall-clock deadline;
-//! 10. **partition equivalence**: a fuzz campaign split into contiguous
-//!     case ranges ([`crate::run_fuzz_range`]) and merged
-//!     ([`crate::FuzzReport::merge`]) must be the campaign run as one
-//!     range — same coverage tallies, same failures, same shrunk
-//!     counterexamples — whatever the range size or merge order
-//!     ([`check_partition`]). The harness's case-batch cells rely on it:
-//!     divergence means a case is not a pure function of `(cfg, case)`
-//!     or the merge is not additive. No thread is involved; that a
-//!     report does not depend on `--jobs` is the executor's property;
+//! 10. **partition equivalence**: a fuzz campaign cut into contiguous
+//!     case ranges ([`crate::run_fuzz_range`]), each reduced and folded
+//!     the way the harness's case-batch cells are, must be the campaign
+//!     reduced as one batch — same coverage tallies, same failure text.
+//!     Divergence means a case is not a pure function of `(cfg, case)`
+//!     or the reduction or fold drops something. Computed in the harness
+//!     (`fuzz_exp::check_partition`) on the reduction and fold the `fuzz`
+//!     report is made by; the number and the check name are unchanged;
 //! 11. **engine equivalence**: the simulator's optimized path (packed
 //!     4-ary event queue, topology caches, idle fast-forward, slab
 //!     reuse) and its independently implemented reference path (the
@@ -66,11 +65,10 @@
 //! 13. **crash-resume equivalence**: a journaled campaign killed after
 //!     *any single* checkpoint write — exhaustively, every write op in
 //!     turn via the chaos shim's crash points — must, once resumed,
-//!     finish with results identical to an uncrashed run
-//!     ([`check_crash_resume`]). This is the durability contract the
-//!     fault-injection layer exists to defend: no write may be
-//!     acknowledged-but-lost or torn in a way the resume path cannot
-//!     see;
+//!     render a report byte-identical to an uncrashed run's. Computed in
+//!     the harness on the `chaos` experiment's crash explorer
+//!     (`chaos_exp::explore`), through the CLI's own journal front door;
+//!     the number and the check name are unchanged;
 //! 14. **value equivalence**: on an analyzer-clean program (no
 //!     `OMPV3xx` race diagnostics at `Warn`+), both backends must
 //!     report bit-identical final shared-variable values
@@ -585,169 +583,6 @@ pub fn check_case(region: &RegionSpec, seed: u64) -> Vec<String> {
     reasons
 }
 
-/// Partition-equivalence oracle (#10): run the campaign as one range,
-/// then split into ranges of 1, of 5 (merged last part first) and of
-/// the whole campaign, and diff each merged report against the first.
-/// Returns the violations (empty = equivalent).
-pub fn check_partition(cfg: &crate::FuzzConfig) -> Vec<String> {
-    let whole = crate::run_fuzz(cfg);
-    let mut reasons = Vec::new();
-    for size in [1, 5, cfg.cases.max(1)] {
-        let mut parts: Vec<crate::FuzzReport> = (0..cfg.cases)
-            .step_by(size as usize)
-            .map(|first| crate::run_fuzz_range(cfg, first..first + size))
-            .collect();
-        if size == 5 {
-            parts.reverse();
-        }
-        let mut merged = crate::FuzzReport::default();
-        parts.into_iter().for_each(|p| merged.merge(p));
-        if merged != whole {
-            reasons.push(format!(
-                "ranges of {size}, merged, differ from the campaign run as one range:\n    \
-                 whole  {whole:?}\n    merged {merged:?}"
-            ));
-        }
-    }
-    reasons
-}
-
-/// Crash-resume equivalence oracle (#13): journal a small synthetic
-/// campaign through the chaos shim, crash the "process" after every
-/// single journal write in turn, resume from the surviving manifest,
-/// and demand the resumed campaign's final results match the uncrashed
-/// reference exactly. Returns the violations (empty = every crash point
-/// resumes equivalently).
-///
-/// The campaign is four pure units whose values derive only from
-/// `seed`, so any divergence is a durability bug in the journal (a
-/// lying write survived into the resumed state, or a landed write was
-/// lost), not nondeterminism in the workload.
-pub fn check_crash_resume(seed: u64) -> Vec<String> {
-    use ompvar_supervisor::{
-        create_shards, install_chaos, resume_shards, run_campaign, Checkpointable, CrashPoint,
-        ExecUnit, ExecutorConfig, Header, IoChaos, IoFaultPlan, Outcome, SupervisorConfig,
-    };
-
-    #[derive(Debug, Clone)]
-    struct Val(f64);
-    impl Checkpointable for Val {
-        fn to_ckpt(&self) -> ompvar_obs::json::Value {
-            ompvar_obs::json::Value::Num(self.0)
-        }
-        fn from_ckpt(v: &ompvar_obs::json::Value) -> Option<Self> {
-            v.as_f64().map(Val)
-        }
-    }
-
-    const N: usize = 4;
-    let units = || -> Vec<ExecUnit<Val>> {
-        (0..N)
-            .map(|i| {
-                ExecUnit::new(format!("q{i}"), move |_| {
-                    Ok(Val(((seed >> 17) ^ (i as u64 * 0x9e37)) as f64 * 0.25))
-                })
-            })
-            .collect()
-    };
-    let header =
-        Header { seed, fast: true, targets: (0..N).map(|i| format!("q{i}")).collect() };
-    let cfg = ExecutorConfig {
-        jobs: 1,
-        unit_timeout: None,
-        supervisor: SupervisorConfig { seed, sleep: false, ..Default::default() },
-        chaos: None,
-    };
-    let render = |run: &ompvar_supervisor::CampaignRun<Val>| -> String {
-        run.results
-            .iter()
-            .map(|r| {
-                let out = match &r.outcome {
-                    Outcome::Completed { value, attempts, .. } => {
-                        format!("completed v={:.6} attempts={attempts}", value.0)
-                    }
-                    other => format!("{other:?}"),
-                };
-                format!("{} {} {out}", r.index, r.name)
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let fresh_dir = |tag: &str| -> std::path::PathBuf {
-        let d = std::env::temp_dir()
-            .join(format!("ompvar_oracle13_{seed}_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).expect("create oracle tempdir");
-        d
-    };
-
-    let mut reasons = Vec::new();
-
-    // Uncrashed reference, journaled inside a fault-free chaos scope so
-    // the shim's op counter tells us how many writes the campaign makes.
-    let ref_dir = fresh_dir("ref");
-    let (reference, total_writes) = {
-        let guard = install_chaos(IoChaos::new(&ref_dir, IoFaultPlan::none()));
-        let shards = match create_shards(&ref_dir, "m", &header, 1) {
-            Ok(s) => s,
-            Err(e) => return vec![format!("reference journal creation failed: {e}")],
-        };
-        let run = run_campaign(&cfg, &units(), Some(shards), &[], None, None);
-        (render(&run), guard.chaos().ops())
-    };
-    let _ = std::fs::remove_dir_all(&ref_dir);
-    if total_writes < 1 + N as u64 {
-        reasons.push(format!(
-            "chaos shim only observed {total_writes} writes for a {N}-unit journaled \
-             campaign (expected at least {}): write sites are bypassing the shim",
-            1 + N
-        ));
-    }
-
-    // Crash after every single write op, resume chaos-free, compare.
-    for k in 0..total_writes {
-        let dir = fresh_dir(&format!("k{k}"));
-        {
-            let guard = install_chaos(
-                IoChaos::new(&dir, IoFaultPlan::none()).with_crash(CrashPoint::After(k)),
-            );
-            let crashed = guard.chaos().crashed_flag();
-            match create_shards(&dir, "m", &header, 1) {
-                Ok(shards) => {
-                    run_campaign(&cfg, &units(), Some(shards), &[], Some(&crashed), None);
-                }
-                Err(e) => {
-                    reasons.push(format!("crash point {k}: journal creation failed: {e}"));
-                    let _ = std::fs::remove_dir_all(&dir);
-                    continue;
-                }
-            }
-        }
-        match resume_shards(&dir, "m", &header, 1) {
-            Ok((shards, replay)) => {
-                let resumed =
-                    run_campaign(&cfg, &units(), Some(shards), &replay, None, None);
-                let got = render(&resumed);
-                if got != reference {
-                    reasons.push(format!(
-                        "crash after write {k} of {total_writes}: resumed campaign \
-                         diverges from the uncrashed reference:\n--- reference\n\
-                         {reference}\n--- resumed\n{got}"
-                    ));
-                }
-            }
-            Err(e) => {
-                reasons.push(format!(
-                    "crash after write {k} of {total_writes}: journal would not \
-                     resume: {e}"
-                ));
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    reasons
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -941,19 +776,6 @@ mod tests {
         );
         assert_eq!(reasons.len(), 1);
         assert!(reasons[0].contains("permanent"), "{reasons:?}");
-    }
-
-    #[test]
-    fn partition_oracle_passes_on_a_small_campaign() {
-        for cases in [0, 6] {
-            let cfg = crate::FuzzConfig {
-                cases,
-                base_seed: 20230714,
-                gen: crate::gen::GenConfig::default(),
-            };
-            let reasons = check_partition(&cfg);
-            assert!(reasons.is_empty(), "{reasons:#?}");
-        }
     }
 
     #[test]
@@ -1151,11 +973,5 @@ mod tests {
         let reasons = check_case(&bad, 1);
         assert_eq!(reasons.len(), 1);
         assert!(reasons[0].contains("contract"), "{reasons:?}");
-    }
-
-    #[test]
-    fn crash_resume_oracle_passes_on_every_write_site() {
-        let reasons = check_crash_resume(0xC4A5_4E5E);
-        assert!(reasons.is_empty(), "{reasons:#?}");
     }
 }

@@ -258,7 +258,7 @@ fn retry_from(v: Value) -> Option<RetryRecord> {
     let (mut attempt, mut error, mut class, mut backoff_ms) = (None, None, None, None);
     for (key, v) in fields {
         match key.as_str() {
-            "attempt" => first(&mut attempt, || u64_of(v.as_f64()?)),
+            "attempt" => first(&mut attempt, || u64_of(v.as_f64()?)?.try_into().ok()),
             "error" => first(&mut error, || string_of(v)),
             "class" => first(&mut class, || Transience::from_name(v.as_str()?)),
             "backoff_ms" => first(&mut backoff_ms, || u64_of(v.as_f64()?)),
@@ -266,7 +266,7 @@ fn retry_from(v: Value) -> Option<RetryRecord> {
         }
     }
     Some(RetryRecord {
-        attempt: attempt?? as u32,
+        attempt: attempt??,
         error: error??,
         transience: class??,
         backoff_ms: backoff_ms??,
@@ -294,7 +294,7 @@ fn read_unit(line: &str) -> Result<Option<Entry>, json::ParseError> {
             "quarantined" => Some(UnitStatus::Quarantined),
             _ => None,
         }),
-        "attempts" => first(&mut attempts, || num_of(&f)),
+        "attempts" => first(&mut attempts, || num_of(&f)?.try_into().ok()),
         "retries" => first(&mut retries, || match f {
             Field::Tree(Value::Arr(rs)) => rs.into_iter().map(retry_from).collect(),
             _ => None,
@@ -310,7 +310,7 @@ fn read_unit(line: &str) -> Result<Option<Entry>, json::ParseError> {
         Some(Entry {
             name: name??,
             status: status??,
-            attempts: attempts?? as u32,
+            attempts: attempts??,
             retries: retries??,
             payload: payload??,
         })
@@ -747,7 +747,7 @@ mod tests {
             .iter()
             .map(|r| {
                 Some(RetryRecord {
-                    attempt: u64_at(r, "attempt")? as u32,
+                    attempt: u64_at(r, "attempt")?.try_into().ok()?,
                     error: r.get("error")?.as_str()?.to_string(),
                     transience: Transience::from_name(r.get("class")?.as_str()?)?,
                     backoff_ms: u64_at(r, "backoff_ms")?,
@@ -761,7 +761,7 @@ mod tests {
         Some(Entry {
             name: v.get("name")?.as_str()?.to_string(),
             status,
-            attempts: u64_at(v, "attempts")? as u32,
+            attempts: u64_at(v, "attempts")?.try_into().ok()?,
             retries,
             payload,
         })
@@ -1001,6 +1001,33 @@ mod tests {
             Manifest::open_resume(&path, &header()),
             Err(CheckpointError::Parse { line: 2, .. })
         ));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A count above `u32::MAX` used to wrap through `as u32`: a line
+    /// saying `"attempts":4294967297` replayed as one attempt. Like any
+    /// other type-confused field it is a parse error naming the line.
+    #[test]
+    fn an_attempt_count_above_u32_is_refused_not_wrapped() {
+        let path = tmp("u32_wrap");
+        let good = entry_json(&entry("faults"));
+        for (field, big) in [("\"attempts\":3", "\"attempts\":4294967297"), ("\"attempt\":0", "\"attempt\":4294967296")] {
+            let line = good.replacen(field, big, 1);
+            assert_ne!(line, good, "{field}");
+            assert_eq!(read_unit(&line), Ok(None), "{line}");
+            assert_eq!(entry_from(&json::parse(&line).unwrap()), None, "{line}");
+            std::fs::write(&path, format!("{}\n{line}\n", header_json(&header()))).unwrap();
+            match Manifest::open_resume(&path, &header()) {
+                Err(CheckpointError::Parse { line, msg, .. }) => {
+                    assert_eq!(line, 2);
+                    assert!(msg.contains("not an ompvar-checkpoint/1 unit record"), "{msg}");
+                }
+                other => panic!("expected parse error, got {other:?}"),
+            }
+        }
+        // `u32::MAX` itself is a count like any other.
+        let max = good.replacen("\"attempts\":3", "\"attempts\":4294967295", 1);
+        assert_eq!(read_unit(&max).unwrap().map(|e| e.attempts), Some(u32::MAX));
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

@@ -8,22 +8,11 @@
 //! cargo run --release --example frequency_study
 //! ```
 
-use ompvar::core::FreqTrace;
+use ompvar::core::{sparkline, FreqTrace};
 use ompvar::epcc::{run_seeds, schedbench, EpccConfig};
 use ompvar::harness::fig67::{plan, Driver};
 use ompvar::harness::{ExpOptions, Platform};
 use ompvar::rt::Schedule;
-
-fn sparkline(series: &[f32]) -> String {
-    const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let lo = series.iter().cloned().fold(f32::INFINITY, f32::min);
-    let hi = series.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let span = (hi - lo).max(1e-6);
-    series
-        .iter()
-        .map(|&v| GLYPHS[(((v - lo) / span) * 7.0).round() as usize])
-        .collect()
-}
 
 fn main() {
     // Raw frequency traces of core 0 under both placements, two
@@ -44,7 +33,7 @@ fn main() {
                     .collect(),
             )
             .expect("simulated logger emits ordered, rectangular samples");
-            let series = trace.core_series(0);
+            let series: Vec<f64> = trace.core_series(0).into_iter().map(f64::from).collect();
             let (lo, hi) = trace.band(0);
             println!(
                 "{label} core0 {:.2}–{:.2} GHz, {:3} transitions  {}",

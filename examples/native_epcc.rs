@@ -1,13 +1,13 @@
 //! Run the EPCC syncbench suite on the *native* backend — real threads on
 //! this host, using the crate's own synchronization primitives — and
-//! print per-construct overheads with a repetition-time histogram for the
-//! most expensive one.
+//! print per-construct overheads with the repetition-time percentiles of
+//! the most expensive one.
 //!
 //! ```text
 //! cargo run --release --example native_epcc [n_threads]
 //! ```
 
-use ompvar::core::{render_histogram, Histogram, Summary};
+use ompvar::core::{percentile, Summary};
 use ompvar::epcc::syncbench::{self, SyncConstruct};
 use ompvar::epcc::EpccConfig;
 use ompvar::rt::{NativeRuntime, RegionRunner, RtConfig};
@@ -44,11 +44,10 @@ fn main() {
         }
     }
     if let Some((c, reps)) = worst {
-        println!(
-            "\nrepetition-time distribution of `{}` (µs per rep):",
-            c.label()
-        );
-        print!("{}", render_histogram(&Histogram::of(&reps, 10), 40));
+        println!("\nrepetition time of `{}` (µs per rep):", c.label());
+        for p in [0.0, 10.0, 50.0, 90.0, 100.0] {
+            println!("  p{p:<3} {:>12.3}", percentile(&reps, p));
+        }
     }
     println!("\n(on a small or oversubscribed host these overheads are noisy —\n the simulated backend exists for controlled studies)");
 }
