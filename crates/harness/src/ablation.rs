@@ -13,7 +13,8 @@
 //! * the residual pinned variability (Fig 3) disappears with OS noise
 //!   removed, even with DVFS fully active.
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::claim::{qty, Claim};
+use crate::common::{ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
 use crate::grid::{self, Grid, Plan};
 use ompvar_bench_epcc::EpccConfig;
@@ -134,20 +135,17 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             t.row(&[v.label().to_string(), format!("{cv:.5}")]);
         }
         tables.push(t);
-        let get = |xs: &[(Variant, f64)], v: Variant| xs.iter().find(|(x, _)| *x == v).unwrap().1;
-        checks.push(Check::new(
-            "cross-NUMA variability is attributable to DVFS + OS noise",
-            get(&freq, Variant::NoFreq) < get(&freq, Variant::Full)
-                && get(&freq, Variant::NoNoise) < get(&freq, Variant::Full)
-                && get(&freq, Variant::NoNoiseNoFreq) < get(&freq, Variant::Full) / 5.0,
-            format!(
-                "cv full {:.5}, no-freq {:.5}, no-noise {:.5}, neither {:.5}",
-                get(&freq, Variant::Full),
-                get(&freq, Variant::NoFreq),
-                get(&freq, Variant::NoNoise),
-                get(&freq, Variant::NoNoiseNoFreq)
-            ),
-        ));
+        // The named variant's measurement, labelled `<variant> <what>`.
+        let get = |xs: &[(Variant, f64)], v: Variant, what: &str| {
+            qty(format!("{} {what}", v.label()), xs.iter().find(|(x, _)| *x == v).unwrap().1, "")
+        };
+        let full = get(&freq, Variant::Full, "cv");
+        let terms = [
+            get(&freq, Variant::NoFreq, "cv").lt(full.clone()),
+            get(&freq, Variant::NoNoise, "cv").lt(full.clone()),
+            get(&freq, Variant::NoNoiseNoFreq, "cv").lt(full.over(5.0)),
+        ];
+        checks.push(Claim::new("cross-NUMA variability is attributable to DVFS + OS noise", terms).check());
 
         // Per-variant pooled max/min spread of unbound execution.
         let unb = unb.map(|(v, runs)| (v, s.runset(&runs).pooled().spread()));
@@ -159,17 +157,8 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             t.row(&[v.label().to_string(), format!("{s:.2}")]);
         }
         tables.push(t);
-        checks.push(Check::new(
-            "unbound blow-ups are placement-churn-driven",
-            get(&unb, Variant::NoChurn) < get(&unb, Variant::Full) / 3.0,
-            format!(
-                "spread full {:.1}, no-churn {:.1}, no-noise {:.1}, no-freq {:.1}",
-                get(&unb, Variant::Full),
-                get(&unb, Variant::NoChurn),
-                get(&unb, Variant::NoNoise),
-                get(&unb, Variant::NoFreq)
-            ),
-        ));
+        let churn = get(&unb, Variant::NoChurn, "spread").lt(get(&unb, Variant::Full, "spread").over(3.0));
+        checks.push(Claim::new("unbound blow-ups are placement-churn-driven", [churn]).check());
 
         ExpReport::new("ablation", tables, checks)
     })

@@ -9,7 +9,8 @@
 //! (one shared-counter RMW amortized over `chunk` iterations); static is
 //! flat and near zero; guided sits near static (its chunks start large).
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::claim::{bound, qty, Claim};
+use crate::common::{ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_core::Table;
 use crate::grid::{self, Grid, Plan};
@@ -75,23 +76,12 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             // The absolute overhead includes the all-core frequency droop,
             // which hits every schedule equally; the *dispatch* component is
             // the delta above static at the same chunk size.
-            let disp1 = dyn_[0] - stat[0];
-            let disp128 = dyn_[CHUNKS.len() - 1] - stat[CHUNKS.len() - 1];
-            checks.push(Check::new(
-                &format!(
-                    "{}: dynamic dispatch amortizes with chunk size",
-                    platform.label()
-                ),
-                disp128 < disp1 / 4.0,
-                format!(
-                    "dispatch = dynamic − static: {disp1:.4} µs/iter @ chunk 1 vs {disp128:.4} @ 128"
-                ),
-            ));
-            checks.push(Check::new(
-                &format!("{}: dynamic_1 dispatch is substantial", platform.label()),
-                disp1 > 0.05,
-                format!("{disp1:.4} µs/iter"),
-            ));
+            let dispatch = |i: usize| qty(format!("dispatch @ chunk {}", CHUNKS[i]), dyn_[i] - stat[i], "µs/iter");
+            let (disp1, disp128) = (dispatch(0), dispatch(CHUNKS.len() - 1));
+            let name = format!("{}: dynamic dispatch amortizes with chunk size", platform.label());
+            checks.push(Claim::new(name, [disp128.lt(disp1.clone().over(4.0))]).check());
+            let name = format!("{}: dynamic_1 dispatch is substantial", platform.label());
+            checks.push(Claim::new(name, [disp1.gt(bound(0.05))]).check());
         }
         ExpReport::new("chunks", tables, checks)
     })

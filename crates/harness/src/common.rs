@@ -390,18 +390,17 @@ pub struct Check {
     pub name: String,
     /// Whether the reproduced data shows the paper's shape.
     pub passed: bool,
+    /// How far a [`crate::claim::Claim`] sits from its boundary,
+    /// positive when it holds; `None` for a plain check.
+    pub margin: Option<f64>,
     /// Supporting numbers.
     pub detail: String,
 }
 
 impl Check {
-    /// Build a check result.
+    /// Build a plain (margin-less) check result.
     pub fn new(name: &str, passed: bool, detail: String) -> Check {
-        Check {
-            name: name.to_string(),
-            passed,
-            detail,
-        }
+        Check { name: name.to_string(), passed, margin: None, detail }
     }
 
     /// Write the artifact `doc` to `path` — atomically, parent
@@ -501,8 +500,11 @@ pub fn run_report_json(
         w.key("name").str(&rep.name).key("passed").bool(rep.all_passed());
         w.key("checks").begin_arr();
         for c in &rep.checks {
-            w.brk("\n ").begin_obj().key("name").str(&c.name);
-            w.key("passed").bool(c.passed).key("detail").str(&c.detail).end_obj();
+            w.brk("\n ").begin_obj().key("name").str(&c.name).key("passed").bool(c.passed);
+            if let Some(m) = c.margin {
+                w.key("margin").f64(m);
+            }
+            w.key("detail").str(&c.detail).end_obj();
         }
         w.end_arr().key("tables").begin_arr();
         for t in &rep.tables {
@@ -546,11 +548,13 @@ impl ompvar_supervisor::Checkpointable for ExpReport {
             .checks
             .iter()
             .map(|c| {
-                Value::Obj(vec![
+                let mut fields = vec![
                     ("name".into(), Value::Str(c.name.clone())),
                     ("passed".into(), Value::Bool(c.passed)),
-                    ("detail".into(), Value::Str(c.detail.clone())),
-                ])
+                ];
+                fields.extend(c.margin.map(|m| ("margin".into(), Value::Num(m))));
+                fields.push(("detail".into(), Value::Str(c.detail.clone())));
+                Value::Obj(fields)
             })
             .collect();
         Value::Obj(vec![
@@ -581,9 +585,15 @@ impl ompvar_supervisor::Checkpointable for ExpReport {
         }
         let mut checks = Vec::new();
         for c in v.get("checks")?.as_arr()? {
+            // A payload written before checks carried margins has none.
+            let margin = match c.get("margin") {
+                Some(m) => Some(m.as_f64()?),
+                None => None,
+            };
             checks.push(Check {
                 name: c.get("name")?.as_str()?.to_string(),
                 passed: c.get("passed")?.as_bool()?,
+                margin,
                 detail: c.get("detail")?.as_str()?.to_string(),
             });
         }
@@ -701,27 +711,29 @@ mod tests {
                 tables: vec![t, empty_table],
                 checks: vec![
                     Check::new(hostile, true, hostile.into()),
-                    Check::new("y", false, "".into()),
+                    Check { margin: Some(-0.25), ..Check::new("y", false, "".into()) },
                 ],
             },
             ExpReport { name: "bare".into(), ..Default::default() },
         ];
         let notes = [hostile.to_string(), "second".to_string()];
         let doc = run_report_json(u64::MAX, false, true, u64::MAX, &notes, &reps);
-        assert_eq!(doc, "{\"schema\":\"ompvar-run-report/1\",\"seed\":18446744073709551615,\"fast\":false,\"interrupted\":true,\"leaked_threads\":18446744073709551615,\"recovery_notes\":[\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"second\"],\"all_passed\":false,\"experiments\":[\n{\"name\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"passed\":false,\"checks\":[\n {\"name\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"passed\":true,\"detail\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\"},\n {\"name\":\"y\",\"passed\":false,\"detail\":\"\"}],\"tables\":[\n {\"title\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"header\":[\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"b\"],\"rows\":[\n  [\"1\",\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\"],\n  [\"\",\"2.1\"]]},\n {\"title\":\"no rows\",\"header\":[],\"rows\":[]}]},\n{\"name\":\"bare\",\"passed\":true,\"checks\":[],\"tables\":[]}\n]}\n");
+        assert_eq!(doc, "{\"schema\":\"ompvar-run-report/1\",\"seed\":18446744073709551615,\"fast\":false,\"interrupted\":true,\"leaked_threads\":18446744073709551615,\"recovery_notes\":[\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"second\"],\"all_passed\":false,\"experiments\":[\n{\"name\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"passed\":false,\"checks\":[\n {\"name\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"passed\":true,\"detail\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\"},\n {\"name\":\"y\",\"passed\":false,\"margin\":-0.25,\"detail\":\"\"}],\"tables\":[\n {\"title\":\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"header\":[\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\",\"b\"],\"rows\":[\n  [\"1\",\"q\\\"b\\\\s\\n\\u0001\u{2028}😀\"],\n  [\"\",\"2.1\"]]},\n {\"title\":\"no rows\",\"header\":[],\"rows\":[]}]},\n{\"name\":\"bare\",\"passed\":true,\"checks\":[],\"tables\":[]}\n]}\n");
         ompvar_obs::json::parse(&doc).expect("valid JSON");
         assert_eq!(run_report_json(0, true, false, 0, &[], &[]), "{\"schema\":\"ompvar-run-report/1\",\"seed\":0,\"fast\":true,\"interrupted\":false,\"leaked_threads\":0,\"recovery_notes\":[],\"all_passed\":true,\"experiments\":[\n]}\n");
     }
 
     #[test]
     fn exp_report_checkpoints_roundtrip_exactly() {
+        use crate::claim::{bound, qty, Claim};
         use ompvar_supervisor::Checkpointable;
         let mut t = Table::new("T \"q\"", &["col a", "col b"]);
         t.row(&["1.25".into(), "x\ny".into()]);
+        let claim = Claim::new("m", [qty("x", 0.1, "").gt(bound(0.3))]);
         let rep = ExpReport {
             name: "faults".into(),
             tables: vec![t],
-            checks: vec![Check::new("c", false, "d \\ e".into())],
+            checks: vec![Check::new("c", false, "d \\ e".into()), claim.check()],
         };
         // Through the manifest's own serialization layer: to JSON text
         // and back, not just Value-to-Value.
@@ -733,11 +745,21 @@ mod tests {
         assert_eq!(back.tables[0].rows(), rep.tables[0].rows());
         assert_eq!(back.checks[0].detail, rep.checks[0].detail);
         assert!(!back.checks[0].passed);
+        assert_eq!(back.checks[0].margin, None);
+        let m = rep.checks[1].margin.expect("a claim has a margin");
+        assert_eq!(back.checks[1].margin.map(f64::to_bits), Some(m.to_bits()), "bit-exact");
         // The replayed report renders to identical JSON.
         assert_eq!(
             run_report_json(1, true, false, 0, &[], &[back]),
             run_report_json(1, true, false, 0, &[], &[rep])
         );
+        // A payload journaled before checks carried margins still replays.
+        let legacy = r#"{"name":"faults","tables":[],"checks":[{"name":"c","passed":true,"detail":"d"}]}"#;
+        let back = ExpReport::from_ckpt(&ompvar_obs::json::parse(legacy).unwrap()).expect("parses");
+        assert_eq!((back.checks[0].passed, back.checks[0].margin), (true, None));
+        // A margin that is not a number is a corrupt payload, not `None`.
+        let bad = legacy.replace(r#""passed":true,"#, r#""passed":true,"margin":"x","#);
+        assert!(ExpReport::from_ckpt(&ompvar_obs::json::parse(&bad).unwrap()).is_none());
     }
 
     #[test]

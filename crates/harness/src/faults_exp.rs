@@ -15,6 +15,7 @@
 //! perturbation costs time relative to the sterile baseline, and the
 //! lost-wakeup cell fails *diagnosably and deterministically*.
 
+use crate::claim::{qty, Claim};
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_core::{fmt_ratio, fmt_us, Table};
@@ -156,11 +157,8 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
                 ));
             }
             (_, Ok((mean, _))) => {
-                checks.push(Check::new(
-                    &format!("{name} costs time over the baseline"),
-                    *mean > baseline_us,
-                    format!("{mean:.3} µs vs baseline {baseline_us:.3} µs"),
-                ));
+                let costs = qty("mean rep", *mean, "µs").gt(qty("baseline", baseline_us, "µs"));
+                checks.push(Claim::new(format!("{name} costs time over the baseline"), [costs]).check());
             }
             (_, Err(e)) => {
                 checks.push(Check::new(

@@ -7,7 +7,8 @@
 //! > Dardel); and the `reduction` clause is the most expensive
 //! > synchronization construct.
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::claim::{qty, Claim};
+use crate::common::{ExpOptions, ExpReport, Platform};
 use crate::grid::{self, Grid, Plan};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
 use ompvar_bench_epcc::EpccConfig;
@@ -83,13 +84,10 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             tables.push(t);
 
             // Shape: cost grows with threads end-to-end.
-            let first = series.first().unwrap().1;
-            let last = series.last().unwrap().1;
-            checks.push(Check::new(
-                &format!("{}: reduction cost grows with threads", platform.label()),
-                last > first * 2.0,
-                format!("{first:.2} → {last:.2} µs"),
-            ));
+            let at = |&(n, us, _): &(usize, f64, f64)| qty(format!("{n} thr"), us, "µs");
+            let (first, last) = (at(&series[0]), at(&series[series.len() - 1]));
+            let name = format!("{}: reduction cost grows with threads", platform.label());
+            checks.push(Claim::new(name, [last.gt(first.times(2.0))]).check());
 
             // Shape: sharp jump when the second socket comes into play.
             let socket_cores = match platform {
@@ -101,16 +99,10 @@ pub fn plan(opts: &ExpOptions) -> Grid {
                 .filter(|(n, _, _)| *n <= socket_cores)
                 .map(|&(_, us, _)| us)
                 .fold(f64::MIN, f64::max);
-            let above = series
-                .iter()
-                .find(|(n, _, _)| *n > socket_cores)
-                .map(|&(_, us, _)| us)
-                .unwrap();
-            checks.push(Check::new(
-                &format!("{}: jump at socket boundary", platform.label()),
-                above > below * 1.5,
-                format!("max ≤{socket_cores} thr: {below:.2} µs; first >: {above:.2} µs"),
-            ));
+            let below = qty(format!("max ≤{socket_cores} thr"), below, "µs");
+            let above = series.iter().find(|(n, _, _)| *n > socket_cores).map(at).unwrap();
+            let name = format!("{}: jump at socket boundary", platform.label());
+            checks.push(Claim::new(name, [above.gt(below.times(1.5))]).check());
         }
 
         // Shape: reduction is the most expensive construct (Dardel, 32 thr).
@@ -135,11 +127,8 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             .filter(|(c, _)| *c != SyncConstruct::Reduction)
             .map(|&(_, us)| us)
             .fold(f64::MIN, f64::max);
-        checks.push(Check::new(
-            "reduction is the most expensive construct",
-            red >= max_other,
-            format!("reduction {red:.2} µs vs max other {max_other:.2} µs"),
-        ));
+        let claim = qty("reduction", red, "µs").ge(qty("max other", max_other, "µs"));
+        checks.push(Claim::new("reduction is the most expensive construct", [claim]).check());
 
         ExpReport::new("fig1", tables, checks)
     })

@@ -5,7 +5,8 @@
 //! added (more cores engage more NUMA domains' bandwidth), flattening as
 //! each domain's bandwidth saturates.
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::claim::{qty, Claim};
+use crate::common::{ExpOptions, ExpReport, Platform};
 use crate::grid::{self, Grid, Plan};
 use ompvar_bench_stream::{kernels::StreamConfig, region, StreamKernel};
 use ompvar_core::Table;
@@ -58,20 +59,13 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             }
             tables.push(t);
 
-            let first = series.first().unwrap().1;
-            let last = series.last().unwrap().1;
-            checks.push(Check::new(
-                &format!("{}: time decreases with threads", platform.label()),
-                last < first * 0.7,
-                format!("{first:.2} → {last:.2} ms"),
-            ));
+            let at = |&(n, ms): &(usize, f64)| qty(format!("{n} thr"), ms, "ms");
+            let (first, last) = (at(&series[0]), at(&series[series.len() - 1]));
+            let name = format!("{}: time decreases with threads", platform.label());
+            checks.push(Claim::new(name, [last.lt(first.times(0.7))]).check());
             // Never *increases* significantly from one step to the next.
-            let monotone = series.windows(2).all(|w| w[1].1 <= w[0].1 * 1.15);
-            checks.push(Check::new(
-                &format!("{}: scaling is (near-)monotone", platform.label()),
-                monotone,
-                format!("{series:?}"),
-            ));
+            let steps = series.windows(2).map(|w| at(&w[1]).le(at(&w[0]).times(1.15)));
+            checks.push(Claim::new(format!("{}: scaling is (near-)monotone", platform.label()), steps).check());
         }
         ExpReport::new("fig2", tables, checks)
     })

@@ -7,7 +7,8 @@
 //! Dardel, ≥30 on Vera), and much less pronounced for `schedbench`
 //! (dynamic scheduling self-balances perturbations).
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::claim::{qty, Claim};
+use crate::common::{ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
 use crate::grid::{self, Grid, Plan, Runs, Samples};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
@@ -171,23 +172,10 @@ pub fn plan(opts: &ExpOptions) -> Grid {
                 }
                 if matches!(bench, Bench::Sync | Bench::Stream) {
                     // Shape: high thread counts show a wider envelope.
-                    let low = envs.first().unwrap();
-                    let high = envs.last().unwrap();
-                    checks.push(Check::new(
-                        &format!(
-                            "{} {}: variability grows with threads",
-                            platform.label(),
-                            bench.label()
-                        ),
-                        high.1.width() > low.1.width(),
-                        format!(
-                            "width {:.4} @ {} thr → {:.4} @ {} thr",
-                            low.1.width(),
-                            low.0,
-                            high.1.width(),
-                            high.0
-                        ),
-                    ));
+                    let width = |(n, e): &(usize, Envelope)| qty(format!("width @ {n} thr"), e.width(), "");
+                    let (low, high) = (width(&envs[0]), width(&envs[envs.len() - 1]));
+                    let name = format!("{} {}: variability grows with threads", platform.label(), bench.label());
+                    checks.push(Claim::new(name, [high.gt(low)]).check());
                 }
             }
             tables.push(t);

@@ -11,7 +11,8 @@
 //! * (c/f) BabelStream with 128 threads — unbound shows up to ~6× min–max
 //!   spread per kernel, pinned much less.
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::claim::{bound, qty, Claim};
+use crate::common::{ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
 use crate::grid::{self, Grid, Plan};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
@@ -73,15 +74,8 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             t.row(&[(i + 1).to_string(), fmt_us(*u), fmt_us(p)]);
         }
         tables.push(t);
-        checks.push(Check::new(
-            "schedbench: pinning tightens run-to-run spread",
-            pin.run_spread() <= unb.run_spread(),
-            format!(
-                "spread unbound {:.4} vs pinned {:.4}",
-                unb.run_spread(),
-                pin.run_spread()
-            ),
-        ));
+        let tighter = qty("pinned run spread", pin.run_spread(), "").le(qty("unbound", unb.run_spread(), ""));
+        checks.push(Claim::new("schedbench: pinning tightens run-to-run spread", [tighter]).check());
 
         // (b/e) syncbench reduction @ 128.
         let (unb, pin) = (s.runset(&sync_unb), s.runset(&sync_pin));
@@ -101,23 +95,15 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             ]);
         }
         tables.push(t);
-        let unb_spread = unb.pooled().spread();
-        let pin_spread = pin.pooled().spread();
+        let (unb, pin) = (unb.pooled(), pin.pooled());
         // The paper's Fig 4b vs 4e contrast: unbound repetitions reach orders
         // of magnitude above what pinned execution ever shows.
-        let ratio = unb.pooled().max / pin.pooled().mean;
-        checks.push(Check::new(
-            "syncbench: unbound reaches ≥50× the pinned time",
-            ratio >= 50.0,
-            format!(
-                "worst unbound rep = {ratio:.0}× pinned mean; unbound max/min {unb_spread:.1}"
-            ),
-        ));
-        checks.push(Check::new(
-            "syncbench: unbound is internally unstable, pinned is stable",
-            unb_spread > 3.0 && pin_spread < 2.0,
-            format!("pooled max/min unbound {unb_spread:.1} vs pinned {pin_spread:.2}"),
-        ));
+        let worst = qty("worst unbound rep", unb.max, "µs").over(pin.mean).ge(bound(50.0));
+        checks.push(Claim::new("syncbench: unbound reaches ≥50× the pinned time", [worst]).check());
+        let unstable = qty("pooled max/min unbound", unb.spread(), "").gt(bound(3.0));
+        let stable = qty("pinned", pin.spread(), "").lt(bound(2.0));
+        let name = "syncbench: unbound is internally unstable, pinned is stable";
+        checks.push(Claim::new(name, [unstable, stable]).check());
 
         // (c/f) BabelStream @ 128.
         // Per-kernel worst min–max spread across runs.
@@ -142,18 +128,14 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             t.row(&[k.label().to_string(), fmt_ratio(*u), fmt_ratio(*p)]);
         }
         tables.push(t);
-        let worst_unb = unb.iter().map(|&(_, s)| s).fold(f64::MIN, f64::max);
-        let worst_pin = pin.iter().map(|&(_, s)| s).fold(f64::MIN, f64::max);
-        checks.push(Check::new(
-            "babelstream: pinning reduces worst kernel spread",
-            worst_pin < worst_unb,
-            format!("worst unbound {worst_unb:.2}× vs pinned {worst_pin:.2}×"),
-        ));
-        checks.push(Check::new(
-            "babelstream: unbound spread is substantial (paper: up to ~6×)",
-            worst_unb > 1.5,
-            format!("worst unbound {worst_unb:.2}×"),
-        ));
+        let worst = |label, xs: &[(StreamKernel, f64)]| {
+            qty(label, xs.iter().map(|&(_, s)| s).fold(f64::MIN, f64::max), "")
+        };
+        let (worst_unb, worst_pin) = (worst("worst max/min unbound", &unb), worst("pinned", &pin));
+        let pinning = worst_pin.lt(worst_unb.clone());
+        checks.push(Claim::new("babelstream: pinning reduces worst kernel spread", [pinning]).check());
+        let name = "babelstream: unbound spread is substantial (paper: up to ~6×)";
+        checks.push(Claim::new(name, [worst_unb.gt(bound(1.5))]).check());
 
         ExpReport::new("fig4", tables, checks)
     })

@@ -17,7 +17,8 @@
 //! with both contexts busy, kernel work must preempt a benchmark thread
 //! outright (plus a cache-refill penalty on resume).
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::claim::{bound, qty, Claim};
+use crate::common::{ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
 use crate::grid::{self, Grid, Plan};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
@@ -93,13 +94,9 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             ]);
         }
         tables.push(t);
-        let st_w = ompvar_core::percentile(&st.run_cvs(), 50.0);
-        let mt_w = ompvar_core::percentile(&mt.run_cvs(), 50.0);
-        checks.push(Check::new(
-            "schedbench: MT has higher repetition variability than ST",
-            mt_w > st_w,
-            format!("median per-run cv ST {st_w:.5} vs MT {mt_w:.5}"),
-        ));
+        let median_cv = |label, rs: &RunSet| qty(label, ompvar_core::percentile(&rs.run_cvs(), 50.0), "");
+        let higher = median_cv("MT median per-run cv", &mt).gt(median_cv("ST", &st));
+        checks.push(Claim::new("schedbench: MT has higher repetition variability than ST", [higher]).check());
 
         // (b/e) syncbench CVs.
         // Per construct: `(mean CV over runs under ST, under MT)`.
@@ -122,11 +119,8 @@ pub fn plan(opts: &ExpOptions) -> Grid {
                     .unwrap_or(false)
             })
             .count();
-        checks.push(Check::new(
-            "syncbench: MT raises CV for most SMT-sensitive constructs",
-            worse >= 3,
-            format!("{worse}/4 of for/single/ordered/reduction worse under MT"),
-        ));
+        let most = qty("sensitive constructs worse under MT", worse as f64, "of 4").ge(bound(3.0));
+        checks.push(Claim::new("syncbench: MT raises CV for most SMT-sensitive constructs", [most]).check());
 
         // (c/f) BabelStream.
         // `(mean kernel time µs, mean absolute intra-run spread µs)`.
@@ -151,16 +145,10 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         t.row(&["ST".into(), fmt_ratio(st_time), fmt_ratio(st_spread)]);
         t.row(&["MT".into(), fmt_ratio(mt_time), fmt_ratio(mt_spread)]);
         tables.push(t);
-        checks.push(Check::new(
-            "babelstream: no benefit from SMT (MT clearly slower)",
-            mt_time > st_time * 1.5,
-            format!("mean kernel ST {st_time:.1} µs vs MT {mt_time:.1} µs"),
-        ));
-        checks.push(Check::new(
-            "babelstream: MT has larger absolute intra-run spread",
-            mt_spread > st_spread,
-            format!("mean max−min ST {st_spread:.1} µs vs MT {mt_spread:.1} µs"),
-        ));
+        let slower = qty("MT mean kernel", mt_time, "µs").gt(qty("ST", st_time, "µs").times(1.5));
+        checks.push(Claim::new("babelstream: no benefit from SMT (MT clearly slower)", [slower]).check());
+        let wider = qty("MT mean max−min", mt_spread, "µs").gt(qty("ST", st_spread, "µs"));
+        checks.push(Claim::new("babelstream: MT has larger absolute intra-run spread", [wider]).check());
 
         ExpReport::new("fig5", tables, checks)
     })

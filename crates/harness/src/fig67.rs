@@ -16,7 +16,8 @@
 //! pulses, and OS daemons waking on the sockets' idle cores keep changing
 //! the active-core count, forcing retargets.
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::claim::{qty, Claim};
+use crate::common::{ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
 use crate::grid::{Grid, Plan};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
@@ -206,24 +207,13 @@ pub fn plan(opts: &ExpOptions, driver: Driver) -> Grid {
             ]);
         }
 
+        let transitions = |label, o: &PlacementOutcome| qty(label, o.transitions_per_core_sec, "/core/s");
+        let more = transitions("2 NUMAs transitions", &two).gt(transitions("1 NUMA", &one).times(1.5));
+        let cv = |label, o: &PlacementOutcome| qty(label, median_cv(&o.runs), "");
+        let higher = cv("2 NUMAs median per-run cv", &two).gt(cv("1 NUMA", &one));
         let checks = vec![
-            Check::new(
-                "cross-NUMA placement has more frequency transitions",
-                two.transitions_per_core_sec > one.transitions_per_core_sec * 1.5,
-                format!(
-                    "{:.3} vs {:.3} transitions/core/s",
-                    one.transitions_per_core_sec, two.transitions_per_core_sec
-                ),
-            ),
-            Check::new(
-                "cross-NUMA placement has higher repetition variability",
-                median_cv(&two.runs) > median_cv(&one.runs),
-                format!(
-                    "median per-run cv {:.5} (1 NUMA) vs {:.5} (2 NUMAs)",
-                    median_cv(&one.runs),
-                    median_cv(&two.runs)
-                ),
-            ),
+            Claim::new("cross-NUMA placement has more frequency transitions", [more]).check(),
+            Claim::new("cross-NUMA placement has higher repetition variability", [higher]).check(),
         ];
 
         ExpReport::new(name, vec![t], checks)

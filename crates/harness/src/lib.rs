@@ -10,6 +10,7 @@
 //! owns scheduling: the sweep's executor is the only thread pool.
 //! Campaigns go through the one front door, [`common::run_journaled`].
 
+pub mod claim;
 pub mod common;
 pub mod grid;
 pub mod table2;

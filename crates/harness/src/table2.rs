@@ -5,7 +5,8 @@
 //! occasional outlier run (run #9 on Dardel/254 takes 168.8 ms instead of
 //! ~154 ms).
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::claim::{bound, qty, Claim};
+use crate::common::{ExpOptions, ExpReport, Platform};
 use crate::grid::{self, Grid, Plan};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_core::{fmt_us, Summary, Table};
@@ -80,42 +81,27 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         }
 
         let mut checks = Vec::new();
+        let mean = |c: &Table2Column| Summary::of(&c.run_means_us).mean;
+        let at = |c: &Table2Column| qty(format!("{} thr", c.threads), mean(c), "µs");
         // Shape 1: execution time grows with thread count on both platforms
         // (dispatch contention + lower all-core frequency).
-        for pair in [(0usize, 1usize), (2, 3)] {
-            let lo = Summary::of(&cols[pair.0].run_means_us).mean;
-            let hi = Summary::of(&cols[pair.1].run_means_us).mean;
-            checks.push(Check::new(
-                &format!(
-                    "{}: time grows {} → {} threads",
-                    cols[pair.0].platform.label(),
-                    cols[pair.0].threads,
-                    cols[pair.1].threads
-                ),
-                hi > lo * 1.1,
-                format!("{:.0} → {:.0} µs", lo, hi),
-            ));
+        for [lo, hi] in [[&cols[0], &cols[1]], [&cols[2], &cols[3]]] {
+            let name = format!("{}: time grows {} → {} threads", lo.platform.label(), lo.threads, hi.threads);
+            checks.push(Claim::new(name, [at(hi).gt(at(lo).times(1.1))]).check());
         }
         // Shape 2: low-thread-count columns are tight (CV < 1%).
         for c in [&cols[0], &cols[2]] {
-            let s = Summary::of(&c.run_means_us);
-            checks.push(Check::new(
-                &format!("{} {} thr: runs tight", c.platform.label(), c.threads),
-                s.cv < 0.01,
-                format!("cv = {:.5}", s.cv),
-            ));
+            let cv = qty("cv", Summary::of(&c.run_means_us).cv, "");
+            let name = format!("{} {} thr: runs tight", c.platform.label(), c.threads);
+            checks.push(Claim::new(name, [cv.lt(bound(0.01))]).check());
         }
         // Shape 3 (when not in fast mode): paper-vs-simulated means agree
         // within 15% for all four columns.
         if !fast {
-            for (i, (plat, thr, paper)) in PAPER_MEANS_US.iter().enumerate() {
-                let got = Summary::of(&cols[i].run_means_us).mean;
-                let rel = (got - paper).abs() / paper;
-                checks.push(Check::new(
-                    &format!("{plat} {thr} thr: mean within 15% of paper"),
-                    rel < 0.15,
-                    format!("paper {:.0} µs, simulated {:.0} µs ({:+.1}%)", paper, got, 100.0 * (got - paper) / paper),
-                ));
+            for (col, (plat, thr, paper)) in cols.iter().zip(PAPER_MEANS_US) {
+                let err = qty("|sim − paper|", (mean(col) - paper).abs(), "µs").over(paper);
+                let name = format!("{plat} {thr} thr: mean within 15% of paper");
+                checks.push(Claim::new(name, [err.lt(bound(0.15))]).check());
             }
         }
         ExpReport::new("table2", vec![table], checks)

@@ -7,7 +7,8 @@
 //! over to tasking? It does: task queues are poll-heavy and any spawner
 //! or stealer being preempted stalls the drain).
 
-use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::claim::{qty, Claim};
+use crate::common::{ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::taskbench::{self, TaskPattern};
 use crate::grid::{self, Grid, Plan};
 use ompvar_bench_epcc::EpccConfig;
@@ -66,20 +67,10 @@ pub fn plan(opts: &ExpOptions) -> Grid {
             }
             tables.push(t);
 
-            checks.push(Check::new(
-                &format!(
-                    "{}: parallel-spawn overhead grows with threads",
-                    platform.label()
-                ),
-                par.last().unwrap().1 > par.first().unwrap().1 * 2.0,
-                format!(
-                    "{:.3} µs @ {} thr → {:.3} µs @ {} thr",
-                    par.first().unwrap().1,
-                    par.first().unwrap().0,
-                    par.last().unwrap().1,
-                    par.last().unwrap().0
-                ),
-            ));
+            let at = |&(n, us): &(usize, f64)| qty(format!("{n} thr"), us, "µs");
+            let grows = at(&par[par.len() - 1]).gt(at(&par[0]).times(2.0));
+            let name = format!("{}: parallel-spawn overhead grows with threads", platform.label());
+            checks.push(Claim::new(name, [grows]).check());
         }
 
         let cv = |runs| ompvar_core::percentile(&s.runset(runs).run_cvs(), 50.0);
@@ -91,11 +82,8 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         t.row(&["ST".into(), format!("{st:.5}")]);
         t.row(&["MT".into(), format!("{mt:.5}")]);
         tables.push(t);
-        checks.push(Check::new(
-            "tasking inherits the SMT-noise sensitivity (MT > ST)",
-            mt > st,
-            format!("median cv ST {st:.5} vs MT {mt:.5}"),
-        ));
+        let higher = qty("MT median cv", mt, "").gt(qty("ST", st, ""));
+        checks.push(Claim::new("tasking inherits the SMT-noise sensitivity (MT > ST)", [higher]).check());
 
         ExpReport::new("taskbench", tables, checks)
     })

@@ -34,6 +34,7 @@
 //!   `sched/noise` run with the per-source cumulative counter tracks
 //!   (`attr_cum_ms`), the "where did my time go" timeline view.
 
+use crate::claim::{bound, qty, Claim};
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
 use crate::grid::{Grid, Plan, Sample};
 use ompvar_core::Table;
@@ -454,12 +455,6 @@ fn report(opts: &ExpOptions, cells: &[CellAgg]) -> ExpReport {
         let name = format!("{wl}/{cfg}");
         cells.iter().find(|c| c.name == name).expect("grid cell")
     };
-    // A shape that must hold on every workload: `f` gives one
-    // workload's verdict and its supporting numbers.
-    let per_workload = |name: &str, f: &dyn Fn(&str) -> (bool, String)| {
-        let (oks, details): (Vec<bool>, Vec<String>) = WORKLOADS.iter().map(|wl| f(wl)).unzip();
-        Check::new(name, oks.iter().all(|&ok| ok), details.join(", "))
-    };
     let charged = |c: &CellAgg, s: AttrSource| c.by_source[s.index()];
     // The fold only runs once every cell completed: a quarantined cell
     // is the sweep's FAIL check, in place of this report.
@@ -496,32 +491,26 @@ fn report(opts: &ExpOptions, cells: &[CellAgg]) -> ExpReport {
             share_errs.join("; ")
         },
     ));
-    checks.push(per_workload("noise storm charges preemption in every noise cell", &|wl| {
-        let ns = charged(cell(wl, "noise"), AttrSource::Preemption);
-        (ns > 0.0, format!("{wl}: {ns:.0} ns"))
-    }));
-    checks.push(per_workload(
-        "frequency cap charges sub-nominal frequency (and only when capped)",
-        &|wl| {
-            let capped = charged(cell(wl, "freq_cap"), AttrSource::SubNominalFreq);
-            let sterile = charged(cell(wl, "sterile"), AttrSource::SubNominalFreq);
-            (
-                capped > 0.0 && sterile == 0.0,
-                format!("{wl}: capped {capped:.0} ns, sterile {sterile:.0} ns"),
-            )
-        },
-    ));
-    let stall = charged(cell("sync", "stall"), AttrSource::FaultStall);
-    let waiters = charged(cell("sync", "stall"), AttrSource::NoiseDelayedArrival);
+    let preempted = WORKLOADS.map(|wl| {
+        qty(format!("{wl} preemption"), charged(cell(wl, "noise"), AttrSource::Preemption), "ns").gt(bound(0.0))
+    });
+    checks.push(Claim::new("noise storm charges preemption in every noise cell", preempted).check());
+    // Plain: its exact-zero half would pin a margin at 0.
+    let sub_nominal = |wl, cfg| charged(cell(wl, cfg), AttrSource::SubNominalFreq);
+    let caps = WORKLOADS.map(|wl| (wl, sub_nominal(wl, "freq_cap"), sub_nominal(wl, "sterile")));
     checks.push(Check::new(
-        "a straggler stall charges the victim and its barrier waiters",
-        stall > 0.0 && waiters > 0.0,
-        format!("fault_stall {stall:.0} ns, noise_delayed_arrival {waiters:.0} ns"),
+        "frequency cap charges sub-nominal frequency (and only when capped)",
+        caps.iter().all(|&(_, capped, sterile)| capped > 0.0 && sterile == 0.0),
+        caps.map(|(wl, capped, sterile)| format!("{wl}: capped {capped:.0} ns, sterile {sterile:.0} ns")).join(", "),
     ));
-    checks.push(per_workload("noise raises wall-time dispersion over the sterile control", &|wl| {
-        let (noise, sterile) = (cell(wl, "noise").wall.cov(), cell(wl, "sterile").wall.cov());
-        (noise > sterile, format!("{wl}: noise cov {noise:.5} vs sterile cov {sterile:.5}"))
-    }));
+    let straggler = [AttrSource::FaultStall, AttrSource::NoiseDelayedArrival]
+        .map(|s| qty(s.name(), charged(cell("sync", "stall"), s), "ns").gt(bound(0.0)));
+    checks.push(Claim::new("a straggler stall charges the victim and its barrier waiters", straggler).check());
+    let dispersed = WORKLOADS.map(|wl| {
+        let cov = |cfg| cell(wl, cfg).wall.cov();
+        qty(format!("{wl} noise cov"), cov("noise"), "").gt(qty("sterile", cov("sterile"), ""))
+    });
+    checks.push(Claim::new("noise raises wall-time dispersion over the sterile control", dispersed).check());
 
     ExpReport::new("variability", vec![t_disp, t_shares, t_top], checks)
 }

@@ -1240,8 +1240,10 @@ mod hostile_argv {
 }
 
 /// Census tool for the any-seed item of ROADMAP.md, not a check: run
-/// the whole `--fast` sweep at seeds 1..=10 and print, per shape check,
-/// how many seeds pass and the detail line of the first failure.
+/// the whole `--fast` sweep at seeds 1..=10 and print, per claim, how
+/// many seeds pass, its smallest margin (and that seed) and its median
+/// margin, nearest the boundary first; per plain check, how many seeds
+/// pass and the detail line of the first failure.
 /// `cargo test -p ompvar-harness --test cli seed_census -- --ignored --nocapture`
 #[test]
 #[ignore = "several minutes; prints a table, asserts nothing about the shapes"]
@@ -1254,6 +1256,9 @@ fn seed_census() {
         check: String,
         passes: usize,
         first_failure: Option<String>,
+        /// `(margin, seed)` for every seed at which the check was a
+        /// claim with a margin, ascending once the sweep is done.
+        margins: Vec<(f64, u64)>,
     }
     let mut census: Vec<Tally> = Vec::new();
     for seed in SEEDS {
@@ -1279,9 +1284,13 @@ fn seed_census() {
                         check: text("name").to_string(),
                         passes: 0,
                         first_failure: None,
+                        margins: Vec::new(),
                     });
                     census.len() - 1
                 });
+                if let Some(m) = check.get("margin").and_then(Value::as_f64) {
+                    census[i].margins.push((m, seed));
+                }
                 if check.get("passed").and_then(Value::as_bool).expect("passed") {
                     census[i].passes += 1;
                 } else if census[i].first_failure.is_none() {
@@ -1291,7 +1300,21 @@ fn seed_census() {
         }
     }
     let seeds = SEEDS.count();
-    for t in &census {
+    for t in &mut census {
+        t.margins.sort_by(|a, b| a.0.total_cmp(&b.0));
+    }
+    let (mut claims, plain): (Vec<&Tally>, Vec<&Tally>) =
+        census.iter().partition(|t| !t.margins.is_empty());
+    claims.sort_by(|a, b| a.margins[0].0.total_cmp(&b.margins[0].0));
+    println!("claims, nearest their boundary first (passes, min margin @ seed, median margin):");
+    for t in claims {
+        let (ms, n) = (&t.margins, t.margins.len());
+        let median = (ms[(n - 1) / 2].0 + ms[n / 2].0) / 2.0;
+        let (min, at) = ms[0];
+        println!("{:>2}/{seeds}  {min:+.4} @ {at:<2}  {median:+.4}  {}: {}", t.passes, t.exp, t.check);
+    }
+    println!("plain checks:");
+    for t in plain {
         println!("{:>2}/{seeds}  {}: {}", t.passes, t.exp, t.check);
         if let Some(detail) = &t.first_failure {
             println!("       first failure — {detail}");
