@@ -43,16 +43,8 @@
 //!     or the reduction or fold drops something. Computed in the harness
 //!     (`fuzz_exp::check_partition`) on the reduction and fold the `fuzz`
 //!     report is made by; the number and the check name are unchanged;
-//! 11. **engine equivalence**: the simulator's optimized path (packed
-//!     4-ary event queue, topology caches, idle fast-forward, slab
-//!     reuse) and its independently implemented reference path (the
-//!     pre-optimization `BinaryHeap` queue, naive topology lookups, no
-//!     batching) must be observably indistinguishable — identical
-//!     semantic effects and bit-identical final virtual time on
-//!     success, and identical error values on failure
-//!     ([`check_engine_equivalence`]). This is the differential oracle
-//!     that lets every hot-path optimization land without weakening
-//!     the determinism contract;
+//! 11. *retired*: the engine has one path, and its optimizations are
+//!     held to component referents (DESIGN §11);
 //! 12. **attribution conservation**: re-running the case with the causal
 //!     time-attribution ledger enabled ([`check_attribution`]) must (a)
 //!     leave the final virtual time bit-identical — attribution is pure
@@ -296,62 +288,6 @@ fn first_difference(a: &RegionResult, b: &RegionResult) -> Option<&'static str> 
     .find_map(|(field, equal)| (!equal).then_some(field))
 }
 
-/// Engine-equivalence oracle (#11): run `region` on the simulator's
-/// reference engine path and require it to be observably
-/// indistinguishable from `optimized`, the outcome of the same
-/// `(region, seed)` on [`sim_runtime`]'s optimized path — equal
-/// [`SemanticEffects`], bit-identical final virtual time (compared
-/// through `f64` bits, no tolerance), and, when the run fails, the
-/// identical error value. Returns the violations (empty = equivalent).
-pub fn check_engine_equivalence(
-    region: &RegionSpec,
-    seed: u64,
-    optimized: &Result<RegionResult, RtError>,
-) -> Vec<String> {
-    let mut reasons = Vec::new();
-    let refr = sim_runtime(region.n_threads)
-        .with_reference_engine(true)
-        .run(region, seed);
-    match (optimized, &refr) {
-        (Ok(o), Ok(r)) => {
-            if o.effects != r.effects {
-                reasons.push(format!(
-                    "engine equivalence (oracle #11): effects diverge between optimized \
-                     and reference engines:\n    optimized {:?}\n    reference {:?}",
-                    o.effects, r.effects
-                ));
-            }
-            if o.wall_us.to_bits() != r.wall_us.to_bits() {
-                reasons.push(format!(
-                    "engine equivalence (oracle #11): final virtual time diverges: \
-                     optimized {} us vs reference {} us",
-                    o.wall_us, r.wall_us
-                ));
-            }
-        }
-        (Err(o), Err(r)) => {
-            // Errors are part of the observable surface: a deadlock's
-            // diagnostics (who blocks on what, at what time) must match.
-            let (o, r) = (format!("{o:?}"), format!("{r:?}"));
-            if o != r {
-                reasons.push(format!(
-                    "engine equivalence (oracle #11): engines fail differently:\n    \
-                     optimized {o}\n    reference {r}"
-                ));
-            }
-        }
-        (Ok(_), Err(e)) => reasons.push(format!(
-            "engine equivalence (oracle #11): reference engine failed where the \
-             optimized engine succeeded: {e}"
-        )),
-        (Err(e), Ok(_)) => reasons.push(format!(
-            "engine equivalence (oracle #11): optimized engine failed where the \
-             reference engine succeeded: {e}"
-        )),
-    }
-    reasons
-}
-
 /// Attribution-conservation oracle (#12): re-run the case with the
 /// causal attribution ledger enabled and compare against `plain`, the
 /// outcome of the same `(region, seed)` on [`sim_runtime`] without it.
@@ -456,7 +392,7 @@ pub fn check_case(region: &RegionSpec, seed: u64) -> Vec<String> {
     let want = region.expected_effects();
 
     // Simulated backend: completion + determinism + effects. This first
-    // run is also what oracles #11 and #12 compare their variant runs to.
+    // run is also what oracle #12 compares its variant run to.
     let sim = sim_runtime(region.n_threads);
     let sim_run = sim.run(region, seed);
     match &sim_run {
@@ -540,11 +476,6 @@ pub fn check_case(region: &RegionSpec, seed: u64) -> Vec<String> {
             }
         }
     };
-
-    // Engine equivalence (oracle #11): the optimized and reference
-    // simulator paths must agree on every case — including the failing
-    // ones, where the error values themselves are compared.
-    reasons.extend(check_engine_equivalence(region, seed, &sim_run));
 
     // Attribution conservation (oracle #12): the ledger never perturbs
     // the run, always conserves time, and stays all-zero on noise
@@ -779,34 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_equivalence_compares_error_values_too() {
-        // The fuzz corpus' known runtime-deadlock straggler (a
-        // lock-order inversion the analyzer flags as may-deadlock): both
-        // engine paths must fail with the *identical* deadlock
-        // diagnostics, after the optimized path fast-forwarded the idle
-        // LoadBalance chain the reference path grinds through.
-        let cfg = crate::gen::GenConfig {
-            max_threads: 8,
-            max_block_len: 8,
-            max_depth: 3,
-            max_repeat: 8,
-            max_iters: 96,
-            max_body_us: 2.0,
-            max_tasks: 6,
-            max_vars: 0,
-        };
-        let seed = crate::case_seed(0x5EED_F00D, 264);
-        let region = crate::gen::generate(seed, &cfg);
-        let optimized = sim_runtime(region.n_threads).run(&region, seed);
-        assert!(
-            optimized.is_err(),
-            "straggler case stopped deadlocking (generator drift?)"
-        );
-        let reasons = check_engine_equivalence(&region, seed, &optimized);
-        assert!(reasons.is_empty(), "{reasons:#?}");
-    }
-
-    #[test]
     fn attribution_oracle_passes_and_ledger_is_meaningful() {
         // A contended region: sync waits exist even on the sterile fuzz
         // machine, so the oracle's sterile-zero requirement must hold
@@ -868,32 +771,25 @@ mod tests {
 
     #[test]
     fn the_variant_oracles_hold_the_run_they_are_given_to_their_own() {
-        // Oracles #11 and #12 no longer re-run the plain configuration:
-        // whatever first run they are handed is what their variant run
-        // must match, so a doctored one is reported.
+        // Oracle #12 does not re-run the plain configuration: whatever
+        // first run it is handed is what its variant run must match, so
+        // a doctored one is reported.
         let region = RegionSpec::new(2, vec![Construct::Barrier, Construct::Atomic])
             .expect("region is valid");
         let honest = sim_runtime(2).run(&region, 5);
-        assert!(check_engine_equivalence(&region, 5, &honest).is_empty());
         assert!(check_attribution(&region, 5, &honest).is_empty());
-        let mut late = honest.clone().expect("sim run succeeds");
+        let mut late = honest.expect("sim run succeeds");
         late.wall_us += 1.0;
         late.effects.atomic_ops += 1;
-        let reasons = check_engine_equivalence(&region, 5, &Ok(late.clone()));
-        assert_eq!(reasons.len(), 2, "{reasons:#?}");
         let reasons = check_attribution(&region, 5, &Ok(late));
         assert_eq!(reasons.len(), 1, "{reasons:#?}");
         let failed = Err(RtError::Timeout {
             construct: "barrier",
             deadline: Duration::ZERO,
         });
-        for reasons in [
-            check_engine_equivalence(&region, 5, &failed),
-            check_attribution(&region, 5, &failed),
-        ] {
-            assert_eq!(reasons.len(), 1, "{reasons:#?}");
-            assert!(reasons[0].contains("succeeded"), "{reasons:#?}");
-        }
+        let reasons = check_attribution(&region, 5, &failed);
+        assert_eq!(reasons.len(), 1, "{reasons:#?}");
+        assert!(reasons[0].contains("succeeded"), "{reasons:#?}");
     }
 
     #[test]

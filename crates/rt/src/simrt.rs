@@ -78,12 +78,6 @@ pub struct SimRuntime {
     /// never perturbs virtual time: attributed and plain runs of the
     /// same seed are time-identical.
     pub attribution: bool,
-    /// Route runs through the engine's *reference path*: the
-    /// pre-optimization binary-heap event queue and naive topology
-    /// lookups. Slower, independently implemented, and required to be
-    /// observably identical to the optimized path — the yardstick for
-    /// qcheck oracle #11.
-    pub reference_engine: bool,
 }
 
 impl SimRuntime {
@@ -99,7 +93,6 @@ impl SimRuntime {
             faults: FaultPlan::new(),
             tracing: false,
             attribution: false,
-            reference_engine: false,
         }
     }
 
@@ -137,13 +130,6 @@ impl SimRuntime {
     /// [`SimRuntime::attribution`]).
     pub fn with_attribution(mut self, on: bool) -> Self {
         self.attribution = on;
-        self
-    }
-
-    /// Route runs through the engine's reference path (see
-    /// [`SimRuntime::reference_engine`]).
-    pub fn with_reference_engine(mut self, on: bool) -> Self {
-        self.reference_engine = on;
         self
     }
 
@@ -204,8 +190,7 @@ impl SimRuntime {
     /// This is the surface the determinism golden suite digests: every
     /// field of the report (final time, markers, counters, per-task
     /// stats, object effects, frequency samples, trace) must be
-    /// bit-identical across replays and across the optimized/reference
-    /// engine paths.
+    /// bit-identical across replays and match the committed digests.
     ///
     /// # Errors
     ///
@@ -248,9 +233,6 @@ impl SimRuntime {
         }
         if self.attribution {
             sim.enable_attribution();
-        }
-        if self.reference_engine {
-            sim.use_reference_engine();
         }
         Ok(Prepared { sim, roles, marker_pairs, master })
     }

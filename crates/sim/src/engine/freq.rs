@@ -44,7 +44,7 @@ impl Simulator {
             // users correlate against the counter tracks.
             self.trace_global(InstantKind::FreqRetarget, socket as u32);
             // Reprice everything busy on this socket, in ascending CPU
-            // order on both engine paths, via the reused scratch buffer.
+            // order, via the reused scratch buffer.
             let mut cpus = std::mem::take(&mut self.scratch_cpus);
             cpus.clear();
             let busy = |c: &usize| self.cpus[*c].running.is_some();

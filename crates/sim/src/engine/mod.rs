@@ -28,26 +28,31 @@
 //! free functions) in a file of its own, statically dispatched:
 //!
 //! * `topo` — where a hardware thread sits (owns the spec and the flat
-//!   caches);
+//!   caches built from it);
 //! * `place` — which CPU a task or a noise arrival goes to (pure
 //!   functions over a random stream, the run queues and the topology);
 //! * `sched` — rates, progress accounting (`touch`), boundary events,
 //!   run queues, preemption, load balancing and migration;
 //! * `exec` — the op interpreter: programs → micro-ops → sync objects;
+//! * `fast_forward` — absorbing idle chains of no-op ticks and balancer
+//!   passes in O(1) heap operations, ahead of every pop of the main loop;
 //! * `noise`, `freq`, `fault` — the three sources of interference: OS
 //!   noise arrivals, DVFS (governor, droop pulses, the logger), injected
 //!   faults;
 //! * `attr` — the causal attribution ledger, driven by `sched` / `exec`;
 //! * `report` — trace recording and everything `run` returns.
 //!
-//! The reference-engine flag (`Topo::reference`) is read in four places,
-//! the four algorithms that differ between the two paths: `Topo::pick`
-//! (cache vs spec), `Simulator::sibling_busy` (counter vs scan),
-//! `place::least_loaded` (two passes vs candidate `Vec`) and the
-//! fast-forward gate in [`Simulator::run`]. Everything else is one path.
+//! There is one engine path. Each of its optimizations is held to a
+//! referent that ships nowhere: the topology caches to `MachineSpec`'s
+//! own lookups, `place::least_loaded` to a candidate-`Vec` model,
+//! `Simulator::sibling_busy`'s counter to a sibling scan (a debug
+//! assertion), the event queue to a sorted-map model, and the idle
+//! fast-forward to the same run with it switched off (a switch that
+//! exists in test builds only).
 
 mod attr;
 mod exec;
+mod fast_forward;
 mod fault;
 mod freq;
 mod noise;
@@ -64,15 +69,16 @@ use crate::fault::{Fault, FaultEvent, FaultPlan};
 use crate::params::{NoisePlacement, SimParams};
 use crate::rng::Rng;
 use crate::sync::{AtomicObj, BarrierObj, LockObj, LoopObj, LoopSpec, SingleObj, SyncObj, TaskPoolObj};
-use crate::task::{ObjId, Program, Task, TaskId, TaskKind, TaskState};
+use crate::task::{ObjId, Program, Task, TaskId, TaskKind};
 use crate::time::Time;
 use crate::trace::{Counters, FreqSample, MarkerRecord, SimReport};
 use ompvar_obs::{EventKind as TraceKind, SpanKind, TraceEvent};
 use ompvar_topology::{MachineSpec, Place};
 use std::collections::VecDeque;
 
-/// Per-hardware-thread scheduler state.
-#[derive(Debug)]
+/// Per-hardware-thread scheduler state; `default()` is an idle,
+/// online CPU.
+#[derive(Debug, Default)]
 struct Cpu {
     /// Task currently on the CPU (running or spin-waiting).
     running: Option<TaskId>,
@@ -96,20 +102,6 @@ struct Cpu {
 }
 
 impl Cpu {
-    fn new() -> Self {
-        Cpu {
-            running: None,
-            kq: VecDeque::new(),
-            uq: VecDeque::new(),
-            token: 0,
-            tick_token: 0,
-            quantum_end: 0,
-            since: 0,
-            streaming: None,
-            offline: false,
-        }
-    }
-
     #[inline]
     fn load(&self) -> usize {
         self.kq.len() + self.uq.len() + usize::from(self.running.is_some())
@@ -175,8 +167,7 @@ struct LoggerCfg {
 
 /// The simulator.
 pub struct Simulator {
-    /// The machine, every topology lookup, and the reference-engine
-    /// flag (see [`Simulator::use_reference_engine`]).
+    /// The machine and every topology lookup.
     topo: Topo,
     params: SimParams,
     now: Time,
@@ -276,7 +267,7 @@ impl Simulator {
         );
         Simulator {
             scratch_cpus: Vec::new(),
-            cpus: (0..n_cpu).map(|_| Cpu::new()).collect(),
+            cpus: (0..n_cpu).map(|_| Cpu::default()).collect(),
             sockets,
             domains: (0..machine.n_numa()).map(|_| Domain::default()).collect(),
             core_busy: vec![0; machine.n_cores()],
@@ -414,24 +405,6 @@ impl Simulator {
         self.event_budget = Some(budget);
     }
 
-    /// Run on the reference engine: the pre-optimization `BinaryHeap`
-    /// event queue, naive per-use topology lookups through the
-    /// [`MachineSpec`], and no idle-period tick fast-forwarding.
-    ///
-    /// The reference path processes the *identical* event stream — same
-    /// pop order, same RNG draws, same counters — so a seed run on either
-    /// path yields a bit-identical [`SimReport`]. It exists as the
-    /// yardstick: equivalence oracles diff the two paths, and the golden
-    /// determinism suite pins both to one digest.
-    pub fn use_reference_engine(&mut self) {
-        assert!(
-            !self.started,
-            "engine flavor must be chosen before run()"
-        );
-        self.topo.reference = true;
-        self.queue = EventQueue::new_reference();
-    }
-
     /// Turn on span/instant tracing. Tracing records construct timelines
     /// (region, barrier, workshare, …) into the report's [`Trace`] without
     /// perturbing virtual time: traced and untraced runs of the same seed
@@ -520,7 +493,7 @@ impl Simulator {
     /// * [`SimError::InvalidParams`] — structurally invalid parameters,
     ///   rejected before any event runs. A zero `sched.tick_period`
     ///   would re-fire the scheduler tick at the same instant forever,
-    ///   livelocking both engine paths at time 0, so it is refused here.
+    ///   livelocking the engine at time 0, so it is refused here.
     pub fn run(mut self, limit: Time) -> Result<SimReport, SimError> {
         if self.params.sched.tick_period == 0 {
             return Err(SimError::InvalidParams {
@@ -533,9 +506,7 @@ impl Simulator {
             return Err(err);
         }
         while self.users_remaining > 0 {
-            if !self.topo.reference {
-                self.fast_forward_idle(limit);
-            }
+            self.fast_forward_idle(limit);
             let Some((t, ev)) = self.queue.pop() else {
                 return Err(SimError::Deadlock {
                     time: self.now,
@@ -577,106 +548,5 @@ impl Simulator {
             }
         }
         Ok(self.make_report())
-    }
-
-    /// Idle-period fast-forward: while the earliest pending event is a
-    /// pure self-rescheduling no-op, a whole chain of them can be
-    /// absorbed in O(1) heap operations instead of one pop/push per
-    /// event. Two event kinds qualify:
-    ///
-    /// * a valid [`EventKind::TimerTick`] for a CPU whose task is
-    ///   spin-waiting — the tick handler's entire effect is
-    ///   `events += 1`, `ticks += 1`, and a re-push one period later;
-    /// * an [`EventKind::LoadBalance`] while every CPU's user queue is
-    ///   empty — `load_balance`'s per-CPU `while` condition fails
-    ///   everywhere, so the pass mutates nothing and draws no RNG, and
-    ///   the handler's entire effect is `events += 1` plus the re-push.
-    ///
-    /// This is where a deadlocked-but-ticking (or merely
-    /// balance-polling) run stops costing wall-clock time proportional
-    /// to the virtual time limit.
-    ///
-    /// Bit-identity with the unbatched loop is preserved exactly:
-    ///
-    /// * only events that would pop *next* are absorbed — event `i ≥ 2`
-    ///   of a batch must beat every other pending event strictly (its
-    ///   fresh seq loses time ties), bounded by
-    ///   [`EventQueue::second_time`]. Nothing else pops inside a batch,
-    ///   so the eligibility predicate cannot change mid-batch;
-    /// * `now` and the counters advance by the same amounts, and
-    ///   [`EventQueue::bump_seq`] burns the seq numbers the absorbed
-    ///   re-pushes would have consumed, so every future FIFO tie-break
-    ///   is unchanged;
-    /// * events past `limit` or past the event budget are left in the
-    ///   queue for the main loop to trip the error path on, with `now`
-    ///   and the counters in the identical state.
-    fn fast_forward_idle(&mut self, limit: Time) {
-        loop {
-            let Some((t0, ev)) = self.queue.peek() else {
-                return;
-            };
-            // Eligibility + period per kind; `ticks` says whether the
-            // absorbed events also count into `counters.ticks`.
-            let (period, ticks) = match ev {
-                EventKind::TimerTick { cpu, token } => {
-                    if token != self.cpus[cpu].tick_token {
-                        return;
-                    }
-                    let Some(tid) = self.cpus[cpu].running else {
-                        return;
-                    };
-                    if !matches!(self.tasks[tid.0 as usize].state, TaskState::Waiting(_)) {
-                        return;
-                    }
-                    (self.params.sched.tick_period, true)
-                }
-                EventKind::LoadBalance => {
-                    if !self.cpus.iter().all(|c| c.uq.is_empty()) {
-                        return;
-                    }
-                    (self.params.sched.balance_interval, false)
-                }
-                _ => return,
-            };
-            if t0 > limit {
-                return;
-            }
-            if period == 0 {
-                return;
-            }
-            if let Some(b) = self.event_budget {
-                if self.counters.events >= b {
-                    // The head event itself will trip the budget; let the
-                    // main loop pop it and take the error path.
-                    return;
-                }
-            }
-            // How many events beyond the head can be absorbed?
-            let by_second = match self.queue.second_time() {
-                // Event i ≥ 2 must pop strictly before the next other
-                // event: t0 + e*period ≤ second - 1.
-                Some(second) => (second.saturating_sub(1).saturating_sub(t0)) / period,
-                None => u64::MAX,
-            };
-            let by_limit = (limit - t0) / period;
-            let mut extra = by_second.min(by_limit);
-            if let Some(b) = self.event_budget {
-                // Absorb at most up to the budget line; the first event
-                // past it must be popped live so the error fires with the
-                // counters in the unbatched state.
-                extra = extra.min(b - self.counters.events - 1);
-            }
-            let k = extra + 1;
-            let (_, ev) = self.queue.pop().expect("peeked event vanished");
-            self.now = t0 + extra * period;
-            self.counters.events += k;
-            if ticks {
-                self.counters.ticks += k;
-            }
-            // Each absorbed event's re-push would have consumed one seq
-            // number; burn all but the last, which the real re-push takes.
-            self.queue.bump_seq(k - 1);
-            self.queue.push(self.now + period, ev);
-        }
     }
 }

@@ -9,92 +9,43 @@
 use super::topo::Topo;
 use super::Cpu;
 use crate::rng::Rng;
-use ompvar_topology::{HwThreadId, Place};
+use ompvar_topology::Place;
 
 /// Pick the least-loaded online CPU: idle CPUs on fully idle cores
 /// first, then idle CPUs, then minimal queue length; ties broken
 /// randomly. Offline CPUs are never chosen (the hotplug fault keeps
 /// at least one CPU online).
+///
+/// Allocation-free: one pass finds the best (class, load) key and how
+/// many CPUs share it, one draw `rng.index(count)` picks among them in
+/// CPU order, and a second pass locates the drawn one. The tests hold
+/// it to a candidate-`Vec` model of the same rule.
 pub(super) fn least_loaded(rng: &mut Rng, cpus: &[Cpu], topo: &Topo) -> usize {
-    let machine = &topo.spec;
-    if topo.reference {
-        // Pre-optimization body, kept verbatim: candidate Vec plus
-        // per-CPU sibling-Vec allocations.
-        let mut best_key = (u8::MAX, usize::MAX);
-        let mut best: Vec<usize> = Vec::new();
-        for (i, c) in cpus.iter().enumerate() {
-            if c.offline {
-                continue;
-            }
-            let load = c.load();
-            let core_idle = machine
-                .hw_threads_of_core(machine.core_of(HwThreadId(i)))
-                .iter()
-                .all(|h| cpus[h.0].load() == 0);
-            let class = if load == 0 && core_idle {
-                0
-            } else if load == 0 {
-                1
-            } else {
-                2
-            };
-            let key = (class, load);
-            if key < best_key {
-                best_key = key;
-                best.clear();
-                best.push(i);
-            } else if key == best_key {
-                best.push(i);
-            }
-        }
-        return best[rng.index(best.len())];
-    }
-    // Allocation-free variant: two passes over the CPUs, first to
-    // find the best (class, load) key and the candidate count, then —
-    // after drawing `rng.index(count)`, the same single RNG draw the
-    // reference body makes over the same candidate set — to locate
-    // the drawn candidate. Core idleness comes from the regular
-    // layout (`hw = core + lane * n_cores`) instead of a sibling Vec.
-    let n_cores = machine.n_cores();
-    let smt = machine.smt;
-    let key_of = |i: usize, c: &Cpu| -> Option<(u8, usize)> {
-        if c.offline {
+    let key_of = |i: usize| -> Option<(u8, usize)> {
+        if cpus[i].offline {
             return None;
         }
-        let load = c.load();
-        let core = i % n_cores;
-        let core_idle = (0..smt).all(|s| cpus[core + s * n_cores].load() == 0);
-        let class = if load == 0 && core_idle {
-            0
-        } else if load == 0 {
-            1
-        } else {
-            2
+        let load = cpus[i].load();
+        let class = match load {
+            0 if topo.siblings(i).all(|s| cpus[s].load() == 0) => 0,
+            0 => 1,
+            _ => 2,
         };
         Some((class, load))
     };
-    let mut best_key = (u8::MAX, usize::MAX);
-    let mut count = 0usize;
-    for (i, c) in cpus.iter().enumerate() {
-        match key_of(i, c) {
-            Some(key) if key < best_key => {
-                best_key = key;
-                count = 1;
-            }
-            Some(key) if key == best_key => count += 1,
-            _ => {}
+    let (mut best, mut count) = ((u8::MAX, usize::MAX), 0);
+    for key in (0..cpus.len()).filter_map(key_of) {
+        if key < best {
+            (best, count) = (key, 1);
+        } else if key == best {
+            count += 1;
         }
     }
-    let mut k = rng.index(count);
-    for (i, c) in cpus.iter().enumerate() {
-        if key_of(i, c) == Some(best_key) {
-            if k == 0 {
-                return i;
-            }
-            k -= 1;
-        }
-    }
-    unreachable!("candidate set changed between passes")
+    let k = rng.index(count);
+    (0..cpus.len())
+        .filter(|&i| key_of(i) == Some(best))
+        .nth(k)
+        .expect("candidate set changed between passes")
 }
 
 /// Least-loaded online CPU of `place`, the first one on ties; `None` when
@@ -127,7 +78,7 @@ pub(super) fn misplaced_or_least_loaded(
 mod tests {
     use super::*;
     use crate::task::TaskId;
-    use ompvar_topology::MachineSpec;
+    use ompvar_topology::{HwThreadId, MachineSpec};
     use proptest::prelude::*;
 
     fn layouts() -> [MachineSpec; 5] {
@@ -145,7 +96,7 @@ mod tests {
     /// sets occur), the rest carry load 1..=3 spread over the running
     /// slot and both queues; a share `offline` is down, one CPU never.
     fn draw_cpus(rng: &mut Rng, n: usize, idle: f64, offline: f64) -> Vec<Cpu> {
-        let mut cpus: Vec<Cpu> = (0..n).map(|_| Cpu::new()).collect();
+        let mut cpus: Vec<Cpu> = (0..n).map(|_| Cpu::default()).collect();
         for c in &mut cpus {
             c.offline = rng.chance(offline);
             if rng.chance(idle) {
@@ -163,9 +114,43 @@ mod tests {
         cpus
     }
 
+    /// The rule `least_loaded` implements, written the obvious way: a
+    /// candidate `Vec` over the spec's per-core sibling lists, one draw
+    /// to pick among the candidates.
+    fn least_loaded_model(rng: &mut Rng, cpus: &[Cpu], machine: &MachineSpec) -> usize {
+        let mut best_key = (u8::MAX, usize::MAX);
+        let mut best: Vec<usize> = Vec::new();
+        for (i, c) in cpus.iter().enumerate() {
+            if c.offline {
+                continue;
+            }
+            let load = c.load();
+            let core_idle = machine
+                .hw_threads_of_core(machine.core_of(HwThreadId(i)))
+                .iter()
+                .all(|h| cpus[h.0].load() == 0);
+            let class = if load == 0 && core_idle {
+                0
+            } else if load == 0 {
+                1
+            } else {
+                2
+            };
+            let key = (class, load);
+            if key < best_key {
+                best_key = key;
+                best.clear();
+                best.push(i);
+            } else if key == best_key {
+                best.push(i);
+            }
+        }
+        best[rng.index(best.len())]
+    }
+
     proptest! {
-        /// The allocation-free body and the verbatim reference body pick
-        /// the same online CPU and leave the stream exactly one draw on.
+        /// The allocation-free body picks the model's online CPU and
+        /// leaves the stream exactly one draw on.
         #[test]
         fn both_bodies_pick_the_same_cpu_with_one_draw(
             seed in any::<u64>(),
@@ -176,23 +161,20 @@ mod tests {
             let spec = layouts()[layout].clone();
             let mut rng = Rng::new(seed);
             let cpus = draw_cpus(&mut rng, spec.n_hw_threads(), idle, offline);
-            let fast = Topo::new(spec.clone());
-            let mut reference = Topo::new(spec);
-            reference.reference = true;
-            let (mut r_fast, mut r_ref, mut r_one) = (rng.clone(), rng.clone(), rng);
-            let picked = least_loaded(&mut r_fast, &cpus, &fast);
-            prop_assert_eq!(picked, least_loaded(&mut r_ref, &cpus, &reference));
+            let (mut r_fast, mut r_model, mut r_one) = (rng.clone(), rng.clone(), rng);
+            let picked = least_loaded(&mut r_fast, &cpus, &Topo::new(spec.clone()));
+            prop_assert_eq!(picked, least_loaded_model(&mut r_model, &cpus, &spec));
             prop_assert!(!cpus[picked].offline);
             r_one.next_u64();
             let next = r_one.next_u64();
             prop_assert_eq!(r_fast.next_u64(), next);
-            prop_assert_eq!(r_ref.next_u64(), next);
+            prop_assert_eq!(r_model.next_u64(), next);
         }
     }
 
     #[test]
     fn in_place_takes_the_first_least_loaded_online_cpu() {
-        let mut cpus: Vec<Cpu> = (0..4).map(|_| Cpu::new()).collect();
+        let mut cpus: Vec<Cpu> = (0..4).map(|_| Cpu::default()).collect();
         let place = Place::new((0..4).map(HwThreadId).collect());
         cpus[0].running = Some(TaskId(0));
         cpus[1].offline = true;
@@ -211,7 +193,7 @@ mod tests {
     #[test]
     fn misplaced_keeps_an_online_draw_and_redirects_an_offline_one() {
         let topo = Topo::new(MachineSpec::generic(1, 4, 1));
-        let mut cpus: Vec<Cpu> = (0..4).map(|_| Cpu::new()).collect();
+        let mut cpus: Vec<Cpu> = (0..4).map(|_| Cpu::default()).collect();
         cpus[0].offline = true;
         cpus[1].offline = true;
         cpus[2].running = Some(TaskId(0));

@@ -17,17 +17,20 @@ impl Simulator {
     }
 
     pub(super) fn sibling_busy(&self, cpu: usize) -> bool {
-        if self.topo.reference {
-            return self.topo.siblings(cpu).any(|s| self.cpus[s].running.is_some());
-        }
         // `core_busy` counts hardware threads of the core with a task
         // installed (maintained solely by `set_running`), so the sibling
         // scan collapses to one counter read: subtract this thread's own
-        // contribution and ask whether anything is left.
+        // contribution and ask whether anything is left. Debug builds
+        // check every answer against the scan itself.
         let mut n = self.core_busy[self.topo.core_of(cpu)];
         if self.cpus[cpu].running.is_some() {
             n -= 1;
         }
+        debug_assert_eq!(
+            n > 0,
+            self.topo.siblings(cpu).any(|s| self.cpus[s].running.is_some()),
+            "core_busy disagrees with the sibling scan on cpu {cpu}"
+        );
         n > 0
     }
 
@@ -359,9 +362,8 @@ impl Simulator {
                 }
                 self.cpus[cpu].tick_token += 1; // cancel ticks
             }
-            // SMT sibling rate changed (siblings come in ascending order
-            // on both engine paths, so the touch/reschedule sequence is
-            // the same).
+            // SMT sibling rate changed (siblings come in ascending order,
+            // which fixes the touch/reschedule sequence).
             for sib in self.topo.siblings(cpu) {
                 if self.cpus[sib].running.is_some() {
                     self.touch(sib);
@@ -551,34 +553,14 @@ impl Simulator {
             // Stale load information: any allowed CPU, possibly busy.
             return Some(allowed[self.rng_balance.index(allowed.len())]);
         }
-        // Prefer idle CPUs, nearest first.
-        let mut best: Option<(u32, usize)> = None;
-        let mut cands: Vec<usize> = Vec::new();
-        for &c in &allowed {
-            if c == from || self.cpus[c].load() > 0 {
-                continue;
-            }
-            let d = self.topo.distance(from, c);
-            match best {
-                None => {
-                    best = Some((d, c));
-                    cands.clear();
-                    cands.push(c);
-                }
-                Some((bd, _)) if d < bd => {
-                    best = Some((d, c));
-                    cands.clear();
-                    cands.push(c);
-                }
-                Some((bd, _)) if d == bd => cands.push(c),
-                _ => {}
-            }
-        }
-        if cands.is_empty() {
-            None
-        } else {
-            Some(cands[self.rng_balance.index(cands.len())])
-        }
+        // Prefer idle CPUs, nearest first; one draw among the nearest,
+        // none when no allowed CPU is idle.
+        let idle = |c: &usize| *c != from && self.cpus[*c].load() == 0;
+        let distance = |c: usize| self.topo.distance(from, c);
+        let nearest = allowed.iter().copied().filter(idle).map(distance).min()?;
+        let cands: Vec<usize> =
+            allowed.into_iter().filter(|c| idle(c) && distance(*c) == nearest).collect();
+        Some(cands[self.rng_balance.index(cands.len())])
     }
 
     /// Migrate queued task `tid` from `from` to `to`, charging the

@@ -1,33 +1,25 @@
 //! The discrete-event core: event kinds and the time-ordered queue.
 //!
-//! The queue has two interchangeable implementations behind one API:
+//! The queue is two 4-ary min-heaps under one global `seq`, each a
+//! single `Vec` of `(key, payload)` entries where `key` packs `(time,
+//! seq)` into one `u128` so ordering is a single integer compare.
+//! **near** holds only [`EventKind::CpuBoundary`] as a typed 32-byte
+//! entry; **far** holds every other kind. In a noisy regime ~99.9 % of
+//! pops are boundaries while the far tier parks hundreds of long-period
+//! timers (one noise stream per CPU, a tick per busy CPU, the balancer,
+//! the DVFS pulses): kept apart, a boundary pop/push sifts through the
+//! handful of live boundaries instead of through the parked timers.
+//! `pop` takes the smaller of the two heads. Keys are unique (`seq`
+//! never repeats), so the pending set is totally ordered and splitting
+//! it in two and merging by head compare pops the identical sequence a
+//! single heap would.
 //!
-//! * **Packed** (default): two 4-ary min-heaps under one global `seq`,
-//!   each a single `Vec` of `(key, payload)` entries where `key` packs
-//!   `(time, seq)` into one `u128` so ordering is a single integer
-//!   compare. **near** holds only [`EventKind::CpuBoundary`] as a typed
-//!   32-byte entry; **far** holds every other kind. In a noisy regime
-//!   ~99.9 % of pops are boundaries while the far tier parks hundreds
-//!   of long-period timers (one noise stream per CPU, a tick per busy
-//!   CPU, the balancer, the DVFS pulses): kept apart, a boundary
-//!   pop/push sifts through the handful of live boundaries instead of
-//!   through the parked timers. `pop` takes the smaller of the two
-//!   heads. Keys are unique (`seq` never repeats), so the pending set
-//!   is totally ordered and splitting it in two and merging by head
-//!   compare pops the identical sequence a single heap would.
-//! * **Reference**: the original `std::collections::BinaryHeap` of
-//!   `HeapEntry` with a reversed `Ord`, one heap for every kind. Kept
-//!   verbatim as the independently implemented yardstick: qcheck
-//!   oracle #11 and the determinism golden suite hold the two paths to
-//!   bit-identical pop streams.
-//!
-//! Both implementations pop in ascending `(time, seq)` order — earliest
-//! first, ties broken FIFO by insertion sequence — which is what makes
-//! the engine's replay deterministic.
+//! Pops come in ascending `(time, seq)` order — earliest first, ties
+//! broken FIFO by insertion sequence — which is what makes the engine's
+//! replay deterministic. `tests/queue_props.rs` holds the queue to a
+//! sorted-map model of exactly that order.
 
 use crate::time::Time;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Kinds of events processed by the engine.
 ///
@@ -102,10 +94,6 @@ fn pack(time: Time, seq: u64) -> u128 {
 fn unpack_time(key: u128) -> Time {
     (key >> 64) as Time
 }
-
-// ---------------------------------------------------------------------
-// Optimized path: packed-key 4-ary min-heaps, near and far
-// ---------------------------------------------------------------------
 
 /// 4-ary min-heap over packed keys. Entries live in one contiguous
 /// `Vec`; each sift-down step scans at most four children that sit next
@@ -220,66 +208,13 @@ fn boundary_kind((cpu, token): Boundary) -> EventKind {
     }
 }
 
-// ---------------------------------------------------------------------
-// Reference path: the original BinaryHeap layout, kept verbatim
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    time: Time,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        // Ties broken by insertion sequence for determinism.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-#[derive(Debug)]
-enum QueueImpl {
-    Packed {
-        /// `CpuBoundary` events only.
-        near: PackedHeap<Boundary>,
-        /// Every other kind.
-        far: PackedHeap<EventKind>,
-    },
-    Reference(BinaryHeap<HeapEntry>),
-}
-
-/// Does the earliest pending event sit in `near`? Keys are unique, so
-/// the two heads never tie.
-#[inline]
-fn head_is_near(near: &PackedHeap<Boundary>, far: &PackedHeap<EventKind>) -> bool {
-    match (near.entries.first(), far.entries.first()) {
-        (Some(n), Some(f)) => n.0 < f.0,
-        (n, _) => n.is_some(),
-    }
-}
-
 /// Time-ordered event queue with deterministic FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue {
-    imp: QueueImpl,
+    /// `CpuBoundary` events only.
+    near: PackedHeap<Boundary>,
+    /// Every other kind.
+    far: PackedHeap<EventKind>,
     seq: u64,
 }
 
@@ -294,105 +229,85 @@ impl EventQueue {
     /// steady state never regrows a heap mid-run.
     const MIN_CAPACITY: usize = 16;
 
-    /// An empty queue on the optimized (tiered packed heaps) path, at
-    /// the minimum reservation.
+    /// An empty queue at the minimum reservation.
     pub fn new() -> Self {
         EventQueue::with_capacity(0, 0)
     }
 
-    /// An empty queue on the optimized path with room for `near`
-    /// pending CPU boundaries and `far` pending events of every other
-    /// kind (both raised to a small floor).
+    /// An empty queue with room for `near` pending CPU boundaries and
+    /// `far` pending events of every other kind (both raised to a small
+    /// floor).
     pub fn with_capacity(near: usize, far: usize) -> Self {
         EventQueue {
-            imp: QueueImpl::Packed {
-                near: PackedHeap::with_capacity(near.max(Self::MIN_CAPACITY)),
-                far: PackedHeap::with_capacity(far.max(Self::MIN_CAPACITY)),
-            },
+            near: PackedHeap::with_capacity(near.max(Self::MIN_CAPACITY)),
+            far: PackedHeap::with_capacity(far.max(Self::MIN_CAPACITY)),
             seq: 0,
         }
     }
 
-    /// An empty queue on the reference (`BinaryHeap`) path.
-    pub fn new_reference() -> Self {
-        EventQueue {
-            imp: QueueImpl::Reference(BinaryHeap::with_capacity(1024)),
-            seq: 0,
+    /// Does the earliest pending event sit in `near`? Keys are unique,
+    /// so the two heads never tie.
+    #[inline]
+    fn head_is_near(&self) -> bool {
+        match (self.near.entries.first(), self.far.entries.first()) {
+            (Some(n), Some(f)) => n.0 < f.0,
+            (n, _) => n.is_some(),
         }
     }
 
     /// Schedule `kind` at absolute time `time`.
     #[inline]
     pub fn push(&mut self, time: Time, kind: EventKind) {
-        let seq = self.seq;
+        let key = pack(time, self.seq);
         self.seq += 1;
-        match &mut self.imp {
-            QueueImpl::Packed { near, far } => match kind {
-                EventKind::CpuBoundary { cpu, token } => {
-                    let cpu = u32::try_from(cpu).expect("hardware-thread index fits u32");
-                    near.push(pack(time, seq), (cpu, token));
-                }
-                other => far.push(pack(time, seq), other),
-            },
-            QueueImpl::Reference(h) => h.push(HeapEntry { time, seq, kind }),
+        match kind {
+            EventKind::CpuBoundary { cpu, token } => {
+                let cpu = u32::try_from(cpu).expect("hardware-thread index fits u32");
+                self.near.push(key, (cpu, token));
+            }
+            other => self.far.push(key, other),
         }
     }
 
     /// Pop the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, EventKind)> {
-        match &mut self.imp {
-            QueueImpl::Packed { near, far } => {
-                if head_is_near(near, far) {
-                    near.pop().map(|(k, b)| (unpack_time(k), boundary_kind(b)))
-                } else {
-                    far.pop().map(|(k, kind)| {
-                        debug_assert!(!matches!(kind, EventKind::CpuBoundary { .. }));
-                        (unpack_time(k), kind)
-                    })
-                }
-            }
-            QueueImpl::Reference(h) => h.pop().map(|e| (e.time, e.kind)),
+        if self.head_is_near() {
+            let (k, b) = self.near.pop()?;
+            Some((unpack_time(k), boundary_kind(b)))
+        } else {
+            self.far.pop().map(|(k, kind)| {
+                debug_assert!(!matches!(kind, EventKind::CpuBoundary { .. }));
+                (unpack_time(k), kind)
+            })
         }
     }
 
-    /// The earliest pending event, without removing it. Only served on
-    /// the optimized path (the reference path predates it and must stay
-    /// byte-for-byte the original implementation); callers treat `None`
-    /// as "fast paths unavailable".
+    /// The earliest pending event, without removing it.
     #[inline]
     pub fn peek(&self) -> Option<(Time, EventKind)> {
-        match &self.imp {
-            QueueImpl::Packed { near, far } => {
-                if head_is_near(near, far) {
-                    near.head().map(|(k, b)| (unpack_time(k), boundary_kind(b)))
-                } else {
-                    far.head().map(|(k, kind)| (unpack_time(k), kind))
-                }
-            }
-            QueueImpl::Reference(_) => None,
+        if self.head_is_near() {
+            let (k, b) = self.near.head()?;
+            Some((unpack_time(k), boundary_kind(b)))
+        } else {
+            self.far.head().map(|(k, kind)| (unpack_time(k), kind))
         }
     }
 
-    /// The time of the earliest pending event *excluding* the head, on
-    /// the optimized path. `None` when fewer than two events are pending
-    /// or on the reference path. Used by the engine's idle-period
-    /// fast-forward to bound how far a tick chain can be batched.
+    /// The time of the earliest pending event *excluding* the head;
+    /// `None` when fewer than two events are pending. Used by the
+    /// engine's idle-period fast-forward to bound how far a tick chain
+    /// can be batched.
     #[inline]
     pub fn second_time(&self) -> Option<Time> {
-        match &self.imp {
-            QueueImpl::Packed { near, far } => {
-                // The runner-up is either second in the head's own heap
-                // or the head of the other one.
-                let (own, other) = if head_is_near(near, far) {
-                    (near.second_key(), far.head().map(|e| e.0))
-                } else {
-                    (far.second_key(), near.head().map(|e| e.0))
-                };
-                own.into_iter().chain(other).min().map(unpack_time)
-            }
-            QueueImpl::Reference(_) => None,
-        }
+        // The runner-up is either second in the head's own heap or the
+        // head of the other one.
+        let (own, other) = if self.head_is_near() {
+            (self.near.second_key(), self.far.head().map(|e| e.0))
+        } else {
+            (self.far.second_key(), self.near.head().map(|e| e.0))
+        };
+        own.into_iter().chain(other).min().map(unpack_time)
     }
 
     /// Burn `n` sequence numbers without pushing. The idle-period
@@ -406,10 +321,7 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Packed { near, far } => near.entries.len() + far.entries.len(),
-            QueueImpl::Reference(h) => h.len(),
-        }
+        self.near.entries.len() + self.far.entries.len()
     }
 
     /// Whether the queue is empty.
@@ -422,49 +334,42 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    fn both() -> [EventQueue; 2] {
-        [EventQueue::new(), EventQueue::new_reference()]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.push(30, EventKind::LoadBalance);
-            q.push(10, EventKind::FreqSample);
-            q.push(20, EventKind::LoadBalance);
-            assert_eq!(q.pop().unwrap().0, 10);
-            assert_eq!(q.pop().unwrap().0, 20);
-            assert_eq!(q.pop().unwrap().0, 30);
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::new();
+        q.push(30, EventKind::LoadBalance);
+        q.push(10, EventKind::FreqSample);
+        q.push(20, EventKind::LoadBalance);
+        assert_eq!(q.pop().unwrap().0, 10);
+        assert_eq!(q.pop().unwrap().0, 20);
+        assert_eq!(q.pop().unwrap().0, 30);
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn ties_break_fifo() {
-        for mut q in both() {
-            q.push(5, EventKind::CpuBoundary { cpu: 1, token: 0 });
-            q.push(5, EventKind::CpuBoundary { cpu: 2, token: 0 });
-            q.push(5, EventKind::CpuBoundary { cpu: 3, token: 0 });
-            let order: Vec<usize> = (0..3)
-                .map(|_| match q.pop().unwrap().1 {
-                    EventKind::CpuBoundary { cpu, .. } => cpu,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.push(5, EventKind::CpuBoundary { cpu: 1, token: 0 });
+        q.push(5, EventKind::CpuBoundary { cpu: 2, token: 0 });
+        q.push(5, EventKind::CpuBoundary { cpu: 3, token: 0 });
+        let order: Vec<usize> = (0..3)
+            .map(|_| match q.pop().unwrap().1 {
+                EventKind::CpuBoundary { cpu, .. } => cpu,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn len_tracks_contents() {
-        for mut q in both() {
-            assert!(q.is_empty());
-            q.push(1, EventKind::LoadBalance);
-            q.push(2, EventKind::LoadBalance);
-            assert_eq!(q.len(), 2);
-            q.pop();
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        q.push(1, EventKind::LoadBalance);
+        q.push(2, EventKind::LoadBalance);
+        assert_eq!(q.len(), 2);
+        q.pop();
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -496,60 +401,5 @@ mod tests {
         q.push(u64::MAX, boundary(0));
         assert_eq!(q.peek(), Some((u64::MAX, boundary(0))));
         assert!(q.second_time().is_none());
-    }
-
-    #[test]
-    fn reference_declines_fast_path_queries() {
-        let mut q = EventQueue::new_reference();
-        q.push(1, EventKind::LoadBalance);
-        q.push(2, EventKind::LoadBalance);
-        assert!(q.peek().is_none());
-        assert!(q.second_time().is_none());
-    }
-
-    #[test]
-    fn packed_and_reference_pop_identically() {
-        // Deterministic pseudo-random interleaving of pushes and pops.
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new_reference();
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..5000 {
-            let r = step();
-            if r % 3 != 0 || a.is_empty() {
-                // One push in 16 lands at the top of the time range.
-                let t = match step() % 16 {
-                    0 => u64::MAX,
-                    _ => (step() % 64) as Time,
-                };
-                // Half boundaries (near tier), half the far tier's kinds.
-                let cpu = (step() % 8) as usize;
-                let token = step() % 4;
-                let kind = match step() % 8 {
-                    0..=3 => EventKind::CpuBoundary { cpu, token },
-                    4 | 5 => EventKind::TimerTick { cpu, token },
-                    6 => EventKind::NoiseArrival { src: cpu as u32 },
-                    _ => EventKind::LoadBalance,
-                };
-                a.push(t, kind);
-                b.push(t, kind);
-            } else {
-                let head = a.peek();
-                let next = b.pop();
-                assert_eq!(head, next);
-                assert_eq!(a.pop(), next);
-            }
-            assert_eq!(a.len(), b.len());
-        }
-        while !a.is_empty() {
-            assert_eq!(a.pop(), b.pop());
-        }
-        assert_eq!(a.pop(), None);
-        assert_eq!(b.pop(), None);
     }
 }

@@ -1,13 +1,12 @@
 //! Property tests for the event queue's ordering contract — the
 //! invariant every determinism guarantee in the simulator rests on —
-//! and for the engine's token-invalidation semantics across the
-//! optimized/reference queue implementations.
+//! held to a sorted-map model of it.
 
 use ompvar_sim::events::{EventKind, EventQueue};
 use ompvar_sim::prelude::*;
-use ompvar_sim::time::{Time, MS, SEC, US};
 use ompvar_topology::{HwThreadId, MachineSpec, Place};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// What a property draws per push besides its time: a kind selector,
 /// a CPU and a token salt.
@@ -47,20 +46,39 @@ fn pushes(draws: &[(Time, KindDraw)]) -> Vec<(Time, EventKind)> {
         .collect()
 }
 
-/// Pop both queues, holding the packed one's `peek` (time *and* kind)
-/// and `pop` to what the reference pops.
-fn pop_both(packed: &mut EventQueue, reference: &mut EventQueue) -> Result<(), TestCaseError> {
-    let head = packed.peek();
-    let next = reference.pop();
+/// The queue's contract written the obvious way: pending events keyed
+/// by `(time, insertion index)`, popped smallest key first.
+#[derive(Default)]
+struct Model {
+    pending: BTreeMap<(Time, usize), EventKind>,
+    pushed: usize,
+}
+
+impl Model {
+    fn push(&mut self, time: Time, kind: EventKind) {
+        self.pending.insert((time, self.pushed), kind);
+        self.pushed += 1;
+    }
+
+    fn pop(&mut self) -> Option<(Time, EventKind)> {
+        self.pending.pop_first().map(|((time, _), kind)| (time, kind))
+    }
+}
+
+/// Pop the queue and the model, holding the queue's `peek` (time *and*
+/// kind) and `pop` to what the model pops.
+fn pop_both(queue: &mut EventQueue, model: &mut Model) -> Result<(), TestCaseError> {
+    let head = queue.peek();
+    let next = model.pop();
     prop_assert_eq!(head, next);
-    prop_assert_eq!(packed.pop(), next);
+    prop_assert_eq!(queue.pop(), next);
     Ok(())
 }
 
 proptest! {
     /// Popping everything yields ascending time, ties broken FIFO by
-    /// insertion order — i.e. exactly a stable sort by time, on both
-    /// queue implementations and across both tiers of the packed one.
+    /// insertion order — i.e. exactly a stable sort by time, across
+    /// both tiers of the queue.
     #[test]
     fn pops_are_a_stable_sort_by_time(
         draws in prop::collection::vec((time(16), kind_draw()), 1..64),
@@ -68,39 +86,38 @@ proptest! {
         let pushes = pushes(&draws);
         let mut expect = pushes.clone();
         expect.sort_by_key(|&(t, _)| t); // stable: FIFO within equal times
-        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            for &(t, k) in &pushes {
-                q.push(t, k);
-            }
-            prop_assert_eq!(q.len(), pushes.len());
-            let got: Vec<(Time, EventKind)> = std::iter::from_fn(|| q.pop()).collect();
-            prop_assert_eq!(&got, &expect);
+        let mut q = EventQueue::new();
+        for &(t, k) in &pushes {
+            q.push(t, k);
         }
+        prop_assert_eq!(q.len(), pushes.len());
+        let got: Vec<(Time, EventKind)> = std::iter::from_fn(|| q.pop()).collect();
+        prop_assert_eq!(&got, &expect);
     }
 
-    /// The tiered packed heaps and the reference binary heap agree under
-    /// arbitrary push/pop interleavings: same `len`, same pops, and the
-    /// packed queue's `peek` announces each of them.
+    /// The tiered packed heaps agree with the model under arbitrary
+    /// push/pop interleavings: same `len`, same pops, and the queue's
+    /// `peek` announces each of them.
     #[test]
     fn packed_matches_reference_under_interleaving(
         ops in prop::collection::vec((time(64), kind_draw(), 0u64..4), 1..128),
     ) {
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new_reference();
+        let mut queue = EventQueue::new();
+        let mut model = Model::default();
         for (i, &(t, d, action)) in ops.iter().enumerate() {
-            if action == 0 && !a.is_empty() {
-                pop_both(&mut a, &mut b)?;
+            if action == 0 && !queue.is_empty() {
+                pop_both(&mut queue, &mut model)?;
             } else {
-                a.push(t, kind(i, d));
-                b.push(t, kind(i, d));
+                queue.push(t, kind(i, d));
+                model.push(t, kind(i, d));
             }
-            prop_assert_eq!(a.len(), b.len());
+            prop_assert_eq!(queue.len(), model.pending.len());
         }
-        while !a.is_empty() {
-            pop_both(&mut a, &mut b)?;
+        while !queue.is_empty() {
+            pop_both(&mut queue, &mut model)?;
         }
-        prop_assert_eq!(a.peek(), None);
-        prop_assert_eq!(b.pop(), None);
+        prop_assert_eq!(queue.peek(), None);
+        prop_assert_eq!(model.pop(), None);
     }
 
     /// `second_time` (the fast-forward's batching bound) is exactly the
@@ -125,113 +142,28 @@ proptest! {
     }
 }
 
-fn pin(cpu: usize) -> Option<Place> {
-    Some(Place::single(HwThreadId(cpu)))
-}
-
-/// Build an oversubscription scenario that continuously invalidates
-/// event tokens: `n_tasks` tasks stacked per CPU mean every quantum
-/// expiry preempts (bumping the CPU's boundary token and repricing),
-/// and timer ticks stay armed throughout. A zero `tick_period` used to
-/// livelock both engine paths at time 0; `Simulator::run` now rejects
-/// it at validation time (see `zero_tick_period_is_rejected_up_front`).
-fn stacked_sim(
-    n_tasks: usize,
-    cycles: f64,
-    tick_period: Time,
-    quantum: Time,
-    reference: bool,
-) -> Simulator {
-    let machine = MachineSpec::generic(1, 2, 1);
-    let mut params = SimParams::sterile();
-    params.sched.tick_period = tick_period;
-    params.sched.tick_cost = 500;
-    params.sched.quantum = quantum;
-    let mut sim = Simulator::new(machine, params, 42);
-    let barrier = sim.add_barrier(n_tasks, 1.0);
-    for rank in 0..n_tasks {
-        let prog = Program::builder()
-            .compute(cycles, CorunClass::Latency)
-            .barrier(barrier)
-            .compute(cycles / 2.0, CorunClass::Latency)
-            .build();
-        // Stack everyone on CPU 0; CPU 1 stays idle as a migration
-        // target for the load balancer.
-        sim.spawn_user(rank, prog, pin(0));
-    }
-    if reference {
-        sim.use_reference_engine();
-    }
-    sim
-}
-
-fn stacked_run(
-    n_tasks: usize,
-    cycles: f64,
-    tick_period: Time,
-    quantum: Time,
-    reference: bool,
-) -> String {
-    let report = stacked_sim(n_tasks, cycles, tick_period, quantum, reference)
-        .run(10 * SEC)
-        .expect("stacked run completes");
-    format!("{report:?}")
-}
-
 /// Regression: `tick_period = 0` with stacked pinned tasks used to
-/// livelock the engine at time 0 on both paths (every tick re-firing at
-/// the same instant). It is now rejected up front with a typed error,
-/// identically on the optimized and reference engines — the test
+/// livelock the engine at time 0 (every tick re-firing at the same
+/// instant). It is now rejected up front with a typed error — the test
 /// returning at all is the point.
 #[test]
 fn zero_tick_period_is_rejected_up_front() {
-    for reference in [false, true] {
-        let sim = stacked_sim(3, 1e6, 0, 4 * MS, reference);
-        match sim.run(10 * SEC) {
-            Err(SimError::InvalidParams { param, why }) => {
-                assert_eq!(param, "sched.tick_period");
-                assert!(why.contains("livelock"), "{why}");
-            }
-            other => panic!(
-                "reference={reference}: expected InvalidParams, got {other:?}"
-            ),
+    let mut params = SimParams::sterile();
+    params.sched.tick_period = 0;
+    let mut sim = Simulator::new(MachineSpec::generic(1, 2, 1), params, 42);
+    let barrier = sim.add_barrier(3, 1.0);
+    for rank in 0..3 {
+        let prog = Program::builder()
+            .compute(1e6, CorunClass::Latency)
+            .barrier(barrier)
+            .build();
+        sim.spawn_user(rank, prog, Some(Place::single(HwThreadId(0))));
+    }
+    match sim.run(10 * SEC) {
+        Err(SimError::InvalidParams { param, why }) => {
+            assert_eq!(param, "sched.tick_period");
+            assert!(why.contains("livelock"), "{why}");
         }
-    }
-}
-
-proptest! {
-    /// Token-invalidated events are no-ops, identically on both engine
-    /// paths: oversubscribed quantum preemption plus live timer ticks
-    /// generate a steady stream of stale `CpuBoundary`/`TimerTick`
-    /// events, and the full report (every float, every counter) must
-    /// come out bit-identical.
-    #[test]
-    fn stale_token_events_noop_identically(
-        n_tasks in 2usize..5,
-        mcycles in 1u64..20,
-        tick_ms in 1u64..8,
-    ) {
-        let cycles = mcycles as f64 * 1e6;
-        let tick = tick_ms * MS;
-        let opt = stacked_run(n_tasks, cycles, tick, 4 * MS, false);
-        let refr = stacked_run(n_tasks, cycles, tick, 4 * MS, true);
-        prop_assert_eq!(opt, refr);
-    }
-
-    /// Same equivalence across quantum lengths: shorter quanta mean
-    /// more preemptions, so more stale boundary tokens and more
-    /// repricing — while the spin-wait phases give the optimized path's
-    /// idle fast-forward room to engage.
-    #[test]
-    fn quantum_preemption_equivalence(
-        n_tasks in 2usize..6,
-        us in 50u64..500,
-        quantum_us in 100u64..2000,
-    ) {
-        let cycles = (us * US) as f64 * 3.0; // ~3 GHz generic machine
-        let quantum = quantum_us * US;
-        let opt = stacked_run(n_tasks, cycles, 2 * MS, quantum, false);
-        let refr = stacked_run(n_tasks, cycles, 2 * MS, quantum, true);
-        prop_assert_eq!(opt, refr);
+        other => panic!("expected InvalidParams, got {other:?}"),
     }
 }

@@ -1,9 +1,9 @@
 //! Determinism golden suite: pins the simulator's observable output,
-//! bit for bit, across (a) replays of the same seed, (b) the optimized
-//! and reference engine paths, and (c) history — via digests committed
-//! in `tests/golden/sim_report_digests.txt`, generated *before* the
-//! event-queue/fast-forward optimizations landed and required to stay
-//! byte-identical ever since.
+//! bit for bit, across (a) replays of the same seed and (b) history —
+//! via digests committed in `tests/golden/sim_report_digests.txt`,
+//! generated *before* the event-queue/fast-forward optimizations landed
+//! and required to stay byte-identical ever since. Matching them is
+//! matching the pre-optimization engine they were generated on.
 //!
 //! Each case digests the engine's raw [`SimReport`] (or, for runs that
 //! are *supposed* to fail, the full error value) through its `Debug`
@@ -62,9 +62,8 @@ struct Case {
 /// Digest one run: `ok:` + hash of the raw report's Debug rendering,
 /// or `err:` + hash of the error's (errors are part of the observable
 /// surface too — a deadlock report lists who is blocked on what).
-fn digest(case: &Case, reference: bool) -> String {
-    let rt = case.rt.clone().with_reference_engine(reference);
-    match rt.run_report(&case.region, case.seed) {
+fn digest(case: &Case) -> String {
+    match case.rt.run_report(&case.region, case.seed) {
         Ok(report) => format!("ok:{:016x}", fnv1a(format!("{report:?}").as_bytes())),
         Err(err) => format!("err:{:016x}", fnv1a(format!("{err:?}").as_bytes())),
     }
@@ -294,7 +293,7 @@ fn corpus() -> Vec<Case> {
     // The straggler: a generator program whose lock-order inversion
     // deadlocks at runtime, grinding no-op LoadBalance chains to the
     // 300s limit. Digests the *error* (deadlock diagnostics), and pins
-    // the idle fast-forward against the reference path end to end.
+    // the idle fast-forward's absorbed chain end to end.
     let seed = ompvar_qcheck::case_seed(0x5EED_F00D, 264);
     let region = gen::generate(seed, &heavy);
     cases.push(Case {
@@ -322,14 +321,14 @@ fn render_goldens(cases: &[Case]) -> String {
          # UPDATE_SIM_GOLDENS=1 cargo test --test determinism_goldens\n",
     );
     for case in cases {
-        writeln!(out, "{} {}", case.name, digest(case, false)).unwrap();
+        writeln!(out, "{} {}", case.name, digest(case)).unwrap();
     }
     out
 }
 
-/// The committed digests must match what the optimized engine produces
-/// today. This is the history axis: any engine change that shifts one
-/// bit of any report in the corpus fails here.
+/// The committed digests must match what the engine produces today.
+/// This is the history axis: any engine change that shifts one bit of
+/// any report in the corpus fails here.
 #[test]
 fn reports_match_committed_goldens() {
     let cases = corpus();
@@ -357,7 +356,7 @@ fn reports_match_committed_goldens() {
             .find(|c| c.name == name)
             .unwrap_or_else(|| panic!("golden file names unknown case {name:?}"));
         seen += 1;
-        let got = digest(case, false);
+        let got = digest(case);
         if got != want {
             failures.push(format!("  {name}: committed {want}, got {got}"));
         }
@@ -376,25 +375,9 @@ fn reports_match_committed_goldens() {
 fn replay_is_bit_identical() {
     for case in corpus() {
         assert_eq!(
-            digest(&case, false),
-            digest(&case, false),
+            digest(&case),
+            digest(&case),
             "replay diverged for {}",
-            case.name
-        );
-    }
-}
-
-/// Engine-equivalence axis: the optimized path (packed event queue,
-/// topology caches, idle fast-forward, slab reuse) and the reference
-/// path (pre-optimization binary heap, naive lookups, no fast-forward)
-/// must be observably indistinguishable on every case.
-#[test]
-fn reference_engine_is_bit_identical() {
-    for case in corpus() {
-        assert_eq!(
-            digest(&case, false),
-            digest(&case, true),
-            "optimized and reference engines diverged for {}",
             case.name
         );
     }
