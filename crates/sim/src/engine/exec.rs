@@ -40,8 +40,13 @@ impl Simulator {
     /// Drive `tid` (which must be the running task of its CPU, with no
     /// timed micro-op in flight) until it starts a timed micro-op, blocks,
     /// or finishes.
+    ///
+    /// A micro-op that produces the task's very next micro-op hands it
+    /// over in `next` instead of parking it on the task's `micro` stack;
+    /// the stack holds only the tails of expanded ops and chunks.
     pub(super) fn advance(&mut self, tid: TaskId) {
         let ti = tid.0 as usize;
+        let mut next = None;
         loop {
             if self.fatal.is_some() {
                 // A helper raised an unrecoverable error mid-advance; stop
@@ -50,14 +55,15 @@ impl Simulator {
             }
             debug_assert!(self.tasks[ti].current.is_none());
             debug_assert_eq!(self.tasks[ti].state, TaskState::Runnable);
-            let Some(micro) = self.tasks[ti].micro.pop_front() else {
-                if !self.expand_next_op(tid) {
-                    if self.fatal.is_none() {
-                        self.finish_task(tid);
-                    }
-                    return;
+            let Some(micro) = next
+                .take()
+                .or_else(|| self.tasks[ti].micro.pop())
+                .or_else(|| self.expand_next_op(tid))
+            else {
+                if self.fatal.is_none() {
+                    self.finish_task(tid);
                 }
-                continue;
+                return;
             };
             match micro {
                 MicroOp::Timed(t) => {
@@ -121,12 +127,10 @@ impl Simulator {
                             * a.span_factor;
                     a.active += 1;
                     a.ops += 1;
-                    self.tasks[ti]
-                        .micro
-                        .push_front(MicroOp::Timed(Timed::AtomicNs { rem: cost, obj }));
+                    next = Some(MicroOp::Timed(Timed::AtomicNs { rem: cost, obj }));
                 }
                 MicroOp::GrabChunk(obj) => {
-                    self.grab_chunk(tid, obj);
+                    next = self.grab_chunk(tid, obj);
                 }
                 MicroOp::WaitTicket { obj, iter } => {
                     // Ordered span opens at the ticket wait: it covers the
@@ -188,10 +192,12 @@ impl Simulator {
                                     + self.params.sync.atomic_contention_ns * (k - 1.0))
                                 * p.span_factor;
                             self.charge_pot(tid, dispatch, AttrSource::RuntimeOverhead);
+                            // The body, then `TaskDone`, then the next
+                            // steal: the stack takes them last-first.
                             let t = &mut self.tasks[ti];
-                            t.micro.push_front(MicroOp::TaskExecOrWait { obj });
-                            t.micro.push_front(MicroOp::TaskDone { obj });
-                            t.micro.push_front(MicroOp::Timed(Timed::Cycles {
+                            t.micro.push(MicroOp::TaskExecOrWait { obj });
+                            t.micro.push(MicroOp::TaskDone { obj });
+                            next = Some(MicroOp::Timed(Timed::Cycles {
                                 rem: cycles,
                                 class: CorunClass::Latency,
                             }));
@@ -237,13 +243,16 @@ impl Simulator {
                         // Close the span after the winner's body runs; the
                         // marker micro-op is free, so traced and untraced
                         // runs stay time-identical.
-                        self.tasks[ti].micro.push_front(MicroOp::SpanEnd(SpanKind::Single));
-                        if body_cycles > 0.0 {
-                            self.tasks[ti].micro.push_front(MicroOp::Timed(Timed::Cycles {
+                        let end = MicroOp::SpanEnd(SpanKind::Single);
+                        next = Some(if body_cycles > 0.0 {
+                            self.tasks[ti].micro.push(end);
+                            MicroOp::Timed(Timed::Cycles {
                                 rem: body_cycles,
                                 class: CorunClass::Latency,
-                            }));
-                        }
+                            })
+                        } else {
+                            end
+                        });
                     } else {
                         self.charge_pot(tid, self.params.sync.single_ns, AttrSource::RuntimeOverhead);
                         self.trace_task(tid, TraceKind::End(SpanKind::Single));
@@ -256,197 +265,142 @@ impl Simulator {
         }
     }
 
-    /// Expand the op at `pc` into micro-ops. Returns `false` when the
-    /// program has ended.
-    fn expand_next_op(&mut self, tid: TaskId) -> bool {
+    /// Expand the op at `pc` and return its first micro-op. The rest of
+    /// the op (a barrier's arrival, a spawn batch's later spawns) goes on
+    /// the task's stack, which is empty whenever an op expands. Returns
+    /// `None` when the program has ended.
+    fn expand_next_op(&mut self, tid: TaskId) -> Option<MicroOp> {
         let ti = tid.0 as usize;
+        debug_assert!(self.tasks[ti].micro.is_empty(), "op expanded behind a pending tail");
         loop {
-            let pc = self.tasks[ti].pc;
-            if pc >= self.tasks[ti].program.ops().len() {
-                return false;
-            }
-            let op = self.tasks[ti].program.ops()[pc];
-            match op {
+            let t = &mut self.tasks[ti];
+            let pc = t.pc;
+            let op = *t.program.ops().get(pc)?;
+            t.pc += 1;
+            return Some(match op {
                 Op::LoopBegin { count } => {
-                    self.tasks[ti]
-                        .frames
-                        .push(LoopFrame {
-                            begin_pc: pc,
-                            remaining: count - 1,
-                        });
-                    self.tasks[ti].pc += 1;
+                    t.frames.push(LoopFrame {
+                        begin_pc: pc,
+                        remaining: count - 1,
+                    });
                     continue;
                 }
                 Op::LoopEnd => {
-                    let frame = self
-                        .tasks[ti]
-                        .frames
-                        .last_mut()
-                        .expect("LoopEnd without frame");
+                    let frame = t.frames.last_mut().expect("LoopEnd without frame");
                     if frame.remaining > 0 {
                         frame.remaining -= 1;
-                        let back = frame.begin_pc + 1;
-                        self.tasks[ti].pc = back;
+                        t.pc = frame.begin_pc + 1;
                     } else {
-                        self.tasks[ti].frames.pop();
-                        self.tasks[ti].pc += 1;
+                        t.frames.pop();
                     }
                     continue;
                 }
-                Op::Compute { cycles, class } => {
-                    self.tasks[ti]
-                        .micro
-                        .push_back(MicroOp::Timed(Timed::Cycles { rem: cycles, class }));
-                }
-                Op::Busy { ns } => {
-                    self.tasks[ti]
-                        .micro
-                        .push_back(MicroOp::Timed(Timed::Ns { rem: ns }));
-                }
-                Op::MemStream { bytes } => {
-                    self.tasks[ti]
-                        .micro
-                        .push_back(MicroOp::Timed(Timed::Bytes { rem: bytes }));
-                }
-                Op::Mark { marker } => {
-                    self.tasks[ti].micro.push_back(MicroOp::Mark(marker));
-                }
+                Op::Compute { cycles, class } => MicroOp::Timed(Timed::Cycles { rem: cycles, class }),
+                Op::Busy { ns } => MicroOp::Timed(Timed::Ns { rem: ns }),
+                Op::MemStream { bytes } => MicroOp::Timed(Timed::Bytes { rem: bytes }),
+                Op::Mark { marker } => MicroOp::Mark(marker),
                 Op::Barrier { obj } => {
-                    let (n, span) = match &self.objs[obj.0 as usize] {
-                        SyncObj::Barrier(b) => (b.n, b.span_factor),
-                        _ => {
-                            self.type_mismatch("Barrier", obj, "barrier");
-                            return false;
-                        }
+                    let SyncObj::Barrier(b) = &self.objs[obj.0 as usize] else {
+                        self.type_mismatch("Barrier", obj, "barrier");
+                        return None;
                     };
                     let arrive = self.params.sync.barrier_arrive_ns
                         + self.params.sync.barrier_arrive_per_thread_ns
-                            * (n.saturating_sub(1)) as f64
-                            * span;
-                    self.tasks[ti]
-                        .micro
-                        .push_back(MicroOp::Timed(Timed::Ns { rem: arrive }));
-                    self.tasks[ti].micro.push_back(MicroOp::BarrierArrive(obj));
+                            * (b.n.saturating_sub(1)) as f64
+                            * b.span_factor;
+                    t.micro.push(MicroOp::BarrierArrive(obj));
                     // The barrier span covers arrive overhead + wait: it
                     // opens here and closes on release (in `wake`, or in
                     // `barrier_arrive` for the last arriver).
                     self.trace_task(tid, TraceKind::Begin(SpanKind::Barrier));
+                    MicroOp::Timed(Timed::Ns { rem: arrive })
                 }
-                Op::LockAcquire { obj } => {
-                    self.tasks[ti].micro.push_back(MicroOp::LockAcquire(obj));
-                }
-                Op::LockRelease { obj } => {
-                    self.tasks[ti].micro.push_back(MicroOp::LockRelease(obj));
-                }
-                Op::AtomicOp { obj } => {
-                    self.tasks[ti].micro.push_back(MicroOp::AtomicStart(obj));
-                }
+                Op::LockAcquire { obj } => MicroOp::LockAcquire(obj),
+                Op::LockRelease { obj } => MicroOp::LockRelease(obj),
+                Op::AtomicOp { obj } => MicroOp::AtomicStart(obj),
                 Op::ForLoop { obj } => {
                     // Re-arm the task-private loop cursor: it is shared
                     // across loop objects, and two distinct loops whose
                     // generation counters coincide would otherwise alias —
                     // the second loop would see a stale exhausted cursor
                     // and hand this task no work at all.
-                    self.tasks[ti].loop_gen = u64::MAX;
-                    self.tasks[ti].loop_pos = 0;
-                    self.tasks[ti].micro.push_back(MicroOp::GrabChunk(obj));
+                    t.loop_gen = u64::MAX;
+                    t.loop_pos = 0;
                     self.trace_task(tid, TraceKind::Begin(SpanKind::Workshare));
+                    MicroOp::GrabChunk(obj)
                 }
-                Op::Single { obj, body_cycles } => {
-                    self.tasks[ti]
-                        .micro
-                        .push_back(MicroOp::SingleTry { obj, body_cycles });
-                }
+                Op::Single { obj, body_cycles } => MicroOp::SingleTry { obj, body_cycles },
                 Op::TaskSpawn {
                     obj,
                     count,
                     body_cycles,
                 } => {
-                    for _ in 0..count {
-                        self.tasks[ti]
-                            .micro
-                            .push_back(MicroOp::TaskSpawnOne { obj, body_cycles });
+                    if count == 0 {
+                        continue;
                     }
+                    let spawn = MicroOp::TaskSpawnOne { obj, body_cycles };
+                    t.micro.extend((1..count).map(|_| spawn));
+                    spawn
                 }
-                Op::TaskWait { obj } => {
-                    self.tasks[ti].micro.push_back(MicroOp::TaskExecOrWait { obj });
-                }
-            }
-            self.tasks[ti].pc += 1;
-            return true;
+                Op::TaskWait { obj } => MicroOp::TaskExecOrWait { obj },
+            });
         }
     }
 
-    /// Handle a chunk grab for `tid` on loop `obj`, pushing the dispatch
-    /// cost and the body work as micro-ops.
-    fn grab_chunk(&mut self, tid: TaskId, obj: ObjId) {
-        let ti = tid.0 as usize;
-        let rank = self.tasks[ti].rank;
-        let (mut lgen, mut lpos) = (self.tasks[ti].loop_gen, self.tasks[ti].loop_pos);
+    /// Grab `tid`'s next chunk of loop `obj`. Returns the chunk's first
+    /// micro-op (its dispatch cost, else its body) and stacks the rest;
+    /// `None` when the loop is exhausted for `tid`.
+    fn grab_chunk(&mut self, tid: TaskId, obj: ObjId) -> Option<MicroOp> {
         let SyncObj::Loop(l) = &mut self.objs[obj.0 as usize] else {
             self.type_mismatch("GrabChunk", obj, "loop");
-            return;
+            return None;
         };
-        let grab = l.grab(rank, &mut lgen, &mut lpos);
-        self.tasks[ti].loop_gen = lgen;
-        self.tasks[ti].loop_pos = lpos;
-        let SyncObj::Loop(l) = &self.objs[obj.0 as usize] else {
-            unreachable!()
+        let t = &mut self.tasks[tid.0 as usize];
+        debug_assert!(t.micro.is_empty(), "chunk grabbed behind a pending tail");
+        let Some(g) = l.grab(t.rank, &mut t.loop_gen, &mut t.loop_pos) else {
+            l.observe_exhausted();
+            // Loop op done; fall through to the next micro/op.
+            self.trace_task(tid, TraceKind::End(SpanKind::Workshare));
+            return None;
         };
-        match grab {
-            None => {
-                let SyncObj::Loop(l) = &mut self.objs[obj.0 as usize] else {
-                    unreachable!()
-                };
-                l.observe_exhausted();
-                // Loop op done; fall through to the next micro/op.
-                self.trace_task(tid, TraceKind::End(SpanKind::Workshare));
+        let sync = &self.params.sync;
+        let per_grab = match l.spec.schedule {
+            LoopSchedule::Static { .. } => sync.static_grab_ns,
+            LoopSchedule::Dynamic { .. } | LoopSchedule::Guided { .. } => {
+                sync.atomic_ns
+                    + sync.atomic_contention_ns
+                        * l.active().saturating_sub(1) as f64
+                        * l.spec.span_factor
             }
-            Some(g) => {
-                let sync = &self.params.sync;
-                let per_grab = match l.spec.schedule {
-                    LoopSchedule::Static { .. } => sync.static_grab_ns,
-                    LoopSchedule::Dynamic { .. } | LoopSchedule::Guided { .. } => {
-                        sync.atomic_ns
-                            + sync.atomic_contention_ns
-                                * l.active().saturating_sub(1) as f64
-                                * l.spec.span_factor
-                    }
-                };
-                let dispatch = per_grab * g.n_grabs as f64;
-                let body_cycles = l.spec.body_cycles;
-                let body_class = l.spec.body_class;
-                let ordered = l.spec.ordered_section_ns;
-                let t = &mut self.tasks[ti];
-                if dispatch > 0.0 {
-                    t.micro
-                        .push_back(MicroOp::Timed(Timed::Ns { rem: dispatch }));
+        };
+        let dispatch = per_grab * g.n_grabs as f64;
+        // The chunk's micro-ops in order: the first is handed back, the
+        // rest go on the stack, which is reversed below to pop in order.
+        let mut head = (dispatch > 0.0).then_some(MicroOp::Timed(Timed::Ns { rem: dispatch }));
+        let mut emit = |m: MicroOp| match head {
+            None => head = Some(m),
+            Some(_) => t.micro.push(m),
+        };
+        let (body_cycles, class) = (l.spec.body_cycles, l.spec.body_class);
+        match l.spec.ordered_section_ns {
+            None => emit(MicroOp::Timed(Timed::Cycles {
+                rem: body_cycles * g.iters as f64,
+                class,
+            })),
+            Some(section_ns) => {
+                for i in g.first_iter..g.first_iter + g.iters {
+                    emit(MicroOp::Timed(Timed::Cycles { rem: body_cycles, class }));
+                    emit(MicroOp::WaitTicket { obj, iter: i });
+                    emit(MicroOp::Timed(Timed::Ns { rem: section_ns }));
+                    emit(MicroOp::TicketDone { obj });
                 }
-                match ordered {
-                    None => {
-                        t.micro.push_back(MicroOp::Timed(Timed::Cycles {
-                            rem: body_cycles * g.iters as f64,
-                            class: body_class,
-                        }));
-                    }
-                    Some(section_ns) => {
-                        for i in g.first_iter..g.first_iter + g.iters {
-                            t.micro.push_back(MicroOp::Timed(Timed::Cycles {
-                                rem: body_cycles,
-                                class: body_class,
-                            }));
-                            t.micro.push_back(MicroOp::WaitTicket { obj, iter: i });
-                            t.micro
-                                .push_back(MicroOp::Timed(Timed::Ns { rem: section_ns }));
-                            t.micro.push_back(MicroOp::TicketDone { obj });
-                        }
-                    }
-                }
-                t.micro.push_back(MicroOp::SpanEnd(SpanKind::Chunk));
-                t.micro.push_back(MicroOp::GrabChunk(obj));
-                self.trace_task(tid, TraceKind::Begin(SpanKind::Chunk));
             }
         }
+        emit(MicroOp::SpanEnd(SpanKind::Chunk));
+        emit(MicroOp::GrabChunk(obj));
+        t.micro.reverse();
+        self.trace_task(tid, TraceKind::Begin(SpanKind::Chunk));
+        head
     }
 
     /// Park `tid` spin-waiting on `on`, opening a fresh wait episode in

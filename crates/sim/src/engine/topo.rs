@@ -7,7 +7,7 @@
 //! the `MachineSpec::*_of` lookups compute; the tests hold every cached
 //! answer to the spec's own.
 
-use ompvar_topology::{CoreId, HwThreadId, MachineSpec};
+use ompvar_topology::{CoreId, HwThreadId, MachineSpec, NumaId};
 
 /// The simulated machine's layout: the spec plus flat per-CPU caches.
 #[derive(Debug)]
@@ -24,6 +24,8 @@ pub(super) struct Topo {
     core_socket: Vec<u32>,
     /// Hardware threads of each socket, ascending.
     socket_cpus: Vec<Vec<usize>>,
+    /// Hardware threads of each NUMA domain, cores first, then siblings.
+    numa_cpus: Vec<Vec<usize>>,
     /// `spec.n_cores()`, copied out for the sibling formula.
     n_cores: usize,
     /// `spec.smt` (SMT ways per core).
@@ -42,6 +44,9 @@ impl Topo {
         for h in 0..n_cpu {
             socket_cpus[cpu_socket[h] as usize].push(h);
         }
+        let numa_cpus = (0..spec.n_numa())
+            .map(|d| spec.hw_threads_of_numa(NumaId(d)).into_iter().map(|h| h.0).collect())
+            .collect();
         Topo {
             cpu_core: per_cpu(|m, h| m.core_of(h).0),
             cpu_numa: per_cpu(|m, h| m.numa_of(h).0),
@@ -50,6 +55,7 @@ impl Topo {
                 .collect(),
             cpu_socket,
             socket_cpus,
+            numa_cpus,
             n_cores: spec.n_cores(),
             smt: spec.smt,
             spec,
@@ -95,16 +101,23 @@ impl Topo {
     }
 
     /// Hardware threads of `cpu`'s NUMA domain, cores first, then
-    /// siblings (Linux enumeration order), straight from the spec.
-    pub(super) fn numa_peers(&self, cpu: usize) -> impl Iterator<Item = usize> {
-        let peers = self.spec.hw_threads_of_numa(self.spec.numa_of(HwThreadId(cpu)));
-        peers.into_iter().map(|h| h.0)
+    /// siblings (Linux enumeration order).
+    pub(super) fn numa_peers(&self, cpu: usize) -> impl Iterator<Item = usize> + '_ {
+        self.numa_cpus[self.numa_of(cpu)].iter().copied()
     }
 
     /// Topological distance between two hardware threads (see
-    /// [`MachineSpec::distance`]), straight from the spec.
+    /// [`MachineSpec::distance`]).
     pub(super) fn distance(&self, a: usize, b: usize) -> u32 {
-        self.spec.distance(HwThreadId(a), HwThreadId(b))
+        if self.cpu_core[a] == self.cpu_core[b] {
+            0
+        } else if self.cpu_numa[a] == self.cpu_numa[b] {
+            1
+        } else if self.cpu_socket[a] == self.cpu_socket[b] {
+            2
+        } else {
+            3
+        }
     }
 }
 
@@ -128,7 +141,8 @@ mod tests {
 
     /// The caches answer every question as the spec's own lookups do —
     /// including the *order* of `siblings` and `cpus_of_socket`, which
-    /// fixes the order the engine reprices CPUs in.
+    /// fixes the order the engine reprices CPUs in, and of `numa_peers`,
+    /// which fixes the CPU a noise wake settles on.
     #[test]
     fn cached_and_naive_agree_on_every_question() {
         for spec in specs() {
@@ -145,6 +159,18 @@ mod tests {
                 assert_eq!(sibs.len(), spec.smt - 1);
                 assert!(sibs.windows(2).all(|w| w[0] < w[1]), "ascending: {sibs:?}");
                 assert!(sibs.iter().all(|&s| s != cpu && cached.core_of(s) == cached.core_of(cpu)));
+                for other in 0..spec.n_hw_threads() {
+                    let naive = spec.distance(h, HwThreadId(other));
+                    assert_eq!(cached.distance(cpu, other), naive, "{name} cpus {cpu}, {other}");
+                }
+            }
+            for numa in 0..spec.n_numa() {
+                let naive: Vec<usize> =
+                    spec.hw_threads_of_numa(NumaId(numa)).into_iter().map(|h| h.0).collect();
+                for &cpu in &naive {
+                    let peers: Vec<usize> = cached.numa_peers(cpu).collect();
+                    assert_eq!(peers, naive, "{name} numa {numa} from cpu {cpu}");
+                }
             }
             for core in 0..spec.n_cores() {
                 let naive = spec.socket_of_numa(spec.numa_of_core(CoreId(core))).0;

@@ -145,13 +145,17 @@ impl<P: Copy> PackedHeap<P> {
                 break;
             }
             let last = (first + Self::ARITY).min(n);
+            // Which child is smallest is data-dependent and a coin flip
+            // for the branch predictor: select it without a branch.
             let mut best = first;
+            let mut best_key = self.entries[first].0;
             for c in first + 1..last {
-                if self.entries[c].0 < self.entries[best].0 {
-                    best = c;
-                }
+                let key = self.entries[c].0;
+                let less = key < best_key;
+                best = if less { c } else { best };
+                best_key = if less { key } else { best_key };
             }
-            if self.entries[best].0 >= moved.0 {
+            if best_key >= moved.0 {
                 break;
             }
             self.entries[hole] = self.entries[best];

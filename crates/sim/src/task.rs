@@ -2,7 +2,7 @@
 //!
 //! A task's behaviour is described by a [`Program`]: a compact list of
 //! [`Op`]s with structured repetition ([`Op::LoopBegin`]/[`Op::LoopEnd`]).
-//! At run time the engine *expands* one op at a time into a short queue of
+//! At run time the engine *expands* one op at a time into a short run of
 //! [`MicroOp`]s — the unit the event loop actually executes. Expansion is
 //! instantaneous in virtual time; only timed micro-ops (cycles, fixed
 //! nanoseconds, streamed bytes) advance the clock, and only they can be
@@ -10,7 +10,6 @@
 
 use crate::time::Time;
 use ompvar_topology::Place;
-use std::collections::VecDeque;
 
 /// Task identifier (index into the engine's task table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -474,8 +473,10 @@ pub struct Task {
     pub pc: usize,
     /// Active repetition frames.
     pub frames: Vec<LoopFrame>,
-    /// Expanded-but-not-yet-executed micro-ops.
-    pub micro: VecDeque<MicroOp>,
+    /// The tail of the op or chunk in progress: its micro-ops still to
+    /// run, the next one last (a stack). The interpreter hands each
+    /// op's first micro-op over directly, so this holds only tails.
+    pub micro: Vec<MicroOp>,
     /// The timed micro-op currently in progress, if any.
     pub current: Option<Timed>,
     /// Run-state.
@@ -509,7 +510,7 @@ impl Task {
             program,
             pc: 0,
             frames: Vec::new(),
-            micro: VecDeque::new(),
+            micro: Vec::new(),
             current: None,
             state: TaskState::Runnable,
             pin,

@@ -84,11 +84,63 @@ fn allocs_for_mode(reps: u32, attributed: bool) -> u64 {
             .build();
         sim.spawn_user(rank, prog, Some(Place::single(HwThreadId(rank))));
     }
+    allocs_in_run(sim)
+}
+
+/// Allocations made inside `sim.run`, which must finish every task.
+fn allocs_in_run(sim: Simulator) -> u64 {
     let before = allocs_so_far();
-    let report = sim.run(100 * SEC).expect("barrier cycles complete");
+    let report = sim.run(100 * SEC).expect("sync cycles complete");
     let after = allocs_so_far();
     assert_eq!(report.unfinished, 0);
     after - before
+}
+
+/// Run `reps` syncbench-shaped rounds across 4 tasks: an atomic, a
+/// static loop, an ordered dynamic loop, a single, a critical section
+/// and a task batch, with a barrier after each work-shared construct.
+/// Between them they take every path by which the interpreter hands a
+/// micro-op straight over or queues a tail behind it.
+fn syncbench_allocs(reps: u32) -> u64 {
+    let machine = MachineSpec::generic(1, 4, 1);
+    let n = 4;
+    let mut sim = Simulator::new(machine, SimParams::sterile(), 7);
+    let barrier = sim.add_barrier(n, 1.0);
+    let lock = sim.add_lock(1.0);
+    let atomic = sim.add_atomic(1.0);
+    let single = sim.add_single(n);
+    let pool = sim.add_task_pool(1.0, n, n);
+    let spec = |schedule, ordered_section_ns| LoopSpec {
+        schedule,
+        total_iters: 16,
+        n_threads: n,
+        body_cycles: 500.0,
+        body_class: CorunClass::Latency,
+        ordered_section_ns,
+        batch: 1,
+        span_factor: 1.0,
+    };
+    let static_loop = sim.add_loop(spec(LoopSchedule::Static { chunk: 2 }, None));
+    let ordered_loop = sim.add_loop(spec(LoopSchedule::Dynamic { chunk: 1 }, Some(200.0)));
+    for rank in 0..n {
+        let prog = Program::builder()
+            .repeat(reps)
+            .atomic(atomic)
+            .for_loop(static_loop)
+            .barrier(barrier)
+            .for_loop(ordered_loop)
+            .barrier(barrier)
+            .single(single, 1.0e3)
+            .barrier(barrier)
+            .critical(lock, 800.0, CorunClass::Latency)
+            .task_spawn(pool, 2, 1.5e3)
+            .task_wait(pool)
+            .barrier(barrier)
+            .end_repeat()
+            .build();
+        sim.spawn_user(rank, prog, Some(Place::single(HwThreadId(rank))));
+    }
+    allocs_in_run(sim)
 }
 
 /// Tripling the cycle count must not grow the allocation count beyond a
@@ -106,6 +158,22 @@ fn steady_state_sync_cycles_do_not_allocate() {
     assert!(
         delta <= 16,
         "steady-state allocation churn returned: {short} allocs at 50 reps, \
+         {long} at 150 reps (delta {delta}, want <= 16)"
+    );
+}
+
+/// The same bound over every construct: a micro-op handed straight to
+/// its task costs no allocation, and the tails queued behind it reuse the
+/// task's deque.
+#[test]
+fn steady_state_syncbench_rounds_do_not_allocate() {
+    let _ = syncbench_allocs(8);
+    let short = syncbench_allocs(50);
+    let long = syncbench_allocs(150);
+    let delta = long.saturating_sub(short);
+    assert!(
+        delta <= 16,
+        "syncbench rounds allocate per round: {short} allocs at 50 reps, \
          {long} at 150 reps (delta {delta}, want <= 16)"
     );
 }

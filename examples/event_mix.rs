@@ -1,9 +1,12 @@
 //! Engine event mix of Figure 5's EPCC cells: per run of the schedbench
 //! and ten syncbench configurations (ST and MT, `fig5 --fast`
 //! parameters and seeds) print host time, events popped, what share of
-//! them were ticks / noise arrivals / pre-emptions, and ns per event.
-//! Nearly every event is a CPU boundary while Dardel parks 258 noise
-//! timers — the profile the tiered event queue was sized with.
+//! them were ticks / noise arrivals / pre-emptions, and ns per event;
+//! the last line totals events and host time over every cell, with the
+//! mean ns per event — the engine's per-event cost in one number, to
+//! compare between two builds. Nearly every event is a CPU boundary
+//! while Dardel parks 258 noise timers — the profile the tiered event
+//! queue was sized with.
 //!
 //! ```text
 //! cargo run --release --example event_mix
@@ -14,7 +17,7 @@ use ompvar::epcc::{run_seed, schedbench, EpccConfig};
 use ompvar::harness::{fig1, ExpOptions, Platform};
 use ompvar::rt::region::{RegionSpec, Schedule};
 use ompvar::rt::simrt::SimRuntime;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     let opts = ExpOptions::fast();
@@ -22,7 +25,8 @@ fn main() {
         "{:<22} {:>3} {:>8} {:>9} {:>6} {:>6} {:>8} {:>8}",
         "config", "run", "host ms", "events", "ticks", "noise", "preempt", "ns/event"
     );
-    let probe = |label: String, rt: &SimRuntime, region: &RegionSpec| {
+    let (mut total_events, mut total_host) = (0u64, Duration::ZERO);
+    let mut probe = |label: String, rt: &SimRuntime, region: &RegionSpec| {
         for i in 0..opts.n_runs() {
             let clock = Instant::now();
             let res = run_seed(rt, region, opts.seed, i).expect("fig5 cell completes");
@@ -39,6 +43,8 @@ fn main() {
                 c.preemptions,
                 host.as_nanos() as f64 / c.events as f64,
             );
+            total_events += c.events;
+            total_host += host;
         }
     };
 
@@ -57,4 +63,12 @@ fn main() {
         probe(format!("sync-{}-st", c.label()), &st, &region);
         probe(format!("sync-{}-mt", c.label()), &mt, &region);
     }
+    println!(
+        "{:<22} {:>3} {:>8.1} {:>9} {:>31.1}",
+        "total",
+        "",
+        total_host.as_secs_f64() * 1e3,
+        total_events,
+        total_host.as_nanos() as f64 / total_events as f64,
+    );
 }
