@@ -385,12 +385,6 @@ impl Analysis {
         self.diagnostics.iter().map(|d| d.severity()).max()
     }
 
-    /// True when any `Error`-severity finding is present (the program
-    /// is statically rejected).
-    pub fn has_errors(&self) -> bool {
-        self.max_severity() == Some(Severity::Error)
-    }
-
     /// The first `Error`-severity finding, in pass order. This is the
     /// error `validate()` surfaces.
     pub fn first_error(&self) -> Option<&Diagnostic> {
@@ -499,7 +493,6 @@ mod tests {
         assert!(v.contains(&DiagCode::LockCycle));
         assert!(!v.contains(&DiagCode::SerialBottleneck));
         assert!(a.may_deadlock());
-        assert!(!a.has_errors());
         assert_eq!(a.max_severity(), Some(Severity::Warn));
     }
 }

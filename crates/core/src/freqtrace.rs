@@ -1,6 +1,6 @@
 //! Frequency-trace analysis: turning the logger's per-core samples into
 //! the quantities behind the paper's Figures 6 and 7 (frequency bands,
-//! transition counts, residency).
+//! transition counts).
 
 use std::fmt;
 
@@ -130,15 +130,6 @@ impl FreqTrace {
             .sum()
     }
 
-    /// Fraction of samples where `core` ran below `ghz`.
-    pub fn residency_below(&self, core: usize, ghz: f32) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let s = self.core_series(core);
-        s.iter().filter(|&&f| f < ghz).count() as f64 / s.len() as f64
-    }
-
     /// Min and max frequency observed on `core`.
     pub fn band(&self, core: usize) -> (f32, f32) {
         let s = self.core_series(core);
@@ -172,9 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn residency_and_band() {
+    fn band_is_each_cores_min_and_max() {
         let t = trace();
-        assert!((t.residency_below(0, 3.2) - 0.2).abs() < 1e-9);
         assert_eq!(t.band(0), (3.0, 3.5));
         assert_eq!(t.band(1), (2.0, 2.0));
     }
@@ -184,7 +174,6 @@ mod tests {
         let t = FreqTrace::default();
         assert!(t.is_empty());
         assert_eq!(t.n_cores(), 0);
-        assert_eq!(t.residency_below(0, 1.0), 0.0);
     }
 
     #[test]

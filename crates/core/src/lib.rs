@@ -17,5 +17,5 @@ pub mod variability;
 
 pub use freqtrace::{FreqTrace, FreqTraceError};
 pub use report::{fmt_ratio, fmt_us, sparkline, Table};
-pub use stats::{bootstrap_ci_mean, ks_test, mad, mad_outliers, percentile, Summary};
+pub use stats::{ks_test, mad, mad_outliers, percentile, Summary};
 pub use variability::{RunSample, RunSet};

@@ -3,9 +3,8 @@
 //! Implements exactly the quantities the paper reports: mean, standard
 //! deviation, coefficient of variation (CV), minimum/maximum and their
 //! *normalized* forms (min/avg, max/avg), percentiles, MAD-based outlier
-//! detection, a two-sample Kolmogorov–Smirnov test and a seeded bootstrap
-//! confidence interval. Distributions are binned in one place,
-//! `obs::QuantileSketch`.
+//! detection and a two-sample Kolmogorov–Smirnov test. Distributions are
+//! binned in one place, `obs::QuantileSketch`.
 
 /// Summary statistics of one sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -178,37 +177,6 @@ pub fn ks_test(a: &[f64], b: &[f64]) -> (f64, f64) {
     (d, p.clamp(0.0, 1.0))
 }
 
-/// Seeded bootstrap confidence interval for the mean: `level` ∈ (0,1),
-/// e.g. 0.95. Deterministic for a given seed.
-pub fn bootstrap_ci_mean(xs: &[f64], level: f64, resamples: usize, seed: u64) -> (f64, f64) {
-    assert!(!xs.is_empty());
-    assert!((0.0..1.0).contains(&level) && level > 0.0);
-    let mut state = seed;
-    let mut next = move || {
-        // SplitMix64: small, seedable, good enough for resampling.
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let n = xs.len();
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut s = 0.0;
-        for _ in 0..n {
-            s += xs[(next() % n as u64) as usize];
-        }
-        means.push(s / n as f64);
-    }
-    means.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let alpha = (1.0 - level) / 2.0;
-    (
-        percentile_sorted(&means, alpha * 100.0),
-        percentile_sorted(&means, (1.0 - alpha) * 100.0),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,15 +256,5 @@ mod tests {
         let (d, p) = ks_test(&a, &a);
         assert!(d < 1e-12);
         assert!(p > 0.99);
-    }
-
-    #[test]
-    fn bootstrap_ci_contains_mean_and_is_deterministic() {
-        let xs: Vec<f64> = (0..50).map(|i| 5.0 + (i % 7) as f64).collect();
-        let mean = Summary::of(&xs).mean;
-        let (lo, hi) = bootstrap_ci_mean(&xs, 0.95, 500, 42);
-        assert!(lo < mean && mean < hi);
-        assert_eq!(bootstrap_ci_mean(&xs, 0.95, 500, 42), (lo, hi));
-        assert_ne!(bootstrap_ci_mean(&xs, 0.95, 500, 43), (lo, hi));
     }
 }

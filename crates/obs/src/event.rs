@@ -232,14 +232,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Number of span-begin events (the "span count" of a trace).
-    pub fn span_begins(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Begin(_)))
-            .count()
-    }
-
     /// Number of begins of one span kind.
     pub fn count_of(&self, kind: SpanKind) -> usize {
         self.events
@@ -285,7 +277,6 @@ mod tests {
             },
         ]);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.span_begins(), 1);
         assert_eq!(t.count_of(SpanKind::Barrier), 1);
         assert_eq!(t.count_of(SpanKind::Task), 0);
         assert_eq!(t.instants_of(InstantKind::FaultInjection), 1);

@@ -1,9 +1,11 @@
 //! The native backend: interprets a [`RegionSpec`] with real OS threads.
 //!
-//! Every team thread executes the construct list SPMD-style, using the
-//! crate's own synchronization primitives ([`SenseBarrier`], atomic chunk
-//! dispatch, ticket-ordered sections) — the same algorithms the simulated
-//! backend models. The team is persistent: its threads park between
+//! A region is lowered once per run into a tree of nodes, each holding
+//! its construct's parameters and owning its sync objects; every team
+//! thread walks that tree SPMD-style, using the crate's own
+//! synchronization primitives ([`SenseBarrier`], atomic chunk dispatch,
+//! ticket-ordered sections) — the same algorithms the simulated backend
+//! models. The team is persistent: its threads park between
 //! regions, as libgomp's do, so a region costs a wake-up, not a spawn
 //! and a join. Thread pinning uses `sched_setaffinity` where the host
 //! supports it.
@@ -129,7 +131,7 @@ impl NativePool {
     /// `guard` expires while tasks are still outstanding.
     #[must_use]
     fn exec_and_wait(&self, guard: &RunGuard, trace: &mut Tracer) -> bool {
-        wait_until(Some(guard), || {
+        wait_until(guard, || {
             loop {
                 // The queue lock is released before the task runs.
                 let job = self.queue.lock().pop_front();
@@ -145,28 +147,144 @@ impl NativePool {
     }
 }
 
-/// The native sync objects of one construct; slot `k` of the table
-/// belongs to the `k`-th construct in traversal order.
-enum NObj {
-    None,
+/// One construct, lowered: its parameters and the sync objects it owns.
+/// [`lower`] builds a region's tree once per run and every rank walks
+/// that same tree, so a `Repeat` body's objects serve every pass.
+enum Node {
+    /// `DelayUs`, and `Compute` at its nominal delay.
+    Delay(f64),
+    StreamBytes(usize),
+    /// Master-only timestamp: marker `2k` begins interval `k`, `2k + 1`
+    /// ends it.
+    Mark(u32),
     Barrier(SenseBarrier),
-    Lock(NativeLock),
+    /// `Critical` and `LockUnlock`: a lock private to the site.
+    Critical { body_us: f64, lock: NativeLock },
     Atomic(AtomicU64),
-    LoopWithBarrier(NativeLoop, Option<SenseBarrier>, Option<f64>),
-    SingleWithBarrier(NativeSingle, SenseBarrier),
-    LockWithBarrier(NativeLock, SenseBarrier),
-    RegionBarriers(SenseBarrier, SenseBarrier),
-    /// Pool, post-spawn barrier, final barrier.
-    Tasks(NativePool, SenseBarrier, SenseBarrier),
-    /// Worksharing loop, combine lock, implicit end-of-loop barrier.
-    ReductionFor(NativeLoop, NativeLock, SenseBarrier),
+    Single { body_us: f64, single: NativeSingle, barrier: SenseBarrier },
+    Reduction { body_us: f64, combine: NativeLock, barrier: SenseBarrier },
+    /// `ParallelFor`; no barrier iff `nowait`.
+    For {
+        body_us: f64,
+        ordered_us: Option<f64>,
+        lp: NativeLoop,
+        barrier: Option<SenseBarrier>,
+    },
+    ReductionFor {
+        var: u32,
+        red: RedOp,
+        body_us: f64,
+        delta: i64,
+        lp: NativeLoop,
+        combine: NativeLock,
+        barrier: SenseBarrier,
+    },
+    Tasks {
+        per_spawner: u32,
+        body_us: f64,
+        master_only: bool,
+        pool: NativePool,
+        after_spawn: SenseBarrier,
+        fin: SenseBarrier,
+    },
+    ParallelRegion { entry: SenseBarrier, body: Vec<Node>, exit: SenseBarrier },
+    /// A named-lock scope. Equal ids alias one lock, so the lock lives in
+    /// the run's id-keyed side table, not in the node.
+    Locked { lock: u32, body: Vec<Node> },
+    Repeat { count: u32, body: Vec<Node> },
+    Read(u32),
+    /// A write to a shared variable: an atomic RMW on its cell in the
+    /// values side table, counted in `rmws`.
+    SharedWrite { var: u32, op: WriteOp, rmws: AtomicU64 },
+    PrivateWrite { var: u32, op: WriteOp },
 }
 
-/// Fold the object table's counters into a [`SemanticEffects`] summary
-/// (the native mirror of the simulated backend's harvest — the same
-/// construct→object mapping, read back from atomics).
-fn harvest_effects(objs: &[NObj]) -> SemanticEffects {
-    let mut fx = SemanticEffects::default();
+/// Lower a construct list for a team of `n` in one walk: each construct
+/// creates its sync objects where it is met. A write is shared iff its
+/// variable has a cell in `shared`; a named lock is created in `named`
+/// at its first site.
+fn lower(
+    cs: &[Construct],
+    n: usize,
+    shared: &BTreeMap<u32, AtomicI64>,
+    named: &mut BTreeMap<u32, NativeLock>,
+) -> Vec<Node> {
+    cs.iter()
+        .map(|c| match c {
+            Construct::DelayUs(us) => Node::Delay(*us),
+            // "cycles" at a nominal 1 GHz equivalent: cycles → ns of
+            // chain work.
+            Construct::Compute { cycles, .. } => Node::Delay(*cycles / 1e3 / 3.0),
+            Construct::StreamBytes(bytes) => Node::StreamBytes(*bytes as usize),
+            Construct::MarkBegin(k) => Node::Mark(2 * k),
+            Construct::MarkEnd(k) => Node::Mark(2 * k + 1),
+            Construct::Barrier => Node::Barrier(SenseBarrier::new(n)),
+            Construct::Critical { body_us } | Construct::LockUnlock { body_us } => {
+                Node::Critical { body_us: *body_us, lock: NativeLock::new() }
+            }
+            Construct::Atomic => Node::Atomic(AtomicU64::new(0)),
+            Construct::Single { body_us } => Node::Single {
+                body_us: *body_us,
+                single: NativeSingle::new(),
+                barrier: SenseBarrier::new(n),
+            },
+            Construct::Reduction { body_us } => Node::Reduction {
+                body_us: *body_us,
+                combine: NativeLock::new(),
+                barrier: SenseBarrier::new(n),
+            },
+            Construct::ParallelFor { schedule, total_iters, body_us, ordered_us, nowait } => {
+                Node::For {
+                    body_us: *body_us,
+                    ordered_us: *ordered_us,
+                    lp: NativeLoop::new(*schedule, *total_iters, n),
+                    barrier: (!nowait).then(|| SenseBarrier::new(n)),
+                }
+            }
+            Construct::ReductionFor { var, red, schedule, total_iters, body_us, delta } => {
+                Node::ReductionFor {
+                    var: *var,
+                    red: *red,
+                    body_us: *body_us,
+                    delta: *delta,
+                    lp: NativeLoop::new(*schedule, *total_iters, n),
+                    combine: NativeLock::new(),
+                    barrier: SenseBarrier::new(n),
+                }
+            }
+            Construct::Tasks { per_spawner, body_us, master_only } => Node::Tasks {
+                per_spawner: *per_spawner,
+                body_us: *body_us,
+                master_only: *master_only,
+                pool: NativePool::new(),
+                after_spawn: SenseBarrier::new(n),
+                fin: SenseBarrier::new(n),
+            },
+            Construct::ParallelRegion { body } => Node::ParallelRegion {
+                entry: SenseBarrier::new(n),
+                body: lower(body, n, shared, named),
+                exit: SenseBarrier::new(n),
+            },
+            Construct::Locked { lock, body } => {
+                named.entry(*lock).or_insert_with(NativeLock::new);
+                Node::Locked { lock: *lock, body: lower(body, n, shared, named) }
+            }
+            Construct::Repeat { count, body } => {
+                Node::Repeat { count: *count, body: lower(body, n, shared, named) }
+            }
+            Construct::VarRead { var } => Node::Read(*var),
+            Construct::VarWrite { var, op } if shared.contains_key(var) => {
+                Node::SharedWrite { var: *var, op: *op, rmws: AtomicU64::new(0) }
+            }
+            Construct::VarWrite { var, op } => Node::PrivateWrite { var: *var, op: *op },
+        })
+        .collect()
+}
+
+/// Fold the counters of `nodes` into `fx` (the native mirror of the
+/// simulated backend's harvest, read back from atomics). Named locks
+/// live in the side table and are the caller's to add, once.
+fn harvest(nodes: &[Node], fx: &mut SemanticEffects) {
     let loop_counts = |fx: &mut SemanticEffects, lp: &NativeLoop| {
         let (iters, passes, ordered_done, violations) = lp.effect_counts();
         fx.loop_iters += iters;
@@ -174,48 +292,55 @@ fn harvest_effects(objs: &[NObj]) -> SemanticEffects {
         fx.ordered_entries += ordered_done;
         fx.ordered_violations += violations;
     };
-    for o in objs {
-        match o {
-            NObj::None => {}
-            NObj::Barrier(b) => fx.barrier_arrivals += b.arrivals(),
-            NObj::Lock(l) => {
-                fx.lock_entries += l.entries.load(Ordering::Acquire);
-                fx.mutex_violations += l.violations.load(Ordering::Acquire);
+    for node in nodes {
+        match node {
+            Node::Delay(_)
+            | Node::StreamBytes(_)
+            | Node::Mark(_)
+            | Node::Read(_)
+            | Node::PrivateWrite { .. } => {}
+            Node::Barrier(b) => fx.barrier_arrivals += b.arrivals(),
+            Node::Critical { lock, .. } => {
+                fx.lock_entries += lock.entries.load(Ordering::Acquire);
+                fx.mutex_violations += lock.violations.load(Ordering::Acquire);
             }
-            NObj::Atomic(a) => fx.atomic_ops += a.load(Ordering::Acquire),
-            NObj::LoopWithBarrier(lp, bar, _) => {
-                loop_counts(&mut fx, lp);
-                if let Some(b) = bar {
+            Node::Atomic(ops) | Node::SharedWrite { rmws: ops, .. } => {
+                fx.atomic_ops += ops.load(Ordering::Acquire);
+            }
+            Node::Single { single, barrier, .. } => {
+                fx.single_entries += single.count.load(Ordering::Acquire);
+                fx.single_winners += single.wins.load(Ordering::Acquire);
+                fx.barrier_arrivals += barrier.arrivals();
+            }
+            Node::Reduction { combine, barrier, .. } => {
+                fx.reduction_combines += combine.entries.load(Ordering::Acquire);
+                fx.mutex_violations += combine.violations.load(Ordering::Acquire);
+                fx.barrier_arrivals += barrier.arrivals();
+            }
+            Node::For { lp, barrier, .. } => {
+                loop_counts(fx, lp);
+                if let Some(b) = barrier {
                     fx.barrier_arrivals += b.arrivals();
                 }
             }
-            NObj::SingleWithBarrier(s, b) => {
-                fx.single_entries += s.count.load(Ordering::Acquire);
-                fx.single_winners += s.wins.load(Ordering::Acquire);
-                fx.barrier_arrivals += b.arrivals();
+            Node::ReductionFor { lp, combine, barrier, .. } => {
+                loop_counts(fx, lp);
+                fx.reduction_combines += combine.entries.load(Ordering::Acquire);
+                fx.mutex_violations += combine.violations.load(Ordering::Acquire);
+                fx.barrier_arrivals += barrier.arrivals();
             }
-            NObj::LockWithBarrier(l, b) => {
-                fx.reduction_combines += l.entries.load(Ordering::Acquire);
-                fx.mutex_violations += l.violations.load(Ordering::Acquire);
-                fx.barrier_arrivals += b.arrivals();
-            }
-            NObj::ReductionFor(lp, l, b) => {
-                loop_counts(&mut fx, lp);
-                fx.reduction_combines += l.entries.load(Ordering::Acquire);
-                fx.mutex_violations += l.violations.load(Ordering::Acquire);
-                fx.barrier_arrivals += b.arrivals();
-            }
-            NObj::RegionBarriers(entry, exit) => {
-                fx.barrier_arrivals += entry.arrivals() + exit.arrivals();
-            }
-            NObj::Tasks(p, after_spawn, fin) => {
-                fx.tasks_spawned += p.spawned.load(Ordering::Acquire);
-                fx.tasks_executed += p.executed.load(Ordering::Acquire);
+            Node::Tasks { pool, after_spawn, fin, .. } => {
+                fx.tasks_spawned += pool.spawned.load(Ordering::Acquire);
+                fx.tasks_executed += pool.executed.load(Ordering::Acquire);
                 fx.barrier_arrivals += after_spawn.arrivals() + fin.arrivals();
             }
+            Node::ParallelRegion { entry, body, exit } => {
+                fx.barrier_arrivals += entry.arrivals() + exit.arrivals();
+                harvest(body, fx);
+            }
+            Node::Locked { body, .. } | Node::Repeat { body, .. } => harvest(body, fx),
         }
     }
-    fx
 }
 
 /// Per-thread span recorder for the native backend: monotonic wall-clock
@@ -309,6 +434,13 @@ impl NativeRuntime {
     /// The deadline, `wall_us` and every interval are measured from the
     /// moment the region is dispatched to the (already running) team.
     pub fn run(&self, region: &RegionSpec) -> Result<RegionResult, RtError> {
+        let (run, wall_us) = self.dispatch(region)?;
+        run.finish(wall_us)
+    }
+
+    /// Validate and lower `region`, run it on the team, and hand back
+    /// its state together with the wall time from dispatch to completion.
+    fn dispatch(&self, region: &RegionSpec) -> Result<(RegionRun, f64), RtError> {
         region.validate().map_err(RtError::InvalidRegion)?;
         let n = region.n_threads;
         // Data environment: shared variables get one atomic cell each in
@@ -326,20 +458,15 @@ impl NativeRuntime {
                 }
             }
         }
-        let mut objs = Vec::new();
-        // Named locks are shared across construct sites (equal ids alias
-        // one lock object), so they live in a side table keyed by id
-        // rather than in the traversal-ordered object table.
-        let mut named_locks: BTreeMap<u32, NativeLock> = BTreeMap::new();
-        allocate(&region.constructs, n, &values, &mut objs, &mut named_locks);
+        let mut named_locks = BTreeMap::new();
+        let nodes = lower(&region.constructs, n, &values, &mut named_locks);
 
         // One region at a time per team: a concurrent run on a clone
         // waits here, before its clock starts.
         let mut team = self.team.lock();
         let placement = team.muster(&self.config, n);
         let run = Arc::new(RegionRun {
-            constructs: region.constructs.clone(),
-            objs,
+            nodes,
             named_locks,
             values,
             private_init,
@@ -354,61 +481,15 @@ impl NativeRuntime {
         drop(team);
         let run = Arc::into_inner(run)
             .expect("every rank drops its handle before the completion latch opens");
-
-        if let Some(construct) = run.first_timeout.into_inner() {
-            return Err(RtError::Timeout {
-                construct,
-                deadline: run.guard.budget().unwrap_or_default(),
-            });
-        }
-
-        // Pair up begin/end marks per id.
-        let mut begins: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-        let mut ends: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-        for (m, t) in run.marks.into_inner() {
-            if m % 2 == 0 {
-                begins.entry(m / 2).or_default().push(t);
-            } else {
-                ends.entry(m / 2).or_default().push(t);
-            }
-        }
-        let mut intervals_us = BTreeMap::new();
-        for (k, b) in begins {
-            let e = ends.remove(&k).unwrap_or_default();
-            assert_eq!(b.len(), e.len(), "unpaired markers for interval {k}");
-            intervals_us.insert(k, b.iter().zip(&e).map(|(b, e)| e - b).collect());
-        }
-        let mut effects = harvest_effects(&run.objs);
-        for l in run.named_locks.values() {
-            effects.lock_entries += l.entries.load(Ordering::Acquire);
-            effects.mutex_violations += l.violations.load(Ordering::Acquire);
-        }
-        Ok(RegionResult {
-            intervals_us,
-            wall_us,
-            freq_samples: Vec::new(),
-            counters: None,
-            thread_stats: Vec::new(),
-            effects,
-            trace: run.team_trace.map(TeamRecorder::finish),
-            // The native backend cannot see inside the host kernel; the
-            // causal ledger is a simulator-only capability.
-            attribution: None,
-            final_values: run
-                .values
-                .iter()
-                .map(|(&id, cell)| (id, cell.load(Ordering::SeqCst)))
-                .collect(),
-        })
+        Ok((run, wall_us))
     }
 }
 
 /// Everything one region run shares between its ranks. Built by
-/// [`NativeRuntime::run`], lent to the team for the duration of the
+/// `NativeRuntime::dispatch`, lent to the team for the duration of the
 /// dispatch, and read back once every rank has finished.
 struct RegionRun {
-    constructs: Vec<Construct>,
-    objs: Vec<NObj>,
+    nodes: Vec<Node>,
     named_locks: BTreeMap<u32, NativeLock>,
     values: BTreeMap<u32, AtomicI64>,
     private_init: BTreeMap<u32, i64>,
@@ -422,16 +503,64 @@ struct RegionRun {
     team_trace: Option<TeamRecorder>,
 }
 
+impl RegionRun {
+    /// The measured result of a finished run, or its timeout.
+    fn finish(self, wall_us: f64) -> Result<RegionResult, RtError> {
+        if let Some(construct) = self.first_timeout.into_inner() {
+            return Err(RtError::Timeout {
+                construct,
+                deadline: self.guard.budget().unwrap_or_default(),
+            });
+        }
+
+        // Pair up begin/end marks per id.
+        let mut begins: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+        let mut ends: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+        for (m, t) in self.marks.into_inner() {
+            if m % 2 == 0 {
+                begins.entry(m / 2).or_default().push(t);
+            } else {
+                ends.entry(m / 2).or_default().push(t);
+            }
+        }
+        let mut intervals_us = BTreeMap::new();
+        for (k, b) in begins {
+            let e = ends.remove(&k).unwrap_or_default();
+            assert_eq!(b.len(), e.len(), "unpaired markers for interval {k}");
+            intervals_us.insert(k, b.iter().zip(&e).map(|(b, e)| e - b).collect());
+        }
+        let mut effects = SemanticEffects::default();
+        harvest(&self.nodes, &mut effects);
+        for l in self.named_locks.values() {
+            effects.lock_entries += l.entries.load(Ordering::Acquire);
+            effects.mutex_violations += l.violations.load(Ordering::Acquire);
+        }
+        Ok(RegionResult {
+            intervals_us,
+            wall_us,
+            freq_samples: Vec::new(),
+            counters: None,
+            thread_stats: Vec::new(),
+            effects,
+            trace: self.team_trace.map(TeamRecorder::finish),
+            // The native backend cannot see inside the host kernel; the
+            // causal ledger is a simulator-only capability.
+            attribution: None,
+            final_values: self
+                .values
+                .iter()
+                .map(|(&id, cell)| (id, cell.load(Ordering::SeqCst)))
+                .collect(),
+        })
+    }
+}
+
 impl Job for RegionRun {
     fn run(&self, rank: usize) {
-        // Rebuilt per region: no sense flag, cursor, private copy or
-        // span survives from the worker's previous region.
+        // Rebuilt per region: no private copy or span survives from the
+        // worker's previous region.
         let mut ctx = ThreadCtx {
             rank,
-            // Two sense flags per object: slot 2k for the object's first
-            // barrier, 2k+1 for its second (ParallelRegion, Tasks).
-            sense: vec![false; self.objs.len() * 2],
-            cursor: vec![LoopCursor::default(); self.objs.len()],
             local_marks: Vec::new(),
             t0: self.t0,
             guard: &self.guard,
@@ -441,7 +570,7 @@ impl Job for RegionRun {
             trace: Tracer::new(self.team_trace.is_some(), rank, self.t0),
         };
         ctx.trace.begin(SpanKind::Region);
-        if let Err(construct) = interpret(&self.constructs, &self.objs, &mut ctx, &mut 0) {
+        if let Err(construct) = interpret(&self.nodes, &mut ctx) {
             self.first_timeout.lock().get_or_insert(construct);
             return;
         }
@@ -461,10 +590,6 @@ impl Job for RegionRun {
 
 struct ThreadCtx<'a> {
     rank: usize,
-    /// Per-object local sense flags (indexed like the object table).
-    sense: Vec<bool>,
-    /// Per-object loop cursors.
-    cursor: Vec<LoopCursor>,
     /// Master-thread timestamps: (marker, µs since region start).
     local_marks: Vec<(u32, f64)>,
     t0: Instant,
@@ -487,17 +612,12 @@ impl ThreadCtx<'_> {
         self.t0.elapsed().as_secs_f64() * 1e6
     }
 
-    /// Meet the team at `b` (local sense flag `slot`) inside a barrier
-    /// span. `Err(what)` once the run deadline expires.
+    /// Meet the team at `b` inside a barrier span. `Err(what)` once the
+    /// run deadline expires.
     #[inline]
-    fn barrier(
-        &mut self,
-        b: &SenseBarrier,
-        slot: usize,
-        what: &'static str,
-    ) -> Result<(), &'static str> {
+    fn barrier(&mut self, b: &SenseBarrier, what: &'static str) -> Result<(), &'static str> {
         self.trace.begin(SpanKind::Barrier);
-        if !b.wait_bounded(&mut self.sense[slot], self.guard) {
+        if !b.wait(self.guard) {
             return Err(what);
         }
         self.trace.end(SpanKind::Barrier);
@@ -505,154 +625,56 @@ impl ThreadCtx<'_> {
     }
 }
 
-/// Allocate the object table in traversal order: exactly one slot per
-/// construct, so [`interpret`] finds a construct's objects at the index
-/// it counts to and never looks ahead.
-fn allocate(
-    cs: &[Construct],
-    n: usize,
-    values: &BTreeMap<u32, AtomicI64>,
-    out: &mut Vec<NObj>,
-    named: &mut BTreeMap<u32, NativeLock>,
-) {
-    for c in cs {
-        out.push(match c {
-            Construct::Barrier => NObj::Barrier(SenseBarrier::new(n)),
-            Construct::Critical { .. } | Construct::LockUnlock { .. } => {
-                NObj::Lock(NativeLock::new())
+/// Walk `nodes` as one rank. Returns the construct kind that was
+/// waiting when the run deadline expired, if it did.
+fn interpret(nodes: &[Node], ctx: &mut ThreadCtx<'_>) -> Result<(), &'static str> {
+    for node in nodes {
+        match node {
+            Node::Delay(us) => delay(*us),
+            Node::StreamBytes(bytes) => stream_bytes(*bytes),
+            Node::Mark(m) => {
+                if ctx.rank == 0 {
+                    ctx.local_marks.push((*m, ctx.now_us()));
+                }
             }
-            Construct::Atomic => NObj::Atomic(AtomicU64::new(0)),
-            // Shared writes count as atomic RMWs (the cell itself lives
-            // in the values side table).
-            Construct::VarWrite { var, .. } if values.contains_key(var) => {
-                NObj::Atomic(AtomicU64::new(0))
-            }
-            Construct::Single { .. } => {
-                NObj::SingleWithBarrier(NativeSingle::new(), SenseBarrier::new(n))
-            }
-            Construct::Reduction { .. } => {
-                NObj::LockWithBarrier(NativeLock::new(), SenseBarrier::new(n))
-            }
-            Construct::ParallelFor { schedule, total_iters, ordered_us, nowait, .. } => {
-                NObj::LoopWithBarrier(
-                    NativeLoop::new(*schedule, *total_iters, n),
-                    if *nowait { None } else { Some(SenseBarrier::new(n)) },
-                    *ordered_us,
-                )
-            }
-            Construct::ReductionFor { schedule, total_iters, .. } => NObj::ReductionFor(
-                NativeLoop::new(*schedule, *total_iters, n),
-                NativeLock::new(),
-                SenseBarrier::new(n),
-            ),
-            Construct::Tasks { .. } => {
-                NObj::Tasks(NativePool::new(), SenseBarrier::new(n), SenseBarrier::new(n))
-            }
-            Construct::ParallelRegion { .. } => {
-                NObj::RegionBarriers(SenseBarrier::new(n), SenseBarrier::new(n))
-            }
-            // No object of their own: a private store has no shared
-            // state, and a named lock lives in the side table keyed by id.
-            Construct::DelayUs(_)
-            | Construct::Compute { .. }
-            | Construct::StreamBytes(_)
-            | Construct::MarkBegin(_)
-            | Construct::MarkEnd(_)
-            | Construct::VarRead { .. }
-            | Construct::VarWrite { .. }
-            | Construct::Locked { .. }
-            | Construct::Repeat { .. } => NObj::None,
-        });
-        match c {
-            Construct::Locked { lock, body } => {
-                named.entry(*lock).or_insert_with(NativeLock::new);
-                allocate(body, n, values, out, named);
-            }
-            Construct::ParallelRegion { body } | Construct::Repeat { body, .. } => {
-                allocate(body, n, values, out, named);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Interpret the construct list for one thread. `idx` walks the object
-/// table in the same order as [`allocate`]. Returns the construct kind
-/// that was waiting when the run deadline expired, if it did.
-fn interpret(
-    cs: &[Construct],
-    objs: &[NObj],
-    ctx: &mut ThreadCtx<'_>,
-    idx: &mut usize,
-) -> Result<(), &'static str> {
-    for c in cs {
-        let my = *idx;
-        *idx += 1;
-        match c {
-            Construct::DelayUs(us) => delay(*us),
-            Construct::Compute { cycles, .. } => {
-                // Interpret "cycles" at a nominal 1 GHz equivalent via the
-                // calibrated delay: cycles → ns of chain work.
-                delay(*cycles / 1e3 / 3.0);
-            }
-            Construct::StreamBytes(bytes) => {
-                stream_bytes(*bytes as usize);
-            }
-            Construct::Barrier => {
-                let NObj::Barrier(b) = &objs[my] else { unreachable!() };
-                ctx.barrier(b, 2 * my, "barrier")?;
-            }
-            Construct::Critical { body_us } | Construct::LockUnlock { body_us } => {
-                let NObj::Lock(l) = &objs[my] else { unreachable!() };
+            Node::Barrier(b) => ctx.barrier(b, "barrier")?,
+            Node::Critical { body_us, lock } => {
                 // As in the simulated backend, the critical span includes
                 // the wait to acquire the lock.
                 ctx.trace.begin(SpanKind::Critical);
-                l.section(|v| {
+                lock.section(|v| {
                     delay(*body_us);
                     *v += 1.0;
                 });
                 ctx.trace.end(SpanKind::Critical);
             }
-            Construct::Atomic => {
-                let NObj::Atomic(a) = &objs[my] else { unreachable!() };
+            Node::Atomic(a) => {
                 a.fetch_add(1, Ordering::AcqRel);
             }
-            Construct::Single { body_us } => {
-                let NObj::SingleWithBarrier(single, b) = &objs[my] else {
-                    unreachable!()
-                };
+            Node::Single { body_us, single, barrier } => {
                 ctx.trace.begin(SpanKind::Single);
-                if single.enter(b.team_size() as u64) {
+                if single.enter(barrier.team_size() as u64) {
                     delay(*body_us);
                 }
                 ctx.trace.end(SpanKind::Single);
-                ctx.barrier(b, 2 * my, "single")?;
+                ctx.barrier(barrier, "single")?;
             }
-            Construct::Reduction { body_us } => {
-                let NObj::LockWithBarrier(acc, b) = &objs[my] else {
-                    unreachable!()
-                };
+            Node::Reduction { body_us, combine, barrier } => {
                 delay(*body_us);
                 let rank = ctx.rank as f64;
                 // The combine serializes through a lock, as the simulated
                 // backend models it: a critical span.
                 ctx.trace.begin(SpanKind::Critical);
-                acc.section(|v| *v += rank + 1.0);
+                combine.section(|v| *v += rank + 1.0);
                 ctx.trace.end(SpanKind::Critical);
-                ctx.barrier(b, 2 * my, "reduction")?;
+                ctx.barrier(barrier, "reduction")?;
             }
-            Construct::ParallelFor { body_us, .. } => {
-                let NObj::LoopWithBarrier(lp, bar, ordered) = &objs[my] else {
-                    unreachable!()
-                };
+            Node::For { body_us, ordered_us, lp, barrier } => {
                 ctx.trace.begin(SpanKind::Workshare);
-                loop {
-                    let Some((first, len)) = lp.grab(ctx.rank, &mut ctx.cursor[my]) else {
-                        lp.observe_exhausted(&mut ctx.cursor[my]);
-                        break;
-                    };
+                let mut cursor = LoopCursor::default();
+                while let Some((first, len)) = lp.grab(ctx.rank, &mut cursor) {
                     ctx.trace.begin(SpanKind::Chunk);
-                    match ordered {
+                    match ordered_us {
                         None => {
                             for _ in 0..len {
                                 delay(*body_us);
@@ -662,7 +684,7 @@ fn interpret(
                             for i in first..first + len {
                                 delay(*body_us);
                                 ctx.trace.begin(SpanKind::Ordered);
-                                if !lp.wait_ticket_bounded(i, ctx.guard) {
+                                if !lp.wait_ticket(i, ctx.guard) {
                                     return Err("ordered section");
                                 }
                                 lp.note_ordered_entry(i);
@@ -674,47 +696,28 @@ fn interpret(
                     }
                     ctx.trace.end(SpanKind::Chunk);
                 }
+                lp.observe_exhausted(&mut cursor);
                 ctx.trace.end(SpanKind::Workshare);
-                if let Some(b) = bar {
-                    ctx.barrier(b, 2 * my, "loop barrier")?;
+                if let Some(b) = barrier {
+                    ctx.barrier(b, "loop barrier")?;
                 }
             }
-            Construct::ParallelRegion { body } => {
-                let NObj::RegionBarriers(entry, exit) = &objs[my] else {
-                    unreachable!()
-                };
-                ctx.barrier(entry, 2 * my, "region entry barrier")?;
-                interpret(body, objs, ctx, idx)?;
-                ctx.barrier(exit, 2 * my + 1, "region exit barrier")?;
+            Node::ParallelRegion { entry, body, exit } => {
+                ctx.barrier(entry, "region entry barrier")?;
+                interpret(body, ctx)?;
+                ctx.barrier(exit, "region exit barrier")?;
             }
-            Construct::Tasks {
-                per_spawner,
-                body_us,
-                master_only,
-            } => {
-                let NObj::Tasks(pool, after_spawn, fin) = &objs[my] else {
-                    unreachable!()
-                };
+            Node::Tasks { per_spawner, body_us, master_only, pool, after_spawn, fin } => {
                 if !master_only || ctx.rank == 0 {
                     pool.spawn(*body_us, *per_spawner);
                 }
-                ctx.barrier(after_spawn, 2 * my, "task spawn barrier")?;
+                ctx.barrier(after_spawn, "task spawn barrier")?;
                 if !pool.exec_and_wait(ctx.guard, &mut ctx.trace) {
                     return Err("taskwait");
                 }
-                ctx.barrier(fin, 2 * my + 1, "task final barrier")?;
+                ctx.barrier(fin, "task final barrier")?;
             }
-            Construct::MarkBegin(k) => {
-                if ctx.rank == 0 {
-                    ctx.local_marks.push((2 * k, ctx.now_us()));
-                }
-            }
-            Construct::MarkEnd(k) => {
-                if ctx.rank == 0 {
-                    ctx.local_marks.push((2 * k + 1, ctx.now_us()));
-                }
-            }
-            Construct::Locked { lock, body } => {
+            Node::Locked { lock, body } => {
                 let named = ctx.named;
                 let l = &named[lock];
                 // The locked span includes the wait to acquire, like a
@@ -723,7 +726,7 @@ fn interpret(
                 // on try_lock under the run guard instead.
                 ctx.trace.begin(SpanKind::Critical);
                 let mut held = None;
-                if !wait_until(Some(ctx.guard), || {
+                if !wait_until(ctx.guard, || {
                     held = l.inner.try_lock();
                     held.is_some()
                 }) {
@@ -734,59 +737,42 @@ fn interpret(
                     l.violations.fetch_add(1, Ordering::Relaxed);
                 }
                 l.entries.fetch_add(1, Ordering::Relaxed);
-                let r = interpret(body, objs, ctx, idx);
+                let r = interpret(body, ctx);
                 l.occupancy.fetch_sub(1, Ordering::AcqRel);
                 drop(held);
                 ctx.trace.end(SpanKind::Critical);
                 r?;
             }
-            Construct::Repeat { count, body } => {
-                let body_start = *idx;
+            Node::Repeat { count, body } => {
                 for _ in 0..*count {
-                    *idx = body_start;
-                    interpret(body, objs, ctx, idx)?;
+                    interpret(body, ctx)?;
                 }
             }
-            Construct::VarRead { var } => {
-                match ctx.vals.get(var) {
-                    Some(cell) => {
-                        std::hint::black_box(cell.load(Ordering::SeqCst));
-                    }
-                    None => {
-                        std::hint::black_box(ctx.private.get(var).copied().unwrap_or(0));
-                    }
-                }
-            }
-            Construct::VarWrite { var, op } => match ctx.vals.get(var) {
+            Node::Read(var) => match ctx.vals.get(var) {
                 Some(cell) => {
-                    // An atomic RMW on the one shared cell; the op
-                    // counter in the object slot is the effects surface.
-                    let NObj::Atomic(counter) = &objs[my] else {
-                        unreachable!()
-                    };
-                    counter.fetch_add(1, Ordering::AcqRel);
-                    match op {
-                        WriteOp::Set(v) => cell.store(*v, Ordering::SeqCst),
-                        WriteOp::Add(d) => {
-                            cell.fetch_add(*d, Ordering::SeqCst);
-                        }
-                    }
+                    std::hint::black_box(cell.load(Ordering::SeqCst));
                 }
                 None => {
-                    let slot = ctx.private.entry(*var).or_insert(0);
-                    *slot = op.apply(*slot);
+                    std::hint::black_box(ctx.private.get(var).copied().unwrap_or(0));
                 }
             },
-            Construct::ReductionFor {
-                var,
-                red,
-                body_us,
-                delta,
-                ..
-            } => {
-                let NObj::ReductionFor(lp, lk, b) = &objs[my] else {
-                    unreachable!()
-                };
+            Node::SharedWrite { var, op, rmws } => {
+                // An atomic RMW on the one shared cell; the node's counter
+                // is the effects surface.
+                rmws.fetch_add(1, Ordering::AcqRel);
+                let cell = &ctx.vals[var];
+                match op {
+                    WriteOp::Set(v) => cell.store(*v, Ordering::SeqCst),
+                    WriteOp::Add(d) => {
+                        cell.fetch_add(*d, Ordering::SeqCst);
+                    }
+                }
+            }
+            Node::PrivateWrite { var, op } => {
+                let slot = ctx.private.entry(*var).or_insert(0);
+                *slot = op.apply(*slot);
+            }
+            Node::ReductionFor { var, red, body_us, delta, lp, combine, barrier } => {
                 // Accumulate a per-thread partial from the reduction
                 // identity; threads that grab no iterations still
                 // combine (identity-combine is a no-op on the cell).
@@ -796,11 +782,8 @@ fn interpret(
                     RedOp::Min => i64::MAX,
                 };
                 ctx.trace.begin(SpanKind::Workshare);
-                loop {
-                    let Some((first, len)) = lp.grab(ctx.rank, &mut ctx.cursor[my]) else {
-                        lp.observe_exhausted(&mut ctx.cursor[my]);
-                        break;
-                    };
+                let mut cursor = LoopCursor::default();
+                while let Some((first, len)) = lp.grab(ctx.rank, &mut cursor) {
                     ctx.trace.begin(SpanKind::Chunk);
                     for i in first..first + len {
                         delay(*body_us);
@@ -808,10 +791,11 @@ fn interpret(
                     }
                     ctx.trace.end(SpanKind::Chunk);
                 }
+                lp.observe_exhausted(&mut cursor);
                 ctx.trace.end(SpanKind::Workshare);
                 let cell = &ctx.vals[var];
                 ctx.trace.begin(SpanKind::Critical);
-                lk.section(|_| {
+                combine.section(|_| {
                     match red {
                         RedOp::Sum => {
                             cell.fetch_add(partial, Ordering::SeqCst);
@@ -825,7 +809,7 @@ fn interpret(
                     };
                 });
                 ctx.trace.end(SpanKind::Critical);
-                ctx.barrier(b, 2 * my, "reduction loop barrier")?;
+                ctx.barrier(barrier, "reduction loop barrier")?;
             }
         }
     }
@@ -1064,7 +1048,7 @@ mod tests {
     impl<F: Fn(usize) + Send + Sync> Job for Probe<F> {
         fn run(&self, rank: usize) {
             (self.each)(rank);
-            let released = self.barrier.wait_bounded(&mut false, &self.guard);
+            let released = self.barrier.wait(&self.guard);
             self.released.lock().push(released);
         }
 
@@ -1139,5 +1123,135 @@ mod tests {
         let region = RegionSpec::measured(2, 2, 2, vec![Construct::Barrier]);
         let res = rt.run(&region).expect("region completes");
         assert_eq!(res.reps().len(), 2);
+    }
+
+    /// Every `Construct` variant, three ways: at top level, under
+    /// `Repeat`, and under `ParallelRegion`. Each copy ends in two nested
+    /// `Locked` scopes and a third scope that shares the outer one's lock
+    /// id. Variable 0 is shared, variable 1 private.
+    fn every_construct() -> Vec<Construct> {
+        use ompvar_sim::task::CorunClass;
+        let for_loop = |schedule, ordered_us, nowait| Construct::ParallelFor {
+            schedule,
+            total_iters: 16,
+            body_us: 0.1,
+            ordered_us,
+            nowait,
+        };
+        let tasks = |per_spawner, master_only| Construct::Tasks { per_spawner, body_us: 0.1, master_only };
+        let add = || Construct::VarWrite { var: 0, op: WriteOp::Add(1) };
+        let leaves = || {
+            vec![
+                Construct::DelayUs(0.5),
+                Construct::Compute { cycles: 100.0, class: CorunClass::Latency },
+                Construct::StreamBytes(64.0),
+                for_loop(Schedule::Dynamic { chunk: 1 }, None, true),
+                for_loop(Schedule::Static { chunk: 2 }, Some(0.1), false),
+                Construct::Barrier,
+                Construct::Critical { body_us: 0.1 },
+                Construct::LockUnlock { body_us: 0.0 },
+                Construct::Atomic,
+                Construct::Single { body_us: 0.1 },
+                Construct::Reduction { body_us: 0.1 },
+                tasks(3, false),
+                tasks(2, true),
+                Construct::MarkBegin(1),
+                Construct::MarkEnd(1),
+                Construct::VarRead { var: 0 },
+                add(),
+                Construct::VarWrite { var: 1, op: WriteOp::Set(2) },
+                Construct::VarRead { var: 1 },
+                Construct::ReductionFor {
+                    var: 0,
+                    red: RedOp::Sum,
+                    schedule: Schedule::Guided { min_chunk: 1 },
+                    total_iters: 8,
+                    body_us: 0.1,
+                    delta: 1,
+                },
+                Construct::Locked {
+                    lock: 4,
+                    body: vec![Construct::Locked {
+                        lock: 5,
+                        body: vec![Construct::Critical { body_us: 0.1 }, add()],
+                    }],
+                },
+                Construct::Locked { lock: 4, body: vec![Construct::Atomic, add()] },
+            ]
+        };
+        let mut cs = leaves();
+        cs.push(Construct::Repeat { count: 2, body: leaves() });
+        cs.push(Construct::ParallelRegion { body: leaves() });
+        cs
+    }
+
+    /// Visit every barrier of `nodes` with the number of times its
+    /// construct runs when each of `nodes` runs `times` times.
+    fn each_barrier(nodes: &[Node], times: u64, f: &mut impl FnMut(&SenseBarrier, u64)) {
+        for node in nodes {
+            match node {
+                Node::Barrier(b)
+                | Node::Single { barrier: b, .. }
+                | Node::Reduction { barrier: b, .. }
+                | Node::For { barrier: Some(b), .. }
+                | Node::ReductionFor { barrier: b, .. } => f(b, times),
+                Node::Tasks { after_spawn, fin, .. } => {
+                    f(after_spawn, times);
+                    f(fin, times);
+                }
+                Node::ParallelRegion { entry, body, exit } => {
+                    f(entry, times);
+                    each_barrier(body, times, f);
+                    f(exit, times);
+                }
+                Node::Repeat { count, body } => each_barrier(body, times * u64::from(*count), f),
+                Node::Locked { body, .. } => each_barrier(body, times, f),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn every_construct_lowers_to_nodes_that_own_their_objects() {
+        use crate::region::VarDecl;
+        use crate::simrt::SimRuntime;
+        use ompvar_sim::params::SimParams;
+        use ompvar_topology::{MachineSpec, Places};
+        let var = |id, clause| VarDecl { id, name: format!("v{id}"), clause, init: 3 };
+        for n in [1, 2, 5] {
+            let region = RegionSpec::with_vars(
+                n,
+                vec![var(0, Clause::Shared), var(1, Clause::Private)],
+                every_construct(),
+            )
+            .expect("every construct validates");
+            let (run, wall_us) =
+                rt().with_tracing(true).dispatch(&region).expect("native region runs");
+            // Each sync point has a barrier of its own: one met at two
+            // points, or one never met, is off by a whole team.
+            let mut barriers = 0;
+            each_barrier(&run.nodes, 1, &mut |b, times| {
+                assert_eq!(b.arrivals(), times * n as u64, "n={n}: barrier {barriers}");
+                barriers += 1;
+            });
+            // 3 copies × (the loop without nowait, barrier, single,
+            // reduction, 2 × 2 tasks, reduction loop), plus the region's 2.
+            assert_eq!(barriers, 3 * 9 + 2, "n={n}");
+
+            let res = run.finish(wall_us).expect("native region completes");
+            assert_eq!(res.effects, region.expected_effects(), "n={n}");
+            assert_eq!(res.effects.mutex_violations, 0, "n={n}");
+            assert_eq!(res.effects.ordered_violations, 0, "n={n}");
+            let sim = SimRuntime::new(
+                MachineSpec::vera(),
+                RtConfig::pinned_close(Places::Threads(Some(n))),
+            )
+            .with_params(SimParams::sterile())
+            .run(&region, 1)
+            .expect("sim backend completes");
+            assert_eq!(res.final_values, sim.final_values, "n={n}");
+            let spans = res.trace.as_ref().map(|t| t.count_of(SpanKind::Region));
+            assert_eq!(spans, Some(n), "n={n}: one region span per thread");
+        }
     }
 }

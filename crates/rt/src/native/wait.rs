@@ -84,10 +84,11 @@ fn spin_budget(ranks_in_region: usize, cpus: usize) -> u32 {
 }
 
 /// Wait until `probe` reports true. Returns `false` if `guard` expires
-/// first (the run must then be abandoned); an unguarded wait only ever
-/// returns `true`, and touches no clock — the guard holds the only one.
+/// first (the run must then be abandoned); under a guard without a
+/// deadline it only ever returns `true`, and touches no clock — the
+/// guard holds the only one.
 #[must_use]
-pub(super) fn wait_until(guard: Option<&RunGuard>, probe: impl FnMut() -> bool) -> bool {
+pub(super) fn wait_until(guard: &RunGuard, probe: impl FnMut() -> bool) -> bool {
     spin_then_yield(|| spin_budget(ranks_in_region(), cpus()), guard, probe)
 }
 
@@ -96,7 +97,7 @@ pub(super) fn wait_until(guard: Option<&RunGuard>, probe: impl FnMut() -> bool) 
 /// oversubscription.
 fn spin_then_yield(
     budget: impl Fn() -> u32,
-    guard: Option<&RunGuard>,
+    guard: &RunGuard,
     mut probe: impl FnMut() -> bool,
 ) -> bool {
     loop {
@@ -106,7 +107,7 @@ fn spin_then_yield(
             }
             std::hint::spin_loop();
         }
-        if guard.is_some_and(RunGuard::expired) {
+        if guard.expired() {
             return false;
         }
         std::thread::yield_now();
@@ -146,7 +147,7 @@ mod tests {
                 let mut probes = 0u32;
                 let released = spin_then_yield(
                     || budget,
-                    Some(guard),
+                    guard,
                     || {
                         probes += 1;
                         false
@@ -162,7 +163,7 @@ mod tests {
     #[test]
     fn a_true_probe_wins_over_an_expired_guard() {
         let zero = RunGuard::new(Some(Duration::ZERO));
-        assert!(wait_until(Some(&zero), || true));
+        assert!(wait_until(&zero, || true));
     }
 
     #[test]
@@ -181,7 +182,7 @@ mod tests {
                 });
                 let released = spin_then_yield(
                     || budget,
-                    Some(&guard),
+                    &guard,
                     || {
                         waiting.store(true, Ordering::Release);
                         flag.load(Ordering::Acquire)
@@ -194,13 +195,14 @@ mod tests {
 
     #[test]
     fn an_unguarded_wait_outlasts_any_number_of_budgets() {
-        // No guard, so no deadline and no clock: the only way out is the
-        // probe, here after several spin-yield rounds in either regime.
+        // A guard without a deadline, so no clock: the only way out is
+        // the probe, here after several spin-yield rounds in either regime.
+        let unbounded = RunGuard::new(None);
         for budget in REGIMES {
             let mut left = 5 * budget;
             assert!(spin_then_yield(
                 || budget,
-                None,
+                &unbounded,
                 || {
                     left -= 1;
                     left == 0

@@ -152,20 +152,10 @@ impl NativeLoop {
         }
     }
 
-    /// Wait until iteration `iter` may enter its ordered section.
-    pub fn wait_ticket(&self, iter: u64) {
-        let ok = self.wait_ticket_impl(iter, None);
-        debug_assert!(ok, "unbounded ticket wait cannot fail");
-    }
-
-    /// Deadline-bounded ticket wait: returns `false` once `guard`
-    /// expires; the run must then be abandoned.
+    /// Wait until iteration `iter` may enter its ordered section. Returns
+    /// `false` once `guard` expires first; the run must then be abandoned.
     #[must_use]
-    pub fn wait_ticket_bounded(&self, iter: u64, guard: &RunGuard) -> bool {
-        self.wait_ticket_impl(iter, Some(guard))
-    }
-
-    fn wait_ticket_impl(&self, iter: u64, guard: Option<&RunGuard>) -> bool {
+    pub fn wait_ticket(&self, iter: u64, guard: &RunGuard) -> bool {
         wait_until(guard, || self.ticket.load(Ordering::Acquire) == iter)
     }
 
@@ -249,9 +239,10 @@ mod tests {
     #[test]
     fn tickets_enforce_order() {
         let l = NativeLoop::new(Schedule::Static { chunk: 1 }, 4, 1);
-        l.wait_ticket(0); // immediate
+        let guard = RunGuard::new(None);
+        assert!(l.wait_ticket(0, &guard)); // immediate
         l.ticket_done();
-        l.wait_ticket(1); // immediate after done
+        assert!(l.wait_ticket(1, &guard)); // immediate after done
         l.ticket_done();
         assert_eq!(l.ticket.load(Ordering::Relaxed), 2);
     }

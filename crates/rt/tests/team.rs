@@ -53,8 +53,8 @@ fn rt() -> NativeRuntime {
 }
 
 /// A program that touches every kind of per-thread state a worker
-/// rebuilds per region (sense flags, loop cursors, private copies, the
-/// tracer) and every kind of per-region state the caller reads back.
+/// rebuilds per region (private copies, the tracer), loop cursors, and
+/// every kind of per-region state the caller reads back.
 fn program(n_threads: usize) -> RegionSpec {
     let var = |id, name: &str, clause, init| VarDecl { id, name: name.into(), clause, init };
     RegionSpec::with_vars(

@@ -166,14 +166,6 @@ impl Rng {
         debug_assert!(median > 0.0);
         median * (sigma * self.normal()).exp()
     }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,16 +270,5 @@ mod tests {
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let med = xs[xs.len() / 2];
         assert!((med / 50.0 - 1.0).abs() < 0.15, "lognormal median {med}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Rng::new(17);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>()); // astronomically unlikely
     }
 }

@@ -29,12 +29,6 @@ pub fn from_ns_f64(ns: f64) -> Time {
     }
 }
 
-/// Convert microseconds (float) to [`Time`].
-#[inline]
-pub fn from_us_f64(us: f64) -> Time {
-    from_ns_f64(us * 1e3)
-}
-
 /// Express a [`Time`] in microseconds as `f64` (for reporting).
 #[inline]
 pub fn as_us(t: Time) -> f64 {
@@ -65,6 +59,5 @@ mod tests {
         assert_eq!(MS * 1_000, SEC);
         assert_eq!(as_us(1500), 1.5);
         assert_eq!(as_ms(2_500_000), 2.5);
-        assert_eq!(from_us_f64(2.5), 2_500);
     }
 }

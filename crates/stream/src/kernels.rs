@@ -93,11 +93,6 @@ impl StreamKernel {
     }
 }
 
-/// Attainable bandwidth implied by a kernel time (GB/s, decimal giga).
-pub fn bandwidth_gbs(kernel: StreamKernel, cfg: &StreamConfig, time_us: f64) -> f64 {
-    kernel.bytes_moved(cfg.array_elems) / (time_us * 1e3)
-}
-
 /// Build the BabelStream region: per iteration, each kernel is timed with
 /// its own marker pair; kernels are separated by team barriers (each is
 /// its own `parallel for` in the original).
@@ -160,14 +155,6 @@ mod tests {
             .filter(|c| matches!(c, Construct::StreamBytes(_)))
             .count();
         assert_eq!(streams, 5);
-    }
-
-    #[test]
-    fn bandwidth_computation() {
-        let cfg = StreamConfig::default();
-        // 512 MiB copy in 10 ms → ~53.7 GB/s.
-        let gbs = bandwidth_gbs(StreamKernel::Copy, &cfg, 10_000.0);
-        assert!((gbs - 53.687).abs() < 0.1, "{gbs}");
     }
 
     #[test]

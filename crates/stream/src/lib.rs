@@ -12,4 +12,4 @@ pub mod kernels;
 pub mod results;
 
 pub use kernels::{region, StreamConfig, StreamKernel};
-pub use results::{kernel_stats, normalized_extremes, KernelStats};
+pub use results::{kernel_stats, KernelStats};

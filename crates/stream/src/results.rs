@@ -1,5 +1,5 @@
-//! BabelStream result extraction: per-kernel min/avg/max and the paper's
-//! normalized-extremes presentation.
+//! BabelStream result extraction: per-kernel min/avg/max, and min and
+//! max normalized to the average as the paper presents them.
 
 use crate::kernels::StreamKernel;
 use ompvar_core::Summary;
@@ -57,20 +57,6 @@ pub fn kernel_stats(res: &RegionResult) -> BTreeMap<StreamKernel, KernelStats> {
     out
 }
 
-/// The paper's Figures 3–5 presentation for BabelStream: per kernel, the
-/// normalized (min, max) of each of the given runs.
-pub fn normalized_extremes(
-    runs: &[BTreeMap<StreamKernel, KernelStats>],
-) -> BTreeMap<StreamKernel, Vec<(f64, f64)>> {
-    let mut out: BTreeMap<StreamKernel, Vec<(f64, f64)>> = BTreeMap::new();
-    for r in runs {
-        for (k, s) in r {
-            out.entry(*k).or_default().push((s.norm_min(), s.norm_max()));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,22 +67,16 @@ mod tests {
     use ompvar_sim::params::SimParams;
     use ompvar_topology::{MachineSpec, Places};
 
-    fn run(n: usize, sterile: bool) -> RegionResult {
-        let machine = MachineSpec::vera();
-        let params = if sterile {
-            SimParams::sterile()
-        } else {
-            SimParams::for_machine(&machine)
-        };
-        let rt = SimRuntime::new(machine, RtConfig::pinned_close(Places::Threads(Some(n))))
-            .with_params(params);
+    fn run(n: usize) -> RegionResult {
+        let config = RtConfig::pinned_close(Places::Threads(Some(n)));
+        let rt = SimRuntime::new(MachineSpec::vera(), config).with_params(SimParams::sterile());
         rt.run_region(&region(&StreamConfig::small(), n), 11)
             .expect("stream region completes")
     }
 
     #[test]
     fn all_kernels_reported() {
-        let stats = kernel_stats(&run(8, true));
+        let stats = kernel_stats(&run(8));
         assert_eq!(stats.len(), 5);
         for (k, s) in &stats {
             assert!(s.min_us > 0.0, "{}", k.label());
@@ -109,7 +89,7 @@ mod tests {
 
     #[test]
     fn add_and_triad_move_more_bytes_than_copy() {
-        let stats = kernel_stats(&run(8, true));
+        let stats = kernel_stats(&run(8));
         let copy = stats[&StreamKernel::Copy].avg_us;
         let add = stats[&StreamKernel::Add].avg_us;
         let triad = stats[&StreamKernel::Triad].avg_us;
@@ -119,20 +99,8 @@ mod tests {
 
     #[test]
     fn more_threads_reduce_time() {
-        let t2 = kernel_stats(&run(2, true))[&StreamKernel::Triad].avg_us;
-        let t16 = kernel_stats(&run(16, true))[&StreamKernel::Triad].avg_us;
+        let t2 = kernel_stats(&run(2))[&StreamKernel::Triad].avg_us;
+        let t16 = kernel_stats(&run(16))[&StreamKernel::Triad].avg_us;
         assert!(t16 < t2, "triad time should shrink: {t2} → {t16}");
-    }
-
-    #[test]
-    fn normalized_extremes_bracket_one() {
-        let runs: Vec<_> = (0..3).map(|_| kernel_stats(&run(8, false))).collect();
-        let ext = normalized_extremes(&runs);
-        for (_, series) in ext {
-            assert_eq!(series.len(), 3);
-            for (lo, hi) in series {
-                assert!(lo <= 1.0 + 1e-12 && hi >= 1.0 - 1e-12);
-            }
-        }
     }
 }

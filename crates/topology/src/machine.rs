@@ -193,12 +193,6 @@ impl MachineSpec {
         CoreId(hw.0 % self.n_cores())
     }
 
-    /// SMT context index (0-based) of hardware thread `hw` within its core.
-    pub fn smt_index_of(&self, hw: HwThreadId) -> usize {
-        assert!(hw.0 < self.n_hw_threads(), "hw thread {} out of range", hw.0);
-        hw.0 / self.n_cores()
-    }
-
     /// All hardware threads of physical core `core`, in SMT-index order.
     pub fn hw_threads_of_core(&self, core: CoreId) -> Vec<HwThreadId> {
         assert!(core.0 < self.n_cores(), "core {} out of range", core.0);
@@ -322,7 +316,6 @@ mod tests {
         // hw 0 and hw 128 share core 0.
         assert_eq!(m.core_of(HwThreadId(0)), CoreId(0));
         assert_eq!(m.core_of(HwThreadId(128)), CoreId(0));
-        assert_eq!(m.smt_index_of(HwThreadId(128)), 1);
         assert_eq!(m.siblings_of(HwThreadId(0)), vec![HwThreadId(128)]);
         assert_eq!(
             m.hw_threads_of_core(CoreId(5)),
