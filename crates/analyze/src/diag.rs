@@ -262,36 +262,97 @@ impl fmt::Display for DiagCode {
 /// Spans order lexicographically by path, which is exactly pre-order
 /// (document) order over the construct tree — the order
 /// [`crate::passes::analyze`] sorts its report into.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
+///
+/// Every pass names every construct it visits, so the path is stored
+/// inline: [`Span::child`] and `clone` copy it without touching the heap
+/// down to [`Span::INLINE`] steps, and only a deeper path spills.
+#[derive(Clone)]
 pub struct Span {
-    steps: Vec<(usize, &'static str)>,
+    /// Number of steps.
+    len: usize,
+    /// The steps, outermost first, while `len <= INLINE`.
+    inline: [(usize, &'static str); Span::INLINE],
+    /// All the steps once `len > INLINE`; empty (unallocated) until then.
+    spill: Vec<(usize, &'static str)>,
 }
 
 impl Span {
+    /// Path depth up to which a span lives inline. The generator nests
+    /// three deep at most and the paper's measured regions two.
+    pub const INLINE: usize = 6;
+
     /// The whole-region span (empty path).
     pub fn root() -> Span {
-        Span::default()
+        Span {
+            len: 0,
+            inline: [(0, ""); Span::INLINE],
+            spill: Vec::new(),
+        }
     }
 
     /// The span of child `index` (of kind `kind`) under `self`.
     pub fn child(&self, index: usize, kind: &'static str) -> Span {
-        let mut steps = self.steps.clone();
-        steps.push((index, kind));
-        Span { steps }
+        let mut child = self.clone();
+        if child.len < Span::INLINE {
+            child.inline[child.len] = (index, kind);
+        } else {
+            if child.len == Span::INLINE {
+                child.spill = child.inline.to_vec();
+            }
+            child.spill.push((index, kind));
+        }
+        child.len += 1;
+        child
     }
 
     /// The `(index, kind)` path steps, outermost first.
     pub fn steps(&self) -> &[(usize, &'static str)] {
-        &self.steps
+        if self.len <= Span::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl Default for Span {
+    fn default() -> Span {
+        Span::root()
+    }
+}
+
+impl PartialEq for Span {
+    fn eq(&self, other: &Span) -> bool {
+        self.steps() == other.steps()
+    }
+}
+
+impl Eq for Span {}
+
+impl PartialOrd for Span {
+    fn partial_cmp(&self, other: &Span) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Span {
+    fn cmp(&self, other: &Span) -> std::cmp::Ordering {
+        self.steps().cmp(other.steps())
+    }
+}
+
+impl fmt::Debug for Span {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Span").field("steps", &self.steps()).finish()
     }
 }
 
 impl fmt::Display for Span {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.steps.is_empty() {
+        if self.len == 0 {
             return write!(f, "region");
         }
-        for (depth, (index, kind)) in self.steps.iter().enumerate() {
+        for (depth, (index, kind)) in self.steps().iter().enumerate() {
             if depth == 0 {
                 write!(f, "constructs[{index}].{kind}")?;
             } else {
@@ -467,6 +528,51 @@ mod tests {
         assert_eq!(Span::root().to_string(), "region");
         let s = Span::root().child(1, "Repeat").child(0, "ParallelFor");
         assert_eq!(s.to_string(), "constructs[1].Repeat.body[0].ParallelFor");
+    }
+
+    /// Inline and spilled spans behave as the `Vec` path they replace:
+    /// same steps, rendering, equality and order, on both sides of the
+    /// spill depth.
+    #[test]
+    fn spans_agree_with_a_vec_path_past_the_spill_depth() {
+        let kinds = ["Repeat", "Locked", "ParallelRegion"];
+        let mut spans = vec![(Span::root(), Vec::new())];
+        for depth in 0..2 * Span::INLINE + 1 {
+            let mut next = Vec::new();
+            for (span, path) in spans.iter().filter(|(s, _)| s.steps().len() == depth) {
+                for i in 0..2 {
+                    for kind in kinds {
+                        let mut p: Vec<(usize, &'static str)> = path.clone();
+                        p.push((i, kind));
+                        next.push((span.child(i, kind), p));
+                    }
+                }
+            }
+            // A few diverse spans per depth, so siblings compare too.
+            spans.extend(next.into_iter().step_by(5).take(3));
+        }
+        let render = |p: &[(usize, &str)]| {
+            if p.is_empty() {
+                return "region".to_string();
+            }
+            p.iter()
+                .enumerate()
+                .map(|(d, (i, k))| {
+                    if d == 0 { format!("constructs[{i}].{k}") } else { format!(".body[{i}].{k}") }
+                })
+                .collect()
+        };
+        assert!(spans.iter().any(|(s, _)| s.steps().len() > Span::INLINE + 1));
+        for (a, pa) in &spans {
+            assert_eq!(a.steps(), &pa[..]);
+            assert_eq!(a.to_string(), render(pa));
+            assert_eq!(format!("{a:?}"), format!("Span {{ steps: {pa:?} }}"));
+            assert_eq!(a.clone(), *a);
+            for (b, pb) in &spans {
+                assert_eq!(a.cmp(b), pa.cmp(pb), "{a} vs {b}");
+                assert_eq!(a == b, pa == pb, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

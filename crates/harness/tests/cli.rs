@@ -1241,15 +1241,28 @@ mod hostile_argv {
 
 /// Census tool for the any-seed item of ROADMAP.md, not a check: run
 /// the whole `--fast` sweep at seeds 1..=10 and print, per claim, how
-/// many seeds pass, its smallest margin (and that seed) and its median
-/// margin, nearest the boundary first; per plain check, how many seeds
-/// pass and the detail line of the first failure.
+/// many seeds pass, its smallest margin (and that seed), its first
+/// quartile and its median margin, nearest the boundary first; per plain
+/// check, how many seeds pass and the detail line of the first failure.
 /// `cargo test -p ompvar-harness --test cli seed_census -- --ignored --nocapture`
 #[test]
 #[ignore = "several minutes; prints a table, asserts nothing about the shapes"]
 fn seed_census() {
-    const SEEDS: std::ops::RangeInclusive<u64> = 1..=10;
-    let base = std::env::temp_dir().join(format!("ompvar_seed_census_{}", std::process::id()));
+    census("seeds 1..=10", &(1..=10).collect::<Vec<u64>>());
+}
+
+/// [`seed_census`] at seeds `k · 2^32`, k = 1..=20. Runs derive their
+/// seeds additively from the user seed (`seed + i`), so the seeds
+/// 1..=10 share most of their runs; these share none.
+#[test]
+#[ignore = "several minutes; prints a table, asserts nothing about the shapes"]
+fn seed_census_disjoint() {
+    census("seeds k·2^32, k = 1..=20", &(1..=20).map(|k| k << 32).collect::<Vec<u64>>());
+}
+
+fn census(label: &str, seeds: &[u64]) {
+    let base = std::env::temp_dir()
+        .join(format!("ompvar_seed_census_{}_{}", std::process::id(), seeds[0]));
     /// One shape check's record over the seeds, in first-seen order.
     struct Tally {
         exp: String,
@@ -1261,7 +1274,7 @@ fn seed_census() {
         margins: Vec<(f64, u64)>,
     }
     let mut census: Vec<Tally> = Vec::new();
-    for seed in SEEDS {
+    for &seed in seeds {
         let out_dir = base.join(seed.to_string());
         let report = out_dir.join("report.json");
         let out = repro()
@@ -1299,19 +1312,26 @@ fn seed_census() {
             }
         }
     }
-    let seeds = SEEDS.count();
+    println!("census over {label}");
+    let seeds = seeds.len();
     for t in &mut census {
         t.margins.sort_by(|a, b| a.0.total_cmp(&b.0));
     }
     let (mut claims, plain): (Vec<&Tally>, Vec<&Tally>) =
         census.iter().partition(|t| !t.margins.is_empty());
     claims.sort_by(|a, b| a.margins[0].0.total_cmp(&b.margins[0].0));
-    println!("claims, nearest their boundary first (passes, min margin @ seed, median margin):");
+    println!(
+        "claims, nearest their boundary first (passes, min margin @ seed, q1 margin, median margin):"
+    );
     for t in claims {
         let (ms, n) = (&t.margins, t.margins.len());
         let median = (ms[(n - 1) / 2].0 + ms[n / 2].0) / 2.0;
+        let q1 = ms[(n - 1) / 4].0;
         let (min, at) = ms[0];
-        println!("{:>2}/{seeds}  {min:+.4} @ {at:<2}  {median:+.4}  {}: {}", t.passes, t.exp, t.check);
+        println!(
+            "{:>2}/{seeds}  {min:+.4} @ {at:<11}  {q1:+.4}  {median:+.4}  {}: {}",
+            t.passes, t.exp, t.check
+        );
     }
     println!("plain checks:");
     for t in plain {

@@ -51,6 +51,11 @@ pub struct FuzzConfig {
 ///
 /// Exposed so a single failing case can be replayed in isolation with
 /// `--fuzz-cases 1 --seed <case_seed>`.
+///
+/// The derivation is additive on purpose, and must stay so when other
+/// seeds move to hashed derivations: the replay line depends on it,
+/// because case 0 of the campaign at base `base + case` is exactly case
+/// `case` of the campaign at `base`.
 pub fn case_seed(base: u64, case: u64) -> u64 {
     base.wrapping_add(case)
 }

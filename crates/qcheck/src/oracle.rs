@@ -81,20 +81,33 @@ use ompvar_sim::params::SimParams;
 use ompvar_sim::time::SEC;
 use ompvar_sim::trace::SemanticEffects;
 use ompvar_topology::{HwThreadId, MachineSpec, Place, Places};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// The simulated runtime used for differential runs: a modeled Vera node,
 /// threads pinned close, sterile parameters (no noise/DVFS/SMT effects),
 /// so results are a pure function of `(region, seed)`.
+///
+/// A clone of the calling thread's runtime for `n_threads` (see [`SIM`]):
+/// every runtime handed out on one thread for one team size shares one
+/// machine image, so no case rebuilds the machine.
 pub fn sim_runtime(n_threads: usize) -> SimRuntime {
-    SimRuntime::new(
-        MachineSpec::vera(),
-        RtConfig::pinned_close(Places::Threads(Some(n_threads))),
-    )
-    .with_params(SimParams::sterile())
-    .with_time_limit(300 * SEC)
-    .with_tracing(true)
+    SIM.with(|sims| {
+        sims.borrow_mut()
+            .entry(n_threads)
+            .or_insert_with(|| {
+                SimRuntime::new(
+                    MachineSpec::vera(),
+                    RtConfig::pinned_close(Places::Threads(Some(n_threads))),
+                )
+                .with_params(SimParams::sterile())
+                .with_time_limit(300 * SEC)
+                .with_tracing(true)
+            })
+            .clone()
+    })
 }
 
 /// The native runtime used for differential runs: unpinned (CI-safe)
@@ -130,6 +143,12 @@ thread_local! {
     /// warm team, and two threads never queue on each other's. Its team
     /// threads exit with the thread that owns it.
     static NATIVE: NativeRuntime = home_runtime();
+
+    /// The calling thread's [`sim_runtime`] of each team size, built on
+    /// first use. A case's three simulated runs (first run, replay,
+    /// attribution) and every later case of the same size run on clones
+    /// of it, which share its machine image.
+    static SIM: RefCell<BTreeMap<usize, SimRuntime>> = const { RefCell::new(BTreeMap::new()) };
 }
 
 /// Trace well-formedness oracle: the span timeline of a successful run
@@ -379,8 +398,10 @@ pub fn check_attribution(
 /// list of violations; an empty list means the case passed.
 pub fn check_case(region: &RegionSpec, seed: u64) -> Vec<String> {
     let mut reasons = Vec::new();
+    // The full analysis reports `validate()`'s error as its first one.
     let analysis = ompvar_analyze::analyze(region);
-    if let Err(e) = region.validate() {
+    if let Some(d) = analysis.first_error() {
+        let e = d.cause.expect("error-severity diagnostics carry their RegionError");
         reasons.push(format!("generator contract violated: {e}"));
         return reasons;
     }

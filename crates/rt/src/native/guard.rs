@@ -9,6 +9,10 @@
 //! ticket or a crashed teammate.
 //! A team thread that panics [trips](RunGuard::trip) the guard on its way
 //! out, so its teammates stop waiting for it at once.
+//!
+//! The guard also carries the one fact about the team the wait loop's
+//! spin budget needs: whether the team is crowded onto fewer CPUs than
+//! it has ranks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -19,16 +23,29 @@ pub struct RunGuard {
     deadline: Option<Instant>,
     budget: Option<Duration>,
     tripped: AtomicBool,
+    crowded: bool,
 }
 
 impl RunGuard {
     /// Guard expiring `budget` from now (`None`: never expires).
     pub fn new(budget: Option<Duration>) -> Self {
+        RunGuard::for_team(budget, false)
+    }
+
+    /// [`RunGuard::new`] for a team that is `crowded`: bound to fewer
+    /// distinct CPUs than it has ranks.
+    pub(super) fn for_team(budget: Option<Duration>, crowded: bool) -> Self {
         RunGuard {
             deadline: budget.map(|d| Instant::now() + d),
             budget,
             tripped: AtomicBool::new(false),
+            crowded,
         }
+    }
+
+    /// Whether the run's team is crowded onto fewer CPUs than ranks.
+    pub(super) fn crowded(&self) -> bool {
+        self.crowded
     }
 
     /// The configured budget, if any.

@@ -464,13 +464,13 @@ impl NativeRuntime {
         // One region at a time per team: a concurrent run on a clone
         // waits here, before its clock starts.
         let mut team = self.team.lock();
-        let placement = team.muster(&self.config, n);
+        let (placement, crowded) = team.muster(&self.config, n);
         let run = Arc::new(RegionRun {
             nodes,
             named_locks,
             values,
             private_init,
-            guard: RunGuard::new(self.deadline),
+            guard: RunGuard::for_team(self.deadline, crowded),
             t0: Instant::now(),
             marks: Mutex::new(Vec::new()),
             first_timeout: Mutex::new(None),
@@ -1073,7 +1073,7 @@ mod tests {
         let started = Instant::now();
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut team = rt.team.lock();
-            let placement = team.muster(&rt.config, 2);
+            let (placement, _) = team.muster(&rt.config, 2);
             team.dispatch(2, &placement, Arc::clone(&probe) as Arc<dyn Job>);
         }))
         .expect_err("the rank's panic is re-raised on the caller");
@@ -1109,8 +1109,9 @@ mod tests {
         // One place, so both ranks are bound to cpu 0 on any host.
         let pinned = RtConfig::pinned_close(Places::Threads(Some(1)));
         let mut team = Team::default();
-        for config in [pinned, RtConfig::unbound()] {
-            let placement = team.muster(&config, 2);
+        for (config, crowded) in [(pinned, true), (RtConfig::unbound(), false)] {
+            let (placement, is_crowded) = team.muster(&config, 2);
+            assert_eq!(is_crowded, crowded, "two ranks on one CPU crowd it; unbound never");
             team.dispatch(2, &placement, probe(&masks));
         }
         let (cpu0, initial) = (Some(vec![0]), Some(initial));

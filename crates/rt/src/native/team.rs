@@ -5,8 +5,9 @@
 //!
 //! 1. **muster** — grow the team to the region's size (threads are only
 //!    ever added; they exit when the team is dropped) and resolve the
-//!    thread→place assignment, cached per (config, team size). None of
-//!    this is on the region's clock.
+//!    thread→place assignment, and whether it crowds the ranks onto
+//!    fewer CPUs ([`super::wait`]), cached per (config, team size). None
+//!    of this is on the region's clock.
 //! 2. **dispatch** — count the ranks into the process-wide in-region
 //!    tally that sizes every wait's spin budget ([`super::wait`]), then
 //!    send every rank its [`Job`] handle, which wakes it.
@@ -27,7 +28,7 @@ use super::wait::{self, InRegion};
 use crate::config::RtConfig;
 use ompvar_topology::{MachineSpec, Place, ProcBind};
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
@@ -45,6 +46,10 @@ pub(super) trait Job: Send + Sync {
 /// Places of one region's ranks, indexed by rank; `None` leaves the
 /// team unbound.
 pub(super) type Placement = Option<Arc<[Place]>>;
+
+/// What mustering resolves for one team size: where the ranks run, and
+/// whether that crowds them onto fewer distinct CPUs than ranks.
+pub(super) type Muster = (Placement, bool);
 
 /// One rank's share of a dispatch.
 struct Msg {
@@ -138,7 +143,7 @@ fn work(messages: Receiver<Msg>) {
 pub(super) struct Team {
     workers: Vec<Worker>,
     /// Resolved assignments of the last bound config seen, by team size.
-    placements: Option<(RtConfig, BTreeMap<usize, Placement>)>,
+    placements: Option<(RtConfig, BTreeMap<usize, Muster>)>,
 }
 
 impl std::fmt::Debug for Team {
@@ -151,13 +156,14 @@ impl std::fmt::Debug for Team {
 
 impl Team {
     /// Get ready for an `n`-thread region under `config`: make sure `n`
-    /// workers exist and return where they are to run.
-    pub(super) fn muster(&mut self, config: &RtConfig, n: usize) -> Placement {
+    /// workers exist and return where they are to run, and whether that
+    /// crowds them — fewer distinct CPUs than ranks.
+    pub(super) fn muster(&mut self, config: &RtConfig, n: usize) -> Muster {
         while self.workers.len() < n {
             self.workers.push(Worker::spawn(self.workers.len()));
         }
         if config.bind == ProcBind::False {
-            return None;
+            return (None, false);
         }
         if !matches!(&self.placements, Some((c, _)) if c == config) {
             self.placements = Some((config.clone(), BTreeMap::new()));
@@ -165,7 +171,11 @@ impl Team {
         let (_, by_size) = self.placements.as_mut().expect("set just above");
         by_size
             .entry(n)
-            .or_insert_with(|| host_assignment(config, n))
+            .or_insert_with(|| {
+                let placement = host_assignment(config, n);
+                let crowded = crowds(&placement);
+                (placement, crowded)
+            })
             .clone()
     }
 
@@ -221,6 +231,15 @@ impl Drop for Team {
     }
 }
 
+/// Whether `placement` binds its ranks to fewer distinct CPUs than there
+/// are ranks. An unbound team is not crowded by its placement.
+fn crowds(placement: &Placement) -> bool {
+    placement.as_deref().is_some_and(|places| {
+        let cpus: BTreeSet<_> = places.iter().flat_map(|p| p.hw_threads()).collect();
+        cpus.len() < places.len()
+    })
+}
+
 /// Resolve the thread→place assignment against a machine the size of
 /// this host, so place resolution has something to bind against.
 fn host_assignment(config: &RtConfig, n_threads: usize) -> Placement {
@@ -235,4 +254,25 @@ fn host_assignment(config: &RtConfig, n_threads: usize) -> Placement {
             .collect::<Option<Arc<[Place]>>>()
     }))
     .unwrap_or(None)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ompvar_topology::HwThreadId;
+
+    #[test]
+    fn a_team_is_crowded_exactly_when_its_ranks_outnumber_its_distinct_cpus() {
+        let placed = |ranks: &[&[usize]]| -> Placement {
+            let place = |cpus: &[usize]| Place::new(cpus.iter().map(|&c| HwThreadId(c)).collect());
+            Some(ranks.iter().map(|cpus| place(cpus)).collect())
+        };
+        assert!(!crowds(&None), "an unbound team is never crowded by its placement");
+        assert!(!crowds(&placed(&[&[0], &[1]])));
+        assert!(crowds(&placed(&[&[0], &[0]])));
+        assert!(crowds(&placed(&[&[3], &[1], &[3]])));
+        // Ranks sharing wide places count the places' CPUs.
+        assert!(!crowds(&placed(&[&[0, 1], &[0, 1]])));
+        assert!(crowds(&placed(&[&[0, 1], &[0, 1], &[1, 0]])));
+    }
 }

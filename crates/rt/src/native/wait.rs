@@ -22,6 +22,15 @@
 //! parked team costs nothing, and a persistent team that once ran a
 //! wide region must not throttle the narrow ones after it.
 //!
+//! A team can be crowded while the host is not: bound to fewer distinct
+//! CPUs than it has ranks (a fuzz worker's team, all of it on one CPU,
+//! or any team pinned to a short place list), its waiters share those
+//! CPUs with the very ranks they wait for, however idle the rest of the
+//! host is. Such a team throttles too; the run's [`RunGuard`] carries
+//! the verdict, decided once per team size when the team is mustered.
+//! An unbound team is never crowded by this rule — the OS may spread it
+//! — and follows the host count alone.
+//!
 //! There is no blocking stage behind the yield: a mutex + condvar
 //! fallback measured indistinguishable from the throttled spin alone on
 //! an oversubscribed campaign (DESIGN §3.3), so there is one mechanism.
@@ -73,10 +82,11 @@ impl Drop for InRegion {
     }
 }
 
-/// The budget decision: throttle exactly when the ranks inside regions
-/// outnumber the CPUs.
-fn spin_budget(ranks_in_region: usize, cpus: usize) -> u32 {
-    if ranks_in_region > cpus {
+/// The budget decision: throttle exactly when the waiter's team is
+/// crowded onto its own CPUs or the ranks inside regions outnumber the
+/// host's.
+fn spin_budget(crowded: bool, ranks_in_region: usize, cpus: usize) -> u32 {
+    if crowded || ranks_in_region > cpus {
         THROTTLED_SPINS
     } else {
         FULL_SPINS
@@ -89,7 +99,7 @@ fn spin_budget(ranks_in_region: usize, cpus: usize) -> u32 {
 /// guard holds the only one.
 #[must_use]
 pub(super) fn wait_until(guard: &RunGuard, probe: impl FnMut() -> bool) -> bool {
-    spin_then_yield(|| spin_budget(ranks_in_region(), cpus()), guard, probe)
+    spin_then_yield(|| spin_budget(guard.crowded(), ranks_in_region(), cpus()), guard, probe)
 }
 
 /// [`wait_until`] with the budget left to the caller; asked again after
@@ -125,15 +135,41 @@ mod tests {
     #[test]
     fn the_budget_throttles_exactly_when_ranks_outnumber_cpus() {
         for cpus in [1, 2, 8, 64] {
-            assert_eq!(spin_budget(0, cpus), FULL_SPINS);
-            assert_eq!(spin_budget(cpus - 1, cpus), FULL_SPINS);
+            assert_eq!(spin_budget(false, 0, cpus), FULL_SPINS);
+            assert_eq!(spin_budget(false, cpus - 1, cpus), FULL_SPINS);
             assert_eq!(
-                spin_budget(cpus, cpus),
+                spin_budget(false, cpus, cpus),
                 FULL_SPINS,
                 "a team that fits keeps its budget"
             );
-            assert_eq!(spin_budget(cpus + 1, cpus), THROTTLED_SPINS);
-            assert_eq!(spin_budget(8 * cpus, cpus), THROTTLED_SPINS);
+            assert_eq!(spin_budget(false, cpus + 1, cpus), THROTTLED_SPINS);
+            assert_eq!(spin_budget(false, 8 * cpus, cpus), THROTTLED_SPINS);
+            // A crowded team throttles however idle the host is.
+            for ranks in [0, 1, cpus, cpus + 1] {
+                assert_eq!(spin_budget(true, ranks, cpus), THROTTLED_SPINS);
+            }
+        }
+    }
+
+    #[test]
+    fn a_crowded_guard_steers_the_wait_to_the_throttled_budget() {
+        // The wait spends one whole budget before it asks the tripped
+        // guard. Uncrowded, the budget also follows the host's count,
+        // which other tests of this binary move, so only the crowded
+        // budget is exact.
+        for crowded in [true, false] {
+            let guard = RunGuard::for_team(None, crowded);
+            guard.trip();
+            let mut probes = 0u32;
+            assert!(!wait_until(&guard, || {
+                probes += 1;
+                false
+            }));
+            if crowded {
+                assert_eq!(probes, THROTTLED_SPINS);
+            } else {
+                assert!(REGIMES.contains(&probes), "{probes}");
+            }
         }
     }
 

@@ -14,13 +14,20 @@
 //! Pre-order creation is an invariant, not a style: the engine numbers
 //! objects in `Simulator::add_*` call order, an `ObjId` reaches the trace
 //! and the report's `obj_effects`, and the golden digests cover both.
+//!
+//! What a run reads of its machine and placement does not change from
+//! run to run, so a runtime resolves it once, into an image it shares
+//! with its clones: the engine's topology caches ([`Topo`]) and, per team
+//! size, the thread→place assignment and how far it reaches. A run
+//! builds only what is its own — the simulator's state, the lowered
+//! programs and their sync objects.
 
 use crate::config::{RegionResult, RtConfig};
 use crate::error::RtError;
 use crate::region::{
     delay_cycles, reduction_aggregate, Clause, Construct, RegionSpec, Schedule,
 };
-use ompvar_sim::engine::Simulator;
+use ompvar_sim::engine::{Simulator, Topo};
 use ompvar_sim::fault::FaultPlan;
 use ompvar_sim::params::SimParams;
 use ompvar_sim::sync::{LoopSchedule, LoopSpec};
@@ -28,7 +35,9 @@ use ompvar_sim::task::{CorunClass, ObjId, Op, Program, TaskId};
 use ompvar_sim::trace::{ObjEffects, SemanticEffects, SimReport};
 use ompvar_sim::time::{Time, SEC, US};
 use ompvar_topology::{assign_places, MachineSpec, ProcBind, ThreadAssignment};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, OnceLock};
 
 /// Frequency-logger configuration for simulated runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,6 +87,9 @@ pub struct SimRuntime {
     /// never perturbs virtual time: attributed and plain runs of the
     /// same seed are time-identical.
     pub attribution: bool,
+    /// The machine image, built at the first run and shared by every
+    /// clone (see [`Image`]).
+    image: Arc<OnceLock<Image>>,
 }
 
 impl SimRuntime {
@@ -93,6 +105,7 @@ impl SimRuntime {
             faults: FaultPlan::new(),
             tracing: false,
             attribution: false,
+            image: Arc::default(),
         }
     }
 
@@ -131,27 +144,6 @@ impl SimRuntime {
     pub fn with_attribution(mut self, on: bool) -> Self {
         self.attribution = on;
         self
-    }
-
-    /// Topology contention multiplier for a team bound as `assignment`
-    /// has it.
-    fn span_factor(&self, assignment: &ThreadAssignment) -> f64 {
-        let cross = self.params.sync.cross_socket_factor;
-        if self.config.bind == ProcBind::False {
-            // Unbound threads roam the whole node: worst case.
-            return cross;
-        }
-        let hws: Vec<_> = assignment
-            .iter_bound()
-            .map(|(_, p)| p.first())
-            .collect();
-        if self.machine.sockets_touched(&hws) > 1 {
-            cross
-        } else if self.machine.numas_touched(&hws) > 1 {
-            (1.0 + cross) / 2.0
-        } else {
-            1.0
-        }
     }
 
     /// Run `region`, deterministically from `seed`.
@@ -204,23 +196,30 @@ impl SimRuntime {
     /// [`SimRuntime::run`] and [`SimRuntime::run_report`].
     fn prepare(&self, region: &RegionSpec, seed: u64) -> Result<Prepared, RtError> {
         region.validate().map_err(RtError::InvalidRegion)?;
-        let mut sim = Simulator::new(self.machine.clone(), self.params.clone(), seed);
-        // Resolved once: the span factor and the spawns read the same
-        // placement.
-        let assignment = assign_places(
-            &self.machine,
-            &self.config.places,
-            self.config.bind,
-            region.n_threads,
-        );
-        let mut lower = Lowerer::new(self, region, self.span_factor(&assignment), &mut sim);
+        // Compared on use: `machine` and `config` are public fields, so a
+        // runtime may have been changed since its image was built. Such a
+        // run resolves a fresh image of its own.
+        let stale;
+        let image = match self.image.get_or_init(|| Image::new(&self.machine, &self.config)) {
+            image if *image.topo.spec() == self.machine && image.config == self.config => image,
+            _ => {
+                stale = Image::new(&self.machine, &self.config);
+                &stale
+            }
+        };
+        let mut sim = Simulator::on(image.topo.clone(), self.params.clone(), seed);
+        // The span factor and the spawns read the same placement.
+        let team = image.team(region.n_threads);
+        let span = team.reach.span_factor(self.params.sync.cross_socket_factor);
+        let mut lower = Lowerer::new(self, region, span, &mut sim);
         lower.lower(&region.constructs);
         let Lowerer { master, others, roles, marker_pairs, .. } = lower;
 
-        let master = sim.spawn_user(0, Program::new(master), assignment.place_of(0).cloned());
+        let place = |rank| team.assignment.place_of(rank).cloned();
+        let master = sim.spawn_user(0, Program::new(master), place(0));
         let others = Program::new(others);
         for rank in 1..region.n_threads {
-            sim.spawn_user(rank, others.clone(), assignment.place_of(rank).cloned());
+            sim.spawn_user(rank, others.clone(), place(rank));
         }
         if let Some(cfg) = self.freq_logger {
             sim.enable_freq_logger(cfg.cpu, cfg.period, cfg.cost);
@@ -235,6 +234,84 @@ impl SimRuntime {
             sim.enable_attribution();
         }
         Ok(Prepared { sim, roles, marker_pairs, master })
+    }
+}
+
+/// What every run of a runtime reads of its machine and placement,
+/// resolved once per runtime and shared by its clones: a run clones the
+/// topology caches (pointer copies) and looks its team up by size.
+#[derive(Debug)]
+struct Image {
+    /// The engine's topology caches, and the spec they were built for.
+    topo: Topo,
+    /// The affinity configuration the teams were resolved under.
+    config: RtConfig,
+    /// The resolved team of each size run so far.
+    teams: Mutex<BTreeMap<usize, Arc<TeamImage>>>,
+}
+
+/// One team size's placement under the image's configuration.
+#[derive(Debug)]
+struct TeamImage {
+    assignment: ThreadAssignment,
+    reach: Reach,
+}
+
+/// How far a team's placement reaches across the machine, which sets the
+/// contention multiplier of every sync object the team shares.
+#[derive(Debug, Clone, Copy)]
+enum Reach {
+    /// All bound threads share one NUMA domain.
+    Numa,
+    /// Bound threads span NUMA domains of one socket.
+    Socket,
+    /// Bound threads span sockets, or roam the whole node unbound.
+    Node,
+}
+
+impl Reach {
+    /// The topology contention multiplier, given the cost of crossing a
+    /// socket.
+    fn span_factor(self, cross_socket: f64) -> f64 {
+        match self {
+            Reach::Numa => 1.0,
+            Reach::Socket => (1.0 + cross_socket) / 2.0,
+            Reach::Node => cross_socket,
+        }
+    }
+}
+
+impl Image {
+    fn new(machine: &MachineSpec, config: &RtConfig) -> Image {
+        Image {
+            topo: Topo::new(machine.clone()),
+            config: config.clone(),
+            teams: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The placement of an `n`-thread team, resolved on first use.
+    fn team(&self, n: usize) -> Arc<TeamImage> {
+        let mut teams = self.teams.lock();
+        let team = teams.entry(n).or_insert_with(|| {
+            let machine = self.topo.spec();
+            let assignment = assign_places(machine, &self.config.places, self.config.bind, n);
+            let reach = if self.config.bind == ProcBind::False {
+                // Unbound threads roam the whole node: worst case.
+                Reach::Node
+            } else {
+                let hws: Vec<_> = assignment.iter_bound().map(|(_, p)| p.first()).collect();
+                if machine.sockets_touched(&hws) > 1 {
+                    Reach::Node
+                } else if machine.numas_touched(&hws) > 1 {
+                    Reach::Socket
+                } else {
+                    Reach::Numa
+                }
+            };
+            Arc::new(TeamImage { assignment, reach })
+        });
+        Arc::clone(team)
     }
 }
 

@@ -28,7 +28,8 @@
 //! free functions) in a file of its own, statically dispatched:
 //!
 //! * `topo` — where a hardware thread sits (owns the spec and the flat
-//!   caches built from it);
+//!   caches built from it; built once per machine, [`Topo`], and cloned
+//!   into each run by [`Simulator::on`]);
 //! * `place` — which CPU a task or a noise arrival goes to (pure
 //!   functions over a random stream, the run queues and the topology);
 //! * `sched` — rates, progress accounting (`touch`), boundary events,
@@ -62,7 +63,7 @@ mod sched;
 mod topo;
 
 use self::attr::AttrState;
-use self::topo::Topo;
+pub use self::topo::Topo;
 use crate::error::SimError;
 use crate::events::{EventKind, EventQueue};
 use crate::fault::{Fault, FaultEvent, FaultPlan};
@@ -223,7 +224,15 @@ impl Simulator {
     /// Create a simulator for `machine` with model parameters `params`,
     /// fully determined by `seed`.
     pub fn new(machine: MachineSpec, params: SimParams, seed: u64) -> Self {
+        Simulator::on(Topo::new(machine), params, seed)
+    }
+
+    /// [`Simulator::new`] on a machine whose topology caches are already
+    /// built: a caller that simulates one machine many times builds its
+    /// [`Topo`] once and hands each run a clone.
+    pub fn on(topo: Topo, params: SimParams, seed: u64) -> Self {
         let root = Rng::new(seed);
+        let machine = topo.spec();
         let n_cpu = machine.n_hw_threads();
         let sockets = (0..machine.sockets)
             .map(|s| Socket {
@@ -290,7 +299,7 @@ impl Simulator {
             event_budget: None,
             trace: None,
             attr: AttrState::default(),
-            topo: Topo::new(machine),
+            topo,
             params,
             now: 0,
             queue,

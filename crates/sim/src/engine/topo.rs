@@ -6,26 +6,32 @@
 //! n_cores`, see [`MachineSpec`]), so the caches hold exactly the values
 //! the `MachineSpec::*_of` lookups compute; the tests hold every cached
 //! answer to the spec's own.
+//!
+//! A `Topo` is built once per machine and cloned into every run of it
+//! ([`super::Simulator::on`]): the caches are shared slices, so a clone
+//! copies pointers (and the spec), and a lookup is still one load, as
+//! from a `Vec`.
 
 use ompvar_topology::{CoreId, HwThreadId, MachineSpec, NumaId};
+use std::sync::Arc;
 
 /// The simulated machine's layout: the spec plus flat per-CPU caches.
-#[derive(Debug)]
-pub(super) struct Topo {
+#[derive(Debug, Clone)]
+pub struct Topo {
     /// The machine being simulated.
     pub(super) spec: MachineSpec,
     /// Physical core of each hardware thread.
-    cpu_core: Vec<u32>,
+    cpu_core: Arc<[u32]>,
     /// Socket of each hardware thread.
-    cpu_socket: Vec<u32>,
+    cpu_socket: Arc<[u32]>,
     /// NUMA domain of each hardware thread.
-    cpu_numa: Vec<u32>,
+    cpu_numa: Arc<[u32]>,
     /// Socket of each physical core.
-    core_socket: Vec<u32>,
+    core_socket: Arc<[u32]>,
     /// Hardware threads of each socket, ascending.
-    socket_cpus: Vec<Vec<usize>>,
+    socket_cpus: Arc<[Box<[usize]>]>,
     /// Hardware threads of each NUMA domain, cores first, then siblings.
-    numa_cpus: Vec<Vec<usize>>,
+    numa_cpus: Arc<[Box<[usize]>]>,
     /// `spec.n_cores()`, copied out for the sibling formula.
     n_cores: usize,
     /// `spec.smt` (SMT ways per core).
@@ -34,16 +40,15 @@ pub(super) struct Topo {
 
 impl Topo {
     /// Build the caches for `spec`.
-    pub(super) fn new(spec: MachineSpec) -> Topo {
+    pub fn new(spec: MachineSpec) -> Topo {
         let n_cpu = spec.n_hw_threads();
-        let per_cpu = |f: fn(&MachineSpec, HwThreadId) -> usize| -> Vec<u32> {
+        let per_cpu = |f: fn(&MachineSpec, HwThreadId) -> usize| -> Arc<[u32]> {
             (0..n_cpu).map(|h| f(&spec, HwThreadId(h)) as u32).collect()
         };
         let cpu_socket = per_cpu(|m, h| m.socket_of(h).0);
-        let mut socket_cpus: Vec<Vec<usize>> = vec![Vec::new(); spec.sockets];
-        for h in 0..n_cpu {
-            socket_cpus[cpu_socket[h] as usize].push(h);
-        }
+        let socket_cpus = (0..spec.sockets)
+            .map(|s| (0..n_cpu).filter(|&h| cpu_socket[h] as usize == s).collect())
+            .collect();
         let numa_cpus = (0..spec.n_numa())
             .map(|d| spec.hw_threads_of_numa(NumaId(d)).into_iter().map(|h| h.0).collect())
             .collect();
@@ -60,6 +65,11 @@ impl Topo {
             smt: spec.smt,
             spec,
         }
+    }
+
+    /// The machine these caches were built for.
+    pub fn spec(&self) -> &MachineSpec {
+        &self.spec
     }
 
     /// Socket of hardware thread `cpu`.
