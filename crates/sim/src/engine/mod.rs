@@ -267,7 +267,8 @@ impl Simulator {
                 }
             }
         }
-        // Near: one live boundary per CPU plus its stale predecessors.
+        // Boundaries (the lane): one live boundary per CPU plus its stale
+        // predecessors.
         // Far: one pending arrival per noise stream, a tick per busy CPU,
         // and the per-socket / global services.
         let queue = EventQueue::with_capacity(

@@ -167,8 +167,13 @@ impl Simulator {
         }
         let mut budget = elapsed as f64;
         // Pending overheads are denominated in max-frequency nanoseconds
-        // and are consumed at the core's current clock ratio.
-        let nrate = self.ghz(cpu) / self.topo.spec.clock.max_ghz;
+        // and are consumed at the core's current clock ratio. An empty
+        // pot needs no ratio: `drain_pot` ignores it on a zero draw.
+        let nrate = if self.tasks[tid.0 as usize].pending_overhead_ns > 0.0 {
+            self.ghz(cpu) / self.topo.spec.clock.max_ghz
+        } else {
+            1.0
+        };
         let (pot_used, pot_exhausted, pot_blocks);
         {
             let t = &mut self.tasks[tid.0 as usize];
@@ -230,8 +235,12 @@ impl Simulator {
         let t = &self.tasks[tid.0 as usize];
         let mut next: Option<Time> = None;
         if !matches!(t.state, TaskState::Waiting(_)) {
-            let mut ns =
-                t.pending_overhead_ns * self.topo.spec.clock.max_ghz / self.ghz(cpu);
+            // An empty pot prices to exactly 0.0 at any positive clock.
+            let mut ns = if t.pending_overhead_ns == 0.0 {
+                0.0
+            } else {
+                t.pending_overhead_ns * self.topo.spec.clock.max_ghz / self.ghz(cpu)
+            };
             if let Some(cur) = &t.current {
                 ns += cur.rem() / self.rate(cpu, cur, t.home_numa);
             } else if ns <= 0.0 {

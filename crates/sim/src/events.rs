@@ -1,18 +1,30 @@
 //! The discrete-event core: event kinds and the time-ordered queue.
 //!
-//! The queue is two 4-ary min-heaps under one global `seq`, each a
-//! single `Vec` of `(key, payload)` entries where `key` packs `(time,
-//! seq)` into one `u128` so ordering is a single integer compare.
-//! **near** holds only [`EventKind::CpuBoundary`] as a typed 32-byte
-//! entry; **far** holds every other kind. In a noisy regime ~99.9 % of
-//! pops are boundaries while the far tier parks hundreds of long-period
-//! timers (one noise stream per CPU, a tick per busy CPU, the balancer,
-//! the DVFS pulses): kept apart, a boundary pop/push sifts through the
-//! handful of live boundaries instead of through the parked timers.
-//! `pop` takes the smaller of the two heads. Keys are unique (`seq`
-//! never repeats), so the pending set is totally ordered and splitting
-//! it in two and merging by head compare pops the identical sequence a
-//! single heap would.
+//! The queue is three tiers under one global `seq`. Each entry carries
+//! a `key` that packs `(time, seq)` into one `u128`, so ordering is a
+//! single integer compare.
+//!
+//! - **lane**: a ring of [`EventKind::CpuBoundary`] entries in strictly
+//!   ascending key order. A boundary whose key is above the lane's back
+//!   is appended in O(1); a lockstep team retires its timed micro-ops in
+//!   waves, so most boundary pushes land behind every pending boundary.
+//! - **near**: a 4-ary min-heap of the boundaries that arrived out of
+//!   order, as typed 32-byte entries.
+//! - **far**: a 4-ary min-heap of every other kind. In a noisy regime
+//!   ~99.9 % of pops are boundaries while the far tier parks hundreds of
+//!   long-period timers (one noise stream per CPU, a tick per busy CPU,
+//!   the balancer, the DVFS pulses): kept apart, a boundary never sifts
+//!   through the parked timers.
+//!
+//! `pop` takes the smallest of the three heads. Keys are unique (`seq`
+//! never repeats), so the pending set is totally ordered; splitting it
+//! into sorted parts and merging by head compare pops the identical
+//! sequence a single heap would, whichever part holds a key.
+//!
+//! The lane's worst case is an outlier at its back (a long op, a
+//! quantum end): every later boundary with a smaller key goes to the
+//! near heap until the outlier pops. That costs what a heap-only queue
+//! costs, plus one compare per push.
 //!
 //! Pops come in ascending `(time, seq)` order — earliest first, ties
 //! broken FIFO by insertion sequence — which is what makes the engine's
@@ -20,6 +32,7 @@
 //! sorted-map model of exactly that order.
 
 use crate::time::Time;
+use std::collections::VecDeque;
 
 /// Kinds of events processed by the engine.
 ///
@@ -200,8 +213,9 @@ impl<P: Copy> PackedHeap<P> {
     }
 }
 
-/// The near tier's payload: a [`EventKind::CpuBoundary`] without its
-/// tag, so a near entry is 32 bytes against the far tier's 48.
+/// The lane's and the near tier's payload: a [`EventKind::CpuBoundary`]
+/// without its tag, so a boundary entry is 32 bytes against the far
+/// tier's 48.
 type Boundary = (u32, u64);
 
 #[inline]
@@ -212,10 +226,20 @@ fn boundary_kind((cpu, token): Boundary) -> EventKind {
     }
 }
 
+/// Which tier holds the earliest pending event.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Lane,
+    Near,
+    Far,
+}
+
 /// Time-ordered event queue with deterministic FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// `CpuBoundary` events only.
+    /// `CpuBoundary` events that arrived in key order, smallest first.
+    lane: VecDeque<(u128, Boundary)>,
+    /// `CpuBoundary` events that arrived behind the lane's back.
     near: PackedHeap<Boundary>,
     /// Every other kind.
     far: PackedHeap<EventKind>,
@@ -229,8 +253,8 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Smallest reservation per tier: enough that a small simulator's
-    /// steady state never regrows a heap mid-run.
+    /// Smallest reservation for the lane and the far tier: enough that a
+    /// small simulator's steady state never regrows them mid-run.
     const MIN_CAPACITY: usize = 16;
 
     /// An empty queue at the minimum reservation.
@@ -238,24 +262,43 @@ impl EventQueue {
         EventQueue::with_capacity(0, 0)
     }
 
-    /// An empty queue with room for `near` pending CPU boundaries and
-    /// `far` pending events of every other kind (both raised to a small
-    /// floor).
-    pub fn with_capacity(near: usize, far: usize) -> Self {
+    /// An empty queue with room for `boundaries` pending CPU boundaries
+    /// and `far` pending events of every other kind (both raised to a
+    /// small floor). The boundary reservation goes to the lane; the near
+    /// heap starts empty and grows on its first out-of-order push.
+    pub fn with_capacity(boundaries: usize, far: usize) -> Self {
         EventQueue {
-            near: PackedHeap::with_capacity(near.max(Self::MIN_CAPACITY)),
+            lane: VecDeque::with_capacity(boundaries.max(Self::MIN_CAPACITY)),
+            near: PackedHeap::with_capacity(0),
             far: PackedHeap::with_capacity(far.max(Self::MIN_CAPACITY)),
             seq: 0,
         }
     }
 
-    /// Does the earliest pending event sit in `near`? Keys are unique,
-    /// so the two heads never tie.
+    /// The tier whose head is the earliest pending event. Keys are
+    /// unique, so heads never tie.
     #[inline]
-    fn head_is_near(&self) -> bool {
-        match (self.near.entries.first(), self.far.entries.first()) {
-            (Some(n), Some(f)) => n.0 < f.0,
-            (n, _) => n.is_some(),
+    fn head_tier(&self) -> Option<Tier> {
+        let lane = self.lane.front().map(|e| e.0);
+        let near = self.near.entries.first().map(|e| e.0);
+        let boundary = match (lane, near) {
+            (Some(l), Some(n)) if n < l => Some((n, Tier::Near)),
+            (Some(l), _) => Some((l, Tier::Lane)),
+            (None, n) => n.map(|n| (n, Tier::Near)),
+        };
+        match (boundary, self.far.entries.first()) {
+            (Some((b, _)), Some(f)) if f.0 < b => Some(Tier::Far),
+            (Some((_, tier)), _) => Some(tier),
+            (None, f) => f.map(|_| Tier::Far),
+        }
+    }
+
+    /// The lane is strictly ascending around its back after a push.
+    #[inline]
+    fn debug_check_lane_back(&self) {
+        if cfg!(debug_assertions) {
+            let n = self.lane.len();
+            assert!(n < 2 || self.lane[n - 2].0 < self.lane[n - 1].0);
         }
     }
 
@@ -267,7 +310,12 @@ impl EventQueue {
         match kind {
             EventKind::CpuBoundary { cpu, token } => {
                 let cpu = u32::try_from(cpu).expect("hardware-thread index fits u32");
-                self.near.push(key, (cpu, token));
+                if self.lane.back().is_none_or(|back| back.0 < key) {
+                    self.lane.push_back((key, (cpu, token)));
+                    self.debug_check_lane_back();
+                } else {
+                    self.near.push(key, (cpu, token));
+                }
             }
             other => self.far.push(key, other),
         }
@@ -276,26 +324,25 @@ impl EventQueue {
     /// Pop the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, EventKind)> {
-        if self.head_is_near() {
-            let (k, b) = self.near.pop()?;
-            Some((unpack_time(k), boundary_kind(b)))
-        } else {
-            self.far.pop().map(|(k, kind)| {
-                debug_assert!(!matches!(kind, EventKind::CpuBoundary { .. }));
-                (unpack_time(k), kind)
-            })
-        }
+        let head = self.head_tier()?;
+        let (k, kind) = match head {
+            Tier::Lane => self.lane.pop_front().map(|(k, b)| (k, boundary_kind(b)))?,
+            Tier::Near => self.near.pop().map(|(k, b)| (k, boundary_kind(b)))?,
+            Tier::Far => self.far.pop()?,
+        };
+        debug_assert_eq!(matches!(kind, EventKind::CpuBoundary { .. }), head != Tier::Far);
+        Some((unpack_time(k), kind))
     }
 
     /// The earliest pending event, without removing it.
     #[inline]
     pub fn peek(&self) -> Option<(Time, EventKind)> {
-        if self.head_is_near() {
-            let (k, b) = self.near.head()?;
-            Some((unpack_time(k), boundary_kind(b)))
-        } else {
-            self.far.head().map(|(k, kind)| (unpack_time(k), kind))
-        }
+        let (k, kind) = match self.head_tier()? {
+            Tier::Lane => self.lane.front().map(|&(k, b)| (k, boundary_kind(b)))?,
+            Tier::Near => self.near.head().map(|(k, b)| (k, boundary_kind(b)))?,
+            Tier::Far => self.far.head()?,
+        };
+        Some((unpack_time(k), kind))
     }
 
     /// The time of the earliest pending event *excluding* the head;
@@ -304,14 +351,17 @@ impl EventQueue {
     /// can be batched.
     #[inline]
     pub fn second_time(&self) -> Option<Time> {
-        // The runner-up is either second in the head's own heap or the
-        // head of the other one.
-        let (own, other) = if self.head_is_near() {
-            (self.near.second_key(), self.far.head().map(|e| e.0))
-        } else {
-            (self.far.second_key(), self.near.head().map(|e| e.0))
+        // The runner-up is either second in the head's own tier or the
+        // head of another one.
+        let lane = self.lane.front().map(|e| e.0);
+        let near = self.near.head().map(|e| e.0);
+        let far = self.far.head().map(|e| e.0);
+        let (own, other, third) = match self.head_tier()? {
+            Tier::Lane => (self.lane.get(1).map(|e| e.0), near, far),
+            Tier::Near => (self.near.second_key(), lane, far),
+            Tier::Far => (self.far.second_key(), lane, near),
         };
-        own.into_iter().chain(other).min().map(unpack_time)
+        [own, other, third].into_iter().flatten().min().map(unpack_time)
     }
 
     /// Burn `n` sequence numbers without pushing. The idle-period
@@ -325,7 +375,7 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.near.entries.len() + self.far.entries.len()
+        self.lane.len() + self.near.entries.len() + self.far.entries.len()
     }
 
     /// Whether the queue is empty.
@@ -405,5 +455,35 @@ mod tests {
         q.push(u64::MAX, boundary(0));
         assert_eq!(q.peek(), Some((u64::MAX, boundary(0))));
         assert!(q.second_time().is_none());
+    }
+
+    #[test]
+    fn an_outlier_at_the_lane_back_sends_earlier_boundaries_to_the_heap() {
+        let boundary = |cpu| EventKind::CpuBoundary { cpu, token: 0 };
+        let mut q = EventQueue::new();
+        q.push(10, boundary(0));
+        q.push(1_000, boundary(1)); // the outlier: a long op
+        q.push(20, boundary(2)); // behind the back: near heap
+        q.push(20, boundary(3)); // ties FIFO with cpu 2, also near
+        q.push(15, EventKind::FreqSample);
+        q.push(1_000, boundary(4)); // equal time, later seq: the lane again
+        assert_eq!((q.lane.len(), q.near.entries.len()), (3, 2));
+        assert_eq!(q.second_time(), Some(15));
+        let order: Vec<(Time, EventKind)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (10, boundary(0)),
+                (15, EventKind::FreqSample),
+                (20, boundary(2)),
+                (20, boundary(3)),
+                (1_000, boundary(1)),
+                (1_000, boundary(4)),
+            ]
+        );
+        // Once the outlier has popped, in-order pushes use the lane again.
+        q.push(1_500, boundary(5));
+        q.push(1_600, boundary(6));
+        assert_eq!((q.lane.len(), q.near.entries.len()), (2, 0));
     }
 }

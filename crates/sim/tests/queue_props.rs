@@ -16,9 +16,9 @@ fn kind_draw() -> impl Strategy<Value = KindDraw> {
     (0u8..8, any::<u32>(), any::<u32>())
 }
 
-/// The `i`-th push's kind, drawn across both tiers of the packed queue
-/// (`CpuBoundary` lives in the near heap, every other kind in the far
-/// one) and stamped with the insertion index so the pop order is fully
+/// The `i`-th push's kind, drawn across the tiers of the queue
+/// (`CpuBoundary` lives in the lane or the near heap, every other kind
+/// in the far heap) and stamped with the insertion index so the pop order is fully
 /// observable. Half the pushes are boundaries, with CPUs and tokens
 /// spanning their whole width.
 fn kind(i: usize, (sel, cpu, salt): KindDraw) -> EventKind {
@@ -63,6 +63,11 @@ impl Model {
     fn pop(&mut self) -> Option<(Time, EventKind)> {
         self.pending.pop_first().map(|((time, _), kind)| (time, kind))
     }
+
+    /// The earliest pending time after the head's.
+    fn second_time(&self) -> Option<Time> {
+        self.pending.keys().nth(1).map(|&(time, _)| time)
+    }
 }
 
 /// Pop the queue and the model, holding the queue's `peek` (time *and*
@@ -78,7 +83,7 @@ fn pop_both(queue: &mut EventQueue, model: &mut Model) -> Result<(), TestCaseErr
 proptest! {
     /// Popping everything yields ascending time, ties broken FIFO by
     /// insertion order — i.e. exactly a stable sort by time, across
-    /// both tiers of the queue.
+    /// every tier of the queue.
     #[test]
     fn pops_are_a_stable_sort_by_time(
         draws in prop::collection::vec((time(16), kind_draw()), 1..64),
@@ -95,7 +100,7 @@ proptest! {
         prop_assert_eq!(&got, &expect);
     }
 
-    /// The tiered packed heaps agree with the model under arbitrary
+    /// The tiered queue agrees with the model under arbitrary
     /// push/pop interleavings: same `len`, same pops, and the queue's
     /// `peek` announces each of them.
     #[test]
@@ -117,6 +122,55 @@ proptest! {
             pop_both(&mut queue, &mut model)?;
         }
         prop_assert_eq!(queue.peek(), None);
+        prop_assert_eq!(model.pop(), None);
+    }
+
+    /// A lockstep team's boundaries arrive in waves: at or after the
+    /// last pop, half of them at the previous push's time, with now and
+    /// then a far-future outlier that blocks the lane's back and a push
+    /// below it that must go to the near heap. Under that mix, with
+    /// far-tier kinds and pops interleaved, the queue agrees with the
+    /// model on `len`, `peek`, `second_time` and every pop.
+    #[test]
+    fn lane_waves_match_the_model(
+        ops in prop::collection::vec((0u8..16, 0u64..8, kind_draw()), 1..256),
+    ) {
+        let mut queue = EventQueue::new();
+        let mut model = Model::default();
+        // `floor`: the last popped time; `prev`: the previous push's.
+        let (mut floor, mut prev) = (0, 0);
+        for (i, &(sel, delta, (k, cpu, salt))) in ops.iter().enumerate() {
+            let wave = prev.max(floor);
+            let (time, kind) = match sel {
+                0..=3 => {
+                    if let Some((t, _)) = queue.peek() {
+                        floor = t;
+                        pop_both(&mut queue, &mut model)?;
+                    }
+                    prop_assert_eq!(queue.second_time(), model.second_time());
+                    continue;
+                }
+                4 | 5 => (floor.saturating_add(delta), kind(i, (4 + k % 4, cpu, salt))),
+                6..=9 => (wave, kind(i, (0, cpu, salt))),
+                10..=12 => (wave.saturating_add(delta), kind(i, (0, cpu, salt))),
+                13 if delta == 0 => (u64::MAX, kind(i, (0, cpu, salt))),
+                13 => (floor.saturating_add(delta << 40), kind(i, (0, cpu, salt))),
+                _ => (floor, kind(i, (0, cpu, salt))),
+            };
+            queue.push(time, kind);
+            model.push(time, kind);
+            // An outlier does not move the wave: later pushes stay below it.
+            if sel != 13 {
+                prev = time;
+            }
+            prop_assert_eq!(queue.len(), model.pending.len());
+            prop_assert_eq!(queue.peek(), model.pending.first_key_value().map(|(&(t, _), &k)| (t, k)));
+            prop_assert_eq!(queue.second_time(), model.second_time());
+        }
+        while !queue.is_empty() {
+            prop_assert_eq!(queue.second_time(), model.second_time());
+            pop_both(&mut queue, &mut model)?;
+        }
         prop_assert_eq!(model.pop(), None);
     }
 
