@@ -283,6 +283,7 @@ impl Simulator {
                         begin_pc: pc,
                         remaining: count - 1,
                     });
+                    self.periodic.frame_moves += 1;
                     continue;
                 }
                 Op::LoopEnd => {
@@ -290,8 +291,14 @@ impl Simulator {
                     if frame.remaining > 0 {
                         frame.remaining -= 1;
                         t.pc = frame.begin_pc + 1;
+                        // Rank 0 starts another iteration: the periodic
+                        // fast-forward checkpoints after this event.
+                        if t.rank == 0 && t.kind == TaskKind::User {
+                            self.periodic.due = true;
+                        }
                     } else {
                         t.frames.pop();
+                        self.periodic.frame_moves += 1;
                     }
                     continue;
                 }

@@ -37,6 +37,10 @@
 //! * `exec` — the op interpreter: programs → micro-ops → sync objects;
 //! * `fast_forward` — absorbing idle chains of no-op ticks and balancer
 //!   passes in O(1) heap operations, ahead of every pop of the main loop;
+//! * `periodic` — absorbing whole periods of a loop whose team state
+//!   recurs: checkpoints at rank 0's `LoopEnd`, an exact relative
+//!   snapshot, and a jump over as many periods as fit before the next
+//!   far-tier event, between two events of the main loop;
 //! * `noise`, `freq`, `fault` — the three sources of interference: OS
 //!   noise arrivals, DVFS (governor, droop pulses, the logger), injected
 //!   faults;
@@ -47,9 +51,9 @@
 //! referent that ships nowhere: the topology caches to `MachineSpec`'s
 //! own lookups, `place::least_loaded` to a candidate-`Vec` model,
 //! `Simulator::sibling_busy`'s counter to a sibling scan (a debug
-//! assertion), the event queue to a sorted-map model, and the idle
-//! fast-forward to the same run with it switched off (a switch that
-//! exists in test builds only).
+//! assertion), the event queue to a sorted-map model, and the idle and
+//! periodic fast-forwards each to the same run with it switched off (a
+//! switch that exists in test builds only).
 
 mod attr;
 mod exec;
@@ -57,6 +61,7 @@ mod fast_forward;
 mod fault;
 mod freq;
 mod noise;
+mod periodic;
 mod place;
 mod report;
 mod sched;
@@ -218,6 +223,8 @@ pub struct Simulator {
     /// accidental re-entry degrades to a fresh allocation rather than
     /// corruption.
     scratch_cpus: Vec<usize>,
+    /// The periodic fast-forward's checkpoints and armed snapshot.
+    periodic: periodic::Periodic,
 }
 
 impl Simulator {
@@ -277,6 +284,7 @@ impl Simulator {
         );
         Simulator {
             scratch_cpus: Vec::new(),
+            periodic: periodic::Periodic::default(),
             cpus: (0..n_cpu).map(|_| Cpu::default()).collect(),
             sockets,
             domains: (0..machine.n_numa()).map(|_| Domain::default()).collect(),
@@ -516,6 +524,9 @@ impl Simulator {
             return Err(err);
         }
         while self.users_remaining > 0 {
+            if self.periodic.due {
+                self.periodic_checkpoint(limit);
+            }
             self.fast_forward_idle(limit);
             let Some((t, ev)) = self.queue.pop() else {
                 return Err(SimError::Deadlock {

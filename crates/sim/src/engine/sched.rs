@@ -339,6 +339,7 @@ impl Simulator {
         }
         let is_busy = self.cpus[cpu].running.is_some();
         if was_busy != is_busy {
+            self.periodic.busy_turns += 1;
             let core = self.topo.core_of(cpu);
             let socket = self.topo.socket_of(cpu);
             if is_busy {

@@ -108,6 +108,11 @@ fn unpack_time(key: u128) -> Time {
     (key >> 64) as Time
 }
 
+#[inline]
+fn unpack_seq(key: u128) -> u64 {
+    key as u64
+}
+
 /// 4-ary min-heap over packed keys. Entries live in one contiguous
 /// `Vec`; each sift-down step scans at most four children that sit next
 /// to each other in memory. Sifts move a hole rather than swapping: the
@@ -244,6 +249,9 @@ pub struct EventQueue {
     /// Every other kind.
     far: PackedHeap<EventKind>,
     seq: u64,
+    /// Pushes and pops the far tier has seen: unchanged across a stretch
+    /// of events iff no far-tier event was scheduled or handled in it.
+    far_ops: u64,
 }
 
 impl Default for EventQueue {
@@ -272,6 +280,7 @@ impl EventQueue {
             near: PackedHeap::with_capacity(0),
             far: PackedHeap::with_capacity(far.max(Self::MIN_CAPACITY)),
             seq: 0,
+            far_ops: 0,
         }
     }
 
@@ -317,7 +326,10 @@ impl EventQueue {
                     self.near.push(key, (cpu, token));
                 }
             }
-            other => self.far.push(key, other),
+            other => {
+                self.far_ops += 1;
+                self.far.push(key, other);
+            }
         }
     }
 
@@ -328,7 +340,10 @@ impl EventQueue {
         let (k, kind) = match head {
             Tier::Lane => self.lane.pop_front().map(|(k, b)| (k, boundary_kind(b)))?,
             Tier::Near => self.near.pop().map(|(k, b)| (k, boundary_kind(b)))?,
-            Tier::Far => self.far.pop()?,
+            Tier::Far => {
+                self.far_ops += 1;
+                self.far.pop()?
+            }
         };
         debug_assert_eq!(matches!(kind, EventKind::CpuBoundary { .. }), head != Tier::Far);
         Some((unpack_time(k), kind))
@@ -371,6 +386,68 @@ impl EventQueue {
     #[inline]
     pub fn bump_seq(&mut self, n: u64) {
         self.seq += n;
+    }
+
+    /// Far-tier pushes and pops so far (see the field).
+    #[inline]
+    pub(crate) fn far_ops(&self) -> u64 {
+        self.far_ops
+    }
+
+    /// Time of the earliest pending event of the far tier: every kind but
+    /// [`EventKind::CpuBoundary`].
+    #[inline]
+    pub(crate) fn far_head_time(&self) -> Option<Time> {
+        self.far.head().map(|(k, _)| unpack_time(k))
+    }
+
+    /// The pending boundaries (lane, then the near heap in slot order),
+    /// each as four words taken relative to `now`, to the seq counter and
+    /// to its CPU's current token: `time - now`, `seq counter - seq`, the
+    /// CPU, `token_of(cpu) - token`. Two queues whose boundaries encode
+    /// alike pop them alike, up to a uniform shift.
+    pub(crate) fn boundary_words(
+        &self,
+        now: Time,
+        token_of: impl Fn(usize) -> u64,
+        out: &mut Vec<u64>,
+    ) {
+        out.push(self.lane.len() as u64);
+        out.push(self.near.entries.len() as u64);
+        for &(key, (cpu, token)) in self.lane.iter().chain(&self.near.entries) {
+            out.extend([
+                unpack_time(key) - now,
+                self.seq - unpack_seq(key),
+                u64::from(cpu),
+                token_of(cpu as usize).wrapping_sub(token),
+            ]);
+        }
+    }
+
+    /// Shift every pending boundary by `dt` in time and `ds` in seq, and
+    /// its token by `token_shift(cpu)`; advance the seq counter by `ds`.
+    /// The far tier stays where it is. A uniform shift keeps the lane
+    /// sorted and the near heap ordered, and, like [`Self::bump_seq`],
+    /// leaves every later tie-break where the unshifted run would put it.
+    pub(crate) fn shift_boundaries(
+        &mut self,
+        dt: Time,
+        ds: u64,
+        token_shift: impl Fn(usize) -> u64,
+    ) {
+        let shift = pack(dt, ds);
+        for (key, (cpu, token)) in self.lane.iter_mut().chain(&mut self.near.entries) {
+            debug_assert!(unpack_seq(*key).checked_add(ds).is_some(), "seq overflow");
+            *key += shift;
+            *token = token.wrapping_add(token_shift(*cpu as usize));
+        }
+        self.seq += ds;
+    }
+
+    /// The seq number the next push takes.
+    #[inline]
+    pub(crate) fn seq(&self) -> u64 {
+        self.seq
     }
 
     /// Number of pending events.
@@ -485,5 +562,38 @@ mod tests {
         q.push(1_500, boundary(5));
         q.push(1_600, boundary(6));
         assert_eq!((q.lane.len(), q.near.entries.len()), (2, 0));
+    }
+
+    #[test]
+    fn a_uniform_shift_moves_every_boundary_and_leaves_the_far_tier() {
+        let boundary = |cpu, token| EventKind::CpuBoundary { cpu, token };
+        let mut q = EventQueue::new();
+        q.push(10, boundary(0, 5));
+        q.push(1_000, boundary(1, 7)); // the lane's back
+        q.push(20, boundary(2, 9)); // behind it: near
+        q.push(500, EventKind::LoadBalance);
+        assert_eq!((q.far_ops(), q.far_head_time(), q.seq()), (1, Some(500), 4));
+        // Relative to now = 5, seq counter 4 and tokens 5, 7, 10.
+        let tokens = [5, 7, 10];
+        let mut words = Vec::new();
+        q.boundary_words(5, |cpu| tokens[cpu], &mut words);
+        assert_eq!(words, [2, 1, 5, 4, 0, 0, 995, 3, 1, 0, 15, 2, 2, 1]);
+        // Shift by 100 ns and 10 seqs; CPU c's tokens by c.
+        q.shift_boundaries(100, 10, |cpu| cpu as u64);
+        let mut shifted = Vec::new();
+        q.boundary_words(105, |cpu| tokens[cpu] + cpu as u64, &mut shifted);
+        assert_eq!(shifted, words, "a shift keeps every relative word");
+        assert_eq!((q.far_ops(), q.far_head_time(), q.seq()), (1, Some(500), 14));
+        let order: Vec<(Time, EventKind)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (110, boundary(0, 5)),
+                (120, boundary(2, 11)),
+                (500, EventKind::LoadBalance),
+                (1_100, boundary(1, 8)),
+            ]
+        );
+        assert_eq!(q.far_ops(), 2, "the far pop counts too");
     }
 }

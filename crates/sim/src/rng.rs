@@ -81,6 +81,15 @@ impl Rng {
         }
     }
 
+    /// The whole generator state as words: the four xoshiro words, then
+    /// whether a normal deviate is cached and its bits. Two generators
+    /// with equal words draw identical streams.
+    pub(crate) fn state_words(&self) -> [u64; 6] {
+        let [a, b, c, d] = self.s;
+        let cached = self.cached_normal.map_or(0, f64::to_bits);
+        [a, b, c, d, u64::from(self.cached_normal.is_some()), cached]
+    }
+
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

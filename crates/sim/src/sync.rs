@@ -97,11 +97,11 @@ pub struct LoopObj {
     /// repetitions.
     pub generation: u64,
     /// Next unassigned iteration (dynamic/guided).
-    next_iter: u64,
+    pub(crate) next_iter: u64,
     /// Threads that have entered the loop this generation.
     pub entered: usize,
     /// Threads that have observed exhaustion this generation.
-    finished: usize,
+    pub(crate) finished: usize,
     /// Ordered-ticket state: next iteration allowed into the section.
     pub ordered_next: u64,
     /// Tasks spinning for their ordered ticket, keyed by iteration.

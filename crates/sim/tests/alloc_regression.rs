@@ -196,3 +196,54 @@ fn run_allocation_count_is_modest() {
         "run allocated {count} times for 100 sync cycles (want <= 200)"
     );
 }
+
+/// Allocations inside `run` of an EPCC-shaped region on calibrated
+/// Dardel: 32 threads pinned one per core run `outer` × {barrier; 128 ×
+/// {delay; critical combine; barrier}}, the reduction body, with ticks
+/// and DVFS live — long stretches of it repeat between two ticks, so the
+/// periodic fast-forward checkpoints, arms and jumps throughout. Noise is
+/// quiet: it lands on CPUs one by one, and each CPU's kernel queue
+/// allocates at its first arrival, a cost that grows with the run until
+/// every CPU has been hit (ROADMAP item 7).
+fn calibrated_epcc_allocs(outer: u32) -> u64 {
+    let machine = MachineSpec::dardel();
+    let mut params = SimParams::for_machine(&machine);
+    params.noise = NoiseParams::quiet();
+    let n = 32;
+    let mut sim = Simulator::new(machine.clone(), params, 11);
+    let barrier = sim.add_barrier(n, 1.0);
+    let lock = sim.add_lock(1.0);
+    for rank in 0..n {
+        let prog = Program::builder()
+            .repeat(outer)
+            .barrier(barrier)
+            .repeat(128)
+            .compute(300.0, CorunClass::Latency)
+            .lock(lock)
+            .busy_ns(120.0)
+            .unlock(lock)
+            .barrier(barrier)
+            .end_repeat()
+            .end_repeat()
+            .build();
+        let hw = machine.hw_threads_of_core(ompvar_topology::CoreId(rank))[0];
+        sim.spawn_user(rank, prog, Some(Place::single(hw)));
+    }
+    allocs_in_run(sim)
+}
+
+/// The periodic fast-forward's buffers are allocated at most once per
+/// run, not once per checkpoint or period: tripling the outer
+/// repetitions of a calibrated EPCC-shaped run leaves its allocation
+/// count exactly where it was.
+#[test]
+fn periodic_fast_forward_allocates_once_per_run() {
+    let _ = calibrated_epcc_allocs(2);
+    let short = calibrated_epcc_allocs(10);
+    let long = calibrated_epcc_allocs(30);
+    assert_eq!(
+        short, long,
+        "a calibrated EPCC run allocates per repetition: {short} allocs at 10 outer reps, \
+         {long} at 30"
+    );
+}

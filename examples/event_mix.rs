@@ -1,12 +1,18 @@
 //! Engine event mix of Figure 5's EPCC cells: per run of the schedbench
 //! and ten syncbench configurations (ST and MT, `fig5 --fast`
-//! parameters and seeds) print host time, events popped, what share of
+//! parameters and seeds) print host time, events counted, what share of
 //! them were ticks / noise arrivals / pre-emptions, and ns per event;
 //! the last line totals events and host time over every cell, with the
-//! mean ns per event — the engine's per-event cost in one number, to
-//! compare between two builds. Nearly every event is a CPU boundary
-//! while Dardel parks 258 noise timers — the profile the tiered event
-//! queue was sized with.
+//! mean ns per event, to compare between two builds. Nearly every event
+//! is a CPU boundary while Dardel parks 258 noise timers — the profile
+//! the tiered event queue was sized with.
+//!
+//! Events are counted, not popped: the idle and periodic fast-forwards
+//! absorb events without popping them and count each one, so the event
+//! columns are the same with or without them, and ns per event divides
+//! host time by every counted event, absorbed ones included. It is the
+//! engine's cost per simulated event, not per pop: a cell whose loop
+//! repeats costs less per event the more of it is jumped.
 //!
 //! ```text
 //! cargo run --release --example event_mix

@@ -141,3 +141,103 @@ fn the_reference_rule_matches_a_field_read_only() {
     assert!(!reads_reference_field("let r = cfg.reference_count;"));
     assert!(!reads_reference_field("see the reference engine"));
 }
+
+/// `path` relative to the root with `/` separators, for comparing
+/// against fixed paths.
+fn rel(path: &Path) -> String {
+    shown(path).replace('\\', "/")
+}
+
+/// The text of every `.rs` file under the given directories that
+/// `bad` flags, as relative paths.
+fn files_flagged(dirs: &[&str], bad: impl Fn(&str) -> bool) -> Vec<String> {
+    dirs.iter()
+        .flat_map(|dir| rust_files_under(dir))
+        .filter(|path| bad(&fs::read_to_string(path).expect("readable")))
+        .map(|path| rel(&path))
+        .collect()
+}
+
+/// Does `line` import `escape` through a `json::{…}` group?
+fn imports_escape(line: &str) -> bool {
+    line.match_indices("json::{").any(|(at, m)| {
+        let group = &line[at + m.len()..];
+        group[..group.find('}').unwrap_or(group.len())].contains("escape")
+    })
+}
+
+/// One JSON writer. The JSON text format — quotes, separators, escapes,
+/// number tokens — is spelled in `obs::json` and nowhere else (DESIGN
+/// §6): nothing else under `crates/` calls or imports its `escape`, and
+/// no other shipping source line carries a `\":` literal.
+#[test]
+fn one_json_writer() {
+    let escapes = files_flagged(&["crates"], |text| {
+        text.contains("escape(") || text.contains("json::escape") || imports_escape(text)
+    });
+    assert_eq!(escapes, ["crates/obs/src/json.rs"], "json escape referenced outside obs::json");
+
+    let quoted_key: String = ['\\', '"', ':'].iter().collect();
+    let by_hand: Vec<String> = rust_files_under("crates")
+        .iter()
+        .filter(|path| rel(path).contains("/src/") && rel(path) != "crates/obs/src/json.rs")
+        .flat_map(|path| {
+            shipping_lines(path)
+                .into_iter()
+                .filter(|(_, line)| line.contains(&quoted_key))
+                .map(move |(n, _)| format!("{}:{n}", shown(path)))
+        })
+        .collect();
+    assert!(by_hand.is_empty(), "JSON spelled by hand at: {by_hand:?}");
+}
+
+/// One JSON reader. A journal line is decoded off the scanner (DESIGN
+/// §6, §7): outside its test module the checkpoint reader builds no tree
+/// of a line (`json::parse(`) and copies no payload, and nothing but
+/// `obs::json` looks for a quote byte in JSON text.
+#[test]
+fn one_json_reader() {
+    let reader = root().join("crates/supervisor/src/checkpoint.rs");
+    let copies = |line: &str| {
+        line.find("payload").is_some_and(|at| line[at..].contains(".clone()"))
+            || line.contains("other.clone()")
+    };
+    let trees: Vec<String> = shipping_lines(&reader)
+        .into_iter()
+        .filter(|(_, line)| line.contains("json::parse(") || copies(line))
+        .map(|(n, _)| format!("{}:{n}", shown(&reader)))
+        .collect();
+    assert!(
+        trees.is_empty(),
+        "checkpoint reader parses to a tree or clones a payload at: {trees:?}"
+    );
+
+    let quote_byte: String = ['b', '\'', '"', '\''].iter().collect();
+    let scanners = files_flagged(&["crates", "src", "tests", "examples"], |text| {
+        text.contains(&quote_byte)
+    });
+    assert_eq!(scanners, ["crates/obs/src/json.rs"], "JSON strings scanned outside obs::json");
+}
+
+/// Checks as claims. Every shape check of the paper-figure modules is a
+/// comparison, stated once as a `claim::Claim` that derives its verdict,
+/// detail line and margin (DESIGN §3.7): none of them builds a plain
+/// `Check` by hand.
+#[test]
+fn checks_as_claims() {
+    let modules = [
+        "fig1", "fig2", "fig3", "fig4", "fig5", "fig67", "table2", "taskbench_exp", "chunks",
+        "ablation",
+    ];
+    let by_hand: Vec<String> = modules
+        .iter()
+        .map(|m| root().join(format!("crates/harness/src/{m}.rs")))
+        .filter(|path| {
+            let text = fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("{}: {e}", shown(path)));
+            text.contains("Check::new(")
+        })
+        .map(|path| shown(&path))
+        .collect();
+    assert!(by_hand.is_empty(), "hand-written Check::new( in: {by_hand:?}");
+}
