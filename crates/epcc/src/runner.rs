@@ -6,6 +6,7 @@ use ompvar_rt::config::RegionResult;
 use ompvar_rt::region::RegionSpec;
 use ompvar_rt::runner::RegionRunner;
 use ompvar_rt::RtError;
+use ompvar_sim::rng::offset;
 
 /// Run `i` of a configuration: `region` under seed `seed_base + i`
 /// (simulated backend), mirroring the paper's protocol of independent
@@ -18,7 +19,10 @@ pub fn run_seed<R: RegionRunner>(
     seed_base: u64,
     i: usize,
 ) -> Result<RegionResult, RtError> {
-    rt.run_region(region, seed_base.wrapping_add(i as u64))
+    // The switch point for disjoint run seeds: run `i` of `seed_base + 1`
+    // is run `i + 1` of `seed_base` here; `child(seed_base, "run", i)`
+    // would share none.
+    rt.run_region(region, offset(seed_base, i as u64))
 }
 
 /// The serial seed loop: item `i` is [`run_seed`] `i`. Lazy — nothing

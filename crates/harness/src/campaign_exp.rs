@@ -34,10 +34,9 @@ use ompvar_core::Table;
 use ompvar_rt::region::{RegionSpec, Schedule};
 use ompvar_rt::runner::RegionRunner;
 use ompvar_sim::fault::FaultPlan;
+use ompvar_sim::rng::{child, offset, retry};
 use ompvar_sim::time::{SEC, US};
-use ompvar_supervisor::{
-    attempt_seed, name_seed, stabilize, Backoff, ExecUnit, Outcome, StabilityPolicy, UnitError,
-};
+use ompvar_supervisor::{stabilize, Backoff, ExecUnit, Outcome, StabilityPolicy, UnitError};
 
 const PLATFORM: Platform = Platform::Vera;
 const THREADS: usize = 8;
@@ -111,14 +110,14 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             ExecUnit::new(cell, move |attempt| {
                 // Base repetitions under this attempt's seed stream; the
                 // adaptive pass extends unstable cells with extra seeds.
-                let seed0 = attempt_seed(seed, attempt);
+                let seed0 = retry(seed, attempt);
                 let mut base = Vec::with_capacity(base_runs);
                 for i in 0..base_runs {
-                    base.push(measure(&reg, cell, attempt, seed0.wrapping_add(i as u64))?);
+                    base.push(measure(&reg, cell, attempt, offset(seed0, i as u64))?);
                 }
                 let mut failed = None;
                 let st = stabilize(base, &policy, |i| {
-                    match measure(&reg, cell, attempt, seed0.wrapping_add((base_runs + i) as u64))
+                    match measure(&reg, cell, attempt, offset(seed0, (base_runs + i) as u64))
                     {
                         Ok(x) => Some(x),
                         Err(e) => {
@@ -204,7 +203,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     // The schedule is recorded and checked; inner campaigns never
     // actually sleep it.
     let sup_cfg = executor_config(opts, false).supervisor;
-    let expected_backoff = Backoff::new(sup_cfg.backoff, sup_cfg.seed ^ name_seed("flaky"))
+    let expected_backoff = Backoff::new(sup_cfg.backoff, child(sup_cfg.seed, "flaky", 0))
         .schedule(flaky.retries as u32);
 
     let checks = vec![

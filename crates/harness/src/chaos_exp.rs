@@ -49,9 +49,10 @@ use ompvar_obs::json::Value;
 use ompvar_rt::region::{RegionSpec, Schedule};
 use ompvar_rt::runner::RegionRunner;
 use ompvar_sim::fault::FaultPlan;
+use ompvar_sim::rng::{child, retry};
 use ompvar_supervisor::{
-    atomic_write, attempt_seed, install_chaos, run_campaign, CampaignRun, ChaosAction,
-    Checkpointable, CrashPoint, ExecUnit, IoChaos, IoFaultPlan, Outcome, ProcChaos, UnitError,
+    atomic_write, install_chaos, run_campaign, CampaignRun, ChaosAction, Checkpointable,
+    CrashPoint, ExecUnit, IoChaos, IoFaultPlan, Outcome, ProcChaos, UnitError,
 };
 use std::path::{Path, PathBuf};
 
@@ -94,7 +95,7 @@ pub(crate) fn units(region: &RegionSpec, seed: u64, n: usize) -> Vec<ExecUnit<Ce
         .map(|i| {
             let reg = region.clone();
             ExecUnit::new(format!("c{i}"), move |attempt| {
-                let s = attempt_seed(seed ^ (i as u64).wrapping_mul(0x9e37), attempt);
+                let s = retry(child(seed, "chaos-cell", i as u64), attempt);
                 measure(&reg, s).map(CellVal)
             })
         })
@@ -388,7 +389,9 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
 
     // ---- Phase 5: process chaos replays bit-identically -------------
     // Deterministically pick a chaos seed whose schedule fires at least
-    // one kill and one panic over the unit set (pure decisions).
+    // one kill and one panic over the unit set (pure decisions). A
+    // search over candidates, not a seed derivation: it stays `seed ^ s`
+    // (DESIGN §5 "Seeds").
     let pc = (0..u64::MAX)
         .map(|s| ProcChaos { seed: seed ^ s, ..ProcChaos::standard(seed) })
         .find(|pc| {

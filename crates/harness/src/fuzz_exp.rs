@@ -44,7 +44,8 @@ use ompvar_core::Table;
 use ompvar_qcheck::gen::{self, GenConfig, ALL_KINDS};
 use ompvar_qcheck::{case_seed, run_fuzz_range, shrink, FuzzConfig, FuzzFailure, FuzzReport};
 use ompvar_rt::region::Construct;
-use ompvar_supervisor::{attempt_seed, UnitError};
+use ompvar_sim::rng::retry;
+use ompvar_supervisor::UnitError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -101,7 +102,7 @@ fn shrinker_demo(seed: u64, cfg: &GenConfig) -> (bool, String) {
 /// The campaign under attempt `attempt` of a cell: a retry re-seeds it,
 /// attempt 0 keeps `case_seed = seed + case`.
 fn campaign(seed: u64, attempt: u32, cases: u64) -> FuzzConfig {
-    FuzzConfig { cases, base_seed: attempt_seed(seed, attempt), gen: GenConfig::with_vars() }
+    FuzzConfig { cases, base_seed: retry(seed, attempt), gen: GenConfig::with_vars() }
 }
 
 /// A failing case as the report prints it: replay seed, oracle
@@ -205,7 +206,7 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         static CALLS: AtomicUsize = AtomicUsize::new(0);
         let tag = format!("{}_{}", std::process::id(), CALLS.fetch_add(1, Ordering::Relaxed));
         let scratch = std::env::temp_dir().join(format!("ompvar_crash_resume_{tag}"));
-        let seed = attempt_seed(seed, attempt);
+        let seed = retry(seed, attempt);
         let units = chaos_exp::units(&chaos_exp::region(true), seed, 4);
         let explored = chaos_exp::explore(&scratch, seed, &units, false);
         let _ = std::fs::remove_dir_all(&scratch);

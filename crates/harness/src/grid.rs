@@ -21,9 +21,9 @@ use ompvar_obs::json::Value;
 use ompvar_rt::config::RegionResult;
 use ompvar_rt::region::RegionSpec;
 use ompvar_rt::simrt::SimRuntime;
+use ompvar_sim::rng::retry;
 use ompvar_supervisor::{
-    attempt_seed, Checkpointable, ExecUnit, Outcome, RetryRecord, Transience, UnitError,
-    UnitResult,
+    Checkpointable, ExecUnit, Outcome, RetryRecord, Transience, UnitError, UnitResult,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -123,7 +123,7 @@ impl Grid {
     pub fn whole(name: &str, opts: &ExpOptions, run: fn(&ExpOptions) -> ExpReport) -> Grid {
         let opts = opts.clone();
         let cell = ExecUnit::new(name, move |attempt| {
-            let seed = attempt_seed(opts.seed, attempt);
+            let seed = retry(opts.seed, attempt);
             Ok(Sample::Report(run(&ExpOptions { seed, ..opts.clone() })))
         });
         let fold = |mut s: Samples| match s.0.pop() {
@@ -228,7 +228,7 @@ impl Plan {
             let shared = Arc::clone(&shared);
             self.cell(format_args!("{label}/{i}"), move |attempt| {
                 let (rt, region, reduce) = &*shared;
-                let res = run_seed(rt, region, attempt_seed(seed, attempt), i)
+                let res = run_seed(rt, region, retry(seed, attempt), i)
                     .map_err(|e| UnitError::from_rt(&e))?;
                 Sample::checked(reduce(&res))
             });

@@ -43,8 +43,9 @@ use ompvar_obs::json::Value;
 use ompvar_obs::{AttrSource, QuantileSketch, RunAttribution, ThreadAttribution, VarAccum, N_SOURCES};
 use ompvar_rt::region::{RegionSpec, Schedule};
 use ompvar_sim::fault::FaultPlan;
+use ompvar_sim::rng::{child, retry};
 use ompvar_sim::time::{SEC, US};
-use ompvar_supervisor::{atomic_write, attempt_seed, name_seed, UnitError};
+use ompvar_supervisor::{atomic_write, UnitError};
 use std::sync::Arc;
 
 const PLATFORM: Platform = Platform::Vera;
@@ -307,9 +308,9 @@ pub fn plan(opts: &ExpOptions) -> Grid {
                 let (region, key) = (Arc::clone(&region), format!("{wl}/{cfg}/{i}"));
                 // Decorrelated per-cell seed stream; attempt 0 keeps the
                 // base stream so an unretried campaign is reproducible.
-                let unit_seed = seed ^ name_seed(&key);
+                let unit_seed = child(seed, &key, 0);
                 plan.cell(key, move |attempt| {
-                    Sample::checked(measure(&region, cfg, attempt_seed(unit_seed, attempt))?)
+                    Sample::checked(measure(&region, cfg, retry(unit_seed, attempt))?)
                 })
             });
             let cells = cells.reduce(|a, b| a.start..b.end).expect("at least one run per cell");

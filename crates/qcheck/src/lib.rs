@@ -41,7 +41,7 @@ use ompvar_rt::region::RegionSpec;
 pub struct FuzzConfig {
     /// Number of cases to run.
     pub cases: u64,
-    /// Base seed; case `i` uses seed `base_seed.wrapping_add(i)`.
+    /// Base seed; case `i` uses seed [`case_seed`]`(base_seed, i)`.
     pub base_seed: u64,
     /// Generator shape knobs.
     pub gen: GenConfig,
@@ -57,7 +57,7 @@ pub struct FuzzConfig {
 /// because case 0 of the campaign at base `base + case` is exactly case
 /// `case` of the campaign at `base`.
 pub fn case_seed(base: u64, case: u64) -> u64 {
-    base.wrapping_add(case)
+    ompvar_sim::rng::offset(base, case)
 }
 
 /// One failing case: the program, why it failed, and its shrunk form.

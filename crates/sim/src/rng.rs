@@ -11,18 +11,34 @@
 //! Independent *named sub-streams* are derived with [`Rng::fork`], so that
 //! e.g. the noise model and the frequency model never share a stream and
 //! adding draws to one cannot perturb the other.
+//!
+//! This module is also the one place a *seed* is derived from another
+//! seed. Every derivation in the workspace is one of the free functions
+//! below, each a named function of its root: [`child`] for a labelled,
+//! indexed sub-seed, [`retry`] for a unit's retry attempt, [`offset`] for
+//! the additive run and case seeds. They are plain `u64` functions
+//! because seeds cross every crate API as `u64`.
 
-/// SplitMix64 step: advances `state` and returns the next output.
+/// SplitMix64's increment (the golden ratio), also the odd multiplier
+/// that spreads a small index over 64 bits.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output finalizer: a bijective 64-bit mixer.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a byte string, used to turn stream labels into seeds.
+/// One SplitMix64 step from state `x`: `mix64(x + γ)`. Output `k` of
+/// the generator seeded with `s` is `splitmix64(s + k·γ)`.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    mix64(x.wrapping_add(GAMMA))
+}
+
+/// FNV-1a hash of a byte string, used to turn labels into seeds.
 #[inline]
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
@@ -31,6 +47,36 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01B3);
     }
     h
+}
+
+/// Sub-seed `index` of the stream named `label` under `seed`:
+/// `seed ^ fnv1a(label) ^ index·γ`. Labels keep streams apart; the
+/// index spreads runs of one stream over all 64 bits.
+#[inline]
+pub fn child(seed: u64, label: &str, index: u64) -> u64 {
+    seed ^ fnv1a(label.as_bytes()) ^ index.wrapping_mul(GAMMA)
+}
+
+/// The seed a supervised unit uses for retry `attempt`. Attempt 0 keeps
+/// `seed` unchanged — a never-retried supervised run is bit-identical
+/// to an unsupervised one — and each retry gets a decorrelated
+/// derivative.
+#[inline]
+pub fn retry(seed: u64, attempt: u32) -> u64 {
+    if attempt == 0 {
+        seed
+    } else {
+        mix64(seed ^ u64::from(attempt).wrapping_mul(GAMMA))
+    }
+}
+
+/// The additive derivation `seed + i`: seeds of consecutive items
+/// overlap between roots (item `i` of `seed + 1` is item `i + 1` of
+/// `seed`). Kept where that overlap is the point, or until a caller
+/// switches to [`child`].
+#[inline]
+pub fn offset(seed: u64, i: u64) -> u64 {
+    seed.wrapping_add(i)
 }
 
 /// xoshiro256++ generator.
@@ -44,20 +90,17 @@ pub struct Rng {
 impl Rng {
     /// Create a generator from a 64-bit seed (expanded via SplitMix64).
     pub fn new(seed: u64) -> Self {
-        let mut sm = seed;
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        let s = std::array::from_fn(|k| {
+            splitmix64(seed.wrapping_add(GAMMA.wrapping_mul(k as u64)))
+        });
         Rng {
             s,
             cached_normal: None,
         }
     }
 
-    /// Derive an independent sub-stream identified by `label` and `index`.
+    /// Derive an independent sub-stream identified by `label` and `index`:
+    /// the generator of [`child`] of the parent's seed material.
     ///
     /// Forking is stable: the child stream depends only on the parent seed
     /// material, the label and the index — not on how many numbers the
@@ -65,20 +108,7 @@ impl Rng {
     /// seeded parent. By convention the engine forks everything from the
     /// root RNG at construction time.
     pub fn fork(&self, label: &str, index: u64) -> Rng {
-        let mut sm = self.s[0]
-            ^ self.s[1].rotate_left(17)
-            ^ fnv1a(label.as_bytes())
-            ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
-        Rng {
-            s,
-            cached_normal: None,
-        }
+        Rng::new(child(self.s[0] ^ self.s[1].rotate_left(17), label, index))
     }
 
     /// The whole generator state as words: the four xoshiro words, then
@@ -213,6 +243,26 @@ mod tests {
         let mut c1bis = root.fork("noise", 0);
         let abis: Vec<u64> = (0..8).map(|_| c1bis.next_u64()).collect();
         assert_eq!(a, abis);
+    }
+
+    /// The run-seed switch point. With `child(s, "run", i)` the runs of
+    /// user seeds `s` and `s + 1` share no seed for n ≤ 1024; with
+    /// `offset`, which `run_seed` uses, they share n − 1 of n.
+    #[test]
+    fn child_run_seeds_of_adjacent_roots_are_disjoint() {
+        use std::collections::HashSet;
+        let n = 1024u64;
+        let roots = std::iter::once(20230714).chain(1..=10).chain((1..=20).map(|k| k << 32));
+        for s in roots {
+            let ours: HashSet<u64> = (0..n).map(|i| child(s, "run", i)).collect();
+            assert_eq!(ours.len(), n as usize, "root {s}: child collides with itself");
+            let shared = (0..n).filter(|&j| ours.contains(&child(s + 1, "run", j))).count();
+            assert_eq!(shared, 0, "root {s}: child shares run seeds with root {}", s + 1);
+
+            let ours: HashSet<u64> = (0..n).map(|i| offset(s, i)).collect();
+            let shared = (0..n).filter(|&j| ours.contains(&offset(s + 1, j))).count();
+            assert_eq!(shared, n as usize - 1, "root {s}: offset overlaps in all but one run");
+        }
     }
 
     #[test]

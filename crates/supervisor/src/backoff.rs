@@ -2,10 +2,12 @@
 //!
 //! The delay before retry `attempt` (0-based) is
 //! `min(cap, base * factor^attempt)` scaled by a jitter factor in
-//! `[0.5, 1.5)` drawn from a splitmix64 stream keyed on
-//! `(seed, attempt)`. Everything is a pure function of the inputs, so a
-//! replayed campaign reproduces the exact same schedule — which the
-//! retry-determinism tests assert bit-for-bit.
+//! `[0.5, 1.5)` drawn from [`splitmix64`] keyed on `(seed, attempt)`.
+//! Everything is a pure function of the inputs, so a replayed campaign
+//! reproduces the exact same schedule — which the retry-determinism
+//! tests assert bit-for-bit.
+
+use ompvar_sim::rng::splitmix64;
 
 /// Shape of the backoff curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,25 +28,6 @@ impl Default for BackoffCfg {
     }
 }
 
-/// splitmix64's increment, also the usual odd multiplier for spreading
-/// a small counter over 64 bits.
-pub(crate) const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// splitmix64's output finalizer: a bijective 64-bit mixer.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// splitmix64: the same tiny seeded generator the simulator's RNG layer
-/// bootstraps from. One step, keyed on the full input. The one copy in
-/// this crate: backoff jitter, attempt seeds and every chaos roll draw
-/// from it.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    mix64(x.wrapping_add(GOLDEN_GAMMA))
-}
-
 /// A deterministic backoff schedule for one supervised unit.
 #[derive(Debug, Clone, Copy)]
 pub struct Backoff {
@@ -53,7 +36,9 @@ pub struct Backoff {
 }
 
 impl Backoff {
-    /// Schedule keyed on the supervisor seed and the unit's name hash.
+    /// Schedule keyed on `seed`. The supervisor keys a unit's retries on
+    /// `child(seed, name, 0)` and its journal's I/O retries on
+    /// `child(seed, name, 1)` (see [`ompvar_sim::rng::child`]).
     pub fn new(cfg: BackoffCfg, seed: u64) -> Backoff {
         Backoff { cfg, seed }
     }
@@ -74,16 +59,6 @@ impl Backoff {
     pub fn schedule(&self, n: u32) -> Vec<u64> {
         (0..n).map(|a| self.delay_ms(a)).collect()
     }
-}
-
-/// Hash a unit name into a seed component (FNV-1a, stable across runs).
-pub fn name_seed(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -110,12 +85,6 @@ mod tests {
             assert!(d as f64 >= raw * 0.5 - 1.0, "attempt {a}: {d}");
             assert!((d as f64) < raw * 1.5 + 1.0, "attempt {a}: {d}");
         }
-    }
-
-    #[test]
-    fn name_seed_is_stable_and_distinguishes() {
-        assert_eq!(name_seed("faults"), name_seed("faults"));
-        assert_ne!(name_seed("faults"), name_seed("trace"));
     }
 
     proptest! {

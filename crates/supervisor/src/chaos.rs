@@ -26,7 +26,7 @@
 //! uninstalls the shim. Installing while already holding a guard on the
 //! same thread deadlocks by construction — don't.
 
-use crate::backoff::splitmix64;
+use ompvar_sim::rng::splitmix64;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};

@@ -19,11 +19,12 @@
 //! exported through the usual Chrome-trace pipeline so a campaign's
 //! recovery history is visible in Perfetto next to the runs themselves.
 
-use crate::backoff::{mix64, name_seed, Backoff, BackoffCfg, GOLDEN_GAMMA};
+use crate::backoff::{Backoff, BackoffCfg};
 use crate::checkpoint::{Entry, Manifest, RetryRecord, UnitStatus};
 use crate::classify::Transience;
 use ompvar_obs::json::Value;
 use ompvar_obs::{EventKind, InstantKind, SpanKind, Trace, TraceEvent, CORE_UNKNOWN};
+use ompvar_sim::rng::child;
 use std::time::Instant;
 
 /// A result type that can live in the checkpoint manifest.
@@ -141,17 +142,6 @@ impl<R> Outcome<R> {
     }
 }
 
-/// The seed a unit should use for `attempt`. Attempt 0 uses the base
-/// seed unchanged — a never-retried supervised run is bit-identical to
-/// an unsupervised one — and each retry gets a decorrelated derivative.
-pub fn attempt_seed(base: u64, attempt: u32) -> u64 {
-    if attempt == 0 {
-        base
-    } else {
-        mix64(base ^ u64::from(attempt).wrapping_mul(GOLDEN_GAMMA))
-    }
-}
-
 /// The campaign supervisor. See the module docs.
 #[derive(Debug)]
 pub struct Supervisor {
@@ -246,17 +236,14 @@ impl Supervisor {
         std::mem::take(&mut self.notes)
     }
 
-    /// Decorrelates the journal's own backoff stream from the unit's:
-    /// both key off `(seed, name)`, and without a salt an I/O retry
-    /// would replay the exact delays the unit retry is about to use.
-    const JOURNAL_BACKOFF_SALT: u64 = 0x6a72_6e6c; // "jrnl"
-
     fn journal(&mut self, lane: u32, name: &str, entry: Entry) {
         if self.manifest.is_none() {
             return;
         }
-        let backoff =
-            Backoff::new(self.cfg.backoff, self.cfg.seed ^ name_seed(name) ^ Self::JOURNAL_BACKOFF_SALT);
+        // Index 1 of the unit's stream, apart from the unit's own
+        // backoff (index 0): an I/O retry does not replay the delays the
+        // unit retry is about to use.
+        let backoff = Backoff::new(self.cfg.backoff, child(self.cfg.seed, name, 1));
         let mut attempt: u32 = 0;
         loop {
             let m = self.manifest.as_mut().expect("checked above");
@@ -301,7 +288,8 @@ impl Supervisor {
     }
 
     /// Run `name` to a terminal state. `run` is invoked with the attempt
-    /// number (0-based); derive per-attempt seeds with [`attempt_seed`].
+    /// number (0-based); derive per-attempt seeds with
+    /// [`ompvar_sim::rng::retry`].
     pub fn supervise<R: Checkpointable>(
         &mut self,
         name: &str,
@@ -309,7 +297,7 @@ impl Supervisor {
     ) -> Outcome<R> {
         let lane = self.lanes;
         self.lanes += 1;
-        let backoff = Backoff::new(self.cfg.backoff, self.cfg.seed ^ name_seed(name));
+        let backoff = Backoff::new(self.cfg.backoff, child(self.cfg.seed, name, 0));
         let mut retries: Vec<RetryRecord> = Vec::new();
         let mut attempt: u32 = 0;
         loop {
@@ -609,11 +597,12 @@ mod tests {
 
     #[test]
     fn attempt_seed_keeps_base_for_first_attempt() {
-        assert_eq!(attempt_seed(1234, 0), 1234);
-        assert_ne!(attempt_seed(1234, 1), 1234);
-        assert_ne!(attempt_seed(1234, 1), attempt_seed(1234, 2));
+        use ompvar_sim::rng::retry;
+        assert_eq!(retry(1234, 0), 1234);
+        assert_ne!(retry(1234, 1), 1234);
+        assert_ne!(retry(1234, 1), retry(1234, 2));
         // Deterministic.
-        assert_eq!(attempt_seed(1234, 3), attempt_seed(1234, 3));
+        assert_eq!(retry(1234, 3), retry(1234, 3));
     }
 
     #[test]

@@ -241,3 +241,170 @@ fn checks_as_claims() {
         .collect();
     assert!(by_hand.is_empty(), "hand-written Check::new( in: {by_hand:?}");
 }
+
+/// The identifier a method is called on: the word that ends right
+/// before byte `dot` of `line` (empty after `)` or `]`).
+fn receiver(line: &str, dot: usize) -> &str {
+    let head = &line[..dot];
+    let start = head
+        .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .map_or(0, |i| i + 1);
+    &head[start..]
+}
+
+/// Does `line` call `.wrapping_add` or `.wrapping_mul` on a binding
+/// whose name contains `seed`?
+fn steps_a_seed_by_hand(line: &str) -> bool {
+    [".wrapping_add(", ".wrapping_mul("].iter().any(|call| {
+        line.match_indices(call)
+            .any(|(at, _)| receiver(line, at).to_ascii_lowercase().contains("seed"))
+    })
+}
+
+/// One seed tree. Every derived seed is a named function of its root in
+/// `sim::rng` (DESIGN §5 "Seeds"): outside `rng.rs` shipping code
+/// spells neither SplitMix64 finalizer multiplier nor the FNV-1a offset
+/// basis, defines no mixer or seed-derivation function of its own, and
+/// the harness and drivers never step a seed with bare wrapping
+/// arithmetic — they call `rng::offset`, `child` or `retry`.
+#[test]
+fn one_seed_tree() {
+    let rng = "crates/sim/src/rng.rs";
+    let shipped = |bad: &dyn Fn(&str) -> bool| -> Vec<String> {
+        ["crates", "src", "examples"]
+            .iter()
+            .flat_map(|dir| shipping_hits(dir, bad))
+            .filter(|hit| !hit.contains("/tests/") && !hit.starts_with(rng))
+            .collect()
+    };
+
+    let constants = ["0xbf58476d1ce4e5b9", "0x94d049bb133111eb", "0xcbf29ce484222325"];
+    let found = shipped(&|line| {
+        let plain = line.to_ascii_lowercase().replace('_', "");
+        constants.iter().any(|c| plain.contains(c))
+    });
+    assert!(found.is_empty(), "a SplitMix64 or FNV-1a constant outside {rng}: {found:?}");
+
+    let fns = ["fn mix64(", "fn splitmix64(", "fn fnv1a(", "fn name_seed(", "fn attempt_seed("];
+    let found = shipped(&|line| fns.iter().any(|f| line.contains(f)));
+    assert!(found.is_empty(), "a seed mixer defined outside {rng}: {found:?}");
+
+    let found: Vec<String> = ["crates/harness/src", "crates/epcc/src", "crates/qcheck/src"]
+        .iter()
+        .flat_map(|dir| shipping_hits(dir, steps_a_seed_by_hand))
+        .collect();
+    assert!(found.is_empty(), "a seed stepped by hand, not through sim::rng: {found:?}");
+}
+
+#[test]
+fn the_seed_rule_matches_a_seed_receiver_only() {
+    assert!(steps_a_seed_by_hand("rt.run_region(region, seed_base.wrapping_add(i as u64))"));
+    assert!(steps_a_seed_by_hand("let s = unitSeed.wrapping_mul(3);"));
+    assert!(!steps_a_seed_by_hand("probe = probe.wrapping_add(1);"));
+    assert!(!steps_a_seed_by_hand("seed ^ (i as u64).wrapping_mul(7)"));
+}
+
+/// Every file under `dir` whose text contains `pat`, as relative paths.
+fn mentioning(dir: &str, pat: &str) -> Vec<String> {
+    files_under(dir)
+        .into_iter()
+        .filter(|path| String::from_utf8_lossy(&fs::read(path).expect("readable")).contains(pat))
+        .map(|path| rel(&path))
+        .collect()
+}
+
+/// One pool. Outside tests, threads are created by the campaign
+/// executor and by the native team, nowhere else (DESIGN §9): in
+/// particular nothing under `crates/qcheck` or `crates/harness` fans out
+/// on its own. The other `rt/src/native` files spawn only in their test
+/// modules.
+#[test]
+fn one_pool() {
+    let spawners = files_flagged(&["crates"], |text| {
+        ["thread::scope", "thread::spawn", "Builder::new()"].iter().any(|p| text.contains(p))
+    });
+    let spawners: Vec<&str> =
+        spawners.iter().map(String::as_str).filter(|p| !p.contains("/tests/")).collect();
+    assert_eq!(
+        spawners,
+        [
+            "crates/rt/src/native/barrier.rs",
+            "crates/rt/src/native/guard.rs",
+            "crates/rt/src/native/team.rs",
+            "crates/rt/src/native/wait.rs",
+            "crates/rt/src/native/workshare.rs",
+            "crates/supervisor/src/executor.rs",
+        ],
+        "threads created outside the executor and the native team"
+    );
+}
+
+/// Checks run shipped code. The `fuzz` report's side checks run what
+/// ships: oracle #13 is the `chaos` crash explorer, oracle #10 the batch
+/// reduction and fold of the fuzz cells (harness). qcheck drives no
+/// campaign of its own and keeps no merge or whole-campaign driver;
+/// core has one histogram, `obs::QuantileSketch`, and no other.
+#[test]
+fn checks_run_shipped_code() {
+    let campaign_apis =
+        ["create_shards", "resume_shards", "run_campaign", "install_chaos", "CrashPoint"];
+    let drivers = ["fn check_crash_resume", "fn check_partition", "fn merge", "fn run_fuzz("];
+    let mut copies: Vec<String> = campaign_apis
+        .iter()
+        .chain(&drivers)
+        .flat_map(|pat| {
+            mentioning("crates/qcheck/src", pat).into_iter().map(move |f| format!("{f}: {pat}"))
+        })
+        .collect();
+    copies.extend(mentioning("crates/core/src", "struct Histogram"));
+    assert!(copies.is_empty(), "a side check runs a private copy: {copies:?}");
+}
+
+/// One lowering pass. Each backend lowers an SPMD region in one walk
+/// (DESIGN §3.3): `simrt` into two programs and a role table, `native`
+/// into a tree of nodes that own their sync objects. What they replaced
+/// must not grow back: allocate / emit-per-rank / harvest-by-index in
+/// `simrt`; in `native` an object table found by counting, and per-rank
+/// sense flags and loop cursors kept per object. Neither may regain the
+/// `unreachable!` arms that re-checked the coupling between two walks:
+/// one is left in `simrt` (role and object kind disagree), none in
+/// `native` above its tests.
+#[test]
+fn one_lowering_pass() {
+    let read = |path: &str| fs::read_to_string(root().join(path)).expect("readable");
+    let (simrt_path, native_path) = ("crates/rt/src/simrt.rs", "crates/rt/src/native/mod.rs");
+    let (simrt, native) = (read(simrt_path), read(native_path));
+    let mut back: Vec<String> = Vec::new();
+    for pat in ["enum Alloc", "fn allocate", "fn emit"] {
+        if simrt.contains(pat) {
+            back.push(format!("{simrt_path} contains '{pat}'"));
+        }
+    }
+    for pat in ["enum NObj", "fn allocate"] {
+        if native.contains(pat) {
+            back.push(format!("{native_path} contains '{pat}'"));
+        }
+    }
+    let n = simrt.lines().filter(|l| l.contains("unreachable!")).count();
+    if n > 1 {
+        back.push(format!("{simrt_path} has {n} unreachable! (at most 1)"));
+    }
+    let n = native
+        .lines()
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .filter(|l| l.contains("unreachable!"))
+        .count();
+    if n > 0 {
+        back.push(format!("{native_path} has {n} unreachable! above its tests (none allowed)"));
+    }
+    let kept: Vec<&str> = native
+        .lines()
+        .skip_while(|l| !l.starts_with("struct ThreadCtx"))
+        .take_while(|l| !l.starts_with('}'))
+        .filter(|l| ["sense:", "cursor:"].iter().any(|f| l.trim_start().starts_with(f)))
+        .collect();
+    if !kept.is_empty() {
+        back.push(format!("{native_path}: ThreadCtx keeps per-object state: {kept:?}"));
+    }
+    assert!(back.is_empty(), "two-walk lowering is back: {back:?}");
+}
