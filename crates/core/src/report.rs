@@ -49,12 +49,6 @@ impl Table {
         self
     }
 
-    /// Append a row of displayable values.
-    pub fn row_disp<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        let v: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&v)
-    }
-
     /// Render as an aligned ASCII table.
     pub fn render(&self) -> String {
         let ncol = self.header.len();
@@ -157,8 +151,8 @@ mod tests {
     #[test]
     fn renders_aligned_table() {
         let mut t = Table::new("Demo", &["run", "time"]);
-        t.row_disp(&["1", "124020.18"]);
-        t.row_disp(&["2", "9.5"]);
+        t.row(&["1", "124020.18"].map(String::from));
+        t.row(&["2", "9.5"].map(String::from));
         let s = t.render();
         assert!(s.contains("# Demo"));
         assert!(s.contains("| 124020.18 |"));
@@ -170,7 +164,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
-        Table::new("x", &["a", "b"]).row_disp(&["only-one"]);
+        Table::new("x", &["a", "b"]).row(&["only-one"].map(String::from));
     }
 
     #[test]
@@ -178,9 +172,9 @@ mod tests {
         let dir = std::env::temp_dir().join("ompvar_table_test");
         let path = dir.join("t.csv");
         let mut t = Table::new("q", &["name", "value"]);
-        t.row_disp(&["plain", "1"]);
-        t.row_disp(&["has,comma", "2"]);
-        t.row_disp(&["has\"quote", "3"]);
+        t.row(&["plain", "1"].map(String::from));
+        t.row(&["has,comma", "2"].map(String::from));
+        t.row(&["has\"quote", "3"].map(String::from));
         t.write_csv(&path).unwrap();
         let s = std::fs::read_to_string(&path).unwrap();
         assert!(s.starts_with("name,value\n"));

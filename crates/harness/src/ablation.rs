@@ -163,14 +163,3 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         ExpReport::new("ablation", tables, checks)
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fast_mode_shapes_hold() {
-        let rep = plan(&ExpOptions::fast()).run();
-        assert!(rep.all_passed(), "ablation checks failed:\n{}", rep.render());
-    }
-}

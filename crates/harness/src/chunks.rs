@@ -86,14 +86,3 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         ExpReport::new("chunks", tables, checks)
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fast_mode_shapes_hold() {
-        let rep = plan(&ExpOptions::fast()).run();
-        assert!(rep.all_passed(), "chunks checks failed:\n{}", rep.render());
-    }
-}

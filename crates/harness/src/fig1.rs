@@ -133,14 +133,3 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         ExpReport::new("fig1", tables, checks)
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fast_mode_shapes_hold() {
-        let rep = plan(&ExpOptions::fast()).run();
-        assert!(rep.all_passed(), "fig1 checks failed:\n{}", rep.render());
-    }
-}

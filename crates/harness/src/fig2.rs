@@ -70,14 +70,3 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         ExpReport::new("fig2", tables, checks)
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fast_mode_shapes_hold() {
-        let rep = plan(&ExpOptions::fast()).run();
-        assert!(rep.all_passed(), "fig2 checks failed:\n{}", rep.render());
-    }
-}

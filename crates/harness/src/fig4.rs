@@ -140,14 +140,3 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         ExpReport::new("fig4", tables, checks)
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fast_mode_shapes_hold() {
-        let rep = plan(&ExpOptions::fast()).run();
-        assert!(rep.all_passed(), "fig4 checks failed:\n{}", rep.render());
-    }
-}

@@ -302,16 +302,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fast_mode_shapes_hold() {
-        let opts = ExpOptions {
-            fuzz_cases: Some(12),
-            ..ExpOptions::fast()
-        };
-        let rep = plan(&opts).run();
-        assert!(rep.all_passed(), "fuzz checks failed:\n{}", rep.render());
-    }
-
-    #[test]
     fn case_budget_flag_is_respected() {
         let opts = ExpOptions {
             fuzz_cases: Some(3),

@@ -107,18 +107,3 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         ExpReport::new("table2", vec![table], checks)
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fast_mode_shapes_hold() {
-        let rep = plan(&ExpOptions::fast()).run();
-        assert!(
-            rep.all_passed(),
-            "table2 shape checks failed:\n{}",
-            rep.render()
-        );
-    }
-}

@@ -88,14 +88,3 @@ pub fn plan(opts: &ExpOptions) -> Grid {
         ExpReport::new("taskbench", tables, checks)
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fast_mode_shapes_hold() {
-        let rep = plan(&ExpOptions::fast()).run();
-        assert!(rep.all_passed(), "taskbench checks failed:\n{}", rep.render());
-    }
-}

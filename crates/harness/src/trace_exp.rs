@@ -262,35 +262,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ompvar_obs::json::{parse, Value};
-
-    #[test]
-    fn fast_mode_shapes_hold_and_traces_parse() {
-        let out = std::env::temp_dir().join("ompvar_trace_exp_test");
-        let opts = ExpOptions {
-            trace_path: Some(out.join("t.json")),
-            ..ExpOptions::fast()
-        };
-        let rep = run(&opts);
-        assert!(rep.all_passed(), "trace checks failed:\n{}", rep.render());
-        // Both exported documents are valid JSON with span events.
-        for p in [out.join("t.json"), out.join("t.native.json")] {
-            let doc = std::fs::read_to_string(&p).expect("trace file written");
-            let v = parse(&doc).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
-            let events = v.get("traceEvents").and_then(Value::as_arr).expect("array");
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.get("ph").and_then(Value::as_str) == Some("B")),
-                "{} has no span begins",
-                p.display()
-            );
-        }
-        // The sim document carries the frequency counter track.
-        let sim_doc = std::fs::read_to_string(out.join("t.json")).unwrap();
-        assert!(sim_doc.contains("\"core_freq_ghz\""), "no counter track");
-        let _ = std::fs::remove_dir_all(&out);
-    }
+    use ompvar_obs::json::parse;
 
     #[test]
     fn attr_flag_adds_counter_tracks() {

@@ -564,6 +564,11 @@ mod tests {
             .sum();
             assert!((sum - 1.0).abs() < 1e-9, "{}: shares sum {sum}", doc);
             assert_eq!(c.get("conserved").and_then(Value::as_bool), Some(true));
+            // A sterile cell has no noise source to charge.
+            let name = c.get("name").and_then(Value::as_str).unwrap();
+            if name.ends_with("/sterile") {
+                assert_eq!(c.get("noise_ns").and_then(Value::as_f64), Some(0.0), "{name}");
+            }
         }
         // The Chrome artifact parses and carries the counter tracks.
         let trace = std::fs::read_to_string(o.out_dir.join("variability.trace.json")).unwrap();

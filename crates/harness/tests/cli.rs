@@ -126,15 +126,16 @@ fn same_seed_reproduces_identical_output() {
 }
 
 /// The trace experiment honors `--trace`, writes Perfetto-loadable
-/// Chrome traces for both backends, and `--report-json` captures the
-/// whole run — tables and checks — as parseable JSON.
+/// Chrome traces for both backends — under `--attr` the simulated one
+/// carries the attribution counter track — and `--report-json` captures
+/// the whole run — tables and checks — as parseable JSON.
 #[test]
 fn trace_writes_chrome_traces_and_json_report() {
     let out_dir = std::env::temp_dir().join("ompvar_cli_trace_test");
     let trace = out_dir.join("out.json");
     let report = out_dir.join("report.json");
     let out = repro()
-        .args(["--fast", "--seed", "7", "--out"])
+        .args(["--fast", "--seed", "7", "--attr", "--out"])
         .arg(&out_dir)
         .arg("--trace")
         .arg(&trace)
@@ -151,8 +152,9 @@ fn trace_writes_chrome_traces_and_json_report() {
     );
     assert!(!stdout.contains("[FAIL]"), "{stdout}");
     // Both Chrome traces are valid JSON with begin/end span events; the
-    // simulated one also carries the per-core frequency counter track.
-    for (path, want_counters) in [(&trace, true), (&out_dir.join("out.native.json"), false)] {
+    // simulated one also carries counter tracks (per-core frequency and,
+    // under `--attr`, the attribution ledger) and instant events.
+    for (path, sim) in [(&trace, true), (&out_dir.join("out.native.json"), false)] {
         let doc = std::fs::read_to_string(path).expect("trace written");
         let v = parse(&doc).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let events = v.get("traceEvents").and_then(Value::as_arr).expect("array");
@@ -163,7 +165,18 @@ fn trace_writes_chrome_traces_and_json_report() {
                 .count()
         };
         assert!(count("B") > 0 && count("B") == count("E"), "{}", path.display());
-        assert_eq!(count("C") > 0, want_counters, "{}", path.display());
+        assert_eq!(count("C") > 0, sim, "{}", path.display());
+        if sim {
+            let counter = |name: &str| {
+                events.iter().any(|e| {
+                    e.get("ph").and_then(Value::as_str) == Some("C")
+                        && e.get("name").and_then(Value::as_str) == Some(name)
+                })
+            };
+            assert!(counter("core_freq_ghz"), "no frequency counter track");
+            assert!(counter("attr_cum_ms"), "no attribution counter track under --attr");
+            assert!(count("i") > 0, "no instant events");
+        }
     }
     // The run report round-trips: experiment name, pass/fail, and the
     // per-construct percentile tables are all present.
@@ -216,6 +229,104 @@ fn report_json_captures_non_trace_experiments() {
     std::fs::remove_dir_all(&out_dir).ok();
 }
 
+/// The whole `--fast` sweep as a user runs it: every experiment's checks
+/// pass, every claim's margin is finite and agrees with its verdict, and
+/// the worker count moves no byte. `--jobs 1` and `--jobs 4`, run side
+/// by side, write the same report, CSVs and `variability.json`; only
+/// what real wall-clock time decides may differ — the `trace`
+/// experiment's native-backend tables and checks, and `trace_1.csv`.
+#[test]
+fn all_fast_sweep_is_green_and_jobs_invariant() {
+    let base = std::env::temp_dir().join("ompvar_cli_all_fast");
+    std::fs::remove_dir_all(&base).ok();
+    std::fs::create_dir_all(&base).expect("base dir");
+    let sweeps = ["1", "4"].map(|jobs| {
+        let (out_dir, log) = (base.join(format!("j{jobs}")), base.join(format!("j{jobs}.log")));
+        let log_file = std::fs::File::create(&log).expect("log file");
+        let child = repro()
+            .args(["all", "--fast", "--jobs", jobs, "--out"])
+            .arg(&out_dir)
+            .arg("--report-json")
+            .arg(out_dir.join("r.json"))
+            .stdout(log_file.try_clone().expect("log file"))
+            .stderr(log_file)
+            .spawn()
+            .expect("binary spawns");
+        (out_dir, log, child)
+    });
+    let [a, b] = sweeps.map(|(out_dir, log, mut child)| {
+        let status = child.wait().expect("sweep reaped");
+        assert!(status.success(), "{status:?}: {}", std::fs::read_to_string(&log).unwrap_or_default());
+        out_dir
+    });
+
+    // Check details embed the output directory.
+    let report = |dir: &std::path::Path| {
+        let text = std::fs::read_to_string(dir.join("r.json")).expect("report written");
+        parse(&text.replace(&format!("{}/", dir.display()), "")).expect("report parses")
+    };
+    let (mut ra, mut rb) = (report(&a), report(&b));
+    for doc in [&ra, &rb] {
+        assert_eq!(doc.get("all_passed").and_then(Value::as_bool), Some(true));
+        let exps = doc.get("experiments").and_then(Value::as_arr).expect("experiments");
+        assert_eq!(exps.len(), 18);
+        let checks: Vec<&Value> =
+            exps.iter().flat_map(|e| e.get("checks").and_then(Value::as_arr).expect("checks")).collect();
+        assert_eq!(checks.len(), 91);
+        let mut claims = 0;
+        for c in checks {
+            let passed = c.get("passed").and_then(Value::as_bool).expect("passed");
+            if let Some(margin) = c.get("margin") {
+                let m = margin.as_f64().filter(|m| m.is_finite());
+                assert!(m.is_some_and(|m| (m <= 0.0 || passed) && (m >= 0.0 || !passed)), "{c:?}");
+                claims += 1;
+            }
+            assert!(passed, "{c:?}");
+        }
+        assert_eq!(claims, 45);
+    }
+    for doc in [&mut ra, &mut rb] {
+        drop_native_timing(doc);
+    }
+    assert_eq!(ra, rb, "--jobs changed the report");
+
+    let csvs = |dir: &std::path::Path| {
+        let names = std::fs::read_dir(dir).expect("out dir").filter_map(Result::ok);
+        sorted(names.map(|e| e.file_name().to_string_lossy().into_owned()).filter(|n| n.ends_with(".csv")).collect())
+    };
+    let names = csvs(&a);
+    assert_eq!(names, csvs(&b));
+    assert_eq!(names.len(), 33, "{names:?}");
+    for name in names.iter().map(String::as_str).chain(["variability.json"]) {
+        if name != "trace_1.csv" {
+            let read = |dir: &std::path::Path| std::fs::read(dir.join(name)).expect("artifact");
+            assert!(read(&a) == read(&b), "{name} differs between --jobs 1 and --jobs 4");
+        }
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Drop the `trace` experiment's native-backend tables and checks from
+/// a run report: they time real threads.
+fn drop_native_timing(report: &mut Value) {
+    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Vec<Value> {
+        let Value::Obj(fields) = v else { panic!("not an object: {v:?}") };
+        match fields.iter_mut().find(|(k, _)| k == key) {
+            Some((_, Value::Arr(items))) => items,
+            _ => panic!("no array {key}"),
+        }
+    }
+    let exps = field(report, "experiments");
+    let trace = exps.iter_mut().find(|e| e.get("name").and_then(Value::as_str) == Some("trace"));
+    let trace = trace.expect("trace experiment");
+    for (key, label) in [("tables", "title"), ("checks", "name")] {
+        let items = field(trace, key);
+        let before = items.len();
+        items.retain(|x| !x.get(label).and_then(Value::as_str).expect("label").contains("native"));
+        assert!(items.len() < before, "no native {key} in the trace experiment");
+    }
+}
+
 /// Poll until `path` holds at least `lines` newline-terminated lines
 /// (the checkpoint manifest grows one line per completed experiment).
 fn wait_for_lines(path: &std::path::Path, lines: usize) {
@@ -236,34 +347,55 @@ fn wait_for_lines(path: &std::path::Path, lines: usize) {
     }
 }
 
-/// Unit names journaled across every `manifest*.jsonl` shard under
-/// `ckpt`, header lines excluded, sorted.
-fn journaled_cells(ckpt: &std::path::Path) -> Vec<String> {
-    let mut names = Vec::new();
-    for e in std::fs::read_dir(ckpt).expect("checkpoint dir").filter_map(Result::ok) {
-        let file = e.file_name().to_string_lossy().into_owned();
-        if !(file.starts_with("manifest") && file.ends_with(".jsonl")) {
-            continue;
-        }
-        let text = std::fs::read_to_string(e.path()).expect("shard readable");
+/// The unit lines journaled across every `manifest*.jsonl` shard under
+/// `ckpt`, header lines excluded: shard by shard in file-name order,
+/// each shard in journal order.
+fn journaled_units(ckpt: &std::path::Path) -> Vec<Value> {
+    let mut shards: Vec<std::path::PathBuf> = std::fs::read_dir(ckpt)
+        .expect("checkpoint dir")
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| {
+            let file = p.file_name().unwrap().to_string_lossy();
+            file.starts_with("manifest") && file.ends_with(".jsonl")
+        })
+        .collect();
+    shards.sort();
+    let mut units = Vec::new();
+    for shard in shards {
+        let text = std::fs::read_to_string(&shard).expect("shard readable");
         for line in text.lines().skip(1) {
-            let unit = parse(line).unwrap_or_else(|e| panic!("{file}: {e}: {line}"));
-            names.push(unit.get("name").and_then(Value::as_str).expect("unit name").to_string());
+            units.push(parse(line).unwrap_or_else(|e| panic!("{}: {e}: {line}", shard.display())));
         }
     }
-    names.sort();
-    names
+    units
 }
 
-/// The campaign's cell names, from shard 0's header, sorted.
+/// The names of [`journaled_units`], in the same order.
+fn journaled_cells(ckpt: &std::path::Path) -> Vec<String> {
+    let name = |u: &Value| u.get("name").and_then(Value::as_str).expect("unit name").to_string();
+    journaled_units(ckpt).iter().map(name).collect()
+}
+
+/// The campaign's cell names, from shard 0's header, in header order.
 fn header_cells(ckpt: &std::path::Path) -> Vec<String> {
     let text = std::fs::read_to_string(ckpt.join("manifest.jsonl")).expect("manifest");
     let header = parse(text.lines().next().expect("header line")).expect("header parses");
     let targets = header.get("targets").and_then(Value::as_arr).expect("targets");
-    let mut names: Vec<String> =
-        targets.iter().map(|t| t.as_str().expect("cell name").to_string()).collect();
+    targets.iter().map(|t| t.as_str().expect("cell name").to_string()).collect()
+}
+
+fn sorted(mut names: Vec<String>) -> Vec<String> {
     names.sort();
     names
+}
+
+/// The `name` of every event of the Chrome trace at `path`, in order.
+fn trace_event_names(path: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let doc = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let events = doc.get("traceEvents").and_then(Value::as_arr).expect("traceEvents");
+    events.iter().filter_map(|e| e.get("name").and_then(Value::as_str)).map(str::to_string).collect()
 }
 
 /// No `.tmp` staging residue anywhere under `dir` (atomic writes either
@@ -359,12 +491,18 @@ fn kill_then_resume_reproduces_report_byte_for_byte() {
         "resumed run report differs from uninterrupted run"
     );
     // Every cell is journaled exactly once — the survivors by the killed
-    // run, only the rest by the resumed one.
+    // run, only the rest by the resumed one — and, with one worker, in
+    // header order.
     let ckpt = kill_dir.join("checkpoint");
     let cells = header_cells(&ckpt);
     assert_eq!(journaled_cells(&ckpt), cells);
     assert!(cells.len() - survived < cells.len(), "a resumed sweep re-runs fewer cells than it has");
     assert!(stdout.contains(&format!("resuming from {} ({survived} completed cell(s))", manifest.display())), "{stdout}");
+    let events = trace_event_names(&ckpt.join("supervisor.json"));
+    assert!(
+        events.iter().any(|e| e == "supervisor_checkpoint" || e == "supervisor_resume"),
+        "{events:?}"
+    );
     std::fs::remove_dir_all(&base).ok();
 }
 
@@ -534,9 +672,14 @@ fn parallel_kill_then_resume_matches_sequential_report() {
         std::fs::read(&kill_json).expect("resumed report"),
         "parallel resumed report differs from sequential uninterrupted run"
     );
-    // Across the shard set every cell is journaled exactly once.
+    // Across the shard set every cell is journaled exactly once, and the
+    // header lists the cells grouped by experiment, in target order.
     let ckpt = kill_dir.join("checkpoint");
-    assert_eq!(journaled_cells(&ckpt), header_cells(&ckpt));
+    let cells = header_cells(&ckpt);
+    assert_eq!(sorted(journaled_cells(&ckpt)), sorted(cells.clone()));
+    let mut owners: Vec<&str> = cells.iter().map(|c| c.split('/').next().unwrap()).collect();
+    owners.dedup();
+    assert_eq!(owners, targets, "{cells:?}");
     std::fs::remove_dir_all(&base).ok();
 }
 
@@ -726,9 +869,22 @@ fn analyze_lint_json_exports_diagnostics() {
     assert!(codes.contains(&"OMPV302"), "{codes:?}");
     let inversion = find("demo/lock-inversion");
     assert_eq!(inversion.get("clean").and_then(Value::as_bool), Some(false));
-    // Every corpus program is clean.
+    let inversion_codes = inversion.get("diagnostics").and_then(Value::as_arr).expect("diagnostics");
+    assert!(
+        inversion_codes.iter().any(|d| d.get("code").and_then(Value::as_str) == Some("OMPV110")),
+        "{inversion_codes:?}"
+    );
+    // Every diagnostic is complete, and every corpus program is clean.
     for p in programs {
         let label = p.get("label").and_then(Value::as_str).unwrap_or("?");
+        for d in p.get("diagnostics").and_then(Value::as_arr).expect("diagnostics") {
+            for field in ["code", "name", "severity", "span", "message"] {
+                let text = d.get(field).and_then(Value::as_str);
+                assert!(text.is_some_and(|t| !t.is_empty()), "{label}: {field} in {d:?}");
+            }
+            let severity = d.get("severity").and_then(Value::as_str).unwrap();
+            assert!(["error", "warn", "info"].contains(&severity), "{label}: {d:?}");
+        }
         if !label.starts_with("demo/") {
             assert_eq!(
                 p.get("clean").and_then(Value::as_bool),
@@ -742,15 +898,19 @@ fn analyze_lint_json_exports_diagnostics() {
 
 /// The chaos experiment runs end-to-end from the CLI: exhaustive
 /// crash-point exploration, fault injection, process chaos and the
-/// leak probe all pass, and the on-disk artifacts show the resumed
-/// inner campaign reproduced the uncrashed reference byte-for-byte.
+/// leak probe all pass, the run itself stays healthy, and the on-disk
+/// artifacts show the resumed inner campaign reproduced the uncrashed
+/// reference byte-for-byte.
 #[test]
 fn chaos_smoke_produces_byte_identical_resume_artifacts() {
     let out_dir = std::env::temp_dir().join("ompvar_cli_chaos");
     std::fs::remove_dir_all(&out_dir).ok();
+    let report = out_dir.join("chaos.json");
     let out = repro()
         .args(["--fast", "--seed", "7", "--out"])
         .arg(&out_dir)
+        .arg("--report-json")
+        .arg(&report)
         .arg("chaos")
         .output()
         .expect("binary runs");
@@ -768,7 +928,64 @@ fn chaos_smoke_produces_byte_identical_resume_artifacts() {
     assert_eq!(reference, resumed, "crash-resumed inner report differs from reference");
     let trace = std::fs::read_to_string(chaos.join("crash.trace.json")).expect("crash trace");
     assert!(trace.contains("chaos_crash_point"), "{trace}");
+    // The chaos stays inside the experiment: the run that hosts it was
+    // not interrupted, leaked no thread, needed no recovery, and every
+    // one of the experiment's checks passed.
+    let doc = parse(&std::fs::read_to_string(&report).expect("report written")).expect("report parses");
+    assert_healthy(&doc);
+    let exps = doc.get("experiments").and_then(Value::as_arr).expect("experiments");
+    let checks = exps[0].get("checks").and_then(Value::as_arr).expect("checks");
+    assert!(!checks.is_empty());
+    for c in checks {
+        assert_eq!(c.get("passed").and_then(Value::as_bool), Some(true), "{c:?}");
+    }
     std::fs::remove_dir_all(&out_dir).ok();
+}
+
+/// A run report's campaign-health fields on a healthy run: not
+/// interrupted, no leaked attempt thread, no recovery note.
+fn assert_healthy(report: &Value) {
+    assert_eq!(report.get("interrupted").and_then(Value::as_bool), Some(false));
+    assert_eq!(report.get("leaked_threads").and_then(Value::as_f64), Some(0.0));
+    assert_eq!(report.get("recovery_notes").and_then(Value::as_arr), Some(&[][..]));
+}
+
+/// Seeded process chaos on the real campaign executor — worker kills,
+/// attempt panics and stalls, rolled per cell from `--chaos-seed` — still
+/// completes the campaign green, and replays: two runs from one seed
+/// write byte-identical reports and log the same chaos events. A panic
+/// is rolled at 25 % per attempt, hence `--max-retries 8`.
+#[test]
+fn process_chaos_replays_identically() {
+    let base = std::env::temp_dir().join("ompvar_cli_proc_chaos");
+    std::fs::remove_dir_all(&base).ok();
+    let run = |tag: &str| {
+        let (out_dir, report) = (base.join(tag), base.join(format!("{tag}.json")));
+        let out = repro()
+            .args(["--fast", "--seed", "3", "--jobs", "2", "--chaos-proc", "--chaos-seed", "19"])
+            .args(["--max-retries", "8", "--out"])
+            .arg(&out_dir)
+            .arg("--report-json")
+            .arg(&report)
+            .arg("fig2")
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let events = trace_event_names(&out_dir.join("checkpoint").join("supervisor.json"));
+        let count = |kind: &str| events.iter().filter(|e| *e == kind).count();
+        let chaos = ["chaos_proc_kill", "chaos_proc_panic", "chaos_proc_stall"].map(count);
+        (std::fs::read(&report).expect("report written"), chaos)
+    };
+    let (a, chaos_a) = run("a");
+    let (b, chaos_b) = run("b");
+    assert_eq!(a, b, "same seed, same chaos, different report");
+    assert_eq!(chaos_a, chaos_b, "kill, panic and stall counts");
+    let [kills, panics, _] = chaos_a;
+    assert!(kills >= 1 && panics >= 1, "{chaos_a:?}");
+    let doc = parse(&String::from_utf8(a).expect("UTF-8")).expect("report parses");
+    assert_eq!(doc.get("all_passed").and_then(Value::as_bool), Some(true), "a cell was quarantined");
+    assert_healthy(&doc);
+    std::fs::remove_dir_all(&base).ok();
 }
 
 /// Garbage in a shard manifest is fatal on `--resume` with a message
@@ -963,7 +1180,8 @@ fn resumed_inner_campaigns_create_and_then_replay_their_journals() {
         text
     };
     // `variability`'s runs are the sweep's cells: each journaled once
-    // in the sweep's own shards, and in no journal of its own.
+    // (one worker: in header order) in the sweep's own shards, and in no
+    // journal of its own.
     let variability_cells_journaled_once = || {
         let cells = journaled_cells(&ckpt);
         assert_eq!(cells, header_cells(&ckpt));
@@ -976,6 +1194,20 @@ fn resumed_inner_campaigns_create_and_then_replay_their_journals() {
 
     run(false);
     variability_cells_journaled_once();
+    // A whole-experiment cell's payload is its report, named like it.
+    for unit in journaled_units(&ckpt) {
+        let name = unit.get("name").and_then(Value::as_str).expect("unit name");
+        if !name.contains('/') {
+            let payload = unit.get("payload").and_then(|p| p.get("name")).and_then(Value::as_str);
+            assert_eq!(payload, Some(name));
+        }
+    }
+    // The uninterrupted inner campaign's retry and quarantine history.
+    let events = trace_event_names(&ckpt.join("campaign.trace.json"));
+    let count = |kind: &str| events.iter().filter(|e| *e == kind).count();
+    assert_eq!(count("supervisor_retry"), 2, "{events:?}");
+    assert_eq!(count("supervisor_quarantine"), 1, "{events:?}");
+    assert!(count("attempt") >= 6, "{events:?}");
     let reference = std::fs::read(base.join("variability.json")).expect("variability.json");
     rewind(true);
 
@@ -1051,7 +1283,7 @@ fn killed_fuzz_campaign_resumes_per_batch() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let cells = header_cells(&ckpt);
-    assert_eq!(journaled_cells(&ckpt), cells, "every cell journaled exactly once");
+    assert_eq!(sorted(journaled_cells(&ckpt)), sorted(cells.clone()), "every cell journaled exactly once");
     let planned = cells.iter().filter(|c| is_batch(c)).count();
     assert_eq!(planned, 3000usize.div_ceil(32));
     assert!(survived >= 2 && planned - survived < planned, "{survived} of {planned} batches survived");

@@ -496,8 +496,6 @@ pub struct Task {
     pub loop_pos: u64,
     /// Statistics.
     pub stats: TaskStats,
-    /// Time of the last task-state accounting update.
-    pub last_account: Time,
 }
 
 impl Task {
@@ -520,7 +518,6 @@ impl Task {
             loop_gen: u64::MAX,
             loop_pos: 0,
             stats: TaskStats::default(),
-            last_account: 0,
         }
     }
 
