@@ -128,6 +128,15 @@ fn planned(exp: &Experiment, opts: &ExpOptions) -> Grid {
     })
 }
 
+/// This process's peak resident set so far (`VmHWM`), MB; `None`
+/// where `/proc/self/status` cannot be read.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn write_report(
     opts: &ExpOptions,
     interrupted: bool,
@@ -283,14 +292,15 @@ fn main() -> ExitCode {
         }
     };
 
-    // Where the time went: stdout only — reports, CSVs and journals
-    // carry no wall-clock.
+    // Where the time and memory went: stdout only — reports, CSVs and
+    // journals carry no host values.
     // Canonical order whatever the completion order; an interrupted
     // sweep reports the experiments that finished.
     let (busy, reports) = sweep.finish();
     let (wall, jobs) = (t0.elapsed().as_secs_f64(), resolve_jobs(opts.jobs));
+    let peak = peak_rss_mb().map(|mb| format!(", peak {mb:.1} MB")).unwrap_or_default();
     println!(
-        "sweep: {wall:.1}s wall, {:.1}s busy, {jobs} workers, efficiency {:.2}",
+        "sweep: {wall:.1}s wall, {:.1}s busy, {jobs} workers, efficiency {:.2}{peak}",
         busy.as_secs_f64(),
         busy.as_secs_f64() / (wall * jobs as f64)
     );

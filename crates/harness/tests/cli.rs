@@ -954,7 +954,9 @@ fn assert_healthy(report: &Value) {
 /// attempt panics and stalls, rolled per cell from `--chaos-seed` — still
 /// completes the campaign green, and replays: two runs from one seed
 /// write byte-identical reports and log the same chaos events. A panic
-/// is rolled at 25 % per attempt, hence `--max-retries 8`.
+/// is rolled at 25 % per attempt, hence `--max-retries 8`. Injected
+/// panics skip the panic hook: even under `RUST_BACKTRACE=1` no
+/// backtrace reaches stderr (44 KB of them when they ran the hook).
 #[test]
 fn process_chaos_replays_identically() {
     let base = std::env::temp_dir().join("ompvar_cli_proc_chaos");
@@ -962,6 +964,7 @@ fn process_chaos_replays_identically() {
     let run = |tag: &str| {
         let (out_dir, report) = (base.join(tag), base.join(format!("{tag}.json")));
         let out = repro()
+            .env("RUST_BACKTRACE", "1")
             .args(["--fast", "--seed", "3", "--jobs", "2", "--chaos-proc", "--chaos-seed", "19"])
             .args(["--max-retries", "8", "--out"])
             .arg(&out_dir)
@@ -970,7 +973,15 @@ fn process_chaos_replays_identically() {
             .arg("fig2")
             .output()
             .expect("binary runs");
-        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "stderr: {stderr}");
+        assert!(!stderr.contains("panicked at"), "an injected panic ran the hook: {stderr}");
+        assert!(stderr.len() < 2048, "{} bytes of stderr: {stderr}", stderr.len());
+        if std::path::Path::new("/proc/self/status").exists() {
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let sweep = stdout.lines().find(|l| l.starts_with("sweep:")).expect("sweep line");
+            assert!(sweep.contains(", peak ") && sweep.ends_with(" MB"), "{sweep}");
+        }
         let events = trace_event_names(&out_dir.join("checkpoint").join("supervisor.json"));
         let count = |kind: &str| events.iter().filter(|e| *e == kind).count();
         let chaos = ["chaos_proc_kill", "chaos_proc_panic", "chaos_proc_stall"].map(count);

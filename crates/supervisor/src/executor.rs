@@ -44,7 +44,7 @@ use crate::supervisor::{Checkpointable, Outcome, Supervisor, SupervisorConfig, U
 use ompvar_obs::{InstantKind, Trace};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -384,12 +384,18 @@ fn run_attempt<R: Send + 'static>(
 /// unit `idx` (panic / stall; the kill decision lives at the pickup
 /// boundary): a unit's attempt history is a pure function of `(chaos
 /// seed, idx)` no matter which lane ends up running it.
+///
+/// An injected panic unwinds with `resume_unwind`: it crosses the
+/// attempt's `catch_unwind` with the same `String` payload as `panic!`,
+/// but skips the panic hook, whose backtrace (under `RUST_BACKTRACE`)
+/// maps the binary's debug info and triples the sweep's peak memory.
+/// Real panics keep the hook.
 fn chaos_wrap<R: 'static>(run: Arc<UnitFn<R>>, pc: ProcChaos, idx: usize) -> Arc<UnitFn<R>> {
     Arc::new(move |attempt: u32| {
         match pc.attempt_action(idx, attempt) {
-            ChaosAction::Panic => {
-                panic!("chaos-injected panic (unit {idx}, attempt {attempt})")
-            }
+            ChaosAction::Panic => resume_unwind(Box::new(format!(
+                "chaos-injected panic (unit {idx}, attempt {attempt})"
+            ))),
             ChaosAction::Stall => thread::sleep(Duration::from_millis(pc.stall_ms)),
             ChaosAction::None => {}
         }
