@@ -2,9 +2,9 @@
 //!
 //! Implements exactly the quantities the paper reports: mean, standard
 //! deviation, coefficient of variation (CV), minimum/maximum and their
-//! *normalized* forms (min/avg, max/avg), percentiles, MAD-based outlier
-//! detection and a two-sample Kolmogorov–Smirnov test. Distributions are
-//! binned in one place, `obs::QuantileSketch`.
+//! *normalized* forms (min/avg, max/avg), percentiles and MAD-based
+//! outlier detection. Distributions are binned in one place,
+//! `obs::QuantileSketch`.
 
 /// Summary statistics of one sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,49 +134,6 @@ pub fn mad_outliers(xs: &[f64], z: f64) -> Vec<usize> {
         .collect()
 }
 
-/// Two-sample Kolmogorov–Smirnov test: returns `(d, approx_p)` where `d`
-/// is the maximum CDF distance and `p` uses the asymptotic Kolmogorov
-/// distribution (adequate for n ≥ ~20 per side). Useful for asking "did
-/// pinning actually change the repetition-time *distribution*?", not just
-/// its mean.
-pub fn ks_test(a: &[f64], b: &[f64]) -> (f64, f64) {
-    assert!(!a.is_empty() && !b.is_empty());
-    let mut xa = a.to_vec();
-    let mut xb = b.to_vec();
-    xa.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    xb.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    let (na, nb) = (xa.len(), xb.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut d: f64 = 0.0;
-    while i < na && j < nb {
-        let x = xa[i].min(xb[j]);
-        while i < na && xa[i] <= x {
-            i += 1;
-        }
-        while j < nb && xb[j] <= x {
-            j += 1;
-        }
-        d = d.max((i as f64 / na as f64 - j as f64 / nb as f64).abs());
-    }
-    let ne = (na * nb) as f64 / (na + nb) as f64;
-    let lambda = (ne.sqrt() + 0.12 + 0.11 / ne.sqrt()) * d;
-    // Asymptotic Kolmogorov survival function; the series only converges
-    // for λ bounded away from 0, and P → 1 there anyway.
-    if lambda < 0.3 {
-        return (d, 1.0);
-    }
-    let mut p = 0.0;
-    for k in 1..=100 {
-        let kf = k as f64;
-        let term = 2.0 * (-1.0f64).powi(k + 1) * (-2.0 * kf * kf * lambda * lambda).exp();
-        p += term;
-        if term.abs() < 1e-12 {
-            break;
-        }
-    }
-    (d, p.clamp(0.0, 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,17 +201,5 @@ mod tests {
         let out = mad_outliers(&xs, 3.5);
         assert!(out.contains(&(xs.len() - 1)));
         assert!(out.len() <= 4);
-    }
-
-    #[test]
-    fn ks_test_separates_distributions() {
-        let a: Vec<f64> = (0..200).map(|i| (i % 50) as f64).collect();
-        let b: Vec<f64> = (0..200).map(|i| (i % 50) as f64 + 40.0).collect();
-        let (d, p) = ks_test(&a, &b);
-        assert!(d > 0.5, "d = {d}");
-        assert!(p < 1e-6, "p = {p}");
-        let (d, p) = ks_test(&a, &a);
-        assert!(d < 1e-12);
-        assert!(p > 0.99);
     }
 }

@@ -985,6 +985,10 @@ fn process_chaos_replays_identically() {
         let events = trace_event_names(&out_dir.join("checkpoint").join("supervisor.json"));
         let count = |kind: &str| events.iter().filter(|e| *e == kind).count();
         let chaos = ["chaos_proc_kill", "chaos_proc_panic", "chaos_proc_stall"].map(count);
+        // One warning per unit a killed worker had in flight; units it
+        // left queued are counted on one line of their own.
+        let poisoned = stderr.matches("worker poisoned while running").count();
+        assert_eq!(poisoned, chaos[0], "one warning per kill: {stderr}");
         (std::fs::read(&report).expect("report written"), chaos)
     };
     let (a, chaos_a) = run("a");
@@ -1078,14 +1082,21 @@ fn corrupt_shard_is_fatal_unless_salvaged() {
 /// A journaled cell whose payload no longer decodes is replayed by
 /// nobody: the control lane warns once, the cell — alone of its
 /// experiment — re-runs once, and its fresh sample is journaled once
-/// behind the unreadable line.
+/// behind the unreadable line. The second seed is above 2^53, where a
+/// header seed read through an `f64` would no longer match its run.
 #[test]
 fn unreadable_payload_warns_once_reruns_once_journals_once() {
-    let base = std::env::temp_dir().join("ompvar_cli_unreadable_payload");
+    for seed in ["3", "7596276583504774228"] {
+        unreadable_payload_at_seed(seed);
+    }
+}
+
+fn unreadable_payload_at_seed(seed: &str) {
+    let base = std::env::temp_dir().join(format!("ompvar_cli_unreadable_payload_{seed}"));
     std::fs::remove_dir_all(&base).ok();
     let run = |resume: bool| {
         let mut cmd = repro();
-        cmd.args(["--fast", "--seed", "3", "--jobs", "1", "--out"]).arg(&base);
+        cmd.args(["--fast", "--seed", seed, "--jobs", "1", "--out"]).arg(&base);
         if resume {
             cmd.arg("--resume").arg(base.join("checkpoint"));
         }

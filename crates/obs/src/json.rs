@@ -345,8 +345,10 @@ pub enum Field<'a> {
     Null,
     /// `true`/`false`.
     Bool(bool),
-    /// Any number.
-    Num(f64),
+    /// Any number: its value, and the run of characters it was written
+    /// as, from which an integer wider than an `f64`'s 53-bit mantissa
+    /// reads back exactly.
+    Num(f64, &'a str),
     /// A string (unescaped).
     Str(Cow<'a, str>),
     /// An array or object.
@@ -368,7 +370,7 @@ impl From<Field<'_>> for Value {
         match f {
             Field::Null => Value::Null,
             Field::Bool(b) => Value::Bool(b),
-            Field::Num(n) => Value::Num(n),
+            Field::Num(n, _) => Value::Num(n),
             Field::Str(s) => Value::Str(s.into_owned()),
             Field::Tree(v) => v,
         }
@@ -472,7 +474,7 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Field::Bool(true)),
             Some(b'f') => self.literal("false", Field::Bool(false)),
             Some(b'n') => self.literal("null", Field::Null),
-            Some(b'-' | b'0'..=b'9') => self.number().map(Field::Num),
+            Some(b'-' | b'0'..=b'9') => self.number().map(|(n, run)| Field::Num(n, run)),
             _ => Err(self.err("expected a value")),
         }
     }
@@ -600,13 +602,16 @@ impl<'a> Parser<'a> {
         u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))
     }
 
-    fn number(&mut self) -> Result<f64, ParseError> {
+    /// A number's value and the run it was scanned from.
+    fn number(&mut self) -> Result<(f64, &'a str), ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         self.skip_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'));
-        self.text[start..self.pos].parse().map_err(|_| self.err("invalid number"))
+        let run = &self.text[start..self.pos];
+        let n = run.parse().map_err(|_| self.err("invalid number"))?;
+        Ok((n, run))
     }
 }
 
@@ -970,7 +975,7 @@ mod tests {
             })
         })
         .unwrap();
-        let want = ["plain: borrowed", "esc\n: owned", "n: Num(1.0)", "t: Tree(Arr([Bool(true)]))"];
+        let want = ["plain: borrowed", "esc\n: owned", "n: Num(1.0, \"1\")", "t: Tree(Arr([Bool(true)]))"];
         assert_eq!(seen, want);
         // The top-level object counts as one level on both paths.
         let nest = |n: usize| format!("{{\"payload\":{}{}}}", "[".repeat(n), "]".repeat(n));

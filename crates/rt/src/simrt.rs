@@ -33,7 +33,7 @@ use ompvar_sim::params::SimParams;
 use ompvar_sim::sync::{LoopSchedule, LoopSpec};
 use ompvar_sim::task::{CorunClass, ObjId, Op, Program, TaskId};
 use ompvar_sim::trace::{ObjEffects, SemanticEffects, SimReport};
-use ompvar_sim::time::{Time, SEC, US};
+use ompvar_sim::time::{Time, SEC};
 use ompvar_topology::{assign_places, MachineSpec, ProcBind, ThreadAssignment};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
@@ -49,18 +49,6 @@ pub struct FreqLoggerCfg {
     pub period: Time,
     /// CPU cost per sample.
     pub cost: Time,
-}
-
-impl FreqLoggerCfg {
-    /// The paper's setup: a Python logger on a dedicated spare core,
-    /// sampling every 50 ms at ~60 µs of CPU per sweep.
-    pub fn on_spare_core(cpu: usize) -> Self {
-        FreqLoggerCfg {
-            cpu: Some(cpu),
-            period: 50_000 * US,
-            cost: 60 * US,
-        }
-    }
 }
 
 /// Simulated OpenMP-style runtime.
@@ -677,6 +665,7 @@ fn eval_walk(cs: &[Construct], n: i64, shared: &mut BTreeMap<u32, i64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ompvar_sim::time::US;
     use ompvar_topology::Places;
 
     fn small_runtime() -> SimRuntime {

@@ -40,7 +40,7 @@ impl Simulator {
     ///   and the counters in the identical state.
     pub(super) fn fast_forward_idle(&mut self, limit: Time) {
         #[cfg(test)]
-        if !tests::FAST_FORWARD.get() {
+        if !super::referent::ABSORB.get() {
             return;
         }
         loop {
@@ -92,7 +92,7 @@ impl Simulator {
             let extra = by_second.min((limit - t0) / period).min(by_budget);
             let k = extra + 1;
             #[cfg(test)]
-            tests::ABSORBED.set(tests::ABSORBED.get() + k);
+            super::referent::record_idle(k);
             let (_, ev) = self.queue.pop().expect("peeked event vanished");
             self.now = t0 + extra * period;
             self.counters.events += k;
@@ -107,14 +107,11 @@ impl Simulator {
     }
 }
 
-/// The fast-forward's referent: the same simulation with
-/// `fast_forward_idle` switched off, which is the plain pop/handle loop
-/// the fast-forward batches. Every case runs its simulator both ways and
-/// compares the whole `Result`'s `Debug` text — every float by its
-/// shortest round-trip rendering, every counter, every error value. The
-/// switch and the count of absorbed events are per thread.
+/// The fast-forward held to its referent (`engine/referent.rs`): each
+/// case runs with the absorbers on and off and compares the outcomes.
 #[cfg(test)]
 mod tests {
+    use super::super::referent::{on_and_off, same_either_way};
     use super::Simulator;
     use crate::error::SimError;
     use crate::params::SimParams;
@@ -122,39 +119,6 @@ mod tests {
     use crate::time::{Time, MS, SEC, US};
     use ompvar_topology::{HwThreadId, MachineSpec, Place};
     use proptest::prelude::*;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Whether `fast_forward_idle` runs on this thread: the switch.
-        pub(super) static FAST_FORWARD: Cell<bool> = const { Cell::new(true) };
-        /// Events `fast_forward_idle` has processed on this thread.
-        pub(super) static ABSORBED: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Run `build()` to `limit` with the fast-forward on, then again with it
-    /// off: both outcomes' `Debug` text and the events the first run
-    /// absorbed.
-    fn on_and_off(build: impl Fn() -> Simulator, limit: Time) -> (String, String, u64) {
-        ABSORBED.set(0);
-        let on = format!("{:?}", build().run(limit));
-        let absorbed = ABSORBED.get();
-        FAST_FORWARD.set(false);
-        let off = format!("{:?}", build().run(limit));
-        FAST_FORWARD.set(true);
-        assert_eq!(
-            ABSORBED.get(),
-            absorbed,
-            "the switch is off, yet events were absorbed"
-        );
-        (on, off, absorbed)
-    }
-
-    /// [`on_and_off`], asserting the two outcomes equal.
-    fn same_either_way(build: impl Fn() -> Simulator, limit: Time) -> (String, u64) {
-        let (on, off, absorbed) = on_and_off(build, limit);
-        assert_eq!(on, off, "fast-forward on and off diverge");
-        (on, absorbed)
-    }
 
     fn pin(cpu: usize) -> Option<Place> {
         Some(Place::single(HwThreadId(cpu)))
@@ -240,6 +204,7 @@ mod tests {
     #[test]
     fn lock_inversion_into_the_time_limit() {
         let (outcome, absorbed) = same_either_way(inverted_locks, INVERSION_LIMIT);
+        let absorbed = absorbed.idle;
         assert!(outcome.starts_with("Err(Deadlock"), "{outcome}");
         // Sterile ticks cost nothing and are never armed, so the idle
         // chain is the balancer's: limit / interval events. The comparison
@@ -329,7 +294,7 @@ mod tests {
         for seed in 0..4 {
             let (outcome, n) = same_either_way(|| calibrated_vera(seed), 10 * SEC);
             assert!(outcome.starts_with("Ok("), "seed {seed}: {outcome}");
-            absorbed += n;
+            absorbed += n.idle;
         }
         assert!(absorbed > 0, "the fast-forward never engaged");
     }

@@ -52,8 +52,8 @@
 //! own lookups, `place::least_loaded` to a candidate-`Vec` model,
 //! `Simulator::sibling_busy`'s counter to a sibling scan (a debug
 //! assertion), the event queue to a sorted-map model, and the idle and
-//! periodic fast-forwards each to the same run with it switched off (a
-//! switch that exists in test builds only).
+//! periodic fast-forwards to the same run with both switched off (a
+//! switch that exists in test builds only, in `referent`).
 
 mod attr;
 mod exec;
@@ -63,6 +63,8 @@ mod freq;
 mod noise;
 mod periodic;
 mod place;
+#[cfg(test)]
+mod referent;
 mod report;
 mod sched;
 mod topo;
@@ -513,6 +515,14 @@ impl Simulator {
     ///   would re-fire the scheduler tick at the same instant forever,
     ///   livelocking the engine at time 0, so it is refused here.
     pub fn run(mut self, limit: Time) -> Result<SimReport, SimError> {
+        let outcome = self.run_to(limit);
+        #[cfg(test)]
+        referent::record_seq(self.queue.seq());
+        outcome
+    }
+
+    /// [`Simulator::run`]'s loop.
+    fn run_to(&mut self, limit: Time) -> Result<SimReport, SimError> {
         if self.params.sched.tick_period == 0 {
             return Err(SimError::InvalidParams {
                 param: "sched.tick_period",

@@ -12,12 +12,12 @@
 //!    signature of them goes into a ring of the last `RING`
 //!    checkpoints.
 //! 2. **Confirm.** A signature seen again at lag `p` arms a snapshot: the
-//!    whole state encoded relative to `now` (`encode_rest`) plus every
-//!    accumulator. When the state encodes as the snapshot again `p`
-//!    checkpoints later, with no far-tier event pushed or popped, no
-//!    marker recorded, no loop frame entered or left, no CPU turned busy
-//!    or idle and no task migrated in between (the `Epoch`), the
-//!    period is confirmed and measured: how far it moved `now`, the seq
+//!    whole state encoded relative to `now` plus every accumulator, both
+//!    from one state walk (`Simulator::walk`). When the state encodes as
+//!    the snapshot again `p` checkpoints later, with no far-tier event
+//!    pushed or popped, no marker recorded, no loop frame entered or
+//!    left, no CPU turned busy or idle and no task migrated in between
+//!    (the `Epoch`), the period is confirmed and measured: how far it moved `now`, the seq
 //!    counter, the event count and each accumulator.
 //! 3. **Jump.** From any checkpoint whose state encodes as the snapshot —
 //!    the confirming one, or a later one after a far-tier event or in
@@ -40,19 +40,14 @@
 //! exit; past each line the main loop runs on live and trips the same
 //! errors.
 //!
-//! The encoding leaves out only what no confirmed period changes or
-//! reads: the far tier, the random streams only far-tier handlers draw
-//! from (noise, sockets, faults), kernel-task programs (rewritten only by
-//! far-tier handlers), idle CPUs (and with them tick tokens, the cores'
-//! busy counts and the sockets, which change only when a CPU turns busy
-//! or idle), the accumulators (advanced instead) and pure outputs. A
-//! quantum end is read only while a task queues behind the running one,
-//! so it is encoded only then. The absorber is off while tracing or
-//! attribution records the run.
+//! What is encoded, what is an accumulator and what may be left out is
+//! decided field by field in `Simulator::walk`, whose patterns name every
+//! field of the state; a field it does not class does not compile. The
+//! absorber is off while tracing or attribution records the run.
 
-use super::Simulator;
-use crate::sync::SyncObj;
-use crate::task::{MicroOp, ObjId, TaskId, TaskState, TaskStats, Timed, WaitKind};
+use super::{Cpu, Domain, Simulator, Socket};
+use crate::sync::{AtomicObj, BarrierObj, LockObj, LoopObj, SingleObj, SyncObj, TaskPoolObj};
+use crate::task::{LoopFrame, MicroOp, ObjId, Task, TaskId, TaskState, TaskStats, Timed, WaitKind};
 use crate::time::Time;
 use crate::trace::Counters;
 
@@ -146,49 +141,49 @@ fn obj_word(o: ObjId) -> u64 {
     u64::from(o.0)
 }
 
-fn timed_words(t: Option<Timed>, out: &mut Vec<u64>) {
+fn timed_words(t: Option<Timed>, w: &mut impl Walker) {
     match t {
-        None => out.push(0),
-        Some(Timed::Cycles { rem, class }) => out.extend([1, rem.to_bits(), class as u64]),
-        Some(Timed::Ns { rem }) => out.extend([2, rem.to_bits()]),
-        Some(Timed::Bytes { rem }) => out.extend([3, rem.to_bits()]),
-        Some(Timed::AtomicNs { rem, obj }) => out.extend([4, rem.to_bits(), obj_word(obj)]),
+        None => w.words([0]),
+        Some(Timed::Cycles { rem, class }) => w.words([1, rem.to_bits(), class as u64]),
+        Some(Timed::Ns { rem }) => w.words([2, rem.to_bits()]),
+        Some(Timed::Bytes { rem }) => w.words([3, rem.to_bits()]),
+        Some(Timed::AtomicNs { rem, obj }) => w.words([4, rem.to_bits(), obj_word(obj)]),
     }
 }
 
-fn micro_words(m: MicroOp, out: &mut Vec<u64>) {
+fn micro_words(m: MicroOp, w: &mut impl Walker) {
     match m {
-        MicroOp::Timed(t) => timed_words(Some(t), out),
-        MicroOp::Mark(k) => out.extend([5, u64::from(k)]),
-        MicroOp::BarrierArrive(o) => out.extend([6, obj_word(o)]),
-        MicroOp::LockAcquire(o) => out.extend([7, obj_word(o)]),
-        MicroOp::LockRelease(o) => out.extend([8, obj_word(o)]),
-        MicroOp::AtomicStart(o) => out.extend([9, obj_word(o)]),
-        MicroOp::GrabChunk(o) => out.extend([10, obj_word(o)]),
-        MicroOp::WaitTicket { obj, iter } => out.extend([11, obj_word(obj), iter]),
-        MicroOp::TicketDone { obj } => out.extend([12, obj_word(obj)]),
+        MicroOp::Timed(t) => timed_words(Some(t), w),
+        MicroOp::Mark(k) => w.words([5, u64::from(k)]),
+        MicroOp::BarrierArrive(o) => w.words([6, obj_word(o)]),
+        MicroOp::LockAcquire(o) => w.words([7, obj_word(o)]),
+        MicroOp::LockRelease(o) => w.words([8, obj_word(o)]),
+        MicroOp::AtomicStart(o) => w.words([9, obj_word(o)]),
+        MicroOp::GrabChunk(o) => w.words([10, obj_word(o)]),
+        MicroOp::WaitTicket { obj, iter } => w.words([11, obj_word(obj), iter]),
+        MicroOp::TicketDone { obj } => w.words([12, obj_word(obj)]),
         MicroOp::SingleTry { obj, body_cycles } => {
-            out.extend([13, obj_word(obj), body_cycles.to_bits()]);
+            w.words([13, obj_word(obj), body_cycles.to_bits()]);
         }
         MicroOp::TaskSpawnOne { obj, body_cycles } => {
-            out.extend([14, obj_word(obj), body_cycles.to_bits()]);
+            w.words([14, obj_word(obj), body_cycles.to_bits()]);
         }
-        MicroOp::TaskExecOrWait { obj } => out.extend([15, obj_word(obj)]),
-        MicroOp::TaskDone { obj } => out.extend([16, obj_word(obj)]),
-        MicroOp::SpanEnd(kind) => out.extend([17, kind as u64]),
+        MicroOp::TaskExecOrWait { obj } => w.words([15, obj_word(obj)]),
+        MicroOp::TaskDone { obj } => w.words([16, obj_word(obj)]),
+        MicroOp::SpanEnd(kind) => w.words([17, kind as u64]),
     }
 }
 
-fn state_words(s: TaskState, out: &mut Vec<u64>) {
+fn state_words(s: TaskState, w: &mut impl Walker) {
     match s {
-        TaskState::Runnable => out.push(0),
-        TaskState::Done => out.push(1),
-        TaskState::Waiting(WaitKind::Barrier(o)) => out.extend([2, obj_word(o)]),
-        TaskState::Waiting(WaitKind::Lock(o)) => out.extend([3, obj_word(o)]),
+        TaskState::Runnable => w.words([0]),
+        TaskState::Done => w.words([1]),
+        TaskState::Waiting(WaitKind::Barrier(o)) => w.words([2, obj_word(o)]),
+        TaskState::Waiting(WaitKind::Lock(o)) => w.words([3, obj_word(o)]),
         TaskState::Waiting(WaitKind::Ticket { obj, iter }) => {
-            out.extend([4, obj_word(obj), iter]);
+            w.words([4, obj_word(obj), iter]);
         }
-        TaskState::Waiting(WaitKind::TaskPool(o)) => out.extend([5, obj_word(o)]),
+        TaskState::Waiting(WaitKind::TaskPool(o)) => w.words([5, obj_word(o)]),
     }
 }
 
@@ -204,11 +199,42 @@ enum Acc {
     Stamp,
 }
 
-/// Hand a `u32` accumulator to a visitor of `u64`s.
-fn narrow(v: &mut u32, acc: Acc, f: &mut impl FnMut(&mut u64, Acc)) {
-    let mut w = u64::from(*v);
-    f(&mut w, acc);
-    *v = w as u32;
+/// A visitor of the state walk ([`Simulator::walk`]).
+trait Walker {
+    /// Words of the encoding, in walk order.
+    fn words(&mut self, words: impl IntoIterator<Item = u64>);
+    /// An accumulator, in walk order, and how a jump advances it.
+    fn acc(&mut self, v: &mut u64, kind: Acc);
+}
+
+/// The walk's encoding, appended to a buffer; accumulators are skipped.
+struct Encode<'a>(&'a mut Vec<u64>);
+
+impl Walker for Encode<'_> {
+    fn words(&mut self, words: impl IntoIterator<Item = u64>) {
+        self.0.extend(words);
+    }
+
+    fn acc(&mut self, _: &mut u64, _: Acc) {}
+}
+
+/// The walk's accumulators, each handed to a closure; the encoding is
+/// skipped.
+struct Accumulators<F>(F);
+
+impl<F: FnMut(&mut u64, Acc)> Walker for Accumulators<F> {
+    fn words(&mut self, _: impl IntoIterator<Item = u64>) {}
+
+    fn acc(&mut self, v: &mut u64, kind: Acc) {
+        (self.0)(v, kind);
+    }
+}
+
+/// Hand a `u32` accumulator to a walker of `u64`s.
+fn narrow(v: &mut u32, kind: Acc, w: &mut impl Walker) {
+    let mut x = u64::from(*v);
+    w.acc(&mut x, kind);
+    *v = x as u32;
 }
 
 impl Simulator {
@@ -228,7 +254,7 @@ impl Simulator {
     pub(super) fn periodic_checkpoint(&mut self, limit: Time) {
         self.periodic.due = false;
         #[cfg(test)]
-        if !tests::PERIODIC.get() {
+        if !super::referent::ABSORB.get() {
             return;
         }
         if self.trace.is_some() || self.attr.on {
@@ -260,7 +286,7 @@ impl Simulator {
             // so any later checkpoint that signs alike is tried too.
             let at_end = k == a.index + a.period;
             if at_end || sig == a.sig {
-                self.encode_rest(&mut cur);
+                self.walk(&mut Encode(&mut cur));
                 if cur[..] == self.periodic.snap[..a.encoded] {
                     let clean = at_end && self.epoch() == a.epoch;
                     let measured = if clean {
@@ -270,7 +296,7 @@ impl Simulator {
                     };
                     if let Some(period) = measured {
                         #[cfg(test)]
-                        tests::FRESH.set(clean);
+                        super::referent::FRESH.set(clean);
                         self.jump(period, limit);
                     }
                     self.arm(k, a.period, a.encoded, sig, measured);
@@ -290,7 +316,7 @@ impl Simulator {
                 .find(|&lag| ring[((k - lag) % RING as u64) as usize] == (k - lag, sig));
             if let Some(period) = lag {
                 cur.truncate(queued);
-                self.encode_rest(&mut cur);
+                self.walk(&mut Encode(&mut cur));
                 std::mem::swap(&mut cur, &mut self.periodic.snap);
                 let encoded = self.periodic.snap.len();
                 self.arm(k, period, encoded, sig, None);
@@ -306,7 +332,7 @@ impl Simulator {
     fn arm(&mut self, index: u64, period: u64, encoded: usize, sig: u64, measured: Option<Period>) {
         let mut snap = std::mem::take(&mut self.periodic.snap);
         snap.truncate(encoded);
-        self.for_each_accumulator(|v, _| snap.push(*v));
+        self.walk(&mut Accumulators(|v: &mut u64, _| snap.push(*v)));
         self.periodic.snap = snap;
         self.periodic.armed = Some(Armed {
             index,
@@ -329,9 +355,9 @@ impl Simulator {
         deltas.clear();
         deltas.reserve(self.words_hint());
         let mut anchor = snap[a.encoded..].iter();
-        self.for_each_accumulator(|v, _| {
+        self.walk(&mut Accumulators(|v: &mut u64, _| {
             deltas.push(v.wrapping_sub(*anchor.next().expect("one anchor word per accumulator")));
-        });
+        }));
         self.periodic.snap = snap;
         self.periodic.deltas = deltas;
         let period = Period {
@@ -365,27 +391,27 @@ impl Simulator {
         // every period, so this bound is always finite.
         let mut by_frames = u64::MAX;
         let mut i = 0;
-        self.for_each_accumulator(|v, kind| {
+        self.walk(&mut Accumulators(|v: &mut u64, kind| {
             let down = deltas[i].wrapping_neg();
             if kind == Acc::Remaining && down > 0 {
                 by_frames = by_frames.min(v.saturating_sub(1) / down);
             }
             i += 1;
-        });
+        }));
         debug_assert!(by_frames < u64::MAX, "no frame counts down");
         let m = by_far.min(by_limit).min(by_budget).min(by_frames);
         #[cfg(test)]
         {
             let mut frames_left = u64::MAX;
             let mut i = 0;
-            self.for_each_accumulator(|v, kind| {
+            self.walk(&mut Accumulators(|v: &mut u64, kind| {
                 let down = deltas[i].wrapping_neg();
                 if kind == Acc::Remaining && down > 0 {
                     frames_left = frames_left.min(v.checked_sub(m * down).unwrap_or(0));
                 }
                 i += 1;
-            });
-            tests::record(tests::Jump {
+            }));
+            super::referent::record_jump(super::referent::Jump {
                 periods: m,
                 events: m * de,
                 events_before: self.counters.events,
@@ -406,7 +432,7 @@ impl Simulator {
             self.queue
                 .shift_boundaries(shift, m * ds, |cpu| m.wrapping_mul(deltas[cpu]));
             let mut i = 0;
-            self.for_each_accumulator(|v, kind| {
+            self.walk(&mut Accumulators(|v: &mut u64, kind| {
                 let d = deltas[i];
                 i += 1;
                 *v = match kind {
@@ -414,7 +440,7 @@ impl Simulator {
                     Acc::Stamp if d != 0 => *v + shift,
                     Acc::Stamp => *v,
                 };
-            });
+            }));
         }
         self.periodic.deltas = deltas;
     }
@@ -428,124 +454,129 @@ impl Simulator {
             + 8 * self.objs.len()
     }
 
-    /// The state past the pending boundaries as words (the boundaries
-    /// come first, from `EventQueue::boundary_words`), relative to `now`;
-    /// accumulators are left out, and so is what the module doc lists.
-    /// Every variable-length part is preceded by its length, so equal
-    /// encodings mean equal states.
+    /// The state walk: every field of the simulator's state, named once
+    /// with its class, in one fixed order. Each field is
     ///
-    /// Within an epoch no CPU turns busy or idle, so only busy CPUs are
-    /// encoded: an idle CPU's fields, its tick token, the cores' busy
-    /// counts and the sockets' activity change only on such a turn, or in
-    /// far-tier handlers. Kernel-task recycling shows in the tasks' states.
-    fn encode_rest(&self, out: &mut Vec<u64>) {
-        let now = self.now;
-        out.extend([
-            self.users_remaining as u64,
-            u64::from(self.lost_wakeups_armed),
-        ]);
-        out.extend(self.rng_place.state_words());
-        out.extend(self.rng_balance.state_words());
-        for (i, c) in self.cpus.iter().enumerate() {
-            let Some(running) = c.running else { continue };
-            out.extend([
+    /// * encoded: handed to [`Walker::words`] relative to `now` (the
+    ///   pending boundaries are encoded first, by
+    ///   `EventQueue::boundary_words`);
+    /// * an accumulator: handed to [`Walker::acc`] with its [`Acc`], CPU
+    ///   tokens first, so CPU `c`'s token is accumulator `c`;
+    /// * changed only by far-tier handlers or on a busy turn, which no
+    ///   confirmed period holds (its `Epoch` pins both);
+    /// * constant after spawn;
+    /// * or output, never read back by a handler.
+    ///
+    /// Every variable-length part is encoded after its length, so equal
+    /// encodings mean equal states. Every pattern names every field, so a
+    /// new field does not compile here until it is classed.
+    fn walk(&mut self, w: &mut impl Walker) {
+        let Simulator {
+            // Encoded, or accumulators.
+            users_remaining,
+            lost_wakeups_armed,
+            rng_place,
+            rng_balance,
+            cpus,
+            sockets,
+            domains,
+            tasks,
+            objs,
+            counters,
+            // The clock and the queue: the pending boundaries are encoded
+            // first, and a jump shifts them with `now` and the seq
+            // counter; only far-tier handlers push or pop the far tier.
+            now,
+            queue: _,
+            // Changed only by far-tier handlers or on a busy turn. The
+            // cores' busy counts follow from which CPUs are busy; kernel
+            // tasks come from noise arrivals, so their recycling shows in
+            // the tasks' states.
+            core_busy: _,
+            noise_streams: _,
+            kernel_freelist: _,
+            fault_rngs: _,
+            rng_fault: _,
+            // Constant after spawn.
+            topo: _,
+            params: _,
+            logger: _,
+            user_tasks: _,
+            started: _,
+            fault_plan: _,
+            event_budget: _,
+            // Output, or scratch that is empty between events; the
+            // absorber's own state.
+            markers: _,
+            freq_samples: _,
+            fatal: _,
+            trace: _,
+            attr: _,
+            scratch_cpus: _,
+            periodic: _,
+        } = self;
+        let now = *now;
+        for c in cpus.iter_mut() {
+            w.acc(&mut c.token, Acc::Count);
+        }
+        w.words([*users_remaining as u64, u64::from(*lost_wakeups_armed)]);
+        w.words(rng_place.state_words());
+        w.words(rng_balance.state_words());
+        for Socket {
+            // Read by every rate; far-tier handlers change it, and a jump
+            // may start after one.
+            applied_ghz,
+            // Follows from which CPUs are busy.
+            active_cores: _,
+            // Changed only by far-tier handlers or on a busy turn, and
+            // read by the governor alone.
+            pulse_active: _,
+            pulse_token: _,
+            pulse_armed: _,
+            cap_ghz: _,
+            rng: _,
+            // Output: read by the attribution ledger alone.
+            clean_ghz: _,
+        } in sockets.iter()
+        {
+            w.words([applied_ghz.to_bits()]);
+        }
+        for (i, c) in cpus.iter_mut().enumerate() {
+            let Cpu {
+                // An accumulator, handed over first, above.
+                token: _,
+                since,
+                quantum_end,
+                running,
+                kq,
+                uq,
+                streaming,
+                // Changed only on a busy turn or by a fault.
+                tick_token: _,
+                offline: _,
+            } = c;
+            w.acc(since, Acc::Stamp);
+            w.acc(quantum_end, Acc::Stamp);
+            // Within an epoch no CPU turns busy or idle, so only busy CPUs
+            // are encoded: an idle CPU changes only on such a turn.
+            let Some(running) = *running else { continue };
+            w.words([
                 i as u64,
                 task_word(running),
                 // Read only while a task queues behind the running one
                 // (no task joins the queue without a migration), and an
                 // expired quantum reads the same however long ago.
-                if c.uq.is_empty() {
+                if uq.is_empty() {
                     u64::MAX
                 } else {
-                    c.quantum_end.saturating_sub(now)
+                    quantum_end.saturating_sub(now)
                 },
-                now - c.since,
-                c.streaming.map_or(u64::MAX, |d| d as u64),
-                c.kq.len() as u64,
-                c.uq.len() as u64,
+                now - *since,
+                streaming.map_or(u64::MAX, |d| d as u64),
+                kq.len() as u64,
+                uq.len() as u64,
             ]);
-            out.extend(c.kq.iter().chain(&c.uq).copied().map(task_word));
-        }
-        for d in &self.domains {
-            out.push(d.streamers.len() as u64);
-            out.extend(d.streamers.iter().map(|&c| c as u64));
-        }
-        out.push(self.tasks.len() as u64);
-        for t in &self.tasks {
-            state_words(t.state, out);
-            if t.state == TaskState::Done {
-                continue;
-            }
-            out.extend([
-                t.pc as u64,
-                t.cpu as u64,
-                t.home_numa.map_or(u64::MAX, |d| d as u64),
-                t.pending_overhead_ns.to_bits(),
-                // Live or not; a live cursor equals its loop's generation.
-                u64::from(t.loop_gen == u64::MAX),
-                t.loop_pos,
-                t.frames.len() as u64,
-                t.micro.len() as u64,
-            ]);
-            out.extend(t.frames.iter().map(|f| f.begin_pc as u64));
-            timed_words(t.current, out);
-            for &m in &t.micro {
-                micro_words(m, out);
-            }
-        }
-        for o in &self.objs {
-            match o {
-                SyncObj::Barrier(b) => {
-                    out.extend([
-                        0,
-                        b.arrived as u64,
-                        b.last_cpu as u64,
-                        b.waiters.len() as u64,
-                    ]);
-                    out.extend(b.waiters.iter().copied().map(task_word));
-                }
-                SyncObj::Lock(l) => {
-                    out.extend([1, opt_task_word(l.holder), l.queue.len() as u64]);
-                    out.extend(l.queue.iter().copied().map(task_word));
-                }
-                SyncObj::Atomic(a) => out.extend([2, a.active as u64]),
-                SyncObj::Single(s) => out.extend([3, s.count % s.n as u64]),
-                SyncObj::Loop(l) => {
-                    out.extend([
-                        4,
-                        l.next_iter,
-                        l.entered as u64,
-                        l.finished as u64,
-                        l.ordered_next,
-                        l.ordered_waiters.len() as u64,
-                    ]);
-                    for &(iter, t) in &l.ordered_waiters {
-                        out.extend([iter, task_word(t)]);
-                    }
-                }
-                SyncObj::TaskPool(p) => {
-                    out.extend([
-                        5,
-                        p.outstanding as u64,
-                        p.pending.len() as u64,
-                        p.waiters.len() as u64,
-                    ]);
-                    out.extend(p.pending.iter().map(|c| c.to_bits()));
-                    out.extend(p.waiters.iter().copied().map(task_word));
-                }
-            }
-        }
-    }
-
-    /// Visit every accumulator in a fixed order, CPU tokens first (so
-    /// CPU `c`'s token is word `c`).
-    fn for_each_accumulator(&mut self, mut f: impl FnMut(&mut u64, Acc)) {
-        for c in &mut self.cpus {
-            f(&mut c.token, Acc::Count);
-        }
-        for c in &mut self.cpus {
-            f(&mut c.since, Acc::Stamp);
-            f(&mut c.quantum_end, Acc::Stamp);
+            w.words(kq.iter().chain(uq.iter()).copied().map(task_word));
         }
         let Counters {
             preemptions,
@@ -557,7 +588,7 @@ impl Simulator {
             events,
             faults_injected,
             lost_wakeups,
-        } = &mut self.counters;
+        } = counters;
         for v in [
             preemptions,
             migrations,
@@ -569,48 +600,166 @@ impl Simulator {
             faults_injected,
             lost_wakeups,
         ] {
-            f(v, Acc::Count);
+            w.acc(v, Acc::Count);
         }
-        for t in &mut self.tasks {
-            let TaskStats {
-                busy_time,
-                wait_time,
-                preempted_time,
-                migrations,
-                preemptions,
-            } = &mut t.stats;
-            f(busy_time, Acc::Count);
-            f(wait_time, Acc::Count);
-            f(preempted_time, Acc::Count);
-            narrow(migrations, Acc::Count, &mut f);
-            narrow(preemptions, Acc::Count, &mut f);
-            f(&mut t.loop_gen, Acc::Count);
-            for frame in &mut t.frames {
-                narrow(&mut frame.remaining, Acc::Remaining, &mut f);
+        for Domain { streamers } in domains.iter() {
+            w.words([streamers.len() as u64]);
+            w.words(streamers.iter().map(|&c| c as u64));
+        }
+        w.words([tasks.len() as u64]);
+        for t in tasks.iter_mut() {
+            let Task {
+                // Constant after spawn; a kernel task's program is
+                // rewritten only by far-tier handlers.
+                id: _,
+                kind: _,
+                rank: _,
+                program: _,
+                pin: _,
+                state,
+                pc,
+                cpu,
+                home_numa,
+                pending_overhead_ns,
+                loop_gen,
+                loop_pos,
+                frames,
+                micro,
+                current,
+                stats:
+                    TaskStats {
+                        busy_time,
+                        wait_time,
+                        preempted_time,
+                        migrations,
+                        preemptions,
+                    },
+            } = t;
+            w.acc(busy_time, Acc::Count);
+            w.acc(wait_time, Acc::Count);
+            w.acc(preempted_time, Acc::Count);
+            narrow(migrations, Acc::Count, w);
+            narrow(preemptions, Acc::Count, w);
+            // Live or not is encoded; a live cursor equals its loop's
+            // generation.
+            w.acc(loop_gen, Acc::Count);
+            state_words(*state, w);
+            // A finished task has no frames, micro-ops or timed op left.
+            if *state == TaskState::Done {
+                continue;
+            }
+            w.words([
+                *pc as u64,
+                *cpu as u64,
+                home_numa.map_or(u64::MAX, |d| d as u64),
+                pending_overhead_ns.to_bits(),
+                u64::from(*loop_gen == u64::MAX),
+                *loop_pos,
+                frames.len() as u64,
+                micro.len() as u64,
+            ]);
+            for LoopFrame {
+                begin_pc,
+                remaining,
+            } in frames.iter_mut()
+            {
+                w.words([*begin_pc as u64]);
+                narrow(remaining, Acc::Remaining, w);
+            }
+            timed_words(*current, w);
+            for &m in micro.iter() {
+                micro_words(m, w);
             }
         }
-        for o in &mut self.objs {
+        for o in objs.iter_mut() {
             match o {
-                SyncObj::Barrier(b) => f(&mut b.arrivals, Acc::Count),
-                SyncObj::Lock(l) => f(&mut l.entries, Acc::Count),
-                SyncObj::Atomic(a) => f(&mut a.ops, Acc::Count),
-                SyncObj::Single(s) => {
-                    f(&mut s.count, Acc::Count);
-                    f(&mut s.wins, Acc::Count);
+                SyncObj::Barrier(BarrierObj {
+                    n: _,
+                    span_factor: _,
+                    spare: _,
+                    arrived,
+                    last_cpu,
+                    waiters,
+                    arrivals,
+                }) => {
+                    w.words([0, *arrived as u64, *last_cpu as u64, waiters.len() as u64]);
+                    w.words(waiters.iter().copied().map(task_word));
+                    w.acc(arrivals, Acc::Count);
                 }
-                SyncObj::Loop(l) => {
-                    for v in [
-                        &mut l.generation,
-                        &mut l.iters_executed,
-                        &mut l.passes,
-                        &mut l.ordered_done,
-                    ] {
-                        f(v, Acc::Count);
+                SyncObj::Lock(LockObj {
+                    span_factor: _,
+                    holder,
+                    queue,
+                    entries,
+                }) => {
+                    w.words([1, opt_task_word(*holder), queue.len() as u64]);
+                    w.words(queue.iter().copied().map(task_word));
+                    w.acc(entries, Acc::Count);
+                }
+                SyncObj::Atomic(AtomicObj {
+                    span_factor: _,
+                    active,
+                    ops,
+                }) => {
+                    w.words([2, *active as u64]);
+                    w.acc(ops, Acc::Count);
+                }
+                SyncObj::Single(SingleObj { n, count, wins }) => {
+                    // Read only modulo the team.
+                    w.words([3, *count % *n as u64]);
+                    w.acc(count, Acc::Count);
+                    w.acc(wins, Acc::Count);
+                }
+                SyncObj::Loop(LoopObj {
+                    spec: _,
+                    next_iter,
+                    entered,
+                    finished,
+                    ordered_next,
+                    ordered_waiters,
+                    generation,
+                    iters_executed,
+                    passes,
+                    ordered_done,
+                }) => {
+                    w.words([
+                        4,
+                        *next_iter,
+                        *entered as u64,
+                        *finished as u64,
+                        *ordered_next,
+                        ordered_waiters.len() as u64,
+                    ]);
+                    w.words(
+                        ordered_waiters
+                            .iter()
+                            .flat_map(|&(iter, t)| [iter, task_word(t)]),
+                    );
+                    for v in [generation, iters_executed, passes, ordered_done] {
+                        w.acc(v, Acc::Count);
                     }
                 }
-                SyncObj::TaskPool(p) => {
-                    f(&mut p.spawned, Acc::Count);
-                    f(&mut p.executed, Acc::Count);
+                SyncObj::TaskPool(TaskPoolObj {
+                    span_factor: _,
+                    participants: _,
+                    spawners: _,
+                    spare: _,
+                    outstanding,
+                    pending,
+                    waiters,
+                    spawned,
+                    executed,
+                }) => {
+                    w.words([
+                        5,
+                        *outstanding as u64,
+                        pending.len() as u64,
+                        waiters.len() as u64,
+                    ]);
+                    w.words(pending.iter().map(|c| c.to_bits()));
+                    w.words(waiters.iter().copied().map(task_word));
+                    w.acc(spawned, Acc::Count);
+                    w.acc(executed, Acc::Count);
                 }
             }
         }

@@ -1,89 +1,14 @@
-//! The periodic fast-forward's referent: the same simulation with
-//! `periodic_checkpoint` switched off, which is the plain pop/handle loop
-//! the jump replays. Every case runs its simulator both ways and compares
-//! the whole `Result`'s `Debug` text — every float by its shortest
-//! round-trip rendering, every counter and effect, every error value. The
-//! switch and the record of jumps are per thread.
+//! The periodic fast-forward held to its referent (`engine/referent.rs`):
+//! each case runs with the absorbers on and off, compares the outcomes,
+//! and checks the record of jumps against the bounds each must meet.
 
+use super::super::referent::{same_either_way, Absorbed, Jump};
 use super::Simulator;
 use crate::params::{NoisePlacement, NoiseSource, SimParams};
 use crate::sync::{LoopSchedule, LoopSpec};
 use crate::task::{CorunClass, Program};
 use crate::time::{Time, SEC, US};
 use ompvar_topology::{CoreId, MachineSpec, Place};
-use std::cell::{Cell, RefCell};
-
-/// One call of `jump`: what it replayed and the bounds it met.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Jump {
-    /// Whole periods replayed (0 when a bound already binds).
-    pub(super) periods: u64,
-    /// Events they hold, all counted.
-    pub(super) events: u64,
-    /// `counters.events` before the jump.
-    pub(super) events_before: u64,
-    /// Virtual time before and after the jump.
-    pub(super) start: Time,
-    pub(super) end: Time,
-    /// The far-tier head at the jump.
-    pub(super) far: Option<Time>,
-    /// The bounds on `periods`.
-    pub(super) by_far: u64,
-    pub(super) by_limit: u64,
-    pub(super) by_budget: u64,
-    pub(super) by_frames: u64,
-    /// Least `remaining` left after the jump over the frames the period
-    /// counts down.
-    pub(super) frames_left: u64,
-    /// Whether the period was measured just before the jump, rather than
-    /// earlier, from another state that encodes alike.
-    pub(super) fresh: bool,
-}
-
-thread_local! {
-    /// Whether `periodic_checkpoint` runs on this thread: the switch.
-    pub(super) static PERIODIC: Cell<bool> = const { Cell::new(true) };
-    /// Whether the period about to be replayed was just measured.
-    pub(super) static FRESH: Cell<bool> = const { Cell::new(false) };
-    /// Every jump made on this thread since the last `take`.
-    static JUMPS: RefCell<Vec<Jump>> = const { RefCell::new(Vec::new()) };
-}
-
-pub(super) fn record(jump: Jump) {
-    JUMPS.with_borrow_mut(|j| {
-        j.push(Jump {
-            fresh: FRESH.get(),
-            ..jump
-        })
-    });
-}
-
-/// Run `build()` to `limit` with the absorber on, then off: both outcomes'
-/// `Debug` text and the jumps of the first run.
-fn on_and_off(build: impl Fn() -> Simulator, limit: Time) -> (String, String, Vec<Jump>) {
-    JUMPS.take();
-    let on = format!("{:?}", build().run(limit));
-    let jumps = JUMPS.take();
-    PERIODIC.set(false);
-    let off = format!("{:?}", build().run(limit));
-    PERIODIC.set(true);
-    assert!(
-        JUMPS.take().is_empty(),
-        "the switch is off, yet the absorber jumped"
-    );
-    (on, off, jumps)
-}
-
-/// [`on_and_off`], asserting the two outcomes equal.
-fn same_either_way(build: impl Fn() -> Simulator, limit: Time) -> (String, Vec<Jump>) {
-    let (on, off, jumps) = on_and_off(build, limit);
-    assert_eq!(on, off, "periodic fast-forward on and off diverge");
-    (on, jumps)
-}
-
-fn absorbed(jumps: &[Jump]) -> u64 {
-    jumps.iter().map(|j| j.events).sum()
-}
 
 /// The EPCC construct bodies of the shape tests.
 #[derive(Debug, Clone, Copy)]
@@ -210,13 +135,14 @@ fn epcc_bodies_run_the_same_either_way() {
                             mt,
                             ..Epcc::new(machine.clone(), calibrated, body)
                         };
-                        let (outcome, jumps) = same_either_way(|| cfg.build(), LIMIT);
+                        let (outcome, Absorbed { jumps, .. }) =
+                            same_either_way(|| cfg.build(), LIMIT);
                         assert!(outcome.starts_with("Ok(") || stacked, "{cfg:?}: {outcome}");
                         for j in &jumps {
                             assert!(j.far.is_none_or(|far| j.end < far), "{cfg:?}: {j:?}");
                             assert!(j.periods == 0 || j.frames_left >= 1, "{cfg:?}: {j:?}");
                         }
-                        total += absorbed(&jumps);
+                        total += jumps.iter().map(|j| j.events).sum::<u64>();
                     }
                     let what = format!("{} {body:?} mt={mt} calibrated={calibrated}", machine.name);
                     assert!(total > 0 || stacked, "{what}: nothing absorbed");
@@ -239,7 +165,7 @@ fn the_jump_stops_one_iteration_short_of_loop_exit() {
                 n: 4,
                 ..Epcc::new(MachineSpec::vera(), false, body)
             };
-            let (outcome, jumps) = same_either_way(|| cfg.build(), LIMIT);
+            let (outcome, Absorbed { jumps, .. }) = same_either_way(|| cfg.build(), LIMIT);
             assert!(outcome.starts_with("Ok("), "{cfg:?}: {outcome}");
             let made: Vec<&Jump> = jumps.iter().filter(|j| j.periods > 0).collect();
             assert!(
@@ -270,7 +196,7 @@ fn a_period_measured_in_one_pass_is_replayed_in_the_next() {
             outer: 4,
             ..Epcc::new(MachineSpec::vera(), false, body)
         };
-        let (_, jumps) = same_either_way(|| cfg.build(), LIMIT);
+        let (_, Absorbed { jumps, .. }) = same_either_way(|| cfg.build(), LIMIT);
         replayed += jumps.iter().filter(|j| j.periods > 0 && !j.fresh).count();
     }
     assert!(
@@ -301,13 +227,13 @@ fn a_noise_arrival_or_tick_mid_window_stops_the_jump_before_it() {
                 duration_sigma: 0.5,
                 placement: NoisePlacement::RandomCpu,
             });
-            let (outcome, jumps) = same_either_way(|| cfg.build(), LIMIT);
+            let (outcome, Absorbed { jumps, .. }) = same_either_way(|| cfg.build(), LIMIT);
             assert!(outcome.starts_with("Ok("), "{cfg:?}: {outcome}");
             for j in &jumps {
                 let far = j.far.expect("ticks or noise are always pending");
                 assert!(j.end < far, "{body:?}: jumped past the far head: {j:?}");
             }
-            total += absorbed(&jumps);
+            total += jumps.iter().map(|j| j.events).sum::<u64>();
             replayed += jumps.iter().filter(|j| j.periods > 0 && !j.fresh).count();
             stopped_by_far += jumps
                 .iter()
@@ -338,11 +264,11 @@ fn limits_and_budgets_inside_a_window_trip_identically() {
             n: 4,
             ..Epcc::new(MachineSpec::vera(), false, body)
         };
-        let (_, jumps) = same_either_way(|| cfg.build(), LIMIT);
+        let (_, Absorbed { jumps, .. }) = same_either_way(|| cfg.build(), LIMIT);
         let j = *jumps.iter().find(|j| j.periods > 2).expect("a long jump");
         let mid = j.start + (j.end - j.start) / 2;
         for limit in [j.start, j.start + 1, mid, j.end - 1, j.end, j.end + 1] {
-            let (outcome, jumps) = same_either_way(|| cfg.build(), limit);
+            let (outcome, Absorbed { jumps, .. }) = same_either_way(|| cfg.build(), limit);
             assert!(
                 outcome.starts_with("Err("),
                 "{body:?} limit {limit}: {outcome}"
@@ -364,7 +290,7 @@ fn limits_and_budgets_inside_a_window_trip_identically() {
                 sim.set_event_budget(budget);
                 sim
             };
-            let (outcome, jumps) = same_either_way(build, LIMIT);
+            let (outcome, Absorbed { jumps, .. }) = same_either_way(build, LIMIT);
             assert!(
                 outcome.starts_with("Err(EventBudgetExceeded"),
                 "{body:?} budget {budget}: {outcome}"
@@ -403,7 +329,7 @@ fn tracing_and_attribution_absorb_nothing() {
                 }
                 sim
             };
-            let (outcome, jumps) = same_either_way(build, LIMIT);
+            let (outcome, Absorbed { jumps, .. }) = same_either_way(build, LIMIT);
             assert!(outcome.starts_with("Ok("), "{body:?}: {outcome}");
             assert!(jumps.is_empty(), "{body:?} traced={traced}: {jumps:?}");
         }

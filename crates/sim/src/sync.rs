@@ -306,7 +306,7 @@ pub struct BarrierObj {
     /// round after round re-uses two allocations instead of growing a
     /// fresh `Vec` every round. Give drained lists back via
     /// [`BarrierObj::recycle`].
-    spare: Vec<TaskId>,
+    pub(crate) spare: Vec<TaskId>,
 }
 
 impl BarrierObj {
@@ -486,7 +486,7 @@ pub struct TaskPoolObj {
     /// Recycled waiter storage (see [`BarrierObj::recycle`]): the drain
     /// in [`TaskPoolObj::complete`] hands out the waiter list and runs
     /// on this spare until the caller gives the list back.
-    spare: Vec<TaskId>,
+    pub(crate) spare: Vec<TaskId>,
 }
 
 impl TaskPoolObj {

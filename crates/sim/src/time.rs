@@ -29,18 +29,6 @@ pub fn from_ns_f64(ns: f64) -> Time {
     }
 }
 
-/// Express a [`Time`] in microseconds as `f64` (for reporting).
-#[inline]
-pub fn as_us(t: Time) -> f64 {
-    t as f64 / 1e3
-}
-
-/// Express a [`Time`] in milliseconds as `f64` (for reporting).
-#[inline]
-pub fn as_ms(t: Time) -> f64 {
-    t as f64 / 1e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,7 +45,5 @@ mod tests {
     fn unit_constants() {
         assert_eq!(US * 1_000, MS);
         assert_eq!(MS * 1_000, SEC);
-        assert_eq!(as_us(1500), 1.5);
-        assert_eq!(as_ms(2_500_000), 2.5);
     }
 }

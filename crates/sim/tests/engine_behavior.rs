@@ -25,7 +25,7 @@ fn compute_duration_matches_frequency() {
     assert!(
         (d as f64 - 1e6).abs() < 1e4,
         "expected ~1ms, got {} us",
-        time::as_us(d)
+        as_us(d)
     );
 }
 
@@ -50,12 +50,12 @@ fn parallel_vs_oversubscribed() {
     assert!(
         (apart as f64 - 10e6).abs() < 0.2e6,
         "parallel wall {} ms",
-        time::as_ms(apart)
+        as_ms(apart)
     );
     assert!(
         (stacked as f64 - 20e6).abs() < 0.5e6,
         "stacked wall {} ms (expected ~20)",
-        time::as_ms(stacked)
+        as_ms(stacked)
     );
 }
 
@@ -79,7 +79,7 @@ fn quantum_rotation_interleaves() {
     // Both finish near the end (fair sharing), within ~1 quantum of each
     // other — not one at t=10ms and the other at t=20ms.
     let gap = e0.abs_diff(e1);
-    assert!(gap <= 5 * time::MS, "gap {} ms too large", time::as_ms(gap));
+    assert!(gap <= 5 * time::MS, "gap {} ms too large", as_ms(gap));
 }
 
 /// SMT co-running slows throughput-class code but barely affects
@@ -133,7 +133,7 @@ fn barrier_waits_for_slowest() {
         assert!(
             (10 * time::MS..11 * time::MS).contains(&t),
             "barrier exit at {} ms",
-            time::as_ms(t)
+            as_ms(t)
         );
     }
 }
@@ -256,7 +256,7 @@ fn ordered_loop_serializes() {
     assert!(
         rep.final_time >= 1_600_000,
         "ordered wall {} ms",
-        time::as_ms(rep.final_time)
+        as_ms(rep.final_time)
     );
 }
 
@@ -595,7 +595,7 @@ fn task_wait_blocks_for_outstanding() {
     // done.
     for id in ids {
         let t = rep.marker_times(id, 5)[0];
-        assert!(t >= 10 * time::MS, "task_wait exited early at {} ms", time::as_ms(t));
+        assert!(t >= 10 * time::MS, "task_wait exited early at {} ms", as_ms(t));
     }
 }
 
@@ -641,4 +641,14 @@ fn back_to_back_distinct_loops_both_execute() {
         assert_eq!(iters, want, "loop {lp:?} executed {iters}/{want} iters");
         assert_eq!(passes, 1);
     }
+}
+
+/// A [`time::Time`] in microseconds, for messages.
+fn as_us(t: time::Time) -> f64 {
+    t as f64 / 1e3
+}
+
+/// A [`time::Time`] in milliseconds, for messages.
+fn as_ms(t: time::Time) -> f64 {
+    t as f64 / 1e6
 }

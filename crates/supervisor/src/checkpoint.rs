@@ -216,9 +216,11 @@ fn is_str(f: &Field<'_>, want: &str) -> Option<()> {
     (f.as_str()? == want).then_some(())
 }
 
+/// A non-negative integer field, exact over the whole `u64` range when
+/// written as plain digits.
 fn num_of(f: &Field<'_>) -> Option<u64> {
     match f {
-        Field::Num(n) => u64_of(*n),
+        Field::Num(n, run) => run.parse().ok().or_else(|| u64_of(*n)),
         _ => None,
     }
 }
@@ -852,6 +854,27 @@ mod tests {
             Some(2.25)
         );
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A seed an `f64` cannot hold resumes as itself: the header's seed
+    /// is read from its digits, not through a float.
+    #[test]
+    fn seeds_beyond_53_bits_roundtrip() {
+        for seed in [(1u64 << 53) + 1, 7_596_276_583_504_774_228, u64::MAX] {
+            let path = tmp("wide_seed");
+            let h = Header { seed, ..header() };
+            let mut m = Manifest::create(&path, h.clone()).unwrap();
+            m.append(entry("faults")).unwrap();
+            let (loaded, entries) = Manifest::open_resume(&path, &h).unwrap();
+            assert_eq!(loaded.header(), &h);
+            assert_eq!(entries, [entry("faults")]);
+            let neighbour = Header { seed: seed - 1, ..header() };
+            assert!(matches!(
+                Manifest::open_resume(&path, &neighbour),
+                Err(CheckpointError::Mismatch(_))
+            ));
+            let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        }
     }
 
     /// Bytes pinned from the emitter this one replaced: a journal line

@@ -682,19 +682,26 @@ where
     // the lane — but pickup kills do not: nothing recovers after this.
     let mut recover: Vec<usize> = in_flight.iter().filter_map(|slot| lock(slot).take()).collect();
     let poisoned = recover.len();
+    recover.sort_unstable();
+    for &idx in &recover {
+        eprintln!(
+            "warning: worker poisoned while running '{}'; re-running on the control lane",
+            units[idx].name
+        );
+    }
     if !interrupted {
         for d in &deques {
             recover.extend(lock(d).drain(..));
         }
+        let queued = recover.len() - poisoned;
+        if queued > 0 {
+            eprintln!(
+                "warning: {queued} queued unit(s) left by lost workers; running them on the control lane"
+            );
+        }
     }
     if !recover.is_empty() {
         recover.sort_unstable();
-        for &idx in &recover {
-            eprintln!(
-                "warning: worker poisoned while running '{}'; re-running on the control lane",
-                units[idx].name
-            );
-        }
         let chaos = cfg.chaos.map(|pc| ProcChaos { kill_ppm: 0, ..pc });
         let lane = Lanes { cfg: ExecutorConfig { chaos, ..*cfg }, ..lanes };
         let spare = outs.iter_mut().find_map(|o| o.manifest.take());

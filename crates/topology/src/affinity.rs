@@ -69,11 +69,6 @@ impl ThreadAssignment {
         self.assignment.len()
     }
 
-    /// Whether every thread is bound to some place.
-    pub fn fully_bound(&self) -> bool {
-        self.assignment.iter().all(|a| a.is_some())
-    }
-
     /// Iterate over `(tid, place)` pairs for bound threads.
     pub fn iter_bound(&self) -> impl Iterator<Item = (usize, &Place)> {
         self.assignment
@@ -142,7 +137,7 @@ mod tests {
         assert_eq!(a.place_of(0).unwrap().first(), HwThreadId(0));
         assert_eq!(a.place_of(3).unwrap().first(), HwThreadId(3));
         assert_eq!(a.place_of(4).unwrap().first(), HwThreadId(0)); // wrap
-        assert!(a.fully_bound());
+        assert!((0..a.n_threads()).all(|t| a.place_of(t).is_some()));
     }
 
     #[test]
@@ -177,7 +172,7 @@ mod tests {
         let m = MachineSpec::vera();
         let a = assign_places(&m, &Places::Threads(None), ProcBind::False, 8);
         assert_eq!(a.n_threads(), 8);
-        assert!(!a.fully_bound());
+        assert!((0..a.n_threads()).all(|t| a.place_of(t).is_none()));
         assert!(a.iter_bound().next().is_none());
     }
 

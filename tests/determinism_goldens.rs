@@ -205,7 +205,7 @@ fn corpus() -> Vec<Case> {
     cases.push(Case {
         name: "sched-vera-freq-logger".into(),
         rt: SimRuntime::new(MachineSpec::vera(), RtConfig::unbound())
-            .with_freq_logger(FreqLoggerCfg::on_spare_core(0))
+            .with_freq_logger(on_spare_core(0))
             .with_tracing(true),
         region: sched_region(8, 6),
         seed: 0xF2E6,
@@ -213,7 +213,7 @@ fn corpus() -> Vec<Case> {
     cases.push(Case {
         name: "sched-dardel-freq-logger".into(),
         rt: SimRuntime::new(MachineSpec::dardel(), RtConfig::unbound())
-            .with_freq_logger(FreqLoggerCfg::on_spare_core(1))
+            .with_freq_logger(on_spare_core(1))
             .with_tracing(true),
         region: sched_region(16, 4),
         seed: 0xF2E7,
@@ -380,5 +380,15 @@ fn replay_is_bit_identical() {
             "replay diverged for {}",
             case.name
         );
+    }
+}
+
+/// The paper's setup: a Python logger on a dedicated spare core,
+/// sampling every 50 ms at ~60 µs of CPU per sweep.
+fn on_spare_core(cpu: usize) -> FreqLoggerCfg {
+    FreqLoggerCfg {
+        cpu: Some(cpu),
+        period: 50 * MS,
+        cost: 60 * US,
     }
 }

@@ -198,7 +198,7 @@ fn pinning_changes_the_distribution() {
     let pin = ompvar::harness::Platform::Dardel
         .pinned_rt(32)
         .run_region(&region, 11).expect("region run completes");
-    let (d, p) = ompvar::core::ks_test(unb.reps(), pin.reps());
+    let (d, p) = ks_test(unb.reps(), pin.reps());
     assert!(d > 0.5, "KS d = {d}");
     assert!(p < 0.01, "KS p = {p}");
     // Straggler analysis: unbound threads accumulate migrations; pinned
@@ -208,4 +208,59 @@ fn pinning_changes_the_distribution() {
     assert!(unb_migr > 0);
     assert_eq!(pin_migr, 0);
     assert_eq!(pin.thread_stats.len(), 32);
+}
+
+/// Two-sample Kolmogorov–Smirnov test: returns `(d, approx_p)` where `d`
+/// is the maximum CDF distance and `p` uses the asymptotic Kolmogorov
+/// distribution (adequate for n ≥ ~20 per side). Useful for asking "did
+/// pinning actually change the repetition-time *distribution*?", not just
+/// its mean.
+fn ks_test(a: &[f64], b: &[f64]) -> (f64, f64) {
+    assert!(!a.is_empty() && !b.is_empty());
+    let mut xa = a.to_vec();
+    let mut xb = b.to_vec();
+    xa.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    xb.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    let (na, nb) = (xa.len(), xb.len());
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut d: f64 = 0.0;
+    while i < na && j < nb {
+        let x = xa[i].min(xb[j]);
+        while i < na && xa[i] <= x {
+            i += 1;
+        }
+        while j < nb && xb[j] <= x {
+            j += 1;
+        }
+        d = d.max((i as f64 / na as f64 - j as f64 / nb as f64).abs());
+    }
+    let ne = (na * nb) as f64 / (na + nb) as f64;
+    let lambda = (ne.sqrt() + 0.12 + 0.11 / ne.sqrt()) * d;
+    // Asymptotic Kolmogorov survival function; the series only converges
+    // for λ bounded away from 0, and P → 1 there anyway.
+    if lambda < 0.3 {
+        return (d, 1.0);
+    }
+    let mut p = 0.0;
+    for k in 1..=100 {
+        let kf = k as f64;
+        let term = 2.0 * (-1.0f64).powi(k + 1) * (-2.0 * kf * kf * lambda * lambda).exp();
+        p += term;
+        if term.abs() < 1e-12 {
+            break;
+        }
+    }
+    (d, p.clamp(0.0, 1.0))
+}
+
+#[test]
+fn ks_test_separates_distributions() {
+    let a: Vec<f64> = (0..200).map(|i| (i % 50) as f64).collect();
+    let b: Vec<f64> = (0..200).map(|i| (i % 50) as f64 + 40.0).collect();
+    let (d, p) = ks_test(&a, &b);
+    assert!(d > 0.5, "d = {d}");
+    assert!(p < 1e-6, "p = {p}");
+    let (d, p) = ks_test(&a, &a);
+    assert!(d < 1e-12);
+    assert!(p > 0.99);
 }

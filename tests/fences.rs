@@ -3,8 +3,10 @@
 //! Each `#[test]` is one fence; its doc comment says what it keeps out
 //! and why.
 
+use std::collections::{BTreeMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// The workspace root.
 fn root() -> &'static Path {
@@ -46,17 +48,89 @@ fn shown(path: &Path) -> String {
     path.strip_prefix(root()).unwrap_or(path).display().to_string()
 }
 
+/// The file a `mod name;` declared in `parent` loads, `#[path]` given or
+/// not.
+fn module_file(parent: &Path, name: &str, path_attr: Option<&str>) -> PathBuf {
+    let dir = parent.parent().expect("a file has a directory");
+    if let Some(p) = path_attr {
+        return dir.join(p);
+    }
+    let stem = parent.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    let dir = if ["mod", "lib", "main"].contains(&stem) {
+        dir.to_path_buf()
+    } else {
+        dir.join(stem)
+    };
+    let flat = dir.join(format!("{name}.rs"));
+    if flat.exists() {
+        flat
+    } else {
+        dir.join(name).join("mod.rs")
+    }
+}
+
+/// The `#[cfg(test)]` module declaration at `lines[i]` — the attribute,
+/// an optional `#[path = "…"]`, then `mod name;` — as its length in
+/// lines, the module's name and its path attribute.
+fn test_mod_decl<'a>(lines: &[&'a str], i: usize) -> Option<(usize, &'a str, Option<&'a str>)> {
+    if lines.get(i)?.trim() != "#[cfg(test)]" {
+        return None;
+    }
+    let path = lines.get(i + 1)?.trim().strip_prefix("#[path = \"").and_then(|p| p.strip_suffix("\"]"));
+    let n = 1 + usize::from(path.is_some());
+    let name = lines.get(i + n)?.trim().strip_prefix("mod ")?.strip_suffix(';')?;
+    Some((n + 1, name, path))
+}
+
+/// Every file under `crates/` loaded only as a `#[cfg(test)]` module:
+/// test code, though it has no `#[cfg(test)]` line of its own.
+fn test_only_files() -> &'static HashSet<PathBuf> {
+    static FILES: OnceLock<HashSet<PathBuf>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let mut found = HashSet::new();
+        for parent in rust_files_under("crates") {
+            let text = fs::read_to_string(&parent).expect("readable");
+            let lines: Vec<&str> = text.lines().collect();
+            for i in 0..lines.len() {
+                if let Some((_, name, path)) = test_mod_decl(&lines, i) {
+                    found.insert(module_file(&parent, name, path));
+                }
+            }
+        }
+        found
+    })
+}
+
 /// The file's shipping lines as `(line number, text)`: everything above
-/// its first column-0 `#[cfg(test)]`, less the lines that are only a
-/// `//` comment (doc comments included).
+/// its first column-0 `#[cfg(test)]` that is not just a test module's
+/// declaration, less those declarations and the lines that are only a
+/// `//` comment (doc comments included); none for a file loaded only as
+/// a test module.
 fn shipping_lines(path: &Path) -> Vec<(usize, String)> {
+    if test_only_files().contains(path) {
+        return Vec::new();
+    }
     let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    text.lines()
-        .enumerate()
-        .take_while(|(_, line)| !line.starts_with("#[cfg(test)]"))
-        .filter(|(_, line)| !line.trim_start().starts_with("//"))
-        .map(|(i, line)| (i + 1, line.to_string()))
-        .collect()
+    let lines: Vec<&str> = text.lines().collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < lines.len() {
+        let line = lines[i];
+        if line.starts_with("#[cfg(test)]") {
+            match test_mod_decl(&lines, i) {
+                Some((n, ..)) => {
+                    i += n;
+                    continue;
+                }
+                None => break,
+            }
+        }
+        if !line.trim_start().starts_with("//") {
+            out.push((i + 1, line.to_string()));
+        }
+        i += 1;
+    }
+    out
 }
 
 /// `file:line` of every shipping line under `dir` that `bad` matches.
@@ -407,4 +481,61 @@ fn one_lowering_pass() {
         back.push(format!("{native_path}: ThreadCtx keeps per-object state: {kept:?}"));
     }
     assert!(back.is_empty(), "two-walk lowering is back: {back:?}");
+}
+
+/// One state walk. The periodic absorber decides what a jump compares and
+/// what it advances in one function, `Simulator::walk`, whose patterns
+/// name every field of the state (DESIGN §11): the two hand-kept lists it
+/// replaced stay gone, and no shipping line of `periodic.rs` skips fields
+/// with a `..` rest pattern, so a new field does not compile until it is
+/// classed.
+#[test]
+fn one_state_walk() {
+    let periodic = root().join("crates/sim/src/engine/periodic.rs");
+    let text = fs::read_to_string(&periodic).expect("readable");
+    for gone in ["fn encode_rest", "fn for_each_accumulator"] {
+        assert!(!text.contains(gone), "{}: {gone} is back", shown(&periodic));
+    }
+    assert!(text.contains("fn walk("), "{}: no state walk", shown(&periodic));
+    let rest: Vec<usize> = shipping_lines(&periodic)
+        .into_iter()
+        .filter(|(_, line)| line.contains(".. }") || line.trim() == "..")
+        .map(|(n, _)| n)
+        .collect();
+    assert!(rest.is_empty(), "rest patterns in {} at lines {rest:?}", shown(&periodic));
+}
+
+#[test]
+fn test_modules_are_not_shipping_code() {
+    let tests = root().join("crates/sim/src/engine/periodic_tests.rs");
+    assert!(test_only_files().contains(&tests), "{:?}", test_only_files());
+    assert!(shipping_lines(&tests).is_empty());
+    let referent = root().join("crates/sim/src/engine/referent.rs");
+    assert!(test_only_files().contains(&referent), "{:?}", test_only_files());
+    assert!(!shipping_lines(&root().join("crates/sim/src/engine/periodic.rs")).is_empty());
+}
+
+/// Shipping lines per crate, the count the ROADMAP quotes: the
+/// `shipping_lines` rule with blank lines also dropped, over
+/// `crates/*/src`. Prints; asserts nothing. Run with `cargo test --test
+/// fences shipping_line_count -- --ignored --nocapture`.
+#[test]
+#[ignore]
+fn shipping_line_count() {
+    let mut by_crate: BTreeMap<String, usize> = BTreeMap::new();
+    for path in rust_files_under("crates") {
+        let shown = rel(&path);
+        let Some((krate, _)) = shown.strip_prefix("crates/").and_then(|p| p.split_once("/src/")) else {
+            continue;
+        };
+        let n = shipping_lines(&path).iter().filter(|(_, l)| !l.trim().is_empty()).count();
+        *by_crate.entry(krate.to_string()).or_default() += n;
+        if shown.ends_with("engine/periodic.rs") {
+            println!("{shown}: {n}");
+        }
+    }
+    for (krate, n) in &by_crate {
+        println!("{krate}: {n}");
+    }
+    println!("total: {}", by_crate.values().sum::<usize>());
 }

@@ -7,7 +7,9 @@ use ompvar::sim::prelude::{
     CorunClass, Program, Rng, SimParams, Simulator,
 };
 use ompvar::sim::sync::{LoopSchedule, LoopSpec};
-use ompvar::topology::{assign_places, HwThreadId, MachineSpec, Place, Places, ProcBind};
+use ompvar::topology::{
+    assign_places, HwThreadId, MachineSpec, Place, Places, ProcBind, ThreadAssignment,
+};
 use proptest::prelude::*;
 
 /// Arbitrary small machines.
@@ -70,9 +72,9 @@ proptest! {
         let a = assign_places(&m, &Places::Threads(None), bind, n_threads);
         prop_assert_eq!(a.n_threads(), n_threads);
         if bind == ProcBind::False {
-            prop_assert!(!a.fully_bound() || n_threads == 0);
+            prop_assert!(!fully_bound(&a) || n_threads == 0);
         } else {
-            prop_assert!(a.fully_bound());
+            prop_assert!(fully_bound(&a));
             for (_, p) in a.iter_bound() {
                 for &hw in p.hw_threads() {
                     prop_assert!(hw.0 < m.n_hw_threads());
@@ -253,4 +255,9 @@ proptest! {
         let got = rep.final_time as f64;
         prop_assert!((got - expect).abs() < 10.0, "got {} expect {}", got, expect);
     }
+}
+
+/// Whether every thread of `a` is bound to some place.
+fn fully_bound(a: &ThreadAssignment) -> bool {
+    (0..a.n_threads()).all(|t| a.place_of(t).is_some())
 }
