@@ -25,8 +25,8 @@
 //! (`ompvar-supervisor`), and its unit is the *cell*: every selected
 //! experiment declares a grid of seeded runs plus a fold
 //! (`ompvar_harness::grid`), and the cells of all of them are flattened
-//! into that one campaign. `--jobs N` shards the cells across a
-//! work-stealing pool of N workers (`0` auto-detects; the default is
+//! into that one campaign. `--jobs N` runs the cells on a pool of N
+//! workers popping one shared queue (`0` auto-detects; the default is
 //! `1`), each journaling completed cells into its own
 //! `ompvar-checkpoint/1` shard manifest under `<out>/checkpoint/` so a
 //! `kill -9` at any instant tears at most the final line of one shard.

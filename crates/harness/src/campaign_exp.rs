@@ -3,8 +3,8 @@
 //! Four schedbench cells — the Figure-4 `dynamic,1` configuration on 8
 //! pinned Vera threads — exercise every supervisor path on purpose:
 //!
-//! * **sterile**: no faults. Completes first try; the adaptive policy
-//!   must schedule zero extra repetitions.
+//! * **sterile**: no faults. Completes first try; adaptive
+//!   re-measurement must schedule zero extra repetitions.
 //! * **noisy**: a seeded machine-wide noise storm. Completes first try
 //!   but disperses across seeds, so adaptive re-measurement must spend
 //!   extra repetitions on it (and record them).
@@ -17,8 +17,12 @@
 //!   supervisor must classify it as permanent and quarantine after one
 //!   attempt — retrying a validation failure is pure waste.
 //!
+//! A cell re-measures while the CoV of its samples is above
+//! `TARGET_COV`, with a fresh seed each time, up to `MAX_EXTRA` extra
+//! repetitions (`MAX_EXTRA_FAST` under `--fast`).
+//!
 //! The cells run on the fault-tolerant campaign executor: `--jobs N`
-//! shards them across a work-stealing pool, each worker journaling into
+//! runs them on a pool of N workers sharing one queue, each journaling into
 //! its own `ompvar-checkpoint/1` shard manifest (shard 0 is the legacy
 //! `campaign.jsonl`), and the executor's attempt spans and retry /
 //! quarantine instants are written as a per-worker-lane Chrome trace,
@@ -30,19 +34,28 @@ use crate::common::{
 };
 use crate::grid::Sample;
 use ompvar_bench_epcc::{schedbench, EpccConfig};
-use ompvar_core::Table;
+use ompvar_core::{Summary, Table};
 use ompvar_rt::region::{RegionSpec, Schedule};
 use ompvar_rt::runner::RegionRunner;
 use ompvar_sim::fault::FaultPlan;
 use ompvar_sim::rng::{child, offset, retry};
 use ompvar_sim::time::{SEC, US};
-use ompvar_supervisor::{stabilize, Backoff, ExecUnit, Outcome, StabilityPolicy, UnitError};
+use ompvar_supervisor::{Backoff, ExecUnit, Outcome, UnitError};
 
 const PLATFORM: Platform = Platform::Vera;
 const THREADS: usize = 8;
 const AT: ompvar_sim::time::Time = 50 * US;
 /// The cells, in unit (and report) order.
 const CELLS: [&str; 4] = ["sterile", "noisy", "flaky", "broken"];
+/// A cell is stable once its samples' CoV is at or below this. The
+/// target sits between the sterile cells' cross-seed dispersion (~1e-4:
+/// only dynamic-scheduling races move) and the noise storm's (~3e-3):
+/// stable cells pass untouched, perturbed ones re-measure.
+const TARGET_COV: f64 = 0.002;
+/// Cap on a cell's extra repetitions at full size.
+const MAX_EXTRA: usize = 8;
+/// Cap on a cell's extra repetitions under `--fast`.
+const MAX_EXTRA_FAST: usize = 4;
 
 fn region(opts: &ExpOptions) -> RegionSpec {
     let mut cfg = EpccConfig::schedbench_default().fast(opts.outer_reps().min(10));
@@ -71,6 +84,21 @@ fn measure(region: &RegionSpec, scenario: &str, attempt: u32, seed: u64) -> Resu
         .map_err(|e| UnitError::from_rt(&e))
 }
 
+/// Coefficient of variation of a cell's samples; 0 below two samples.
+fn cov(samples: &[f64]) -> f64 {
+    if samples.len() < 2 {
+        0.0
+    } else {
+        Summary::of(samples).cv
+    }
+}
+
+/// Whether a cell needs no more repetitions: its CoV is at or below
+/// `TARGET_COV`.
+fn stable(samples: &[f64]) -> bool {
+    cov(samples) <= TARGET_COV
+}
+
 /// Rows for the campaign table, one per cell.
 struct CellRow {
     name: &'static str,
@@ -88,19 +116,12 @@ struct CellRow {
 pub fn run(opts: &ExpOptions) -> ExpReport {
     let good_region = region(opts);
     let broken_region = RegionSpec { n_threads: 0, ..good_region.clone() };
-    // The target sits between the sterile cells' cross-seed dispersion
-    // (~1e-4: only dynamic-scheduling races move) and the noise storm's
-    // (~3e-3): stable cells pass untouched, perturbed ones re-measure.
-    let policy = StabilityPolicy {
-        target_cov: 0.002,
-        max_extra: if opts.fast { 4 } else { 8 },
-        min_samples: 3,
-    };
     let base_runs = 3usize;
+    let max_extra = if opts.fast { MAX_EXTRA_FAST } else { MAX_EXTRA };
 
     // Each cell is one executor unit; with `--jobs > 1` the cells run
-    // concurrently on the work-stealing pool, each under its own
-    // per-worker supervisor lane.
+    // concurrently on the worker pool, each under its worker's
+    // supervisor lane.
     let seed = opts.seed;
     let units: Vec<ExecUnit<Sample>> = CELLS
         .into_iter()
@@ -108,28 +129,18 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             let reg =
                 if cell == "broken" { broken_region.clone() } else { good_region.clone() };
             ExecUnit::new(cell, move |attempt| {
-                // Base repetitions under this attempt's seed stream; the
-                // adaptive pass extends unstable cells with extra seeds.
+                // Base repetitions under this attempt's seed stream, then
+                // adaptive re-measurement: one more seed of the stream
+                // while the cell is unstable, up to the cap.
                 let seed0 = retry(seed, attempt);
-                let mut base = Vec::with_capacity(base_runs);
-                for i in 0..base_runs {
-                    base.push(measure(&reg, cell, attempt, offset(seed0, i as u64))?);
+                let mut samples = Vec::with_capacity(base_runs + max_extra);
+                while samples.len() < base_runs
+                    || (!stable(&samples) && samples.len() < base_runs + max_extra)
+                {
+                    let at = offset(seed0, samples.len() as u64);
+                    samples.push(measure(&reg, cell, attempt, at)?);
                 }
-                let mut failed = None;
-                let st = stabilize(base, &policy, |i| {
-                    match measure(&reg, cell, attempt, offset(seed0, (base_runs + i) as u64))
-                    {
-                        Ok(x) => Some(x),
-                        Err(e) => {
-                            failed = Some(e);
-                            None
-                        }
-                    }
-                });
-                match failed {
-                    Some(e) => Err(e),
-                    None => Sample::checked(st.samples),
-                }
+                Sample::checked(samples)
             })
         })
         .collect();
@@ -158,7 +169,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
                     (format!("quarantined ({why})"), Vec::new(), attempts, retries)
                 }
             };
-            let (cov, _) = ompvar_supervisor::dispersion(&samples);
+            let cov = cov(&samples);
             CellRow {
                 name: CELLS[r.index],
                 status,
@@ -168,7 +179,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
                 base: base_runs.min(samples.len()),
                 extra: samples.len().saturating_sub(base_runs),
                 cov,
-                stable: !samples.is_empty() && cov <= policy.target_cov,
+                stable: !samples.is_empty() && stable(&samples),
             }
         })
         .collect();
@@ -220,7 +231,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             noisy.status == "ok" && noisy.extra > 0,
             format!(
                 "status={} extra={} cov={:.4} target={}",
-                noisy.status, noisy.extra, noisy.cov, policy.target_cov
+                noisy.status, noisy.extra, noisy.cov, TARGET_COV
             ),
         ),
         Check::new(
@@ -264,6 +275,11 @@ mod tests {
         for c in &rep.checks {
             assert!(c.passed, "{}: {}", c.name, c.detail);
         }
+        // Re-measurement stops at the cap: the noisy cell's `extra`
+        // column (the table's seventh) is at most `MAX_EXTRA_FAST`.
+        let noisy = rep.tables[0].rows().iter().find(|r| r[0] == "noisy").expect("noisy row");
+        let extra: usize = noisy[6].parse().unwrap();
+        assert!(extra <= MAX_EXTRA_FAST, "noisy extra = {extra}");
         // Its crash-safety artifacts exist and parse.
         let manifest = o.checkpoint_dir().join("campaign.jsonl");
         let text = std::fs::read_to_string(&manifest).unwrap();

@@ -513,7 +513,6 @@ mod tests {
                     name: name.to_string(),
                     outcome,
                     worker: None,
-                    stolen: false,
                     duration: std::time::Duration::ZERO,
                 })
                 .collect(),

@@ -96,8 +96,6 @@ pub enum InstantKind {
     /// The executor's watchdog reaped a unit attempt that exceeded its
     /// wall-clock deadline.
     SupervisorTimeout,
-    /// An executor worker stole a unit from another worker's queue.
-    SupervisorSteal,
     /// The chaos shim injected an I/O fault into a journal or artifact
     /// write.
     ChaosIoFault,
@@ -113,7 +111,7 @@ pub enum InstantKind {
 
 impl InstantKind {
     /// Every kind, in display order.
-    pub const ALL: [InstantKind; 14] = [
+    pub const ALL: [InstantKind; 13] = [
         InstantKind::NoisePreemption,
         InstantKind::FaultInjection,
         InstantKind::FreqRetarget,
@@ -122,7 +120,6 @@ impl InstantKind {
         InstantKind::SupervisorResume,
         InstantKind::SupervisorCheckpoint,
         InstantKind::SupervisorTimeout,
-        InstantKind::SupervisorSteal,
         InstantKind::ChaosIoFault,
         InstantKind::ChaosCrashPoint,
         InstantKind::ChaosProcKill,
@@ -141,7 +138,6 @@ impl InstantKind {
             InstantKind::SupervisorResume => "supervisor_resume",
             InstantKind::SupervisorCheckpoint => "supervisor_checkpoint",
             InstantKind::SupervisorTimeout => "supervisor_timeout",
-            InstantKind::SupervisorSteal => "supervisor_steal",
             InstantKind::ChaosIoFault => "chaos_io_fault",
             InstantKind::ChaosCrashPoint => "chaos_crash_point",
             InstantKind::ChaosProcKill => "chaos_proc_kill",

@@ -4,7 +4,7 @@
 //! plain integer structures whose merge is element-wise saturating
 //! addition (plus min/max), so merging is exactly associative and
 //! commutative at the bit level. That is what lets the sharded campaign
-//! executor fold per-run statistics worker-by-worker in any steal order
+//! executor fold per-run statistics worker-by-worker in any order
 //! and still produce byte-identical reports at any `--jobs` count:
 //!
 //! * [`QuantileSketch`] — a log-bucketed quantile sketch over `u64`

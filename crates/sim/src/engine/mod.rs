@@ -41,6 +41,8 @@
 //!   recurs: checkpoints at rank 0's `LoopEnd`, an exact relative
 //!   snapshot, and a jump over as many periods as fit before the next
 //!   far-tier event, between two events of the main loop;
+//! * `walk` — the state walk that names every field of the state once,
+//!   with its class: what `periodic` encodes, advances or leaves out;
 //! * `noise`, `freq`, `fault` — the three sources of interference: OS
 //!   noise arrivals, DVFS (governor, droop pulses, the logger), injected
 //!   faults;
@@ -68,6 +70,7 @@ mod referent;
 mod report;
 mod sched;
 mod topo;
+mod walk;
 
 use self::attr::AttrState;
 pub use self::topo::Topo;

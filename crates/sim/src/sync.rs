@@ -65,20 +65,11 @@ impl LoopSpec {
     }
 }
 
-/// One grab's worth of work handed to a task.
-///
-/// For dynamic, guided and per-chunk static grabs, `[first_iter,
-/// first_iter + iters)` is the exact contiguous range. For the aggregated
-/// static fast path (non-ordered static loops with `batch > 1`), a thread
-/// receives *all* of its round-robin chunks in one grab: `iters` is the
-/// exact count but the underlying iterations are interleaved with other
-/// threads', and `first_iter` is only the first iteration of the thread's
-/// first chunk. Ordered loops never take the aggregated path, so ticket
-/// indices are always exact.
+/// One grab's worth of work handed to a task: the contiguous iterations
+/// `[first_iter, first_iter + iters)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grab {
-    /// First iteration index of the grabbed work (see type docs for the
-    /// aggregated-static caveat).
+    /// First iteration index of the grabbed work.
     pub first_iter: u64,
     /// Number of iterations grabbed.
     pub iters: u64,
@@ -169,48 +160,20 @@ impl LoopObj {
         let n = self.spec.n_threads as u64;
         match self.spec.schedule {
             LoopSchedule::Static { chunk } => {
-                let total_chunks = self.spec.chunks_total(chunk);
-                if self.spec.ordered_section_ns.is_some() || self.spec.batch == 1 {
-                    // One chunk per grab (required for ordered semantics).
-                    let chunk_idx = *task_pos * n + rank as u64;
-                    if chunk_idx >= total_chunks {
-                        return None;
-                    }
-                    *task_pos += 1;
-                    let first = chunk_idx * chunk;
-                    let iters = chunk.min(self.spec.total_iters - first);
-                    Some(Grab {
-                        first_iter: first,
-                        iters,
-                        n_grabs: 1,
-                    })
-                } else {
-                    // Hand out the thread's whole share at once; dispatch
-                    // cost still charged per chunk.
-                    if *task_pos > 0 {
-                        return None;
-                    }
-                    *task_pos = u64::MAX;
-                    let mut iters = 0u64;
-                    let mut k = rank as u64;
-                    let mut n_grabs = 0u64;
-                    let mut first = None;
-                    while k < total_chunks {
-                        let start = k * chunk;
-                        iters += chunk.min(self.spec.total_iters - start);
-                        first.get_or_insert(start);
-                        n_grabs += 1;
-                        k += n;
-                    }
-                    if iters == 0 {
-                        return None;
-                    }
-                    Some(Grab {
-                        first_iter: first.unwrap(),
-                        iters,
-                        n_grabs,
-                    })
+                // One chunk per grab, the thread's round-robin share in
+                // order.
+                let chunk_idx = *task_pos * n + rank as u64;
+                if chunk_idx >= self.spec.chunks_total(chunk) {
+                    return None;
                 }
+                *task_pos += 1;
+                let first = chunk_idx * chunk;
+                let iters = chunk.min(self.spec.total_iters - first);
+                Some(Grab {
+                    first_iter: first,
+                    iters,
+                    n_grabs: 1,
+                })
             }
             LoopSchedule::Dynamic { chunk } => {
                 if self.next_iter >= self.spec.total_iters {

@@ -18,7 +18,7 @@
 //! A parallel campaign journals into one manifest *per worker shard*
 //! ([`create_shards`] / [`resume_shards`]) so concurrent appenders never
 //! contend on one file; on resume the shards are merged in deterministic
-//! order regardless of worker count or steal schedule.
+//! order regardless of worker count or which worker ran what.
 
 use crate::chaos::{self, FaultKind, Verdict, WriteKind};
 use crate::classify::Transience;
@@ -672,8 +672,8 @@ fn open_shards(
 /// entries **deterministically** — shards in index order, entries in
 /// file order, first occurrence of a unit name wins. The merge result is
 /// a pure function of the on-disk shard set, so a resumed report is
-/// byte-identical regardless of the worker count or steal schedule of
-/// the run that crashed.
+/// byte-identical regardless of the worker count of the run that
+/// crashed or which of its workers ran what.
 ///
 /// Shard 0 must exist (it is the legacy manifest a sequential campaign
 /// writes); shards beyond `jobs` are merged but not returned, since no

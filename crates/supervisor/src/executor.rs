@@ -1,16 +1,18 @@
 //! Fault-tolerant parallel campaign executor.
 //!
-//! A campaign's units are sharded across a work-stealing pool of N
-//! workers. Each worker runs its units through its **own**
-//! [`Supervisor`] journaling into its **own** per-shard checkpoint
-//! manifest (see [`crate::checkpoint::shard_path`]), so concurrent
-//! appenders never contend on one file and a `kill -9` at any instant
-//! tears at most one line of one shard — which
+//! A campaign's pending units wait in one shared queue, in canonical
+//! order, and each of N workers pops the front whenever it is free, so
+//! no worker idles while units are left. Each worker runs its units
+//! through its **own** [`Supervisor`] journaling into its **own**
+//! per-shard checkpoint manifest (see
+//! [`crate::checkpoint::shard_path`]), so concurrent appenders never
+//! contend on one file and a `kill -9` at any instant tears at most one
+//! line of one shard — which
 //! [`Manifest::open_resume`]'s torn-tail recovery then drops. On resume
 //! the shard manifests are merged deterministically
 //! ([`crate::checkpoint::resume_shards`]) and completed units are
 //! replayed before dispatch, so a resumed report is byte-identical
-//! regardless of worker count, crash history, or steal schedule.
+//! regardless of worker count, crash history, or which worker ran what.
 //!
 //! Robustness machinery on top of the pool:
 //!
@@ -23,11 +25,11 @@
 //!   leaked (it dies with the process) while the campaign moves on.
 //! - **Panic isolation**: unit panics are caught per-attempt and become
 //!   [`UnitError::from_panic`]. A panic *outside* the attempt sandbox
-//!   (executor or journaling bug) poisons only that worker: its queue
-//!   stays in the shared deques for the others to drain, and its
-//!   in-flight unit is re-run after the pool joins by the **recovery
-//!   lane** — the same worker loop, on the calling thread as lane 0,
-//!   journaling into a shard a cleanly ended worker handed back.
+//!   (executor or journaling bug) poisons only that worker: the others
+//!   keep draining the shared queue, and its in-flight unit is re-run
+//!   after the pool joins by the **recovery lane** — the same worker
+//!   loop, on the calling thread as lane 0, journaling into a shard a
+//!   cleanly ended worker handed back.
 //! - **Interrupt propagation**: a shared cancel flag (the CLI's SIGINT
 //!   flag) stops every worker at the next unit boundary; shard manifests
 //!   are flushed per-append, so everything completed before the
@@ -35,7 +37,8 @@
 //!
 //! Every worker is one lane of the merged Chrome trace (export with
 //! `chrome_trace_lanes(…, "worker")`): attempts, retries, timeouts,
-//! steals, and checkpoint flushes per worker, on a shared time base.
+//! chaos actions and checkpoint flushes per worker, on a shared time
+//! base.
 
 use crate::chaos::{ChaosAction, ProcChaos};
 use crate::checkpoint::{Entry, Manifest, RetryRecord, UnitStatus};
@@ -43,9 +46,9 @@ use crate::classify::Transience;
 use crate::supervisor::{Checkpointable, Outcome, Supervisor, SupervisorConfig, UnitError};
 use ompvar_obs::{InstantKind, Trace};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -115,7 +118,7 @@ impl<R> std::fmt::Debug for ExecUnit<R> {
     }
 }
 
-/// Terminal state of one unit, tagged with scheduling provenance.
+/// Terminal state of one unit, tagged with the lane that reached it.
 #[derive(Debug)]
 pub struct UnitResult<R> {
     /// Position in the campaign's canonical unit order.
@@ -127,8 +130,6 @@ pub struct UnitResult<R> {
     /// Lane that ran it (the recovery lane is 0); `None` when replayed
     /// from a checkpoint.
     pub worker: Option<usize>,
-    /// Whether the unit was stolen from another worker's queue.
-    pub stolen: bool,
     /// Wall-clock spent supervising the unit (all attempts + backoff);
     /// zero for checkpoint replays.
     pub duration: Duration,
@@ -152,8 +153,9 @@ pub struct CampaignRun<R> {
     pub interrupted: bool,
     /// Workers lost to a panic outside the per-attempt sandbox.
     pub poisoned_workers: usize,
-    /// Units that ran on a worker other than the one they were
-    /// initially dealt to.
+    /// Always 0: every worker pops the one shared queue, so no unit is
+    /// taken from another worker. Kept only because the benchmark's
+    /// journal workload still reports it.
     pub steals: usize,
     /// Watchdog-reaped attempt threads still running when the campaign
     /// returned. A hang-heavy run leaks real OS threads (they die with
@@ -166,7 +168,7 @@ pub struct CampaignRun<R> {
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A worker that panicked while holding a deque/slot lock must not
+    // A worker that panicked while holding a slot lock must not
     // cascade: the protected data (plain indices) is always valid.
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -415,19 +417,29 @@ fn emit_chaos_actions(sup: &mut Supervisor, pc: ProcChaos, idx: usize, attempts:
     }
 }
 
-/// Pop the next unit for worker `w`: own queue front first, then steal
-/// from the back of the other workers' queues.
-fn next_unit(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<(usize, bool)> {
-    if let Some(i) = lock(&deques[w]).pop_front() {
-        return Some((i, false));
+/// The units still to run, in canonical order, shared by every lane:
+/// each pops the front when it is free.
+struct UnitQueue {
+    units: Vec<usize>,
+    next: AtomicUsize,
+}
+
+impl UnitQueue {
+    fn new(units: Vec<usize>) -> UnitQueue {
+        UnitQueue { units, next: AtomicUsize::new(0) }
     }
-    for off in 1..deques.len() {
-        let victim = (w + off) % deques.len();
-        if let Some(i) = lock(&deques[victim]).pop_back() {
-            return Some((i, true));
-        }
+
+    /// The front unit, or `None` once the queue is drained. `Relaxed`:
+    /// the cursor publishes no data — the units are fixed before the
+    /// lanes start, and `rest` is read after they join.
+    fn pop(&self) -> Option<usize> {
+        self.units.get(self.next.fetch_add(1, Ordering::Relaxed)).copied()
     }
-    None
+
+    /// The units no lane popped.
+    fn rest(&self) -> &[usize] {
+        &self.units[self.next.load(Ordering::Relaxed).min(self.units.len())..]
+    }
 }
 
 struct WorkerOut<R> {
@@ -451,21 +463,21 @@ struct Lanes<'a, R> {
 }
 
 impl<R: Checkpointable + Send + 'static> Lanes<'_, R> {
-    /// Run lane `w` until its queue and everything it can steal is
-    /// drained, the campaign is cancelled, or the lane dies. A lane that
-    /// dies leaves `in_flight[w]` set for the recovery lane — except the
+    /// Run lane `w` until the queue is drained, the campaign is
+    /// cancelled, or the lane dies. A lane that dies leaves
+    /// `in_flight[w]` set for the recovery lane — except the
     /// `last_resort` lane, which is the recovery lane.
     fn worker_loop(
         &self,
         w: usize,
         manifest: Option<Manifest>,
-        deques: &[Mutex<VecDeque<usize>>],
+        queue: &UnitQueue,
         in_flight: &[Mutex<Option<usize>>],
         cancel: Option<&AtomicBool>,
         last_resort: bool,
     ) -> WorkerOut<R> {
         let cfg = &self.cfg;
-        let mut sup = Supervisor::new(cfg.supervisor).with_lane(w as u32).with_t0(self.epoch);
+        let mut sup = Supervisor::new(cfg.supervisor, w as u32, self.epoch);
         if let Some(m) = manifest {
             sup = sup.with_manifest(m);
         }
@@ -474,10 +486,7 @@ impl<R: Checkpointable + Send + 'static> Lanes<'_, R> {
             if cancel.map(|c| c.load(Ordering::SeqCst)).unwrap_or(false) {
                 break;
             }
-            let Some((idx, stolen)) = next_unit(deques, w) else { break };
-            if stolen {
-                sup.emit_instant(InstantKind::SupervisorSteal);
-            }
+            let Some(idx) = queue.pop() else { break };
             *lock(&in_flight[w]) = Some(idx);
             // Process chaos, decision 1: die at the unit-pickup boundary.
             // The in-flight slot stays set, so this rides the existing
@@ -509,9 +518,9 @@ impl<R: Checkpointable + Send + 'static> Lanes<'_, R> {
                 // poisoned, and its journal may have been cut mid-append.
                 Err(p) => {
                     drop(sup.take_manifest());
-                    // Stop taking work — the shared deques let the others
-                    // drain our queue, and the still-set in-flight slot
-                    // tells the main thread which unit to recover.
+                    // Stop taking work — the others drain the shared
+                    // queue, and the still-set in-flight slot tells the
+                    // main thread which unit to recover.
                     if !last_resort {
                         break;
                     }
@@ -543,7 +552,6 @@ impl<R: Checkpointable + Send + 'static> Lanes<'_, R> {
                 name: unit.name.clone(),
                 outcome,
                 worker: Some(w),
-                stolen,
                 duration: t0.elapsed(),
             };
             if let Some(p) = self.progress {
@@ -577,7 +585,7 @@ fn replay_entry<R: Checkpointable>(e: &Entry) -> Option<Outcome<R>> {
     }
 }
 
-/// Run a campaign through the work-stealing pool.
+/// Run a campaign through the worker pool.
 ///
 /// `manifests` are the per-shard journals (from
 /// [`crate::checkpoint::create_shards`] / `resume_shards`), one per
@@ -589,8 +597,8 @@ fn replay_entry<R: Checkpointable>(e: &Entry) -> Option<Outcome<R>> {
 /// with each unit's terminal result the moment it is reached — from
 /// worker threads, so streamed output should lock stdout per call.
 ///
-/// Results come back in canonical (submission) order regardless of the
-/// steal schedule, so downstream reports are deterministic.
+/// Results come back in canonical (submission) order regardless of which
+/// worker ran each unit, so downstream reports are deterministic.
 pub fn run_campaign<R>(
     cfg: &ExecutorConfig,
     units: &[ExecUnit<R>],
@@ -604,7 +612,7 @@ where
 {
     let jobs = cfg.jobs.max(1);
     let epoch = Instant::now();
-    let mut control = Supervisor::new(cfg.supervisor).with_lane(0).with_t0(epoch);
+    let mut control = Supervisor::new(cfg.supervisor, 0, epoch);
 
     // Replay pass: decode journaled terminal states before any dispatch,
     // on the control lane. Unreadable payloads fall through and re-run.
@@ -625,7 +633,6 @@ where
             name: u.name.clone(),
             outcome,
             worker: None,
-            stolen: false,
             duration: Duration::ZERO,
         };
         if let Some(p) = progress {
@@ -634,16 +641,7 @@ where
         slots[idx] = Some(result);
     }
 
-    // Deal the pending units round-robin; stealing rebalances from there.
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    let mut next_worker = 0;
-    for (idx, slot) in slots.iter().enumerate() {
-        if slot.is_none() {
-            lock(&deques[next_worker]).push_back(idx);
-            next_worker = (next_worker + 1) % jobs;
-        }
-    }
+    let queue = UnitQueue::new((0..units.len()).filter(|&idx| slots[idx].is_none()).collect());
 
     let in_flight: Vec<Mutex<Option<usize>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     let watchdog = Watchdog::spawn();
@@ -654,11 +652,11 @@ where
     thread::scope(|s| {
         // One shard per worker; workers beyond the shards run unjournaled.
         let mut shards = manifests.into_iter().flatten();
-        let (lanes, deques, in_flight) = (&lanes, &deques[..], &in_flight[..]);
+        let (lanes, queue, in_flight) = (&lanes, &queue, &in_flight[..]);
         let handles: Vec<_> = (0..jobs)
             .map(|w| {
                 let shard = shards.next();
-                s.spawn(move || lanes.worker_loop(w, shard, deques, in_flight, cancel, false))
+                s.spawn(move || lanes.worker_loop(w, shard, queue, in_flight, cancel, false))
             })
             .collect();
         for h in handles {
@@ -674,10 +672,11 @@ where
     let interrupted = cancel.map(|c| c.load(Ordering::SeqCst)).unwrap_or(false);
 
     // Recovery lane: units a poisoned or killed worker had in flight,
-    // plus any queue no surviving worker drained, go through the lane
-    // loop once more on this thread, as lane 0. It journals into the
-    // first shard a worker handed back (none left: unjournaled, and the
-    // units re-run on a resume). The same per-attempt chaos applies —
+    // plus what is left in the queue when no worker survived, go
+    // through the lane loop once more on this thread, as lane 0. It
+    // journals into the first shard a worker handed back (none left:
+    // unjournaled, and the units re-run on a resume). The same
+    // per-attempt chaos applies —
     // a unit's attempt history depends only on the chaos seed, not on
     // the lane — but pickup kills do not: nothing recovers after this.
     let mut recover: Vec<usize> = in_flight.iter().filter_map(|slot| lock(slot).take()).collect();
@@ -690,9 +689,7 @@ where
         );
     }
     if !interrupted {
-        for d in &deques {
-            recover.extend(lock(d).drain(..));
-        }
+        recover.extend_from_slice(queue.rest());
         let queued = recover.len() - poisoned;
         if queued > 0 {
             eprintln!(
@@ -705,18 +702,14 @@ where
         let chaos = cfg.chaos.map(|pc| ProcChaos { kill_ppm: 0, ..pc });
         let lane = Lanes { cfg: ExecutorConfig { chaos, ..*cfg }, ..lanes };
         let spare = outs.iter_mut().find_map(|o| o.manifest.take());
-        let queue = [Mutex::new(VecDeque::from(recover))];
+        let queue = UnitQueue::new(recover);
         outs.push(lane.worker_loop(0, spare, &queue, &[Mutex::new(None)], None, true));
     }
 
     let mut events = control.take_trace().events;
-    let mut steals = 0;
     let mut recovery_notes: Vec<String> = Vec::new();
     for mut out in outs {
         for r in out.results.drain(..) {
-            if r.stolen {
-                steals += 1;
-            }
             let idx = r.index;
             slots[idx] = Some(r);
         }
@@ -724,7 +717,7 @@ where
         recovery_notes.append(&mut out.notes);
     }
     // Sorted so the report is deterministic regardless of which worker
-    // (or steal schedule) produced each note.
+    // produced each note.
     recovery_notes.sort_unstable();
     // Stable by-time sort: each lane's events are already in emission
     // order on a shared clock, so per-lane order (what consumers rely
@@ -736,7 +729,7 @@ where
         trace: Trace::new(events),
         interrupted,
         poisoned_workers: poisoned,
-        steals,
+        steals: 0,
         leaked_threads: leaks.load(Ordering::SeqCst).max(0) as u64,
         recovery_notes,
     }
@@ -911,28 +904,34 @@ mod tests {
         }
     }
 
+    /// The shared queue balances a slow unit: unit 0 holds its worker
+    /// until the seven others have run, so the other worker runs them
+    /// all.
     #[test]
-    fn stealing_rebalances_a_skewed_deal() {
+    fn shared_queue_balances_a_slow_unit() {
+        let others_done = Arc::new(AtomicUsize::new(0));
         let units: Vec<ExecUnit<f64>> = (0..8)
             .map(|i| {
+                let others_done = Arc::clone(&others_done);
                 ExecUnit::new(format!("s{i}"), move |_| {
-                    // Unit 0 pins worker 0 long enough that worker 1
-                    // must steal the rest of worker 0's queue.
-                    if i == 0 {
-                        thread::sleep(Duration::from_millis(80));
+                    if i > 0 {
+                        others_done.fetch_add(1, Ordering::SeqCst);
+                        return Ok(i as f64);
                     }
-                    Ok(i as f64)
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while others_done.load(Ordering::SeqCst) < 7 && Instant::now() < deadline {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    Ok(0.0)
                 })
             })
             .collect();
         let run = run_campaign(&cfg(2), &units, None, &[], None, None);
         assert_eq!(run.results.len(), 8);
-        assert!(run.steals >= 1, "expected at least one steal, got {}", run.steals);
-        assert_eq!(
-            run.trace.instants_of(InstantKind::SupervisorSteal),
-            run.steals,
-            "steal instants mirror the steal count"
-        );
+        let slow = run.results[0].worker.expect("ran on a worker");
+        let others: Vec<Option<usize>> = run.results[1..].iter().map(|r| r.worker).collect();
+        assert_eq!(others, [Some(1 - slow); 7], "the free worker ran every other unit");
+        assert_eq!(run.steals, 0);
     }
 
     #[test]

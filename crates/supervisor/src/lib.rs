@@ -4,7 +4,7 @@
 //! (runtime, schedule, affinity) cells; a single transient failure — an
 //! injected-fault storm, a timeout, a panicking repetition — should cost
 //! one retry, not the whole campaign, and a `kill -9` should cost at
-//! most the unit in flight. This crate provides the four pieces:
+//! most the unit in flight. This crate provides the pieces:
 //!
 //! - [`classify`]: maps every typed backend error ([`ompvar_sim::SimError`],
 //!   [`ompvar_rt::RtError`], region validation) to *transient* (retry)
@@ -18,16 +18,13 @@
 //! - [`supervisor`]: the engine tying them together, emitting
 //!   [`ompvar_obs`] attempt spans and supervisor instants so recovery
 //!   history lands in the same Chrome traces as the runs themselves.
-//! - [`adaptive`]: dispersion-driven re-measurement — extra repetitions
-//!   for unstable cells only, capped and recorded.
-//! - [`executor`]: the fault-tolerant parallel layer — a work-stealing
-//!   pool of workers, each journaling into its own shard manifest, with
-//!   a hang watchdog, per-worker panic isolation, and a deterministic
-//!   shard merge on resume.
+//! - [`executor`]: the fault-tolerant parallel layer — a pool of workers
+//!   popping one shared unit queue, each journaling into its own shard
+//!   manifest, with a hang watchdog, per-worker panic isolation, and a
+//!   deterministic shard merge on resume.
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod backoff;
 pub mod chaos;
 pub mod checkpoint;
@@ -36,7 +33,6 @@ pub mod executor;
 pub mod fsio;
 pub mod supervisor;
 
-pub use adaptive::{dispersion, stabilize, Stabilized, StabilityPolicy};
 pub use backoff::{Backoff, BackoffCfg};
 pub use chaos::{
     injected_error, injected_fault, install as install_chaos, ChaosAction, ChaosGuard, CrashPoint,

@@ -15,9 +15,10 @@
 //!
 //! Everything the supervisor does is also a trace: each attempt is an
 //! [`SpanKind::Attempt`] span and every retry / quarantine / checkpoint
-//! flush an instant event, on one timeline lane per unit —
-//! exported through the usual Chrome-trace pipeline so a campaign's
-//! recovery history is visible in Perfetto next to the runs themselves.
+//! flush an instant event, on the supervisor's one lane (the executor
+//! gives each worker its own supervisor and lane) — exported through the
+//! usual Chrome-trace pipeline so a campaign's recovery history is
+//! visible in Perfetto next to the runs themselves.
 
 use crate::backoff::{Backoff, BackoffCfg};
 use crate::checkpoint::{Entry, Manifest, RetryRecord, UnitStatus};
@@ -149,8 +150,7 @@ pub struct Supervisor {
     manifest: Option<Manifest>,
     events: Vec<TraceEvent>,
     t0: Instant,
-    lanes: u32,
-    fixed_lane: Option<u32>,
+    lane: u32,
     /// Recovery notes: human-readable records of degraded journaling
     /// (e.g. an ENOSPC that left a unit's checkpoint in memory only).
     /// Surfaced into the campaign report by the executor/harness.
@@ -158,18 +158,12 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// Supervisor without a checkpoint journal (in-memory campaigns,
-    /// tests).
-    pub fn new(cfg: SupervisorConfig) -> Supervisor {
-        Supervisor {
-            cfg,
-            manifest: None,
-            events: Vec::new(),
-            t0: Instant::now(),
-            lanes: 0,
-            fixed_lane: None,
-            notes: Vec::new(),
-        }
+    /// Supervisor without a checkpoint journal, tracing on `lane` with
+    /// its clock at `t0`: the executor gives each worker its own lane and
+    /// one campaign epoch, so the merged trace shows one track per worker
+    /// on a shared time base.
+    pub fn new(cfg: SupervisorConfig, lane: u32, t0: Instant) -> Supervisor {
+        Supervisor { cfg, manifest: None, events: Vec::new(), t0, lane, notes: Vec::new() }
     }
 
     /// Attach a checkpoint manifest: every terminal state is journaled
@@ -186,28 +180,12 @@ impl Supervisor {
         self.manifest.take()
     }
 
-    /// Pin every event this supervisor emits to one trace lane. The
-    /// parallel executor gives each worker its own supervisor pinned to
-    /// the worker index, so the merged Chrome trace shows one track per
-    /// worker instead of one per unit.
-    pub fn with_lane(mut self, lane: u32) -> Supervisor {
-        self.fixed_lane = Some(lane);
-        self
-    }
-
-    /// Re-base the trace clock on a shared campaign epoch so events from
-    /// per-worker supervisors interleave correctly after merging.
-    pub fn with_t0(mut self, t0: Instant) -> Supervisor {
-        self.t0 = t0;
-        self
-    }
-
     /// The active policy.
     pub fn config(&self) -> &SupervisorConfig {
         &self.cfg
     }
 
-    /// Nanoseconds since the supervisor started (its trace clock).
+    /// Nanoseconds since `t0` (the trace clock).
     pub fn now_ns(&self) -> u64 {
         self.t0.elapsed().as_nanos() as u64
     }
@@ -218,17 +196,15 @@ impl Supervisor {
         Trace::new(std::mem::take(&mut self.events))
     }
 
-    fn emit(&mut self, lane: u32, kind: EventKind) {
+    fn emit(&mut self, kind: EventKind) {
         let time_ns = self.now_ns();
-        let lane = self.fixed_lane.unwrap_or(lane);
-        self.events.push(TraceEvent { time_ns, thread: lane, core: CORE_UNKNOWN, kind });
+        self.events.push(TraceEvent { time_ns, thread: self.lane, core: CORE_UNKNOWN, kind });
     }
 
-    /// Emit a free-standing instant on this supervisor's lane (lane 0
-    /// unless pinned). The executor uses this for steal/interrupt marks
-    /// that have no owning unit.
+    /// Emit a free-standing instant on this supervisor's lane. The
+    /// executor uses this for resume and process-chaos marks.
     pub fn emit_instant(&mut self, kind: InstantKind) {
-        self.emit(0, EventKind::Instant(kind));
+        self.emit(EventKind::Instant(kind));
     }
 
     /// Drain the recovery notes accumulated by degraded journaling.
@@ -236,7 +212,7 @@ impl Supervisor {
         std::mem::take(&mut self.notes)
     }
 
-    fn journal(&mut self, lane: u32, name: &str, entry: Entry) {
+    fn journal(&mut self, name: &str, entry: Entry) {
         if self.manifest.is_none() {
             return;
         }
@@ -249,13 +225,13 @@ impl Supervisor {
             let m = self.manifest.as_mut().expect("checked above");
             match m.append(entry.clone()) {
                 Ok(()) => {
-                    self.emit(lane, EventKind::Instant(InstantKind::SupervisorCheckpoint));
+                    self.emit(EventKind::Instant(InstantKind::SupervisorCheckpoint));
                     return;
                 }
                 Err(e) => {
                     let injected = crate::chaos::injected_fault(&e).is_some();
                     if injected {
-                        self.emit(lane, EventKind::Instant(InstantKind::ChaosIoFault));
+                        self.emit(EventKind::Instant(InstantKind::ChaosIoFault));
                     }
                     let class = crate::classify::classify_io(&e);
                     if class == Transience::Transient && attempt < self.cfg.max_retries {
@@ -295,19 +271,16 @@ impl Supervisor {
         name: &str,
         mut run: impl FnMut(u32) -> Result<R, UnitError>,
     ) -> Outcome<R> {
-        let lane = self.lanes;
-        self.lanes += 1;
         let backoff = Backoff::new(self.cfg.backoff, child(self.cfg.seed, name, 0));
         let mut retries: Vec<RetryRecord> = Vec::new();
         let mut attempt: u32 = 0;
         loop {
-            self.emit(lane, EventKind::Begin(SpanKind::Attempt));
+            self.emit(EventKind::Begin(SpanKind::Attempt));
             let result = run(attempt);
-            self.emit(lane, EventKind::End(SpanKind::Attempt));
+            self.emit(EventKind::End(SpanKind::Attempt));
             match result {
                 Ok(value) => {
                     self.journal(
-                        lane,
                         name,
                         Entry {
                             name: name.to_string(),
@@ -326,7 +299,7 @@ impl Supervisor {
                 }
                 Err(err) => {
                     if err.timed_out {
-                        self.emit(lane, EventKind::Instant(InstantKind::SupervisorTimeout));
+                        self.emit(EventKind::Instant(InstantKind::SupervisorTimeout));
                     }
                     let retryable =
                         err.transience == Transience::Transient && attempt < self.cfg.max_retries;
@@ -338,7 +311,7 @@ impl Supervisor {
                             transience: err.transience,
                             backoff_ms,
                         });
-                        self.emit(lane, EventKind::Instant(InstantKind::SupervisorRetry));
+                        self.emit(EventKind::Instant(InstantKind::SupervisorRetry));
                         if self.cfg.sleep {
                             std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
                         }
@@ -350,9 +323,8 @@ impl Supervisor {
                             transience: err.transience,
                             backoff_ms: 0,
                         });
-                        self.emit(lane, EventKind::Instant(InstantKind::SupervisorQuarantine));
+                        self.emit(EventKind::Instant(InstantKind::SupervisorQuarantine));
                         self.journal(
-                            lane,
                             name,
                             Entry {
                                 name: name.to_string(),
@@ -393,6 +365,10 @@ mod tests {
         SupervisorConfig { seed: 11, sleep: false, ..SupervisorConfig::default() }
     }
 
+    fn sup() -> Supervisor {
+        Supervisor::new(cfg(), 0, Instant::now())
+    }
+
     fn transient(msg: &str) -> UnitError {
         UnitError { message: msg.into(), transience: Transience::Transient, timed_out: false }
     }
@@ -407,7 +383,7 @@ mod tests {
 
     #[test]
     fn first_try_success_consumes_one_attempt() {
-        let mut sup = Supervisor::new(cfg());
+        let mut sup = sup();
         let out = sup.supervise("unit", |_| Ok(1.5f64));
         match out {
             Outcome::Completed { value, attempts, from_checkpoint, .. } => {
@@ -424,7 +400,7 @@ mod tests {
 
     #[test]
     fn transient_failures_retry_then_succeed() {
-        let mut sup = Supervisor::new(cfg());
+        let mut sup = sup();
         let out = sup.supervise("flaky", |attempt| {
             if attempt < 2 {
                 Err(transient("deadlock"))
@@ -447,7 +423,7 @@ mod tests {
 
     #[test]
     fn permanent_failure_quarantines_without_retry() {
-        let mut sup = Supervisor::new(cfg());
+        let mut sup = sup();
         let out = sup.supervise("broken", |_| -> Result<f64, UnitError> {
             Err(permanent("invalid region"))
         });
@@ -464,7 +440,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_quarantines() {
-        let mut sup = Supervisor::new(cfg());
+        let mut sup = sup();
         let mut calls = 0;
         let out = sup.supervise("doomed", |_| -> Result<f64, UnitError> {
             calls += 1;
@@ -478,7 +454,7 @@ mod tests {
     #[test]
     fn retry_schedule_is_deterministic_per_seed_and_name() {
         let run_campaign = || {
-            let mut sup = Supervisor::new(cfg());
+            let mut sup = sup();
             let out = sup.supervise("flaky", |attempt| {
                 if attempt < 2 {
                     Err(transient("storm"))
@@ -512,7 +488,7 @@ mod tests {
         // first journal append.
         let plan = crate::chaos::FaultPlan::none().with_fault_at(0, crate::chaos::FaultKind::Eio);
         let guard = crate::chaos::install(crate::chaos::IoChaos::new(&dir, plan));
-        let mut sup = Supervisor::new(cfg()).with_manifest(m);
+        let mut sup = sup().with_manifest(m);
         let out = sup.supervise("a", |_| Ok(7.0f64));
         assert_eq!(guard.chaos().injected(), 1);
         drop(guard);
@@ -547,7 +523,7 @@ mod tests {
 
         let plan = crate::chaos::FaultPlan::none().with_fault_at(0, crate::chaos::FaultKind::Enospc);
         let guard = crate::chaos::install(crate::chaos::IoChaos::new(&dir, plan));
-        let mut sup = Supervisor::new(cfg()).with_manifest(m);
+        let mut sup = sup().with_manifest(m);
         let out_a = sup.supervise("a", |_| Ok(1.0f64));
         let out_b = sup.supervise("b", |_| Ok(2.0f64));
         drop(guard);
@@ -570,7 +546,7 @@ mod tests {
 
     #[test]
     fn timeouts_emit_their_instant_and_ride_the_retry_path() {
-        let mut sup = Supervisor::new(cfg());
+        let mut sup = sup();
         let out = sup.supervise("hung", |attempt| {
             if attempt == 0 {
                 Err(UnitError::timeout("unit exceeded deadline".into()))
@@ -586,10 +562,10 @@ mod tests {
 
     #[test]
     fn pinned_lane_routes_every_event_to_one_track() {
-        let mut sup = Supervisor::new(cfg()).with_lane(5);
+        let mut sup = Supervisor::new(cfg(), 5, Instant::now());
         sup.supervise("u1", |_| Ok(1.0f64));
         sup.supervise("u2", |_| Ok(2.0f64));
-        sup.emit_instant(InstantKind::SupervisorSteal);
+        sup.emit_instant(InstantKind::SupervisorResume);
         let trace = sup.take_trace();
         assert!(!trace.events.is_empty());
         assert!(trace.events.iter().all(|e| e.thread == 5));
@@ -607,7 +583,7 @@ mod tests {
 
     #[test]
     fn supervisor_trace_is_wellformed_chrome_exportable() {
-        let mut sup = Supervisor::new(cfg());
+        let mut sup = sup();
         sup.supervise("u1", |a| if a == 0 { Err(transient("x")) } else { Ok(1.0f64) });
         sup.supervise("u2", |_| Ok(2.0f64));
         let trace = sup.take_trace();

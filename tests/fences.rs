@@ -484,25 +484,43 @@ fn one_lowering_pass() {
 }
 
 /// One state walk. The periodic absorber decides what a jump compares and
-/// what it advances in one function, `Simulator::walk`, whose patterns
-/// name every field of the state (DESIGN §11): the two hand-kept lists it
-/// replaced stay gone, and no shipping line of `periodic.rs` skips fields
-/// with a `..` rest pattern, so a new field does not compile until it is
-/// classed.
+/// what it advances in one function, `Simulator::walk` in `walk.rs`,
+/// whose patterns name every field of the state (DESIGN §11): the two
+/// hand-kept lists it replaced stay gone, and no shipping line of
+/// `walk.rs` skips fields with a `..` rest pattern, so a new field does
+/// not compile until it is classed.
 #[test]
 fn one_state_walk() {
-    let periodic = root().join("crates/sim/src/engine/periodic.rs");
-    let text = fs::read_to_string(&periodic).expect("readable");
-    for gone in ["fn encode_rest", "fn for_each_accumulator"] {
-        assert!(!text.contains(gone), "{}: {gone} is back", shown(&periodic));
+    let engine = root().join("crates/sim/src/engine");
+    let walk = engine.join("walk.rs");
+    for file in [&walk, &engine.join("periodic.rs")] {
+        let text = fs::read_to_string(file).expect("readable");
+        for gone in ["fn encode_rest", "fn for_each_accumulator"] {
+            assert!(!text.contains(gone), "{}: {gone} is back", shown(file));
+        }
     }
-    assert!(text.contains("fn walk("), "{}: no state walk", shown(&periodic));
-    let rest: Vec<usize> = shipping_lines(&periodic)
+    let text = fs::read_to_string(&walk).expect("readable");
+    assert!(text.contains("fn walk("), "{}: no state walk", shown(&walk));
+    let rest: Vec<usize> = shipping_lines(&walk)
         .into_iter()
         .filter(|(_, line)| line.contains(".. }") || line.trim() == "..")
         .map(|(n, _)| n)
         .collect();
-    assert!(rest.is_empty(), "rest patterns in {} at lines {rest:?}", shown(&periodic));
+    assert!(rest.is_empty(), "rest patterns in {} at lines {rest:?}", shown(&walk));
+}
+
+/// One unit queue. The campaign executor's lanes pop one shared queue of
+/// pending units (DESIGN §9): no per-worker deques dealt round-robin and
+/// no stealing from their backs grow back in the supervisor crate, and
+/// adaptive re-measurement stays a loop beside its one caller, with no
+/// `stabilize` policy function anywhere.
+#[test]
+fn one_unit_queue() {
+    let mut back = shipping_hits("crates/supervisor/src", |line| {
+        line.contains("Vec<Mutex<VecDeque") || line.contains("pop_back(")
+    });
+    back.extend(shipping_hits("crates", |line| line.contains("fn stabilize")));
+    assert!(back.is_empty(), "deal-and-steal or a stabilize policy is back: {back:?}");
 }
 
 #[test]
@@ -530,7 +548,7 @@ fn shipping_line_count() {
         };
         let n = shipping_lines(&path).iter().filter(|(_, l)| !l.trim().is_empty()).count();
         *by_crate.entry(krate.to_string()).or_default() += n;
-        if shown.ends_with("engine/periodic.rs") {
+        if shown.ends_with("engine/periodic.rs") || shown.ends_with("engine/walk.rs") {
             println!("{shown}: {n}");
         }
     }

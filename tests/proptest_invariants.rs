@@ -135,11 +135,8 @@ proptest! {
             batch,
             span_factor: 1.0,
         });
-        // Drain with round-robin grabbing. The aggregated static fast
-        // path (static, batch > 1) hands out interleaved chunk sets, so
-        // its grabs are checked by count conservation; all other paths
-        // must cover every iteration exactly once.
-        let aggregated_static = kind == 0 && batch > 1;
+        // Drain with round-robin grabbing: every path must cover every
+        // iteration exactly once.
         let mut gens = vec![u64::MAX; n_threads];
         let mut poss = vec![0u64; n_threads];
         let mut covered = vec![false; total as usize];
@@ -152,11 +149,9 @@ proptest! {
                     Some(g) => {
                         prop_assert!(g.iters > 0);
                         granted += g.iters;
-                        if !aggregated_static {
-                            for i in g.first_iter..g.first_iter + g.iters {
-                                prop_assert!(!covered[i as usize], "iter {} twice", i);
-                                covered[i as usize] = true;
-                            }
+                        for i in g.first_iter..g.first_iter + g.iters {
+                            prop_assert!(!covered[i as usize], "iter {} twice", i);
+                            covered[i as usize] = true;
                         }
                     }
                     None => {
@@ -167,9 +162,7 @@ proptest! {
             }
         }
         prop_assert_eq!(granted, total);
-        if !aggregated_static {
-            prop_assert!(covered.iter().all(|&c| c));
-        }
+        prop_assert!(covered.iter().all(|&c| c));
     }
 
     /// Guided chunks never grow as the loop progresses.
