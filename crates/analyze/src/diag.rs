@@ -1,22 +1,21 @@
 //! Structured lint diagnostics: codes, severities, construct-path spans
 //! and the [`Analysis`] report the passes produce.
 //!
-//! Every finding carries a stable `OMPV0xx` code so tests, the harness
-//! pre-flight gate and the fuzzer's soundness oracle can key on the
+//! Every finding carries a stable `OMPV0xx` code so tests, the
+//! supervisor and the fuzzer's soundness oracle can key on the
 //! *class* of a finding rather than its rendered text. Severity is a
 //! property of the code, not the call site:
 //!
 //! * `Error` — the program is rejected; both backends refuse to run it.
-//!   Error diagnostics carry the typed [`RegionError`] that
+//!   The first one is the error
 //!   [`RegionSpec::validate`](crate::region::RegionSpec::validate)
-//!   surfaces.
+//!   returns.
 //! * `Warn` — the program runs, but the analyzer predicts it may
 //!   deadlock or race. The fuzzer's soundness oracle requires every
 //!   dynamically observed deadlock/violation to be covered by a
 //!   `Warn`-or-worse diagnostic.
 //! * `Info` — advisory only (phase structure, predicted bottlenecks).
 
-use crate::region::RegionError;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -62,7 +61,8 @@ pub enum DiagCode {
     /// OMPV006 — `MarkBegin`/`MarkEnd` unbalanced within a block.
     UnmatchedMark,
     /// OMPV101 — repeated nowait loop with no intervening team sync:
-    /// straggler iterations of pass *k* overlap pass *k+1*.
+    /// straggler iterations of pass *k* overlap pass *k+1*, corrupting
+    /// the loop's generation tracking.
     RepeatedNowaitLoop,
     /// OMPV102 — a shared-effect construct overlaps an open nowait
     /// window (threads may still be executing straggler iterations).
@@ -75,6 +75,8 @@ pub enum DiagCode {
     SelfNestedLock,
     /// OMPV105 — a team-synchronizing construct executes while a lock
     /// is held: threads blocked on the lock can never reach the sync.
+    /// A deadlock for any team of two or more, rejected at every team
+    /// size so that validity does not depend on it.
     SyncUnderLock,
     /// OMPV110 — the lock acquisition-order graph has a cycle;
     /// concurrent threads may deadlock (classic AB/BA).
@@ -363,9 +365,9 @@ impl fmt::Display for Span {
     }
 }
 
-/// One finding: a code, the span it is anchored at, a human message,
-/// and — for `Error`-severity codes — the typed [`RegionError`] that
-/// `validate()` surfaces for it.
+/// One finding: a code, the span it is anchored at and a human message.
+/// An `Error`-severity finding is also what `validate()` rejects a
+/// program with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// The stable diagnostic code (determines severity).
@@ -374,33 +376,12 @@ pub struct Diagnostic {
     pub span: Span,
     /// Human-readable explanation.
     pub message: String,
-    /// The typed error, present exactly when `code.severity()` is
-    /// [`Severity::Error`].
-    pub cause: Option<RegionError>,
 }
 
 impl Diagnostic {
-    /// A `Warn`/`Info` finding (no typed cause).
+    /// A finding of `code` at `span`.
     pub fn new(code: DiagCode, span: Span, message: String) -> Diagnostic {
-        debug_assert!(code.severity() < Severity::Error);
-        Diagnostic {
-            code,
-            span,
-            message,
-            cause: None,
-        }
-    }
-
-    /// An `Error` finding carrying the [`RegionError`] that
-    /// `validate()` returns for it.
-    pub fn because(code: DiagCode, span: Span, message: String, cause: RegionError) -> Diagnostic {
-        debug_assert!(code.severity() == Severity::Error);
-        Diagnostic {
-            code,
-            span,
-            message,
-            cause: Some(cause),
-        }
+        Diagnostic { code, span, message }
     }
 
     /// Severity of this finding (a property of the code).
@@ -426,6 +407,8 @@ impl fmt::Display for Diagnostic {
         f.write_str(&self.render())
     }
 }
+
+impl std::error::Error for Diagnostic {}
 
 /// The result of running every pass over one region: an ordered list of
 /// findings (structural first, then hazards, then advisories).

@@ -20,12 +20,12 @@
 //!   delegates here).
 //!
 //! [`region::RegionSpec::validate`] is the error-severity surface of the
-//! analyzer: it runs the pipeline's error-capable passes and converts the
-//! first `Error`-severity diagnostic back into the typed
-//! [`region::RegionError`] both backends reject with. `Warn` and `Info`
-//! findings do not block execution — they feed the harness's pre-flight
-//! gate, the fuzzer's soundness oracle (any dynamic deadlock/violation
-//! must have been flagged at least `Warn`), and the reports.
+//! analyzer: it runs the pipeline's error-capable passes and returns the
+//! first `Error`-severity [`diag::Diagnostic`] — the one error both
+//! backends reject with. `Warn` and `Info` findings do not block
+//! execution — they feed the fuzzer's soundness oracle (any dynamic
+//! deadlock/violation must have been flagged at least `Warn`) and the
+//! reports.
 
 pub mod diag;
 pub mod passes;
@@ -34,4 +34,4 @@ pub mod region;
 
 pub use diag::{Analysis, DiagCode, Diagnostic, Severity, Span};
 pub use passes::analyze;
-pub use region::{Construct, RegionError, RegionSpec, Schedule};
+pub use region::{Construct, RegionSpec, Schedule};

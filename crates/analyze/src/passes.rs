@@ -47,8 +47,8 @@
 //! Findings accumulate (the passes never early-return), so one
 //! `analyze()` call reports everything. The report is sorted by
 //! `(span, code)` — pre-order document position — and deduplicated, so
-//! renderings and the pre-flight gate are byte-stable; `validate()`
-//! surfaces the first `Error`-severity finding in that order. Only
+//! renderings are byte-stable; `validate()` returns the first
+//! `Error`-severity finding in that order. Only
 //! passes 1, 3 and 5 own an `Error` code, so the pipeline runs them
 //! first and `validate()` — which every backend run pays — stops there
 //! ([`analyze_errors`]): same passes, same report order, hence the same
@@ -56,7 +56,7 @@
 
 use crate::diag::{Analysis, DiagCode, Diagnostic, Span};
 use crate::predict;
-use crate::region::{Clause, Construct, RegionError, RegionSpec, Schedule, WriteOp};
+use crate::region::{Clause, Construct, RegionSpec, Schedule, WriteOp};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Run every pass over `spec` and collect the findings, sorted by
@@ -83,11 +83,10 @@ pub(crate) fn analyze_errors(spec: &RegionSpec) -> Analysis {
 /// when the region is too malformed for any further pass to run.
 fn rejecting_passes(spec: &RegionSpec, diags: &mut Vec<Diagnostic>) -> bool {
     if spec.n_threads == 0 {
-        diags.push(Diagnostic::because(
+        diags.push(Diagnostic::new(
             DiagCode::ZeroThreads,
             Span::root(),
             "the team has zero threads".into(),
-            RegionError::ZeroThreads,
         ));
         return false;
     }
@@ -154,11 +153,10 @@ pub(crate) fn contains_team_sync(cs: &[Construct]) -> bool {
 /// Push an `InvalidWork` finding if `v` is negative or non-finite.
 fn check_work(diags: &mut Vec<Diagnostic>, span: &Span, construct: &'static str, v: f64) {
     if !(v.is_finite() && v >= 0.0) {
-        diags.push(Diagnostic::because(
+        diags.push(Diagnostic::new(
             DiagCode::InvalidWork,
             span.clone(),
             format!("{construct} has a negative or non-finite work parameter ({v})"),
-            RegionError::InvalidWork { construct },
         ));
     }
 }
@@ -186,11 +184,10 @@ fn structural(cs: &[Construct], span: &Span, diags: &mut Vec<Diagnostic>) {
                 ..
             } => {
                 if *total_iters == 0 {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::ZeroIterationLoop,
                         sp.clone(),
                         "work-shared loop with 0 iterations".into(),
-                        RegionError::ZeroIterationLoop,
                     ));
                 }
                 let chunk = match schedule {
@@ -198,11 +195,10 @@ fn structural(cs: &[Construct], span: &Span, diags: &mut Vec<Diagnostic>) {
                     Schedule::Guided { min_chunk } => *min_chunk,
                 };
                 if chunk == 0 {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::ZeroChunk,
                         sp.clone(),
                         "schedule with chunk size 0".into(),
-                        RegionError::ZeroChunk,
                     ));
                 }
                 check_work(diags, &sp, "ParallelFor body", *body_us);
@@ -222,11 +218,10 @@ fn structural(cs: &[Construct], span: &Span, diags: &mut Vec<Diagnostic>) {
                 ..
             } => {
                 if *total_iters == 0 {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::ZeroIterationLoop,
                         sp.clone(),
                         "reduction loop with 0 iterations".into(),
-                        RegionError::ZeroIterationLoop,
                     ));
                 }
                 let chunk = match schedule {
@@ -234,11 +229,10 @@ fn structural(cs: &[Construct], span: &Span, diags: &mut Vec<Diagnostic>) {
                     Schedule::Guided { min_chunk } => *min_chunk,
                 };
                 if chunk == 0 {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::ZeroChunk,
                         sp.clone(),
                         "schedule with chunk size 0".into(),
-                        RegionError::ZeroChunk,
                     ));
                 }
                 check_work(diags, &sp, "ReductionFor body", *body_us);
@@ -247,11 +241,10 @@ fn structural(cs: &[Construct], span: &Span, diags: &mut Vec<Diagnostic>) {
             Construct::VarRead { .. } | Construct::VarWrite { .. } => {}
             Construct::MarkBegin(id) => {
                 if open.contains(id) {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::UnmatchedMark,
                         sp.clone(),
                         format!("interval {id} re-begun while already open"),
-                        RegionError::UnmatchedMark { id: *id },
                     ));
                 } else {
                     open.push(*id);
@@ -261,11 +254,10 @@ fn structural(cs: &[Construct], span: &Span, diags: &mut Vec<Diagnostic>) {
                 Some(pos) => {
                     open.remove(pos);
                 }
-                None => diags.push(Diagnostic::because(
+                None => diags.push(Diagnostic::new(
                     DiagCode::UnmatchedMark,
                     sp.clone(),
                     format!("MarkEnd({id}) without a matching open MarkBegin in this block"),
-                    RegionError::UnmatchedMark { id: *id },
                 )),
             },
             Construct::ParallelRegion { body } | Construct::Locked { body, .. } => {
@@ -273,16 +265,15 @@ fn structural(cs: &[Construct], span: &Span, diags: &mut Vec<Diagnostic>) {
             }
             Construct::Repeat { count, body } => {
                 if *count == 0 {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::ZeroCountRepeat,
                         sp.clone(),
                         "Repeat with count 0".into(),
-                        RegionError::ZeroCountRepeat,
                     ));
                 }
                 structural(body, &sp, diags);
                 if *count > 1 && contains_nowait(body) && !contains_team_sync(body) {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::RepeatedNowaitLoop,
                         sp.clone(),
                         format!(
@@ -290,18 +281,16 @@ fn structural(cs: &[Construct], span: &Span, diags: &mut Vec<Diagnostic>) {
                              synchronization: straggler iterations of one pass overlap the next, \
                              corrupting the loop's generation tracking"
                         ),
-                        RegionError::RepeatedNowaitLoop,
                     ));
                 }
             }
         }
     }
     if let Some(id) = open.first() {
-        diags.push(Diagnostic::because(
+        diags.push(Diagnostic::new(
             DiagCode::UnmatchedMark,
             span.clone(),
             format!("interval {id} still open at end of block"),
-            RegionError::UnmatchedMark { id: *id },
         ));
     }
 }
@@ -442,11 +431,10 @@ fn lock_walk(
         match c {
             Construct::Locked { lock, body } => {
                 if held.contains(lock) {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::SelfNestedLock,
                         sp.clone(),
                         format!("lock {lock} is acquired while already held: guaranteed self-deadlock"),
-                        RegionError::SelfNestedLock { lock: *lock },
                     ));
                 } else {
                     for &h in held.iter() {
@@ -464,7 +452,7 @@ fn lock_walk(
             | Construct::ReductionFor { .. }
                 if !held.is_empty() =>
             {
-                diags.push(Diagnostic::because(
+                diags.push(Diagnostic::new(
                     DiagCode::SyncUnderLock,
                     sp.clone(),
                     format!(
@@ -473,23 +461,17 @@ fn lock_walk(
                         c.kind_name(),
                         held.last().expect("held is non-empty"),
                     ),
-                    RegionError::SyncUnderLock {
-                        construct: c.kind_name(),
-                    },
                 ));
             }
             Construct::ParallelRegion { body } => {
                 if !held.is_empty() {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::SyncUnderLock,
                         sp.clone(),
                         format!(
                             "ParallelRegion forks and joins while lock {} is held",
                             held.last().expect("held is non-empty"),
                         ),
-                        RegionError::SyncUnderLock {
-                            construct: "ParallelRegion",
-                        },
                     ));
                 }
                 lock_walk(body, &sp, held, graph, diags);
@@ -498,7 +480,7 @@ fn lock_walk(
                 nowait, ordered_us, ..
             } if !held.is_empty() => {
                 if !*nowait {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::SyncUnderLock,
                         sp.clone(),
                         format!(
@@ -506,9 +488,6 @@ fn lock_walk(
                              {} is held",
                             held.last().expect("held is non-empty"),
                         ),
-                        RegionError::SyncUnderLock {
-                            construct: "ParallelFor",
-                        },
                     ));
                 } else if ordered_us.is_some() {
                     diags.push(Diagnostic::new(
@@ -617,11 +596,10 @@ fn data_env(spec: &RegionSpec, diags: &mut Vec<Diagnostic>) {
     let mut seen: BTreeSet<u32> = BTreeSet::new();
     for d in &spec.vars {
         if !seen.insert(d.id) {
-            diags.push(Diagnostic::because(
+            diags.push(Diagnostic::new(
                 DiagCode::DuplicateVarDecl,
                 Span::root(),
                 format!("variable {} (id {}) declared more than once", d.name, d.id),
-                RegionError::DuplicateVarDecl { var: d.id },
             ));
         }
     }
@@ -632,21 +610,19 @@ fn data_env(spec: &RegionSpec, diags: &mut Vec<Diagnostic>) {
                 Construct::VarRead { var } | Construct::VarWrite { var, .. }
                     if spec.var(*var).is_none() =>
                 {
-                    diags.push(Diagnostic::because(
+                    diags.push(Diagnostic::new(
                         DiagCode::UndeclaredVar,
                         sp,
                         format!("variable {var} referenced but not declared"),
-                        RegionError::UndeclaredVar { var: *var },
                     ));
                 }
                 Construct::ReductionFor { var, red, .. } => match spec.var(*var) {
-                    None => diags.push(Diagnostic::because(
+                    None => diags.push(Diagnostic::new(
                         DiagCode::UndeclaredVar,
                         sp,
                         format!("variable {var} referenced but not declared"),
-                        RegionError::UndeclaredVar { var: *var },
                     )),
-                    Some(d) if d.clause != Clause::Shared => diags.push(Diagnostic::because(
+                    Some(d) if d.clause != Clause::Shared => diags.push(Diagnostic::new(
                         DiagCode::ReductionNotShared,
                         sp,
                         format!(
@@ -656,7 +632,6 @@ fn data_env(spec: &RegionSpec, diags: &mut Vec<Diagnostic>) {
                             d.clause.label(),
                             d.name
                         ),
-                        RegionError::ReductionNotShared { var: *var },
                     )),
                     Some(_) => {}
                 },
@@ -977,8 +952,8 @@ mod tests {
     fn analyze(spec: &RegionSpec) -> Analysis {
         let analysis = super::analyze(spec);
         assert_eq!(
-            spec.validate().err(),
-            analysis.first_error().and_then(|d| d.cause),
+            spec.validate().err().as_deref(),
+            analysis.first_error(),
             "{}",
             analysis.render()
         );
@@ -1323,31 +1298,6 @@ mod tests {
     }
 
     #[test]
-    fn error_diagnostics_carry_their_region_error() {
-        for cs in [
-            vec![Construct::Repeat { count: 0, body: vec![] }],
-            vec![Construct::MarkBegin(1)],
-            vec![Construct::Locked {
-                lock: 0,
-                body: vec![Construct::Barrier],
-            }],
-        ] {
-            let a = analyze(&spec(2, cs));
-            let first = a.first_error().expect("error present");
-            assert!(first.cause.is_some(), "{}", first.render());
-            // And every error-severity finding, not just the first.
-            for d in &a.diagnostics {
-                assert_eq!(
-                    d.cause.is_some(),
-                    d.severity() == Severity::Error,
-                    "{}",
-                    d.render()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn analyze_collects_multiple_findings_in_one_call() {
         let a = analyze(&spec(
             2,
@@ -1362,10 +1312,8 @@ mod tests {
         assert!(c.contains(&DiagCode::NowaitOverlap));
         assert!(c.contains(&DiagCode::NowaitLeftOpen));
         // validate() surfaces the *first* error in pass order.
-        assert_eq!(
-            spec(2, vec![Construct::DelayUs(-1.0), Construct::MarkEnd(0)]).validate(),
-            Err(RegionError::InvalidWork { construct: "DelayUs" })
-        );
+        let first = spec(2, vec![Construct::DelayUs(-1.0), Construct::MarkEnd(0)]).validate();
+        assert_eq!(first.map_err(|d| d.code), Err(DiagCode::InvalidWork));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! well-formed program is, and both backends simply consume its verdict
 //! through [`RegionSpec::validate`].
 
+use crate::diag::Diagnostic;
 use ompvar_sim::task::CorunClass;
 use ompvar_sim::trace::SemanticEffects;
 
@@ -377,114 +378,6 @@ pub fn reduction_aggregate(red: RedOp, total_iters: u64, delta: i64) -> Option<i
     })
 }
 
-/// A structural defect of a [`RegionSpec`] found by
-/// [`RegionSpec::validate`]. Programs with any of these defects have no
-/// defined execution on at least one backend, so they are rejected up
-/// front with a typed error instead of panicking mid-run.
-///
-/// Each variant corresponds to one `Error`-severity diagnostic code of
-/// the analyzer (see [`crate::diag::DiagCode`]); `validate()` surfaces
-/// the first such diagnostic as its typed error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionError {
-    /// The team has zero threads.
-    ZeroThreads,
-    /// A `Repeat` construct has `count == 0`.
-    ZeroCountRepeat,
-    /// A `ParallelFor` has `total_iters == 0`.
-    ZeroIterationLoop,
-    /// A schedule carries a zero chunk (or min-chunk) size.
-    ZeroChunk,
-    /// A duration/size parameter is negative, NaN or infinite.
-    InvalidWork {
-        /// Which construct carried the bad value.
-        construct: &'static str,
-    },
-    /// A `MarkBegin`/`MarkEnd` pair does not balance within its block:
-    /// an end without a matching open begin, a re-begin of an id that is
-    /// already open, or a begin left open at block end.
-    UnmatchedMark {
-        /// The offending marker id.
-        id: u32,
-    },
-    /// A `nowait` loop inside a `Repeat { count > 1 }` whose body has no
-    /// full-team synchronization: re-entering a work-shared loop before
-    /// every thread has observed the previous pass's exhaustion corrupts
-    /// its generation tracking, so such programs are rejected.
-    RepeatedNowaitLoop,
-    /// A `Locked` scope re-acquires a lock id it already holds:
-    /// guaranteed self-deadlock on the first thread to reach it.
-    SelfNestedLock {
-        /// The re-acquired lock id.
-        lock: u32,
-    },
-    /// A team-synchronizing construct executes while a named lock is
-    /// held: threads blocked on the lock can never reach the rendezvous,
-    /// so the holder waits forever (deadlock for any team of two or
-    /// more; rejected uniformly so validity does not depend on team
-    /// size).
-    SyncUnderLock {
-        /// Kind name of the synchronizing construct.
-        construct: &'static str,
-    },
-    /// A variable micro-op references an id with no declaration in the
-    /// region's data environment.
-    UndeclaredVar {
-        /// The undeclared variable id.
-        var: u32,
-    },
-    /// Two declarations in the data environment share one variable id.
-    DuplicateVarDecl {
-        /// The doubly declared variable id.
-        var: u32,
-    },
-    /// A `ReductionFor` targets a variable that is not declared
-    /// `shared`: a reduction into a per-thread copy has no defined
-    /// combined result.
-    ReductionNotShared {
-        /// The offending variable id.
-        var: u32,
-    },
-}
-
-impl std::fmt::Display for RegionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegionError::ZeroThreads => write!(f, "team needs at least one thread"),
-            RegionError::ZeroCountRepeat => write!(f, "Repeat with count 0"),
-            RegionError::ZeroIterationLoop => write!(f, "ParallelFor with 0 iterations"),
-            RegionError::ZeroChunk => write!(f, "schedule with chunk size 0"),
-            RegionError::InvalidWork { construct } => {
-                write!(f, "{construct} has a negative or non-finite work parameter")
-            }
-            RegionError::UnmatchedMark { id } => {
-                write!(f, "unbalanced MarkBegin/MarkEnd for interval {id}")
-            }
-            RegionError::RepeatedNowaitLoop => write!(
-                f,
-                "nowait loop repeated without an intervening full-team synchronization"
-            ),
-            RegionError::SelfNestedLock { lock } => {
-                write!(f, "lock {lock} acquired while already held (self-deadlock)")
-            }
-            RegionError::SyncUnderLock { construct } => {
-                write!(f, "{construct} synchronizes the team while a lock is held")
-            }
-            RegionError::UndeclaredVar { var } => {
-                write!(f, "variable {var} referenced but not declared")
-            }
-            RegionError::DuplicateVarDecl { var } => {
-                write!(f, "variable {var} declared more than once")
-            }
-            RegionError::ReductionNotShared { var } => {
-                write!(f, "reduction over variable {var}, which is not declared shared")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RegionError {}
-
 /// A full region specification: the team size, the data environment,
 /// and the construct list.
 #[derive(Debug, Clone, PartialEq)]
@@ -499,9 +392,10 @@ pub struct RegionSpec {
 }
 
 impl RegionSpec {
-    /// Validated constructor: rejects malformed regions with a typed
-    /// [`RegionError`] instead of panicking later inside a backend.
-    pub fn new(n_threads: usize, constructs: Vec<Construct>) -> Result<Self, RegionError> {
+    /// Validated constructor: rejects a malformed region with the
+    /// analyzer's first `Error`-severity [`Diagnostic`] instead of
+    /// panicking later inside a backend.
+    pub fn new(n_threads: usize, constructs: Vec<Construct>) -> Result<Self, Box<Diagnostic>> {
         let spec = RegionSpec {
             n_threads,
             constructs,
@@ -516,7 +410,7 @@ impl RegionSpec {
         n_threads: usize,
         vars: Vec<VarDecl>,
         constructs: Vec<Construct>,
-    ) -> Result<Self, RegionError> {
+    ) -> Result<Self, Box<Diagnostic>> {
         let spec = RegionSpec {
             n_threads,
             constructs,
@@ -538,14 +432,13 @@ impl RegionSpec {
     ///
     /// This is the `Error`-severity surface of the static analyzer: it
     /// runs the passes of [`crate::passes::analyze`] that can reject a
-    /// program and surfaces the first `Error`-severity diagnostic — the
-    /// one `analyze(self).first_error()` reports — as its typed
-    /// [`RegionError`]. `Warn`/`Info` findings never fail validation.
-    pub fn validate(&self) -> Result<(), RegionError> {
+    /// program and returns the first `Error`-severity diagnostic — the
+    /// one `analyze(self).first_error()` reports, code, span and message.
+    /// `Warn`/`Info` findings never fail validation. Boxed: a
+    /// `Diagnostic` stores its span inline.
+    pub fn validate(&self) -> Result<(), Box<Diagnostic>> {
         match crate::passes::analyze_errors(self).first_error() {
-            Some(d) => Err(d
-                .cause
-                .expect("error-severity diagnostics carry their RegionError")),
+            Some(d) => Err(Box::new(d.clone())),
             None => Ok(()),
         }
     }
@@ -613,6 +506,7 @@ pub fn delay_cycles(us: f64, max_ghz: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::DiagCode;
 
     #[test]
     fn schedule_labels() {
@@ -661,19 +555,23 @@ mod tests {
     #[test]
     fn zero_threads_rejected() {
         let err = RegionSpec::new(0, vec![]).unwrap_err();
-        assert_eq!(err, RegionError::ZeroThreads);
+        assert_eq!(err.to_string(), "error[OMPV001 zero-threads] at region: the team has zero threads");
     }
 
     /// `validate()` — which must be the full pipeline's first error, on
-    /// every program these tests write down.
-    fn validated(spec: &RegionSpec) -> Result<(), RegionError> {
+    /// every program these tests write down — as its code and span.
+    fn validated(spec: &RegionSpec) -> Result<(), (DiagCode, String)> {
         let verdict = spec.validate();
         let analysis = crate::passes::analyze(spec);
-        assert_eq!(verdict.err(), analysis.first_error().and_then(|d| d.cause));
-        verdict
+        assert_eq!(verdict.as_ref().err().map(|d| &**d), analysis.first_error());
+        verdict.map_err(|d| (d.code, d.span.to_string()))
     }
 
-    fn valid(cs: Vec<Construct>) -> Result<(), RegionError> {
+    fn rejected(code: DiagCode, span: &str) -> Result<(), (DiagCode, String)> {
+        Err((code, span.to_string()))
+    }
+
+    fn valid(cs: Vec<Construct>) -> Result<(), (DiagCode, String)> {
         validated(&RegionSpec {
             n_threads: 2,
             constructs: cs,
@@ -685,7 +583,7 @@ mod tests {
     fn validate_rejects_structural_defects() {
         assert_eq!(
             valid(vec![Construct::Repeat { count: 0, body: vec![] }]),
-            Err(RegionError::ZeroCountRepeat)
+            rejected(DiagCode::ZeroCountRepeat, "constructs[0].Repeat")
         );
         let zero_loop = Construct::ParallelFor {
             schedule: Schedule::Static { chunk: 1 },
@@ -694,7 +592,7 @@ mod tests {
             ordered_us: None,
             nowait: false,
         };
-        assert_eq!(valid(vec![zero_loop]), Err(RegionError::ZeroIterationLoop));
+        assert_eq!(valid(vec![zero_loop]), rejected(DiagCode::ZeroIterationLoop, "constructs[0].ParallelFor"));
         let zero_chunk = Construct::ParallelFor {
             schedule: Schedule::Dynamic { chunk: 0 },
             total_iters: 4,
@@ -702,14 +600,14 @@ mod tests {
             ordered_us: None,
             nowait: false,
         };
-        assert_eq!(valid(vec![zero_chunk]), Err(RegionError::ZeroChunk));
+        assert_eq!(valid(vec![zero_chunk]), rejected(DiagCode::ZeroChunk, "constructs[0].ParallelFor"));
         assert_eq!(
             valid(vec![Construct::DelayUs(f64::NAN)]),
-            Err(RegionError::InvalidWork { construct: "DelayUs" })
+            rejected(DiagCode::InvalidWork, "constructs[0].DelayUs")
         );
         assert_eq!(
             valid(vec![Construct::Critical { body_us: -1.0 }]),
-            Err(RegionError::InvalidWork { construct: "Critical" })
+            rejected(DiagCode::InvalidWork, "constructs[0].Critical")
         );
     }
 
@@ -717,11 +615,11 @@ mod tests {
     fn validate_requires_balanced_marks_per_block() {
         assert_eq!(
             valid(vec![Construct::MarkBegin(3)]),
-            Err(RegionError::UnmatchedMark { id: 3 })
+            rejected(DiagCode::UnmatchedMark, "region")
         );
         assert_eq!(
             valid(vec![Construct::MarkEnd(1)]),
-            Err(RegionError::UnmatchedMark { id: 1 })
+            rejected(DiagCode::UnmatchedMark, "constructs[0].MarkEnd")
         );
         assert_eq!(
             valid(vec![
@@ -730,7 +628,7 @@ mod tests {
                 Construct::MarkEnd(0),
                 Construct::MarkEnd(0),
             ]),
-            Err(RegionError::UnmatchedMark { id: 0 })
+            rejected(DiagCode::UnmatchedMark, "constructs[1].MarkBegin")
         );
         // A begin whose end lives in a nested block does not balance.
         assert_eq!(
@@ -741,7 +639,7 @@ mod tests {
                     body: vec![Construct::MarkEnd(0)],
                 },
             ]),
-            Err(RegionError::UnmatchedMark { id: 0 })
+            rejected(DiagCode::UnmatchedMark, "region")
         );
         // Overlapping (non-LIFO) pairs of distinct ids are fine.
         assert_eq!(
@@ -768,7 +666,7 @@ mod tests {
             count: 3,
             body: vec![nowait_loop.clone()],
         }];
-        assert_eq!(valid(bad), Err(RegionError::RepeatedNowaitLoop));
+        assert_eq!(valid(bad), rejected(DiagCode::RepeatedNowaitLoop, "constructs[0].Repeat"));
         // Adding any full-team rendezvous to the repeated body fixes it.
         let good = vec![Construct::Repeat {
             count: 3,
@@ -808,7 +706,7 @@ mod tests {
                 body: vec![nowait_loop.clone()],
             }],
         }];
-        assert_eq!(valid(hidden), Err(RegionError::RepeatedNowaitLoop));
+        assert_eq!(valid(hidden), rejected(DiagCode::RepeatedNowaitLoop, "constructs[0].Repeat"));
         // A nested region alone must not count as the intervening sync
         // for a sibling nowait loop.
         let sibling = vec![Construct::Repeat {
@@ -818,7 +716,7 @@ mod tests {
                 Construct::ParallelRegion { body: vec![] },
             ],
         }];
-        assert_eq!(valid(sibling), Err(RegionError::RepeatedNowaitLoop));
+        assert_eq!(valid(sibling), rejected(DiagCode::RepeatedNowaitLoop, "constructs[0].Repeat"));
         // A barrier *inside* the nested body binds to the inner team, so
         // the conservative check still rejects…
         let inner_barrier = vec![Construct::Repeat {
@@ -827,7 +725,7 @@ mod tests {
                 body: vec![nowait_loop.clone(), Construct::Barrier],
             }],
         }];
-        assert_eq!(valid(inner_barrier), Err(RegionError::RepeatedNowaitLoop));
+        assert_eq!(valid(inner_barrier), rejected(DiagCode::RepeatedNowaitLoop, "constructs[0].Repeat"));
         // …while an outer-team barrier in the repeated body fixes it.
         let fixed = vec![Construct::Repeat {
             count: 2,
@@ -852,7 +750,7 @@ mod tests {
                     body: vec![Construct::DelayUs(0.1)],
                 }],
             }]),
-            Err(RegionError::SelfNestedLock { lock: 1 })
+            rejected(DiagCode::SelfNestedLock, "constructs[0].Locked.body[0].Locked")
         );
         // Team synchronization under a held lock can never complete.
         assert_eq!(
@@ -860,7 +758,7 @@ mod tests {
                 lock: 0,
                 body: vec![Construct::Barrier],
             }]),
-            Err(RegionError::SyncUnderLock { construct: "Barrier" })
+            rejected(DiagCode::SyncUnderLock, "constructs[0].Locked.body[0].Barrier")
         );
         // Distinct locks in consistent order are fine.
         assert_eq!(
@@ -928,7 +826,7 @@ mod tests {
         // Referencing an undeclared variable is a typed error.
         assert_eq!(
             valid(vec![Construct::VarRead { var: 7 }]),
-            Err(RegionError::UndeclaredVar { var: 7 })
+            rejected(DiagCode::UndeclaredVar, "constructs[0].VarRead")
         );
         // Duplicate declarations are rejected.
         let dup = RegionSpec {
@@ -936,7 +834,7 @@ mod tests {
             constructs: vec![],
             vars: vec![shared(0, 1), shared(0, 2)],
         };
-        assert_eq!(validated(&dup), Err(RegionError::DuplicateVarDecl { var: 0 }));
+        assert_eq!(validated(&dup), rejected(DiagCode::DuplicateVarDecl, "region"));
         // A reduction over a non-shared variable is rejected.
         let bad_red = RegionSpec {
             n_threads: 2,
@@ -957,7 +855,7 @@ mod tests {
         };
         assert_eq!(
             validated(&bad_red),
-            Err(RegionError::ReductionNotShared { var: 0 })
+            rejected(DiagCode::ReductionNotShared, "constructs[0].ReductionFor")
         );
     }
 

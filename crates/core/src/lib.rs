@@ -15,7 +15,6 @@ pub mod report;
 pub mod stats;
 pub mod variability;
 
-pub use freqtrace::{FreqTrace, FreqTraceError};
 pub use report::{fmt_ratio, fmt_us, sparkline, Table};
 pub use stats::{mad, mad_outliers, percentile, Summary};
 pub use variability::{RunSample, RunSet};

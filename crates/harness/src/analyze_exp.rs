@@ -18,13 +18,6 @@
 //!    read across an open `nowait` window must be flagged `OMPV301`
 //!    (write/write race) *and* `OMPV302` (nowait read/write race).
 //!
-//! The same catalog backs the CLI's **pre-flight gate**: before an
-//! experiment runs, [`specs_for`] expands the families its registry row
-//! declares, each spec is analyzed, and an `Error`-severity finding
-//! quarantines the experiment as a permanent failure — recorded in the
-//! checkpoint manifest and the JSON run report — instead of crashing
-//! mid-run.
-//!
 //! With `--lint-json PATH` the experiment also emits every analyzed
 //! program's full diagnostic list as a machine-readable
 //! `ompvar-diagnostics/1` JSON document (corpus + both demonstrations),
@@ -39,57 +32,32 @@ use ompvar_bench_stream::kernels::StreamConfig;
 use ompvar_core::Table;
 use ompvar_rt::region::{Clause, Construct, RegionSpec, Schedule, VarDecl, WriteOp};
 
-/// A family of built-in benchmark region specs. An experiment's
-/// registry row ([`crate::Experiment::families`]) lists the families it
-/// measures; [`specs_for`] expands them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Family {
-    /// syncbench's ten constructs.
-    Sync,
-    /// schedbench's paper schedules.
-    Sched,
-    /// BabelStream's kernel sweep.
-    Stream,
-    /// taskbench's two patterns.
-    Task,
-}
-
-/// The built-in region specs of `families`, labeled, in the order
-/// given. This is the pre-flight gate's work list for an experiment,
-/// and — over all four families — the `analyze` experiment's corpus.
-pub fn specs_for(families: &[Family], opts: &ExpOptions) -> Vec<(String, RegionSpec)> {
+/// The corpus: every built-in benchmark region spec, labeled —
+/// syncbench's ten constructs, schedbench's paper schedules,
+/// BabelStream's kernel sweep and taskbench's two patterns, in that
+/// order.
+fn corpus(opts: &ExpOptions) -> Vec<(String, RegionSpec)> {
     let n = 4; // representative small team; analysis is team-size-uniform
     let reps = opts.outer_reps().min(8);
     let sync_cfg = EpccConfig::syncbench_default().fast(reps);
-    let mut out = Vec::new();
-    for family in families {
-        match family {
-            Family::Sync => out.extend(SyncConstruct::ALL.map(|c| {
-                let spec = syncbench::region_with_inner(&sync_cfg, c, n, 4);
-                (format!("syncbench/{}", c.label()), spec)
-            })),
-            Family::Sched => {
-                let cfg = EpccConfig::schedbench_default().fast(reps);
-                out.extend(schedbench::paper_schedules().into_iter().map(|s| {
-                    (format!("schedbench/{s:?}"), schedbench::region(&cfg, s, n))
-                }));
-            }
-            Family::Stream => out.push((
-                "stream/kernel-sweep".to_string(),
-                ompvar_bench_stream::region(&StreamConfig::small(), n),
-            )),
-            Family::Task => out.extend(TaskPattern::ALL.map(|p| {
-                let spec = taskbench::region(&sync_cfg, p, n, 2);
-                (format!("taskbench/{}", p.label()), spec)
-            })),
-        }
-    }
-    out
-}
-
-/// The full deduplicated corpus: every family once.
-fn corpus(opts: &ExpOptions) -> Vec<(String, RegionSpec)> {
-    specs_for(&[Family::Sync, Family::Sched, Family::Stream, Family::Task], opts)
+    let sched_cfg = EpccConfig::schedbench_default().fast(reps);
+    let sync = SyncConstruct::ALL.map(|c| {
+        let spec = syncbench::region_with_inner(&sync_cfg, c, n, 4);
+        (format!("syncbench/{}", c.label()), spec)
+    });
+    let sched = schedbench::paper_schedules()
+        .into_iter()
+        .map(|s| (format!("schedbench/{s:?}"), schedbench::region(&sched_cfg, s, n)));
+    let stream = ompvar_bench_stream::region(&StreamConfig::small(), n);
+    let task = TaskPattern::ALL.map(|p| {
+        let spec = taskbench::region(&sync_cfg, p, n, 2);
+        (format!("taskbench/{}", p.label()), spec)
+    });
+    sync.into_iter()
+        .chain(sched)
+        .chain([("stream/kernel-sweep".to_string(), stream)])
+        .chain(task)
+        .collect()
 }
 
 /// The flagged-program demonstration: AB then BA acquisition order over
@@ -254,8 +222,8 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     }
 
     // The Error tier and `validate()` must be the same surface: a
-    // statically rejected program's first Error diagnostic carries
-    // exactly the `RegionError` that `validate()` returns.
+    // statically rejected program's first Error diagnostic is exactly
+    // the one `validate()` returns.
     let bad = RegionSpec {
         n_threads: 2,
         vars: Vec::new(),
@@ -271,10 +239,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         }],
     };
     let a = analyze(&bad);
-    let agree = match (a.first_error(), bad.validate()) {
-        (Some(d), Err(e)) => d.cause.as_ref() == Some(&e),
-        _ => false,
-    };
+    let agree = matches!((a.first_error(), bad.validate()), (Some(d), Err(e)) if *d == *e);
     checks.push(Check::new(
         "Error-severity diagnostics and validate() agree",
         agree,

@@ -57,7 +57,7 @@
 
 use ompvar_harness::common::{run_journaled, run_report_json, Campaign};
 use ompvar_harness::grid::{Grid, Sample, Sweep};
-use ompvar_harness::{analyze_exp, select, ExpOptions, ExpReport, Experiment, EXPERIMENTS};
+use ompvar_harness::{select, ExpOptions, ExpReport, Experiment, EXPERIMENTS};
 use ompvar_supervisor::{atomic_write, resolve_jobs, UnitError, UnitResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
@@ -101,23 +101,12 @@ fn parsed<T: std::str::FromStr>(v: String) -> T {
     v.parse().unwrap_or_else(|_| usage())
 }
 
-/// The grid `exp` contributes to the sweep. The static pre-flight gate
-/// comes first: the experiment's built-in region specs are analyzed
-/// before anything is planned (planning runs calibration probes), and an
-/// Error-severity finding is structural — the experiment becomes one
-/// permanently failing cell (quarantined, journaled, a FAIL check in
-/// the JSON report) and none of its real cells exists to be dispatched.
-/// A panic while planning is isolated the same way, as a transient.
+/// The grid `exp` contributes to the sweep. A panic while planning
+/// (planning runs calibration probes) is isolated: the experiment
+/// becomes one failing cell (retried, quarantined, journaled, a FAIL
+/// check in the JSON report) and none of its real cells exists to be
+/// dispatched.
 fn planned(exp: &Experiment, opts: &ExpOptions) -> Grid {
-    let rejected = analyze_exp::specs_for(exp.families, opts).into_iter().find_map(|(label, spec)| {
-        ompvar_analyze::analyze(&spec).first_error().map(|d| (label, d.render(), d.cause))
-    });
-    if let Some((label, rendered, cause)) = rejected {
-        eprintln!("preflight: {} spec `{label}` statically rejected: {rendered}", exp.name);
-        let cause = cause.expect("Error-severity diagnostics carry their RegionError");
-        let err = UnitError::from_rt(&ompvar_rt::RtError::InvalidRegion(cause));
-        return Grid::rejected(exp.name, err);
-    }
     catch_unwind(AssertUnwindSafe(|| exp.plan(opts))).unwrap_or_else(|payload| {
         let msg = payload
             .downcast_ref::<&str>()

@@ -21,7 +21,8 @@ use crate::common::{ExpOptions, ExpReport, Platform};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
 use crate::grid::{Grid, Plan};
 use ompvar_bench_epcc::{schedbench, EpccConfig};
-use ompvar_core::{fmt_ratio, FreqTrace, RunSet, Table};
+use ompvar_core::freqtrace::{band, transitions};
+use ompvar_core::{fmt_ratio, RunSet, Table};
 use ompvar_rt::config::RegionResult;
 use ompvar_rt::region::{RegionSpec, Schedule};
 
@@ -104,17 +105,20 @@ pub struct PlacementOutcome {
 /// wall µs, repetition times…]`: its frequency trace is folded into the
 /// counts here and dropped with the run.
 fn sample(res: &RegionResult, cores: &[usize]) -> Vec<f64> {
-    let trace = to_trace(res);
+    let logged = &res.freq_samples;
+    let series = |c: usize| logged.iter().map(move |s| s.core_ghz[c]);
     // A sample "droops" when any benchmark core is >100 MHz below the
     // maximum frequency observed on benchmark cores in this run.
     let peak = cores
         .iter()
-        .map(|&c| trace.band(c).1)
+        .map(|&c| band(series(c)).1)
         .fold(f32::NEG_INFINITY, f32::max);
-    let drooped = (0..trace.len())
-        .filter(|&i| cores.iter().any(|&c| trace.core_ghz[i][c] < peak - 0.1))
+    let drooped = logged
+        .iter()
+        .filter(|s| cores.iter().any(|&c| s.core_ghz[c] < peak - 0.1))
         .count();
-    let counts = [trace.transitions_over(cores, 0.05), drooped, trace.len()];
+    let changes = cores.iter().map(|&c| transitions(series(c), 0.05)).sum();
+    let counts = [changes, drooped, logged.len()];
     let mut out: Vec<f64> = counts.iter().map(|&n| n as f64).collect();
     out.push(res.wall_us);
     out.extend_from_slice(res.reps());
@@ -145,16 +149,6 @@ impl PlacementOutcome {
 /// long IRQ burst, which would otherwise dominate a pooled CV.
 fn median_cv(rs: &RunSet) -> f64 {
     ompvar_core::percentile(&rs.run_cvs(), 50.0)
-}
-
-fn to_trace(res: &RegionResult) -> FreqTrace {
-    FreqTrace::new(
-        res.freq_samples
-            .iter()
-            .map(|s| (s.time, s.core_ghz.clone()))
-            .collect(),
-    )
-    .expect("simulated logger emits ordered, rectangular samples")
 }
 
 /// The grid of Figure 6 or 7: two placements × `n_runs`.

@@ -578,6 +578,44 @@ mod tests {
         assert!(direct.checks[1..].iter().all(|c| c.passed), "{}", direct.render());
     }
 
+    /// A grid refused before planning — a panic while planning is what
+    /// builds one — is one cell that fails every attempt: retried to the
+    /// budget, quarantined, journaled once, and reported as one FAIL
+    /// check, while the experiment beside it folds as if alone.
+    #[test]
+    fn a_rejected_grid_is_quarantined_beside_an_ordinary_one() {
+        let out = std::env::temp_dir().join(format!("ompvar_grid_rejected_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let opts = ExpOptions { jobs: 2, max_retries: Some(2), out_dir: out.clone(), ..ExpOptions::fast() };
+        let fig2 = crate::EXPERIMENTS.iter().find(|e| e.name == "fig2").unwrap();
+        let refused = UnitError::from_panic("while planning: boom".into());
+        let sweep = Sweep::new(vec![("broken", Grid::rejected("broken", refused)), ("fig2", fig2.plan(&opts))]);
+        let record = |r: &UnitResult<Sample>| drop(sweep.record(r));
+        let door = Campaign { progress: Some(&record), ..Campaign::inner("rejected") };
+        run_journaled(&opts, &door, sweep.units()).expect("StartFresh never aborts");
+        let (_, reports) = sweep.finish();
+        let [broken, folded] = &reports[..] else { panic!("{} reports", reports.len()) };
+
+        assert_eq!((broken.name.as_str(), broken.tables.len(), broken.checks.len()), ("broken", 0, 1));
+        let check = &broken.checks[0];
+        assert!(!check.passed);
+        assert_eq!(check.name, "experiment completes within its retry budget");
+        let attempt = |i: u32| format!("attempt {i}: panic: while planning: boom [transient]");
+        let history = (0..3).map(attempt).collect::<Vec<_>>().join("; ");
+        assert_eq!(check.detail, format!("cell broken quarantined after 3 attempt(s): {history}"));
+
+        let mut journaled = Vec::new();
+        for shard in std::fs::read_dir(opts.checkpoint_dir()).expect("checkpoint dir").filter_map(Result::ok) {
+            let text = std::fs::read_to_string(shard.path()).expect("shard readable");
+            journaled.extend(text.lines().filter(|l| l.contains("\"name\":\"broken\"")).map(str::to_string));
+        }
+        assert_eq!(journaled.len(), 1, "{journaled:?}");
+        assert!(journaled[0].contains("\"status\":\"quarantined\""), "{}", journaled[0]);
+
+        assert_eq!(folded.render(), fig2.run(&opts).render());
+        let _ = std::fs::remove_dir_all(&out);
+    }
+
     /// Rendered report plus the bytes of every CSV (and, for
     /// `variability`, JSON artifact) it writes.
     fn artifacts(report: &ExpReport, out: &std::path::Path, tag: &str) -> (String, Vec<Vec<u8>>) {

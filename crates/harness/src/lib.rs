@@ -33,7 +33,6 @@ pub mod campaign_exp;
 pub mod chaos_exp;
 pub mod variability;
 
-use analyze_exp::Family::{self, Sched, Stream, Sync, Task};
 use Body::{Grid, Whole};
 
 /// How an experiment does its work.
@@ -46,20 +45,14 @@ pub enum Body {
     Whole(fn(&ExpOptions) -> ExpReport),
 }
 
-/// One runnable experiment: everything the CLI and the analyzer need to
-/// know about it, in one row.
+/// One runnable experiment: everything the CLI needs to know about it,
+/// in one row.
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
     /// CLI target name and report name; every cell name starts with it.
     pub name: &'static str,
     /// The work.
     pub body: Body,
-    /// Benchmark families whose built-in region specs the experiment
-    /// measures — what the static pre-flight gate analyzes before it
-    /// plans ([`analyze_exp::specs_for`]). Empty for experiments that
-    /// generate or perturb their programs dynamically and guard
-    /// themselves.
-    pub families: &'static [Family],
 }
 
 impl Experiment {
@@ -80,27 +73,26 @@ impl Experiment {
 }
 
 /// Every experiment, in `all` order. The only list of experiment names:
-/// usage text, target validation, dispatch and the pre-flight gate all
-/// read it.
+/// usage text, target validation and dispatch all read it.
 pub const EXPERIMENTS: [Experiment; 18] = [
-    Experiment { name: "table2", body: Grid(table2::plan), families: &[Sched] },
-    Experiment { name: "fig1", body: Grid(fig1::plan), families: &[Sync] },
-    Experiment { name: "fig2", body: Grid(fig2::plan), families: &[Stream] },
-    Experiment { name: "fig3", body: Grid(fig3::plan), families: &[Sync, Sched, Stream] },
-    Experiment { name: "fig4", body: Grid(fig4::plan), families: &[Sync, Sched, Stream] },
-    Experiment { name: "fig5", body: Grid(fig5::plan), families: &[Sync, Sched, Stream] },
-    Experiment { name: "fig6", body: Grid(fig67::plan_fig6), families: &[Sync, Sched] },
-    Experiment { name: "fig7", body: Grid(fig67::plan_fig7), families: &[Sync, Sched] },
-    Experiment { name: "ablation", body: Grid(ablation::plan), families: &[Sync] },
-    Experiment { name: "taskbench", body: Grid(taskbench_exp::plan), families: &[Task] },
-    Experiment { name: "chunks", body: Grid(chunks::plan), families: &[Sched] },
-    Experiment { name: "faults", body: Whole(faults_exp::run), families: &[] },
-    Experiment { name: "fuzz", body: Grid(fuzz_exp::plan), families: &[] },
-    Experiment { name: "analyze", body: Whole(analyze_exp::run), families: &[] },
-    Experiment { name: "trace", body: Whole(trace_exp::run), families: &[] },
-    Experiment { name: "campaign", body: Whole(campaign_exp::run), families: &[Sched] },
-    Experiment { name: "variability", body: Grid(variability::plan), families: &[Sync, Sched] },
-    Experiment { name: "chaos", body: Whole(chaos_exp::run), families: &[] },
+    Experiment { name: "table2", body: Grid(table2::plan) },
+    Experiment { name: "fig1", body: Grid(fig1::plan) },
+    Experiment { name: "fig2", body: Grid(fig2::plan) },
+    Experiment { name: "fig3", body: Grid(fig3::plan) },
+    Experiment { name: "fig4", body: Grid(fig4::plan) },
+    Experiment { name: "fig5", body: Grid(fig5::plan) },
+    Experiment { name: "fig6", body: Grid(fig67::plan_fig6) },
+    Experiment { name: "fig7", body: Grid(fig67::plan_fig7) },
+    Experiment { name: "ablation", body: Grid(ablation::plan) },
+    Experiment { name: "taskbench", body: Grid(taskbench_exp::plan) },
+    Experiment { name: "chunks", body: Grid(chunks::plan) },
+    Experiment { name: "faults", body: Whole(faults_exp::run) },
+    Experiment { name: "fuzz", body: Grid(fuzz_exp::plan) },
+    Experiment { name: "analyze", body: Whole(analyze_exp::run) },
+    Experiment { name: "trace", body: Whole(trace_exp::run) },
+    Experiment { name: "campaign", body: Whole(campaign_exp::run) },
+    Experiment { name: "variability", body: Grid(variability::plan) },
+    Experiment { name: "chaos", body: Whole(chaos_exp::run) },
 ];
 
 /// Resolve CLI targets against the registry. Every name is validated
@@ -175,31 +167,6 @@ mod tests {
                 assert!(c == e.name || c.starts_with(&format!("{}/", e.name)), "{c}");
                 assert!(seen.insert(c.clone()), "duplicate cell name {c}");
             }
-        }
-    }
-
-    /// Corpus hygiene through the registry: whatever an experiment
-    /// declares it measures analyzes clean and validates; the dynamic
-    /// experiments declare nothing.
-    #[test]
-    fn every_declared_family_analyzes_clean() {
-        let opts = ExpOptions::fast();
-        for e in &EXPERIMENTS {
-            let specs = analyze_exp::specs_for(e.families, &opts);
-            assert_eq!(specs.is_empty(), e.families.is_empty(), "{}", e.name);
-            for (label, spec) in specs {
-                let a = ompvar_analyze::analyze(&spec);
-                assert!(a.verdict().is_empty(), "{}/{label} is not clean:\n{}", e.name, a.render());
-                assert!(spec.validate().is_ok(), "{}/{label} fails validation", e.name);
-            }
-        }
-        for dynamic in ["faults", "fuzz", "analyze", "trace", "chaos"] {
-            let e = EXPERIMENTS.iter().find(|e| e.name == dynamic).unwrap();
-            assert!(e.families.is_empty(), "{dynamic} builds its programs dynamically");
-        }
-        for gated in ["variability", "campaign", "table2", "fig7"] {
-            let e = EXPERIMENTS.iter().find(|e| e.name == gated).unwrap();
-            assert!(!e.families.is_empty(), "{gated} must pass the pre-flight gate");
         }
     }
 }

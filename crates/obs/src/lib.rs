@@ -12,9 +12,12 @@
 //!
 //! * [`event`] — the typed event vocabulary: span kinds
 //!   ([`SpanKind`]: region, workshare, chunk, barrier, single, critical,
-//!   ordered, task), instant kinds ([`InstantKind`]: noise preemption,
-//!   fault injection, frequency retarget), and the flat [`TraceEvent`]
-//!   record (timestamp, thread, core).
+//!   ordered, task), thirteen instant kinds ([`InstantKind`]: the
+//!   engine's noise preemption, fault injection and frequency retarget,
+//!   the campaign supervisor's retry, quarantine, resume, checkpoint and
+//!   timeout, and the chaos layer's I/O fault, crash point and process
+//!   kill, panic and stall), and the flat [`TraceEvent`] record
+//!   (timestamp, thread, core).
 //! * [`record`] — the [`TraceSink`] trait plus a lock-free-ish
 //!   per-thread buffered recorder ([`ThreadRecorder`]/[`TeamRecorder`]):
 //!   the hot path is a plain vector push; the only lock is taken once
@@ -59,5 +62,5 @@ pub use event::{
     EventKind, InstantKind, Span, SpanKind, Trace, TraceEvent, CORE_UNKNOWN, THREAD_GLOBAL,
 };
 pub use metrics::{MetricsRegistry, SpanStats};
-pub use record::{NullSink, TeamRecorder, ThreadRecorder, TraceSink};
+pub use record::{TeamRecorder, ThreadRecorder, TraceSink};
 pub use sketch::{QuantileSketch, VarAccum};

@@ -3,29 +3,11 @@
 use crate::event::{Trace, TraceEvent};
 use std::sync::Mutex;
 
-/// Destination for trace events. Hooks are expected to consult
-/// [`TraceSink::enabled`] before doing any work to build an event, so a
-/// disabled sink costs one predictable branch.
+/// Destination for trace events. A hook that may not record holds an
+/// `Option` of its sink, so tracing off costs one predictable branch.
 pub trait TraceSink {
     /// Record one event.
     fn record(&mut self, ev: TraceEvent);
-
-    /// Whether recording is on. Defaults to `true`.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The disabled sink: drops everything, reports itself disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _ev: TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 /// Per-thread buffered recorder. The hot path is a plain `Vec` push —
@@ -113,13 +95,6 @@ mod tests {
 
     fn ev(time_ns: u64, thread: u32) -> TraceEvent {
         TraceEvent { time_ns, thread, core: 0, kind: EventKind::Begin(SpanKind::Region) }
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.record(ev(0, 0)); // and swallows
     }
 
     #[test]

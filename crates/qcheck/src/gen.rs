@@ -7,9 +7,8 @@
 //! [`RegionSpec::validate`]-clean output as its contract: any program it
 //! emits must be accepted by both backends.
 
-use ompvar_rt::region::{
-    Clause, Construct, RedOp, RegionError, RegionSpec, Schedule, VarDecl, WriteOp,
-};
+use ompvar_analyze::DiagCode;
+use ompvar_rt::region::{Clause, Construct, RedOp, RegionSpec, Schedule, VarDecl, WriteOp};
 use ompvar_sim::rng::Rng;
 use ompvar_sim::task::CorunClass;
 
@@ -263,7 +262,7 @@ fn gen_construct(
                     body: body.clone(),
                 }],
             };
-            if probe.validate() == Err(RegionError::RepeatedNowaitLoop) {
+            if probe.validate().is_err_and(|d| d.code == DiagCode::RepeatedNowaitLoop) {
                 body.push(Construct::Barrier);
             }
             Construct::Repeat { count, body }
@@ -433,8 +432,8 @@ mod tests {
                 let valid = generate(seed, &cfg);
                 for region in [corrupt(valid.clone(), seed), valid] {
                     let analysis = ompvar_analyze::analyze(&region);
-                    let want = analysis.first_error().and_then(|d| d.cause);
-                    assert_eq!(region.validate().err(), want, "seed {seed}: {}", analysis.render());
+                    let want = analysis.first_error();
+                    assert_eq!(region.validate().err().as_deref(), want, "seed {seed}: {}", analysis.render());
                     rejected += usize::from(want.is_some());
                 }
             }

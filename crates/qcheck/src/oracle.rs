@@ -401,8 +401,7 @@ pub fn check_case(region: &RegionSpec, seed: u64) -> Vec<String> {
     // The full analysis reports `validate()`'s error as its first one.
     let analysis = ompvar_analyze::analyze(region);
     if let Some(d) = analysis.first_error() {
-        let e = d.cause.expect("error-severity diagnostics carry their RegionError");
-        reasons.push(format!("generator contract violated: {e}"));
+        reasons.push(format!("generator contract violated: {d}"));
         return reasons;
     }
     // Soundness oracle (#9) setup: a validated program may still carry
@@ -704,7 +703,6 @@ mod tests {
 
     #[test]
     fn classification_oracle_accepts_transient_rejects_permanent() {
-        use ompvar_rt::region::RegionError;
         use ompvar_rt::RtError;
         // A timeout is transient: the oracle records nothing beyond the
         // backend-failure reason itself.
@@ -724,7 +722,7 @@ mod tests {
         check_classification(
             &mut reasons,
             "native",
-            &RtError::InvalidRegion(RegionError::ZeroThreads),
+            &RtError::InvalidRegion(RegionSpec::new(0, vec![]).unwrap_err()),
         );
         assert_eq!(reasons.len(), 1);
         assert!(reasons[0].contains("permanent"), "{reasons:?}");

@@ -7,7 +7,7 @@
 //! cannot complete returns an `Err` the caller can render, instead of
 //! hanging or panicking.
 
-use crate::region::RegionError;
+use ompvar_analyze::Diagnostic;
 use ompvar_sim::error::SimError;
 use std::time::Duration;
 
@@ -27,8 +27,9 @@ pub enum RtError {
     },
     /// The region failed structural validation
     /// ([`crate::region::RegionSpec::validate`]) — it was rejected before
-    /// either backend ran it.
-    InvalidRegion(RegionError),
+    /// either backend ran it, with the analyzer's first `Error`-severity
+    /// finding.
+    InvalidRegion(Box<Diagnostic>),
 }
 
 impl From<SimError> for RtError {
@@ -58,7 +59,7 @@ impl std::error::Error for RtError {
         match self {
             RtError::Sim(e) => Some(e),
             RtError::Timeout { .. } => None,
-            RtError::InvalidRegion(e) => Some(e),
+            RtError::InvalidRegion(e) => Some(&**e),
         }
     }
 }

@@ -19,12 +19,9 @@
 //! | `RtError::Timeout`            | transient | native spin deadline, scheduler noise  |
 //! | I/O: interrupted / would-block / timed out / injected EIO & torn write | transient | environmental, a retry may land |
 //! | I/O: ENOSPC / read-only fs / permission denied | permanent | the disk won't heal between attempts |
-//! | `RtError::InvalidRegion`      | permanent | rejected before running (every
-//!   `RegionError`, including the analyzer's `SelfNestedLock` and
-//!   `SyncUnderLock` lock-hazard rejections)                             |
+//! | `RtError::InvalidRegion`      | permanent | rejected before running: validation is a pure function of the spec |
 //! | panic payload                 | transient | treated like a crash of the worker     |
 
-use ompvar_rt::region::RegionError;
 use ompvar_rt::RtError;
 use ompvar_sim::error::SimError;
 
@@ -75,31 +72,14 @@ pub fn classify_sim(e: &SimError) -> Transience {
     }
 }
 
-/// Classify a region-validation error. Always permanent: validation is a
-/// pure function of the spec, so re-running cannot change the verdict.
-pub fn classify_region(e: &RegionError) -> Transience {
-    match e {
-        RegionError::ZeroThreads
-        | RegionError::ZeroCountRepeat
-        | RegionError::ZeroIterationLoop
-        | RegionError::ZeroChunk
-        | RegionError::InvalidWork { .. }
-        | RegionError::UnmatchedMark { .. }
-        | RegionError::RepeatedNowaitLoop
-        | RegionError::SelfNestedLock { .. }
-        | RegionError::SyncUnderLock { .. }
-        | RegionError::UndeclaredVar { .. }
-        | RegionError::DuplicateVarDecl { .. }
-        | RegionError::ReductionNotShared { .. } => Transience::Permanent,
-    }
-}
-
 /// Classify a runtime error from either backend.
 pub fn classify(e: &RtError) -> Transience {
     match e {
         RtError::Sim(e) => classify_sim(e),
         RtError::Timeout { .. } => Transience::Transient,
-        RtError::InvalidRegion(e) => classify_region(e),
+        // Validation is a pure function of the spec: re-running cannot
+        // change the verdict.
+        RtError::InvalidRegion(_) => Transience::Permanent,
     }
 }
 
@@ -145,6 +125,7 @@ pub fn classify_io(e: &std::io::Error) -> Transience {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ompvar_rt::region::RegionSpec;
     use ompvar_sim::trace::SimReport;
     use std::time::Duration;
 
@@ -181,7 +162,7 @@ mod tests {
     #[test]
     fn structural_errors_are_permanent() {
         assert_eq!(
-            classify(&RtError::InvalidRegion(RegionError::ZeroThreads)),
+            classify(&RtError::InvalidRegion(RegionSpec::new(0, vec![]).unwrap_err())),
             Transience::Permanent
         );
         assert_eq!(
@@ -193,19 +174,6 @@ mod tests {
             }),
             Transience::Permanent
         );
-        for e in [
-            RegionError::ZeroThreads,
-            RegionError::ZeroCountRepeat,
-            RegionError::ZeroIterationLoop,
-            RegionError::ZeroChunk,
-            RegionError::InvalidWork { construct: "Tasks" },
-            RegionError::UnmatchedMark { id: 3 },
-            RegionError::RepeatedNowaitLoop,
-            RegionError::SelfNestedLock { lock: 1 },
-            RegionError::SyncUnderLock { construct: "Barrier" },
-        ] {
-            assert_eq!(classify_region(&e), Transience::Permanent, "{e}");
-        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use executor::{
     resolve_jobs, run_campaign, CampaignRun, ExecUnit, ExecutorConfig, Progress, UnitResult,
     Watchdog,
 };
-pub use classify::{classify, classify_io, classify_panic, classify_region, classify_sim, Transience};
+pub use classify::{classify, classify_io, classify_panic, classify_sim, Transience};
 pub use fsio::atomic_write;
 pub use supervisor::{Checkpointable, Outcome, Supervisor, SupervisorConfig, UnitError};
 

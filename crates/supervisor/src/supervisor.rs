@@ -180,13 +180,8 @@ impl Supervisor {
         self.manifest.take()
     }
 
-    /// The active policy.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.cfg
-    }
-
     /// Nanoseconds since `t0` (the trace clock).
-    pub fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.t0.elapsed().as_nanos() as u64
     }
 

@@ -8,7 +8,8 @@
 //! cargo run --release --example frequency_study
 //! ```
 
-use ompvar::core::{sparkline, FreqTrace};
+use ompvar::core::freqtrace::{band, transitions};
+use ompvar::core::sparkline;
 use ompvar::epcc::{run_seeds, schedbench, EpccConfig};
 use ompvar::harness::fig67::{plan, Driver};
 use ompvar::harness::{ExpOptions, Platform};
@@ -26,20 +27,14 @@ fn main() {
         ("8+8 cores, 2 NUMAs ", Platform::Vera.numa_rt(&[0, 1], 8)),
     ] {
         for res in run_seeds(&rt, &region, 2, 3) {
-            let trace = FreqTrace::new(
-                res.freq_samples
-                    .iter()
-                    .map(|s| (s.time, s.core_ghz.clone()))
-                    .collect(),
-            )
-            .expect("simulated logger emits ordered, rectangular samples");
-            let series: Vec<f64> = trace.core_series(0).into_iter().map(f64::from).collect();
-            let (lo, hi) = trace.band(0);
+            let core0 = || res.freq_samples.iter().map(|s| s.core_ghz[0]);
+            let series: Vec<f64> = core0().map(f64::from).collect();
+            let (lo, hi) = band(core0());
             println!(
                 "{label} core0 {:.2}–{:.2} GHz, {:3} transitions  {}",
                 lo,
                 hi,
-                trace.transitions(0, 0.05),
+                transitions(core0(), 0.05),
                 sparkline(&series[..series.len().min(100)])
             );
         }

@@ -523,6 +523,20 @@ fn one_unit_queue() {
     assert!(back.is_empty(), "deal-and-steal or a stabilize policy is back: {back:?}");
 }
 
+/// One rejection vocabulary: `validate()` rejects a program with the
+/// analyzer's own `Diagnostic`, so no second error type mirrors the
+/// `Error`-severity codes, no classifier matches on one, no diagnostic
+/// carries one, and no pre-flight list of specs re-checks the corpus.
+#[test]
+fn one_rejection_vocabulary() {
+    let twins = shipping_hits("crates", |line| {
+        ["RegionError", "fn classify_region", "Diagnostic::because", "specs_for"]
+            .iter()
+            .any(|pat| line.contains(pat))
+    });
+    assert!(twins.is_empty(), "a second rejection vocabulary is back: {twins:?}");
+}
+
 #[test]
 fn test_modules_are_not_shipping_code() {
     let tests = root().join("crates/sim/src/engine/periodic_tests.rs");
