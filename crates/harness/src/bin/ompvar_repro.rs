@@ -58,7 +58,7 @@
 use ompvar_harness::common::{run_journaled, run_report_json, Campaign};
 use ompvar_harness::grid::{Grid, Sample, Sweep};
 use ompvar_harness::{select, ExpOptions, ExpReport, Experiment, EXPERIMENTS};
-use ompvar_supervisor::{atomic_write, resolve_jobs, UnitError, UnitResult};
+use ompvar_supervisor::{atomic_write, resolve_jobs, UnitResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -103,9 +103,9 @@ fn parsed<T: std::str::FromStr>(v: String) -> T {
 
 /// The grid `exp` contributes to the sweep. A panic while planning
 /// (planning runs calibration probes) is isolated: the experiment
-/// becomes one failing cell (retried, quarantined, journaled, a FAIL
-/// check in the JSON report) and none of its real cells exists to be
-/// dispatched.
+/// becomes one permanently failing cell (quarantined at its first
+/// attempt, journaled, a FAIL check in the JSON report) and none of its
+/// real cells exists to be dispatched.
 fn planned(exp: &Experiment, opts: &ExpOptions) -> Grid {
     catch_unwind(AssertUnwindSafe(|| exp.plan(opts))).unwrap_or_else(|payload| {
         let msg = payload
@@ -113,7 +113,7 @@ fn planned(exp: &Experiment, opts: &ExpOptions) -> Grid {
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string());
-        Grid::rejected(exp.name, UnitError::from_panic(format!("while planning: {msg}")))
+        Grid::rejected(exp.name, &msg)
     })
 }
 

@@ -133,10 +133,16 @@ impl Grid {
         Grid { cells: vec![cell], fold: Box::new(fold) }
     }
 
-    /// An experiment refused before planning: one cell named `name`
-    /// that fails with `err` on every attempt, so the supervisor
-    /// classifies, journals and reports the refusal like any other.
-    pub fn rejected(name: &str, err: UnitError) -> Grid {
+    /// An experiment whose planning panicked with `msg`: one cell named
+    /// `name` that fails with the panic on every attempt. Planning again
+    /// would panic again, so the failure is permanent and the supervisor
+    /// quarantines the cell at its first attempt, then journals and
+    /// reports the refusal like any other.
+    pub fn rejected(name: &str, msg: &str) -> Grid {
+        let err = UnitError {
+            transience: Transience::Permanent,
+            ..UnitError::from_panic(format!("while planning: {msg}"))
+        };
         let cell = ExecUnit::new(name, move |_| Err(err.clone()));
         Grid { cells: vec![cell], fold: Box::new(|_| unreachable!("a rejected grid never completes")) }
     }
@@ -579,8 +585,8 @@ mod tests {
     }
 
     /// A grid refused before planning — a panic while planning is what
-    /// builds one — is one cell that fails every attempt: retried to the
-    /// budget, quarantined, journaled once, and reported as one FAIL
+    /// builds one — is one cell that fails permanently: quarantined at
+    /// its first attempt, journaled once, and reported as one FAIL
     /// check, while the experiment beside it folds as if alone.
     #[test]
     fn a_rejected_grid_is_quarantined_beside_an_ordinary_one() {
@@ -588,8 +594,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&out);
         let opts = ExpOptions { jobs: 2, max_retries: Some(2), out_dir: out.clone(), ..ExpOptions::fast() };
         let fig2 = crate::EXPERIMENTS.iter().find(|e| e.name == "fig2").unwrap();
-        let refused = UnitError::from_panic("while planning: boom".into());
-        let sweep = Sweep::new(vec![("broken", Grid::rejected("broken", refused)), ("fig2", fig2.plan(&opts))]);
+        let sweep = Sweep::new(vec![("broken", Grid::rejected("broken", "boom")), ("fig2", fig2.plan(&opts))]);
         let record = |r: &UnitResult<Sample>| drop(sweep.record(r));
         let door = Campaign { progress: Some(&record), ..Campaign::inner("rejected") };
         run_journaled(&opts, &door, sweep.units()).expect("StartFresh never aborts");
@@ -600,9 +605,9 @@ mod tests {
         let check = &broken.checks[0];
         assert!(!check.passed);
         assert_eq!(check.name, "experiment completes within its retry budget");
-        let attempt = |i: u32| format!("attempt {i}: panic: while planning: boom [transient]");
-        let history = (0..3).map(attempt).collect::<Vec<_>>().join("; ");
-        assert_eq!(check.detail, format!("cell broken quarantined after 3 attempt(s): {history}"));
+        // Permanent: one attempt, no retry, no backoff slept.
+        let history = "attempt 0: panic: while planning: boom [permanent]";
+        assert_eq!(check.detail, format!("cell broken quarantined after 1 attempt(s): {history}"));
 
         let mut journaled = Vec::new();
         for shard in std::fs::read_dir(opts.checkpoint_dir()).expect("checkpoint dir").filter_map(Result::ok) {

@@ -345,10 +345,8 @@ pub enum Field<'a> {
     Null,
     /// `true`/`false`.
     Bool(bool),
-    /// Any number: its value, and the run of characters it was written
-    /// as, from which an integer wider than an `f64`'s 53-bit mantissa
-    /// reads back exactly.
-    Num(f64, &'a str),
+    /// Any number, as the run of characters it was written as.
+    Num(Number<'a>),
     /// A string (unescaped).
     Str(Cow<'a, str>),
     /// An array or object.
@@ -365,12 +363,32 @@ impl Field<'_> {
     }
 }
 
+/// A number as [`parse_object`] scans it: the run of characters it was
+/// written as, checked against the grammar of [`f64`]'s `FromStr` but
+/// not converted. An integer wider than an `f64`'s 53-bit mantissa reads
+/// back exactly from [`Number::run`]; only a reader that wants the
+/// floating-point value pays for [`Number::to_f64`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Number<'a>(&'a str);
+
+impl<'a> Number<'a> {
+    /// The characters the number was written as.
+    pub fn run(self) -> &'a str {
+        self.0
+    }
+
+    /// The value, as [`parse`] reads it.
+    pub fn to_f64(self) -> f64 {
+        self.0.parse().expect("the scanner checked the run against f64's grammar")
+    }
+}
+
 impl From<Field<'_>> for Value {
     fn from(f: Field<'_>) -> Value {
         match f {
             Field::Null => Value::Null,
             Field::Bool(b) => Value::Bool(b),
-            Field::Num(n, _) => Value::Num(n),
+            Field::Num(n) => Value::Num(n.to_f64()),
             Field::Str(s) => Value::Str(s.into_owned()),
             Field::Tree(v) => v,
         }
@@ -390,11 +408,65 @@ pub fn parse_object<'a>(
     let mut p = Parser { text: input, pos: 0 };
     p.skip_ws();
     if p.peek() == Some(b'{') {
-        p.object(1, |key, f| field(&key, f))?;
+        p.object(|p, key| p.field(1, |f| field(&key, f)))?;
     } else {
         p.value(0)?;
     }
     p.end()
+}
+
+/// Bytes before the first `"` or `\` in `bytes` (all of them if there
+/// is none), eight at a time: a byte of the word equal to `b` is a zero
+/// byte of `word ^ b…b`, and the lowest zero byte sets the lowest high
+/// bit of `(x − 0x01…01) & !x & 0x80…80`.
+#[inline]
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let zero_byte = |x: u64| x.wrapping_sub(ONES) & !x & HIGH;
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    for (i, word) in words.enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let hit = zero_byte(w ^ (ONES * u64::from(b'"'))) | zero_byte(w ^ (ONES * u64::from(b'\\')));
+        if hit != 0 {
+            return 8 * i + hit.trailing_zeros() as usize / 8;
+        }
+    }
+    let done = bytes.len() - tail.len();
+    done + tail.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(tail.len())
+}
+
+/// Whether `run` is a number [`f64`]'s `FromStr` accepts, for a run
+/// made of digits, `.`, `e`, `E`, `+` and `-` only (so its `inf` and
+/// `nan` spellings cannot occur): a sign, digits with at most one `.`
+/// and at least one digit, then optionally `e` or `E`, a sign and at
+/// least one digit.
+#[inline]
+fn is_number(run: &[u8]) -> bool {
+    let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
+    let signed = |s: &[u8]| usize::from(matches!(s.first(), Some(b'+' | b'-')));
+    let mut at = signed(run);
+    let whole = digits(&run[at..]);
+    at += whole;
+    let mut fraction = 0;
+    if run.get(at) == Some(&b'.') {
+        fraction = digits(&run[at + 1..]);
+        at += 1 + fraction;
+    }
+    if whole + fraction == 0 {
+        return false;
+    }
+    if matches!(run.get(at), Some(b'e' | b'E')) {
+        at += 1;
+        at += signed(&run[at..]);
+        let exponent = digits(&run[at..]);
+        if exponent == 0 {
+            return false;
+        }
+        at += exponent;
+    }
+    at == run.len()
 }
 
 /// The one scanner under [`parse`] and [`parse_object`]. It works on
@@ -406,14 +478,17 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    #[cold]
     fn err(&self, msg: &'static str) -> ParseError {
         ParseError { pos: self.pos, msg }
     }
 
+    #[inline]
     fn rest(&self) -> &'a [u8] {
         &self.text.as_bytes()[self.pos..]
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.rest().first().copied()
     }
@@ -424,8 +499,14 @@ impl<'a> Parser<'a> {
         self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
     }
 
+    /// Whitespace; the writer puts none between tokens, so the first
+    /// byte usually ends it.
+    #[inline]
     fn skip_ws(&mut self) {
-        self.skip_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
+        let ws = |b| matches!(b, b' ' | b'\t' | b'\n' | b'\r');
+        if self.peek().is_some_and(ws) {
+            self.skip_while(ws);
+        }
     }
 
     /// Only whitespace may follow the document.
@@ -437,6 +518,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -446,10 +528,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, f: Field<'a>) -> Result<Field<'a>, ParseError> {
+    fn literal(&mut self, word: &str) -> Result<(), ParseError> {
         if self.rest().starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(f)
+            Ok(())
         } else {
             Err(self.err("invalid literal"))
         }
@@ -457,33 +539,64 @@ impl<'a> Parser<'a> {
 
     /// Parse one value sitting inside `depth` open arrays and objects.
     fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.field(depth).map(Value::from)
-    }
-
-    /// [`Parser::value`], a scalar left as scanned.
-    fn field(&mut self, depth: usize) -> Result<Field<'a>, ParseError> {
         match self.peek() {
             Some(b'{' | b'[') if depth == MAX_DEPTH => Err(self.err("nesting too deep")),
             Some(b'{') => {
                 let mut fields = Vec::new();
-                self.object(depth + 1, |key, f| fields.push((key.into_owned(), f.into())))?;
-                Ok(Field::Tree(Value::Obj(fields)))
+                self.object(|p, key| {
+                    fields.push((key.into_owned(), p.value(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(Value::Obj(fields))
             }
-            Some(b'[') => self.array(depth + 1).map(Field::Tree),
-            Some(b'"') => self.string().map(Field::Str),
-            Some(b't') => self.literal("true", Field::Bool(true)),
-            Some(b'f') => self.literal("false", Field::Bool(false)),
-            Some(b'n') => self.literal("null", Field::Null),
-            Some(b'-' | b'0'..=b'9') => self.number().map(|(n, run)| Field::Num(n, run)),
-            _ => Err(self.err("expected a value")),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'-' | b'0'..=b'9') => {
+                let run = self.number_run();
+                run.parse().map(Value::Num).map_err(|_| self.err("invalid number"))
+            }
+            _ => {
+                let mut v = Value::Null;
+                self.field(depth, |f| v = f.into())?;
+                Ok(v)
+            }
         }
     }
 
-    /// An object's fields, handed to `field` in source order.
+    /// [`Parser::value`], handed to `sink` as scanned: a scalar as it
+    /// lies in `text`, a tree only for an array or object.
+    fn field(&mut self, depth: usize, sink: impl FnOnce(Field<'a>)) -> Result<(), ParseError> {
+        match self.peek() {
+            Some(b'"') => sink(Field::Str(self.string()?)),
+            Some(b'-' | b'0'..=b'9') => {
+                let run = self.number_run();
+                if !is_number(run.as_bytes()) {
+                    return Err(self.err("invalid number"));
+                }
+                sink(Field::Num(Number(run)))
+            }
+            Some(b'{' | b'[') => sink(Field::Tree(self.value(depth)?)),
+            Some(b't') => {
+                self.literal("true")?;
+                sink(Field::Bool(true))
+            }
+            Some(b'f') => {
+                self.literal("false")?;
+                sink(Field::Bool(false))
+            }
+            Some(b'n') => {
+                self.literal("null")?;
+                sink(Field::Null)
+            }
+            _ => return Err(self.err("expected a value")),
+        }
+        Ok(())
+    }
+
+    /// An object's members in source order: each key goes to `member`,
+    /// which scans the value after it.
     fn object(
         &mut self,
-        depth: usize,
-        mut field: impl FnMut(Cow<'a, str>, Field<'a>),
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ParseError>,
     ) -> Result<(), ParseError> {
         self.expect(b'{')?;
         self.skip_ws();
@@ -497,7 +610,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            field(key, self.field(depth)?);
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -536,13 +649,14 @@ impl<'a> Parser<'a> {
     /// A string, one run at a time: the bytes up to the next `"` or `\`
     /// are taken whole. With no escape in it the string is that one run,
     /// borrowed; the first escape starts an owned copy.
+    #[inline]
     fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
         // Empty until the first escape: an escape always pushes.
         let mut out = String::new();
         loop {
             let start = self.pos;
-            self.skip_while(|b| b != b'"' && b != b'\\');
+            self.pos += plain_run(self.rest());
             let run = &self.text[start..self.pos];
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
@@ -602,16 +716,17 @@ impl<'a> Parser<'a> {
         u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))
     }
 
-    /// A number's value and the run it was scanned from.
-    fn number(&mut self) -> Result<(f64, &'a str), ParseError> {
+    /// The run a number was written as: an optional `-`, then every
+    /// byte a number can hold. Whether the run is a number is the
+    /// caller's to check.
+    #[inline]
+    fn number_run(&mut self) -> &'a str {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         self.skip_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'));
-        let run = &self.text[start..self.pos];
-        let n = run.parse().map_err(|_| self.err("invalid number"))?;
-        Ok((n, run))
+        &self.text[start..self.pos]
     }
 }
 
@@ -975,7 +1090,7 @@ mod tests {
             })
         })
         .unwrap();
-        let want = ["plain: borrowed", "esc\n: owned", "n: Num(1.0, \"1\")", "t: Tree(Arr([Bool(true)]))"];
+        let want = ["plain: borrowed", "esc\n: owned", "n: Num(Number(\"1\"))", "t: Tree(Arr([Bool(true)]))"];
         assert_eq!(seen, want);
         // The top-level object counts as one level on both paths.
         let nest = |n: usize| format!("{{\"payload\":{}{}}}", "[".repeat(n), "]".repeat(n));
@@ -990,6 +1105,50 @@ mod tests {
         assert_eq!(sunk("[1, 2]"), Ok(vec![]));
         let e = sunk("{} x").unwrap_err();
         assert_eq!((e.pos, e.msg), (3, "trailing characters after document"));
+    }
+
+    /// The sink checks a number's run without converting it; what it
+    /// accepts is exactly what the tree's `f64` parse accepts. Every run
+    /// of up to six bytes the scanner can cut, over an alphabet with one
+    /// byte of each class.
+    #[test]
+    fn number_grammar_is_f64s_on_every_short_run() {
+        const ALPHABET: &[u8] = b"07.eE+-";
+        let mut runs: Vec<Vec<u8>> = vec![b"-".to_vec(), b"0".to_vec(), b"7".to_vec()];
+        let mut checked = 0;
+        while let Some(run) = runs.pop() {
+            let text = std::str::from_utf8(&run).unwrap();
+            assert_eq!(is_number(&run), text.parse::<f64>().is_ok(), "{text:?}");
+            checked += 1;
+            if run.len() < 6 {
+                runs.extend(ALPHABET.iter().map(|&b| [&run[..], &[b]].concat()));
+            }
+        }
+        assert_eq!(checked, 3 * (1 + 7 + 49 + 343 + 2401 + 16807));
+        let n = |doc: &str| parse_object(doc, |_, f| assert!(matches!(f, Field::Num(_))));
+        assert_eq!(n(r#"{"n":1.e5}"#), Ok(()));
+        assert_eq!(n(r#"{"n":-.5}"#), Ok(()));
+        assert_eq!(n(r#"{"n":1e+}"#), Err(ParseError { pos: 8, msg: "invalid number" }));
+        assert_eq!(parse(r#"{"n":1e+}"#), Err(ParseError { pos: 8, msg: "invalid number" }));
+    }
+
+    /// A run's end found eight bytes at a time, held to the byte loop.
+    #[test]
+    fn plain_run_stops_where_a_byte_loop_stops() {
+        let model = |b: &[u8]| b.iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(b.len());
+        for len in 0..=24 {
+            for hit in 0..=len {
+                for stop in [b'"', b'\\', b'x'] {
+                    // Neighbours of the two stop bytes, high bytes and
+                    // a borrow-propagating 0x01 around the stop.
+                    let mut bytes: Vec<u8> = (0..len).map(|i| [b'a', 0x21, 0x5d, 0xe9, 0x01][i % 5]).collect();
+                    if hit < len {
+                        bytes[hit] = stop;
+                    }
+                    assert_eq!(plain_run(&bytes), model(&bytes), "{bytes:?}");
+                }
+            }
+        }
     }
 
     #[test]

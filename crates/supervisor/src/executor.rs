@@ -16,8 +16,10 @@
 //!
 //! Robustness machinery on top of the pool:
 //!
-//! - **Watchdog**: one thread tracking a wall-clock deadline per running
-//!   attempt. A reaped attempt surfaces as a transient
+//! - **Watchdog**: one thread, started by a campaign's first timed
+//!   attempt, tracking a wall-clock deadline per running attempt. A
+//!   campaign that replays every unit starts no worker and no watchdog.
+//!   A reaped attempt surfaces as a transient
 //!   [`UnitError::timeout`] *inside* the supervise closure, so the
 //!   existing classifier / seeded-backoff / quarantine path applies
 //!   unchanged. Rust offers no way to cancel arbitrary compute, so a
@@ -49,7 +51,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -296,13 +298,14 @@ impl Drop for Watchdog {
 /// Run one attempt with panic isolation and (optionally) a watchdog
 /// deadline. Without a timeout the attempt runs on the calling thread;
 /// with one it runs on a detached thread whose result races the
-/// watchdog into a first-writer-wins slot. A reaped attempt's thread is
-/// leaked deliberately — see the module docs.
+/// watchdog — started by the campaign's first timed attempt — into a
+/// first-writer-wins slot. A reaped attempt's thread is leaked
+/// deliberately — see the module docs.
 fn run_attempt<R: Send + 'static>(
     run: &Arc<UnitFn<R>>,
     attempt: u32,
     timeout: Option<Duration>,
-    watchdog: &Watchdog,
+    watchdog: &OnceLock<Watchdog>,
     name: &str,
     leaks: &Arc<AtomicI64>,
 ) -> Result<R, UnitError> {
@@ -310,6 +313,7 @@ fn run_attempt<R: Send + 'static>(
         return catch_unwind(AssertUnwindSafe(|| run(attempt)))
             .unwrap_or_else(|p| Err(UnitError::from_panic(panic_message(p.as_ref()))));
     };
+    let watchdog = watchdog.get_or_init(Watchdog::spawn);
 
     // Three-state slot, not an Option: after the caller extracts the
     // winner the slot must still read as "settled", or a reaped thread
@@ -456,7 +460,7 @@ struct WorkerOut<R> {
 struct Lanes<'a, R> {
     cfg: ExecutorConfig,
     units: &'a [ExecUnit<R>],
-    watchdog: &'a Watchdog,
+    watchdog: &'a OnceLock<Watchdog>,
     epoch: Instant,
     progress: Progress<'a, R>,
     leaks: &'a Arc<AtomicI64>,
@@ -620,11 +624,18 @@ where
     for e in replay {
         journaled.entry(e.name.as_str()).or_insert(e);
     }
-    let mut slots: Vec<Option<UnitResult<R>>> = units.iter().map(|_| None).collect();
+    // Replayed results come first, in canonical order; what the lanes
+    // run joins them below.
+    let mut results: Vec<UnitResult<R>> = Vec::with_capacity(units.len());
+    let mut pending = Vec::new();
     for (idx, u) in units.iter().enumerate() {
-        let Some(e) = journaled.get(u.name.as_str()) else { continue };
+        let Some(e) = journaled.get(u.name.as_str()) else {
+            pending.push(idx);
+            continue;
+        };
         let Some(outcome) = replay_entry::<R>(e) else {
             eprintln!("warning: checkpoint payload for {} is unreadable; re-running", u.name);
+            pending.push(idx);
             continue;
         };
         control.emit_instant(InstantKind::SupervisorResume);
@@ -638,22 +649,25 @@ where
         if let Some(p) = progress {
             p(&result);
         }
-        slots[idx] = Some(result);
+        results.push(result);
     }
 
-    let queue = UnitQueue::new((0..units.len()).filter(|&idx| slots[idx].is_none()).collect());
+    let queue = UnitQueue::new(pending);
 
     let in_flight: Vec<Mutex<Option<usize>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    let watchdog = Watchdog::spawn();
+    let watchdog = OnceLock::new();
     let leaks = Arc::new(AtomicI64::new(0));
     let lanes = Lanes { cfg: *cfg, units, watchdog: &watchdog, epoch, progress, leaks: &leaks };
 
     let mut outs: Vec<WorkerOut<R>> = Vec::with_capacity(jobs + 1);
+    // A replay that restored every unit leaves nothing to run: no
+    // worker starts (the shards it would have journaled into just close).
+    let pool = if queue.units.is_empty() { 0 } else { jobs };
     thread::scope(|s| {
         // One shard per worker; workers beyond the shards run unjournaled.
         let mut shards = manifests.into_iter().flatten();
         let (lanes, queue, in_flight) = (&lanes, &queue, &in_flight[..]);
-        let handles: Vec<_> = (0..jobs)
+        let handles: Vec<_> = (0..pool)
             .map(|w| {
                 let shard = shards.next();
                 s.spawn(move || lanes.worker_loop(w, shard, queue, in_flight, cancel, false))
@@ -709,10 +723,7 @@ where
     let mut events = control.take_trace().events;
     let mut recovery_notes: Vec<String> = Vec::new();
     for mut out in outs {
-        for r in out.results.drain(..) {
-            let idx = r.index;
-            slots[idx] = Some(r);
-        }
+        results.append(&mut out.results);
         events.append(&mut out.trace.events);
         recovery_notes.append(&mut out.notes);
     }
@@ -723,9 +734,13 @@ where
     // order on a shared clock, so per-lane order (what consumers rely
     // on) survives the merge.
     events.sort_by_key(|e| e.time_ns);
+    // Canonical order. Each unit reached one terminal state on one lane,
+    // and each lane ran its units in queue order: this merges a few
+    // sorted runs.
+    results.sort_by_key(|r| r.index);
 
     CampaignRun {
-        results: slots.into_iter().flatten().collect(),
+        results,
         trace: Trace::new(events),
         interrupted,
         poisoned_workers: poisoned,

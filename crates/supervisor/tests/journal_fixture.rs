@@ -40,8 +40,15 @@ fn journal_written_by_the_parent_binary_resumes() {
     targets.extend([ESCAPED.to_string(), "trace".to_string()]);
     let header = Header { seed: 20230714, fast: true, targets };
     let (shards, merged) = resume_shards(&dir, "manifest", &header, 2).unwrap();
-    assert!(!shards[0].recovered_torn_tail());
-    assert!(shards[1].recovered_torn_tail(), "the `trace` unit's half line is dropped");
+    drop(shards);
+    // Shard 0 ends in a newline and is left as it was; shard 1's half
+    // line — the `trace` unit's — is truncated off.
+    let read = |base: &Path, shard: &str| std::fs::read_to_string(base.join(shard)).unwrap();
+    assert_eq!(read(&dir, "manifest.jsonl"), read(&fixture, "manifest.jsonl"));
+    let torn = read(&fixture, "manifest.shard-1.jsonl");
+    assert!(!torn.ends_with('\n'));
+    assert_eq!(read(&dir, "manifest.shard-1.jsonl"), torn[..=torn.rfind('\n').unwrap()]);
+    assert!(merged.iter().all(|e| e.name != "trace"), "the torn unit re-runs");
 
     // Shard order, then file order; the duplicate and the torn unit gone.
     let expected: Vec<String> = (0..36)

@@ -293,6 +293,43 @@ fn one_json_reader() {
     assert_eq!(scanners, ["crates/obs/src/json.rs"], "JSON strings scanned outside obs::json");
 }
 
+/// One JSON scanner. JSON text is scanned by `obs::json`'s one scanner
+/// (DESIGN §6) and by nothing beside it, however fast a private reader
+/// would be: outside `crates/obs/src/json.rs` no shipping line holds a
+/// byte literal of a character JSON's grammar turns on — quote,
+/// backslash, brace, bracket, colon, comma — or names a parser, scanner
+/// or lexer type, and the crate that reads the journals,
+/// `crates/supervisor`, holds no char literal of one either.
+#[test]
+fn one_json_scanner() {
+    let grammar = ['"', '\\', '{', '}', '[', ']', ':', ','];
+    // A literal of `c` as the source spells it, escaped or not.
+    let spelled = |prefix: &'static str| {
+        move |line: &str| {
+            grammar.iter().any(|c| {
+                [format!("{prefix}'{c}'"), format!("{prefix}'\\{c}'")].iter().any(|lit| line.contains(lit))
+            })
+        }
+    };
+    // A type whose name says what it is: `struct LineScanner`, `enum Lexer`.
+    let scanner_type = |line: &str| {
+        ["struct ", "enum "].iter().filter_map(|kw| line.split_once(kw)).any(|(_, rest)| {
+            let name = rest.split(|c: char| !c.is_alphanumeric() && c != '_').next().unwrap_or("");
+            ["Parser", "Scanner", "Lexer"].iter().any(|t| name.contains(t))
+        })
+    };
+    let outside = |hit: &String| !hit.starts_with("crates/obs/src/json.rs:");
+    let mut forks: Vec<String> = ["crates", "src", "examples"]
+        .iter()
+        .flat_map(|dir| shipping_hits(dir, |line| spelled("b")(line) || scanner_type(line)))
+        .filter(outside)
+        .collect();
+    forks.extend(shipping_hits("crates/supervisor/src", spelled("")));
+    forks.sort();
+    forks.dedup();
+    assert!(forks.is_empty(), "JSON scanned outside obs::json at: {forks:?}");
+}
+
 /// Checks as claims. Every shape check of the paper-figure modules is a
 /// comparison, stated once as a `claim::Claim` that derives its verdict,
 /// detail line and margin (DESIGN §3.7): none of them builds a plain
@@ -388,10 +425,11 @@ fn mentioning(dir: &str, pat: &str) -> Vec<String> {
 }
 
 /// One pool. Outside tests, threads are created by the campaign
-/// executor and by the native team, nowhere else (DESIGN §9): in
-/// particular nothing under `crates/qcheck` or `crates/harness` fans out
-/// on its own. The other `rt/src/native` files spawn only in their test
-/// modules.
+/// executor, by the resume that feeds it (the checkpoint reader decodes
+/// shard manifests on at most `--jobs` lanes) and by the native team,
+/// nowhere else (DESIGN §9): in particular nothing under `crates/qcheck`
+/// or `crates/harness` fans out on its own. The other `rt/src/native`
+/// files spawn only in their test modules.
 #[test]
 fn one_pool() {
     let spawners = files_flagged(&["crates"], |text| {
@@ -407,6 +445,7 @@ fn one_pool() {
             "crates/rt/src/native/team.rs",
             "crates/rt/src/native/wait.rs",
             "crates/rt/src/native/workshare.rs",
+            "crates/supervisor/src/checkpoint.rs",
             "crates/supervisor/src/executor.rs",
         ],
         "threads created outside the executor and the native team"
