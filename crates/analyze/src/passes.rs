@@ -137,16 +137,10 @@ pub(crate) fn contains_nowait(cs: &[Construct]) -> bool {
 /// the portability contract, so it takes the spec-faithful view.)
 pub(crate) fn contains_team_sync(cs: &[Construct]) -> bool {
     cs.iter().any(|c| match c {
-        Construct::Barrier
-        | Construct::Single { .. }
-        | Construct::Reduction { .. }
-        | Construct::Tasks { .. }
-        | Construct::ReductionFor { .. } => true,
-        Construct::ParallelFor { nowait, .. } => !nowait,
         Construct::Repeat { body, .. } | Construct::Locked { body, .. } => {
             contains_team_sync(body)
         }
-        _ => false,
+        _ => c.syncs_team(),
     })
 }
 
@@ -345,30 +339,12 @@ fn scan_windows(
                 overlap(diags, &sp, "a second work-shared loop", open);
                 if *nowait {
                     open.push(Window { span: sp });
-                } else {
-                    // The implicit end-of-loop barrier is a full-team
-                    // rendezvous: every straggler has finished.
-                    open.clear();
                 }
             }
-            Construct::Barrier => open.clear(),
-            Construct::Single { .. } => {
-                overlap(diags, &sp, "the single body", open);
-                open.clear();
-            }
-            Construct::Reduction { .. } => {
-                overlap(diags, &sp, "the reduction combine", open);
-                open.clear();
-            }
-            Construct::Tasks { .. } => {
-                overlap(diags, &sp, "task execution", open);
-                open.clear();
-            }
-            Construct::ReductionFor { .. } => {
-                overlap(diags, &sp, "the reduction loop", open);
-                // The implicit end-of-loop barrier closes every window.
-                open.clear();
-            }
+            Construct::Single { .. } => overlap(diags, &sp, "the single body", open),
+            Construct::Reduction { .. } => overlap(diags, &sp, "the reduction combine", open),
+            Construct::Tasks { .. } => overlap(diags, &sp, "task execution", open),
+            Construct::ReductionFor { .. } => overlap(diags, &sp, "the reduction loop", open),
             Construct::Critical { .. } => overlap(diags, &sp, "the critical section", open),
             Construct::LockUnlock { .. } => overlap(diags, &sp, "the locked section", open),
             Construct::Atomic => overlap(diags, &sp, "the atomic update", open),
@@ -388,11 +364,16 @@ fn scan_windows(
             // surface (OMPV301–303 from the data-race pass); flagging
             // them here as generic overlaps would double-report.
             Construct::VarRead { .. } | Construct::VarWrite { .. } => {}
-            Construct::DelayUs(_)
+            Construct::Barrier
+            | Construct::DelayUs(_)
             | Construct::Compute { .. }
             | Construct::StreamBytes(_)
             | Construct::MarkBegin(_)
             | Construct::MarkEnd(_) => {}
+        }
+        // A full-team rendezvous: every straggler has finished.
+        if c.syncs_team() {
+            open.clear();
         }
     }
 }
@@ -445,24 +426,6 @@ fn lock_walk(
                 lock_walk(body, &sp, held, graph, diags);
                 held.pop();
             }
-            Construct::Barrier
-            | Construct::Single { .. }
-            | Construct::Reduction { .. }
-            | Construct::Tasks { .. }
-            | Construct::ReductionFor { .. }
-                if !held.is_empty() =>
-            {
-                diags.push(Diagnostic::new(
-                    DiagCode::SyncUnderLock,
-                    sp.clone(),
-                    format!(
-                        "{} synchronizes the team while lock {} is held: threads blocked on the \
-                         lock can never reach the rendezvous",
-                        c.kind_name(),
-                        held.last().expect("held is non-empty"),
-                    ),
-                ));
-            }
             Construct::ParallelRegion { body } => {
                 if !held.is_empty() {
                     diags.push(Diagnostic::new(
@@ -476,39 +439,41 @@ fn lock_walk(
                 }
                 lock_walk(body, &sp, held, graph, diags);
             }
-            Construct::ParallelFor {
-                nowait, ordered_us, ..
-            } if !held.is_empty() => {
-                if !*nowait {
-                    diags.push(Diagnostic::new(
+            Construct::Repeat { body, .. } => lock_walk(body, &sp, held, graph, diags),
+            _ => {
+                let Some(lock) = held.last() else { continue };
+                let (code, msg) = match c {
+                    Construct::ParallelFor { .. } if c.syncs_team() => (
                         DiagCode::SyncUnderLock,
-                        sp.clone(),
                         format!(
                             "the implicit end-of-loop barrier rendezvouses the team while lock \
-                             {} is held",
-                            held.last().expect("held is non-empty"),
+                             {lock} is held",
                         ),
-                    ));
-                } else if ordered_us.is_some() {
-                    diags.push(Diagnostic::new(
+                    ),
+                    _ if c.syncs_team() => (
+                        DiagCode::SyncUnderLock,
+                        format!(
+                            "{} synchronizes the team while lock {lock} is held: threads blocked \
+                             on the lock can never reach the rendezvous",
+                            c.kind_name(),
+                        ),
+                    ),
+                    Construct::ParallelFor { ordered_us: Some(_), .. } => (
                         DiagCode::OrderedUnderLock,
-                        sp.clone(),
                         "ordered nowait loop under a held lock: ordered tickets owned by threads \
                          blocked on the lock may never retire"
                             .into(),
-                    ));
-                } else {
-                    diags.push(Diagnostic::new(
+                    ),
+                    Construct::ParallelFor { .. } => (
                         DiagCode::WorkshareUnderLock,
-                        sp.clone(),
                         "nowait workshare under a held lock: only the lock holder makes progress, \
                          serializing the loop"
                             .into(),
-                    ));
-                }
+                    ),
+                    _ => continue,
+                };
+                diags.push(Diagnostic::new(code, sp, msg));
             }
-            Construct::Repeat { body, .. } => lock_walk(body, &sp, held, graph, diags),
-            _ => {}
         }
     }
 }
@@ -775,21 +740,11 @@ fn race_walk(
     for (i, c) in cs.iter().enumerate() {
         let sp = span.child(i, c.kind_name());
         match c {
-            // Full-team synchronizations: every open access has
-            // completed on every thread once the rendezvous passes.
-            Construct::Barrier
-            | Construct::Single { .. }
-            | Construct::Reduction { .. }
-            | Construct::Tasks { .. } => st.open.clear(),
-            Construct::ParallelFor { nowait, .. } => {
-                if *nowait {
-                    // The window extends conflicts: accesses before the
-                    // loop stay open, and the epoch bump marks later
-                    // accesses as window-crossing.
-                    st.epoch += 1;
-                } else {
-                    st.open.clear();
-                }
+            Construct::ParallelFor { nowait: true, .. } => {
+                // The window extends conflicts: accesses before the
+                // loop stay open, and the epoch bump marks later
+                // accesses as window-crossing.
+                st.epoch += 1;
             }
             Construct::VarRead { var } => {
                 if let Some(d) = spec.var(*var) {
@@ -825,8 +780,6 @@ fn race_walk(
                         ));
                     }
                 }
-                // The implicit end-of-loop barrier is a full-team sync.
-                st.open.clear();
             }
             Construct::Locked { lock, body } => {
                 held.push(*lock);
@@ -856,7 +809,12 @@ fn race_walk(
                 race_walk(body, &sp, spec, held, &mut inner, diags);
                 st.epoch = inner.epoch;
             }
-            Construct::DelayUs(_)
+            Construct::Barrier
+            | Construct::Single { .. }
+            | Construct::Reduction { .. }
+            | Construct::Tasks { .. }
+            | Construct::ParallelFor { nowait: false, .. }
+            | Construct::DelayUs(_)
             | Construct::Compute { .. }
             | Construct::StreamBytes(_)
             | Construct::Critical { .. }
@@ -864,6 +822,11 @@ fn race_walk(
             | Construct::Atomic
             | Construct::MarkBegin(_)
             | Construct::MarkEnd(_) => {}
+        }
+        // A full-team synchronization: every open access has completed
+        // on every thread once the rendezvous passes.
+        if c.syncs_team() {
+            st.open.clear();
         }
     }
 }

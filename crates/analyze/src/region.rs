@@ -336,6 +336,25 @@ impl Construct {
             Construct::ReductionFor { .. } => "ReductionFor",
         }
     }
+
+    /// Is this construct itself a full-team rendezvous — every thread of
+    /// the enclosing team has finished what came before once it passes?
+    /// Barriers, singles, reductions, task sets and every loop with its
+    /// implicit end-of-loop barrier (a `nowait` loop has none). Not
+    /// recursive: a `Repeat` or `Locked` that contains a sync is not one
+    /// itself, and a `ParallelRegion` forks a team of its own, so each
+    /// pass decides how to treat bodies.
+    pub fn syncs_team(&self) -> bool {
+        match self {
+            Construct::Barrier
+            | Construct::Single { .. }
+            | Construct::Reduction { .. }
+            | Construct::Tasks { .. }
+            | Construct::ReductionFor { .. } => true,
+            Construct::ParallelFor { nowait, .. } => !nowait,
+            _ => false,
+        }
+    }
 }
 
 /// The statically known aggregate of a [`Construct::ReductionFor`]'s

@@ -36,8 +36,8 @@
 //! timeout transient — retried on a seeded deterministic backoff
 //! schedule and quarantined once its budget is exhausted, which turns
 //! its experiment into a FAIL check naming the cell while the sweep
-//! continues; `--unit-timeout SECS` arms a watchdog that reaps a hung
-//! attempt into the same retry path. `--resume <dir>` merges the shard
+//! continues; `--unit-timeout SECS` sets a per-attempt deadline that reaps
+//! a hung attempt into the same retry path. `--resume <dir>` merges the shard
 //! manifests deterministically, replays the journaled cells and re-runs
 //! only the rest, producing a `--report-json` document byte-identical
 //! to an uninterrupted run regardless of worker count or crash history.

@@ -30,8 +30,8 @@
 //!    ([`ompvar_supervisor::ProcChaos`]) on a 2-worker pool replay
 //!    bit-identically from the chaos seed, with every unit still
 //!    reaching a terminal state.
-//! 6. **Leak accounting**: a deliberately wedged unit reaped by the
-//!    watchdog leaves exactly one leaked attempt thread, and the
+//! 6. **Leak accounting**: a deliberately wedged unit reaped at its
+//!    deadline leaves exactly one leaked attempt thread, and the
 //!    campaign reports it.
 //!
 //! Artifacts under `<out_dir>/chaos/`: `reference.json` and

@@ -159,8 +159,9 @@ pub struct ExpOptions {
     /// Defaults to 1: the `trace` experiment's *native* runs measure
     /// real wall-clock, which concurrent workers perturb.
     pub jobs: usize,
-    /// Per-cell wall-clock deadline enforced by the executor's watchdog
-    /// (`--unit-timeout SECS`); `None` disables reaping.
+    /// Per-cell wall-clock deadline, enforced by the executor lane that
+    /// waits for the attempt (`--unit-timeout SECS`); `None` disables
+    /// reaping.
     pub unit_timeout: Option<std::time::Duration>,
     /// Enable the causal attribution ledger on the `trace` experiment's
     /// simulated run (`--attr`): the exported Chrome trace gains the

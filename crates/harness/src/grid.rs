@@ -10,7 +10,7 @@
 //! completed samples to the report. Whoever holds the [`Grid`] owns
 //! scheduling: the CLI flattens every selected experiment's cells into
 //! its one journaled campaign ([`Sweep`]), so `--jobs`, `--resume`,
-//! retry / quarantine and the watchdog all apply per cell;
+//! retry / quarantine and the attempt deadline all apply per cell;
 //! [`Grid::run`] is the same path, serially.
 
 use crate::common::{Check, ExpOptions, ExpReport};

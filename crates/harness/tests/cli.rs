@@ -1514,6 +1514,239 @@ fn seed_census_disjoint() {
     census("seeds k·2^32, k = 1..=20", &(1..=20).map(|k| k << 32).collect::<Vec<u64>>());
 }
 
+/// Calibration sensitivity, the Table 2 half of ROADMAP item 21: how
+/// far each fitted constant of `SimParams::for_machine`, and the
+/// machine's turbo bins, move that machine's two Table 2 columns at
+/// full size. Each constant is scaled by ×(1 ± 2 %) on its own, the ten
+/// seeded runs of both columns are rerun, and the table prints, per
+/// column, ∂(column mean)/∂ln p by central difference, ± the standard
+/// error of the ten per-run differences (the runs share their seeds, so
+/// that spread is what the perturbation does beyond the seed noise).
+/// The last block names, per column, the constant with the largest
+/// derivative and the change in it that would close the column's gap
+/// to the paper, to first order.
+///
+/// The perturbed runtime is `SimRuntime::new(machine, cfg).with_params(p)`
+/// on the plan's own region and seeds; the one assertion is that at ×1.0
+/// this path gives, bit for bit, the run means of `table2::plan`'s cells
+/// and the table its report prints.
+/// `cargo test --release -p ompvar-harness --test cli calibration_sensitivity -- --ignored --nocapture`
+#[test]
+#[ignore = "about 5 minutes in release; prints a table, asserts only its ×1.0 self-check"]
+fn calibration_sensitivity() {
+    use ompvar_bench_epcc::{run_many, schedbench, EpccConfig};
+    use ompvar_core::{fmt_us, Summary};
+    use ompvar_harness::{table2, ExpOptions, Platform};
+    use ompvar_rt::config::RtConfig;
+    use ompvar_rt::region::Schedule;
+    use ompvar_rt::simrt::SimRuntime;
+    use ompvar_sim::params::SimParams;
+    use ompvar_sim::time::Time;
+    use ompvar_topology::MachineSpec;
+
+    /// A calibrated constant: its name, its value as shown, and how to
+    /// scale it by a factor.
+    struct Knob {
+        name: &'static str,
+        show: fn(&SimParams, &MachineSpec) -> String,
+        scale: fn(&mut SimParams, &mut MachineSpec, f64),
+    }
+    // The turbo table in two halves, each scaled as one and shown as
+    // its range; `max_ghz`, the speed reference, is kept.
+    fn half(m: &MachineSpec, few: bool) -> std::ops::Range<usize> {
+        let n = m.clock.turbo_bins.len();
+        if few {
+            0..n / 2
+        } else {
+            n / 2..n
+        }
+    }
+    fn show_bins(m: &MachineSpec, few: bool) -> String {
+        let bins = &m.clock.turbo_bins[half(m, few)];
+        format!("{}–{}", bins[0], bins[bins.len() - 1])
+    }
+    fn scale_bins(m: &mut MachineSpec, few: bool, k: f64) {
+        let at = half(m, few);
+        m.clock.turbo_bins[at].iter_mut().for_each(|f| *f *= k);
+    }
+    let knobs = [
+        Knob {
+            name: "freq.pulse_mean_interval",
+            show: |p, _| format!("{} ms", p.freq.pulse_mean_interval as f64 / 1e6),
+            scale: |p, _, k| {
+                p.freq.pulse_mean_interval = (p.freq.pulse_mean_interval as f64 * k).round() as Time
+            },
+        },
+        Knob {
+            name: "freq.pulse_mean_duration",
+            show: |p, _| format!("{} ms", p.freq.pulse_mean_duration as f64 / 1e6),
+            scale: |p, _, k| {
+                p.freq.pulse_mean_duration = (p.freq.pulse_mean_duration as f64 * k).round() as Time
+            },
+        },
+        Knob {
+            name: "freq.pulse_depth",
+            show: |p, _| p.freq.pulse_depth.to_string(),
+            scale: |p, _, k| p.freq.pulse_depth *= k,
+        },
+        Knob {
+            name: "freq.stable_headroom_ghz",
+            show: |p, _| p.freq.stable_headroom_ghz.to_string(),
+            scale: |p, _, k| p.freq.stable_headroom_ghz *= k,
+        },
+        Knob {
+            name: "sync.atomic_ns",
+            show: |p, _| p.sync.atomic_ns.to_string(),
+            scale: |p, _, k| p.sync.atomic_ns *= k,
+        },
+        Knob {
+            name: "sync.atomic_contention_ns",
+            show: |p, _| p.sync.atomic_contention_ns.to_string(),
+            scale: |p, _, k| p.sync.atomic_contention_ns *= k,
+        },
+        Knob {
+            name: "mem.per_core_bw_gbs",
+            show: |p, _| p.mem.per_core_bw_gbs.to_string(),
+            scale: |p, _, k| p.mem.per_core_bw_gbs *= k,
+        },
+        Knob {
+            name: "turbo_bins, few-core half",
+            show: |_, m| show_bins(m, true),
+            scale: |_, m, k| scale_bins(m, true, k),
+        },
+        Knob {
+            name: "turbo_bins, many-core half",
+            show: |_, m| show_bins(m, false),
+            scale: |_, m, k| scale_bins(m, false, k),
+        },
+    ];
+    // The constants each machine's arm of `SimParams::for_machine` sets,
+    // then the machine's turbo table.
+    let fitted = |platform: Platform| -> Vec<&Knob> {
+        let names: &[&str] = match platform {
+            Platform::Dardel => &[
+                "freq.pulse_mean_interval",
+                "freq.pulse_depth",
+                "freq.stable_headroom_ghz",
+                "sync.atomic_ns",
+                "sync.atomic_contention_ns",
+            ],
+            Platform::Vera => &[
+                "freq.pulse_mean_interval",
+                "freq.pulse_mean_duration",
+                "freq.pulse_depth",
+                "freq.stable_headroom_ghz",
+                "sync.atomic_ns",
+                "sync.atomic_contention_ns",
+                "mem.per_core_bw_gbs",
+            ],
+        };
+        knobs.iter().filter(|k| names.contains(&k.name) || k.name.starts_with("turbo_bins")).collect()
+    };
+
+    let opts = ExpOptions::default();
+    let cfg = EpccConfig::schedbench_default().fast(opts.outer_reps());
+    // Per-run means (µs) of one column, scaled by `k` in `knob`.
+    let column = |platform: Platform, threads: usize, knob: Option<(&Knob, f64)>| -> Vec<f64> {
+        let (mut machine, mut params) = (platform.machine(), SimParams::for_machine(&platform.machine()));
+        if let Some((knob, k)) = knob {
+            (knob.scale)(&mut params, &mut machine, k);
+        }
+        let region = schedbench::region(&cfg, Schedule::Dynamic { chunk: 1 }, threads);
+        let rt = SimRuntime::new(machine, RtConfig::pinned_close(platform.st_places(threads)))
+            .with_params(params);
+        run_many(&rt, &region, opts.n_runs(), opts.seed).run_means()
+    };
+    let columns: Vec<(Platform, usize, f64)> = table2::PAPER_MEANS_US
+        .iter()
+        .zip([(Platform::Dardel, 4), (Platform::Dardel, 254), (Platform::Vera, 4), (Platform::Vera, 30)])
+        .map(|(&(_, _, paper), (platform, threads))| (platform, threads, paper))
+        .collect();
+    let t0 = std::time::Instant::now();
+
+    // Self-check at ×1.0: the plan's cells, then its report.
+    let base: Vec<Vec<f64>> = columns.iter().map(|&(pl, thr, _)| column(pl, thr, None)).collect();
+    let grid = table2::plan(&opts);
+    let shipped: Vec<f64> = grid
+        .cells
+        .iter()
+        .map(|cell| {
+            let sample = (cell.run)(0).unwrap_or_else(|e| panic!("{}: {}", cell.name, e.message));
+            Summary::of(sample.values()).mean
+        })
+        .collect();
+    let n_runs = opts.n_runs();
+    for (c, runs) in base.iter().enumerate() {
+        let plan_runs = &shipped[c * n_runs..(c + 1) * n_runs];
+        assert!(
+            runs.iter().zip(plan_runs).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "column {c}: {runs:?} != plan {plan_runs:?}"
+        );
+        assert_eq!(
+            Summary::of(runs).mean.to_bits(),
+            Summary::of(plan_runs).mean.to_bits(),
+            "column {c} mean"
+        );
+    }
+    let rendered = table2::plan(&opts).run().render();
+    let rows: Vec<Vec<&str>> = rendered
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .skip(1)
+        .map(|l| l.split('|').map(str::trim).filter(|c| !c.is_empty()).collect())
+        .collect();
+    assert_eq!(rows.len(), n_runs, "{rendered}");
+    for (r, row) in rows.iter().enumerate() {
+        let want: Vec<String> = std::iter::once((r + 1).to_string())
+            .chain(base.iter().map(|runs| fmt_us(runs[r])))
+            .collect();
+        assert_eq!(row, &want, "row {}", r + 1);
+    }
+
+    let dlnp = 1.02f64.ln() - 0.98f64.ln();
+    println!("calibration sensitivity: Table 2 at full size, seed {}, {n_runs} runs", opts.seed);
+    println!("∂(column mean)/∂ln p in µs, ± the standard error of the {n_runs} per-run differences");
+    // Per column: (largest |∂|, its knob, its derivative).
+    let mut owners: Vec<(f64, &'static str, f64)> = vec![(0.0, "", 0.0); columns.len()];
+    for platform in [Platform::Dardel, Platform::Vera] {
+        let cols: Vec<usize> = (0..columns.len()).filter(|&c| columns[c].0 == platform).collect();
+        let mut head = format!("{:<8}{:<28}{:>14}", platform.label(), "constant", "value");
+        let mut means = format!("{:<8}{:<28}{:>14}", "", "column mean (run sd)", "");
+        for &c in &cols {
+            let s = Summary::of(&base[c]);
+            head += &format!("{:>24}", format!("{} thr", columns[c].1));
+            means += &format!("{:>24}", format!("{:.0} ({:.0})", s.mean, s.sd));
+        }
+        println!("{head}\n{means}");
+        let machine = platform.machine();
+        let params = SimParams::for_machine(&machine);
+        for knob in fitted(platform) {
+            let mut row = format!("{:<8}{:<28}{:>14}", "", knob.name, (knob.show)(&params, &machine));
+            for &c in &cols {
+                let (pl, thr, _) = columns[c];
+                let up = column(pl, thr, Some((knob, 1.02)));
+                let down = column(pl, thr, Some((knob, 0.98)));
+                let d: Vec<f64> = up.iter().zip(&down).map(|(u, w)| (u - w) / dlnp).collect();
+                let s = Summary::of(&d);
+                row += &format!("{:>24}", format!("{:+.0} ± {:.0}", s.mean, s.sd / (n_runs as f64).sqrt()));
+                if s.mean.abs() > owners[c].0 {
+                    owners[c] = (s.mean.abs(), knob.name, s.mean);
+                }
+            }
+            println!("{row}");
+        }
+    }
+    println!("largest derivative per column, and the change in it that closes the gap to the paper");
+    for (c, &(pl, thr, paper)) in columns.iter().enumerate() {
+        let mean = Summary::of(&base[c]).mean;
+        let (_, name, d) = owners[c];
+        let gap = 100.0 * (mean - paper) / paper;
+        let shift = 100.0 * (((paper - mean) / d).exp() - 1.0);
+        println!("{} {thr} thr: {gap:+.2} % vs paper; {name} ({d:+.0} µs per ln p): {shift:+.1} %", pl.label());
+    }
+    println!("({:.0} s)", t0.elapsed().as_secs_f64());
+}
+
 fn census(label: &str, seeds: &[u64]) {
     let base = std::env::temp_dir()
         .join(format!("ompvar_seed_census_{}_{}", std::process::id(), seeds[0]));

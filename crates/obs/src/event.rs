@@ -93,8 +93,8 @@ pub enum InstantKind {
     SupervisorResume,
     /// The campaign supervisor flushed the checkpoint manifest.
     SupervisorCheckpoint,
-    /// The executor's watchdog reaped a unit attempt that exceeded its
-    /// wall-clock deadline.
+    /// The executor reaped a unit attempt that exceeded its wall-clock
+    /// deadline: its lane stopped waiting for the result.
     SupervisorTimeout,
     /// The chaos shim injected an I/O fault into a journal or artifact
     /// write.
@@ -105,7 +105,8 @@ pub enum InstantKind {
     ChaosProcKill,
     /// Process chaos panicked a unit attempt mid-flight.
     ChaosProcPanic,
-    /// Process chaos stalled a unit attempt past the watchdog deadline.
+    /// Process chaos stalled a unit attempt, past the attempt deadline
+    /// when one is set.
     ChaosProcStall,
 }
 

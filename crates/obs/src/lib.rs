@@ -25,7 +25,7 @@
 //! * [`wellformed`] — structural validation (every begin matched by an
 //!   end, per-thread LIFO nesting, per-thread monotone timestamps) and
 //!   span recovery.
-//! * [`metrics`] — the per-construct [`MetricsRegistry`]
+//! * [`metrics`] — per-construct latency summaries, [`span_stats`]
 //!   (p50/p95/p99/max), one [`QuantileSketch`] per span kind.
 //! * [`attr`] — the causal time-attribution vocabulary: the typed
 //!   [`AttrSource`] ledger ([`RunAttribution`]) the sim engine charges
@@ -61,6 +61,6 @@ pub use chrome::{chrome_trace, chrome_trace_attr, chrome_trace_lanes};
 pub use event::{
     EventKind, InstantKind, Span, SpanKind, Trace, TraceEvent, CORE_UNKNOWN, THREAD_GLOBAL,
 };
-pub use metrics::{MetricsRegistry, SpanStats};
+pub use metrics::{span_stats, SpanStats};
 pub use record::{TeamRecorder, ThreadRecorder, TraceSink};
 pub use sketch::{QuantileSketch, VarAccum};

@@ -11,7 +11,7 @@
 //!   nanoseconds (8 sub-buckets per octave ⇒ ≤ 12.5% relative
 //!   quantization error on interior quantiles; exact min/max), constant
 //!   memory, O(1) insert, O(buckets) merge. Also the per-construct
-//!   latency histogram behind [`MetricsRegistry`](crate::MetricsRegistry).
+//!   latency histogram behind [`span_stats`](crate::span_stats).
 //! * [`VarAccum`] — exact streaming moments (count, Σx, Σx² in `u128`,
 //!   min, max) for mean / population standard deviation / coefficient of
 //!   variation. `u128` sums are exact for any realistic campaign

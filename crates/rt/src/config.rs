@@ -2,7 +2,7 @@
 //! the `OMP_PLACES` / `OMP_PROC_BIND` environment variables, and the
 //! result type shared by both backends.
 
-use ompvar_obs::{MetricsRegistry, RunAttribution, SpanKind, SpanStats, Trace};
+use ompvar_obs::{RunAttribution, SpanKind, SpanStats, Trace};
 use ompvar_sim::trace::{Counters, FreqSample, SemanticEffects};
 use ompvar_sim::task::TaskStats;
 use ompvar_topology::{Places, ProcBind};
@@ -111,10 +111,7 @@ impl RegionResult {
     /// the recorded trace. Empty when the run was not traced or recorded
     /// no spans of any kind.
     pub fn span_stats(&self) -> Vec<(SpanKind, SpanStats)> {
-        self.trace
-            .as_ref()
-            .map(|t| MetricsRegistry::from_trace(t).snapshot())
-            .unwrap_or_default()
+        self.trace.as_ref().map(ompvar_obs::span_stats).unwrap_or_default()
     }
 }
 

@@ -16,7 +16,7 @@
 //!   asserting resume reproduces the uncrashed report byte for byte.
 //! - **Process chaos** ([`ProcChaos`]): seeded decisions to kill a
 //!   worker at a unit boundary, panic inside an attempt, or stall past
-//!   the watchdog timeout — pure functions of `(seed, unit, attempt)`.
+//!   the attempt deadline — pure functions of `(seed, unit, attempt)`.
 //!
 //! The I/O shim is installed process-globally but **path-scoped**: only
 //! writes under the installed scope directory are counted or faulted, so
@@ -353,7 +353,7 @@ pub struct ProcChaos {
     pub kill_ppm: u32,
     /// Probability (ppm) a given attempt panics mid-flight.
     pub panic_ppm: u32,
-    /// Probability (ppm) a given attempt stalls past the watchdog.
+    /// Probability (ppm) a given attempt stalls past the deadline.
     pub stall_ppm: u32,
     /// How long a stalled attempt sleeps, in milliseconds.
     pub stall_ms: u64,
@@ -366,7 +366,7 @@ pub enum ChaosAction {
     None,
     /// Panic inside the attempt closure.
     Panic,
-    /// Sleep `stall_ms` before running, to trip the watchdog.
+    /// Sleep `stall_ms` before running, to trip the attempt deadline.
     Stall,
 }
 

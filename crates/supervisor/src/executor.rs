@@ -16,15 +16,16 @@
 //!
 //! Robustness machinery on top of the pool:
 //!
-//! - **Watchdog**: one thread, started by a campaign's first timed
-//!   attempt, tracking a wall-clock deadline per running attempt. A
-//!   campaign that replays every unit starts no worker and no watchdog.
-//!   A reaped attempt surfaces as a transient
+//! - **Deadlines**: with a unit timeout, an attempt runs on a detached
+//!   thread and hands its result to its lane over a zero-capacity
+//!   channel; the lane waits at most the deadline (`recv_timeout`). A
+//!   reaped attempt surfaces as a transient
 //!   [`UnitError::timeout`] *inside* the supervise closure, so the
 //!   existing classifier / seeded-backoff / quarantine path applies
 //!   unchanged. Rust offers no way to cancel arbitrary compute, so a
-//!   timed attempt runs on a detached thread; a genuinely hung one is
-//!   leaked (it dies with the process) while the campaign moves on.
+//!   genuinely hung attempt thread is leaked (it dies with the process)
+//!   while the campaign moves on, and counted in
+//!   [`CampaignRun::leaked_threads`] until it finishes.
 //! - **Panic isolation**: unit panics are caught per-attempt and become
 //!   [`UnitError::from_panic`]. A panic *outside* the attempt sandbox
 //!   (executor or journaling bug) poisons only that worker: the others
@@ -50,8 +51,8 @@ use ompvar_obs::{InstantKind, Trace};
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -70,8 +71,8 @@ pub fn resolve_jobs(requested: usize) -> usize {
 pub struct ExecutorConfig {
     /// Worker count (already resolved; clamped to at least 1).
     pub jobs: usize,
-    /// Per-attempt wall-clock deadline enforced by the watchdog;
-    /// `None` disables reaping.
+    /// Per-attempt wall-clock deadline, enforced by the lane waiting for
+    /// the attempt's result; `None` disables reaping.
     pub unit_timeout: Option<Duration>,
     /// Retry / backoff / seed policy shared by every worker.
     pub supervisor: SupervisorConfig,
@@ -159,7 +160,7 @@ pub struct CampaignRun<R> {
     /// taken from another worker. Kept only because the benchmark's
     /// journal workload still reports it.
     pub steals: usize,
-    /// Watchdog-reaped attempt threads still running when the campaign
+    /// Reaped attempt threads still running when the campaign
     /// returned. A hang-heavy run leaks real OS threads (they die with
     /// the process); this makes that visible instead of silent.
     pub leaked_threads: u64,
@@ -186,200 +187,51 @@ fn panic_message(p: &(dyn Any + Send)) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Watchdog
-// ---------------------------------------------------------------------
-
-struct Watch {
-    id: u64,
-    deadline: Instant,
-    fire: Option<Box<dyn FnOnce() + Send>>,
-}
-
-struct WatchdogState {
-    watches: Vec<Watch>,
-    next_id: u64,
-    shutdown: bool,
-}
-
-/// One thread enforcing wall-clock deadlines for every in-flight
-/// attempt. Registration hands over a closure that is fired at most
-/// once, when the deadline passes before [`Watchdog::cancel`].
-pub struct Watchdog {
-    state: Arc<(Mutex<WatchdogState>, Condvar)>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    /// Start the watchdog thread.
-    pub fn spawn() -> Watchdog {
-        let state = Arc::new((
-            Mutex::new(WatchdogState { watches: Vec::new(), next_id: 0, shutdown: false }),
-            Condvar::new(),
-        ));
-        let thread_state = Arc::clone(&state);
-        let handle = thread::Builder::new()
-            .name("ompvar-watchdog".into())
-            .spawn(move || {
-                let (m, cv) = &*thread_state;
-                let mut g = lock(m);
-                loop {
-                    if g.shutdown {
-                        return;
-                    }
-                    let now = Instant::now();
-                    let mut fired: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-                    g.watches.retain_mut(|w| {
-                        if w.deadline <= now {
-                            fired.extend(w.fire.take());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    if !fired.is_empty() {
-                        // Fire outside the lock: the closures take other
-                        // locks (result slots) and must not nest inside
-                        // ours.
-                        drop(g);
-                        for f in fired {
-                            f();
-                        }
-                        g = lock(m);
-                        continue;
-                    }
-                    g = match g.watches.iter().map(|w| w.deadline).min() {
-                        Some(d) => {
-                            cv.wait_timeout(g, d.saturating_duration_since(now))
-                                .unwrap_or_else(|p| p.into_inner())
-                                .0
-                        }
-                        None => cv.wait(g).unwrap_or_else(|p| p.into_inner()),
-                    };
-                }
-            })
-            .expect("spawn watchdog thread");
-        Watchdog { state, handle: Some(handle) }
-    }
-
-    /// Arm a deadline. Returns a handle for [`Watchdog::cancel`].
-    pub fn register(&self, deadline: Instant, fire: Box<dyn FnOnce() + Send>) -> u64 {
-        let (m, cv) = &*self.state;
-        let mut g = lock(m);
-        let id = g.next_id;
-        g.next_id += 1;
-        g.watches.push(Watch { id, deadline, fire: Some(fire) });
-        cv.notify_all();
-        id
-    }
-
-    /// Disarm a deadline (no-op if it already fired).
-    pub fn cancel(&self, id: u64) {
-        let (m, cv) = &*self.state;
-        lock(m).watches.retain(|w| w.id != id);
-        cv.notify_all();
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        let (m, cv) = &*self.state;
-        lock(m).shutdown = true;
-        cv.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Attempt execution
 // ---------------------------------------------------------------------
 
-/// Run one attempt with panic isolation and (optionally) a watchdog
-/// deadline. Without a timeout the attempt runs on the calling thread;
-/// with one it runs on a detached thread whose result races the
-/// watchdog — started by the campaign's first timed attempt — into a
-/// first-writer-wins slot. A reaped attempt's thread is leaked
-/// deliberately — see the module docs.
+/// Run one attempt with panic isolation and (optionally) a wall-clock
+/// deadline. Without a timeout the attempt runs on the calling thread.
+/// With one it runs on a detached thread that hands its result over a
+/// zero-capacity channel, and the lane waits for it at most `limit`.
+/// A send on a rendezvous channel completes only when the lane
+/// receives it, so each result is either delivered or abandoned, never
+/// both: on a timeout the lane counts the thread as leaked and drops
+/// the receiver, and a reaped thread that finishes later finds its send
+/// refused and takes its leak back. See the module docs.
 fn run_attempt<R: Send + 'static>(
     run: &Arc<UnitFn<R>>,
     attempt: u32,
     timeout: Option<Duration>,
-    watchdog: &OnceLock<Watchdog>,
     name: &str,
-    leaks: &Arc<AtomicI64>,
+    leaks: &Arc<AtomicU64>,
 ) -> Result<R, UnitError> {
     let Some(limit) = timeout else {
         return catch_unwind(AssertUnwindSafe(|| run(attempt)))
             .unwrap_or_else(|p| Err(UnitError::from_panic(panic_message(p.as_ref()))));
     };
-    let watchdog = watchdog.get_or_init(Watchdog::spawn);
-
-    // Three-state slot, not an Option: after the caller extracts the
-    // winner the slot must still read as "settled", or a reaped thread
-    // finishing late would mistake the drained slot for an unclaimed
-    // race and skip the leak-counter decrement.
-    enum SlotState<R> {
-        Empty,
-        Filled(Result<R, UnitError>),
-        Taken,
-    }
-    type Slot<R> = Arc<(Mutex<SlotState<R>>, Condvar)>;
-    let slot: Slot<R> = Arc::new((Mutex::new(SlotState::Empty), Condvar::new()));
-
-    let reap_slot = Arc::clone(&slot);
-    let reap_leaks = Arc::clone(leaks);
-    let reap_msg = format!(
-        "unit '{name}' attempt {attempt} exceeded its {:.3}s deadline; reaped by watchdog",
-        limit.as_secs_f64()
-    );
-    let watch = watchdog.register(
-        Instant::now() + limit,
-        Box::new(move || {
-            let (m, cv) = &*reap_slot;
-            let mut g = lock(m);
-            if matches!(*g, SlotState::Empty) {
-                // The reap wins the race: the attempt thread is now
-                // abandoned — a leaked OS thread until (if ever) it
-                // finishes on its own and decrements below.
-                reap_leaks.fetch_add(1, Ordering::SeqCst);
-                *g = SlotState::Filled(Err(UnitError::timeout(reap_msg)));
-                cv.notify_all();
-            }
-        }),
-    );
-
-    let work_slot = Arc::clone(&slot);
-    let work_leaks = Arc::clone(leaks);
+    let (tx, rx) = mpsc::sync_channel(0);
     let work = Arc::clone(run);
+    let work_leaks = Arc::clone(leaks);
     let _detached = thread::Builder::new()
         .name(format!("ompvar-attempt-{name}"))
         .spawn(move || {
             let res = catch_unwind(AssertUnwindSafe(|| work(attempt)))
                 .unwrap_or_else(|p| Err(UnitError::from_panic(panic_message(p.as_ref()))));
-            let (m, cv) = &*work_slot;
-            let mut g = lock(m);
-            if matches!(*g, SlotState::Empty) {
-                *g = SlotState::Filled(res);
-                cv.notify_all();
-            } else {
-                // The watchdog already reaped this attempt; the leak it
-                // counted has just un-leaked itself.
+            if tx.send(res).is_err() {
                 work_leaks.fetch_sub(1, Ordering::SeqCst);
             }
         })
         .expect("spawn attempt thread");
-
-    let (m, cv) = &*slot;
-    let mut g = lock(m);
-    while matches!(*g, SlotState::Empty) {
-        g = cv.wait(g).unwrap_or_else(|p| p.into_inner());
-    }
-    watchdog.cancel(watch);
-    match std::mem::replace(&mut *g, SlotState::Taken) {
-        SlotState::Filled(res) => res,
-        _ => unreachable!("slot settled by the wait loop"),
-    }
+    rx.recv_timeout(limit).unwrap_or_else(|_| {
+        // The leak is counted before `rx` drops, so the reaped thread's
+        // refused send always finds it to take back.
+        leaks.fetch_add(1, Ordering::SeqCst);
+        Err(UnitError::timeout(format!(
+            "unit '{name}' attempt {attempt} exceeded its {:.3}s deadline; reaped by watchdog",
+            limit.as_secs_f64()
+        )))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -460,10 +312,9 @@ struct WorkerOut<R> {
 struct Lanes<'a, R> {
     cfg: ExecutorConfig,
     units: &'a [ExecUnit<R>],
-    watchdog: &'a OnceLock<Watchdog>,
     epoch: Instant,
     progress: Progress<'a, R>,
-    leaks: &'a Arc<AtomicI64>,
+    leaks: &'a Arc<AtomicU64>,
 }
 
 impl<R: Checkpointable + Send + 'static> Lanes<'_, R> {
@@ -503,7 +354,7 @@ impl<R: Checkpointable + Send + 'static> Lanes<'_, R> {
             let run = Arc::clone(&unit.run);
             // Process chaos, decision 2: wrap each attempt so it may panic
             // (exercising the per-attempt sandbox) or stall past the
-            // watchdog deadline (exercising the reaper) — purely from
+            // attempt deadline (exercising the reaper) — purely from
             // `(seed, unit, attempt)`.
             let run: Arc<UnitFn<R>> = match cfg.chaos {
                 Some(pc) => chaos_wrap(run, pc, idx),
@@ -513,7 +364,7 @@ impl<R: Checkpointable + Send + 'static> Lanes<'_, R> {
             let supervised = catch_unwind(AssertUnwindSafe(|| {
                 sup.supervise(&unit.name, |attempt| {
                     let timeout = cfg.unit_timeout;
-                    run_attempt(&run, attempt, timeout, self.watchdog, &unit.name, self.leaks)
+                    run_attempt(&run, attempt, timeout, &unit.name, self.leaks)
                 })
             }));
             let outcome = match supervised {
@@ -655,9 +506,8 @@ where
     let queue = UnitQueue::new(pending);
 
     let in_flight: Vec<Mutex<Option<usize>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    let watchdog = OnceLock::new();
-    let leaks = Arc::new(AtomicI64::new(0));
-    let lanes = Lanes { cfg: *cfg, units, watchdog: &watchdog, epoch, progress, leaks: &leaks };
+    let leaks = Arc::new(AtomicU64::new(0));
+    let lanes = Lanes { cfg: *cfg, units, epoch, progress, leaks: &leaks };
 
     let mut outs: Vec<WorkerOut<R>> = Vec::with_capacity(jobs + 1);
     // A replay that restored every unit leaves nothing to run: no
@@ -745,7 +595,7 @@ where
         interrupted,
         poisoned_workers: poisoned,
         steals: 0,
-        leaked_threads: leaks.load(Ordering::SeqCst).max(0) as u64,
+        leaked_threads: leaks.load(Ordering::SeqCst),
         recovery_notes,
     }
 }
@@ -1122,6 +972,52 @@ mod tests {
         }));
         let run = run_campaign(&c, &units, None, &[], None, None);
         assert_eq!(run.leaked_threads, 0, "abandoned thread completed before return");
+    }
+
+    /// Attempts that finish near the deadline: each of 64 units sleeps
+    /// 15–25 ms on attempt 0 under a 20 ms deadline, so the rendezvous
+    /// decides some races each way. Whichever way each goes, the result
+    /// is delivered or abandoned, never both: every unit completes, each
+    /// reap is one `supervisor_timeout` instant and one retry record,
+    /// and the tail of short units outlives every abandoned thread, so
+    /// none is counted as leaked at return.
+    #[test]
+    fn deadline_edge_is_decided_once() {
+        let mut c = cfg(2);
+        c.unit_timeout = Some(Duration::from_millis(20));
+        c.supervisor.max_retries = 1;
+        let mut units: Vec<ExecUnit<f64>> = (0..64u64)
+            .map(|i| {
+                ExecUnit::new(format!("edge{i}"), move |attempt: u32| {
+                    if attempt == 0 {
+                        thread::sleep(Duration::from_millis(15 + i * 7 % 11));
+                    }
+                    Ok(i as f64)
+                })
+            })
+            .collect();
+        units.extend((0..24).map(|i| {
+            ExecUnit::new(format!("tail{i}"), |attempt: u32| {
+                if attempt == 0 {
+                    thread::sleep(Duration::from_millis(4));
+                }
+                Ok(0.0f64)
+            })
+        }));
+        let run = run_campaign(&c, &units, None, &[], None, None);
+        let mut reaped = 0;
+        for r in &run.results {
+            match &r.outcome {
+                Outcome::Completed { retries, .. } => {
+                    reaped +=
+                        retries.iter().filter(|rr| rr.error.contains("reaped by watchdog")).count();
+                }
+                other => panic!("{}: {other:?}", r.name),
+            }
+        }
+        assert_eq!(run.results.len(), units.len());
+        assert_eq!(run.leaked_threads, 0, "every abandoned thread finished before return");
+        assert_eq!(run.trace.instants_of(InstantKind::SupervisorTimeout), reaped);
     }
 
     /// Process chaos is a pure function of the chaos seed: two runs with

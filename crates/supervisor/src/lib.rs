@@ -20,7 +20,8 @@
 //!   history lands in the same Chrome traces as the runs themselves.
 //! - [`executor`]: the fault-tolerant parallel layer — a pool of workers
 //!   popping one shared unit queue, each journaling into its own shard
-//!   manifest, with a hang watchdog, per-worker panic isolation, and a
+//!   manifest, with a per-attempt deadline (a hung attempt is reaped
+//!   into the retry path), per-worker panic isolation, and a
 //!   deterministic shard merge on resume.
 
 #![warn(missing_docs)]
@@ -44,7 +45,6 @@ pub use checkpoint::{
 };
 pub use executor::{
     resolve_jobs, run_campaign, CampaignRun, ExecUnit, ExecutorConfig, Progress, UnitResult,
-    Watchdog,
 };
 pub use classify::{classify, classify_io, classify_panic, classify_sim, Transience};
 pub use fsio::atomic_write;

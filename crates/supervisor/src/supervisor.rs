@@ -70,8 +70,8 @@ pub struct UnitError {
     pub message: String,
     /// Retry policy class.
     pub transience: Transience,
-    /// Whether the watchdog reaped this attempt for exceeding its
-    /// wall-clock deadline (drives the `supervisor_timeout` instant).
+    /// Whether this attempt was reaped for exceeding its wall-clock
+    /// deadline (drives the `supervisor_timeout` instant).
     pub timed_out: bool,
 }
 
@@ -91,9 +91,10 @@ impl UnitError {
         UnitError { message: format!("panic: {msg}"), transience, timed_out: false }
     }
 
-    /// A watchdog-reaped hang. Timeouts are transient by policy: a hang
-    /// on a loaded host is exactly the "noisy neighbor" class of failure
-    /// the retry/backoff path exists for.
+    /// An attempt reaped at its deadline: its lane stopped waiting for
+    /// the result (see [`crate::executor`]). Timeouts are transient by
+    /// policy: a hang on a loaded host is exactly the "noisy neighbor"
+    /// class of failure the retry/backoff path exists for.
     pub fn timeout(msg: String) -> UnitError {
         UnitError { message: msg, transience: Transience::Transient, timed_out: true }
     }

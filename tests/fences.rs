@@ -562,6 +562,20 @@ fn one_unit_queue() {
     assert!(back.is_empty(), "deal-and-steal or a stabilize policy is back: {back:?}");
 }
 
+/// One deadline. A timed attempt hands its result to its lane over a
+/// zero-capacity channel, and the lane's `recv_timeout` is the deadline
+/// (DESIGN §9): no watchdog thread, deadline list or condition-variable
+/// result slot grows back in the supervisor crate beside it.
+#[test]
+fn one_deadline() {
+    let back = shipping_hits("crates/supervisor/src", |line| {
+        ["Condvar", "wait_timeout", "struct Watchdog", "\"ompvar-watchdog\""]
+            .iter()
+            .any(|pat| line.contains(pat))
+    });
+    assert!(back.is_empty(), "a second deadline mechanism is back: {back:?}");
+}
+
 /// One rejection vocabulary: `validate()` rejects a program with the
 /// analyzer's own `Diagnostic`, so no second error type mirrors the
 /// `Error`-severity codes, no classifier matches on one, no diagnostic
